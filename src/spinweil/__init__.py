@@ -10,11 +10,10 @@ from .clifford import (CV, CliffordAlgebra, CliffordElement, conjugation,
                        twisted_conjugation)
 from .scalars import QuadExt, Rational, TowerScalar, hilbert_symbol, is_norm
 from .spingeo import (IsotropicSubspace, Spinor, move_to_cell, spinor_inverse,
-                      spinor_map, subspace_of_spinor, transversality,
-                      veronese_pluecker_check)
+                      spinor_map, subspace_of_spinor, transversality)
 from .reps import (RepSpace, branching_dims, cayley_class, derived_action,
                    invariant_subspace, stabilizer_algebra,
-                   weight_decomposition)
+                   veronese_pluecker_check, weight_decomposition)
 from .weil import (Period, WeilDatum, cayley_hodge_test, complex_structure,
                    h2_split, hermitian_and_discriminant, k_action,
                    make_weil_datum, polarization, sample_period,

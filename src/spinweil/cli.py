@@ -1,10 +1,16 @@
 """Command-line surface: computation verbs and the verification runner.
 
-Verbs: spinor, cayley, weil-family, ks, invariants, verify.  Exit codes:
-0 success, 1 verification failure, 2 usage error (including malformed
-JSON).  All randomized work takes an explicit seed (fixed default) so runs
-are reproducible; `--json` switches to one machine-readable document per
+Verbs: spinor, cayley, weil-family, ks, invariants, verify.  All
+randomized work takes an explicit seed (fixed default) so runs are
+reproducible; `--json` switches to one machine-readable document per
 invocation.
+
+Exit codes (this is the one place they are listed):
+  0  success
+  1  verification failure: a check failed, or the input decodes but is
+     mathematically invalid (say, a non-isotropic spinor for --invert)
+  2  usage error: bad or missing arguments, unreadable or malformed JSON,
+     or JSON values that do not decode to scalars, vectors or matrices
 """
 
 from __future__ import annotations
@@ -18,14 +24,12 @@ from . import verify as verify_mod
 from .jsonio import (decode_matrix, decode_vector, encode_matrix,
                      encode_multivector, encode_scalar, encode_vector)
 from .lattices import moduli_dimension
-from .multivector import Multivector
 from .reps import (branching_dims, cayley_class, cayley_constant,
                    explicit_cayley_formula, gamma2alpha_star_sign,
                    invariant_subspace, stabilizer_algebra, standard_spinor)
-from .scalars import rat
 from .spingeo import Spinor, spinor_inverse, spinor_map
-from .weil import (Period, datum_report, field_parameters, make_weil_datum,
-                   sample_period, weil_class_space, h2_split)
+from .weil import (datum_report, field_parameters, h2_split, make_weil_datum,
+                   sample_period, weil_class_space)
 from .kuga import ks_report
 
 DEFAULT_SEED = 20240
@@ -46,6 +50,15 @@ def _load_json(text_or_path, inline=True):
 
 class UsageError(Exception):
     pass
+
+
+def _decode(decoder, obj):
+    """Apply a jsonio decoder; a value it cannot decode is a usage error."""
+    try:
+        return decoder(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed JSON input: {type(exc).__name__}: "
+                         f"{exc}")
 
 
 def _emit(doc, args):
@@ -76,17 +89,19 @@ def run_spinor(args):
         doc = _load_json(args.input, inline=False)
         inputs = doc.get("inputs", doc)
         if "B" in inputs and inputs["B"] is not None:
-            b = decode_matrix(inputs["B"])
+            b = _decode(decode_matrix, inputs["B"])
             return _spinor_forward(b, args)
         if "z" in inputs and inputs["z"] is not None:
-            z = decode_vector(inputs["z"])
+            z = _decode(decode_vector, inputs["z"])
             return _spinor_invert(z, args)
         raise UsageError("input document carries neither a matrix nor "
                          "spinor coordinates")
     if args.B:
-        return _spinor_forward(decode_matrix(_load_json(args.B)), args)
+        return _spinor_forward(_decode(decode_matrix, _load_json(args.B)),
+                               args)
     if args.invert:
-        return _spinor_invert(decode_vector(_load_json(args.invert)), args)
+        return _spinor_invert(
+            _decode(decode_vector, _load_json(args.invert)), args)
     raise UsageError("spinor needs --B, --invert or --input")
 
 
@@ -141,7 +156,7 @@ def run_cayley(args):
             "closed_form_constant": encode_scalar(constant),
         }
     elif args.s:
-        s = Spinor(decode_vector(_load_json(args.s)))
+        s = Spinor(_decode(decode_vector, _load_json(args.s)))
         c = cayley_class(s)
         doc = {
             "verb": "cayley",
@@ -156,17 +171,21 @@ def run_cayley(args):
 
 # -- verb: weil-family -------------------------------------------------------
 
-def run_weil(args):
+def _h_s_seed(args):
+    """The h and s vectors and the seed of weil-family and ks."""
     if args.input:
         doc = _load_json(args.input, inline=False)
         inputs = doc.get("inputs", doc)
-        h = decode_vector(inputs["h"])
-        s = decode_vector(inputs["s"])
-        seed = int(inputs.get("seed", args.seed))
-    else:
-        h = decode_vector(_load_json(args.h)) if args.h else list(STANDARD_H)
-        s = decode_vector(_load_json(args.s)) if args.s else list(STANDARD_S)
-        seed = args.seed
+        return (_decode(decode_vector, inputs.get("h")),
+                _decode(decode_vector, inputs.get("s")),
+                int(inputs.get("seed", args.seed)))
+    h = _decode(decode_vector, _load_json(args.h)) if args.h else STANDARD_H
+    s = _decode(decode_vector, _load_json(args.s)) if args.s else STANDARD_S
+    return list(h), list(s), args.seed
+
+
+def run_weil(args):
+    h, s, seed = _h_s_seed(args)
     if args.field_scan:
         rows = []
         for k in (1, 2, 3, 5):
@@ -219,16 +238,7 @@ def run_weil(args):
 # -- verb: ks ----------------------------------------------------------------
 
 def run_ks(args):
-    if args.input:
-        doc = _load_json(args.input, inline=False)
-        inputs = doc.get("inputs", doc)
-        h = decode_vector(inputs["h"])
-        s = decode_vector(inputs["s"])
-        seed = int(inputs.get("seed", args.seed))
-    else:
-        h = decode_vector(_load_json(args.h)) if args.h else list(STANDARD_H)
-        s = decode_vector(_load_json(args.s)) if args.s else list(STANDARD_S)
-        seed = args.seed
+    h, s, seed = _h_s_seed(args)
     period = sample_period(h, s, seed=seed)
     report = ks_report(h, s, period, seed=seed)
     doc = {

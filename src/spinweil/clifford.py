@@ -16,7 +16,8 @@ from math import factorial
 
 from .lattices import BilinearLattice, make_V
 from .linalg import mat, solve
-from .multivector import Multivector, contract, indices_of, popcount, wedge
+from .multivector import (Multivector, _accumulate, contract, indices_of,
+                          popcount, wedge)
 from .scalars import rat
 
 
@@ -55,12 +56,7 @@ class CliffordAlgebra:
                     out[m2 | (1 << j)] = out.get(m2 | (1 << j), 0) - c
                 g = self.gram[j][k]
                 if g != 0:
-                    m2 = mask ^ (1 << j)
-                    v = out.get(m2, 0) + g
-                    if v == 0:
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = v
+                    _accumulate(out, mask ^ (1 << j), g)
         self._gen_cache[key] = out
         return out
 
@@ -77,11 +73,7 @@ class CliffordAlgebra:
             nxt = {}
             for mask, c in acc.items():
                 for m2, c2 in self._blade_times_gen(mask, k).items():
-                    v = nxt.get(m2, 0) + c * c2
-                    if v == 0:
-                        nxt.pop(m2, None)
-                    else:
-                        nxt[m2] = v
+                    _accumulate(nxt, m2, c * c2)
             acc = nxt
             m ^= low
         self._blade_cache[key] = acc
@@ -97,11 +89,7 @@ class CliffordAlgebra:
             nxt = {}
             for m, c in prod.items():
                 for m2, c2 in self._blade_times_gen(m, k).items():
-                    v = nxt.get(m2, 0) + c * c2
-                    if v == 0:
-                        nxt.pop(m2, None)
-                    else:
-                        nxt[m2] = v
+                    _accumulate(nxt, m2, c * c2)
             prod = nxt
         if popcount(mask) % 2:
             prod = {m: -c for m, c in prod.items()}
@@ -161,11 +149,7 @@ class CliffordElement:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            _accumulate(out, m, c)
         return CliffordElement(self.algebra, out)
 
     __radd__ = __add__
@@ -198,11 +182,7 @@ class CliffordElement:
             for mb, cb in other.terms.items():
                 cc = ca * cb
                 for m, c in alg.blade_product(ma, mb).items():
-                    v = out.get(m, 0) + cc * c
-                    if v == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
+                    _accumulate(out, m, cc * c)
         return CliffordElement(alg, out)
 
     def __rmul__(self, other):
@@ -245,11 +225,7 @@ class CliffordElement:
         out = {}
         for mask, c in self.terms.items():
             for m, c2 in alg.blade_conj(mask).items():
-                v = out.get(m, 0) + c * c2
-                if v == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
+                _accumulate(out, m, c * c2)
         return CliffordElement(alg, out)
 
     def __repr__(self):

@@ -1,21 +1,19 @@
-"""JSON encoding of the scalar tower, vectors, matrices, exterior forms
-and Clifford elements.
+"""JSON encoding of the scalar tower, vectors, matrices and exterior forms.
 
 Wire formats:
   rational      "p/q" (or "p")
   quadratic     {"a": "p/q", "b": "p/q", "m": int}
   tower         {"c": ["p/q", "p/q", "p/q", "p/q"], "m": int}
-  lattice       {"label": str, "gram": [[rational]]}
-  vector        {"coords": [scalar]}
+  vector        {"coords": [scalar]} (decoded from a bare list too)
+  matrix        [[scalar]]
   multivector   [{"indices": [int, 1-based], "coeff": scalar}]
-  clifford      [{"gens": [int, 1-based], "coeff": scalar}]
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattices import BilinearLattice, LatticeVector
+from .lattices import LatticeVector
 from .multivector import Multivector, indices_of, mask_of
 from .scalars import QuadExt, TowerScalar, rat
 
@@ -64,15 +62,6 @@ def decode_matrix(obj):
     return [[decode_scalar(x) for x in row] for row in obj]
 
 
-def encode_lattice(lat: BilinearLattice):
-    return {"label": lat.label, "gram": encode_matrix(lat.gram)}
-
-
-def decode_lattice(obj):
-    return BilinearLattice(decode_matrix(obj["gram"]),
-                           label=obj.get("label", ""))
-
-
 def encode_multivector(x: Multivector):
     out = []
     for mask in sorted(x.terms):
@@ -87,19 +76,3 @@ def decode_multivector(obj, n):
         mask = mask_of(i - 1 for i in item["indices"])
         terms[mask] = decode_scalar(item["coeff"])
     return Multivector(n, terms)
-
-
-def encode_clifford(x):
-    out = []
-    for mask in sorted(x.terms):
-        out.append({"gens": [i + 1 for i in indices_of(mask)],
-                    "coeff": encode_scalar(x.terms[mask])})
-    return out
-
-
-def decode_clifford(obj, algebra):
-    terms = {}
-    for item in obj:
-        mask = mask_of(i - 1 for i in item["gens"])
-        terms[mask] = decode_scalar(item["coeff"])
-    return algebra.element(terms)

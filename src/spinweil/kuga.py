@@ -15,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .clifford import (CliffordAlgebra, is_so_matrix, so_to_spin,
                        spin_so_iso)
 from .lattices import BilinearLattice, orthogonal_complement, sublattice_gram
-from .linalg import det_int, identity, mat, mat_mul, mat_vec, nullspace, rank, solve, solve_matrix
+from .linalg import (det_int, identity, mat, mat_mul, nullspace, solve,
+                     solve_matrix)
 from .reps import splus_matrix, stabilizer_algebra
 from .scalars import QuadExt, rat, squarefree_part
 from .spingeo import Spinor, splus_lattice
@@ -105,14 +107,15 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
     lmat = left_mult_matrix(algebra, w, masks)
     scale = Fraction(2) / c
     j_ks = [[scale * x for x in row] for row in lmat]
-    sq = mat_mul(j_ks, j_ks)
-    n = len(masks)
-    for a in range(n):
-        for b in range(n):
-            if sq[a][b] != (-1 if a == b else 0):
-                raise RuntimeError("J_KS^2 = -I failed")
+    if not _squares_to_minus_identity(j_ks):
+        raise RuntimeError("J_KS^2 = -I failed")
     return KSDatum(lattice=lattice, algebra=algebra, f1=f1, f2=f2, c=c,
                    even_masks=masks, j_ks=j_ks)
+
+
+def _squares_to_minus_identity(m) -> bool:
+    minus_identity = [[-x for x in row] for row in identity(len(m))]
+    return mat_mul(m, m) == minus_identity
 
 
 def ks_right_commutation(datum: KSDatum, seed=0, count=20) -> bool:
@@ -162,7 +165,7 @@ def ks_center(lattice: BilinearLattice):
     basis = nullspace(mat(rows))
     if len(basis) != 2:
         return basis, None
-    # normalize the generator to have no scalar component
+    # a non-scalar generator w of the center: zero its mask-0 coordinate
     idx0 = masks.index(0)
     u, v = basis
     if u[idx0] == 0:
@@ -174,6 +177,12 @@ def ks_center(lattice: BilinearLattice):
     if all(x == 0 for x in w):
         raise RuntimeError("center degenerated to the scalar line")
     omega_c = algebra.element({m: c for m, c in zip(masks, w)})
+    # the center is Q[w] with w^2 = alpha + beta w, so w - beta/2 squares to
+    # a scalar; in a non-orthogonal basis e_i e_j has scalar part
+    # (e_i, e_j)/2, so beta need not be 0; it is read off one non-scalar blade
+    blade = next(m for m in omega_c.terms if m != 0)
+    beta = (omega_c * omega_c).terms.get(blade, 0) / omega_c.terms[blade]
+    omega_c = omega_c - algebra.scalar(beta / 2)
     square = omega_c * omega_c
     if square.degrees() not in ([], [0]):
         raise RuntimeError("center generator square is not a scalar")
@@ -198,10 +207,7 @@ def ks_center_field_check(h, s) -> dict:
 def _charpoly_values(matrix, points):
     """det(t I - M) at integer points, exactly, via integer determinants."""
     n = len(matrix)
-    denom = 1
-    for row in matrix:
-        for x in row:
-            denom = denom * rat(x).denominator // _gcd(denom, rat(x).denominator)
+    denom = lcm(*(rat(x).denominator for row in matrix for x in row))
     scaled = [[int(rat(x) * denom) for x in row] for row in matrix]
     out = []
     for t in points:
@@ -209,12 +215,6 @@ def _charpoly_values(matrix, points):
              for a in range(n)]
         out.append(Fraction(det_int(m), denom ** n))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ks_spin_rep_check(h, s, seed=0, count=10) -> dict:
@@ -255,7 +255,7 @@ def ks_spin_rep_check(h, s, seed=0, count=10) -> dict:
             all_match = False
             break
     return {
-        "dimension_32_equals_4x8": len(masks) == 32 and 32 == 4 * 8,
+        "dimension_32_equals_4x8": len(masks) == 4 * len(mv),
         "charpoly_fourth_power": all_match,
         "trials": count,
     }
@@ -281,7 +281,8 @@ def ks_report(h, s, period: Period, seed=0) -> dict:
     return {
         "even_algebra_dim": len(datum.even_masks),
         "f1f2_square": -datum.c * datum.c / 4,
-        "J_KS_squares_to_minus_identity": True,  # enforced in construction
+        "J_KS_squares_to_minus_identity":
+            _squares_to_minus_identity(datum.j_ks),
         "right_multiplication_commutes": ks_right_commutation(datum,
                                                               seed=seed),
         "plus_i_eigenspace_dim": ks_i_eigenspace_dim(datum),

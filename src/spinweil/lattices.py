@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import mat, nullspace, rank, transpose
+from .linalg import mat, nullspace
 from .scalars import rat
 
 

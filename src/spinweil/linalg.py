@@ -14,10 +14,6 @@ def mat(rows):
     return [list(r) for r in rows]
 
 
-def zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
@@ -39,26 +35,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def _pick_pivot(rows, col, start):
@@ -207,40 +183,8 @@ def leading_principal_minors(a):
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
 
 
-def column_span_rank(vectors) -> int:
-    """Rank of the span of a list of coordinate vectors."""
-    if not vectors:
-        return 0
-    return rank(mat(vectors))
-
-
 def in_span(vectors, v) -> bool:
     """Whether v lies in the span of the given vectors."""
     if not vectors:
         return all(x == 0 for x in v)
     return solve(transpose(mat(vectors)), list(v)) is not None
-
-
-def charpoly(a):
-    """Characteristic polynomial of a (monic, x^n first) by Faddeev-LeVerrier.
-
-    Returns the coefficient list [1, c_{n-1}, ..., c_0] of
-    det(x I - a) = x^n + c_{n-1} x^{n-1} + ... + c_0.
-    """
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = zeros(n, n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        for i in range(n):
-            m[i][i] = m[i][i] + coeffs[-1]
-        c = -sum(mat_mul(a, m)[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return coeffs
-
-
-def poly_eval(coeffs, x):
-    out = 0 * x if not isinstance(x, int) else Fraction(0)
-    for c in coeffs:
-        out = out * x + c
-    return out

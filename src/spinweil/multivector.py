@@ -47,6 +47,15 @@ def wedge_sign(a: int, b: int) -> int:
     return sign
 
 
+def _accumulate(acc, mask, value):
+    """Add value into acc[mask], dropping the entry when it becomes 0."""
+    v = acc.get(mask, 0) + value
+    if v == 0:
+        acc.pop(mask, None)
+    else:
+        acc[mask] = v
+
+
 class Multivector:
     """Element of the exterior algebra of a rank-n space (n <= 8)."""
 
@@ -98,11 +107,7 @@ class Multivector:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _accumulate(out, m, c)
         return Multivector(self.n, out)
 
     def __sub__(self, other):
@@ -146,12 +151,7 @@ def wedge(x: Multivector, y: Multivector) -> Multivector:
             s = wedge_sign(ma, mb)
             if s == 0:
                 continue
-            m = ma | mb
-            v = out.get(m, 0) + s * ca * cb
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            _accumulate(out, ma | mb, s * ca * cb)
     return Multivector(x.n, out)
 
 
@@ -167,12 +167,7 @@ def contract(dual_coords, x: Multivector) -> Multivector:
             if d == 0 or not (m >> k & 1):
                 continue
             sign = -1 if popcount(m & ((1 << k) - 1)) % 2 else 1
-            m2 = m ^ (1 << k)
-            v = out.get(m2, 0) + sign * d * c
-            if v == 0:
-                out.pop(m2, None)
-            else:
-                out[m2] = v
+            _accumulate(out, m ^ (1 << k), sign * d * c)
     return Multivector(x.n, out)
 
 
@@ -305,11 +300,7 @@ def hodge_star(x: Multivector) -> Multivector:
     out = {}
     for mj, c in x.terms.items():
         for mi, t in table[mj].items():
-            v = out.get(mi, 0) + c * t
-            if v == 0:
-                out.pop(mi, None)
-            else:
-                out[mi] = v
+            _accumulate(out, mi, c * t)
     return Multivector(8, out)
 
 
@@ -349,14 +340,6 @@ def derive_multivector(m, x: Multivector) -> Multivector:
                 _accumulate(acc, (mask ^ (1 << t)) | (1 << r), sign * c * coef)
     out.terms.update({k: v for k, v in acc.items() if v != 0})
     return out
-
-
-def _accumulate(acc, mask, value):
-    v = acc.get(mask, 0) + value
-    if v == 0:
-        acc.pop(mask, None)
-    else:
-        acc[mask] = v
 
 
 def coords_degree(x: Multivector, masks):

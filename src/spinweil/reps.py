@@ -15,22 +15,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .clifford import (CV, cartan_elements, is_spin_lie_element, sigma_action,
                        spin_so_iso, spin_v_xyz_table)
-from .lattices import make_V
-from .linalg import (identity, in_span, mat, mat_mul, mat_vec, nullspace,
-                     rank, solve, inverse)
+from .linalg import identity, inverse, mat, mat_mul, mat_vec, nullspace, rank
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           from_coords, mask_of, pluecker, star_matrix, wedge)
-from .spingeo import (EVEN_MASKS, ODD_MASKS, Spinor, graph_basis,
-                      random_alternating, spinor_map, splus_lattice,
-                      combinations_with_replacement_8)
+from .spingeo import (ODD_MASKS, Spinor, graph_basis, random_alternating,
+                      spinor_map, splus_lattice)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
 WEDGE4V_BASIS = tuple(combinations(range(8), 4))
-SYM2_BASIS = None  # filled below
+#: pairs (a, b), a <= b, in lexicographic order: the basis z_a (.) z_b
+SYM2_BASIS = tuple(combinations_with_replacement(range(8), 2))
 WEDGE2S_BASIS = tuple(combinations(range(8), 2))
 
 
@@ -54,7 +52,7 @@ def rep_space(name: str) -> RepSpace:
     if name == "Wedge4V":
         return RepSpace("Wedge4V", 70, WEDGE4V_BASIS)
     if name == "Sym2S+":
-        return RepSpace("Sym2S+", 36, combinations_with_replacement_8())
+        return RepSpace("Sym2S+", 36, SYM2_BASIS)
     if name == "Wedge2S+":
         return RepSpace("Wedge2S+", 28, WEDGE2S_BASIS)
     raise ValueError(f"unknown representation space {name!r}")
@@ -111,10 +109,9 @@ def derivation_matrix(m, k, n=None):
 
 def sym2_derivation_matrix(m):
     """Derivation extension of an 8 x 8 matrix to Sym^2 of the space."""
-    basis = combinations_with_replacement_8()
-    index = {t: i for i, t in enumerate(basis)}
+    index = {t: i for i, t in enumerate(SYM2_BASIS)}
     out = [[Fraction(0)] * 36 for _ in range(36)]
-    for j, (a, b) in enumerate(basis):
+    for j, (a, b) in enumerate(SYM2_BASIS):
         for r in range(8):
             if m[r][a] != 0:
                 key = (min(r, b), max(r, b))
@@ -229,7 +226,7 @@ def stabilizer_algebra(fixed):
 def sym2_coords(z):
     """Coordinates of z (.) z in the basis z_a (.) z_b, a <= b."""
     out = []
-    for a, b in combinations_with_replacement_8():
+    for a, b in SYM2_BASIS:
         out.append(z[a] * z[b] if a == b else 2 * z[a] * z[b])
     return out
 
@@ -237,7 +234,7 @@ def sym2_coords(z):
 def sym2_coords_pair(z, w):
     """Coordinates of the symmetrized product z (.) w."""
     out = []
-    for a, b in combinations_with_replacement_8():
+    for a, b in SYM2_BASIS:
         out.append(z[a] * w[a] if a == b else z[a] * w[b] + z[b] * w[a])
     return out
 
@@ -292,6 +289,18 @@ def phi_matrix():
         if mat_vec(phi, u) != expect:
             raise RuntimeError("quadratic dictionary failed consistency")
     return phi
+
+
+def veronese_pluecker_check(b) -> bool:
+    """Confirm that every maximal minor of (B over I) is the value of the
+    quadratic dictionary phi_matrix at the spinor coordinates of B's image.
+
+    phi_matrix agrees on every quadric point with any other quadratic
+    dictionary (they differ by a multiple of the quadric relation), so
+    this is the Veronese-Pluecker identity itself.
+    """
+    coords = mat_vec(phi_matrix(), sym2_coords(spinor_map(b).z))
+    return coords == coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
 
 
 def cayley_class(s, cross_check=True) -> Multivector:
@@ -431,24 +440,3 @@ def gamma2alpha_star_sign():
     if lam not in (1, -1):
         raise RuntimeError("image vector is not a star eigenvector")
     return int(lam)
-
-
-def wedge_power_matrix(m, k):
-    """The induced action of an 8 x 8 matrix on the k-th wedge power
-    (multiplicative, for group elements; not the derivation)."""
-    basis = tuple(combinations(range(8), k))
-    cols = []
-    for tup in basis:
-        sub = [[m[i][j] for j in tup] for i in range(8)]
-        if k == 4:
-            img = pluecker(sub)
-            cols.append([img.coefficient(mask_of(t)) for t in basis])
-        else:
-            vecs = [Multivector.from_vector([sub[i][c] for i in range(8)])
-                    for c in range(k)]
-            acc = vecs[0]
-            for v in vecs[1:]:
-                acc = wedge(acc, v)
-            cols.append([acc.coefficient(mask_of(t)) for t in basis])
-    return [[cols[j][i] for j in range(len(basis))]
-            for i in range(len(basis))]

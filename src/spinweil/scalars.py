@@ -11,7 +11,7 @@ raises ``ValueError`` at the operation boundary.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 Rational = Fraction
 

@@ -1,6 +1,5 @@
 """Isotropic subspaces, the spinor map and its inverse, the quadric, cell
-moves, transversality, and the quadratic dictionary between spinor and
-Pluecker coordinates.
+moves and transversality.
 
 A spinor is stored in the eight z-coordinates of the lattice S+.  The same
 data can be viewed as an element of the even exterior algebra of W through
@@ -17,17 +16,17 @@ identity c_0 c_1234 - c_12 c_34 + c_13 c_24 - c_14 c_23 = 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .clifford import CV, exp_nilpotent, sigma_action, twisted_conjugation
+from .clifford import (CV, _gen_action, exp_nilpotent, sigma_action,
+                       twisted_conjugation)
 from .lattices import make_Splus, make_V
-from .linalg import inverse, mat, mat_mul, rank, solve
-from .multivector import (DEGREE4_MASKS, Multivector, check_alternating,
-                          omega_of, pfaffian, pluecker, wedge)
+from .linalg import mat, nullspace, rank
+from .multivector import (Multivector, check_alternating, omega_of, pfaffian,
+                          wedge)
 from .scalars import rat
 
 # z-coordinate index -> (bitmask of e_I, sign), see module docstring
@@ -151,7 +150,7 @@ def spinor_inverse(s: Spinor):
         raise ValueError("spinor is not isotropic")
     z = s.z
     if z[0] == 0:
-        raise ValueError("z_1 = 0: outside the open cell, apply move_to_cell")
+        raise ValueError("z_1 = 0: outside the open cell")
     w = [c / z[0] for c in z]
     b12, b13, b14 = w[1], w[2], w[3]
     b34, b24, b23 = -w[5], w[6], -w[7]
@@ -220,10 +219,24 @@ def graph_basis(b):
 
 
 def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
-    """The maximal isotropic subspace attached to an isotropic spinor."""
-    _, gmat, moved = move_to_cell(s)
-    basis_moved = graph_basis(spinor_inverse(moved))
-    basis = mat_mul(inverse(gmat), basis_moved)
+    """The maximal isotropic subspace attached to an isotropic spinor.
+
+    It is Cartan's annihilator {v in V : v s = 0} (Chevalley, The
+    Algebraic Theory of Spinors, 1954): the kernel of the 8 x 8 matrix of
+    v -> v s from V into S-.
+    """
+    if s.is_zero():
+        raise ValueError("spinor must be nonzero")
+    if not s.is_isotropic():
+        raise ValueError("spinor is not isotropic")
+    eta = s.multivector()
+    cols = [_gen_action(k, eta) for k in range(8)]
+    action = [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
+    kernel = nullspace(action)
+    if len(kernel) != 4:
+        raise RuntimeError("annihilator of a nonzero isotropic spinor is "
+                           "not 4-dimensional")
+    basis = [[v[i] for v in kernel] for i in range(8)]
     _validate_isotropic(basis)
     parity = _intersection_dim_with_wstar(basis) % 2
     if parity != 0:
@@ -274,67 +287,6 @@ def _proportional(u, v):
         if a != 0:
             return all(a * y == b * x for x, y in zip(u, v))
     return all(x == 0 for x in u)
-
-
-def sym2_monomials(z):
-    """The 36 monomials z_a z_b (a <= b, lexicographic) of a coordinate 8-tuple."""
-    return [z[a] * z[b] for a, b in combinations_with_replacement_8()]
-
-
-@lru_cache(maxsize=1)
-def combinations_with_replacement_8():
-    return tuple((a, b) for a in range(8) for b in range(a, 8))
-
-
-def _sample_spinor_and_minors(rng):
-    b = random_alternating(rng)
-    z = spinor_map(b).z
-    minors = pluecker(graph_basis(b))
-    return z, [minors.coefficient(m) for m in DEGREE4_MASKS]
-
-
-@lru_cache(maxsize=1)
-def veronese_dictionary():
-    """The 70 x 36 matrix expressing maximal minors of (B over I) as fixed
-    quadratic forms in the spinor coordinates of the image of B.
-
-    Computed once by exact interpolation over sampled quadric points.  The
-    monomial vectors span only 35 of the 36 dimensions (the quadric itself
-    is the one relation), so a particular solution is taken; any two
-    solutions agree on every quadric point.
-    """
-    rng = random.Random(271828)
-    xs, ys = [], []
-    while len(xs) < 48:
-        z, minors = _sample_spinor_and_minors(rng)
-        xs.append(sym2_monomials(z))
-        ys.append(minors)
-    a = mat(xs)
-    if rank(a) != 35:
-        raise RuntimeError("interpolation rank deficiency: sampling bug")
-    rows = []
-    for r in range(70):
-        sol = solve(a, [y[r] for y in ys])
-        if sol is None:
-            raise RuntimeError("minors are not quadratic in spinor "
-                               "coordinates: interpolation bug")
-        rows.append(sol)
-    return rows
-
-
-def veronese_pluecker_check(b) -> bool:
-    """Confirm that every maximal minor of (B over I) equals the cached
-    quadratic form evaluated at the spinor coordinates of B's image."""
-    check_alternating(b)
-    dictionary = veronese_dictionary()
-    z = spinor_map(b).z
-    mono = sym2_monomials(z)
-    minors = pluecker(graph_basis(b))
-    got = [minors.coefficient(m) for m in DEGREE4_MASKS]
-    for r in range(70):
-        if sum(c * x for c, x in zip(dictionary[r], mono)) != got[r]:
-            return False
-    return True
 
 
 def random_alternating(rng, lo=-3, hi=3, size=4):

@@ -11,18 +11,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import clifford, kuga, lattices, linalg, multivector, reps, scalars
-from . import spingeo, weil
-from .clifford import CV, commutator, exp_nilpotent, sigma_action, spin_so_iso
+from . import clifford, kuga, lattices, reps, scalars, spingeo, weil
+from .clifford import CV, commutator, sigma_action
 from .lattices import make_Splus, make_V
-from .linalg import det, identity, mat, mat_mul, mat_vec, rank
-from .multivector import (Multivector, contract, derive_multivector,
-                          hodge_star, pfaffian, pluecker, star_matrix, wedge,
-                          DEGREE4_MASKS, coords_degree)
+from .linalg import det, identity, inverse, mat, mat_mul, mat_vec, rank
+from .multivector import (DEGREE4_MASKS, Multivector, contract, pfaffian,
+                          pluecker, star_matrix, wedge)
 from .scalars import (QuadExt, TowerScalar, hilbert_symbol, relevant_places,
                       REAL_PLACE)
-from .spingeo import (Spinor, graph_basis, random_alternating,
-                      random_isotropic_spinor, spinor_map, splus_lattice,
+from .spingeo import (Spinor, graph_basis, move_to_cell, random_alternating,
+                      random_isotropic_spinor, spinor_inverse, spinor_map,
                       subspace_of_spinor)
 
 
@@ -419,6 +417,12 @@ def check_parity(seed):
         sub = subspace_of_spinor(z)
         if sub.parity != 0:
             return False, "odd parity"
+        # cross-check the annihilator against the cell-move route
+        _, gmat, moved = move_to_cell(z)
+        via_cell = mat_mul(inverse(gmat), graph_basis(spinor_inverse(moved)))
+        joint = [sub.basis[i] + via_cell[i] for i in range(8)]
+        if rank(mat(joint)) != 4:
+            return False, f"cell-move route spans another subspace for {z}"
     return True, "200 random isotropic spinors"
 
 

@@ -18,12 +18,12 @@ from fractions import Fraction
 from math import isqrt
 
 from .lattices import make_V, orthogonal_complement
-from .linalg import (identity, inverse, leading_principal_minors, mat,
-                     mat_mul, mat_vec, nullspace, rank, solve)
+from .linalg import (inverse, leading_principal_minors, mat, mat_mul,
+                     mat_vec, nullspace, rank)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derive_multivector, pluecker, wedge)
-from .reps import (cayley_class, derived_action, invariant_subspace,
-                   stabilizer_algebra, weight_multiset)
+from .reps import (cayley_class, invariant_subspace, stabilizer_algebra,
+                   weight_multiset)
 from .scalars import QuadExt, is_norm, is_square, rat, squarefree_part
 from .spingeo import Spinor, splus_lattice, subspace_of_spinor
 

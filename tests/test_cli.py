@@ -60,6 +60,18 @@ def test_malformed_json_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_malformed_matrix_entry_is_usage_error(capsys):
+    rc = main(["spinor", "--B", '[[0,"x"]]'])
+    assert rc == 2
+    assert "malformed JSON input" in capsys.readouterr().err
+
+
+def test_malformed_vector_object_is_usage_error(capsys):
+    rc = main(["cayley", "--s", '{"a":1}'])
+    assert rc == 2
+    assert "malformed JSON input" in capsys.readouterr().err
+
+
 def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

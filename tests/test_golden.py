@@ -1,0 +1,30 @@
+"""The --json output of every computation verb at the default seed is a
+contract: it must match the files in tests/golden/ byte for byte."""
+
+from pathlib import Path
+
+import pytest
+
+from spinweil.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+B_JSON = ('[["0","1","0","0"],["-1","0","0","0"],'
+          '["0","0","0","2"],["0","0","-2","0"]]')
+
+CASES = {
+    "spinor": ["spinor", "--B", B_JSON],
+    "cayley_n3": ["cayley", "--n", "3"],
+    "weil_family": ["weil-family"],
+    "weil_family_field_scan": ["weil-family", "--field-scan"],
+    "ks": ["ks"],
+    "invariants": ["invariants"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(capsys, name):
+    rc = main(CASES[name] + ["--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from spinweil.clifford import CV, exp_nilpotent, twisted_conjugation
+from spinweil.clifford import CV, twisted_conjugation
 from spinweil.linalg import mat, mat_mul, mat_vec, rank
-from spinweil.multivector import pfaffian
+from spinweil.multivector import DEGREE4_MASKS, mask_of
+from spinweil.reps import phi_matrix, sym2_coords, veronese_pluecker_check
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (Spinor, graph_basis, move_to_cell,
                               random_alternating, random_isotropic_spinor,
-                              spinor_inverse, spinor_map, splus_lattice,
-                              subspace_of_spinor, transversality,
-                              veronese_dictionary, veronese_pluecker_check)
+                              spinor_inverse, spinor_map, subspace_of_spinor,
+                              transversality)
 
 
 def test_spinor_map_zero_matrix():
@@ -125,12 +125,24 @@ def test_subspace_of_reference_points():
 
 
 def test_subspace_matches_graph(rng):
-    for _ in range(25):
-        b = random_alternating(rng)
+    i = QuadExt(0, 1, -1)
+    one = QuadExt(1, 0, -1)
+    gaussian = [[0 * one, one, -i, -i],
+                [-one, 0 * one, i, -i],
+                [i, -i, 0 * one, -one],
+                [i, i, one, 0 * one]]
+    for b in [random_alternating(rng) for _ in range(25)] + [gaussian]:
         sub = subspace_of_spinor(spinor_map(b))
         expected = graph_basis(b)
         joint = [sub.basis[r] + expected[r] for r in range(8)]
         assert rank(mat(joint)) == 4
+
+
+def test_subspace_rejects_zero_and_non_isotropic():
+    with pytest.raises(ValueError):
+        subspace_of_spinor(Spinor([0] * 8))
+    with pytest.raises(ValueError):
+        subspace_of_spinor(Spinor([1, 0, 0, 0, 1, 0, 0, 0]))
 
 
 def test_subspace_parity_even(rng):
@@ -195,15 +207,12 @@ def test_equivariance_of_spinor_map(rng):
 
 
 def test_veronese_dictionary_rows():
-    rows = veronese_dictionary()
+    rows = phi_matrix()
     assert len(rows) == 70 and len(rows[0]) == 36
     # the coordinate of the reference minor at B = 0 is the square z1^2
     z0 = [1, 0, 0, 0, 0, 0, 0, 0]
-    from spinweil.spingeo import sym2_monomials
-    from spinweil.multivector import DEGREE4_MASKS, mask_of
-    mono = sym2_monomials(z0)
     idx5678 = DEGREE4_MASKS.index(mask_of((4, 5, 6, 7)))
-    values = [sum(c * x for c, x in zip(rows[r], mono)) for r in range(70)]
+    values = mat_vec(rows, sym2_coords(z0))
     assert values[idx5678] == 1
     assert sum(1 for v in values if v != 0) == 1
     # the opposite reference minor is quadratic in the Pfaffian coordinate:
@@ -214,8 +223,7 @@ def test_veronese_dictionary_rows():
     for _ in range(10):
         b = random_alternating(rr)
         z = spinor_map(b).z
-        val = sum(c * x for c, x in zip(rows[idx1234], sym2_monomials(z)))
-        assert val == z[4] * z[4]
+        assert mat_vec(rows, sym2_coords(z))[idx1234] == z[4] * z[4]
 
 
 def test_veronese_pluecker_check_random(rng):
