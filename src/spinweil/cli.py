@@ -10,7 +10,10 @@ Exit codes (this is the one place they are listed):
   1  verification failure: a check failed, or the input decodes but is
      mathematically invalid (say, a non-isotropic spinor for --invert)
   2  usage error: bad or missing arguments, unreadable or malformed JSON,
-     or JSON values that do not decode to scalars, vectors or matrices
+     JSON values that do not decode to scalars, vectors or matrices, a
+     spinor, h or s without exactly eight coordinates, or an --input
+     document (or its inputs) that is not a JSON object or carries a
+     non-integer n or seed
 """
 
 from __future__ import annotations
@@ -61,6 +64,33 @@ def _decode(decoder, obj):
                          f"{exc}")
 
 
+def _decode_8(obj, name):
+    """A vector of eight coordinates (a spinor, h or s) from JSON."""
+    v = _decode(decode_vector, obj)
+    if len(v) != 8:
+        raise UsageError(f"{name} needs eight coordinates, got {len(v)}")
+    return v
+
+
+def _input_doc(path):
+    """The inputs object of an --input document (or the document itself)."""
+    doc = _load_json(path, inline=False)
+    inputs = doc.get("inputs", doc) if isinstance(doc, dict) else doc
+    if not isinstance(inputs, dict):
+        raise UsageError("an --input document and its inputs must be JSON "
+                         "objects")
+    return inputs
+
+
+def _int_input(inputs, key, default=None):
+    """An integer field of an --input document."""
+    value = inputs.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"input {key!r} must be an integer, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
 def _emit(doc, args):
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -86,22 +116,20 @@ def _pretty(doc, indent=0):
 
 def run_spinor(args):
     if args.input:
-        doc = _load_json(args.input, inline=False)
-        inputs = doc.get("inputs", doc)
+        inputs = _input_doc(args.input)
         if "B" in inputs and inputs["B"] is not None:
             b = _decode(decode_matrix, inputs["B"])
             return _spinor_forward(b, args)
         if "z" in inputs and inputs["z"] is not None:
-            z = _decode(decode_vector, inputs["z"])
-            return _spinor_invert(z, args)
+            return _spinor_invert(_decode_8(inputs["z"], "z"), args)
         raise UsageError("input document carries neither a matrix nor "
                          "spinor coordinates")
     if args.B:
         return _spinor_forward(_decode(decode_matrix, _load_json(args.B)),
                                args)
     if args.invert:
-        return _spinor_invert(
-            _decode(decode_vector, _load_json(args.invert)), args)
+        return _spinor_invert(_decode_8(_load_json(args.invert), "--invert"),
+                              args)
     raise UsageError("spinor needs --B, --invert or --input")
 
 
@@ -135,10 +163,9 @@ def _spinor_invert(zc, args):
 
 def run_cayley(args):
     if args.input:
-        doc = _load_json(args.input, inline=False)
-        inputs = doc.get("inputs", doc)
+        inputs = _input_doc(args.input)
         if inputs.get("n") is not None:
-            args.n = int(inputs["n"])
+            args.n = _int_input(inputs, "n")
             args.s = None
         elif inputs.get("s") is not None:
             args.s = json.dumps(inputs["s"])
@@ -156,7 +183,7 @@ def run_cayley(args):
             "closed_form_constant": encode_scalar(constant),
         }
     elif args.s:
-        s = Spinor(_decode(decode_vector, _load_json(args.s)))
+        s = Spinor(_decode_8(_load_json(args.s), "s"))
         c = cayley_class(s)
         doc = {
             "verb": "cayley",
@@ -174,13 +201,12 @@ def run_cayley(args):
 def _h_s_seed(args):
     """The h and s vectors and the seed of weil-family and ks."""
     if args.input:
-        doc = _load_json(args.input, inline=False)
-        inputs = doc.get("inputs", doc)
-        return (_decode(decode_vector, inputs.get("h")),
-                _decode(decode_vector, inputs.get("s")),
-                int(inputs.get("seed", args.seed)))
-    h = _decode(decode_vector, _load_json(args.h)) if args.h else STANDARD_H
-    s = _decode(decode_vector, _load_json(args.s)) if args.s else STANDARD_S
+        inputs = _input_doc(args.input)
+        return (_decode_8(inputs.get("h"), "h"),
+                _decode_8(inputs.get("s"), "s"),
+                _int_input(inputs, "seed", args.seed))
+    h = _decode_8(_load_json(args.h), "--h") if args.h else STANDARD_H
+    s = _decode_8(_load_json(args.s), "--s") if args.s else STANDARD_S
     return list(h), list(s), args.seed
 
 

@@ -373,6 +373,11 @@ def spin_so_iso(x: CliffordElement):
     """Matrix of v -> x v - v x on L; the Lie isomorphism spin(L) -> so(L)."""
     if not is_spin_lie_element(x):
         raise ValueError("element fails the spin Lie algebra membership test")
+    return _commutator_matrix(x)
+
+
+def _commutator_matrix(x: CliffordElement):
+    """spin_so_iso without the membership test, for callers that ran it."""
     n = x.algebra.rank
     cols = [commutator(x, x.algebra.generator(j)).vector_part()
             for j in range(n)]
@@ -433,6 +438,7 @@ def _mneg(a):
     return [[-x for x in row] for row in a]
 
 
+@lru_cache(maxsize=1)
 def spin_v_xyz_table():
     """The 28 spin(V) basis elements and their so(8) matrices.
 
@@ -440,7 +446,8 @@ def spin_v_xyz_table():
       X_{i,j} = e_i e_{j+4} - delta_ij/2  ->  E_{i,j} - E_{4+j,4+i}
       Y_{i,j} = e_i e_j (i < j)           ->  E_{i,4+j} - E_{j,4+i}
       Z_{i,j} = e_{i+4} e_{j+4} (i < j)   ->  E_{4+i,j} - E_{4+j,i}
-    Returns a list of (label, clifford element, expected matrix).
+    Returns a tuple of (label, clifford element, expected matrix), built
+    once; callers only read it.
     """
     alg = CV()
     out = []
@@ -464,7 +471,7 @@ def spin_v_xyz_table():
             mz = _madd(_matrix_unit(8, 4 + i, j),
                        _mneg(_matrix_unit(8, 4 + j, i)))
             out.append((f"Z{i + 1}{j + 1}", z, mz))
-    return out
+    return tuple(out)
 
 
 def cartan_elements():

@@ -1,13 +1,22 @@
 """Exact dense linear algebra over the scalar tower.
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
-TowerScalar values (mixed with ints/Fractions via coercion).  Everything is
-plain Gaussian elimination with exact division; no floating point.
+TowerScalar values (mixed with ints/Fractions via coercion); no floating
+point.  rank, nullspace, solve, solve_matrix and inverse read the
+reduced row echelon form (rref).  A matrix whose entries are all ints and
+Fractions is reduced on integer rows, fraction-free (Bareiss, Math. Comp.
+22, 1968): each row is scaled to coprime integers, kept sparse, and
+divided only once at the end.  Any other matrix takes Gauss-Jordan
+elimination with exact field division.  A matrix has exactly one rref, so
+both routes give the same result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_RATIONAL = frozenset((int, Fraction))
 
 
 def mat(rows):
@@ -53,8 +62,8 @@ def _pick_pivot(rows, col, start):
     return best
 
 
-def rref(a):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+def _field_rref(a):
+    """rref by Gauss-Jordan with field division, for any scalar type."""
     m = [list(r) for r in a]
     if not m:
         return m, []
@@ -79,8 +88,115 @@ def rref(a):
     return m, pivots
 
 
+def _integer_rows(a):
+    """The nonzero rows of a as sparse {column: int}, each scaled by the
+    lcm of its denominators and divided by the gcd of its entries.
+
+    None at the first row with an entry that is neither an int nor a
+    Fraction.
+    """
+    out = []
+    for row in a:
+        if not _RATIONAL.issuperset(map(type, row)):
+            return None
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        if nonzero:
+            den = lcm(*[x.denominator for _, x in nonzero])
+            out.append(_primitive({c: x.numerator * (den // x.denominator)
+                                   for c, x in nonzero}))
+    return out
+
+
+def _primitive(row):
+    """The sparse integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: x // g for c, x in row.items()}
+
+
+def _clear(row, pivot, col):
+    """row with its col entry cleared by the pivot row, fraction-free:
+    (p/g) row - (a/g) pivot with g = gcd(p, a), made primitive."""
+    a, p = row[col], pivot[col]
+    g = gcd(p, a)
+    s, t = p // g, a // g
+    out = {c: s * x for c, x in row.items()} if s != 1 else dict(row)
+    for c, x in pivot.items():
+        y = out.get(c, 0) - t * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def _integer_rref(rows):
+    """Gauss-Jordan on sparse integer rows: [(pivot column, row)] in
+    column order, every pivot column cleared from every other row.
+
+    The pivot of a column is the active row with the fewest nonzeros,
+    then the smallest entry, which keeps the rows sparse and small.
+    """
+    active, done = rows, []
+    for col in sorted(set().union(*rows)):
+        pivot, best = None, None
+        for row in active:
+            x = row.get(col)
+            if x is not None:
+                key = (len(row), abs(x))
+                if best is None or key < best:
+                    pivot, best = row, key
+        if pivot is None:
+            continue
+        rest = []
+        for row in active:
+            if row is pivot:
+                continue
+            if col in row:
+                row = _clear(row, pivot, col)
+                if not row:
+                    continue
+            rest.append(row)
+        active = rest
+        done = [(pc, _clear(row, pivot, col) if col in row else row)
+                for pc, row in done]
+        done.append((col, pivot))
+    return done
+
+
+def _pivot_rows(a):
+    """The nonzero rows of rref(a) and their pivot columns."""
+    if not a:
+        return [], []
+    rows = _integer_rows(a)
+    if rows is None:
+        m, pivots = _field_rref(a)
+        return m[:len(pivots)], pivots
+    ncols = len(a[0])
+    zero = Fraction(0)
+    out, pivots = [], []
+    for pc, row in _integer_rref(rows):
+        p = row[pc]
+        full = [zero] * ncols
+        for c, x in row.items():
+            full[c] = Fraction(x, p)
+        out.append(full)
+        pivots.append(pc)
+    return out, pivots
+
+
+def rref(a):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    rows, pivots = _pivot_rows(a)
+    if a:
+        ncols = len(a[0])
+        rows += [[Fraction(0)] * ncols for _ in range(len(a) - len(rows))]
+    return rows, pivots
+
+
 def rank(a) -> int:
-    return len(rref(a)[1])
+    return len(_pivot_rows(a)[1])
 
 
 def nullspace(a):
@@ -88,7 +204,7 @@ def nullspace(a):
     if not a:
         return []
     ncols = len(a[0])
-    r, pivots = rref(a)
+    r, pivots = _pivot_rows(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -105,7 +221,7 @@ def solve(a, b):
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    r, pivots = rref(aug)
+    r, pivots = _pivot_rows(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -115,20 +231,25 @@ def solve(a, b):
 
 
 def solve_matrix(a, b):
-    """One solution X of a X = b for matrix right-hand sides, or None."""
-    cols = []
-    for j in range(len(b[0])):
-        x = solve(a, [row[j] for row in b])
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(cols)
+    """One solution X of a X = b for matrix right-hand sides, or None.
+
+    One rref of [a | b]: its rows with a pivot in the a block carry the
+    solution values of every column of b at once.
+    """
+    ncols = len(a[0])
+    r, pivots = _pivot_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [[Fraction(0)] * len(b[0]) for _ in range(ncols)]
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][ncols:]
+    return x
 
 
 def inverse(a):
     n = len(a)
     aug = [list(a[i]) + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
+    r, pivots = _pivot_rows(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
     return [row[n:] for row in r]

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .clifford import (CV, cartan_elements, is_spin_lie_element, sigma_action,
-                       spin_so_iso, spin_v_xyz_table)
+from .clifford import (CV, _commutator_matrix, cartan_elements,
+                       is_spin_lie_element, sigma_action, spin_v_xyz_table)
 from .linalg import identity, inverse, mat, mat_mul, mat_vec, nullspace, rank
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           from_coords, mask_of, pluecker, star_matrix, wedge)
@@ -128,15 +128,15 @@ def derived_action(x, space):
     if not is_spin_lie_element(x):
         raise ValueError("element fails the spin Lie algebra membership test")
     if name == "V":
-        return spin_so_iso(x)
+        return _commutator_matrix(x)
     if name == "S+":
         return splus_matrix(x)
     if name == "S-":
         return sminus_matrix(x)
     if name == "Wedge2V":
-        return derivation_matrix(spin_so_iso(x), 2)
+        return derivation_matrix(_commutator_matrix(x), 2)
     if name == "Wedge4V":
-        return derivation_matrix(spin_so_iso(x), 4)
+        return derivation_matrix(_commutator_matrix(x), 4)
     if name == "Sym2S+":
         return sym2_derivation_matrix(splus_matrix(x))
     if name == "Wedge2S+":

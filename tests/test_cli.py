@@ -144,3 +144,49 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite(capsys):
     rc = main(["verify", "--suite", "nonsense"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("verb", ["spinor", "cayley", "weil-family", "ks"])
+@pytest.mark.parametrize("text", ["[1,2]", '{"inputs": [1]}', '"z"'])
+def test_input_document_not_an_object_is_usage_error(capsys, tmp_path,
+                                                      verb, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    rc = main([verb, "--input", str(path)])
+    assert rc == 2
+    assert "must be JSON objects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"n": "x"}, {"n": 1.5}, {"n": True}])
+def test_cayley_input_n_not_an_integer_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "cayley.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["cayley", "--input", str(path)])
+    assert rc == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--s", '["1","2"]'],
+    ["spinor", "--invert", '["1","1","0","0","2","-2","0"]'],
+    ["weil-family", "--h", '[0,1,0,0,0,1,0,0,0]'],
+    ["ks", "--s", '[]'],
+])
+def test_wrong_length_vector_is_usage_error(capsys, argv):
+    rc = main(argv)
+    assert rc == 2
+    assert "needs eight coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("cayley", {"inputs": {"s": ["1", "2"]}}),
+    ("spinor", {"inputs": {"z": ["1"] * 9}}),
+    ("ks", {"inputs": {"h": [0] * 8, "s": [1, 0], "seed": 5}}),
+])
+def test_wrong_length_vector_in_input_is_usage_error(capsys, tmp_path,
+                                                     verb, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc = main([verb, "--input", str(path)])
+    assert rc == 2
+    assert "needs eight coordinates" in capsys.readouterr().err

@@ -1,0 +1,170 @@
+"""The integer rref kernel of linalg against its field path.
+
+A matrix of ints and Fractions is reduced on fraction-free integer rows;
+any other matrix by Gauss-Jordan with field division.  The rref of a
+matrix is unique, so on rational matrices both routes must give the same
+rref, pivots, rank, kernel, solutions and inverse, down to the repr of
+every entry.
+"""
+
+from contextlib import contextmanager, nullcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinweil import linalg
+from spinweil.linalg import (inverse, mat_mul, nullspace, rank, rref, solve,
+                             solve_matrix, transpose)
+from spinweil.scalars import QuadExt
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def matrices(draw, rows=st.integers(0, 7), cols=st.integers(1, 7)):
+    """Mixed int/Fraction matrices, wide or tall, with zero rows and rows
+    that are combinations of others (so often rank-deficient)."""
+    ncols = draw(cols)
+    m = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(draw(rows))]
+    for _ in range(draw(st.integers(0, 3))):
+        if m and draw(st.booleans()):
+            i = draw(st.integers(0, len(m) - 1))
+            j = draw(st.integers(0, len(m) - 1))
+            k = draw(ENTRIES)
+            m.append([x + k * y for x, y in zip(m[i], m[j])])
+        else:
+            m.append([0] * ncols)
+    return draw(st.permutations(m))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return draw(matrices(rows=st.just(n), cols=st.just(n)))[:n]
+
+
+@contextmanager
+def field_path():
+    """Route every elimination through the field path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_integer_rows", lambda a: None)
+        yield
+
+
+def both(fn, *args):
+    """fn on the integer path and on the field path; a ValueError is a
+    result too."""
+    out = []
+    for ctx in (nullcontext(), field_path()):
+        with ctx:
+            try:
+                out.append(fn(*args))
+            except ValueError as exc:
+                out.append(("ValueError", str(exc)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_and_pivots_match_field_path(a):
+    assert linalg._integer_rows(a) is not None
+    (r_int, p_int), (r_field, p_field) = both(rref, a)
+    assert p_int == p_field
+    assert r_int == r_field
+    assert len(r_int) == len(a)
+    k = len(p_int)
+    assert repr(r_int[:k]) == repr(r_field[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_and_nullspace_match_field_path(a):
+    r_int, r_field = both(rank, a)
+    assert r_int == r_field
+    n_int, n_field = both(nullspace, a)
+    assert repr(n_int) == repr(n_field)
+    if a:
+        assert r_int + len(n_int) == len(a[0])
+        for v in n_int:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(rows=st.integers(1, 7)), st.data())
+def test_solve_matches_field_path(a, data):
+    b = [data.draw(ENTRIES) for _ in a]
+    x_int, x_field = both(solve, a, b)
+    assert repr(x_int) == repr(x_field)
+    if x_int is not None:
+        assert [sum(p * q for p, q in zip(row, x_int)) for row in a] == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(rows=st.integers(1, 7)))
+def test_solve_reports_inconsistent_system(a):
+    a = a + [[0] * len(a[0])]
+    b = [0] * (len(a) - 1) + [1]
+    assert both(solve, a, b) == [None, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(rows=st.integers(1, 7)), st.integers(1, 3), st.data())
+def test_solve_matrix_matches_solve_per_column(a, k, data):
+    b = [[data.draw(ENTRIES) for _ in range(k)] for _ in a]
+    with field_path():
+        cols = [solve(a, [row[j] for row in b]) for j in range(k)]
+    expected = None if None in cols else transpose(cols)
+    got_int, got_field = both(solve_matrix, a, b)
+    assert repr(got_int) == repr(expected)
+    assert repr(got_field) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_field_path_singular_included(a):
+    inv_int, inv_field = both(inverse, a)
+    assert repr(inv_int) == repr(inv_field)
+    if isinstance(inv_int, list):
+        assert mat_mul(a, inv_int) == [[int(i == j) for j in range(len(a))]
+                                       for i in range(len(a))]
+
+
+def test_empty_matrix():
+    assert rref([]) == ([], [])
+    assert rank([]) == 0
+    assert nullspace([]) == []
+    assert rref([[]]) == ([[]], [])
+    assert rank([[], []]) == 0
+
+
+def test_integer_rows_are_primitive_and_sparse():
+    rows = linalg._integer_rows([[Fraction(1, 2), 0, Fraction(-3, 4)],
+                                 [0, 0, 0], [6, 4, 0]])
+    assert rows == [{0: 2, 2: -3}, {0: 3, 1: 2}]
+
+
+def test_quadext_matrix_takes_field_path(monkeypatch):
+    calls = []
+    field_rref = linalg._field_rref
+
+    def spy(a):
+        calls.append(len(a))
+        return field_rref(a)
+
+    monkeypatch.setattr(linalg, "_field_rref", spy)
+    m = 2
+    a = [[QuadExt(1, 1, m), 2, QuadExt(0, 1, m), Fraction(1, 3)],
+         [QuadExt(3, 1, m), QuadExt(4, 2, m), QuadExt(1, 1, m), 1],
+         [QuadExt(4, 2, m), QuadExt(6, 2, m), QuadExt(1, 2, m),
+          Fraction(4, 3)]]
+    assert linalg._integer_rows(a) is None
+    basis = nullspace(a)
+    assert calls == [3]
+    assert len(basis) == 4 - rank(a) == 2
+    assert all(x == 0 for row in mat_mul(a, transpose(basis)) for x in row)
