@@ -11,9 +11,9 @@ Exit codes (this is the one place they are listed):
      mathematically invalid (say, a non-isotropic spinor for --invert)
   2  usage error: bad or missing arguments, unreadable or malformed JSON,
      JSON values that do not decode to scalars, vectors or matrices, a
-     spinor, h or s without exactly eight coordinates, or an --input
-     document (or its inputs) that is not a JSON object or carries a
-     non-integer n or seed
+     spinor, h or s without exactly eight coordinates, a spinor B that is
+     not a 4x4 matrix, or an --input document (or its inputs) that is not
+     a JSON object or carries a non-integer n or seed
 """
 
 from __future__ import annotations
@@ -72,6 +72,15 @@ def _decode_8(obj, name):
     return v
 
 
+def _decode_4x4(obj):
+    """The matrix B of the spinor verb from JSON: four rows of four."""
+    b = _decode(decode_matrix, obj)
+    if len(b) != 4 or any(len(row) != 4 for row in b):
+        raise UsageError(f"B needs four rows of four entries, got rows of "
+                         f"lengths {[len(row) for row in b]}")
+    return b
+
+
 def _input_doc(path):
     """The inputs object of an --input document (or the document itself)."""
     doc = _load_json(path, inline=False)
@@ -118,15 +127,13 @@ def run_spinor(args):
     if args.input:
         inputs = _input_doc(args.input)
         if "B" in inputs and inputs["B"] is not None:
-            b = _decode(decode_matrix, inputs["B"])
-            return _spinor_forward(b, args)
+            return _spinor_forward(_decode_4x4(inputs["B"]), args)
         if "z" in inputs and inputs["z"] is not None:
             return _spinor_invert(_decode_8(inputs["z"], "z"), args)
         raise UsageError("input document carries neither a matrix nor "
                          "spinor coordinates")
     if args.B:
-        return _spinor_forward(_decode(decode_matrix, _load_json(args.B)),
-                               args)
+        return _spinor_forward(_decode_4x4(_load_json(args.B)), args)
     if args.invert:
         return _spinor_invert(_decode_8(_load_json(args.invert), "--invert"),
                               args)

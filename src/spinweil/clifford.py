@@ -6,6 +6,13 @@ The defining relation is v w + w v = (v, w), equivalently v^2 = (v, v)/2,
 so the generators of the rank-8 lattice V satisfy e_i e_{i+4} + e_{i+4} e_i
 = 1 and all e_i square to zero.  Products are reduced to the canonical
 basis {e_{i_1} ... e_{i_k} : i_1 < ... < i_k} indexed by bitmasks.
+
+The product of two elements with rational coefficients runs on ints: each
+factor is put over the common denominator of its terms
+(linalg.scale_to_integers), the cached blade products keep integral
+coefficients as ints, and each term of the result becomes one Fraction at
+the end.  Other coefficients (QuadExt, TowerScalar) go through the same
+loop unscaled.
 """
 
 from __future__ import annotations
@@ -15,10 +22,16 @@ from functools import lru_cache
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import mat, solve
+from .linalg import all_rational, mat, scale_to_integers, solve
 from .multivector import (Multivector, _accumulate, contract, indices_of,
                           popcount, wedge)
 from .scalars import rat
+
+
+def _integral_as_int(terms):
+    """The {mask: rational} terms with every integral value as an int."""
+    return {m: c.numerator if c.denominator == 1 else c
+            for m, c in terms.items()}
 
 
 class CliffordAlgebra:
@@ -41,11 +54,11 @@ class CliffordAlgebra:
         if hit is not None:
             return hit
         if mask == 0:
-            out = {1 << k: Fraction(1)}
+            out = {1 << k: 1}
         else:
             j = mask.bit_length() - 1
             if j < k:
-                out = {mask | (1 << k): Fraction(1)}
+                out = {mask | (1 << k): 1}
             elif j == k:
                 c = self.gram[k][k] / 2
                 out = {mask ^ (1 << k): c} if c != 0 else {}
@@ -57,6 +70,7 @@ class CliffordAlgebra:
                 g = self.gram[j][k]
                 if g != 0:
                     _accumulate(out, mask ^ (1 << j), g)
+        out = _integral_as_int(out)
         self._gen_cache[key] = out
         return out
 
@@ -65,7 +79,7 @@ class CliffordAlgebra:
         hit = self._blade_cache.get(key)
         if hit is not None:
             return hit
-        acc = {ma: Fraction(1)}
+        acc = {ma: 1}
         m = mb
         while m:
             low = m & -m
@@ -76,6 +90,7 @@ class CliffordAlgebra:
                     _accumulate(nxt, m2, c * c2)
             acc = nxt
             m ^= low
+        acc = _integral_as_int(acc)
         self._blade_cache[key] = acc
         return acc
 
@@ -177,12 +192,23 @@ class CliffordElement:
             return self.scale(rat(other))
         self._check(other)
         alg = self.algebra
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        a, b, d = self.terms, other.terms, 1
+        if all_rational(a.values()) and all_rational(b.values()):
+            a, da = scale_to_integers(a.items())
+            b, db = scale_to_integers(b.items())
+            d = da * db
+        cache, out = alg._blade_cache, {}
+        get = out.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                prod = cache.get((ma, mb))
+                if prod is None:
+                    prod = alg.blade_product(ma, mb)
                 cc = ca * cb
-                for m, c in alg.blade_product(ma, mb).items():
-                    _accumulate(out, m, cc * c)
+                for m, c in prod.items():
+                    out[m] = get(m, 0) + cc * c
+        if d != 1:
+            out = {m: Fraction(c, d) for m, c in out.items() if c}
         return CliffordElement(alg, out)
 
     def __rmul__(self, other):

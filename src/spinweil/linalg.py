@@ -9,6 +9,13 @@ Fractions is reduced on integer rows, fraction-free (Bareiss, Math. Comp.
 divided only once at the end.  Any other matrix takes Gauss-Jordan
 elimination with exact field division.  A matrix has exactly one rref, so
 both routes give the same result.
+
+mat_mul takes the same integer route when both factors are rational: each
+row of a and each column of b is scaled by the lcm of its denominators
+(scale_to_integers, the one scaling rule, also used by rref and by the
+Clifford product), the sparse integer rows are multiplied and summed on
+ints, and each product entry becomes one Fraction at the end.  A product
+with a QuadExt or TowerScalar entry runs the generic loop.
 """
 
 from __future__ import annotations
@@ -32,13 +39,46 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def all_rational(values):
+    """Whether every value is an int or a Fraction."""
+    return _RATIONAL.issuperset(map(type, values))
+
+
+def scale_to_integers(pairs):
+    """The nonzero (key, x) pairs of rationals as ({key: int}, d), each x
+    times the lcm d of their denominators."""
+    nonzero = [(k, x) for k, x in pairs if x]
+    d = lcm(*[x.denominator for _, x in nonzero])
+    return {k: x.numerator * (d // x.denominator) for k, x in nonzero}, d
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = transpose(b)
+    if not (all(map(all_rational, a)) and all(map(all_rational, b))):
+        bt = transpose(b)
+        return [[sum(x * y for x, y in zip(row, col)) for col in bt]
+                for row in a]
+    # b scaled column by column, then read as sparse integer rows
+    m = len(b[0])
+    col_dens = []
+    b_rows = [{} for _ in b]
+    for j, col in enumerate(zip(*b)):
+        ints, d = scale_to_integers(enumerate(col))
+        col_dens.append(d)
+        for t, y in ints.items():
+            b_rows[t][j] = y
+    zero = Fraction(0)
     out = []
-    for i in range(n):
-        row = a[i]
-        out.append([sum(row[t] * bt[j][t] for t in range(k)) for j in range(m)])
+    for row in a:
+        ints, d = scale_to_integers(enumerate(row))
+        acc = {}
+        for t, x in ints.items():
+            for j, y in b_rows[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        full = [zero] * m
+        for j, s in acc.items():
+            if s:
+                full[j] = Fraction(s, d * col_dens[j])
+        out.append(full)
     return out
 
 
@@ -97,13 +137,11 @@ def _integer_rows(a):
     """
     out = []
     for row in a:
-        if not _RATIONAL.issuperset(map(type, row)):
+        if not all_rational(row):
             return None
-        nonzero = [(c, x) for c, x in enumerate(row) if x]
-        if nonzero:
-            den = lcm(*[x.denominator for _, x in nonzero])
-            out.append(_primitive({c: x.numerator * (den // x.denominator)
-                                   for c, x in nonzero}))
+        ints, _ = scale_to_integers(enumerate(row))
+        if ints:
+            out.append(_primitive(ints))
     return out
 
 

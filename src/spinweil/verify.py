@@ -8,6 +8,7 @@ verb; the identity column states the mathematical fact being exercised.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -680,11 +681,13 @@ def check_mukai(seed):
 
 
 def run_checks(suite=None, seed=20240):
-    """Run the registered checks; returns a list of result dicts."""
+    """Run the registered checks; returns a list of result dicts, each
+    with the wall time of its check in seconds as elapsed_s."""
     results = []
     for check in CHECKS:
         if suite and check.suite != suite:
             continue
+        start = time.perf_counter()
         try:
             ok, detail = check.fn(seed)
         except Exception as exc:  # a crash is a failure with the reason
@@ -695,6 +698,7 @@ def run_checks(suite=None, seed=20240):
             "identity": check.identity,
             "passed": bool(ok),
             "detail": str(detail),
+            "elapsed_s": round(time.perf_counter() - start, 6),
         })
     return results
 

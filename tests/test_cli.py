@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,33 @@ def test_verify_single_suite(capsys):
     assert all(r["passed"] for r in doc["results"])
 
 
+def test_verify_json_times_every_check(capsys):
+    rc, doc = run_json(capsys, "verify", "--suite", "mukai")
+    assert rc == 0
+    for r in doc["results"]:
+        assert isinstance(r["elapsed_s"], (int, float))
+        assert r["elapsed_s"] >= 0
+
+
+def test_verify_text_output_has_no_timing(capsys):
+    rc, out = run(capsys, "verify", "--suite", "mukai")
+    assert rc == 0
+    assert "elapsed" not in out
+    assert out.splitlines()[-1] == "1/1 checks passed"
+
+
+def test_python_m_spinweil_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "spinweil", "verify",
+                           "--suite", "mukai"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 checks passed" in proc.stdout
+
+
 def test_verify_unknown_suite(capsys):
     rc = main(["verify", "--suite", "nonsense"])
     assert rc == 2
@@ -190,3 +221,31 @@ def test_wrong_length_vector_in_input_is_usage_error(capsys, tmp_path,
     rc = main([verb, "--input", str(path)])
     assert rc == 2
     assert "needs eight coordinates" in capsys.readouterr().err
+
+
+NOT_4X4 = ["[[0]]", "[[0,1],[2]]", "[]",
+           "[[0,1,0,0],[-1,0,0,0],[0,0,0,1]]",
+           "[[0,1,0,0],[-1,0,0,0],[0,0,0,1],[0,0,-1]]",
+           "[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]"]
+
+
+@pytest.mark.parametrize("b", NOT_4X4)
+def test_spinor_b_not_4x4_is_usage_error(capsys, b):
+    rc = main(["spinor", "--B", b])
+    assert rc == 2
+    assert "four rows of four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", NOT_4X4)
+def test_spinor_b_not_4x4_in_input_is_usage_error(capsys, tmp_path, b):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"inputs": {"B": json.loads(b)}}))
+    rc = main(["spinor", "--input", str(path)])
+    assert rc == 2
+    assert "four rows of four" in capsys.readouterr().err
+
+
+def test_spinor_b_not_alternating_is_verification_failure(capsys):
+    rc = main(["spinor", "--B", "[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,-1,0]]"])
+    assert rc == 1
+    assert "not alternating" in capsys.readouterr().err

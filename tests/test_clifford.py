@@ -1,8 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinweil.clifford import (CV, CliffordAlgebra, cartan_elements,
+from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
+                               cartan_elements,
                                commutator, conjugation, exp_nilpotent,
                                is_spin_group_element, is_spin_lie_element,
                                random_spin_group_element, sigma_action,
@@ -11,7 +15,9 @@ from spinweil.clifford import (CV, CliffordAlgebra, cartan_elements,
                                twisted_conjugation)
 from spinweil.lattices import BilinearLattice, make_V
 from spinweil.linalg import det, identity, mat_mul
-from spinweil.multivector import Multivector, mask_of, pfaffian, popcount
+from spinweil.multivector import (Multivector, indices_of, mask_of, pfaffian,
+                                  popcount)
+from spinweil.scalars import QuadExt
 from spinweil.spingeo import EVEN_MASKS, random_alternating
 
 
@@ -266,3 +272,92 @@ def test_spin_basis_generic_lattice():
         assert is_spin_lie_element(x)
         m = spin_so_iso(x)
         assert so_to_spin(alg, m) == x
+
+
+# -- the product against a per-term Fraction reference ------------------------
+
+#: a rank-3 lattice with odd diagonal entries: e_1^2 = 1/2 and e_2^2 = -3/2,
+#: so its blade products have half-integer coefficients
+ODD = CliffordAlgebra(BilinearLattice([[1, 1, 0], [1, -3, 2], [0, 2, 4]]))
+
+
+@lru_cache(maxsize=None)
+def _word(alg, word):
+    """The product of the generators e_w for w in word, as {mask: Fraction},
+    by rewriting adjacent pairs with e_i e_j = -e_j e_i + (e_i, e_j) and
+    e_i e_i = (e_i, e_i)/2; independent of the algebra's blade tables."""
+    g = alg.gram
+    for p in range(len(word) - 1):
+        i, j = word[p], word[p + 1]
+        if i < j:
+            continue
+        rest = word[:p] + word[p + 2:]
+        if i == j:
+            terms = [(g[i][i] / 2, rest)]
+        else:
+            swapped = word[:p] + (j, i) + word[p + 2:]
+            terms = [(Fraction(-1), swapped), (g[i][j], rest)]
+        out = {}
+        for c, w in terms:
+            for m, x in _word(alg, w).items():
+                out[m] = out.get(m, Fraction(0)) + c * x
+        return {m: x for m, x in out.items() if x}
+    return {mask_of(word): Fraction(1)}
+
+
+def reference_product(x, y):
+    """Per-term product over Fractions, each blade product by rewriting."""
+    alg = x.algebra
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            word = tuple(indices_of(ma)) + tuple(indices_of(mb))
+            for m, c in _word(alg, word).items():
+                out[m] = out.get(m, Fraction(0)) + ca * cb * c
+    return CliffordElement(alg, out)
+
+
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3,
+                                max_denominator=12))
+
+
+def elements(alg, coeffs=COEFFS, max_terms=5):
+    masks = st.integers(0, (1 << alg.rank) - 1)
+    return st.dictionaries(masks, coeffs, max_size=max_terms).map(
+        lambda terms: CliffordElement(alg, terms))
+
+
+def _same(got, expected):
+    assert got == expected
+    assert repr(sorted(got.terms.items())) == \
+        repr(sorted(expected.terms.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(CV()), elements(CV()))
+def test_product_matches_reference_on_V(x, y):
+    _same(x * y, reference_product(x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(ODD), elements(ODD))
+def test_product_matches_reference_with_half_integer_blades(x, y):
+    _same(x * y, reference_product(x, y))
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(CV(), coeffs=st.builds(QuadExt, st.integers(-3, 3),
+                                       st.integers(-3, 3), st.just(2)),
+                max_terms=3),
+       elements(CV(), max_terms=3))
+def test_product_with_quadext_coefficients(x, y):
+    assert x * y == reference_product(x, y)
+    assert y * x == reference_product(y, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(CV(), max_terms=4), elements(CV(), max_terms=4),
+       elements(CV(), max_terms=4))
+def test_product_is_associative(x, y, z):
+    assert (x * y) * z == x * (y * z)

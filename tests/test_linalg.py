@@ -1,10 +1,11 @@
-"""The integer rref kernel of linalg against its field path.
+"""The integer kernels of linalg against their field paths.
 
 A matrix of ints and Fractions is reduced on fraction-free integer rows;
 any other matrix by Gauss-Jordan with field division.  The rref of a
 matrix is unique, so on rational matrices both routes must give the same
 rref, pivots, rank, kernel, solutions and inverse, down to the repr of
-every entry.
+every entry.  A product of rational matrices is summed on ints and must
+equal the textbook loop over Fractions, again down to the repr.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -168,3 +169,63 @@ def test_quadext_matrix_takes_field_path(monkeypatch):
     assert calls == [3]
     assert len(basis) == 4 - rank(a) == 2
     assert all(x == 0 for row in mat_mul(a, transpose(basis)) for x in row)
+
+
+def reference_mat_mul(a, b):
+    """The textbook triple loop, summed from Fraction(0)."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+KINDS = {
+    "int": st.integers(-6, 6),
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    "mixed": ENTRIES,
+}
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b) with a n x k and b k x m, n in 0..7, k and m in 1..7, so
+    1 x k, k x 1, wide and tall shapes all occur, with all-int,
+    all-Fraction or mixed entries and some zero rows of a and zero
+    columns of b."""
+    n = draw(st.integers(0, 7))
+    k, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    a = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    for row in a:
+        if draw(st.integers(0, 4)) == 0:
+            row[:] = [0] * k
+    for j in range(m):
+        if draw(st.integers(0, 4)) == 0:
+            for row in b:
+                row[j] = 0
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs())
+def test_mat_mul_matches_reference_loop(pair):
+    a, b = pair
+    got, expected = mat_mul(a, b), reference_mat_mul(a, b)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def test_mat_mul_of_ints_returns_fractions():
+    assert repr(mat_mul([[1, 2]], [[3], [4]])) == "[[Fraction(11, 1)]]"
+    assert mat_mul([], [[1, 2]]) == []
+
+
+def test_mat_mul_with_quadext_entries():
+    m = 2
+    a = [[QuadExt(1, 1, m), Fraction(1, 2), 0],
+         [0, QuadExt(0, 1, m), 3]]
+    b = [[1, QuadExt(2, -1, m)], [Fraction(-2, 3), 0], [QuadExt(1, 1, m), 5]]
+    got = mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    # (1 + r)(2 - r) with r = sqrt(2) is r
+    assert got[0][1] == QuadExt(0, 1, m)
+    assert mat_mul(b, a) == reference_mat_mul(b, a)
