@@ -13,6 +13,17 @@ factor is put over the common denominator of its terms
 coefficients as ints, and each term of the result becomes one Fraction at
 the end.  Other coefficients (QuadExt, TowerScalar) go through the same
 loop unscaled.
+
+The spin module is one table.  C(V) is isomorphic to End of the exterior
+algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
+wedging, W* by contracting, and each blade e_A sends each of the 16 basis
+forms w_F to +-w_G or to 0.  The table of these signed partial
+permutations is built once from the generator action; sigma_action and
+sigma_matrix read it, on ints over a common denominator like the product.
+Since sigma is injective, the spin-group test runs on 16 x 16 matrices:
+x x* = 1 iff sigma(x) sigma(x*) = 1, and x e_j x* is the vector v iff
+sigma(x) sigma(e_j) sigma(x*) = sigma(v).  twisted_conjugation and
+is_spin_group_element share that test, for algebras with V's Gram only.
 """
 
 from __future__ import annotations
@@ -22,7 +33,8 @@ from functools import lru_cache
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import all_rational, mat, scale_to_integers, solve
+from .linalg import (all_rational, mat, scale_to_integers, solve,
+                     sparse_product)
 from .multivector import (Multivector, _accumulate, contract, indices_of,
                           popcount, wedge)
 from .scalars import rat
@@ -291,6 +303,41 @@ def _gen_action(k: int, eta: Multivector) -> Multivector:
     return contract(unit, eta)
 
 
+@lru_cache(maxsize=1)
+def _module_table():
+    """table[A][F] = (G, s) with e_A w_F = s w_G (s = +-1), or None when
+    e_A w_F = 0, for the 256 blades e_A of C(V) and the 16 basis forms w_F.
+
+    e_A = e_k e_{A - k} with k its lowest index, so each row is the
+    generator action (_gen_action) applied to a row built before it.
+    """
+    gen = [[next(((g, int(s)) for g, s in
+                  _gen_action(k, Multivector(4, {f: 1})).terms.items()), None)
+            for f in range(16)] for k in range(8)]
+    table = [tuple((f, 1) for f in range(16))]
+    for a in range(1, 256):
+        low = a & -a
+        act = gen[low.bit_length() - 1]
+        table.append(tuple(
+            None if hit is None or act[hit[0]] is None
+            else (act[hit[0]][0], act[hit[0]][1] * hit[1])
+            for hit in table[a ^ low]))
+    return tuple(table)
+
+
+def _table_for(algebra):
+    """The module table, for an algebra with V's Gram matrix only."""
+    if algebra is not CV() and algebra.gram != CV().gram:
+        raise ValueError("the spin module needs an element of C(V), with "
+                         "V's Gram matrix")
+    return _module_table()
+
+
+def _over(c, d):
+    """c / d, as a Fraction for an int c (d is 1 for other scalars)."""
+    return Fraction(c, d) if isinstance(c, int) else c
+
+
 def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     """The C(V)-module structure on the exterior algebra of W.
 
@@ -298,52 +345,92 @@ def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     actions, rightmost factor first; W acts by wedging, W* by contracting.
     Even elements preserve the even/odd split.
     """
-    if x.algebra.rank != 8:
-        raise ValueError("sigma_action needs an element of C(V)")
+    table = _table_for(x.algebra)
     if eta.n != 4:
         raise ValueError("sigma_action acts on the exterior algebra of W")
-    out = Multivector.zero(4)
-    for mask, c in x.terms.items():
-        cur = eta
-        for k in reversed(indices_of(mask)):
-            cur = _gen_action(k, cur)
-            if cur.is_zero():
-                break
-        if not cur.is_zero():
-            out = out + cur.scale(c)
-    return out
+    a, b, d = x.terms, eta.terms, 1
+    if all_rational(a.values()) and all_rational(b.values()):
+        a, da = scale_to_integers(a.items())
+        b, db = scale_to_integers(b.items())
+        d = da * db
+    out = {}
+    for ma, ca in a.items():
+        row = table[ma]
+        for f, cf in b.items():
+            if row[f] is not None:
+                g, s = row[f]
+                out[g] = out.get(g, 0) + s * ca * cf
+    return Multivector(4, {g: _over(c, d) for g, c in out.items()})
+
+
+def _sigma_rows(x: CliffordElement, table):
+    """sigma(x) over the common denominator d of x's terms, as (rows, d):
+    row G is {F: int}, the nonzero entries at the form masks F.  With a
+    coefficient that is not rational, d = 1 and the entries are x's own
+    scalars."""
+    terms, d = x.terms, 1
+    if all_rational(terms.values()):
+        terms, d = scale_to_integers(terms.items())
+    rows = [{} for _ in range(16)]
+    for a, c in terms.items():
+        for f, hit in enumerate(table[a]):
+            if hit is not None:
+                rows[hit[0]][f] = rows[hit[0]].get(f, 0) + hit[1] * c
+    return [{f: c for f, c in row.items() if c} for row in rows], d
+
+
+def sigma_matrix(x: CliffordElement):
+    """The 16 x 16 matrix of sigma(x) on the basis forms of the exterior
+    algebra of W; row and column F stand for the form of mask F."""
+    rows, d = _sigma_rows(x, _table_for(x.algebra))
+    zero = Fraction(0)
+    return [[_over(row[f], d) if f in row else zero for f in range(16)]
+            for row in rows]
 
 
 def is_spin_group_element(x: CliffordElement) -> bool:
-    """Check x x* = 1, evenness, and stability of V under conjugation."""
-    if not x.is_even():
+    """Check x x* = 1, evenness, and stability of V under conjugation:
+    the test twisted_conjugation runs."""
+    _table_for(x.algebra)
+    try:
+        twisted_conjugation(x)
+    except ValueError:
         return False
-    if x * x.conj() != x.algebra.one():
-        return False
-    xc = x.conj()
-    for i in range(x.algebra.rank):
-        if not (x * x.algebra.generator(i) * xc).is_vector():
-            return False
     return True
 
 
 def twisted_conjugation(x: CliffordElement):
     """The SO(V) matrix of v -> x v x* for x in the spin group.
 
-    Both spin-group conditions (x x* = 1 and x V x* inside V) are verified
-    before the matrix is assembled; invalid inputs raise ValueError.
+    Both spin-group conditions are verified before the matrix is
+    assembled, and invalid inputs raise ValueError.  sigma is injective on
+    C(V), so with X = sigma(x) and X* = sigma(x*) over their denominators
+    d and d*: x x* = 1 iff X X* = d d* I, and x e_j x* is the vector v iff
+    Y = X sigma(e_j) X* equals d d* sigma(v), where v is read from Y at
+    (1 << i, 0) (its W part) and (0, 1 << i) (its W* part).  The products
+    run on sparse integer rows.
     """
-    alg = x.algebra
-    if not x.is_even() or x * x.conj() != alg.one():
+    table = _table_for(x.algebra)
+    xs, d = _sigma_rows(x, table)
+    xcs, dc = _sigma_rows(x.conj(), table)
+    dd = d * dc
+    if (not x.is_even() or
+            sparse_product(xs, xcs) != [{r: dd} for r in range(16)]):
         raise ValueError("element does not satisfy x x* = 1 in C(L)+")
-    xc = x.conj()
     cols = []
-    for j in range(alg.rank):
-        img = x * alg.generator(j) * xc
-        if not img.is_vector():
+    for j in range(8):
+        # sigma(e_j) X*: row g is s times row f of X* when e_j w_f = s w_g
+        ej_xc = [{} for _ in range(16)]
+        for f, hit in enumerate(table[1 << j]):
+            if hit is not None:
+                ej_xc[hit[0]] = {k: hit[1] * c for k, c in xcs[f].items()}
+        y = sparse_product(xs, ej_xc)
+        u = ([y[1 << i].get(0, 0) for i in range(4)] +
+             [y[0].get(1 << i, 0) for i in range(4)])
+        if y != _sigma_rows(x.algebra.vector(u), table)[0]:
             raise ValueError("conjugation by x does not preserve V")
-        cols.append(img.vector_part())
-    return [[cols[j][i] for j in range(alg.rank)] for i in range(alg.rank)]
+        cols.append([_over(c, dd) for c in u])
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
 def exp_nilpotent(x: CliffordElement) -> CliffordElement:

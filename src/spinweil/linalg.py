@@ -14,7 +14,8 @@ mat_mul takes the same integer route when both factors are rational: each
 row of a and each column of b is scaled by the lcm of its denominators
 (scale_to_integers, the one scaling rule, also used by rref and by the
 Clifford product), the sparse integer rows are multiplied and summed on
-ints, and each product entry becomes one Fraction at the end.  A product
+ints (sparse_product, which also multiplies sparse rows of any scalars),
+and each product entry becomes one Fraction at the end.  A product
 with a QuadExt or TowerScalar entry runs the generic loop.
 """
 
@@ -52,6 +53,20 @@ def scale_to_integers(pairs):
     return {k: x.numerator * (d // x.denominator) for k, x in nonzero}, d
 
 
+def sparse_product(a_rows, b_rows):
+    """The rows of a b from the sparse rows ({column: x}, zeros left out)
+    of a and of b, in the same form."""
+    out = []
+    for row in a_rows:
+        acc = {}
+        get = acc.get
+        for t, x in row.items():
+            for j, y in b_rows[t].items():
+                acc[j] = get(j, 0) + x * y
+        out.append({j: s for j, s in acc.items() if s})
+    return out
+
+
 def mat_mul(a, b):
     if not (all(map(all_rational, a)) and all(map(all_rational, b))):
         bt = transpose(b)
@@ -66,18 +81,14 @@ def mat_mul(a, b):
         col_dens.append(d)
         for t, y in ints.items():
             b_rows[t][j] = y
+    a_scaled = [scale_to_integers(enumerate(row)) for row in a]
     zero = Fraction(0)
     out = []
-    for row in a:
-        ints, d = scale_to_integers(enumerate(row))
-        acc = {}
-        for t, x in ints.items():
-            for j, y in b_rows[t].items():
-                acc[j] = acc.get(j, 0) + x * y
+    for (_, d), acc in zip(a_scaled,
+                           sparse_product([r for r, _ in a_scaled], b_rows)):
         full = [zero] * m
         for j, s in acc.items():
-            if s:
-                full[j] = Fraction(s, d * col_dens[j])
+            full[j] = Fraction(s, d * col_dens[j])
         out.append(full)
     return out
 

@@ -18,12 +18,12 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .clifford import (CV, _commutator_matrix, cartan_elements,
-                       is_spin_lie_element, sigma_action, spin_v_xyz_table)
+                       is_spin_lie_element, sigma_matrix, spin_v_xyz_table)
 from .linalg import identity, inverse, mat, mat_mul, mat_vec, nullspace, rank
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           from_coords, mask_of, pluecker, star_matrix, wedge)
-from .spingeo import (ODD_MASKS, Spinor, graph_basis, random_alternating,
-                      spinor_map, splus_lattice)
+from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
+                      random_alternating, spinor_map, splus_lattice)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
 WEDGE4V_BASIS = tuple(combinations(range(8), 4))
@@ -61,25 +61,22 @@ REP_NAMES = ("V", "S+", "S-", "Wedge2V", "Wedge4V", "Sym2S+", "Wedge2S+")
 
 
 def splus_matrix(x) -> list:
-    """Matrix of an even Clifford element on S+ in z-coordinates."""
-    cols = []
-    for j in range(8):
-        unit = [Fraction(0)] * 8
-        unit[j] = Fraction(1)
-        image = sigma_action(x, Spinor(unit).multivector())
-        cols.append(Spinor.from_multivector(image).z)
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
+    """Matrix of an even Clifford element on S+ in z-coordinates: the even
+    block of sigma_matrix(x), with the signs of Z_DICT."""
+    m = sigma_matrix(x)
+    if any(m[g][f] != 0 for g in ODD_MASKS for f in EVEN_MASKS):
+        raise ValueError("spinors come from the even algebra of W")
+    return [[m[g][f] if s == t else -m[g][f] for f, t in Z_DICT]
+            for g, s in Z_DICT]
 
 
 def sminus_matrix(x) -> list:
-    """Matrix of an even Clifford element on S- (odd exterior powers)."""
-    cols = []
-    for m in ODD_MASKS:
-        image = sigma_action(x, Multivector(4, {m: Fraction(1)}))
-        if any(mm not in ODD_MASKS for mm in image.terms):
-            raise ValueError("element does not preserve the odd part")
-        cols.append([image.coefficient(mm) for mm in ODD_MASKS])
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
+    """Matrix of an even Clifford element on S- (odd exterior powers): the
+    odd block of sigma_matrix(x)."""
+    m = sigma_matrix(x)
+    if any(m[g][f] != 0 for g in EVEN_MASKS for f in ODD_MASKS):
+        raise ValueError("element does not preserve the odd part")
+    return [[m[g][f] for f in ODD_MASKS] for g in ODD_MASKS]
 
 
 def derivation_matrix(m, k, n=None):

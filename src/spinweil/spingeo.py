@@ -21,9 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .clifford import (CV, _gen_action, exp_nilpotent, sigma_action,
-                       twisted_conjugation)
-from .lattices import make_Splus, make_V
+from .clifford import CV, exp_nilpotent, sigma_action, twisted_conjugation
+from .lattices import make_Splus
 from .linalg import mat, nullspace, rank
 from .multivector import (Multivector, check_alternating, omega_of, pfaffian,
                           wedge)
@@ -229,8 +228,8 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
         raise ValueError("spinor must be nonzero")
     if not s.is_isotropic():
         raise ValueError("spinor is not isotropic")
-    eta = s.multivector()
-    cols = [_gen_action(k, eta) for k in range(8)]
+    eta, alg = s.multivector(), CV()
+    cols = [sigma_action(alg.generator(k), eta) for k in range(8)]
     action = [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
     kernel = nullspace(action)
     if len(kernel) != 4:
@@ -245,7 +244,7 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
 
 
 def _validate_isotropic(basis8x4):
-    g = make_V().gram
+    g = CV().gram
     for a in range(4):
         for b in range(4):
             val = 0

@@ -358,15 +358,17 @@ def check_module_structure(seed):
 def check_twisted_conjugation(seed):
     rng = random.Random(seed)
     g = make_V().gram
-    for _ in range(25):
+    for trial in range(25):
         gelt = clifford.random_spin_group_element(rng)
         try:
             mtx = clifford.twisted_conjugation(gelt)
-        except ValueError:
-            return False, "product of exponentials left the spin group"
+        except ValueError as exc:
+            return False, (f"seed {seed}, trial {trial}: product of "
+                           f"exponentials left the spin group ({exc})")
         mt = [[mtx[b2][a2] for b2 in range(8)] for a2 in range(8)]
         if mat_mul(mt, mat_mul(g, mtx)) != g or det(mtx) != 1:
-            return False, "matrix is not special orthogonal"
+            return False, (f"seed {seed}, trial {trial}: matrix is not "
+                           f"special orthogonal")
     return True, "25 random group elements"
 
 
@@ -389,22 +391,24 @@ def check_spinor_isotropic(seed):
 def check_spinor_equivariance(seed):
     rng = random.Random(seed)
     from .reps import splus_matrix
-    ok = 0
-    for _ in range(100):
+    for trial in range(100):
         g = clifford.random_spin_group_element(rng)
-        rho_v = clifford.twisted_conjugation(g)
-        rho_s = splus_matrix(g)
         b2 = random_alternating(rng, lo=-2, hi=2)
-        z = spinor_map(b2)
-        sub = subspace_of_spinor(z)
-        moved = mat_mul(rho_v, sub.basis)
-        gz = Spinor(mat_vec(rho_s, z.z))
-        sub2 = subspace_of_spinor(gz)
+        try:
+            rho_v = clifford.twisted_conjugation(g)
+            rho_s = splus_matrix(g)
+            z = spinor_map(b2)
+            sub = subspace_of_spinor(z)
+            moved = mat_mul(rho_v, sub.basis)
+            gz = Spinor(mat_vec(rho_s, z.z))
+            sub2 = subspace_of_spinor(gz)
+        except (ValueError, RuntimeError) as exc:
+            return False, f"seed {seed}, trial {trial}: {exc}"
         joint = [moved[i] + sub2.basis[i] for i in range(8)]
         if rank(mat(joint)) != 4:
-            return False, "moved subspace does not match moved spinor"
-        ok += 1
-    return True, f"{ok} random (g, B) pairs"
+            return False, (f"seed {seed}, trial {trial}: moved subspace does "
+                           f"not match moved spinor")
+    return True, "100 random (g, B) pairs"
 
 
 @register("subspace-parity", "spinor",

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               cartan_elements,
+                               _gen_action, cartan_elements,
                                commutator, conjugation, exp_nilpotent,
                                is_spin_group_element, is_spin_lie_element,
                                random_spin_group_element, sigma_action,
-                               so_to_spin, spin_basis, spin_so_iso,
+                               sigma_matrix, so_to_spin, spin_basis, spin_so_iso,
                                spin_v_dimension_check, spin_v_xyz_table,
                                twisted_conjugation)
 from spinweil.lattices import BilinearLattice, make_V
-from spinweil.linalg import det, identity, mat_mul
+from spinweil.linalg import det, identity, mat_mul, rank
 from spinweil.multivector import (Multivector, indices_of, mask_of, pfaffian,
                                   popcount)
 from spinweil.scalars import QuadExt
@@ -361,3 +361,147 @@ def test_product_with_quadext_coefficients(x, y):
        elements(CV(), max_terms=4))
 def test_product_is_associative(x, y, z):
     assert (x * y) * z == x * (y * z)
+
+
+# -- the spin module table against the generator action ----------------------
+
+def reference_sigma(x, eta):
+    """sigma(x) eta by composing the generator actions of each blade,
+    rightmost factor first, on Multivectors."""
+    out = Multivector.zero(4)
+    for mask, c in x.terms.items():
+        cur = eta
+        for k in reversed(indices_of(mask)):
+            cur = _gen_action(k, cur)
+        out = out + cur.scale(c)
+    return out
+
+
+def reference_twisted(x):
+    """The columns x e_j x* of twisted conjugation, by Clifford products."""
+    alg = x.algebra
+    xc = x.conj()
+    assert x * xc == alg.one()
+    images = [x * alg.generator(j) * xc for j in range(8)]
+    assert all(img.is_vector() for img in images)
+    return [[images[j].vector_part()[i] for j in range(8)] for i in range(8)]
+
+
+QUAD = st.builds(QuadExt, st.integers(-3, 3), st.integers(-3, 3), st.just(2))
+
+
+def forms(coeffs=COEFFS):
+    return st.dictionaries(st.integers(0, 15), coeffs, max_size=6).map(
+        lambda terms: Multivector(4, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(CV(), max_terms=6), forms())
+def test_sigma_action_matches_generator_composition(x, eta):
+    got = sigma_action(x, eta)
+    expected = reference_sigma(x, eta)
+    assert got == expected
+    assert repr(sorted(got.terms.items())) == \
+        repr(sorted(expected.terms.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(elements(CV(), coeffs=QUAD, max_terms=3),
+                           forms()),
+                 st.tuples(elements(CV(), max_terms=3), forms(QUAD))))
+def test_sigma_action_with_quadext_coefficients(pair):
+    x, eta = pair
+    assert sigma_action(x, eta) == reference_sigma(x, eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements(CV(), max_terms=6))
+def test_sigma_matrix_columns_are_sigma_action(x):
+    m = sigma_matrix(x)
+    for f in range(16):
+        image = sigma_action(x, Multivector(4, {f: 1}))
+        assert [row[f] for row in m] == [image.coefficient(g)
+                                         for g in range(16)]
+
+
+def test_sigma_is_injective():
+    # C(V) = End of the exterior algebra of W: the 256 blades act by
+    # independent 16 x 16 matrices, which makes the spin-group test exact
+    alg = CV()
+    rows = [[c for row in sigma_matrix(alg.element({a: 1})) for c in row]
+            for a in range(256)]
+    assert rank(rows) == 256
+
+
+def _nilpotent_exponential(coeffs, family):
+    alg = CV()
+    x = alg.zero()
+    for (i, j), c in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+                         coeffs):
+        x = x + (alg.generator(i + family) *
+                 alg.generator(j + family)).scale(c)
+    return exp_nilpotent(x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_twisted_conjugation_matches_sandwich_on_random_elements(seed, span):
+    import random
+    g = random_spin_group_element(random.Random(seed), span)
+    assert twisted_conjugation(g) == reference_twisted(g)
+    assert is_spin_group_element(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                min_size=6, max_size=6),
+       st.sampled_from((0, 4)), st.sampled_from((1, -1)))
+def test_twisted_conjugation_matches_sandwich_on_exponentials(coeffs, family,
+                                                             sign):
+    g = _nilpotent_exponential(coeffs, family).scale(sign)
+    got = twisted_conjugation(g)
+    assert got == reference_twisted(g)
+    assert repr(got) == repr(reference_twisted(g))
+
+
+def test_twisted_conjugation_rejects_unit_outside_spin():
+    # x = 1 + (e - e*)/2 with e = e1...e6 is even with x x* = 1, but
+    # x e_j x* leaves V
+    alg = CV()
+    e = alg.element({0b111111: 1})
+    x = alg.one() + (e - e.conj()).scale(Fraction(1, 2))
+    assert x.is_even() and x * x.conj() == alg.one()
+    with pytest.raises(ValueError, match="does not preserve V"):
+        twisted_conjugation(x)
+    assert not is_spin_group_element(x)
+
+
+def test_spin_group_membership_rejections():
+    alg = CV()
+    assert not is_spin_group_element(alg.scalar(2))
+    assert not is_spin_group_element(alg.generator(0))
+    assert not is_spin_group_element(alg.zero())
+    with pytest.raises(ValueError, match="x x\\* = 1"):
+        twisted_conjugation(alg.zero())
+
+
+def test_spin_module_needs_the_gram_of_V():
+    # with Gram 2 I, e1 e1 = 1 acts as the identity, but e1 acts on the
+    # exterior algebra of W by wedging, which squares to zero
+    alg = CliffordAlgebra(BilinearLattice([[2 if i == j else 0
+                                            for j in range(8)]
+                                           for i in range(8)]))
+    e1 = alg.generator(0)
+    assert e1 * e1 == alg.one()
+    one = Multivector.one(4)
+    for call in (lambda: sigma_action(e1 * e1, one),
+                 lambda: sigma_matrix(alg.one()),
+                 lambda: twisted_conjugation(alg.one()),
+                 lambda: is_spin_group_element(alg.one())):
+        with pytest.raises(ValueError, match="C\\(V\\)"):
+            call()
+    # another algebra with V's Gram is accepted
+    alt = CliffordAlgebra(make_V())
+    assert sigma_action(alt.generator(4), Multivector.basis_vector(4, 0)) \
+        == one
+    assert twisted_conjugation(alt.one()) == identity(8)

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinweil.clifford import (CV, cartan_elements, commutator,
-                               random_spin_group_element, spin_v_xyz_table,
+from spinweil.clifford import (CV, CliffordElement, cartan_elements,
+                               commutator, random_spin_group_element,
+                               sigma_action, spin_v_xyz_table,
                                twisted_conjugation)
 from spinweil.linalg import mat, mat_mul, mat_vec, rank
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
@@ -14,10 +17,12 @@ from spinweil.reps import (alpha_beta_gamma, branching_dims, cayley_class,
                            explicit_cayley_formula, gamma0_line,
                            gamma2alpha_star_sign, invariant_subspace,
                            phi_matrix, quadric_square_span, rep_space,
-                           splus_matrix, stabilizer_algebra, standard_spinor,
+                           sminus_matrix, splus_matrix, stabilizer_algebra,
+                           standard_spinor,
                            sym2_coords, weight_decomposition, weight_multiset)
-from spinweil.spingeo import (Spinor, graph_basis, random_alternating,
-                              spinor_map)
+from spinweil.scalars import QuadExt
+from spinweil.spingeo import (ODD_MASKS, Spinor, graph_basis,
+                              random_alternating, spinor_map)
 
 XYZ = {lab: elt for lab, elt, _ in spin_v_xyz_table()}
 
@@ -296,3 +301,56 @@ def test_derived_action_validates():
         derived_action(CV().generator(0), "V")  # odd element
     with pytest.raises(ValueError):
         derived_action(CV().one(), "V")  # 1 + 1* != 0
+
+
+# -- half-spin matrices against sigma_action, column by column ---------------
+
+def reference_splus(x):
+    cols = []
+    for j in range(8):
+        unit = [0] * 8
+        unit[j] = 1
+        image = sigma_action(x, Spinor(unit).multivector())
+        cols.append(Spinor.from_multivector(image).z)
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
+
+
+def reference_sminus(x):
+    cols = []
+    for m in ODD_MASKS:
+        image = sigma_action(x, Multivector(4, {m: 1}))
+        assert all(mm in ODD_MASKS for mm in image.terms)
+        cols.append([image.coefficient(mm) for mm in ODD_MASKS])
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
+
+
+EVEN_BLADES = [m for m in range(256) if bin(m).count("1") % 2 == 0]
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                   st.builds(QuadExt, st.integers(-3, 3), st.integers(-3, 3),
+                             st.just(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(EVEN_BLADES), COEFFS, max_size=6))
+def test_half_spin_matrices_match_sigma_action(terms):
+    x = CliffordElement(CV(), terms)
+    got = splus_matrix(x)
+    assert got == reference_splus(x)
+    assert repr(got) == repr(reference_splus(x))
+    assert sminus_matrix(x) == reference_sminus(x)
+
+
+def test_half_spin_matrices_on_group_elements(rng):
+    for _ in range(5):
+        g = random_spin_group_element(rng)
+        assert splus_matrix(g) == reference_splus(g)
+        assert sminus_matrix(g) == reference_sminus(g)
+
+
+def test_half_spin_matrices_reject_mixing_elements():
+    x = CV().generator(0) + CV().one()
+    with pytest.raises(ValueError, match="even algebra"):
+        splus_matrix(x)
+    with pytest.raises(ValueError, match="odd part"):
+        sminus_matrix(x)
