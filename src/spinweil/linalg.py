@@ -3,26 +3,33 @@
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
 point.  rank, nullspace, solve, solve_matrix and inverse read the
-reduced row echelon form (rref).  A matrix whose entries are all ints and
-Fractions is reduced on integer rows, fraction-free (Bareiss, Math. Comp.
-22, 1968): each row is scaled to coprime integers, kept sparse, and
-divided only once at the end.  Any other matrix takes Gauss-Jordan
-elimination with exact field division.  A matrix has exactly one rref, so
-both routes give the same result.
+reduced row echelon form (rref), and there is one elimination routine:
+fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
+1968).  Each row is scaled to coprime integers, kept sparse, and divided
+only once at the end.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is
+first made rational by restriction of scalars: each row x becomes the
+coordinate rows of u x for u in the Q-basis of K.  The rref is unique, so
+the rational rref rows are the coordinate rows of u R for the K-rref rows
+R, and R is read back from the rows that pivot on a first coordinate.
+det is Gaussian elimination over the field on the first nonzero pivot of
+each column: an exact determinant needs no pivot preference.
 
-mat_mul takes the same integer route when both factors are rational: each
+mat_mul takes an integer route when both factors are rational: each
 row of a and each column of b is scaled by the lcm of its denominators
 (scale_to_integers, the one scaling rule, also used by rref and by the
 Clifford product), the sparse integer rows are multiplied and summed on
 ints (sparse_product, which also multiplies sparse rows of any scalars),
 and each product entry becomes one Fraction at the end.  A product
-with a QuadExt or TowerScalar entry runs the generic loop.
+with a QuadExt or TowerScalar entry runs the generic loop, which is a
+product, not an elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import TowerScalar
 
 _RATIONAL = frozenset((int, Fraction))
 
@@ -95,48 +102,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
-
-
-def _pick_pivot(rows, col, start):
-    """Row index of a pivot in the column, preferring large rationals."""
-    best, best_abs = -1, None
-    for i in range(start, len(rows)):
-        x = rows[i][col]
-        if x == 0:
-            continue
-        try:
-            ax = abs(x)
-        except TypeError:
-            return i
-        if best_abs is None or ax > best_abs:
-            best, best_abs = i, ax
-    return best
-
-
-def _field_rref(a):
-    """rref by Gauss-Jordan with field division, for any scalar type."""
-    m = [list(r) for r in a]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        i = _pick_pivot(m, c, r)
-        if i < 0:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for j in range(nrows):
-            if j != r and m[j][c] != 0:
-                f = m[j][c]
-                m[j] = [x - f * y for x, y in zip(m[j], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 def _integer_rows(a):
@@ -214,24 +179,51 @@ def _integer_rref(rows):
     return done
 
 
+def _coords(x):
+    """The rational coordinates of a QuadExt or TowerScalar on its
+    Q-basis (1, sqrt(m)) or (1, i, sqrt(m), i sqrt(m))."""
+    return x.c if isinstance(x, TowerScalar) else (x.a, x.b)
+
+
+def _realify(a):
+    """a over K = Q(sqrt(m)) or Q(i, sqrt(m)), the field of its first
+    irrational entry, as a rational matrix: row x becomes the coordinate
+    rows of u x for u in the Q-basis of K, 1 first, with the k = [K : Q]
+    coordinates of each column side by side.  Returns it, k, and the
+    element of K with given coordinates."""
+    x = next(x for row in a for x in row if type(x) not in _RATIONAL)
+    kind, m = type(x), x.m
+    k = len(_coords(x))
+    basis = [kind(*(int(t == s) for t in range(k)), m=m) for s in range(k)]
+    real = [[y for x in row for y in _coords(u * x)]
+            for row in a for u in basis]
+    return real, k, lambda c: kind(*c, m=m)
+
+
 def _pivot_rows(a):
-    """The nonzero rows of rref(a) and their pivot columns."""
+    """The nonzero rows of rref(a) and their pivot columns; a matrix
+    over K is read back from the rational rows of its realification that
+    pivot on a first coordinate (see the module docstring)."""
     if not a:
         return [], []
-    rows = _integer_rows(a)
+    rows, k, element = _integer_rows(a), 1, None
     if rows is None:
-        m, pivots = _field_rref(a)
-        return m[:len(pivots)], pivots
-    ncols = len(a[0])
+        real, k, element = _realify(a)
+        rows = _integer_rows(real)
+    ncols = len(a[0]) * k
     zero = Fraction(0)
     out, pivots = [], []
     for pc, row in _integer_rref(rows):
+        if pc % k:
+            continue
         p = row[pc]
         full = [zero] * ncols
         for c, x in row.items():
             full[c] = Fraction(x, p)
+        if element:
+            full = [element(full[j:j + k]) for j in range(0, ncols, k)]
         out.append(full)
-        pivots.append(pc)
+        pivots.append(pc // k)
     return out, pivots
 
 
@@ -305,12 +297,13 @@ def inverse(a):
 
 
 def det(a):
-    """Exact determinant by Gaussian elimination over the scalar field."""
+    """Exact determinant by Gaussian elimination over the scalar field,
+    on the first nonzero pivot of each column."""
     n = len(a)
     m = [list(r) for r in a]
     d = Fraction(1)
     for c in range(n):
-        i = _pick_pivot(m, c, c)
+        i = next((i for i in range(c, n) if m[i][c] != 0), -1)
         if i < 0:
             return 0 * d
         if i != c:

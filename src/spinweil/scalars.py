@@ -155,7 +155,8 @@ class QuadExt:
 
 
 class TowerScalar:
-    """Element c0 + c1*i + c2*sqrt(m) + c3*i*sqrt(m) of Q(i, sqrt(m)).
+    """Element c0 + c1*i + c2*sqrt(m) + c3*i*sqrt(m) of Q(i, sqrt(m)),
+    m squarefree, m != -1, 0, 1 (for m = -1 the ring has zero divisors).
 
     The two generators commute; i^2 = -1 and sqrt(m)^2 = m.  There are two
     commuting conjugations: ``conj_i`` negates i, ``conj_m`` negates sqrt(m).
@@ -166,8 +167,9 @@ class TowerScalar:
     def __init__(self, c0, c1=0, c2=0, c3=0, m=None):
         if m is None:
             raise ValueError("TowerScalar requires the field parameter m")
-        if m in (0, 1) or squarefree_part(m) != m:
-            raise ValueError(f"m = {m} must be squarefree and not 0 or 1")
+        if m in (-1, 0, 1) or squarefree_part(m) != m:
+            raise ValueError(f"m = {m} must be squarefree and not -1, 0 "
+                             f"or 1")
         object.__setattr__(self, "c", (rat(c0), rat(c1), rat(c2), rat(c3)))
         object.__setattr__(self, "m", m)
 

@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 from .clifford import CV, exp_nilpotent, sigma_action, twisted_conjugation
 from .lattices import make_Splus
-from .linalg import mat, nullspace, rank
+from .linalg import mat, mat_mul, nullspace, rank, transpose
 from .multivector import (Multivector, check_alternating, omega_of, pfaffian,
                           wedge)
 from .scalars import rat
@@ -217,21 +217,25 @@ def graph_basis(b):
         for i in range(4)]
 
 
+def spinor_action_matrix(s: Spinor):
+    """The 8 x 8 matrix A_s of v -> v s from V into S-, read on the odd
+    masks: column k is the action of the generator e_k on s."""
+    eta, alg = s.multivector(), CV()
+    cols = [sigma_action(alg.generator(k), eta) for k in range(8)]
+    return [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
+
+
 def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
     """The maximal isotropic subspace attached to an isotropic spinor.
 
     It is Cartan's annihilator {v in V : v s = 0} (Chevalley, The
-    Algebraic Theory of Spinors, 1954): the kernel of the 8 x 8 matrix of
-    v -> v s from V into S-.
+    Algebraic Theory of Spinors, 1954): the kernel of spinor_action_matrix.
     """
     if s.is_zero():
         raise ValueError("spinor must be nonzero")
     if not s.is_isotropic():
         raise ValueError("spinor is not isotropic")
-    eta, alg = s.multivector(), CV()
-    cols = [sigma_action(alg.generator(k), eta) for k in range(8)]
-    action = [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
-    kernel = nullspace(action)
+    kernel = nullspace(spinor_action_matrix(s))
     if len(kernel) != 4:
         raise RuntimeError("annihilator of a nonzero isotropic spinor is "
                            "not 4-dimensional")
@@ -244,18 +248,10 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
 
 
 def _validate_isotropic(basis8x4):
-    g = CV().gram
-    for a in range(4):
-        for b in range(4):
-            val = 0
-            for i in range(8):
-                if basis8x4[i][a] == 0:
-                    continue
-                for j in range(8):
-                    if g[i][j] != 0:
-                        val = val + basis8x4[i][a] * g[i][j] * basis8x4[j][b]
-            if val != 0:
-                raise ValueError("subspace is not isotropic")
+    """B^T G B = 0 and rank B = 4 for the 8 x 4 basis B."""
+    gram = mat_mul(transpose(basis8x4), mat_mul(CV().gram, basis8x4))
+    if any(x != 0 for row in gram for x in row):
+        raise ValueError("subspace is not isotropic")
     if rank(mat(basis8x4)) != 4:
         raise ValueError("subspace basis is rank deficient")
 

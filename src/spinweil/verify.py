@@ -561,14 +561,20 @@ STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
 def check_weil_battery(seed):
     rng = random.Random(seed)
     for trial in range(4):
-        datum = weil.make_weil_datum(
-            Spinor(list(STANDARD_H)), Spinor(list(STANDARD_S)),
-            seed=rng.randrange(10 ** 6))
-        rep = weil.datum_report(datum)
+        period_seed = rng.randrange(10 ** 6)
+        where = (f"seed {seed}, trial {trial}: period of sample seed "
+                 f"{period_seed}")
+        try:
+            datum = weil.make_weil_datum(
+                Spinor(list(STANDARD_H)), Spinor(list(STANDARD_S)),
+                seed=period_seed)
+            rep = weil.datum_report(datum)
+        except (ValueError, RuntimeError) as exc:
+            return False, f"{where}: {exc}"
         bad = [k for k, v in rep.items()
                if isinstance(v, bool) and not v]
         if bad:
-            return False, f"failed: {bad}"
+            return False, f"{where}: failed: {bad}"
     return True, "4 sampled periods, full battery"
 
 
@@ -579,21 +585,23 @@ def check_hodge_criterion(seed):
     rng = random.Random(seed)
     s = Spinor(list(STANDARD_S))
     h = Spinor(list(STANDARD_H))
+    # periods orthogonal to h and s, then to a fixed vector and h
+    planes = (("orthogonal", h, s),
+              ("generic", Spinor(list(STANDARD_PERIOD[0])), h))
     ok = 0
-    for _ in range(10):
-        per = weil.sample_period(h, s, seed=rng.randrange(10 ** 6))
-        claim = weil.cayley_hodge_test(s, per)
-        truth = per.pairs_to_zero_with(s.z)
-        if claim != truth:
-            return False, "criterion mismatched on orthogonal period"
-        ok += 1
-        per2 = weil.sample_period(Spinor(list(STANDARD_PERIOD[0])),
-                                  h, seed=rng.randrange(10 ** 6))
-        claim2 = weil.cayley_hodge_test(s, per2)
-        truth2 = per2.pairs_to_zero_with(s.z)
-        if claim2 != truth2:
-            return False, "criterion mismatched on generic period"
-        ok += 1
+    for trial in range(10):
+        for kind, u, w in planes:
+            period_seed = rng.randrange(10 ** 6)
+            where = (f"seed {seed}, trial {trial}: {kind} period of sample "
+                     f"seed {period_seed}")
+            try:
+                per = weil.sample_period(u, w, seed=period_seed)
+                claim = weil.cayley_hodge_test(s, per)
+            except (ValueError, RuntimeError) as exc:
+                return False, f"{where}: {exc}"
+            if claim != per.pairs_to_zero_with(s.z):
+                return False, f"{where}: criterion mismatched"
+            ok += 1
     return True, f"{ok} periods, both signs of the criterion"
 
 

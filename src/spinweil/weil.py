@@ -6,7 +6,11 @@ criterion for the Cayley class.
 Periods are restricted to points p + i q with rational p, q: this keeps
 the complex structure, the field action and the polarization exactly
 rational while sampling a Zariski-dense set of the period domain (every
-identity verified here is polynomial).  All square roots are handled by
+identity verified here is polynomial).  The complex structure J and the
+field action mu are rational by construction: each is a product of the
+rational matrices A_x of v -> v x (spingeo.spinor_action_matrix) for the
+rational spinors p, q, h and s, read off the isotropic annihilators of
+p + i q and of sqrt(-d) h + (h,h) s.  Other square roots are handled by
 quadratic-extension scalars; nothing is ever evaluated numerically.
 """
 
@@ -25,7 +29,8 @@ from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
 from .reps import (cayley_class, invariant_subspace, stabilizer_algebra,
                    weight_multiset)
 from .scalars import QuadExt, is_norm, is_square, rat, squarefree_part
-from .spingeo import Spinor, splus_lattice, subspace_of_spinor
+from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
+                      subspace_of_spinor)
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,6 @@ class Period:
     def spinor(self) -> Spinor:
         """p + i q over the Gaussian rationals."""
         return Spinor([QuadExt(a, b, -1) for a, b in zip(self.p, self.q)])
-
-    def conj_spinor(self) -> Spinor:
-        return Spinor([QuadExt(a, -b, -1) for a, b in zip(self.p, self.q)])
 
     def norm_pairing(self):
         return 2 * splus_lattice().pair(list(self.p), list(self.p))
@@ -115,49 +117,19 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     raise RuntimeError("period search exhausted the height cap")
 
 
-def _conj_matrix(m):
-    return [[x.conj() if isinstance(x, QuadExt) else x for x in row]
-            for row in m]
-
-
-def _demand_rational(m, what):
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            if isinstance(x, QuadExt):
-                if x.b != 0:
-                    raise RuntimeError(f"{what} failed to be rational")
-                new.append(x.a)
-            else:
-                new.append(rat(x))
-        out.append(new)
-    return out
-
-
-def _eigen_assembly(basis_plus, basis_minus, lam):
-    """Matrix acting by lam on the first column span and -lam on the second."""
-    p = [[basis_plus[i][j] for j in range(4)] +
-         [basis_minus[i][j] for j in range(4)] for i in range(8)]
-    pinv = inverse(p)
-    scaled = [[(lam if j < 4 else -lam) * pinv[j][k] for k in range(8)]
-              for j in range(8)]
-    return mat_mul(p, scaled)
-
-
 def complex_structure(period: Period):
-    """The rational orthogonal complex structure of a period.
+    """The rational orthogonal complex structure J = -A_q^-1 A_p of a period.
 
-    Acts as +i on the subspace attached to p + i q and as -i on the
-    conjugate subspace; the assembled matrix is fixed by conjugation and
-    hence rational, with J^2 = -I and J orthogonal for the form on V.
+    J acts as +i on the annihilator Z of p + i q: x + i y lies in Z
+    exactly when (x + i y)(p + i q) = 0, that is A_p x = A_q y, and then
+    J x = -y (A_s is spinor_action_matrix).  A_q is invertible: v q = 0
+    gives Q(v) q = v (v q) = 0, and as (q, q) > 0 the spinor q is not
+    pure, so its annihilator is zero.  J^2 = -I and orthogonality for the
+    form on V are checked.
     """
-    ell = period.spinor()
-    z = subspace_of_spinor(ell)
-    zb = _conj_matrix(z.basis)
-    i_unit = QuadExt(0, 1, -1)
-    j = _demand_rational(_eigen_assembly(z.basis, zb, i_unit),
-                         "complex structure")
+    a_p = spinor_action_matrix(Spinor(period.p))
+    a_q = spinor_action_matrix(Spinor(period.q))
+    j = [[-x for x in row] for row in mat_mul(inverse(a_q), a_p)]
     _check_complex_structure(j)
     return j
 
@@ -202,18 +174,20 @@ def kappa_spinor(h, s):
 
 
 def k_action(h, s):
-    """The rational matrix of sqrt(-d) acting on V, squaring to -d.
+    """The rational matrix mu = (s,s) A_s^-1 A_h of sqrt(-d) on V.
 
-    Acts as +sqrt(-d) on the subspace of the isotropic point kappa in the
-    plane through h and s, and as -sqrt(-d) on the conjugate subspace.
+    mu acts as +sqrt(-d) on the annihilator of kappa = sqrt(-d) h +
+    (h,h) s: x + sqrt(-d) y lies in it exactly when A_h x = -(h,h) A_s y,
+    and then mu x = -d y, with d = (h,h)(s,s).  A_s is invertible as
+    (s,s) > 0 (see complex_structure).  mu^2 = -d I is checked.
     Returns (mu, d, m, f) with -d = m f^2, m squarefree.
     """
-    kappa, d, m, f = kappa_spinor(h, s)
-    zk = subspace_of_spinor(kappa)
-    zkb = _conj_matrix(zk.basis)
-    sqrt_md = QuadExt(0, f, m)
-    mu = _demand_rational(_eigen_assembly(zk.basis, zkb, sqrt_md),
-                          "field action")
+    h = h if isinstance(h, Spinor) else Spinor(h)
+    s = s if isinstance(s, Spinor) else Spinor(s)
+    d, m, f = field_parameters(h, s)
+    ss = s.pair(s)
+    mu = [[ss * x for x in row] for row in
+          mat_mul(inverse(spinor_action_matrix(s)), spinor_action_matrix(h))]
     sq = mat_mul(mu, mu)
     for a in range(8):
         for b in range(8):

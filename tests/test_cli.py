@@ -76,6 +76,14 @@ def test_malformed_vector_object_is_usage_error(capsys):
     assert "malformed JSON input" in capsys.readouterr().err
 
 
+def test_tower_scalar_with_m_minus_one_is_usage_error(capsys):
+    tower = '{"c": ["0", "1", "1", "0"], "m": -1}'
+    rc = main(["cayley", "--s", f'[{tower}, 0, 0, 0, 0, 0, 0, 0]'])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed JSON input" in err and "not -1, 0 or 1" in err
+
+
 def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

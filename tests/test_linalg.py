@@ -1,11 +1,14 @@
-"""The integer kernels of linalg against their field paths.
+"""The integer kernels of linalg against textbook references.
 
-A matrix of ints and Fractions is reduced on fraction-free integer rows;
-any other matrix by Gauss-Jordan with field division.  The rref of a
-matrix is unique, so on rational matrices both routes must give the same
-rref, pivots, rank, kernel, solutions and inverse, down to the repr of
-every entry.  A product of rational matrices is summed on ints and must
-equal the textbook loop over Fractions, again down to the repr.
+linalg has one elimination routine: fraction-free Gauss-Jordan on integer
+rows, which a matrix over a quadratic field or the tower reaches by
+restriction of scalars.  The reference kept here is textbook Gauss-Jordan
+with field division, for any scalar type.  The rref of a matrix is
+unique, so on rational matrices both routes must give the same rref,
+pivots, rank, kernel, solutions and inverse, down to the repr of every
+entry, and on field matrices they must be equal.  A product of rational
+matrices is summed on ints and must equal the textbook loop over
+Fractions, again down to the repr.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from spinweil import linalg
 from spinweil.linalg import (inverse, mat_mul, nullspace, rank, rref, solve,
                              solve_matrix, transpose)
-from spinweil.scalars import QuadExt
+from spinweil.scalars import QuadExt, TowerScalar
 
 ENTRIES = st.one_of(
     st.just(0),
@@ -50,11 +53,60 @@ def square_matrices(draw):
     return draw(matrices(rows=st.just(n), cols=st.just(n)))[:n]
 
 
+def _pick_pivot(rows, col, start):
+    """Row index of a pivot in the column, preferring large rationals."""
+    best, best_abs = -1, None
+    for i in range(start, len(rows)):
+        x = rows[i][col]
+        if x == 0:
+            continue
+        try:
+            ax = abs(x)
+        except TypeError:
+            return i
+        if best_abs is None or ax > best_abs:
+            best, best_abs = i, ax
+    return best
+
+
+def field_rref(a):
+    """rref by textbook Gauss-Jordan with field division, for any scalar
+    type."""
+    m = [list(r) for r in a]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        i = _pick_pivot(m, c, r)
+        if i < 0:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for j in range(nrows):
+            if j != r and m[j][c] != 0:
+                f = m[j][c]
+                m[j] = [x - f * y for x, y in zip(m[j], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def field_pivot_rows(a):
+    """The nonzero rows of the reference rref and their pivot columns."""
+    m, pivots = field_rref(a)
+    return m[:len(pivots)], pivots
+
+
 @contextmanager
 def field_path():
-    """Route every elimination through the field path."""
+    """Route every elimination through the textbook reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_integer_rows", lambda a: None)
+        mp.setattr(linalg, "_pivot_rows", field_pivot_rows)
         yield
 
 
@@ -150,25 +202,73 @@ def test_integer_rows_are_primitive_and_sparse():
     assert rows == [{0: 2, 2: -3}, {0: 3, 1: 2}]
 
 
-def test_quadext_matrix_takes_field_path(monkeypatch):
-    calls = []
-    field_rref = linalg._field_rref
+FIELDS = ([(QuadExt, m) for m in (-1, 2, -3, 5)]
+          + [(TowerScalar, m) for m in (-2, 5)])
 
-    def spy(a):
-        calls.append(len(a))
-        return field_rref(a)
 
-    monkeypatch.setattr(linalg, "_field_rref", spy)
-    m = 2
-    a = [[QuadExt(1, 1, m), 2, QuadExt(0, 1, m), Fraction(1, 3)],
-         [QuadExt(3, 1, m), QuadExt(4, 2, m), QuadExt(1, 1, m), 1],
-         [QuadExt(4, 2, m), QuadExt(6, 2, m), QuadExt(1, 2, m),
-          Fraction(4, 3)]]
-    assert linalg._integer_rows(a) is None
-    basis = nullspace(a)
-    assert calls == [3]
-    assert len(basis) == 4 - rank(a) == 2
-    assert all(x == 0 for row in mat_mul(a, transpose(basis)) for x in row)
+def field_entries(kind, m):
+    """ints and Fractions mixed with elements of the field of kind and m."""
+    k = 2 if kind is QuadExt else 4
+    element = st.builds(lambda *c: kind(*c, m=m), *[ENTRIES] * k)
+    return st.one_of(ENTRIES, element, element)
+
+
+@st.composite
+def field_matrices(draw, rows=st.integers(0, 5), cols=st.integers(1, 5)):
+    """(a, entries): a matrix over one field with zero rows and rows that
+    are field combinations of others, and the strategy of its entries."""
+    entries = field_entries(*draw(st.sampled_from(FIELDS)))
+    ncols = draw(cols)
+    a = [[draw(entries) for _ in range(ncols)] for _ in range(draw(rows))]
+    for _ in range(draw(st.integers(0, 2))):
+        if a and draw(st.booleans()):
+            i = draw(st.integers(0, len(a) - 1))
+            j = draw(st.integers(0, len(a) - 1))
+            k = draw(entries)
+            a.append([x + k * y for x, y in zip(a[i], a[j])])
+        else:
+            a.append([0] * ncols)
+    return draw(st.permutations(a)), entries
+
+
+def against_reference(fn, *args):
+    got, expected = both(fn, *args)
+    assert got == expected
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrices(), st.data())
+def test_field_matrices_match_reference(pair, data):
+    a, entries = pair
+    rows, pivots = against_reference(rref, a)
+    assert len(rows) == len(a)
+    r = against_reference(rank, a)
+    assert r == len(pivots)
+    basis = against_reference(nullspace, a)
+    if a:
+        assert r + len(basis) == len(a[0])
+    if a and basis:
+        assert all(x == 0 for row in mat_mul(a, transpose(basis))
+                   for x in row)
+    if a:
+        b = [data.draw(entries) for _ in a]
+        x = against_reference(solve, a, b)
+        if x is not None:
+            assert [sum((p * q for p, q in zip(row, x)), 0)
+                    for row in a] == b
+    n = min(len(a), len(a[0])) if a else 0
+    against_reference(inverse, [row[:n] for row in a[:n]])
+
+
+@pytest.mark.parametrize("a", [
+    [[QuadExt(1, 1, 2), 0], [1, QuadExt(0, 1, -3)]],
+    [[TowerScalar(1, 1, 0, 0, m=-2)], [TowerScalar(0, 0, 1, 0, m=5)]],
+])
+def test_matrix_over_two_fields_raises(a):
+    for fn in (rank, nullspace, inverse):
+        with pytest.raises(ValueError):
+            fn(a)
 
 
 def reference_mat_mul(a, b):

@@ -162,6 +162,16 @@ def test_tower_generators():
     assert i * s == s * i
 
 
+def test_tower_rejects_m_minus_one():
+    # Q(i, sqrt(-1)) has zero divisors: (i + sqrt(-1))(i - sqrt(-1)) = 0
+    with pytest.raises(ValueError, match="not -1, 0 or 1"):
+        TowerScalar(0, 1, 1, 0, m=-1)
+    with pytest.raises(ValueError, match="not -1, 0 or 1"):
+        TowerScalar.from_gaussian(QuadExt(1, 2, -1), -1)
+    t = TowerScalar.from_gaussian(QuadExt(1, 2, -1), -2)
+    assert t == TowerScalar(1, 2, 0, 0, m=-2)
+
+
 def test_number_theory_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert squarefree_part(360) == 10

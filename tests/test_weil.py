@@ -80,6 +80,61 @@ def test_complex_structure_properties(standard_period):
         assert jv == [i_unit * x for x in v]
 
 
+def conj_matrix(m):
+    return [[x.conj() if isinstance(x, QuadExt) else x for x in row]
+            for row in m]
+
+
+def rational_part(m):
+    """The rational entries of m; fails on an irrational entry."""
+    assert all(x.b == 0 for row in m for x in row if isinstance(x, QuadExt))
+    return [[x.a if isinstance(x, QuadExt) else Fraction(x) for x in row]
+            for row in m]
+
+
+def eigen_assembly(basis_plus, lam):
+    """The matrix acting by lam on the column span of basis_plus and by
+    -lam on its conjugate, assembled over the quadratic field."""
+    basis_minus = conj_matrix(basis_plus)
+    p = [basis_plus[i] + basis_minus[i] for i in range(8)]
+    pinv = inverse(p)
+    scaled = [[(lam if j < 4 else -lam) * pinv[j][k] for k in range(8)]
+              for j in range(8)]
+    return rational_part(mat_mul(p, scaled))
+
+
+def reference_complex_structure(period):
+    """+i on the annihilator of p + i q, -i on its conjugate."""
+    z = subspace_of_spinor(period.spinor())
+    return eigen_assembly(z.basis, QuadExt(0, 1, -1))
+
+
+def reference_k_action(h, s):
+    """+sqrt(-d) on the annihilator of kappa, -sqrt(-d) on its conjugate."""
+    kappa, d, m, f = kappa_spinor(h, s)
+    return eigen_assembly(subspace_of_spinor(kappa).basis, QuadExt(0, f, m))
+
+
+def test_complex_structure_matches_eigen_assembly(standard_h, standard_s,
+                                                  standard_period):
+    periods = [standard_period, Period(NU1, NU2), Period(NU3, NU4)]
+    periods += [sample_period(standard_h, standard_s, seed=seed)
+                for seed in range(20)]
+    for per in periods:
+        assert complex_structure(per) == reference_complex_structure(per)
+
+
+def test_k_action_matches_eigen_assembly(standard_s):
+    for k in (1, 2, 3, 5):
+        h = Spinor([0, k, 0, 0, 0, 1, 0, 0])
+        mu, d, m, f = k_action(h, standard_s)
+        assert d == 4 * k
+        assert mu == reference_k_action(h, standard_s)
+    # (h,h) = 8, (s,s) = 4, d = 32, m = -2
+    h, s = Spinor([0, 1, 1, 0, 0, 1, 3, 0]), Spinor([1, 0, 0, 0, 2, 0, 0, 0])
+    assert k_action(h, s)[0] == reference_k_action(h, s)
+
+
 def test_kappa_isotropic_symbolically(standard_h, standard_s):
     # (kappa, kappa) = -d a + a^2 b = 0 where a = (h,h), b = (s,s), d = ab
     kappa, d, m, f = kappa_spinor(standard_h, standard_s)
