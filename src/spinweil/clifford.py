@@ -111,7 +111,7 @@ class CliffordAlgebra:
         hit = self._conj_cache.get(mask)
         if hit is not None:
             return hit
-        prod = {0: Fraction(1)}
+        prod = {0: 1}
         for k in reversed(indices_of(mask)):
             nxt = {}
             for m, c in prod.items():
@@ -120,6 +120,7 @@ class CliffordAlgebra:
             prod = nxt
         if popcount(mask) % 2:
             prod = {m: -c for m, c in prod.items()}
+        prod = _integral_as_int(prod)
         self._conj_cache[mask] = prod
         return prod
 
@@ -166,6 +167,14 @@ class CliffordElement:
                     clean[m] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, algebra, terms):
+        """An element on terms that are already clean (nonzero, and no int
+        where __init__ would make a Fraction), without the per-term pass."""
+        x = object.__new__(cls)
+        x.algebra, x.terms = algebra, terms
+        return x
+
     def _check(self, other):
         if not isinstance(other, CliffordElement) or other.algebra is not self.algebra:
             raise ValueError("elements of different Clifford algebras")
@@ -177,13 +186,13 @@ class CliffordElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(out, m, c)
-        return CliffordElement(self.algebra, out)
+        return CliffordElement._of(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CliffordElement(self.algebra,
-                               {m: -c for m, c in self.terms.items()})
+        return CliffordElement._of(self.algebra,
+                                   {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -196,8 +205,8 @@ class CliffordElement:
     def scale(self, c):
         if c == 0:
             return self.algebra.zero()
-        return CliffordElement(self.algebra,
-                               {m: c * x for m, x in self.terms.items()})
+        return CliffordElement._of(self.algebra,
+                                   {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -219,9 +228,8 @@ class CliffordElement:
                 cc = ca * cb
                 for m, c in prod.items():
                     out[m] = get(m, 0) + cc * c
-        if d != 1:
-            out = {m: Fraction(c, d) for m, c in out.items() if c}
-        return CliffordElement(alg, out)
+        return CliffordElement._of(
+            alg, {m: _over(c, d) for m, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,7 +272,7 @@ class CliffordElement:
         for mask, c in self.terms.items():
             for m, c2 in alg.blade_conj(mask).items():
                 _accumulate(out, m, c * c2)
-        return CliffordElement(alg, out)
+        return CliffordElement._of(alg, out)
 
     def __repr__(self):
         if not self.terms:
@@ -334,8 +342,8 @@ def _table_for(algebra):
 
 
 def _over(c, d):
-    """c / d, as a Fraction for an int c (d is 1 for other scalars)."""
-    return Fraction(c, d) if isinstance(c, int) else c
+    """c / d, as a Fraction for a rational c (d is 1 for other scalars)."""
+    return Fraction(c, d) if isinstance(c, (int, Fraction)) else c
 
 
 def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
@@ -486,11 +494,6 @@ def spin_so_iso(x: CliffordElement):
     """Matrix of v -> x v - v x on L; the Lie isomorphism spin(L) -> so(L)."""
     if not is_spin_lie_element(x):
         raise ValueError("element fails the spin Lie algebra membership test")
-    return _commutator_matrix(x)
-
-
-def _commutator_matrix(x: CliffordElement):
-    """spin_so_iso without the membership test, for callers that ran it."""
     n = x.algebra.rank
     cols = [commutator(x, x.algebra.generator(j)).vector_part()
             for j in range(n)]

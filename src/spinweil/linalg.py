@@ -11,6 +11,8 @@ first made rational by restriction of scalars: each row x becomes the
 coordinate rows of u x for u in the Q-basis of K.  The rref is unique, so
 the rational rref rows are the coordinate rows of u R for the K-rref rows
 R, and R is read back from the rows that pivot on a first coordinate.
+sparse_nullspace takes sparse rows as built by its caller, integer rows
+straight to that routine, and shares the kernel read-off of nullspace.
 det is Gaussian elimination over the field on the first nonzero pivot of
 each column: an exact determinant needs no pivot preference.
 
@@ -210,7 +212,12 @@ def _pivot_rows(a):
     if rows is None:
         real, k, element = _realify(a)
         rows = _integer_rows(real)
-    ncols = len(a[0]) * k
+    return _reduced(rows, len(a[0]) * k, k, element)
+
+
+def _reduced(rows, ncols, k=1, element=None):
+    """_pivot_rows from nonzero primitive sparse integer rows, read back
+    over K by element when k > 1."""
     zero = Fraction(0)
     out, pivots = [], []
     for pc, row in _integer_rref(rows):
@@ -244,8 +251,23 @@ def nullspace(a):
     """Basis of the right kernel {v : a v = 0}, as a list of vectors."""
     if not a:
         return []
-    ncols = len(a[0])
-    r, pivots = _pivot_rows(a)
+    return _kernel(*_pivot_rows(a), len(a[0]))
+
+
+def sparse_nullspace(rows, ncols):
+    """nullspace of the matrix with ncols columns and the given sparse rows
+    {column: x}, zeros left out.  Rows of ints go to the integer kernel as
+    they are, with no Fraction in between; other rows run as a dense
+    matrix."""
+    if all(type(x) is int for row in rows for x in row.values()):
+        rows = [_primitive(row) for row in rows if row]
+        return _kernel(*_reduced(rows, ncols), ncols)
+    return nullspace([[row.get(j, 0) for j in range(ncols)] for row in rows])
+
+
+def _kernel(r, pivots, ncols):
+    """The kernel basis read off the nonzero rref rows and their pivots:
+    one vector per free column."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -3,23 +3,33 @@ decompositions, invariant-subspace and stabilizer solvers, the symmetric
 square splitting, the Cayley-class map by two independent routes, and the
 dimension bookkeeping of the restriction to the stabilizer of a spinor.
 
-All actions are derived (Lie-algebra level): on V through the commutator
-matrix, on the half-spin spaces through the module structure on the
-exterior algebra of W (including the scalar shifts of the Cartan basis),
-and on wedge/symmetric powers by the derivation extension.
+All actions are derived (Lie-algebra level) and linear in the element:
+x = sum c_a X_a over the 28 basis elements of spin_v_xyz_table acts as
+sum c_a A_a.  The basis actions A_a are built once per space, as sparse
+integer rows over one denominator: the table's so(8) matrices on V, the
+module structure on the exterior algebra of W on the half-spin spaces
+(including the scalar shifts of the Cartan basis), and the derivation
+extension on wedge/symmetric powers.  The coordinates c are x's degree-2
+coefficients, and x = sum c_a X_a is the membership test.  Invariant
+subspaces and stabilizers hand their rows, on ints for rational inputs,
+to linalg.sparse_nullspace.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .clifford import (CV, _commutator_matrix, cartan_elements,
-                       is_spin_lie_element, sigma_matrix, spin_v_xyz_table)
-from .linalg import identity, inverse, mat, mat_mul, mat_vec, nullspace, rank
+from .clifford import (CV, _over, cartan_elements, sigma_matrix,
+                       spin_v_xyz_table)
+from .jsonio import encode_scalar
+from .linalg import (all_rational, inverse, mat, mat_mul, mat_vec,
+                     nullspace, rank, scale_to_integers, sparse_nullspace,
+                     sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           from_coords, mask_of, pluecker, star_matrix, wedge)
 from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
@@ -119,37 +129,89 @@ def sym2_derivation_matrix(m):
     return out
 
 
-def derived_action(x, space):
-    """Derived action matrix of a spin Lie element on a named space."""
-    name = space.name if isinstance(space, RepSpace) else space
-    if not is_spin_lie_element(x):
+@lru_cache(maxsize=1)
+def _xyz_masks():
+    """The degree-2 blade of each X_a, on which X_a has coefficient 1."""
+    return tuple(next(m for m in x.terms if m)
+                 for _, x, _ in spin_v_xyz_table())
+
+
+def _xyz_terms(c):
+    """The terms of sum c_a X_a, as one dict."""
+    acc = {}
+    for ca, (_, x, _) in zip(c, spin_v_xyz_table()):
+        if ca:
+            for m, v in x.terms.items():
+                acc[m] = acc.get(m, 0) + ca * v
+    return {m: v for m, v in acc.items() if v}
+
+
+def spin_coordinates(x):
+    """The coordinates c of x on the 28 X_a of spin_v_xyz_table, read off
+    its degree-2 terms.  spin(V) is the span of the X_a, so x = sum c_a X_a
+    is the membership test of is_spin_lie_element on C(V); ValueError when
+    it fails."""
+    c = [x.terms.get(m, 0) for m in _xyz_masks()]
+    if x.algebra.gram != CV().gram or _xyz_terms(c) != x.terms:
         raise ValueError("element fails the spin Lie algebra membership test")
+    return c
+
+
+def _basis_actions(name):
+    """The matrices of the 28 X_a on a space: the table's so(8) matrices on
+    V, blocks of sigma on S+ and S-, derivation extensions on the powers."""
     if name == "V":
-        return _commutator_matrix(x)
-    if name == "S+":
-        return splus_matrix(x)
-    if name == "S-":
-        return sminus_matrix(x)
-    if name == "Wedge2V":
-        return derivation_matrix(_commutator_matrix(x), 2)
-    if name == "Wedge4V":
-        return derivation_matrix(_commutator_matrix(x), 4)
+        return [m for _, _, m in spin_v_xyz_table()]
+    if name in ("S+", "S-"):
+        block = splus_matrix if name == "S+" else sminus_matrix
+        return [block(x) for _, x, _ in spin_v_xyz_table()]
+    base = _basis_actions("V" if name.endswith("V") else "S+")
     if name == "Sym2S+":
-        return sym2_derivation_matrix(splus_matrix(x))
-    if name == "Wedge2S+":
-        return derivation_matrix(splus_matrix(x), 2, n=8)
-    raise ValueError(f"unknown representation space {name!r}")
+        return [sym2_derivation_matrix(m) for m in base]
+    return [derivation_matrix(m, int(name[5])) for m in base]
 
 
 @lru_cache(maxsize=None)
-def _xyz_splus_matrix(idx: int):
-    _, x, _ = spin_v_xyz_table()[idx]
-    return splus_matrix(x)
+def _action_table(name):
+    """(table, d): table[a] = {dim i + j: d A_a[i][j]} on ints, the nonzero
+    entries of the action A_a of X_a over one denominator d."""
+    dim = rep_space(name).dim
+    ints, d = scale_to_integers(
+        ((a, dim * i + j), v) for a, m in enumerate(_basis_actions(name))
+        for i, row in enumerate(m) for j, v in enumerate(row))
+    table = [{} for _ in range(28)]
+    for (a, k), v in ints.items():
+        table[a][k] = v
+    return table, d
 
 
-@lru_cache(maxsize=1)
-def _xyz_elements():
-    return tuple(x for _, x, _ in spin_v_xyz_table())
+def _action_rows(x, name):
+    """The action sum c_a A_a of x on a space as (rows, d), entry (i, j)
+    being rows[i][j] / d.  Rational c are scaled to integers, so the
+    entries are ints; other scalars are divided by d at once."""
+    table, d = _action_table(name)
+    c = spin_coordinates(x)
+    if all_rational(c):
+        c, dc = scale_to_integers(enumerate(c))
+        d *= dc
+    else:
+        c, d = {a: ca / d for a, ca in enumerate(c) if ca}, 1
+    dim = rep_space(name).dim
+    rows = [{} for _ in range(dim)]
+    for k, v in sparse_product([c], table)[0].items():
+        rows[k // dim][k % dim] = v
+    return rows, d
+
+
+def derived_action(x, space):
+    """Derived action matrix of a spin Lie element on a named space: one
+    path for every space, sum c_a A_a over x's coordinates c on the basis
+    (spin_coordinates, the membership test) and the cached actions A_a."""
+    rows, d = _action_rows(x, space.name if isinstance(space, RepSpace)
+                           else space)
+    zero = Fraction(0)
+    return [[_over(row[j], d) if j in row else zero for j in range(len(rows))]
+            for row in rows]
 
 
 def weight_decomposition(space):
@@ -180,41 +242,34 @@ def weight_multiset(space):
 
 
 def invariant_subspace(generators, space):
-    """Basis of the joint kernel of the derived actions on a space."""
+    """Basis of the joint kernel of the derived actions on a space, from
+    the stacked integer rows of each action times its d (_action_rows): a
+    block scaled by a nonzero constant keeps its kernel."""
     sp = rep_space(space if isinstance(space, str) else space.name)
-    stacked = []
-    for x in generators:
-        stacked.extend(derived_action(x, sp.name))
-    if not stacked:
-        return [list(row) for row in identity(sp.dim)]
-    return nullspace(mat(stacked))
+    rows = [r for x in generators for r in _action_rows(x, sp.name)[0]]
+    return sparse_nullspace(rows, sp.dim)
 
 
 def stabilizer_algebra(fixed):
     """Basis of {x in spin(V) : x annihilates every given spinor}.
 
     Returns (clifford elements, coefficient vectors over the 28-element
-    standard basis in X/Y/Z order).
+    standard basis in X/Y/Z order).  The system for a spinor f has the
+    rows {a: (A_a f)_i} of the S+ table, on ints for a rational f scaled
+    to integers.
     """
     fixed = [f if isinstance(f, Spinor) else Spinor(f) for f in fixed]
-    table = spin_v_xyz_table()
+    table, _ = _action_table("S+")
     rows = []
     for f in fixed:
-        images = [mat_vec(_xyz_splus_matrix(a), f.z) for a in range(28)]
-        for i in range(8):
-            rows.append([images[a][i] for a in range(28)])
-    if not rows:
-        coeff_vecs = [list(r) for r in identity(28)]
-    else:
-        coeff_vecs = nullspace(mat(rows))
-    elements = []
-    for v in coeff_vecs:
-        x = CV().zero()
-        for c, (_, elt, _) in zip(v, table):
-            if c != 0:
-                x = x + elt.scale(c)
-        elements.append(x)
-    return elements, coeff_vecs
+        z = (scale_to_integers(enumerate(f.z))[0] if all_rational(f.z)
+             else {j: c for j, c in enumerate(f.z) if c})
+        images = sparse_product(table, [{k // 8: z[k % 8]} if k % 8 in z
+                                        else {} for k in range(64)])
+        rows += [{a: im[i] for a, im in enumerate(images) if i in im}
+                 for i in range(8)]
+    coeff_vecs = sparse_nullspace(rows, 28)
+    return [CV().element(_xyz_terms(v)) for v in coeff_vecs], coeff_vecs
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +294,8 @@ def sym2_coords_pair(z, w):
 @lru_cache(maxsize=1)
 def gamma0_line():
     """The unique full-spin(V) invariant line in Sym^2 S+ (dimension 1)."""
-    basis = invariant_subspace(_xyz_elements(), "Sym2S+")
+    basis = invariant_subspace([x for _, x, _ in spin_v_xyz_table()],
+                               "Sym2S+")
     if len(basis) != 1:
         raise RuntimeError("invariant line of Sym^2 S+ has wrong dimension")
     return basis[0]
@@ -318,7 +374,7 @@ def cayley_class(s, cross_check=True) -> Multivector:
         lam = _proportionality(coords, route_b)
         if lam is None:
             raise RuntimeError("stabilizer route disagrees with the "
-                               "symmetric-square route")
+                               f"symmetric-square route at s = {_text(s.z)}")
     return route_a
 
 
@@ -327,11 +383,18 @@ def _cayley_route_b(z_tuple):
     stab, _ = stabilizer_algebra([Spinor(list(z_tuple))])
     if len(stab) != 21:
         raise RuntimeError("stabilizer of a non-isotropic spinor must have "
-                           "dimension 21")
+                           f"dimension 21, found {len(stab)} at s = "
+                           f"{_text(z_tuple)}")
     inv = invariant_subspace(stab, "Wedge4V")
     if len(inv) != 1:
-        raise RuntimeError("stabilizer invariants in degree 4 not a line")
+        raise RuntimeError("stabilizer invariants in degree 4 not a line: "
+                           f"dimension {len(inv)} at s = {_text(z_tuple)}")
     return inv[0]
+
+
+def _text(z):
+    """Spinor coordinates as the JSON list that cayley --s reads."""
+    return json.dumps([encode_scalar(c) for c in z])
 
 
 def _proportionality(u, v):

@@ -352,8 +352,8 @@ def test_product_matches_reference_with_half_integer_blades(x, y):
                 max_terms=3),
        elements(CV(), max_terms=3))
 def test_product_with_quadext_coefficients(x, y):
-    assert x * y == reference_product(x, y)
-    assert y * x == reference_product(y, x)
+    _same(x * y, reference_product(x, y))
+    _same(y * x, reference_product(y, x))
 
 
 @settings(max_examples=50, deadline=None)
@@ -388,6 +388,47 @@ def reference_twisted(x):
 
 
 QUAD = st.builds(QuadExt, st.integers(-3, 3), st.integers(-3, 3), st.just(2))
+ANY_ELEMENTS = st.one_of(elements(CV()), elements(ODD),
+                         elements(CV(), coeffs=QUAD, max_terms=4))
+
+
+def reference_conj(x):
+    """Per-term conjugate: (-1)^r times the reversed word of each blade,
+    reduced by rewriting."""
+    out = {}
+    for mask, c in x.terms.items():
+        word = tuple(reversed(indices_of(mask)))
+        sign = -1 if len(word) % 2 else 1
+        for m, v in _word(x.algebra, word).items():
+            out[m] = out.get(m, Fraction(0)) + sign * c * v
+    return CliffordElement(x.algebra, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ANY_ELEMENTS)
+def test_conj_matches_reference(x):
+    _same(x.conj(), reference_conj(x))
+
+
+def test_blade_conj_stores_ints_like_the_product_tables():
+    assert all(type(c) is int for m in range(256)
+               for c in CV().blade_conj(m).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(elements(CV()), elements(CV()), COEFFS),
+                 st.tuples(elements(CV(), coeffs=QUAD, max_terms=4),
+                           elements(CV()), QUAD)))
+def test_sum_negation_and_scale_match_per_term_reference(triple):
+    x, y, c = triple
+    alg = x.algebra
+    total = dict(x.terms)
+    for m, v in y.terms.items():
+        total[m] = total.get(m, 0) + v
+    _same(x + y, CliffordElement(alg, total))
+    _same(-x, CliffordElement(alg, {m: -v for m, v in x.terms.items()}))
+    _same(x.scale(c), CliffordElement(alg, {m: c * v
+                                            for m, v in x.terms.items()}))
 
 
 def forms(coeffs=COEFFS):

@@ -13,6 +13,7 @@ Fractions, again down to the repr.
 
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from spinweil import linalg
 from spinweil.linalg import (inverse, mat_mul, nullspace, rank, rref, solve,
-                             solve_matrix, transpose)
+                             solve_matrix, sparse_nullspace, transpose)
 from spinweil.scalars import QuadExt, TowerScalar
 
 ENTRIES = st.one_of(
@@ -259,6 +260,30 @@ def test_field_matrices_match_reference(pair, data):
                     for row in a] == b
     n = min(len(a), len(a[0])) if a else 0
     against_reference(inverse, [row[:n] for row in a[:n]])
+
+
+def _sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.integers(1, 4))
+def test_sparse_nullspace_of_integer_rows_matches_nullspace(a, scale):
+    # each row times its own nonzero constant has the same kernel
+    ints = [[int(x * scale * lcm(*(Fraction(y).denominator for y in row)))
+             for x in row] for row in a]
+    if a:
+        assert repr(sparse_nullspace(_sparse(ints), len(a[0]))) == \
+            repr(nullspace(a))
+    assert sparse_nullspace([], 3) == nullspace([[0, 0, 0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_matrices())
+def test_sparse_nullspace_of_field_rows_matches_nullspace(pair):
+    a, _ = pair
+    if a:
+        assert sparse_nullspace(_sparse(a), len(a[0])) == nullspace(a)
 
 
 @pytest.mark.parametrize("a", [

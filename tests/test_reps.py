@@ -1,25 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweil import reps
 from spinweil.clifford import (CV, CliffordElement, cartan_elements,
-                               commutator, random_spin_group_element,
-                               sigma_action, spin_v_xyz_table,
+                               commutator, is_spin_lie_element,
+                               random_spin_group_element, sigma_action,
+                               spin_so_iso, spin_v_xyz_table,
                                twisted_conjugation)
-from spinweil.linalg import mat, mat_mul, mat_vec, rank
+from spinweil.linalg import identity, mat, mat_mul, mat_vec, nullspace, rank
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
-                                  derive_multivector, mask_of, star_matrix,
-                                  wedge)
-from spinweil.reps import (alpha_beta_gamma, branching_dims, cayley_class,
-                           cayley_constant, cayley_routes, derived_action,
+                                  derive_multivector, from_coords, mask_of,
+                                  star_matrix, wedge)
+from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
+                           cayley_class, cayley_constant, cayley_routes,
+                           derivation_matrix, derived_action,
                            explicit_cayley_formula, gamma0_line,
                            gamma2alpha_star_sign, invariant_subspace,
                            phi_matrix, quadric_square_span, rep_space,
-                           sminus_matrix, splus_matrix, stabilizer_algebra,
-                           standard_spinor,
-                           sym2_coords, weight_decomposition, weight_multiset)
+                           sminus_matrix, spin_coordinates, splus_matrix,
+                           stabilizer_algebra, standard_spinor,
+                           sym2_coords, sym2_derivation_matrix,
+                           weight_decomposition, weight_multiset)
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (ODD_MASKS, Spinor, graph_basis,
                               random_alternating, spinor_map)
@@ -354,3 +359,212 @@ def test_half_spin_matrices_reject_mixing_elements():
         splus_matrix(x)
     with pytest.raises(ValueError, match="odd part"):
         sminus_matrix(x)
+
+
+# -- the basis-table actions against the per-space derivation -----------------
+
+def reference_action(x, name):
+    """The derived action space by space: the membership test, then the
+    commutator matrix on V or a half-spin block, extended by derivation to
+    the wedge and symmetric powers."""
+    if not is_spin_lie_element(x):
+        raise ValueError("element fails the spin Lie algebra membership test")
+    if name in ("V", "Wedge2V", "Wedge4V"):
+        m = spin_so_iso(x)
+        return m if name == "V" else derivation_matrix(m, int(name[-2]))
+    if name == "S-":
+        return sminus_matrix(x)
+    m = splus_matrix(x)
+    if name == "Sym2S+":
+        return sym2_derivation_matrix(m)
+    return m if name == "S+" else derivation_matrix(m, 2, n=8)
+
+
+def reference_invariants(generators, name):
+    stacked = [row for x in generators for row in reference_action(x, name)]
+    if not stacked:
+        return [list(row) for row in identity(rep_space(name).dim)]
+    return nullspace(mat(stacked))
+
+
+def reference_stabilizer(fixed):
+    """Stabilizer by 28 Fraction matrix-vector products per spinor and
+    elements summed one basis element at a time."""
+    rows = []
+    for f in fixed:
+        images = [mat_vec(splus_matrix(x), f.z) for x in XYZ.values()]
+        rows += [[images[a][i] for a in range(28)] for i in range(8)]
+    vecs = nullspace(mat(rows)) if rows else [list(r) for r in identity(28)]
+    elements = []
+    for v in vecs:
+        x = CV().zero()
+        for c, elt in zip(v, XYZ.values()):
+            if c != 0:
+                x = x + elt.scale(c)
+        elements.append(x)
+    return elements, vecs
+
+
+def _same_matrix(got, expected):
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SPIN_ELEMENTS = st.dictionaries(st.sampled_from(sorted(XYZ)), SMALL,
+                                max_size=6).map(element)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SPIN_ELEMENTS, st.sampled_from(REP_NAMES))
+def test_derived_action_matches_per_space_derivation(x, name):
+    _same_matrix(derived_action(x, name), reference_action(x, name))
+
+
+def test_derived_action_on_cartan_and_basis_elements():
+    irrational = (XYZ["X11"].scale(QuadExt(1, 1, 2)) +
+                  XYZ["Y12"].scale(Fraction(1, 3)))
+    for name in REP_NAMES:
+        for x in cartan_elements() + list(XYZ.values()):
+            _same_matrix(derived_action(x, name), reference_action(x, name))
+        assert derived_action(irrational, name) == \
+            reference_action(irrational, name)
+
+
+def noniso_spinors():
+    """As the cayley benchmark draws them: 3 nonzero integer coordinates
+    of absolute value at most 3, and (s, s) != 0."""
+    values = st.integers(1, 3).flatmap(lambda v: st.sampled_from((v, -v)))
+    return st.tuples(st.permutations(range(8)),
+                     st.lists(values, min_size=3, max_size=3)).map(
+        lambda t: Spinor([dict(zip(t[0][:3], t[1])).get(i, 0)
+                          for i in range(8)])).filter(
+        lambda s: not s.is_isotropic())
+
+
+ISO_SPINORS = st.integers(0, 10 ** 6).map(
+    lambda seed: spinor_map(random_alternating(random.Random(seed))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(noniso_spinors(), ISO_SPINORS),
+       st.sampled_from(("Wedge4V", "Wedge2V", "Sym2S+")))
+def test_stabilizer_and_invariants_match_reference(s, name):
+    stab, vecs = stabilizer_algebra([s])
+    ref_stab, ref_vecs = reference_stabilizer([s])
+    assert repr(vecs) == repr(ref_vecs)
+    assert stab == ref_stab and repr(stab) == repr(ref_stab)
+    _same_matrix(invariant_subspace(stab, name),
+                 reference_invariants(ref_stab, name))
+
+
+def test_invariants_of_the_full_table_and_of_nothing():
+    xs = list(XYZ.values())
+    _same_matrix(invariant_subspace(xs, "Sym2S+"),
+                 reference_invariants(xs, "Sym2S+"))
+    for name in REP_NAMES:
+        _same_matrix(invariant_subspace([], name),
+                     reference_invariants([], name))
+    pair = [Spinor([0, 1, 0, 0, 0, 1, 0, 0]), Spinor([1, 0, 0, 0, 1, 0, 0, 0])]
+    assert repr(stabilizer_algebra(pair)) == repr(reference_stabilizer(pair))
+    assert repr(stabilizer_algebra([])) == repr(reference_stabilizer([]))
+
+
+def test_stabilizer_and_invariants_over_a_quadratic_field():
+    s = Spinor([QuadExt(1, 1, 2), 0, 0, 0, 1, 0, 0, 0])
+    stab, vecs = stabilizer_algebra([s])
+    ref_stab, ref_vecs = reference_stabilizer([s])
+    assert (stab, vecs) == (ref_stab, ref_vecs) and len(stab) == 21
+    inv = invariant_subspace(stab, "Wedge2V")
+    assert inv == reference_invariants(ref_stab, "Wedge2V")
+
+
+@settings(max_examples=20, deadline=None)
+@given(noniso_spinors())
+def test_cayley_routes_match_reference_route_b(s):
+    a, b, lam = cayley_routes(s)
+    ref_b = reference_invariants(reference_stabilizer([s])[0], "Wedge4V")
+    assert len(ref_b) == 1
+    expected = from_coords(8, DEGREE4_MASKS, ref_b[0])
+    assert b == expected and repr(b) == repr(expected)
+    assert lam is not None and lam != 0
+    assert a == cayley_class(s, cross_check=False)
+
+
+# -- the membership test ------------------------------------------------------
+
+def _member(x):
+    try:
+        spin_coordinates(x)
+    except ValueError:
+        return False
+    return True
+
+
+DEFECTS = st.one_of(
+    st.just(None),
+    st.builds(lambda m: CV().element({m: 1}),
+              st.sampled_from([m for m in range(256)
+                               if bin(m).count("1") % 2])),
+    st.just(CV().one()),
+    st.builds(lambda m: CV().element({m: 1}),
+              st.sampled_from([m for m in range(256)
+                               if bin(m).count("1") == 4])),
+    st.builds(CV().scalar, SMALL.filter(bool)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(SPIN_ELEMENTS, DEFECTS)
+def test_membership_test_agrees_with_is_spin_lie_element(x, defect):
+    y = x if defect is None else x + defect
+    assert _member(y) == is_spin_lie_element(y)
+    assert _member(y) == (defect is None)
+    if defect is None:
+        assert element(dict(zip(XYZ, spin_coordinates(y)))) == y
+
+
+def test_membership_rejects_wrong_scalar_shift():
+    x11 = XYZ["X11"]
+    assert _member(x11)
+    shifted = x11 + CV().scalar(Fraction(1, 2))  # e1 e5 without its -1/2
+    assert not _member(shifted) and not is_spin_lie_element(shifted)
+    with pytest.raises(ValueError, match="membership"):
+        derived_action(shifted, "Wedge4V")
+
+
+# -- route-B failures name the spinor -----------------------------------------
+
+NONISO = Spinor([1, 0, 0, 0, 2, 0, 0, 0])
+NONISO_TEXT = '["1", "0", "0", "0", "2", "0", "0", "0"]'
+
+
+def test_route_b_reports_stabilizer_dimension(monkeypatch):
+    real = reps.stabilizer_algebra
+    monkeypatch.setattr(reps, "stabilizer_algebra",
+                        lambda fixed: tuple(v[:20] for v in real(fixed)))
+    reps._cayley_route_b.cache_clear()
+    with pytest.raises(RuntimeError) as err:
+        cayley_class(NONISO)
+    reps._cayley_route_b.cache_clear()
+    assert "must have dimension 21, found 20" in str(err.value)
+    assert NONISO_TEXT in str(err.value)
+
+
+def test_route_b_reports_invariant_dimension(monkeypatch):
+    monkeypatch.setattr(reps, "invariant_subspace",
+                        lambda gens, space: [[0] * 70, [0] * 70])
+    reps._cayley_route_b.cache_clear()
+    with pytest.raises(RuntimeError) as err:
+        cayley_class(NONISO)
+    reps._cayley_route_b.cache_clear()
+    assert "not a line: dimension 2" in str(err.value)
+    assert NONISO_TEXT in str(err.value)
+
+
+def test_route_b_reports_disagreement(monkeypatch):
+    monkeypatch.setattr(reps, "_cayley_route_b",
+                        lambda z: [Fraction(1)] + [Fraction(0)] * 69)
+    with pytest.raises(RuntimeError) as err:
+        cayley_class(NONISO)
+    assert "stabilizer route disagrees" in str(err.value)
+    assert NONISO_TEXT in str(err.value)
