@@ -12,7 +12,8 @@ factor is put over the common denominator of its terms
 (linalg.scale_to_integers), the cached blade products keep integral
 coefficients as ints, and each term of the result becomes one Fraction at
 the end.  Other coefficients (QuadExt, TowerScalar) go through the same
-loop unscaled.
+loop unscaled.  The commutator x y - y x is the same loop over the blade
+products of both orders, in one pass.
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -33,8 +34,8 @@ from functools import lru_cache
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import (all_rational, mat, scale_to_integers, solve,
-                     sparse_product)
+from .linalg import (_over, _scaled_terms, all_rational, mat,
+                     scale_to_integers, solve, sparse_product)
 from .multivector import (Multivector, _accumulate, contract, indices_of,
                           popcount, wedge)
 from .scalars import rat
@@ -212,24 +213,7 @@ class CliffordElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(rat(other))
         self._check(other)
-        alg = self.algebra
-        a, b, d = self.terms, other.terms, 1
-        if all_rational(a.values()) and all_rational(b.values()):
-            a, da = scale_to_integers(a.items())
-            b, db = scale_to_integers(b.items())
-            d = da * db
-        cache, out = alg._blade_cache, {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                prod = cache.get((ma, mb))
-                if prod is None:
-                    prod = alg.blade_product(ma, mb)
-                cc = ca * cb
-                for m, c in prod.items():
-                    out[m] = get(m, 0) + cc * c
-        return CliffordElement._of(
-            alg, {m: _over(c, d) for m, c in out.items() if c})
+        return _blade_sum(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -290,7 +274,34 @@ def conjugation(x: CliffordElement) -> CliffordElement:
 
 
 def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    return x * y - y * x
+    """x y - y x, in one pass over the blade products of both orders."""
+    x._check(y)
+    return _blade_sum(x, y, commute=True)
+
+
+def _blade_sum(x, y, commute=False):
+    """x y, or x y - y x when commute is set, summed on ints for rational
+    x and y and made one Fraction per term at the end."""
+    alg = x.algebra
+    a, b, d = _scaled_terms(x.terms, y.terms)
+    cache, out = alg._blade_cache, {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            cc = ca * cb
+            prod = cache.get((ma, mb))
+            if prod is None:
+                prod = alg.blade_product(ma, mb)
+            for m, c in prod.items():
+                out[m] = get(m, 0) + cc * c
+            if commute:
+                prod = cache.get((mb, ma))
+                if prod is None:
+                    prod = alg.blade_product(mb, ma)
+                for m, c in prod.items():
+                    out[m] = get(m, 0) - cc * c
+    return CliffordElement._of(
+        alg, {m: _over(c, d) for m, c in out.items() if c})
 
 
 @lru_cache(maxsize=1)
@@ -341,11 +352,6 @@ def _table_for(algebra):
     return _module_table()
 
 
-def _over(c, d):
-    """c / d, as a Fraction for a rational c (d is 1 for other scalars)."""
-    return Fraction(c, d) if isinstance(c, (int, Fraction)) else c
-
-
 def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     """The C(V)-module structure on the exterior algebra of W.
 
@@ -356,11 +362,7 @@ def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     table = _table_for(x.algebra)
     if eta.n != 4:
         raise ValueError("sigma_action acts on the exterior algebra of W")
-    a, b, d = x.terms, eta.terms, 1
-    if all_rational(a.values()) and all_rational(b.values()):
-        a, da = scale_to_integers(a.items())
-        b, db = scale_to_integers(b.items())
-        d = da * db
+    a, b, d = _scaled_terms(x.terms, eta.terms)
     out = {}
     for ma, ca in a.items():
         row = table[ma]

@@ -20,7 +20,7 @@ from math import lcm
 from .clifford import (CliffordAlgebra, is_so_matrix, so_to_spin,
                        spin_so_iso)
 from .lattices import BilinearLattice, orthogonal_complement, sublattice_gram
-from .linalg import (det_int, identity, mat, mat_mul, nullspace, solve,
+from .linalg import (det, identity, mat, mat_mul, nullspace, solve,
                      solve_matrix)
 from .reps import splus_matrix, stabilizer_algebra
 from .scalars import QuadExt, rat, squarefree_part
@@ -213,7 +213,7 @@ def _charpoly_values(matrix, points):
     for t in points:
         m = [[(t * denom if a == b else 0) - scaled[a][b] for b in range(n)]
              for a in range(n)]
-        out.append(Fraction(det_int(m), denom ** n))
+        out.append(det(m) / denom ** n)
     return out
 
 

@@ -22,7 +22,7 @@ from .scalars import rat
 class BilinearLattice:
     """Free module of finite rank with a symmetric Gram matrix."""
 
-    __slots__ = ("rank", "gram", "label")
+    __slots__ = ("rank", "gram", "label", "_rows")
 
     def __init__(self, gram, label=""):
         gram = [[rat(x) if isinstance(x, (int, str, Fraction)) else x
@@ -37,25 +37,25 @@ class BilinearLattice:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "label", label)
+        # the nonzero Gram entries of each row, as (column, value) pairs
+        object.__setattr__(self, "_rows", [
+            [(j, x) for j, x in enumerate(row) if x != 0] for row in gram])
 
     def __setattr__(self, *args):
         raise AttributeError("BilinearLattice values are immutable")
 
     def pair(self, v, w):
         """The bilinear form applied to two coordinate vectors."""
-        g = self.gram
         n = self.rank
         if len(v) != n or len(w) != n:
             raise ValueError("coordinate length does not match lattice rank")
         total = 0
-        for i in range(n):
-            vi = v[i]
+        for vi, row in zip(v, self._rows):
             if vi == 0:
                 continue
-            row = g[i]
-            for j in range(n):
-                if row[j] != 0 and w[j] != 0:
-                    total = total + vi * row[j] * w[j]
+            for j, g in row:
+                if w[j] != 0:
+                    total = total + vi * g * w[j]
         return total
 
     def vector(self, coords):

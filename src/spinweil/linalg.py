@@ -13,17 +13,20 @@ the rational rref rows are the coordinate rows of u R for the K-rref rows
 R, and R is read back from the rows that pivot on a first coordinate.
 sparse_nullspace takes sparse rows as built by its caller, integer rows
 straight to that routine, and shares the kernel read-off of nullspace.
-det is Gaussian elimination over the field on the first nonzero pivot of
-each column: an exact determinant needs no pivot preference.
+det is one routine: a rational matrix is scaled row by row to integers
+and reduced fraction-free (Bareiss), the last pivot over the product of
+the row scales.  A matrix over K is eliminated over K on the first
+nonzero pivot of each column: an exact determinant needs no pivot
+preference.
 
 mat_mul takes an integer route when both factors are rational: each
 row of a and each column of b is scaled by the lcm of its denominators
-(scale_to_integers, the one scaling rule, also used by rref and by the
-Clifford product), the sparse integer rows are multiplied and summed on
-ints (sparse_product, which also multiplies sparse rows of any scalars),
-and each product entry becomes one Fraction at the end.  A product
-with a QuadExt or TowerScalar entry runs the generic loop, which is a
-product, not an elimination.
+(scale_to_integers, the one scaling rule, also used by rref, det, the
+wedge and the Clifford product), the sparse integer rows are multiplied
+and summed on ints (sparse_product, which also multiplies sparse rows of
+any scalars), and each product entry becomes one Fraction at the end.  A
+product with a QuadExt or TowerScalar entry runs the generic loop, which
+is a product, not an elimination.
 """
 
 from __future__ import annotations
@@ -60,6 +63,21 @@ def scale_to_integers(pairs):
     nonzero = [(k, x) for k, x in pairs if x]
     d = lcm(*[x.denominator for _, x in nonzero])
     return {k: x.numerator * (d // x.denominator) for k, x in nonzero}, d
+
+
+def _scaled_terms(a, b):
+    """(a, b, d): the terms a and b over their common denominators, whose
+    product is d, when all are rational; else a, b and d = 1."""
+    if all_rational(a.values()) and all_rational(b.values()):
+        a, da = scale_to_integers(a.items())
+        b, db = scale_to_integers(b.items())
+        return a, b, da * db
+    return a, b, 1
+
+
+def _over(c, d):
+    """c / d, as a Fraction for a rational c (d is 1 for other scalars)."""
+    return Fraction(c, d) if isinstance(c, (int, Fraction)) else c
 
 
 def sparse_product(a_rows, b_rows):
@@ -311,7 +329,7 @@ def solve_matrix(a, b):
 
 def inverse(a):
     n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
     r, pivots = _pivot_rows(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
@@ -319,9 +337,32 @@ def inverse(a):
 
 
 def det(a):
-    """Exact determinant by Gaussian elimination over the scalar field,
-    on the first nonzero pivot of each column."""
+    """Exact determinant: Bareiss on rows scaled to integers for a rational
+    matrix, elimination over K otherwise (see the module docstring)."""
     n = len(a)
+    if all(map(all_rational, a)):
+        m, scale = [], 1
+        for row in a:
+            ints, d = scale_to_integers(enumerate(row))
+            if not ints:
+                return Fraction(0)
+            m.append([ints.get(j, 0) for j in range(n)])
+            scale *= d
+        sign = prev = 1
+        for c in range(n):
+            i = next((i for i in range(c, n) if m[i][c]), -1)
+            if i < 0:
+                return Fraction(0)
+            if i != c:
+                m[c], m[i] = m[i], m[c]
+                sign = -sign
+            p, pivot = m[c][c], m[c]
+            for row in m[c + 1:]:
+                x = row[c]
+                for j in range(c + 1, n):
+                    row[j] = (row[j] * p - x * pivot[j]) // prev
+            prev = p
+        return Fraction(sign * prev, scale)
     m = [list(r) for r in a]
     d = Fraction(1)
     for c in range(n):
@@ -338,29 +379,6 @@ def det(a):
                 f = m[j][c] * inv
                 m[j] = [x - f * y for x, y in zip(m[j], m[c])]
     return d
-
-
-def det_int(a) -> int:
-    """Fraction-free Bareiss determinant for integer matrices."""
-    n = len(a)
-    m = [[int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    m[c], m[i] = m[i], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
 
 
 def leading_principal_minors(a):

@@ -13,12 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import det
+from .linalg import _over, _scaled_terms, det
 from .scalars import rat
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
+popcount = int.bit_count
 
 
 def mask_of(indices) -> int:
@@ -36,15 +35,13 @@ def wedge_sign(a: int, b: int) -> int:
     """Sign of e_A ^ e_B relative to e_{A|B}; 0 if the masks overlap."""
     if a & b:
         return 0
-    sign = 1
-    rest = a
-    while rest:
-        low = rest & -rest
-        # count the set bits of b below this generator of a
-        if popcount(b & (low - 1)) % 2:
-            sign = -sign
-        rest ^= low
-    return sign
+    swaps = 0
+    while b:
+        low = b & -b
+        # the generators of a that this generator of b moves past
+        swaps += (a & -(low << 1)).bit_count()
+        b ^= low
+    return -1 if swaps & 1 else 1
 
 
 def _accumulate(acc, mask, value):
@@ -72,6 +69,14 @@ class Multivector:
                 if c != 0:
                     clean[m] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n, terms):
+        """A multivector on clean terms (nonzero, inside the space, no int),
+        without the per-term pass of __init__."""
+        x = object.__new__(cls)
+        x.n, x.terms = n, terms
+        return x
 
     @classmethod
     def zero(cls, n):
@@ -143,16 +148,19 @@ class Multivector:
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
-    """Graded-commutative wedge product."""
+    """Graded-commutative wedge product.  Rational factors are put over
+    their common denominators and summed on ints, one Fraction per term
+    at the end, as in the Clifford product; other scalars run unscaled."""
     x._check(y)
+    a, b, d = _scaled_terms(x.terms, y.terms)
     out = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            s = wedge_sign(ma, mb)
-            if s == 0:
-                continue
-            _accumulate(out, ma | mb, s * ca * cb)
-    return Multivector(x.n, out)
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if not ma & mb:
+                m = ma | mb
+                out[m] = get(m, 0) + wedge_sign(ma, mb) * ca * cb
+    return Multivector._of(x.n, {m: _over(c, d) for m, c in out.items() if c})
 
 
 def contract(dual_coords, x: Multivector) -> Multivector:
@@ -176,7 +184,7 @@ def check_alternating(b):
     for i in range(n):
         if b[i][i] != 0:
             raise ValueError("alternating matrix needs zero diagonal")
-        for j in range(n):
+        for j in range(i + 1, n):
             if b[i][j] != -b[j][i]:
                 raise ValueError("matrix is not alternating")
     return b
@@ -208,18 +216,6 @@ def pfaffian(b):
         return total
 
     return rec(tuple(range(n)))
-
-
-def omega_of(b) -> Multivector:
-    """The 2-form sum_{i<j} b_ij e_i ^ e_j of an alternating matrix."""
-    check_alternating(b)
-    n = len(b)
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if b[i][j] != 0:
-                terms[(1 << i) | (1 << j)] = b[i][j]
-    return Multivector(n, terms)
 
 
 DEGREE4_MASKS = tuple(mask_of(c) for c in combinations(range(8), 4))

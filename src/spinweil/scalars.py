@@ -53,6 +53,15 @@ class QuadExt:
         object.__setattr__(self, "b", rat(b))
         object.__setattr__(self, "m", m)
 
+    @classmethod
+    def _of(cls, a, b, m):
+        """a + b sqrt(m) for Fractions a, b and a valid m, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "m", m)
+        return x
+
     def __setattr__(self, *args):
         raise AttributeError("QuadExt values are immutable")
 
@@ -65,24 +74,24 @@ class QuadExt:
         f = _as_fraction(other)
         if f is None:
             return None
-        return QuadExt(f, 0, self.m)
+        return QuadExt._of(f, Fraction(0), self.m)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.m)
+        return QuadExt._of(self.a + o.a, self.b + o.b, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
+        return QuadExt._of(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.m)
+        return QuadExt._of(self.a - o.a, self.b - o.b, self.m)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -91,8 +100,8 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a * o.a + self.m * self.b * o.b,
-                       self.a * o.b + self.b * o.a, self.m)
+        return QuadExt._of(self.a * o.a + self.m * self.b * o.b,
+                           self.a * o.b + self.b * o.a, self.m)
 
     __rmul__ = __mul__
 
@@ -100,7 +109,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(m))")
-        return QuadExt(self.a / n, -self.b / n, self.m)
+        return QuadExt._of(self.a / n, -self.b / n, self.m)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -114,7 +123,7 @@ class QuadExt:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExt(1, 0, self.m)
+        out = QuadExt._of(Fraction(1), Fraction(0), self.m)
         base = self
         while k:
             if k & 1:
@@ -124,7 +133,7 @@ class QuadExt:
         return out
 
     def conj(self):
-        return QuadExt(self.a, -self.b, self.m)
+        return QuadExt._of(self.a, -self.b, self.m)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.m * self.b * self.b
@@ -173,6 +182,14 @@ class TowerScalar:
         object.__setattr__(self, "c", (rat(c0), rat(c1), rat(c2), rat(c3)))
         object.__setattr__(self, "m", m)
 
+    @classmethod
+    def _of(cls, c, m):
+        """The element of four Fractions c and a valid m, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "c", c)
+        object.__setattr__(x, "m", m)
+        return x
+
     def __setattr__(self, *args):
         raise AttributeError("TowerScalar values are immutable")
 
@@ -196,24 +213,26 @@ class TowerScalar:
         f = _as_fraction(other)
         if f is None:
             return None
-        return TowerScalar(f, m=self.m)
+        return TowerScalar._of((f, *(Fraction(0),) * 3), self.m)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerScalar(*(a + b for a, b in zip(self.c, o.c)), m=self.m)
+        return TowerScalar._of(
+            tuple(a + b for a, b in zip(self.c, o.c)), self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerScalar(*(-a for a in self.c), m=self.m)
+        return TowerScalar._of(tuple(-a for a in self.c), self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerScalar(*(a - b for a, b in zip(self.c, o.c)), m=self.m)
+        return TowerScalar._of(
+            tuple(a - b for a, b in zip(self.c, o.c)), self.m)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -226,23 +245,21 @@ class TowerScalar:
         b0, b1, b2, b3 = o.c
         m = self.m
         # basis products: 1, i, s, is with i^2 = -1, s^2 = m, (is)^2 = -m
-        return TowerScalar(
+        return TowerScalar._of((
             a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3),
             a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            m=m,
-        )
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1), m)
 
     __rmul__ = __mul__
 
     def conj_i(self):
         c0, c1, c2, c3 = self.c
-        return TowerScalar(c0, -c1, c2, -c3, m=self.m)
+        return TowerScalar._of((c0, -c1, c2, -c3), self.m)
 
     def conj_m(self):
         c0, c1, c2, c3 = self.c
-        return TowerScalar(c0, c1, -c2, -c3, m=self.m)
+        return TowerScalar._of((c0, c1, -c2, -c3), self.m)
 
     def inverse(self):
         t = self * self.conj_i()          # lands in Q(sqrt(m))
@@ -253,7 +270,7 @@ class TowerScalar:
             raise ArithmeticError("tower norm failed to be rational")
         r = n.c[0]
         num = self.conj_i() * t.conj_m()
-        return TowerScalar(*(a / r for a in num.c), m=self.m)
+        return TowerScalar._of(tuple(a / r for a in num.c), self.m)
 
     def __truediv__(self, other):
         o = self._coerce(other)

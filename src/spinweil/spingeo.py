@@ -24,8 +24,7 @@ from itertools import combinations, product
 from .clifford import CV, exp_nilpotent, sigma_action, twisted_conjugation
 from .lattices import make_Splus
 from .linalg import mat, mat_mul, nullspace, rank, transpose
-from .multivector import (Multivector, check_alternating, omega_of, pfaffian,
-                          wedge)
+from .multivector import Multivector, check_alternating, pfaffian
 from .scalars import rat
 
 # z-coordinate index -> (bitmask of e_I, sign), see module docstring
@@ -111,31 +110,18 @@ class IsotropicSubspace:
 def spinor_map(b) -> Spinor:
     """Spinor coordinates of the isotropic subspace Z_B, B alternating.
 
-    Returns the exterior exponential of omega_B = sum b_ij e_i ^ e_j, whose
-    e_I coefficients are the Pfaffians of the principal submatrices B_I, as
-    a point of the quadric in z-coordinates.
+    It is the exterior exponential of omega_B = sum b_ij e_i ^ e_j, whose
+    e_I coefficients are the Pfaffians of the B_I: 1 + omega_B + Pf(B)
+    e_1234, so z = (1, b12, b13, b14, Pf B, -b34, b24, -b23), with
+    Fraction(0) for a zero.  Pf B sums the products of nonzero entries.
     """
     check_alternating(b)
     if len(b) != 4:
         raise ValueError("the geometry layer fixes n = 4")
-    omega = omega_of(b)
-    acc = Multivector.one(4)
-    power = Multivector.one(4)
-    k = 1
-    while True:
-        power = wedge(power, omega)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, _factorial(k)))
-        k += 1
-    return Spinor.from_multivector(acc)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    pf = sum(x * y for x, y in ((b[0][1], b[2][3]), (-b[0][2], b[1][3]),
+                                (b[0][3], b[1][2])) if x and y)
+    return Spinor([x or Fraction(0) for x in (
+        1, b[0][1], b[0][2], b[0][3], pf, -b[2][3], b[1][3], -b[1][2])])
 
 
 def spinor_inverse(s: Spinor):

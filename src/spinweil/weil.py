@@ -23,12 +23,12 @@ from math import isqrt
 
 from .lattices import make_V, orthogonal_complement
 from .linalg import (inverse, leading_principal_minors, mat, mat_mul,
-                     mat_vec, nullspace, rank)
+                     mat_vec, nullspace, rank, scale_to_integers)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derive_multivector, pluecker, wedge)
-from .reps import (cayley_class, invariant_subspace, stabilizer_algebra,
-                   weight_multiset)
-from .scalars import QuadExt, is_norm, is_square, rat, squarefree_part
+from .reps import (_text, cayley_class, invariant_subspace,
+                   stabilizer_algebra, weight_multiset)
+from .scalars import QuadExt, is_norm, rat, squarefree_part
 from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
                       subspace_of_spinor)
 
@@ -77,8 +77,11 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     Searches small-height vectors u, w in the rank-6 complement; u must be
     of positive length a, the projection w' of w away from u of positive
     length c, and a c a rational square, in which case q = (sqrt(a c)/c) w'
-    has the same length as u.  Deterministic for a fixed seed; raises after
-    the given number of tries (raise tries for exotic inputs).
+    has the same length as u.  The search runs on integer vectors over the
+    common denominator of the complement basis: with A = (U, U) > 0 and
+    T = (U, W), P = A W - T U has the sign of c and A (P, P) the square
+    class of a c.  Only the accepted pair is made rational.  Deterministic
+    for a fixed seed; raises after the given number of tries.
     """
     h = h if isinstance(h, Spinor) else Spinor(h)
     s = s if isinstance(s, Spinor) else Spinor(s)
@@ -86,35 +89,52 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     if s.pair(h) != 0 or h.pair(h) <= 0 or s.pair(s) <= 0:
         raise ValueError("need orthogonal h, s spanning a positive "
                          "definite plane")
-    comp = [v.coords for v in orthogonal_complement(lat, [h.z, s.z])]
+    comp, den = scale_to_integers(
+        ((k, i), x) for k, v in enumerate(orthogonal_complement(
+            lat, [h.z, s.z])) for i, x in enumerate(v.coords))
+    gram, _ = scale_to_integers(((i, j), x) for i, row in enumerate(lat.gram)
+                                for j, x in enumerate(row))
+    cols = [[comp.get((k, i), 0) for k in range(6)] for i in range(8)]
     rng = random.Random(seed)
+
+    def pair(v, w):
+        return sum(g * v[i] * w[j] for (i, j), g in gram.items())
 
     def draw():
         while True:
             c6 = [rng.randint(-3, 3) for _ in range(6)]
             if any(c6):
-                return [sum(rat(c6[k]) * comp[k][i] for k in range(6))
-                        for i in range(8)]
+                return [sum(c * x for c, x in zip(c6, col)) for col in cols]
 
     positives = []
     for _ in range(tries):
         w = draw()
-        if lat.pair(w, w) <= 0:
+        ww = pair(w, w)
+        if ww <= 0:
             continue
         # pair the new positive vector against every earlier one
-        for u in positives:
-            a = lat.pair(u, u)
-            t = lat.pair(u, w)
-            proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
-            c = lat.pair(proj, proj)
-            if c <= 0 or not is_square(a * c):
-                continue
-            scale = _sqrt_rational(a * c) / c
-            q = [scale * x for x in proj]
-            return Period(tuple(u), tuple(q))
+        for u, a in positives:
+            t = pair(u, w)
+            proj = [a * wi - t * ui for wi, ui in zip(w, u)]
+            ac = a * pair(proj, proj)
+            if ac > 0 and isqrt(ac) ** 2 == ac:
+                return _period(lat, [Fraction(x, den) for x in u],
+                               [Fraction(x, den) for x in w])
         if len(positives) < 64:
-            positives.append(w)
-    raise RuntimeError("period search exhausted the height cap")
+            positives.append((w, ww))
+    raise RuntimeError(f"period search exhausted the height cap: h = "
+                       f"{_text(h.z)}, s = {_text(s.z)}, seed {seed}, "
+                       f"tries {tries}")
+
+
+def _period(lat, u, w):
+    """The Period (u, q), q the projection of w off u scaled to u's length."""
+    a = lat.pair(u, u)
+    t = lat.pair(u, w)
+    proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
+    c = lat.pair(proj, proj)
+    scale = _sqrt_rational(a * c) / c
+    return Period(tuple(u), tuple(scale * x for x in proj))
 
 
 def complex_structure(period: Period):

@@ -13,6 +13,7 @@ from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                sigma_matrix, so_to_spin, spin_basis, spin_so_iso,
                                spin_v_dimension_check, spin_v_xyz_table,
                                twisted_conjugation)
+from spinweil.kuga import complement_data
 from spinweil.lattices import BilinearLattice, make_V
 from spinweil.linalg import det, identity, mat_mul, rank
 from spinweil.multivector import (Multivector, indices_of, mask_of, pfaffian,
@@ -429,6 +430,25 @@ def test_sum_negation_and_scale_match_per_term_reference(triple):
     _same(-x, CliffordElement(alg, {m: -v for m, v in x.terms.items()}))
     _same(x.scale(c), CliffordElement(alg, {m: c * v
                                             for m, v in x.terms.items()}))
+
+
+#: the Clifford algebra of the rank-6 complement of the standard h and s
+#: in S+, the algebra of the Kuga-Satake construction
+KS = CliffordAlgebra(complement_data([0, 1, 0, 0, 0, 1, 0, 0],
+                                     [1, 0, 0, 0, 1, 0, 0, 0])[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(elements(CV()), elements(CV())),
+    st.tuples(elements(KS), elements(KS)),
+    st.tuples(elements(CV(), coeffs=QUAD, max_terms=4), elements(CV())),
+    st.tuples(elements(KS, max_terms=4),
+              elements(KS, coeffs=QUAD, max_terms=4))))
+def test_commutator_matches_two_products(pair):
+    x, y = pair
+    _same(commutator(x, y), x * y - y * x)
+    _same(commutator(y, x), -(x * y - y * x))
 
 
 def forms(coeffs=COEFFS):

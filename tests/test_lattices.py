@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweil.lattices import (BilinearLattice, MukaiVector, make_Splus,
                                make_U3, make_V, moduli_dimension,
                                mukai_pairing, orthogonal_complement,
                                signature, sublattice_gram)
 from spinweil.linalg import identity, mat_mul
+from spinweil.scalars import QuadExt
 
 
 def unit(i, n=8):
@@ -120,3 +123,43 @@ def test_mukai_pure_h2_component():
     v = MukaiVector(0, c, 0)
     assert make_U3().pair(list(c), list(c)) == 2
     assert mukai_pairing(v, v) == 2
+
+
+def reference_pair(lattice, v, w):
+    """The dense double loop over the Gram matrix, summed from int 0."""
+    g, n = lattice.gram, lattice.rank
+    total = 0
+    for i in range(n):
+        if v[i] == 0:
+            continue
+        for j in range(n):
+            if g[i][j] != 0 and w[j] != 0:
+                total = total + v[i] * g[i][j] * w[j]
+    return total
+
+
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2,
+                                 max_denominator=4))
+COORDS = st.one_of(ENTRIES, st.builds(lambda a, b: QuadExt(a, b, -3),
+                                      ENTRIES, ENTRIES))
+
+
+@st.composite
+def gram_and_vectors(draw):
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(ENTRIES)
+    v, w = ([draw(COORDS) for _ in range(n)] for _ in range(2))
+    return BilinearLattice(g), v, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(gram_and_vectors())
+def test_pair_matches_dense_double_loop(case):
+    lattice, v, w = case
+    got, expected = lattice.pair(v, w), reference_pair(lattice, v, w)
+    assert got == expected
+    assert repr(got) == repr(expected) and type(got) is type(expected)

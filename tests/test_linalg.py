@@ -8,7 +8,9 @@ unique, so on rational matrices both routes must give the same rref,
 pivots, rank, kernel, solutions and inverse, down to the repr of every
 entry, and on field matrices they must be equal.  A product of rational
 matrices is summed on ints and must equal the textbook loop over
-Fractions, again down to the repr.
+Fractions, again down to the repr.  The determinant of a rational matrix
+is fraction-free (Bareiss) and must equal Gaussian elimination over the
+field, down to the repr.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -20,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil import linalg
-from spinweil.linalg import (inverse, mat_mul, nullspace, rank, rref, solve,
-                             solve_matrix, sparse_nullspace, transpose)
+from spinweil.linalg import (det, inverse, mat_mul, nullspace, rank, rref,
+                             solve, solve_matrix, sparse_nullspace, transpose)
 from spinweil.scalars import QuadExt, TowerScalar
 
 ENTRIES = st.one_of(
@@ -354,3 +356,64 @@ def test_mat_mul_with_quadext_entries():
     # (1 + r)(2 - r) with r = sqrt(2) is r
     assert got[0][1] == QuadExt(0, 1, m)
     assert mat_mul(b, a) == reference_mat_mul(b, a)
+
+
+def reference_det(a):
+    """Gaussian elimination over the field on the first nonzero pivot of
+    each column."""
+    n = len(a)
+    m = [list(r) for r in a]
+    d = Fraction(1)
+    for c in range(n):
+        i = next((i for i in range(c, n) if m[i][c] != 0), -1)
+        if i < 0:
+            return 0 * d
+        if i != c:
+            m[c], m[i] = m[i], m[c]
+            d = -d
+        d = d * m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for j in range(c + 1, n):
+            if m[j][c] != 0:
+                f = m[j][c] * inv
+                m[j] = [x - f * y for x, y in zip(m[j], m[c])]
+    return d
+
+
+@st.composite
+def det_matrices(draw):
+    """n x n matrices, n in 0..6, rational or over one field, some rows
+    replaced by a zero row or by a combination of two rows."""
+    n = draw(st.integers(0, 6))
+    entries = draw(st.one_of(st.just(ENTRIES), st.sampled_from(FIELDS).map(
+        lambda field: field_entries(*field))))
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j, t = (draw(st.integers(0, n - 1)) for _ in range(3))
+        k = draw(entries)
+        a[i] = ([x + k * y for x, y in zip(a[j], a[t])]
+                if draw(st.booleans()) else [0] * n)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_matrices())
+def test_det_matches_gaussian_elimination(a):
+    got, expected = det(a), reference_det(a)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("a, value", [
+    ([], 1),
+    ([[0, 0], [0, 0]], 0),
+    ([[1, 2], [0, 0]], 0),
+    ([[Fraction(1, 2), 3], [Fraction(1, 4), Fraction(3, 2)]], 0),
+    ([[0, 1], [1, 0]], -1),
+    ([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 5], [0, 0, 7]],
+     Fraction(7, 3)),
+    ([[QuadExt(1, 1, 2), 1], [1, QuadExt(1, -1, 2)]], -2),
+])
+def test_det_examples(a, value):
+    assert det(a) == value == reference_det(a)
+    assert repr(det(a)) == repr(reference_det(a))

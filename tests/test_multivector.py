@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweil.lattices import make_V
 from spinweil.linalg import det, mat_mul
@@ -9,7 +11,8 @@ from spinweil.multivector import (DEGREE4_MASKS, Multivector, VOLUME_MASK,
                                   contract, derive_multivector, hodge_star,
                                   indices_of, induced_gram4, mask_of,
                                   minor_oracle, pfaffian, pluecker,
-                                  star_matrix, wedge, wedge_sign)
+                                  popcount, star_matrix, wedge, wedge_sign)
+from spinweil.scalars import QuadExt
 from spinweil.spingeo import graph_basis, random_alternating
 
 
@@ -199,3 +202,70 @@ def test_derive_multivector_matches_matrix(rng):
         via_matrix = [sum(matrix[i][j] * coords[j] for j in range(70))
                       for i in range(70)]
         assert coords_degree(direct, DEGREE4_MASKS) == via_matrix
+
+
+def reference_sign(ma, mb):
+    """(-1) to the number of pairs i in A, j in B with i > j, or 0 when A
+    and B meet."""
+    a, b = indices_of(ma), indices_of(mb)
+    if set(a) & set(b):
+        return 0
+    return (-1) ** sum(i > j for i in a for j in b)
+
+
+def reference_wedge(x, y):
+    """The per-term wedge: each signed product added to the result as it
+    comes, a term dropped whenever it sums to zero."""
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            s = reference_sign(ma, mb)
+            if s:
+                v = out.get(ma | mb, 0) + s * ca * cb
+                if v == 0:
+                    out.pop(ma | mb, None)
+                else:
+                    out[ma | mb] = v
+    return Multivector(x.n, out)
+
+
+RATIONAL = st.one_of(st.integers(-4, 4),
+                     st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=6))
+QUAD = st.builds(lambda a, b: QuadExt(a, b, 5), RATIONAL, RATIONAL)
+
+
+def multivectors(n, coeffs):
+    return st.dictionaries(st.integers(0, (1 << n) - 1), coeffs,
+                           max_size=12).map(lambda t: Multivector(n, t))
+
+
+@st.composite
+def wedge_factors(draw):
+    """Two multivectors on n = 4 or n = 8, each with rational, QuadExt or
+    mixed coefficients."""
+    n = draw(st.sampled_from([4, 8]))
+    kinds = [RATIONAL, QUAD, st.one_of(RATIONAL, QUAD)]
+    return [draw(multivectors(n, draw(st.sampled_from(kinds))))
+            for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_factors())
+def test_wedge_matches_per_term_reference(pair):
+    x, y = pair
+    got, expected = wedge(x, y), reference_wedge(x, y)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def test_popcount_and_wedge_sign():
+    for mask in range(256):
+        assert popcount(mask) == bin(mask).count("1")
+        assert all(wedge_sign(mask, mb) == reference_sign(mask, mb)
+                   for mb in range(256))
+    # e_2 ^ e_1 = -e_12, e_3 ^ e_12 = e_123, e_24 ^ e_13 = -e_1234
+    assert wedge_sign(0b10, 0b01) == -1
+    assert wedge_sign(0b100, 0b011) == 1
+    assert wedge_sign(0b1010, 0b0101) == -1
+    assert wedge_sign(0b11, 0b10) == 0

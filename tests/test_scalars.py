@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweil.scalars import (QuadExt, REAL_PLACE, TowerScalar, factorize,
                               hilbert_symbol, is_norm, is_square, is_prime,
@@ -180,3 +182,70 @@ def test_number_theory_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91)
     assert legendre(2, 7) == 1 and legendre(3, 7) == -1
     assert is_square(Fraction(49, 64)) and not is_square(Fraction(2))
+
+
+# -- arithmetic results skip the validation of the public constructors -------
+
+RATIONALS = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=5))
+
+
+def quad(m):
+    return st.builds(lambda a, b: QuadExt(a, b, m), RATIONALS, RATIONALS)
+
+
+def tower(m):
+    return st.builds(lambda *c: TowerScalar(*c, m=m), *[RATIONALS] * 4)
+
+
+def _results(x, y, r):
+    """Every arithmetic result of x and y (and the rational r) that builds
+    a new scalar without the public constructor."""
+    out = [x + y, x - y, x * y, -x, x + r, r - x, x * r, r * x]
+    out += [x.conj()] if isinstance(x, QuadExt) else [x.conj_i(), x.conj_m()]
+    if y:
+        out += [y.inverse(), x / y, r / y]
+    if isinstance(x, QuadExt):
+        out += [x ** 0, x ** 3] + ([y ** -2] if y else [])
+    return out
+
+
+def _rebuilt(z):
+    """z rebuilt through the validating public constructor."""
+    if isinstance(z, QuadExt):
+        return QuadExt(z.a, z.b, z.m)
+    return TowerScalar(*z.c, m=z.m)
+
+
+def _coords(z):
+    return (z.a, z.b) if isinstance(z, QuadExt) else z.c
+
+
+SAME_FIELD_PAIRS = st.one_of(
+    st.sampled_from([-1, 2, -3, 5]).flatmap(
+        lambda m: st.tuples(quad(m), quad(m))),
+    st.sampled_from([-2, 5]).flatmap(
+        lambda m: st.tuples(tower(m), tower(m))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SAME_FIELD_PAIRS, RATIONALS)
+def test_arithmetic_results_equal_a_validated_rebuild(pair, r):
+    x, y = pair
+    for z in _results(x, y, r):
+        assert repr(z) == repr(_rebuilt(z)) and z == _rebuilt(z)
+        assert all(type(c) is Fraction for c in _coords(z))
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_public_constructors_reject_bad_m(m):
+    with pytest.raises(ValueError, match="squarefree"):
+        QuadExt(1, 1, m)
+    with pytest.raises(ValueError, match="squarefree"):
+        TowerScalar(1, 1, 0, 0, m=m)
+
+
+def test_tower_constructor_rejects_minus_one():
+    with pytest.raises(ValueError, match="not -1, 0 or 1"):
+        TowerScalar(1, m=-1)

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweil.clifford import CV, twisted_conjugation
 from spinweil.linalg import mat, mat_mul, mat_vec, rank
-from spinweil.multivector import DEGREE4_MASKS, mask_of
+from spinweil.jsonio import encode_scalar
+from spinweil.multivector import (DEGREE4_MASKS, Multivector,
+                                  check_alternating, mask_of, wedge)
 from spinweil.reps import phi_matrix, sym2_coords, veronese_pluecker_check
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (Spinor, graph_basis, move_to_cell,
@@ -54,6 +58,86 @@ def test_spinor_map_gaussian_fixture():
         w1 = [z1[r][k] - i * z1[r][k + 2] for r in range(8)]
         w2 = [z2[r][k] - i * z2[r][k + 2] for r in range(8)]
         assert w1 == w2
+
+
+def reference_spinor_map(b):
+    """The exterior exponential of omega_B = sum_{i<j} b_ij e_i ^ e_j as
+    the sum of its wedge powers over k!, read in z-coordinates."""
+    check_alternating(b)
+    omega = Multivector(4, {(1 << i) | (1 << j): b[i][j]
+                            for i in range(4) for j in range(i + 1, 4)
+                            if b[i][j] != 0})
+    acc = power = Multivector.one(4)
+    k, factorial = 1, 1
+    while True:
+        power = wedge(power, omega)
+        if power.is_zero():
+            return Spinor.from_multivector(acc)
+        acc = acc + power.scale(Fraction(1, factorial))
+        k += 1
+        factorial *= k
+
+
+def _same_spinor(got, expected):
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def test_spinor_map_matches_wedge_exponential_on_paper_fixtures():
+    i, one, zero = (QuadExt(a, b, -1) for a, b in ((0, 1), (1, 0), (0, 0)))
+    fixtures = ([[zero, one, -i, -i], [-one, zero, i, -i],
+                 [i, -i, zero, -one], [i, i, one, zero]],
+                [[zero, -one, -i, i], [one, zero, -i, -i],
+                 [i, i, zero, one], [-i, i, -one, zero]])
+    for b in fixtures:
+        got, expected = spinor_map(b), reference_spinor_map(b)
+        _same_spinor(got, expected)
+        assert ([encode_scalar(c) for c in got.z]
+                == [encode_scalar(c) for c in expected.z])
+
+
+ALT_ENTRIES = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    "quadext": st.builds(lambda a, b: QuadExt(a, b, 2), st.integers(-2, 2),
+                         st.integers(-2, 2)),
+}
+
+
+@st.composite
+def alternating(draw):
+    """(kind, B): a 4 x 4 alternating matrix of ints, Fractions or QuadExt
+    (QuadExt mixed with zeros and ints), often with zero entries."""
+    kind = draw(st.sampled_from(sorted(ALT_ENTRIES)))
+    entry = ALT_ENTRIES[kind]
+    if kind == "quadext":
+        entry = st.one_of(entry, st.just(0), st.integers(-2, 2))
+    b = [[0] * 4 for _ in range(4)]
+    for r in range(4):
+        for c in range(r + 1, 4):
+            b[r][c] = draw(st.one_of(st.just(0), entry))
+            b[c][r] = -b[r][c]
+    return kind, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(alternating())
+def test_spinor_map_matches_wedge_exponential(case):
+    kind, b = case
+    got, expected = spinor_map(b), reference_spinor_map(b)
+    _same_spinor(got, expected)
+    if kind != "quadext":
+        assert ([encode_scalar(c) for c in got.z]
+                == [encode_scalar(c) for c in expected.z])
+
+
+def test_spinor_map_rejects_non_alternating_and_other_sizes():
+    with pytest.raises(ValueError, match="not alternating"):
+        spinor_map([[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4])
+    with pytest.raises(ValueError, match="zero diagonal"):
+        spinor_map([[0] * 4, [0, 1, 0, 0], [0] * 4, [0] * 4])
+    with pytest.raises(ValueError, match="n = 4"):
+        spinor_map([[0, 1], [-1, 0]])
 
 
 def test_spinor_inverse_zero():

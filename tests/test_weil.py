@@ -1,20 +1,26 @@
+import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from spinweil.lattices import make_V
+from spinweil.jsonio import decode_vector
+from spinweil.lattices import make_V, orthogonal_complement
 from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
                              mat_mul, mat_vec, rank, solve)
 from spinweil.multivector import (DEGREE4_MASKS, coords_degree,
                                   derive_multivector, wedge)
 from spinweil.reps import invariant_subspace, stabilizer_algebra
-from spinweil.scalars import QuadExt, TowerScalar, is_norm
+from spinweil.scalars import QuadExt, TowerScalar, is_norm, is_square
 from spinweil.spingeo import Spinor, splus_lattice, subspace_of_spinor
-from spinweil.weil import (Period, cayley_hodge_test, complex_structure,
-                           datum_report, field_parameters, h2_split,
-                           hermitian_and_discriminant, k_action, kappa_spinor,
-                           make_weil_datum, omega_line_check, polarization,
-                           sample_period, weil_class_space, weil_condition)
+from spinweil.verify import STANDARD_H, STANDARD_PERIOD, STANDARD_S
+from spinweil.weil import (Period, _sqrt_rational, cayley_hodge_test,
+                           complex_structure, datum_report, field_parameters,
+                           h2_split, hermitian_and_discriminant, k_action,
+                           kappa_spinor, make_weil_datum, omega_line_check,
+                           polarization, sample_period, weil_class_space,
+                           weil_condition)
 
 NU1 = (1, 1, 1, 1, 1, 1, 1, 1)
 NU2 = (1, 1, -1, -1, 1, 1, -1, -1)
@@ -60,6 +66,83 @@ def test_sample_period_rejects_bad_plane():
     iso = Spinor([1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         sample_period(iso, Spinor([0, 1, 0, 0, 0, 1, 0, 0]))
+
+
+def reference_sample_period(h, s, seed=0, tries=5000):
+    """The period search on rational vectors: each draw is a Fraction
+    combination of the complement basis and every pairing a Fraction."""
+    lat = splus_lattice()
+    comp = [v.coords for v in orthogonal_complement(lat, [h.z, s.z])]
+    rng = random.Random(seed)
+
+    def draw():
+        while True:
+            c6 = [rng.randint(-3, 3) for _ in range(6)]
+            if any(c6):
+                return [sum(Fraction(c6[k]) * comp[k][i] for k in range(6))
+                        for i in range(8)]
+
+    positives = []
+    for _ in range(tries):
+        w = draw()
+        if lat.pair(w, w) <= 0:
+            continue
+        for u in positives:
+            a = lat.pair(u, u)
+            t = lat.pair(u, w)
+            proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
+            c = lat.pair(proj, proj)
+            if c <= 0 or not is_square(a * c):
+                continue
+            scale = _sqrt_rational(a * c) / c
+            return Period(tuple(u), tuple(scale * x for x in proj))
+        if len(positives) < 64:
+            positives.append(w)
+    raise RuntimeError("period search exhausted the height cap")
+
+
+#: (h, s) planes of the period search: the four h of the field scan with
+#: the standard s, the standard plane, the plane of the generic periods of
+#: the hodge-criterion check, the nu plane and a plane with a Fraction
+PERIOD_PLANES = (
+    [([0, k, 0, 0, 0, 1, 0, 0], STANDARD_S, 25) for k in (1, 2, 3, 5)]
+    + [(STANDARD_H, STANDARD_S, 50), (STANDARD_PERIOD[0], STANDARD_H, 50),
+       (NU1, NU2, 10),
+       ([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0], STANDARD_S, 10)])
+
+
+def test_sample_period_matches_rational_search():
+    cases = 0
+    for h, s, count in PERIOD_PLANES:
+        h, s = Spinor(list(h)), Spinor(list(s))
+        for seed in range(count):
+            got = sample_period(h, s, seed=seed)
+            expected = reference_sample_period(h, s, seed=seed)
+            assert got == expected
+            assert repr(got) == repr(expected)
+            assert [type(x) for x in got.p + got.q] == \
+                [type(x) for x in expected.p + expected.q]
+            cases += 1
+    assert cases >= 200
+
+
+def test_sample_period_failure_names_its_inputs():
+    h, s = Spinor([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0]), Spinor(STANDARD_S)
+    with pytest.raises(RuntimeError) as info:
+        sample_period(h, s, seed=17, tries=1)
+    message = str(info.value)
+    assert message == (
+        'period search exhausted the height cap: h = ["0", "1/2", "0", '
+        '"0", "0", "3", "0", "0"], s = ["1", "0", "0", "0", "1", "0", '
+        '"0", "0"], seed 17, tries 1')
+    # the message alone reproduces the call
+    hz, sz, seed, tries = re.fullmatch(
+        r".*h = (\[.*\]), s = (\[.*\]), seed (\d+), tries (\d+)",
+        message).groups()
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        sample_period(Spinor(decode_vector(json.loads(hz))),
+                      Spinor(decode_vector(json.loads(sz))),
+                      seed=int(seed), tries=int(tries))
 
 
 def test_complex_structure_properties(standard_period):
