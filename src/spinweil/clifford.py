@@ -252,11 +252,15 @@ class CliffordElement:
     def conj(self):
         """The anti-involution x_1...x_r -> (-1)^r x_r...x_1."""
         alg = self.algebra
+        # on ints over the common denominator d (the empty factor adds none)
+        a, _, d = _scaled_terms(self.terms, {})
         out = {}
-        for mask, c in self.terms.items():
+        get = out.get
+        for mask, c in a.items():
             for m, c2 in alg.blade_conj(mask).items():
-                _accumulate(out, m, c * c2)
-        return CliffordElement._of(alg, out)
+                out[m] = get(m, 0) + c * c2
+        return CliffordElement._of(
+            alg, {m: _over(c, d) for m, c in out.items() if c})
 
     def __repr__(self):
         if not self.terms:

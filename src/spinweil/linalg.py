@@ -5,12 +5,15 @@ TowerScalar values (mixed with ints/Fractions via coercion); no floating
 point.  rank, nullspace, solve, solve_matrix and inverse read the
 reduced row echelon form (rref), and there is one elimination routine:
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
-1968).  Each row is scaled to coprime integers, kept sparse, and divided
-only once at the end.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is
-first made rational by restriction of scalars: each row x becomes the
-coordinate rows of u x for u in the Q-basis of K.  The rref is unique, so
-the rational rref rows are the coordinate rows of u R for the K-rref rows
-R, and R is read back from the rows that pivot on a first coordinate.
+1968), one row at a time (extend_span).  Each row is scaled to coprime
+integers, kept sparse, inserted into a fully reduced basis, and divided
+only once at the end; a row in the span costs one clear per pivot it
+meets, so a tall matrix of low rank is cheap.  A matrix over K =
+Q(sqrt(m)) or Q(i, sqrt(m)) is first made rational by restriction of
+scalars: each row x becomes the coordinate rows of u x for u in the
+Q-basis of K.  The rref is unique, so the rational rref rows are the
+coordinate rows of u R for the K-rref rows R, and R is read back from the
+rows that pivot on a first coordinate.
 sparse_nullspace takes sparse rows as built by its caller, integer rows
 straight to that routine, and shares the kernel read-off of nullspace.
 det is one routine: a rational matrix is scaled row by row to integers
@@ -165,38 +168,36 @@ def _clear(row, pivot, col):
     return _primitive(out) if out else out
 
 
-def _integer_rref(rows):
-    """Gauss-Jordan on sparse integer rows: [(pivot column, row)] in
-    column order, every pivot column cleared from every other row.
+def extend_span(basis, row) -> bool:
+    """Insert the sparse integer row {column: int}, zeros left out, into
+    basis, a fully reduced basis {pivot column: row}; whether row was
+    outside its span.
 
-    The pivot of a column is the active row with the fewest nonzeros,
-    then the smallest entry, which keeps the rows sparse and small.
-    """
-    active, done = rows, []
-    for col in sorted(set().union(*rows)):
-        pivot, best = None, None
-        for row in active:
-            x = row.get(col)
-            if x is not None:
-                key = (len(row), abs(x))
-                if best is None or key < best:
-                    pivot, best = row, key
-        if pivot is None:
-            continue
-        rest = []
-        for row in active:
-            if row is pivot:
-                continue
-            if col in row:
-                row = _clear(row, pivot, col)
-                if not row:
-                    continue
-            rest.append(row)
-        active = rest
-        done = [(pc, _clear(row, pivot, col) if col in row else row)
-                for pc, row in done]
-        done.append((col, pivot))
-    return done
+    row is cleared on each pivot column it has; what is left, if anything,
+    pivots on its leading column, which is then cleared from the basis.
+    Each basis row leads with its pivot, so the basis in column order is
+    the rref up to row scales."""
+    for col in [c for c in row if c in basis]:
+        row = _clear(row, basis[col], col)
+    if not row:
+        return False
+    row = _primitive(row)
+    lead = min(row)
+    for pc, other in basis.items():
+        if lead in other:
+            basis[pc] = _clear(other, row, lead)
+    basis[lead] = row
+    return True
+
+
+def _integer_rref(rows):
+    """Gauss-Jordan on sparse integer rows, one row at a time
+    (extend_span): [(pivot column, row)] in column order, every pivot
+    column cleared from every other row."""
+    basis = {}
+    for row in rows:
+        extend_span(basis, row)
+    return sorted(basis.items())
 
 
 def _coords(x):

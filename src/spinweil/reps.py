@@ -27,9 +27,9 @@ from itertools import combinations, combinations_with_replacement
 from .clifford import (CV, _over, cartan_elements, sigma_matrix,
                        spin_v_xyz_table)
 from .jsonio import encode_scalar
-from .linalg import (all_rational, inverse, mat, mat_mul, mat_vec,
-                     nullspace, rank, scale_to_integers, sparse_nullspace,
-                     sparse_product)
+from .linalg import (all_rational, extend_span, inverse, mat, mat_mul,
+                     mat_vec, nullspace, rank, scale_to_integers,
+                     sparse_nullspace, sparse_product, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           from_coords, mask_of, pluecker, star_matrix, wedge)
 from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
@@ -301,19 +301,25 @@ def gamma0_line():
     return basis[0]
 
 
+SPAN_SEED, SPAN_DRAWS = 314159, 350   # of quadric_square_span
+
+
 @lru_cache(maxsize=1)
 def quadric_square_span():
-    """An exact basis of the span of {z (.) z : z on the quadric} (dim 35)."""
-    rng = random.Random(314159)
-    span_rows = []
-    vectors = []
-    while len(vectors) < 35:
+    """An exact basis of the span of {z (.) z : z on the quadric} (dim 35):
+    the sampled (B, coordinates of z (.) z) that leave the span so far, each
+    inserted into one reduced integer basis (linalg.extend_span)."""
+    rng = random.Random(SPAN_SEED)
+    basis, vectors = {}, []
+    for draws in range(1, SPAN_DRAWS + 1):
         b = random_alternating(rng)
         u = sym2_coords(spinor_map(b).z)
-        if rank(mat(span_rows + [u])) > len(vectors):
-            span_rows.append(u)
+        if extend_span(basis, scale_to_integers(enumerate(u))[0]):
             vectors.append((b, u))
-    return vectors
+            if len(vectors) == 35:
+                return vectors
+    raise RuntimeError(f"quadric squares of seed {SPAN_SEED} span "
+                       f"dimension {len(vectors)} of 35 after {draws} draws")
 
 
 @lru_cache(maxsize=1)
@@ -335,11 +341,12 @@ def phi_matrix():
     tarmat = [[targets[c][r] for c in range(36)] for r in range(70)]
     phi = mat_mul(tarmat, inverse(colmat))
     rng = random.Random(653589)
-    for _ in range(5):
-        b = random_alternating(rng)
-        u = sym2_coords(spinor_map(b).z)
+    fresh = [random_alternating(rng) for _ in range(5)]
+    images = mat_mul(phi, transpose([sym2_coords(spinor_map(b).z)
+                                     for b in fresh]))
+    for k, b in enumerate(fresh):
         expect = coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
-        if mat_vec(phi, u) != expect:
+        if [row[k] for row in images] != expect:
             raise RuntimeError("quadratic dictionary failed consistency")
     return phi
 

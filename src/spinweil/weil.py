@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .lattices import make_V, orthogonal_complement
@@ -379,9 +380,15 @@ def cayley_hodge_test(s, period: Period) -> bool:
     orthogonal to s.
     """
     s = s if isinstance(s, Spinor) else Spinor(s)
-    c = cayley_class(s, cross_check=False)
     j = complex_structure(period)
-    return derive_multivector(j, c).is_zero()
+    return derive_multivector(j, _cayley_class_of(tuple(s.z))).is_zero()
+
+
+@lru_cache(maxsize=8)
+def _cayley_class_of(z):
+    """The Cayley class of the spinor with coordinates z, built once for
+    the many periods tested against one spinor."""
+    return cayley_class(Spinor(list(z)), cross_check=False)
 
 
 def omega_line_check(datum: WeilDatum) -> bool:

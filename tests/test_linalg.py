@@ -1,9 +1,10 @@
 """The integer kernels of linalg against textbook references.
 
 linalg has one elimination routine: fraction-free Gauss-Jordan on integer
-rows, which a matrix over a quadratic field or the tower reaches by
-restriction of scalars.  The reference kept here is textbook Gauss-Jordan
-with field division, for any scalar type.  The rref of a matrix is
+rows, one row at a time, which a matrix over a quadratic field or the
+tower reaches by restriction of scalars.  The references kept here are
+textbook Gauss-Jordan with field division, for any scalar type, and the
+earlier column-by-column scan on the same integer rows.  The rref of a matrix is
 unique, so on rational matrices both routes must give the same rref,
 pivots, rank, kernel, solutions and inverse, down to the repr of every
 entry, and on field matrices they must be equal.  A product of rational
@@ -21,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinweil import linalg
+from spinweil import linalg, reps
 from spinweil.linalg import (det, inverse, mat_mul, nullspace, rank, rref,
                              solve, solve_matrix, sparse_nullspace, transpose)
 from spinweil.scalars import QuadExt, TowerScalar
+from spinweil.spingeo import Spinor
 
 ENTRIES = st.one_of(
     st.just(0),
@@ -417,3 +419,119 @@ def test_det_matches_gaussian_elimination(a):
 def test_det_examples(a, value):
     assert det(a) == value == reference_det(a)
     assert repr(det(a)) == repr(reference_det(a))
+
+
+# -- row-by-row elimination against the column scan ---------------------------
+
+def column_scan_rref(rows):
+    """Gauss-Jordan on sparse integer rows, column by column: the pivot of
+    a column is the active row with the fewest nonzeros, then the smallest
+    entry; every pivot column is cleared from every other row."""
+    active, done = rows, []
+    for col in sorted(set().union(*rows)):
+        pivot, best = None, None
+        for row in active:
+            x = row.get(col)
+            if x is not None:
+                key = (len(row), abs(x))
+                if best is None or key < best:
+                    pivot, best = row, key
+        if pivot is None:
+            continue
+        rest = []
+        for row in active:
+            if row is pivot:
+                continue
+            if col in row:
+                row = linalg._clear(row, pivot, col)
+                if not row:
+                    continue
+            rest.append(row)
+        active = rest
+        done = [(pc, linalg._clear(row, pivot, col) if col in row else row)
+                for pc, row in done]
+        done.append((col, pivot))
+    return done
+
+
+@st.composite
+def tall_integer_matrices(draw):
+    """Tall, rank-deficient integer matrices up to 40 x 8: a few sparse
+    base rows, then duplicates, scalar multiples, combinations of two rows
+    and zero rows, shuffled."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    m = [[draw(entry) for _ in range(ncols)]
+         for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 34))):
+        kind = draw(st.sampled_from(("duplicate", "multiple", "sum", "zero")))
+        i, j = (draw(st.integers(0, len(m) - 1)) for _ in range(2))
+        k = draw(st.integers(-4, 4).filter(bool))
+        m.append(list(m[i]) if kind == "duplicate"
+                 else [k * x for x in m[i]] if kind == "multiple"
+                 else [x + k * y for x, y in zip(m[i], m[j])]
+                 if kind == "sum" else [0] * ncols)
+    return draw(st.permutations(m))
+
+
+def _positive_pivots(pairs):
+    """[(pivot column, sorted row items)] with each row signed so its pivot
+    is positive: a primitive rref row is then unique."""
+    return [(pc, sorted((c, x if row[pc] > 0 else -x)
+                        for c, x in row.items()))
+            for pc, row in pairs]
+
+
+def _same_rref(rows, a):
+    """The row-by-row kernel on rows, the sparse primitive integer rows of
+    the rational matrix a, equals the column scan by == and repr, and its
+    rref equals the field reference on a."""
+    got = _positive_pivots(linalg._integer_rref(rows))
+    expected = _positive_pivots(column_scan_rref(rows))
+    assert got == expected and repr(got) == repr(expected)
+    reduced, reference = linalg._reduced(rows, len(a[0])), field_pivot_rows(a)
+    assert reduced == reference and repr(reduced) == repr(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_integer_matrices())
+def test_row_insertion_matches_column_scan_and_field_reference(a):
+    _same_rref(linalg._integer_rows(a), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices())
+def test_row_insertion_matches_on_realified_field_matrices(pair):
+    a, _ = pair
+    if not a or all(map(linalg.all_rational, a)):
+        return
+    real, k, element = linalg._realify(a)
+    rows = linalg._integer_rows(real)
+    _same_rref(rows, real)
+    assert linalg._reduced(rows, len(a[0]) * k, k, element) == \
+        field_pivot_rows(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_integer_matrices())
+def test_extend_span_agrees_with_rank_on_growing_stacks(a):
+    basis = {}
+    for i, row in enumerate(a):
+        grew = linalg.extend_span(basis, {j: x for j, x in enumerate(row)
+                                          if x})
+        assert grew == (rank(a[:i + 1]) > rank(a[:i]))
+        assert len(basis) == rank(a[:i + 1])
+    assert sorted(basis) == field_pivot_rows(a)[1]
+
+
+def test_route_b_invariants_match_field_reference():
+    # the first noniso spinor of the cayley benchmark at seed 11: 1470
+    # stacked rows (899 nonzero) of rank 69 on the degree-4 forms
+    stab, _ = reps.stabilizer_algebra([Spinor([1, 0, 0, 3, 3, 0, 0, 0])])
+    rows = [r for x in stab for r in reps._action_rows(x, "Wedge4V")[0]]
+    with field_path():
+        expected = nullspace([[r.get(j, 0) for j in range(70)]
+                              for r in rows])
+    got = reps.invariant_subspace(stab, "Wedge4V")
+    assert len(got) == 1
+    assert got == expected and repr(got) == repr(expected)

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from spinweil import weil
 from spinweil.jsonio import decode_vector
 from spinweil.lattices import make_V, orthogonal_complement
 from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
                              mat_mul, mat_vec, rank, solve)
 from spinweil.multivector import (DEGREE4_MASKS, coords_degree,
                                   derive_multivector, wedge)
-from spinweil.reps import invariant_subspace, stabilizer_algebra
+from spinweil.reps import (cayley_class, invariant_subspace,
+                           stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar, is_norm, is_square
 from spinweil.spingeo import Spinor, splus_lattice, subspace_of_spinor
 from spinweil.verify import STANDARD_H, STANDARD_PERIOD, STANDARD_S
@@ -433,3 +435,28 @@ def test_tower_intersection_dimension():
                else TowerScalar(x, m=m) for x in row] for row in zk]
     joint = [lift_l[r] + lift_k[r] for r in range(8)]
     assert 8 - rank(mat(joint)) == 2
+
+
+def test_cayley_hodge_builds_the_class_once_per_spinor(monkeypatch,
+                                                       standard_h, standard_s):
+    calls = []
+
+    def counting(s, cross_check=True):
+        calls.append(tuple(s.z))
+        return cayley_class(s, cross_check=cross_check)
+
+    monkeypatch.setattr(weil, "cayley_class", counting)
+    weil._cayley_class_of.cache_clear()
+    # every period below is orthogonal to exactly one of the two spinors
+    p0 = Spinor([0, 0, 1, 0, 0, 0, 1, 0])
+    try:
+        for seed in range(3):
+            for per in (sample_period(p0, standard_h, seed=seed),
+                        sample_period(standard_h, standard_s, seed=seed)):
+                for s in (standard_s, list(standard_s.z), p0):
+                    z = s if isinstance(s, list) else s.z
+                    assert cayley_hodge_test(s, per) == \
+                        per.pairs_to_zero_with(z)
+    finally:
+        weil._cayley_class_of.cache_clear()
+    assert calls == [tuple(standard_s.z), tuple(p0.z)]
