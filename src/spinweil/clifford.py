@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
@@ -468,14 +469,10 @@ def exp_nilpotent(x: CliffordElement) -> CliffordElement:
 # ---------------------------------------------------------------------------
 # the Lie algebra spin(L) and its matrix picture so(L)
 
-def spin_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def spin_basis(algebra: CliffordAlgebra):
     """Basis e_i e_j - (e_i, e_j)/2 (i < j) of spin(L), n(n-1)/2 elements."""
     out = []
-    for i, j in spin_pairs(algebra.rank):
+    for i, j in combinations(range(algebra.rank), 2):
         x = algebra.generator(i) * algebra.generator(j)
         g = algebra.gram[i][j]
         if g != 0:
@@ -546,18 +543,11 @@ def so_to_spin(algebra: CliffordAlgebra, m) -> CliffordElement:
 
 # -- the explicit so(8) dictionary for V ------------------------------------
 
-def _matrix_unit(n, i, j):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[i][j] = Fraction(1)
+def _unit_difference(p, q):
+    """E_p - E_q on V, for distinct index pairs p and q."""
+    m = [[Fraction(0)] * 8 for _ in range(8)]
+    m[p[0]][p[1]], m[q[0]][q[1]] = Fraction(1), Fraction(-1)
     return m
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mneg(a):
-    return [[-x for x in row] for row in a]
 
 
 @lru_cache(maxsize=1)
@@ -578,21 +568,18 @@ def spin_v_xyz_table():
             x = alg.generator(i) * alg.generator(j + 4)
             if i == j:
                 x = x - alg.scalar(Fraction(1, 2))
-            mx = _madd(_matrix_unit(8, i, j),
-                       _mneg(_matrix_unit(8, 4 + j, 4 + i)))
-            out.append((f"X{i + 1}{j + 1}", x, mx))
+            out.append((f"X{i + 1}{j + 1}", x,
+                        _unit_difference((i, j), (4 + j, 4 + i))))
     for i in range(4):
         for j in range(i + 1, 4):
             y = alg.generator(i) * alg.generator(j)
-            my = _madd(_matrix_unit(8, i, 4 + j),
-                       _mneg(_matrix_unit(8, j, 4 + i)))
-            out.append((f"Y{i + 1}{j + 1}", y, my))
+            out.append((f"Y{i + 1}{j + 1}", y,
+                        _unit_difference((i, 4 + j), (j, 4 + i))))
     for i in range(4):
         for j in range(i + 1, 4):
             z = alg.generator(i + 4) * alg.generator(j + 4)
-            mz = _madd(_matrix_unit(8, 4 + i, j),
-                       _mneg(_matrix_unit(8, 4 + j, i)))
-            out.append((f"Z{i + 1}{j + 1}", z, mz))
+            out.append((f"Z{i + 1}{j + 1}", z,
+                        _unit_difference((4 + i, j), (4 + j, i))))
     return tuple(out)
 
 

@@ -74,10 +74,6 @@ class LatticeVector:
         if len(self.coords) != self.parent.rank:
             raise ValueError("coordinate length does not match lattice rank")
 
-    def dot(self, other):
-        ov = other.coords if isinstance(other, LatticeVector) else other
-        return self.parent.pair(self.coords, ov)
-
 
 @dataclass(frozen=True)
 class MukaiVector:

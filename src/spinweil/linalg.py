@@ -2,8 +2,9 @@
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
-point.  rank, nullspace, solve, solve_matrix and inverse read the
-reduced row echelon form (rref), and there is one elimination routine:
+point.  rank and nullspace read the reduced row echelon form (rref);
+solve, solve_matrix and inverse read one rref of [a | b], which also
+gives the rank of a (_solution).  There is one elimination routine:
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
 1968), one row at a time (extend_span).  Each row is scaled to coprime
 integers, kept sparse, inserted into a fully reduced basis, and divided
@@ -300,41 +301,39 @@ def _kernel(r, pivots, ncols):
 
 def solve(a, b):
     """One solution of a x = b, or None if the system is inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    r, pivots = _pivot_rows(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][ncols]
-    return x
+    x, _ = _solution(a, [[y] for y in b])
+    return None if x is None else [y for y, in x]
 
 
-def solve_matrix(a, b):
-    """One solution X of a X = b for matrix right-hand sides, or None.
-
-    One rref of [a | b]: its rows with a pivot in the a block carry the
-    solution values of every column of b at once.
-    """
-    ncols = len(a[0])
+def _solution(a, b):
+    """(X, rank of a): one solution X of a X = b for matrix right-hand
+    sides, None when there is none, from one rref of [a | b].  Its rows
+    with a pivot in the a block carry the values of every column of b at
+    once; the rows of X at free columns are 0."""
+    ncols = len(a[0]) if a else 0
     r, pivots = _pivot_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if pivots and pivots[-1] >= ncols:
-        return None
+    rank = sum(pc < ncols for pc in pivots)
+    if rank < len(pivots):
+        return None, rank
     x = [[Fraction(0)] * len(b[0]) for _ in range(ncols)]
     for i, pc in enumerate(pivots):
         x[pc] = r[i][ncols:]
-    return x
+    return x, rank
+
+
+def solve_matrix(a, b):
+    """One solution X of a X = b for matrix right-hand sides, or None."""
+    return _solution(a, b)[0]
 
 
 def inverse(a):
+    """a^-1 as the solution of a X = I; ValueError naming the rank when a
+    is singular."""
     n = len(a)
-    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
-    r, pivots = _pivot_rows(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return [row[n:] for row in r]
+    x, r = _solution(a, identity(n))
+    if r < n:
+        raise ValueError(f"matrix is not invertible: rank {r} of {n}")
+    return x
 
 
 def det(a):

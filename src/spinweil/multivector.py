@@ -4,16 +4,19 @@ A multivector is a finite mapping {index-subset bitmask: scalar}; bit i of a
 mask stands for the basis vector e_{i+1}.  Degree-4 bases on V are ordered
 by lexicographic index subsets (itertools.combinations order).  The volume
 form is e_1 ^ ... ^ e_8 in this basis order; the Hodge star below depends on
-that orientation choice, which is fixed once here.
+that orientation choice, which is fixed once here.  The star's Gram
+(induced_gram4) and every derivation extension of a matrix, on forms, wedge
+powers and Sym^2 (derivation_columns), read nonzero entries only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
-from .linalg import _over, _scaled_terms, det
+from .linalg import _over, _scaled_terms, scale_to_integers
 from .scalars import rat
 
 
@@ -103,10 +106,6 @@ class Multivector:
 
     def degrees(self):
         return sorted({popcount(m) for m in self.terms})
-
-    def homogeneous_part(self, k):
-        return Multivector(self.n, {m: c for m, c in self.terms.items()
-                                    if popcount(m) == k})
 
     def __add__(self, other):
         self._check(other)
@@ -236,48 +235,41 @@ def pluecker(columns_matrix) -> Multivector:
     return out
 
 
-def minor_oracle(columns_matrix):
-    """All 70 maximal minors by direct cofactor expansion (test oracle)."""
-    out = {}
-    for rows in combinations(range(8), 4):
-        sub = [[columns_matrix[r][c] for c in range(4)] for r in rows]
-        out[mask_of(rows)] = det(sub)
-    return out
-
-
 def induced_gram4(gram):
-    """Induced pairing on degree 4: (x_1^..^x_4, y_1^..^y_4) = det((x_i, y_j))."""
+    """Induced pairing on degree 4: (x_1^..^x_4, y_1^..^y_4) = det((x_i, y_j)),
+    as {(mask I, mask J): Fraction} over the nonzero minors det(G[I, J]).
+    Leibniz over the nonzero entries of the rows I, on ints over the common
+    denominator d of G: columns c_1..c_4, all distinct, add their signed
+    product to the minor on J = sorted(c), which is divided by d^4."""
+    ints, d = scale_to_integers(((i, j), x) for i, row in enumerate(gram)
+                                for j, x in enumerate(row))
+    rows = [{} for _ in gram]
+    for (i, j), x in ints.items():
+        rows[i][j] = x
     entries = {}
-    masks = DEGREE4_MASKS
-    for ma in masks:
-        ia = indices_of(ma)
-        for mb in masks:
-            ib = indices_of(mb)
-            sub = [[gram[a][b] for b in ib] for a in ia]
-            d = det(sub)
-            if d != 0:
-                entries[(ma, mb)] = d
+    for ia in combinations(range(len(gram)), 4):
+        minors = {}
+        for cols in product(*(rows[i] for i in ia)):
+            if len(set(cols)) == 4:
+                p = prod(rows[i][c] for i, c in zip(ia, cols))
+                if sum(a > b for a, b in combinations(cols, 2)) % 2:
+                    p = -p
+                ib = tuple(sorted(cols))
+                minors[ib] = minors.get(ib, 0) + p
+        entries.update(((mask_of(ia), mask_of(ib)), Fraction(v, d ** 4))
+                       for ib, v in sorted(minors.items()) if v)
     return entries
 
 
 @lru_cache(maxsize=None)
 def _star_table():
     from .lattices import make_V
-    gram = make_V().gram
-    g4 = induced_gram4(gram)
     # star(e_J) = sum_I c_{I,J} e_I solves e_I ^ star(e_J) = (e_I, e_J) vol,
     # so c_{I^c, J} = (e_I, e_J) / sign(e_I ^ e_{I^c} = sign * vol).
-    table = {}
-    for mj in DEGREE4_MASKS:
-        col = {}
-        for mi in DEGREE4_MASKS:
-            val = g4.get((mi, mj))
-            if val is None:
-                continue
-            comp = VOLUME_MASK ^ mi
-            s = wedge_sign(mi, comp)
-            col[comp] = val / s
-        table[mj] = col
+    table = {mj: {} for mj in DEGREE4_MASKS}
+    for (mi, mj), val in induced_gram4(make_V().gram).items():
+        comp = VOLUME_MASK ^ mi
+        table[mj][comp] = val / wedge_sign(mi, comp)
     return table
 
 
@@ -302,40 +294,56 @@ def hodge_star(x: Multivector) -> Multivector:
 
 def star_matrix():
     """The 70 x 70 matrix of the Hodge star in the lexicographic basis."""
-    table = _star_table()
     idx = {m: i for i, m in enumerate(DEGREE4_MASKS)}
-    n = len(DEGREE4_MASKS)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for mj, col in table.items():
-        j = idx[mj]
+    out = [[Fraction(0)] * 70 for _ in range(70)]
+    for mj, col in _star_table().items():
         for mi, v in col.items():
-            out[idx[mi]][j] = v
+            out[idx[mi]][idx[mj]] = v
+    return out
+
+
+def nonzero_columns(m):
+    """The nonzero entries {r: m[r][t]} of each column t of a square m."""
+    return [{r: row[t] for r, row in enumerate(m) if row[t] != 0}
+            for t in range(len(m))]
+
+
+def derivation_columns(cols, blades, symmetric=False):
+    """The image {blade: x} of each blade (an ascending index tuple) under
+    the derivation extension of the matrix with nonzero column entries
+    cols[t] = {r: x}, in any scalar, zero sums kept: the sum over t in the
+    blade of the blade with t replaced by r, times x.  On a wedge power a
+    repeated index gives 0 and each index strictly between r and t flips
+    the sign; on Sym^2 (symmetric set, blades a <= b) neither applies."""
+    out = []
+    for blade in blades:
+        image = {}
+        for pos, t in enumerate(blade):
+            rest = blade[:pos] + blade[pos + 1:]
+            for r, x in cols[t].items():
+                if not symmetric:
+                    if r in rest:
+                        continue
+                    lo, hi = (r, t) if r < t else (t, r)
+                    if sum(lo < y < hi for y in rest) % 2:
+                        x = -x
+                key = tuple(sorted(rest + (r,)))
+                image[key] = image.get(key, 0) + x
+        out.append(image)
     return out
 
 
 def derive_multivector(m, x: Multivector) -> Multivector:
-    """Apply the derivation extension of a matrix on vectors to a form."""
-    n = x.n
-    out = Multivector.zero(n)
+    """Apply the derivation extension of a matrix on vectors to a form:
+    each term's blade is mapped by derivation_columns."""
+    terms = list(x.terms.items())
+    images = derivation_columns(nonzero_columns(m),
+                                [indices_of(mask) for mask, _ in terms])
     acc = {}
-    for mask, c in x.terms.items():
-        idxs = indices_of(mask)
-        for t in idxs:
-            for r in range(n):
-                coef = m[r][t]
-                if coef == 0:
-                    continue
-                if r == t:
-                    _accumulate(acc, mask, c * coef)
-                    continue
-                if mask >> r & 1:
-                    continue
-                lo, hi = (r, t) if r < t else (t, r)
-                between_mask = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-                sign = -1 if popcount((mask ^ (1 << t)) & between_mask) % 2 else 1
-                _accumulate(acc, (mask ^ (1 << t)) | (1 << r), sign * c * coef)
-    out.terms.update({k: v for k, v in acc.items() if v != 0})
-    return out
+    for (_, c), image in zip(terms, images):
+        for blade, v in image.items():
+            _accumulate(acc, mask_of(blade), c * v)
+    return Multivector._of(x.n, acc)
 
 
 def coords_degree(x: Multivector, masks):

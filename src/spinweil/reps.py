@@ -22,16 +22,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from itertools import combinations, combinations_with_replacement
 
 from .clifford import (CV, _over, cartan_elements, sigma_matrix,
                        spin_v_xyz_table)
 from .jsonio import encode_scalar
-from .linalg import (all_rational, extend_span, inverse, mat, mat_mul,
-                     mat_vec, nullspace, rank, scale_to_integers,
+from .linalg import (_solution, all_rational, extend_span, identity, mat,
+                     mat_mul, mat_vec, nullspace, rank, scale_to_integers,
                      sparse_nullspace, sparse_product, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
-                          from_coords, mask_of, pluecker, star_matrix, wedge)
+                          derivation_columns, from_coords, mask_of,
+                          nonzero_columns, pluecker, star_matrix, wedge)
 from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
                       random_alternating, spinor_map, splus_lattice)
 
@@ -89,44 +91,26 @@ def sminus_matrix(x) -> list:
     return [[m[g][f] for f in ODD_MASKS] for g in ODD_MASKS]
 
 
-def derivation_matrix(m, k, n=None):
-    """Derivation extension of an n x n matrix to the k-th wedge power."""
-    n = n if n is not None else len(m)
-    basis = tuple(combinations(range(n), k))
-    index = {t: i for i, t in enumerate(basis)}
-    out = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-    for j, tup in enumerate(basis):
-        for pos, t in enumerate(tup):
-            for r in range(n):
-                c = m[r][t]
-                if c == 0:
-                    continue
-                if r == t:
-                    out[j][j] += c
-                    continue
-                if r in tup:
-                    continue
-                rest = tup[:pos] + tup[pos + 1:]
-                moved = sorted(rest + (r,))
-                between = sum(1 for x in rest if min(r, t) < x < max(r, t))
-                sign = -1 if between % 2 else 1
-                out[index[tuple(moved)]][j] += sign * c
+def _dense_derivation(m, blades, symmetric=False):
+    """The derivation extension of a square matrix on the span of blades,
+    as a dense matrix (multivector.derivation_columns)."""
+    index = {b: i for i, b in enumerate(blades)}
+    out = [[Fraction(0)] * len(blades) for _ in blades]
+    for j, image in enumerate(derivation_columns(nonzero_columns(m), blades,
+                                                 symmetric)):
+        for b, v in image.items():
+            out[index[b]][j] += v
     return out
+
+
+def derivation_matrix(m, k):
+    """Derivation extension of a square matrix to the k-th wedge power."""
+    return _dense_derivation(m, tuple(combinations(range(len(m)), k)))
 
 
 def sym2_derivation_matrix(m):
     """Derivation extension of an 8 x 8 matrix to Sym^2 of the space."""
-    index = {t: i for i, t in enumerate(SYM2_BASIS)}
-    out = [[Fraction(0)] * 36 for _ in range(36)]
-    for j, (a, b) in enumerate(SYM2_BASIS):
-        for r in range(8):
-            if m[r][a] != 0:
-                key = (min(r, b), max(r, b))
-                out[index[key]][j] += m[r][a]
-            if m[r][b] != 0:
-                key = (min(a, r), max(a, r))
-                out[index[key]][j] += m[r][b]
-    return out
+    return _dense_derivation(m, SYM2_BASIS, symmetric=True)
 
 
 @lru_cache(maxsize=1)
@@ -157,32 +141,39 @@ def spin_coordinates(x):
     return c
 
 
-def _basis_actions(name):
-    """The matrices of the 28 X_a on a space: the table's so(8) matrices on
-    V, blocks of sigma on S+ and S-, derivation extensions on the powers."""
-    if name == "V":
-        return [m for _, _, m in spin_v_xyz_table()]
-    if name in ("S+", "S-"):
-        block = splus_matrix if name == "S+" else sminus_matrix
-        return [block(x) for _, x, _ in spin_v_xyz_table()]
-    base = _basis_actions("V" if name.endswith("V") else "S+")
-    if name == "Sym2S+":
-        return [sym2_derivation_matrix(m) for m in base]
-    return [derivation_matrix(m, int(name[5])) for m in base]
+@lru_cache(maxsize=None)
+def _base_columns(name):
+    """(cols, d): cols[a][t] = {r: d A_a[r][t]} on ints, the nonzero column
+    entries of the 28 X_a on V (the table's so(8) matrices), S+ or S-
+    (blocks of sigma) over one denominator d."""
+    block = {"S+": splus_matrix, "S-": sminus_matrix}.get(name)
+    ints, d = scale_to_integers(
+        ((a, r, t), v) for a, (_, x, m) in enumerate(spin_v_xyz_table())
+        for r, row in enumerate(block(x) if block else m)
+        for t, v in enumerate(row))
+    cols = [[{} for _ in range(8)] for _ in range(28)]
+    for (a, r, t), v in ints.items():
+        cols[a][t][r] = v
+    return cols, d
 
 
 @lru_cache(maxsize=None)
 def _action_table(name):
     """(table, d): table[a] = {dim i + j: d A_a[i][j]} on ints, the nonzero
-    entries of the action A_a of X_a over one denominator d."""
-    dim = rep_space(name).dim
-    ints, d = scale_to_integers(
-        ((a, dim * i + j), v) for a, m in enumerate(_basis_actions(name))
-        for i, row in enumerate(m) for j, v in enumerate(row))
-    table = [{} for _ in range(28)]
-    for (a, k), v in ints.items():
-        table[a][k] = v
-    return table, d
+    entries of the action A_a of X_a over one denominator d: the derivation
+    extension (multivector.derivation_columns) of the base columns of V, S+
+    or S- to the blades of the space, single indices on the base itself,
+    divided with d by their gcd (the derivation is linear)."""
+    sp = rep_space(name)
+    cols, d = _base_columns(name if sp.dim == 8 else
+                            "V" if name.endswith("V") else "S+")
+    blades = sp.basis if sp.dim > 8 else tuple((i,) for i in range(8))
+    index = {b: i for i, b in enumerate(blades)}
+    table = [{sp.dim * index[b] + j: v for j, image in enumerate(
+        derivation_columns(c, blades, name == "Sym2S+"))
+        for b, v in image.items() if v} for c in cols]
+    g = gcd(d, *(v for t in table for v in t.values()))
+    return [{k: v // g for k, v in t.items()} for t in table], d // g
 
 
 def _action_rows(x, name):
@@ -223,11 +214,9 @@ def weight_decomposition(space):
     """
     sp = rep_space(space if isinstance(space, str) else space.name)
     mats = [derived_action(h, sp.name) for h in cartan_elements()]
-    for m in mats:
-        for i in range(sp.dim):
-            for j in range(sp.dim):
-                if i != j and m[i][j] != 0:
-                    raise RuntimeError("Cartan action failed to be diagonal")
+    if any(x != 0 for m in mats for i, row in enumerate(m)
+           for j, x in enumerate(row) if i != j):
+        raise RuntimeError("Cartan action failed to be diagonal")
     out = []
     for i in range(sp.dim):
         wt = tuple(m[i][i] for m in mats)
@@ -277,18 +266,13 @@ def stabilizer_algebra(fixed):
 
 def sym2_coords(z):
     """Coordinates of z (.) z in the basis z_a (.) z_b, a <= b."""
-    out = []
-    for a, b in SYM2_BASIS:
-        out.append(z[a] * z[b] if a == b else 2 * z[a] * z[b])
-    return out
+    return [z[a] * z[b] if a == b else 2 * z[a] * z[b] for a, b in SYM2_BASIS]
 
 
 def sym2_coords_pair(z, w):
     """Coordinates of the symmetrized product z (.) w."""
-    out = []
-    for a, b in SYM2_BASIS:
-        out.append(z[a] * w[a] if a == b else z[a] * w[b] + z[b] * w[a])
-    return out
+    return [z[a] * w[a] if a == b else z[a] * w[b] + z[b] * w[a]
+            for a, b in SYM2_BASIS]
 
 
 @lru_cache(maxsize=1)
@@ -297,7 +281,8 @@ def gamma0_line():
     basis = invariant_subspace([x for _, x, _ in spin_v_xyz_table()],
                                "Sym2S+")
     if len(basis) != 1:
-        raise RuntimeError("invariant line of Sym^2 S+ has wrong dimension")
+        raise RuntimeError("invariant line of Sym^2 S+ has wrong dimension: "
+                           f"found {len(basis)}, not 1")
     return basis[0]
 
 
@@ -322,13 +307,18 @@ def quadric_square_span():
                        f"dimension {len(vectors)} of 35 after {draws} draws")
 
 
+PHI_CHECK_SEED = 653589   # of the fresh samples that check phi_matrix
+
+
 @lru_cache(maxsize=1)
 def phi_matrix():
     """The equivariant 70 x 36 map Sym^2 S+ -> degree-4 forms on V.
 
     Determined by sending z (.) z to the Pluecker image for a spanning set
-    of 35 sampled quadric points and by killing the invariant line; checked
-    for consistency on fresh samples.  This is the map whose value on
+    of 35 sampled quadric points and by killing the invariant line: phi C
+    = T, for C those 36 columns and T their targets, is one solve of C^T
+    phi^T = T^T, and a singular C raises naming its rank.  Checked on five
+    fresh samples of seed PHI_CHECK_SEED.  This is the map whose value on
     s (.) s is the Cayley class of s.
     """
     samples = quadric_square_span()
@@ -336,18 +326,21 @@ def phi_matrix():
     targets = [coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
                for b, _ in samples]
     targets.append([Fraction(0)] * 70)
-    # phi * cols_matrix = targets_matrix, columnwise
-    colmat = [[cols[c][r] for c in range(36)] for r in range(36)]
-    tarmat = [[targets[c][r] for c in range(36)] for r in range(70)]
-    phi = mat_mul(tarmat, inverse(colmat))
-    rng = random.Random(653589)
+    phi_t, r = _solution(cols, targets)
+    if r < 36:
+        raise RuntimeError("the 36 x 36 column matrix of the quadratic "
+                           f"dictionary is singular: rank {r}")
+    phi = transpose(phi_t)
+    rng = random.Random(PHI_CHECK_SEED)
     fresh = [random_alternating(rng) for _ in range(5)]
     images = mat_mul(phi, transpose([sym2_coords(spinor_map(b).z)
                                      for b in fresh]))
     for k, b in enumerate(fresh):
         expect = coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
         if [row[k] for row in images] != expect:
-            raise RuntimeError("quadratic dictionary failed consistency")
+            raise RuntimeError("quadratic dictionary failed consistency on "
+                               f"fresh sample {k} of seed {PHI_CHECK_SEED}: "
+                               f"B = {_text(b)}")
     return phi
 
 
@@ -399,9 +392,10 @@ def _cayley_route_b(z_tuple):
     return inv[0]
 
 
-def _text(z):
-    """Spinor coordinates as the JSON list that cayley --s reads."""
-    return json.dumps([encode_scalar(c) for c in z])
+def _text(x):
+    """A scalar, or nested lists of scalars, as JSON through encode_scalar:
+    spinor coordinates as the list that cayley --s reads."""
+    return json.dumps(x, default=encode_scalar)
 
 
 def _proportionality(u, v):
@@ -456,10 +450,7 @@ def cayley_constant(n: int):
 
 def perp_basis(s: Spinor):
     """Basis of the orthogonal complement of s inside S+."""
-    lat = splus_lattice()
-    row = [[lat.pair(s.z, [Fraction(1) if i == j else Fraction(0)
-                           for i in range(8)]) for j in range(8)]]
-    return nullspace(mat(row))
+    return nullspace([[splus_lattice().pair(s.z, e) for e in identity(8)]])
 
 
 def branching_dims(s):

@@ -200,11 +200,6 @@ class TowerScalar:
             raise ValueError("from_gaussian expects a Q(i) element")
         return cls(x.a, x.b, 0, 0, m=m)
 
-    @classmethod
-    def from_quadext(cls, x: QuadExt):
-        """Lift an element of Q(sqrt(m)) into Q(i, sqrt(m))."""
-        return cls(x.a, 0, x.b, 0, m=x.m)
-
     def _coerce(self, other):
         if isinstance(other, TowerScalar):
             if other.m != self.m:

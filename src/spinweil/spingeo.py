@@ -187,15 +187,6 @@ def move_to_cell(s: Spinor):
                        "nonzero isotropic input")
 
 
-def _intersection_dim_with_wstar(basis8x4):
-    cols = [[basis8x4[i][j] for i in range(8)] for j in range(4)]
-    for k in range(4, 8):
-        unit = [Fraction(0)] * 8
-        unit[k] = Fraction(1)
-        cols.append(unit)
-    return 8 - rank(mat([[c[i] for c in cols] for i in range(8)]))
-
-
 def graph_basis(b):
     """The 8x4 matrix (B over I) whose columns span Z_B."""
     return [[b[i][j] for j in range(4)] for i in range(4)] + [
@@ -227,7 +218,8 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
                            "not 4-dimensional")
     basis = [[v[i] for v in kernel] for i in range(8)]
     _validate_isotropic(basis)
-    parity = _intersection_dim_with_wstar(basis) % 2
+    # Z meets W* = span(e_5..e_8) in the kernel of the top rows of its basis
+    parity = (4 - rank(basis[:4])) % 2
     if parity != 0:
         raise RuntimeError("spinor produced an odd-component subspace")
     return IsotropicSubspace(basis=basis, parity=parity)

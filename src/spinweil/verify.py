@@ -15,7 +15,9 @@ from fractions import Fraction
 from . import clifford, kuga, lattices, reps, scalars, spingeo, weil
 from .clifford import CV, commutator, sigma_action
 from .lattices import make_Splus, make_V
-from .linalg import det, identity, inverse, mat, mat_mul, mat_vec, rank
+from .jsonio import encode_scalar
+from .linalg import (det, extend_span, identity, inverse, mat, mat_mul,
+                     mat_vec, rank, scale_to_integers)
 from .multivector import (DEGREE4_MASKS, Multivector, contract, pfaffian,
                           pluecker, star_matrix, wedge)
 from .scalars import (QuadExt, TowerScalar, hilbert_symbol, relevant_places,
@@ -41,6 +43,21 @@ def register(name, suite, identity):
         CHECKS.append(Check(name, suite, identity, fn))
         return fn
     return wrap
+
+
+def _mismatch(lhs, rhs, labels=None):
+    """Where two matrices first differ, the entries as JSON through
+    encode_scalar; rows and columns named by labels when given."""
+    i, j = next((i, j) for i, (p, q) in enumerate(zip(lhs, rhs))
+                for j, (x, y) in enumerate(zip(p, q)) if x != y)
+    at = f"({i}, {j})" if labels is None else f"({labels[i]}, {labels[j]})"
+    return (f"entry {at} is {reps._text(lhs[i][j])}, "
+            f"not {reps._text(rhs[i][j])}")
+
+
+#: the degree-4 basis forms, e1234 to e5678
+_DEGREE4_LABELS = ["e" + "".join(str(i + 1) for i in b)
+                   for b in reps.WEDGE4V_BASIS]
 
 
 def _rand_rational(rng, span=6):
@@ -294,7 +311,11 @@ def check_star_self_adjoint(seed):
         gm[idx[ma]][idx[mb]] = v
     lhs = mat_mul([[star[b][a] for b in range(70)] for a in range(70)], gm)
     rhs = mat_mul(gm, star)
-    return (lhs == rhs), "70 x 70 exact matrix identity"
+    if lhs != rhs:
+        return False, (f"seed {seed}, trial 0: (star x, y) against (x, star y)"
+                       f" on basis forms e_I, e_J: "
+                       f"{_mismatch(lhs, rhs, _DEGREE4_LABELS)}")
+    return True, "70 x 70 exact matrix identity"
 
 
 # -- clifford ----------------------------------------------------------------
@@ -415,19 +436,21 @@ def check_spinor_equivariance(seed):
           "spinor subspaces meet the reference half in even dimension")
 def check_parity(seed):
     rng = random.Random(seed)
-    for _ in range(200):
+    for trial in range(200):
         z = random_isotropic_spinor(rng)
         if z.is_zero():
             continue
+        where = f"seed {seed}, trial {trial}"
         sub = subspace_of_spinor(z)
         if sub.parity != 0:
-            return False, "odd parity"
+            return False, f"{where}: odd parity at s = {reps._text(z.z)}"
         # cross-check the annihilator against the cell-move route
         _, gmat, moved = move_to_cell(z)
         via_cell = mat_mul(inverse(gmat), graph_basis(spinor_inverse(moved)))
         joint = [sub.basis[i] + via_cell[i] for i in range(8)]
         if rank(mat(joint)) != 4:
-            return False, f"cell-move route spans another subspace for {z}"
+            return False, (f"{where}: cell-move route spans another subspace"
+                           f" at s = {reps._text(z.z)}")
     return True, "200 random isotropic spinors"
 
 
@@ -472,27 +495,26 @@ def check_brackets(seed):
     rng = random.Random(seed)
     table = clifford.spin_v_xyz_table()
     spaces = ["V", "S+", "S-", "Wedge2V", "Sym2S+", "Wedge2S+"]
-    for trial in range(12):
-        x = table[rng.randrange(28)][1].scale(Fraction(rng.randint(1, 3)))
-        y = table[rng.randrange(28)][1].scale(Fraction(rng.randint(1, 3)))
+    # (space, (basis index, scale) of x, the same of y), drawn in this order
+    trials = [(spaces[trial % len(spaces)],
+               (rng.randrange(28), rng.randint(1, 3)),
+               (rng.randrange(28), rng.randint(1, 3))) for trial in range(12)]
+    trials.append(("Wedge4V", (0, 1), (20, 1)))
+    for trial, (name, *pair) in enumerate(trials):
+        x, y = (table[a][1].scale(Fraction(c)) for a, c in pair)
         z = commutator(x, y)
-        name = spaces[trial % len(spaces)]
         mx = reps.derived_action(x, name)
         my = reps.derived_action(y, name)
         mz = reps.derived_action(z, name)
-        if mat_mul(mx, my) != [[a + b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(mz, mat_mul(my, mx))]:
-            return False, f"bracket failed on {name}"
-    x = table[0][1]
-    y = table[20][1]
-    z = commutator(x, y)
-    mx = reps.derived_action(x, "Wedge4V")
-    my = reps.derived_action(y, "Wedge4V")
-    mz = reps.derived_action(z, "Wedge4V")
-    lhs = mat_mul(mx, my)
-    rhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(mz, mat_mul(my, mx))]
-    if lhs != rhs:
-        return False, "bracket failed on Wedge4V"
+        lhs = mat_mul(mx, my)
+        rhs = [[a + b for a, b in zip(ra, rb)]
+               for ra, rb in zip(mz, mat_mul(my, mx))]
+        if lhs != rhs:
+            x_text, y_text = (f"{encode_scalar(Fraction(c))}*{table[a][0]}"
+                              for a, c in pair)
+            return False, (f"seed {seed}, trial {trial}: bracket failed on "
+                           f"{name} for x = {x_text}, y = {y_text}: "
+                           f"{_mismatch(lhs, rhs)}")
     return True, "randomized pairs on all seven spaces"
 
 
@@ -500,9 +522,15 @@ def check_brackets(seed):
           "squares of quadric points span 35 dimensions and the invariant "
           "line completes the 36")
 def check_sym_split(seed):
-    samples = reps.quadric_square_span()
-    vecs = [u for _, u in samples] + [reps.gamma0_line()]
-    return rank(mat(vecs)) == 36, "35 + 1 = 36 split"
+    basis = {}
+    for trial, (b, u) in enumerate(reps.quadric_square_span()
+                                   + [(None, reps.gamma0_line())]):
+        if not extend_span(basis, scale_to_integers(enumerate(u))[0]):
+            what = (f"the invariant line {reps._text(u)}" if b is None else
+                    f"the square of sample B = {reps._text(b)}")
+            return False, (f"seed {seed}, trial {trial}: {what} lies in the "
+                           f"span of the {trial} vectors before it")
+    return len(basis) == 36, "35 + 1 = 36 split"
 
 
 @register("star-eigenspaces-stable", "reps",
@@ -511,11 +539,14 @@ def check_star_stable(seed):
     rng = random.Random(seed)
     star = star_matrix()
     table = clifford.spin_v_xyz_table()
-    for _ in range(4):
-        x = table[rng.randrange(28)][1]
+    for trial in range(4):
+        label, x, _ = table[rng.randrange(28)]
         m = reps.derived_action(x, "Wedge4V")
-        if mat_mul(star, m) != mat_mul(m, star):
-            return False, "star does not commute with the action"
+        lhs, rhs = mat_mul(star, m), mat_mul(m, star)
+        if lhs != rhs:
+            return False, (f"seed {seed}, trial {trial}: star does not commute"
+                           f" with the action of x = {label}: "
+                           f"{_mismatch(lhs, rhs, _DEGREE4_LABELS)}")
     return True, "4 random generators"
 
 
@@ -525,12 +556,16 @@ def check_phi_eigenspace(seed):
     star = star_matrix()
     phi = reps.phi_matrix()
     sgn = reps.gamma2alpha_star_sign()
-    for col in range(0, 36, 7):
+    for trial, col in enumerate(range(0, 36, 7)):
         v = [phi[r][col] for r in range(70)]
         if any(x != 0 for x in v):
             sv = mat_vec(star, v)
             if sv != [sgn * x for x in v]:
-                return False, "image vector not in the recorded eigenspace"
+                a, b = reps.SYM2_BASIS[col]
+                return False, (f"seed {seed}, trial {trial}: the image of "
+                               f"z{a + 1} z{b + 1} is not in the eigenspace "
+                               f"{sgn}: star of {reps._text(v)} is "
+                               f"{reps._text(sv)}")
     return True, f"eigenvalue {sgn}"
 
 

@@ -507,7 +507,7 @@ def h2_split(h, s):
     xr = mat_mul(p8, [[diag[a] * pinv[a][b] for b in range(8)]
                       for a in range(8)])
     from .reps import derivation_matrix
-    d2 = derivation_matrix(xr, 2, n=8)
+    d2 = derivation_matrix(xr, 2)
     dims = []
     for lam in (0, 2, -2):
         shifted = [[d2[a][b] - (lam if a == b else 0) for b in range(28)]
@@ -516,15 +516,6 @@ def h2_split(h, s):
     weights_equal = weight_multiset("Wedge2S+") == weight_multiset("Wedge2V")
     return {"profile": tuple(dims), "weights_match": weights_equal,
             "splits_sum": dims[0] + dims[1] + dims[2]}
-
-
-def field_scan(s, h_list, seed=0):
-    """Squarefree discriminant parts realized by a list of h choices."""
-    out = []
-    for h in h_list:
-        datum = make_weil_datum(h, s, seed=seed)
-        out.append((list(datum.h.z), datum.d, -datum.m))
-    return out
 
 
 def datum_report(datum: WeilDatum) -> dict:

@@ -10,10 +10,12 @@ from spinweil.linalg import det, mat_mul
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, VOLUME_MASK,
                                   contract, derive_multivector, hodge_star,
                                   indices_of, induced_gram4, mask_of,
-                                  minor_oracle, pfaffian, pluecker,
+                                  pfaffian, pluecker,
                                   popcount, star_matrix, wedge, wedge_sign)
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import graph_basis, random_alternating
+
+import table_references as reference
 
 
 def mv(n, *pairs):
@@ -123,6 +125,15 @@ def test_pluecker_identity_blocks():
     assert pluecker(upper) == Multivector(8, {mask_of((0, 1, 2, 3)): 1})
 
 
+def minor_oracle(columns_matrix):
+    """All 70 maximal minors by direct cofactor expansion."""
+    out = {}
+    for rows in combinations(range(8), 4):
+        sub = [[columns_matrix[r][c] for c in range(4)] for r in rows]
+        out[mask_of(rows)] = det(sub)
+    return out
+
+
 def test_pluecker_against_minor_oracle(rng):
     b = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     cols = graph_basis(b)
@@ -188,8 +199,7 @@ def test_star_rejects_mixed_degree():
 
 
 def test_derive_multivector_matches_matrix(rng):
-    from spinweil.reps import derivation_matrix
-    from spinweil.multivector import coords_degree, from_coords
+    from spinweil.multivector import coords_degree
     for _ in range(10):
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(8)]
              for _ in range(8)]
@@ -197,7 +207,8 @@ def test_derive_multivector_matches_matrix(rng):
                             for c in combinations(range(8), 4)
                             if rng.random() < 0.2})
         direct = derive_multivector(m, x)
-        matrix = derivation_matrix(m, 4)
+        assert direct == reference.derive_multivector(m, x)
+        matrix = reference.derivation_matrix(m, 4)
         coords = coords_degree(x, DEGREE4_MASKS)
         via_matrix = [sum(matrix[i][j] * coords[j] for j in range(70))
                       for i in range(70)]
@@ -269,3 +280,56 @@ def test_popcount_and_wedge_sign():
     assert wedge_sign(0b100, 0b011) == 1
     assert wedge_sign(0b1010, 0b0101) == -1
     assert wedge_sign(0b11, 0b10) == 0
+
+
+# -- the sparse routes against the dense references -------------------------
+
+def square_matrices(entries, n=8):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
+                    max_size=n)
+
+
+SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), RATIONAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(st.one_of(SPARSE, QUAD)),
+       multivectors(8, st.one_of(RATIONAL, QUAD)))
+def test_derive_multivector_matches_reference_loop(m, x):
+    got = derive_multivector(m, x)
+    expected = reference.derive_multivector(m, x)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def _same_gram(got, expected):
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def test_induced_gram4_of_v_matches_determinants():
+    _same_gram(induced_gram4(make_V().gram),
+               reference.induced_gram4(make_V().gram))
+
+
+@st.composite
+def sparse_grams(draw):
+    """An 8 x 8 rational Gram with at most 12 nonzero entries."""
+    g = [[0] * 8 for _ in range(8)]
+    for (i, j), x in draw(st.dictionaries(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)), RATIONAL,
+            max_size=12)).items():
+        g[i][j] = x
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_grams())
+def test_induced_gram4_matches_determinants_on_sparse_grams(gram):
+    _same_gram(induced_gram4(gram), reference.induced_gram4(gram))
+
+
+@settings(max_examples=8, deadline=None)
+@given(square_matrices(RATIONAL))
+def test_induced_gram4_matches_determinants_on_dense_grams(gram):
+    _same_gram(induced_gram4(gram), reference.induced_gram4(gram))

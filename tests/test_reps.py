@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (ODD_MASKS, Spinor, graph_basis,
                               random_alternating, spinor_map)
+
+import table_references as reference
 
 XYZ = {lab: elt for lab, elt, _ in spin_v_xyz_table()}
 
@@ -398,13 +401,14 @@ def reference_action(x, name):
         raise ValueError("element fails the spin Lie algebra membership test")
     if name in ("V", "Wedge2V", "Wedge4V"):
         m = spin_so_iso(x)
-        return m if name == "V" else derivation_matrix(m, int(name[-2]))
+        return (m if name == "V"
+                else reference.derivation_matrix(m, int(name[-2])))
     if name == "S-":
         return sminus_matrix(x)
     m = splus_matrix(x)
     if name == "Sym2S+":
-        return sym2_derivation_matrix(m)
-    return m if name == "S+" else derivation_matrix(m, 2, n=8)
+        return reference.sym2_derivation_matrix(m)
+    return m if name == "S+" else reference.derivation_matrix(m, 2)
 
 
 def reference_invariants(generators, name):
@@ -595,3 +599,116 @@ def test_route_b_reports_disagreement(monkeypatch):
         cayley_class(NONISO)
     assert "stabilizer route disagrees" in str(err.value)
     assert NONISO_TEXT in str(err.value)
+
+
+# -- the one-time tables against the dense references ------------------------
+
+BASE_MATRICES = {
+    "V": [m for _, _, m in spin_v_xyz_table()]
+    + [derived_action(h, "V") for h in cartan_elements()],
+    "S+": [splus_matrix(x) for _, x, _ in spin_v_xyz_table()]
+    + [splus_matrix(h) for h in cartan_elements()],
+}
+
+
+@pytest.mark.parametrize("space", sorted(BASE_MATRICES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, "Sym2"])
+def test_derivations_of_basis_and_cartan_matrices_match_dense_loops(space,
+                                                                    k):
+    for m in BASE_MATRICES[space]:
+        if k == "Sym2":
+            _same_matrix(sym2_derivation_matrix(m),
+                         reference.sym2_derivation_matrix(m))
+        else:
+            _same_matrix(derivation_matrix(m, k),
+                         reference.derivation_matrix(m, k))
+
+
+RATIONAL = st.one_of(st.integers(-4, 4), SMALL)
+ENTRIES = {"rational": st.one_of(st.just(0), RATIONAL),
+           "QuadExt": st.one_of(st.just(0), RATIONAL, st.builds(
+               lambda a, b: QuadExt(a, b, -3), SMALL, SMALL))}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_derivations_of_random_matrices_match_dense_loops(kind, data):
+    m = data.draw(st.lists(st.lists(ENTRIES[kind], min_size=8, max_size=8),
+                           min_size=8, max_size=8))
+    for k in (1, 2, 3, 4):
+        _same_matrix(derivation_matrix(m, k),
+                     reference.derivation_matrix(m, k))
+    _same_matrix(sym2_derivation_matrix(m),
+                 reference.sym2_derivation_matrix(m))
+
+
+@pytest.mark.parametrize("name", REP_NAMES)
+def test_action_tables_match_the_dense_reference(name):
+    got, d = reps._action_table(name)
+    expected, d_expected = reference.action_table(name)
+    assert d == d_expected
+    assert got == expected
+    assert repr([sorted(t.items()) for t in got]) == \
+        repr([sorted(t.items()) for t in expected])
+
+
+def test_action_tables_are_the_pinned_tables():
+    # digest of the seven tables, entries sorted by key, taken from the
+    # dense construction
+    digest = hashlib.sha256()
+    for name in REP_NAMES:
+        table, d = reps._action_table(name)
+        digest.update(repr((name, [sorted(t.items()) for t in table],
+                            d)).encode())
+    assert digest.hexdigest() == \
+        "301b24c3330d1c17dad63ce21d345acc410043bc11b593e634007511a3ac6766"
+
+
+def test_phi_matrix_is_the_pinned_inverse_route():
+    phi = phi_matrix()
+    _same_matrix(phi, reference.phi_matrix())
+    digest = hashlib.sha256()
+    for row in phi:
+        for x in row:
+            digest.update(repr(x).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "fb247d531807a5ae989027917c02462bdd72dbe9f5a67adf3d8e0f8865c39534"
+
+
+def test_phi_matrix_names_the_rank_of_a_singular_column_matrix(monkeypatch):
+    samples = quadric_square_span()
+    monkeypatch.setattr(reps, "gamma0_line", lambda: samples[3][1])
+    with pytest.raises(RuntimeError, match="column matrix of the quadratic "
+                       "dictionary is singular: rank 35"):
+        phi_matrix.__wrapped__()
+
+
+def test_phi_matrix_names_the_failing_fresh_sample(monkeypatch):
+    calls = []
+
+    def doubled_on_fresh_sample_2(b):
+        # calls 0..34 build the targets, 35..39 check the fresh samples
+        calls.append(b)
+        g = graph_basis(b)
+        return [[2 * x for x in row] for row in g] if len(calls) == 38 \
+            else g
+
+    monkeypatch.setattr(reps, "graph_basis", doubled_on_fresh_sample_2)
+    with pytest.raises(RuntimeError) as err:
+        phi_matrix.__wrapped__()
+    assert str(err.value).startswith(
+        "quadratic dictionary failed consistency on fresh sample 2 of seed "
+        "653589: B = ")
+    rng = random.Random(653589)
+    fresh = [random_alternating(rng) for _ in range(3)]
+    assert fresh[2] == calls[37]
+    named = json.loads(str(err.value).split("B = ")[1])
+    assert [[Fraction(x) for x in row] for row in named] == fresh[2]
+
+
+def test_gamma0_line_names_the_dimension_found(monkeypatch):
+    monkeypatch.setattr(reps, "invariant_subspace",
+                        lambda gens, space: [[1] * 36, [2] * 36])
+    with pytest.raises(RuntimeError, match="found 2, not 1"):
+        gamma0_line.__wrapped__()

@@ -1,6 +1,10 @@
 """Every check of the verify registry passes at the default seed and at two
 more seeds."""
 
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
 from spinweil import verify
@@ -126,3 +130,94 @@ def test_hodge_mismatch_names_seed_trial_and_period(monkeypatch):
     assert detail.startswith("seed 3, trial 0: orthogonal period of sample "
                              "seed ")
     assert detail.endswith(": criterion mismatched")
+
+
+# -- the checks that read the one-time tables, and subspace-parity ------------
+
+def _nth_call_changed(real, n, change):
+    """real, except that the result of its call number n (from 0) goes
+    through change."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        out = real(*args)
+        return change(out) if len(calls) - 1 == n else out
+    return wrapped
+
+
+def _plus_unit(m):
+    """m with 1 added to its entry (0, 1), which the Hodge star does not
+    commute with."""
+    return [[x + (i == 0 and j == 1) for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def test_star_self_adjoint_mismatch_names_the_basis_forms(monkeypatch):
+    star = _plus_unit(verify.star_matrix())
+    monkeypatch.setattr(verify, "star_matrix", lambda: star)
+    ok, detail = _check("star-self-adjoint").fn(5)
+    assert (ok, detail) == (
+        False, 'seed 5, trial 0: (star x, y) against (x, star y) on basis '
+               'forms e_I, e_J: entry (e1235, e5678) is "1", not "0"')
+
+
+def test_star_stability_mismatch_names_the_generator(monkeypatch):
+    monkeypatch.setattr(verify.reps, "derived_action", _nth_call_changed(
+        verify.reps.derived_action, 2, _plus_unit))
+    ok, detail = _check("star-eigenspaces-stable").fn(7)
+    rng = random.Random(7)
+    label = verify.clifford.spin_v_xyz_table()[
+        [rng.randrange(28) for _ in range(3)][2]][0]
+    assert not ok
+    assert detail.startswith(f"seed 7, trial 2: star does not commute with "
+                             f"the action of x = {label}: entry (")
+
+
+def test_bracket_mismatch_names_space_and_elements(monkeypatch):
+    # call 3 t + 2 is the action of [x, y] in trial t
+    monkeypatch.setattr(verify.reps, "derived_action", _nth_call_changed(
+        verify.reps.derived_action, 3 * 4 + 2, _plus_unit))
+    ok, detail = _check("bracket-compatibility").fn(9)
+    rng = random.Random(9)
+    draws = [(rng.randrange(28), rng.randint(1, 3)) for _ in range(10)]
+    table = verify.clifford.spin_v_xyz_table()
+    (a, ca), (b, cb) = draws[8], draws[9]
+    assert not ok
+    assert detail.startswith(
+        f"seed 9, trial 4: bracket failed on Sym2S+ for x = "
+        f"{ca}*{table[a][0]}, y = {cb}*{table[b][0]}: entry (0, 1) is ")
+
+
+def test_symmetric_square_split_names_the_dependent_sample(monkeypatch):
+    samples = list(verify.reps.quadric_square_span())
+    samples[4] = samples[2]
+    monkeypatch.setattr(verify.reps, "quadric_square_span", lambda: samples)
+    ok, detail = _check("symmetric-square-split").fn(3)
+    assert not ok
+    head = "seed 3, trial 4: the square of sample B = "
+    tail = " lies in the span of the 4 vectors before it"
+    assert detail.startswith(head) and detail.endswith(tail)
+    named = json.loads(detail[len(head):-len(tail)])
+    assert [[Fraction(x) for x in row] for row in named] == samples[2][0]
+
+
+def test_cayley_image_mismatch_names_the_column(monkeypatch):
+    sign = verify.reps.gamma2alpha_star_sign()
+    monkeypatch.setattr(verify.reps, "gamma2alpha_star_sign", lambda: -sign)
+    ok, detail = _check("cayley-image-one-eigenspace").fn(3)
+    assert not ok
+    assert detail.startswith(f"seed 3, trial 0: the image of z1 z1 is not in "
+                             f"the eigenspace {-sign}: star of [")
+    column = [row[0] for row in verify.reps.phi_matrix()]
+    named = json.loads(detail.split("star of ")[1].split(" is ")[0])
+    assert [Fraction(x) for x in named] == column
+
+
+def test_parity_mismatch_names_seed_trial_and_spinor(monkeypatch):
+    monkeypatch.setattr(verify, "rank", lambda m: 5)
+    ok, detail = _check("subspace-parity").fn(11)
+    head = "seed 11, trial 0: cell-move route spans another subspace at s = "
+    assert not ok and detail.startswith(head)
+    z = verify.random_isotropic_spinor(random.Random(11))
+    assert [Fraction(x) for x in json.loads(detail[len(head):])] == z.z
