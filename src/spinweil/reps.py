@@ -1,7 +1,11 @@
 """Lie algebra actions on the seven relevant representation spaces, weight
 decompositions, invariant-subspace and stabilizer solvers, the symmetric
-square splitting, the Cayley-class map by two independent routes, and the
-dimension bookkeeping of the restriction to the stabilizer of a spinor.
+square splitting, the Cayley-class map, and the dimension bookkeeping of the
+restriction to the stabilizer of a spinor.
+
+The Cayley class of s is sum_I (s, e^_{I*} s) e^I, with e^ Chevalley's
+antisymmetrized Clifford product (The Algebraic Theory of Spinors, 1954),
+checked against the invariant line of the stabilizer of s.
 
 All actions are derived (Lie-algebra level) and linear in the element:
 x = sum c_a X_a over the 28 basis elements of spin_v_xyz_table acts as
@@ -28,12 +32,13 @@ from itertools import combinations, combinations_with_replacement
 from .clifford import (CV, _over, cartan_elements, sigma_matrix,
                        spin_v_xyz_table)
 from .jsonio import encode_scalar
-from .linalg import (_solution, all_rational, extend_span, identity, mat,
-                     mat_mul, mat_vec, nullspace, rank, scale_to_integers,
-                     sparse_nullspace, sparse_product, transpose)
+from .linalg import (all_rational, extend_span, identity, mat, mat_vec,
+                     nullspace, rank, scale_to_integers, sparse_nullspace,
+                     sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
-                          derivation_columns, from_coords, mask_of,
-                          nonzero_columns, pluecker, star_matrix, wedge)
+                          derivation_columns, from_coords, indices_of,
+                          mask_of, nonzero_columns, pluecker, star_matrix,
+                          wedge)
 from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
                       random_alternating, spinor_map, splus_lattice)
 
@@ -277,7 +282,8 @@ def sym2_coords_pair(z, w):
 
 @lru_cache(maxsize=1)
 def gamma0_line():
-    """The unique full-spin(V) invariant line in Sym^2 S+ (dimension 1)."""
+    """The unique full-spin(V) invariant line in Sym^2 S+ (dimension 1),
+    which phi_matrix kills (verify's symmetric-square-split check)."""
     basis = invariant_subspace([x for _, x, _ in spin_v_xyz_table()],
                                "Sym2S+")
     if len(basis) != 1:
@@ -293,7 +299,8 @@ SPAN_SEED, SPAN_DRAWS = 314159, 350   # of quadric_square_span
 def quadric_square_span():
     """An exact basis of the span of {z (.) z : z on the quadric} (dim 35):
     the sampled (B, coordinates of z (.) z) that leave the span so far, each
-    inserted into one reduced integer basis (linalg.extend_span)."""
+    inserted into one reduced integer basis (linalg.extend_span).  The
+    input of verify's symmetric-square-split check."""
     rng = random.Random(SPAN_SEED)
     basis, vectors = {}, []
     for draws in range(1, SPAN_DRAWS + 1):
@@ -307,50 +314,53 @@ def quadric_square_span():
                        f"dimension {len(vectors)} of 35 after {draws} draws")
 
 
-PHI_CHECK_SEED = 653589   # of the fresh samples that check phi_matrix
+def _chevalley_product(indices):
+    """Chevalley's antisymmetrized product of the generators e_j of C(V),
+    j in the order given (Chevalley, The Algebraic Theory of Spinors, 1954).
+    V's Gram pairs e_j only with its dual e_{j+4 mod 8}: a dual pair is
+    moved together past the anticommuting generators between them, and
+    taken as e_j e_{j+4 mod 8} - 1/2."""
+    alg, x, rest = CV(), CV().one(), list(indices)
+    while rest:
+        j = rest.pop(0)
+        e = alg.generator(j)
+        if (j + 4) % 8 in rest:
+            k = rest.index((j + 4) % 8)
+            e = (e * alg.generator(rest.pop(k)) -
+                 alg.scalar(Fraction(1, 2))).scale(Fraction((-1) ** k))
+        x = x * e
+    return x
 
 
 @lru_cache(maxsize=1)
 def phi_matrix():
-    """The equivariant 70 x 36 map Sym^2 S+ -> degree-4 forms on V.
+    """The equivariant 70 x 36 map Sym^2 S+ -> degree-4 forms on V, whose
+    value on s (.) s is the Cayley class of s.
 
-    Determined by sending z (.) z to the Pluecker image for a spanning set
-    of 35 sampled quadric points and by killing the invariant line: phi C
-    = T, for C those 36 columns and T their targets, is one solve of C^T
-    phi^T = T^T, and a singular C raises naming its rank.  Checked on five
-    fresh samples of seed PHI_CHECK_SEED.  This is the map whose value on
-    s (.) s is the Cayley class of s.
+    The closed form is the bilinear covariant s (.) t -> sum_I (s, e^_{I*}
+    t) e^I (Chevalley 1954; Harvey-Lawson, Calibrated geometries, 1982,
+    section IV): I* = {i + 4 mod 8 : i in I} in the order of I, e^_{I*} its
+    _chevalley_product, and the S+ pairing (z_a, w) = w_{a+4 mod 8}.  For
+    a 4-form that pairing is symmetric in s and t, so s (.) s goes to
+    s^T Q s with Q[a][b] = (z_a, e^_{I*} z_b), whose 2 Q[a][b] z_a z_b
+    (a < b) meets the 2 z_a z_b of sym2_coords: phi[I][(a, b)] = Q[a][b].
     """
-    samples = quadric_square_span()
-    cols = [u for _, u in samples] + [gamma0_line()]
-    targets = [coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
-               for b, _ in samples]
-    targets.append([Fraction(0)] * 70)
-    phi_t, r = _solution(cols, targets)
-    if r < 36:
-        raise RuntimeError("the 36 x 36 column matrix of the quadratic "
-                           f"dictionary is singular: rank {r}")
-    phi = transpose(phi_t)
-    rng = random.Random(PHI_CHECK_SEED)
-    fresh = [random_alternating(rng) for _ in range(5)]
-    images = mat_mul(phi, transpose([sym2_coords(spinor_map(b).z)
-                                     for b in fresh]))
-    for k, b in enumerate(fresh):
-        expect = coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
-        if [row[k] for row in images] != expect:
-            raise RuntimeError("quadratic dictionary failed consistency on "
-                               f"fresh sample {k} of seed {PHI_CHECK_SEED}: "
-                               f"B = {_text(b)}")
-    return phi
+    rows = []
+    for mask in DEGREE4_MASKS:
+        m = splus_matrix(_chevalley_product([(i + 4) % 8
+                                             for i in indices_of(mask)]))
+        rows.append([m[(a + 4) % 8][b] for a, b in SYM2_BASIS])
+    return rows
 
 
 def veronese_pluecker_check(b) -> bool:
-    """Confirm that every maximal minor of (B over I) is the value of the
-    quadratic dictionary phi_matrix at the spinor coordinates of B's image.
+    """Confirm that every maximal minor of (B over I) is the value of
+    phi_matrix at the square of the spinor coordinates of B's image.
 
-    phi_matrix agrees on every quadric point with any other quadratic
-    dictionary (they differ by a multiple of the quadric relation), so
-    this is the Veronese-Pluecker identity itself.
+    phi_matrix is the closed form sum_I (z, e^_{I*} z) e^I of Chevalley
+    (1954), fitted to no sample, so this checks the Veronese-Pluecker
+    identity: the Cayley class of a pure spinor is the Pluecker image of
+    its maximal isotropic subspace.
     """
     coords = mat_vec(phi_matrix(), sym2_coords(spinor_map(b).z))
     return coords == coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
@@ -359,10 +369,11 @@ def veronese_pluecker_check(b) -> bool:
 def cayley_class(s, cross_check=True) -> Multivector:
     """The degree-4 form attached to a spinor via the symmetric square.
 
-    Route A (always): the image of s (.) s under the interpolated
-    equivariant map.  Route B (when (s, s) != 0 and cross_check is set):
-    the unique invariant of the stabilizer algebra of s acting on the
-    degree-4 forms, rescaled; the two must be proportional.
+    Route A (always): the image of s (.) s under phi_matrix, the closed
+    form sum_I (s, e^_{I*} s) e^I of Chevalley (1954).  Route B (when
+    (s, s) != 0 and cross_check is set): the unique invariant of the
+    stabilizer algebra of s acting on the degree-4 forms, rescaled; the
+    two must be proportional.
     """
     s = s if isinstance(s, Spinor) else Spinor(s)
     if s.is_zero():
@@ -485,8 +496,9 @@ def branching_dims(s):
 def gamma2alpha_star_sign():
     """Which star-eigenvalue the image of the symmetric square lands in.
 
-    Determined empirically from the interpolated map rather than asserted
-    as a convention; the image must lie in a single eigenspace.
+    Read off a nonzero column of phi_matrix, the closed form sum_I
+    (z_a, e^_{I*} z_b) e^I of Chevalley (1954), rather than asserted as a
+    convention; the image must lie in a single eigenspace.
     """
     star = star_matrix()
     phi = phi_matrix()

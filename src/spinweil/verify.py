@@ -519,18 +519,36 @@ def check_brackets(seed):
 
 
 @register("symmetric-square-split", "reps",
-          "squares of quadric points span 35 dimensions and the invariant "
-          "line completes the 36")
+          "squares of quadric points span 35 dimensions, the invariant "
+          "line completes the 36, and phi kills the invariant line")
 def check_sym_split(seed):
     basis = {}
+    line = reps.gamma0_line()
     for trial, (b, u) in enumerate(reps.quadric_square_span()
-                                   + [(None, reps.gamma0_line())]):
+                                   + [(None, line)]):
         if not extend_span(basis, scale_to_integers(enumerate(u))[0]):
             what = (f"the invariant line {reps._text(u)}" if b is None else
                     f"the square of sample B = {reps._text(b)}")
             return False, (f"seed {seed}, trial {trial}: {what} lies in the "
                            f"span of the {trial} vectors before it")
-    return len(basis) == 36, "35 + 1 = 36 split"
+    image = mat_vec(reps.phi_matrix(), line)
+    if any(x != 0 for x in image):
+        return False, (f"seed {seed}: phi sends the invariant line to "
+                       f"{reps._text(image)}, not 0")
+    return len(basis) == 36, "35 + 1 = 36 split, phi(gamma0) = 0"
+
+
+@register("veronese-pluecker", "reps",
+          "phi(z (.) z) is the Pluecker image of the subspace of z, for z "
+          "the spinor of B")
+def check_veronese_pluecker(seed):
+    rng = random.Random(seed)
+    for trial in range(3):
+        b = random_alternating(rng)
+        if not reps.veronese_pluecker_check(b):
+            return False, (f"seed {seed}, trial {trial}: phi(z (.) z) is not "
+                           f"the Pluecker image at B = {reps._text(b)}")
+    return True, "3 random B"
 
 
 @register("star-eigenspaces-stable", "reps",

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 from fractions import Fraction
 
@@ -13,7 +12,8 @@ from spinweil.clifford import (CV, CliffordElement, cartan_elements,
                                random_spin_group_element, sigma_action,
                                spin_so_iso, spin_v_xyz_table,
                                twisted_conjugation)
-from spinweil.linalg import identity, mat, mat_mul, mat_vec, nullspace, rank
+from spinweil.linalg import (identity, mat, mat_mul, mat_vec, nullspace, rank,
+                             transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                                   derive_multivector, from_coords, mask_of,
                                   star_matrix, wedge)
@@ -26,12 +26,14 @@ from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
                            sminus_matrix, spin_coordinates, splus_matrix,
                            stabilizer_algebra, standard_spinor,
                            sym2_coords, sym2_derivation_matrix,
-                           weight_decomposition, weight_multiset)
+                           veronese_pluecker_check, weight_decomposition,
+                           weight_multiset)
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (ODD_MASKS, Spinor, graph_basis,
                               random_alternating, spinor_map)
 
 import table_references as reference
+from test_spingeo import alternating
 
 XYZ = {lab: elt for lab, elt, _ in spin_v_xyz_table()}
 
@@ -239,7 +241,7 @@ def test_cayley_routes_proportional():
 
 
 def test_cayley_closed_form_constant():
-    # frozen constant: the interpolated normalization gives exactly 1/4
+    # frozen constant: the closed form of phi gives exactly 1/4
     for n in (1, 2, 3, 5):
         assert cayley_constant(n) == Fraction(1, 4)
 
@@ -676,35 +678,33 @@ def test_phi_matrix_is_the_pinned_inverse_route():
         "fb247d531807a5ae989027917c02462bdd72dbe9f5a67adf3d8e0f8865c39534"
 
 
-def test_phi_matrix_names_the_rank_of_a_singular_column_matrix(monkeypatch):
-    samples = quadric_square_span()
-    monkeypatch.setattr(reps, "gamma0_line", lambda: samples[3][1])
-    with pytest.raises(RuntimeError, match="column matrix of the quadratic "
-                       "dictionary is singular: rank 35"):
-        phi_matrix.__wrapped__()
+def test_phi_matrix_is_equivariant_on_every_basis_element():
+    # the closed form is not fitted to any sample: A(X_a) phi = phi A(X_a)
+    # from Sym^2 S+ to the degree-4 forms for all 28 X_a
+    phi = phi_matrix()
+    for label, x, _ in spin_v_xyz_table():
+        assert mat_mul(derived_action(x, "Wedge4V"), phi) == \
+            mat_mul(phi, derived_action(x, "Sym2S+")), label
 
 
-def test_phi_matrix_names_the_failing_fresh_sample(monkeypatch):
-    calls = []
+def test_chevalley_products_of_four_generators_pair_symmetrically():
+    # phi_matrix reads (z_a, e^_J z_b) for a <= b only: the pairing is
+    # symmetric for every 4-element J, in any order
+    for j in [(0, 1, 2, 3), (4, 0, 1, 5), (7, 3, 6, 2), (5, 1, 2, 7)]:
+        m = splus_matrix(reps._chevalley_product(list(j)))
+        q = m[4:] + m[:4]
+        assert q == transpose(q) and any(x != 0 for r in q for x in r)
 
-    def doubled_on_fresh_sample_2(b):
-        # calls 0..34 build the targets, 35..39 check the fresh samples
-        calls.append(b)
-        g = graph_basis(b)
-        return [[2 * x for x in row] for row in g] if len(calls) == 38 \
-            else g
 
-    monkeypatch.setattr(reps, "graph_basis", doubled_on_fresh_sample_2)
-    with pytest.raises(RuntimeError) as err:
-        phi_matrix.__wrapped__()
-    assert str(err.value).startswith(
-        "quadratic dictionary failed consistency on fresh sample 2 of seed "
-        "653589: B = ")
-    rng = random.Random(653589)
-    fresh = [random_alternating(rng) for _ in range(3)]
-    assert fresh[2] == calls[37]
-    named = json.loads(str(err.value).split("B = ")[1])
-    assert [[Fraction(x) for x in row] for row in named] == fresh[2]
+def test_phi_matrix_kills_the_invariant_line():
+    assert mat_vec(phi_matrix(), gamma0_line()) == [0] * 70
+
+
+@settings(max_examples=40, deadline=None)
+@given(alternating())
+def test_veronese_pluecker_holds_for_the_closed_form(case):
+    _, b = case
+    assert veronese_pluecker_check(b)
 
 
 def test_gamma0_line_names_the_dimension_found(monkeypatch):

@@ -202,6 +202,43 @@ def test_symmetric_square_split_names_the_dependent_sample(monkeypatch):
     assert [[Fraction(x) for x in row] for row in named] == samples[2][0]
 
 
+def test_symmetric_square_split_names_the_image_of_the_invariant_line(
+        monkeypatch):
+    line = verify.reps.gamma0_line()
+    col = next(j for j, x in enumerate(line) if x != 0)
+    phi = [row[:] for row in verify.reps.phi_matrix()]
+    phi[5][col] += 1
+    monkeypatch.setattr(verify.reps, "phi_matrix", lambda: phi)
+    ok, detail = _check("symmetric-square-split").fn(3)
+    assert not ok
+    head = "seed 3: phi sends the invariant line to "
+    assert detail.startswith(head) and detail.endswith(", not 0")
+    image = json.loads(detail[len(head):-len(", not 0")])
+    assert [Fraction(x) for x in image] == \
+        [line[col] if r == 5 else 0 for r in range(70)]
+
+
+def test_veronese_pluecker_names_seed_trial_and_b(monkeypatch):
+    real = verify.reps.veronese_pluecker_check
+    calls = []
+
+    def fails_on_trial_1(b):
+        calls.append(b)
+        return real(b) and len(calls) != 2
+
+    monkeypatch.setattr(verify.reps, "veronese_pluecker_check",
+                        fails_on_trial_1)
+    ok, detail = _check("veronese-pluecker").fn(5)
+    assert not ok
+    head = "seed 5, trial 1: phi(z (.) z) is not the Pluecker image at B = "
+    assert detail.startswith(head)
+    rng = random.Random(5)
+    drawn = [verify.random_alternating(rng) for _ in range(2)]
+    named = json.loads(detail[len(head):])
+    assert [[Fraction(x) for x in row] for row in named] == drawn[1]
+    assert calls == drawn
+
+
 def test_cayley_image_mismatch_names_the_column(monkeypatch):
     sign = verify.reps.gamma2alpha_star_sign()
     monkeypatch.setattr(verify.reps, "gamma2alpha_star_sign", lambda: -sign)
