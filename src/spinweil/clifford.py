@@ -12,8 +12,8 @@ factor is put over the common denominator of its terms
 (linalg.scale_to_integers), the cached blade products keep integral
 coefficients as ints, and each term of the result becomes one Fraction at
 the end.  Other coefficients (QuadExt, TowerScalar) go through the same
-loop unscaled.  The commutator x y - y x is the same loop over the blade
-products of both orders, in one pass.
+loop unscaled.  The commutator x y - y x is the same loop over the cached
+blade commutators, cancelled terms dropped (blade_commutator).
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -57,6 +57,7 @@ class CliffordAlgebra:
         self.gram = lattice.gram
         self._gen_cache = {}
         self._blade_cache = {}
+        self._comm_cache = {}
         self._conj_cache = {}
 
     # -- basis blade reduction ------------------------------------------
@@ -107,6 +108,17 @@ class CliffordAlgebra:
         acc = _integral_as_int(acc)
         self._blade_cache[key] = acc
         return acc
+
+    def blade_commutator(self, ma, mb):
+        """e_A e_B - e_B e_A for canonical blades, as {mask: coeff}, the
+        cancelled terms left out."""
+        hit = self._comm_cache.get((ma, mb))
+        if hit is None:
+            hit = dict(self.blade_product(ma, mb))
+            for m, c in self.blade_product(mb, ma).items():
+                _accumulate(hit, m, -c)
+            hit = self._comm_cache[ma, mb] = _integral_as_int(hit)
+        return hit
 
     def blade_conj(self, mask):
         """Conjugate of a canonical blade: (-1)^r times the reversed product."""
@@ -214,7 +226,8 @@ class CliffordElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(rat(other))
         self._check(other)
-        return _blade_sum(self, other)
+        return _blade_sum(self, other, self.algebra._blade_cache,
+                          self.algebra.blade_product)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -279,34 +292,28 @@ def conjugation(x: CliffordElement) -> CliffordElement:
 
 
 def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """x y - y x, in one pass over the blade products of both orders."""
+    """x y - y x, in one pass over the cached blade commutators."""
     x._check(y)
-    return _blade_sum(x, y, commute=True)
+    return _blade_sum(x, y, x.algebra._comm_cache, x.algebra.blade_commutator)
 
 
-def _blade_sum(x, y, commute=False):
-    """x y, or x y - y x when commute is set, summed on ints for rational
-    x and y and made one Fraction per term at the end."""
-    alg = x.algebra
+def _blade_sum(x, y, cache, table):
+    """The sum of c_A c_B table(A, B) over the terms c_A e_A of x and c_B e_B
+    of y (table the cached blade product or commutator), on ints for
+    rational x and y and made one Fraction per term at the end."""
     a, b, d = _scaled_terms(x.terms, y.terms)
-    cache, out = alg._blade_cache, {}
+    out = {}
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
             cc = ca * cb
             prod = cache.get((ma, mb))
             if prod is None:
-                prod = alg.blade_product(ma, mb)
+                prod = table(ma, mb)
             for m, c in prod.items():
                 out[m] = get(m, 0) + cc * c
-            if commute:
-                prod = cache.get((mb, ma))
-                if prod is None:
-                    prod = alg.blade_product(mb, ma)
-                for m, c in prod.items():
-                    out[m] = get(m, 0) - cc * c
     return CliffordElement._of(
-        alg, {m: _over(c, d) for m, c in out.items() if c})
+        x.algebra, {m: _over(c, d) for m, c in out.items() if c})
 
 
 @lru_cache(maxsize=1)
@@ -378,12 +385,12 @@ def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     return Multivector(4, {g: _over(c, d) for g, c in out.items()})
 
 
-def _sigma_rows(x: CliffordElement, table):
-    """sigma(x) over the common denominator d of x's terms, as (rows, d):
-    row G is {F: int}, the nonzero entries at the form masks F.  With a
-    coefficient that is not rational, d = 1 and the entries are x's own
-    scalars."""
-    terms, d = x.terms, 1
+def _sigma_rows(terms, table):
+    """sigma of the element with the {mask: coefficient} terms, over their
+    common denominator d, as (rows, d): row G is {F: int}, the nonzero
+    entries at the form masks F.  With a coefficient that is not rational,
+    d = 1 and the entries are the coefficients themselves."""
+    d = 1
     if all_rational(terms.values()):
         terms, d = scale_to_integers(terms.items())
     rows = [{} for _ in range(16)]
@@ -397,7 +404,7 @@ def _sigma_rows(x: CliffordElement, table):
 def sigma_matrix(x: CliffordElement):
     """The 16 x 16 matrix of sigma(x) on the basis forms of the exterior
     algebra of W; row and column F stand for the form of mask F."""
-    rows, d = _sigma_rows(x, _table_for(x.algebra))
+    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
     zero = Fraction(0)
     return [[_over(row[f], d) if f in row else zero for f in range(16)]
             for row in rows]
@@ -426,8 +433,8 @@ def twisted_conjugation(x: CliffordElement):
     run on sparse integer rows.
     """
     table = _table_for(x.algebra)
-    xs, d = _sigma_rows(x, table)
-    xcs, dc = _sigma_rows(x.conj(), table)
+    xs, d = _sigma_rows(x.terms, table)
+    xcs, dc = _sigma_rows(x.conj().terms, table)
     dd = d * dc
     if (not x.is_even() or
             sparse_product(xs, xcs) != [{r: dd} for r in range(16)]):
@@ -442,7 +449,8 @@ def twisted_conjugation(x: CliffordElement):
         y = sparse_product(xs, ej_xc)
         u = ([y[1 << i].get(0, 0) for i in range(4)] +
              [y[0].get(1 << i, 0) for i in range(4)])
-        if y != _sigma_rows(x.algebra.vector(u), table)[0]:
+        if y != _sigma_rows({1 << i: c for i, c in enumerate(u) if c},
+                            table)[0]:
             raise ValueError("conjugation by x does not preserve V")
         cols.append([_over(c, dd) for c in u])
     return [[cols[j][i] for j in range(8)] for i in range(8)]

@@ -15,13 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
-from .clifford import (CliffordAlgebra, is_so_matrix, so_to_spin,
-                       spin_so_iso)
+from .clifford import (CliffordAlgebra, commutator, is_so_matrix,
+                       so_to_spin, spin_so_iso)
 from .lattices import BilinearLattice, orthogonal_complement, sublattice_gram
-from .linalg import (det, identity, mat, mat_mul, nullspace, solve,
-                     solve_matrix)
+from .linalg import (all_rational, det, identity, mat, mat_mul, nullspace,
+                     scale_to_integers, solve, solve_matrix, sparse_nullspace)
 from .reps import splus_matrix, stabilizer_algebra
 from .scalars import QuadExt, rat, squarefree_part
 from .spingeo import Spinor, splus_lattice
@@ -61,23 +62,15 @@ class KSDatum:
     j_ks: list
 
 
-def left_mult_matrix(algebra, x, masks):
+def mult_matrix(algebra, x, masks, right=False):
+    """The matrix of y -> x y, or of y -> y x when right is set, on the
+    span of the blades of the given masks."""
     cols = []
     for m in masks:
-        img = x * algebra.element({m: Fraction(1)})
+        e = algebra.element({m: Fraction(1)})
+        img = e * x if right else x * e
         if any(mm not in masks for mm in img.terms):
-            raise RuntimeError("left multiplication left the even part")
-        cols.append([img.terms.get(mm, Fraction(0)) for mm in masks])
-    return [[cols[j][i] for j in range(len(masks))]
-            for i in range(len(masks))]
-
-
-def right_mult_matrix(algebra, x, masks):
-    cols = []
-    for m in masks:
-        img = algebra.element({m: Fraction(1)}) * x
-        if any(mm not in masks for mm in img.terms):
-            raise RuntimeError("right multiplication left the even part")
+            raise RuntimeError("multiplication left the even part")
         cols.append([img.terms.get(mm, Fraction(0)) for mm in masks])
     return [[cols[j][i] for j in range(len(masks))]
             for i in range(len(masks))]
@@ -104,7 +97,7 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
         raise RuntimeError("(f1 f2)^2 = -c^2/4 failed: scale convention "
                            "violated")
     masks = tuple(algebra.basis_masks(even_only=True))
-    lmat = left_mult_matrix(algebra, w, masks)
+    lmat = mult_matrix(algebra, w, masks)
     scale = Fraction(2) / c
     j_ks = [[scale * x for x in row] for row in lmat]
     if not _squares_to_minus_identity(j_ks):
@@ -126,7 +119,7 @@ def ks_right_commutation(datum: KSDatum, seed=0, count=20) -> bool:
         terms = {m: Fraction(rng.randint(-2, 2)) for m in
                  rng.sample(masks, 5)}
         x = datum.algebra.element(terms)
-        rmat = right_mult_matrix(datum.algebra, x, masks)
+        rmat = mult_matrix(datum.algebra, x, masks, right=True)
         if mat_mul(rmat, datum.j_ks) != mat_mul(datum.j_ks, rmat):
             return False
     return True
@@ -146,23 +139,26 @@ def ks_center(lattice: BilinearLattice):
     """Basis of the center of the even Clifford algebra and the square of
     its traceless generator.
 
-    The center is 2-dimensional; the non-scalar generator squares to a
-    rational number whose squarefree part identifies the field attached
-    to the lattice.
+    The center is the kernel of the L_g - R_g, g = e_i e_j, whose column b
+    is the commutator [g, e_b]: sparse rows, on ints when rational.  It is
+    2-dimensional; the non-scalar generator squares to a rational number
+    whose squarefree part identifies the field attached to the lattice
+    (None for a center of another dimension).
     """
     algebra = CliffordAlgebra(lattice)
     masks = tuple(algebra.basis_masks(even_only=True))
-    n = len(masks)
+    index = {m: a for a, m in enumerate(masks)}
     rows = []
-    gens = [(i, j) for i in range(lattice.rank)
-            for j in range(i + 1, lattice.rank)]
-    for (i, j) in gens:
+    for i, j in combinations(range(lattice.rank), 2):
         g = algebra.generator(i) * algebra.generator(j)
-        lmat = left_mult_matrix(algebra, g, masks)
-        rmat = right_mult_matrix(algebra, g, masks)
-        for a in range(n):
-            rows.append([lmat[a][b] - rmat[a][b] for b in range(n)])
-    basis = nullspace(mat(rows))
+        block = [{} for _ in masks]
+        for b, m in enumerate(masks):
+            img = commutator(g, algebra.element({m: Fraction(1)}))
+            for mm, c in img.terms.items():
+                block[index[mm]][b] = c
+        rows += [scale_to_integers(row.items())[0]
+                 if all_rational(row.values()) else row for row in block]
+    basis = sparse_nullspace(rows, len(masks))
     if len(basis) != 2:
         return basis, None
     # a non-scalar generator w of the center: zero its mask-0 coordinate
@@ -247,7 +243,7 @@ def ks_spin_rep_check(h, s, seed=0, count=10) -> dict:
             raise RuntimeError("stabilizer action failed to restrict to "
                                "the complement")
         lifted = so_to_spin(algebra, y)
-        lmat = left_mult_matrix(algebra, lifted, masks)
+        lmat = mult_matrix(algebra, lifted, masks)
         mv = spin_so_iso(xi)
         left_vals = _charpoly_values(lmat, points)
         v_vals = _charpoly_values(mv, points)

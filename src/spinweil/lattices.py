@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import mat, nullspace
-from .scalars import rat
+from .linalg import all_rational, identity, mat_mul, nullspace
+from .scalars import _integer_coords, rat
 
 
 class BilinearLattice:
-    """Free module of finite rank with a symmetric Gram matrix."""
+    """Free module of finite rank with a symmetric Gram matrix; a rational
+    Gram is also kept as ints over one denominator, for pair on ints."""
 
-    __slots__ = ("rank", "gram", "label", "_rows")
+    __slots__ = ("rank", "gram", "label", "_rows", "_den")
 
     def __init__(self, gram, label=""):
         gram = [[rat(x) if isinstance(x, (int, str, Fraction)) else x
@@ -37,9 +38,15 @@ class BilinearLattice:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "label", label)
-        # the nonzero Gram entries of each row, as (column, value) pairs
+        # the nonzero Gram entries of each row, as (column, value) pairs:
+        # ints over the denominator _den when the Gram is rational
+        rows, den = gram, 1
+        if all(map(all_rational, gram)):
+            flat, den = _integer_coords([x for row in gram for x in row])
+            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", [
-            [(j, x) for j, x in enumerate(row) if x != 0] for row in gram])
+            [(j, x) for j, x in enumerate(row) if x != 0] for row in rows])
 
     def __setattr__(self, *args):
         raise AttributeError("BilinearLattice values are immutable")
@@ -49,14 +56,28 @@ class BilinearLattice:
         n = self.rank
         if len(v) != n or len(w) != n:
             raise ValueError("coordinate length does not match lattice rank")
-        total = 0
-        for vi, row in zip(v, self._rows):
-            if vi == 0:
-                continue
-            for j, g in row:
-                if w[j] != 0:
-                    total = total + vi * g * w[j]
-        return total
+        return self._pair(self._scaled(v), self._scaled(w))
+
+    def _scaled(self, v):
+        """(v, d) with v times the lcm d of its denominators, as ints, when
+        v is rational; else (v, 1)."""
+        if all_rational(v):
+            return _integer_coords(v)
+        return v, 1
+
+    def _pair(self, sv, sw):
+        """pair of two vectors as _scaled gives them."""
+        (v, dv), (w, dw) = sv, sw
+        total, hit = 0, False
+        for x, row in zip(v, self._rows):
+            if x:
+                for j, g in row:
+                    if w[j]:
+                        total, hit = total + x * g * w[j], True
+        if not hit:
+            return 0
+        d = self._den * dv * dw
+        return Fraction(total, d) if type(total) is int else total / d
 
     def vector(self, coords):
         return LatticeVector(self, list(coords))
@@ -183,27 +204,19 @@ def orthogonal_complement(lattice: BilinearLattice, vectors):
     coords = [v.coords if isinstance(v, LatticeVector) else list(v)
               for v in vectors]
     if not coords:
-        from .linalg import identity
         return [lattice.vector(row) for row in identity(lattice.rank)]
     # rows: v^T G, kernel gives the complement
-    rows = [[lattice.pair(v, unit) for unit in _unit_vectors(lattice.rank)]
-            for v in coords]
-    return [lattice.vector(b) for b in nullspace(mat(rows))]
-
-
-def _unit_vectors(n):
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        yield e
+    rows = mat_mul(coords, lattice.gram)
+    return [lattice.vector(b) for b in nullspace(rows)]
 
 
 def sublattice_gram(lattice: BilinearLattice, basis_vectors, label=""):
-    """The Gram matrix of a list of vectors, as a new BilinearLattice."""
-    coords = [v.coords if isinstance(v, LatticeVector) else list(v)
-              for v in basis_vectors]
-    g = [[lattice.pair(v, w) for w in coords] for v in coords]
-    return BilinearLattice(g, label=label)
+    """The Gram matrix of a list of vectors, as a new BilinearLattice; each
+    vector is scaled to ints once."""
+    scaled = [lattice._scaled(v.coords if isinstance(v, LatticeVector)
+                              else list(v)) for v in basis_vectors]
+    return BilinearLattice([[lattice._pair(a, b) for b in scaled]
+                            for a in scaled], label=label)
 
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector, gramH2=None):

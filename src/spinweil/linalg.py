@@ -26,11 +26,13 @@ preference.
 mat_mul takes an integer route when both factors are rational: each
 row of a and each column of b is scaled by the lcm of its denominators
 (scale_to_integers, the one scaling rule, also used by rref, det, the
-wedge and the Clifford product), the sparse integer rows are multiplied
-and summed on ints (sparse_product, which also multiplies sparse rows of
-any scalars), and each product entry becomes one Fraction at the end.  A
-product with a QuadExt or TowerScalar entry runs the generic loop, which
-is a product, not an elimination.
+wedge, the Clifford product and commutator, the spin-module rows and the
+Kuga-Satake center rows; its dense form scalars._integer_coords scales
+the lattice pairing and the QuadExt and TowerScalar products), the sparse
+integer rows are multiplied and summed on ints (sparse_product, which
+also multiplies sparse rows of any scalars), and each product entry
+becomes one Fraction at the end.  A product with a QuadExt or TowerScalar
+entry runs the generic loop, which is a product, not an elimination.
 """
 
 from __future__ import annotations

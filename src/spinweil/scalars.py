@@ -6,12 +6,14 @@ Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
 positive denominator).  ``QuadExt`` and ``TowerScalar`` fix a single
 squarefree ``m`` per value; mixing different ``m`` is a usage error and
 raises ``ValueError`` at the operation boundary.
+Products in Q(sqrt(m)) and Q(i, sqrt(m)) run on ints over each factor's
+common denominator (_integer_coords), one Fraction per coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 Rational = Fraction
 
@@ -28,6 +30,12 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _integer_coords(xs):
+    """(ints, d): the Fractions xs times the lcm d of their denominators."""
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def _as_fraction(x):
@@ -100,8 +108,10 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt._of(self.a * o.a + self.m * self.b * o.b,
-                           self.a * o.b + self.b * o.a, self.m)
+        (a, b), d = _integer_coords((self.a, self.b))
+        (c, e), f = _integer_coords((o.a, o.b))
+        return QuadExt._of(Fraction(a * c + self.m * b * e, d * f),
+                           Fraction(a * e + b * c, d * f), self.m)
 
     __rmul__ = __mul__
 
@@ -236,15 +246,15 @@ class TowerScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = o.c
-        m = self.m
+        (a0, a1, a2, a3), d = _integer_coords(self.c)
+        (b0, b1, b2, b3), e = _integer_coords(o.c)
+        m, n = self.m, d * e
         # basis products: 1, i, s, is with i^2 = -1, s^2 = m, (is)^2 = -m
         return TowerScalar._of((
-            a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3),
-            a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1), m)
+            Fraction(a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3), n),
+            Fraction(a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2), n),
+            Fraction(a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1, n),
+            Fraction(a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, n)), m)
 
     __rmul__ = __mul__
 

@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .clifford import CV, exp_nilpotent, sigma_action, twisted_conjugation
-from .lattices import make_Splus
-from .linalg import mat, mat_mul, nullspace, rank, transpose
+from .clifford import (CV, _module_table, exp_nilpotent, sigma_action,
+                       twisted_conjugation)
+from .lattices import make_Splus, sublattice_gram
+from .linalg import mat, nullspace, rank, transpose
 from .multivector import Multivector, check_alternating, pfaffian
 from .scalars import rat
 
@@ -196,10 +197,17 @@ def graph_basis(b):
 
 def spinor_action_matrix(s: Spinor):
     """The 8 x 8 matrix A_s of v -> v s from V into S-, read on the odd
-    masks: column k is the action of the generator e_k on s."""
-    eta, alg = s.multivector(), CV()
-    cols = [sigma_action(alg.generator(k), eta) for k in range(8)]
-    return [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
+    masks: column k is the action of the generator e_k on s, read off the
+    spin-module table: e_k w_F is +-w_G or 0, so each entry is +-z or 0."""
+    table, rows = _module_table(), {m: [Fraction(0)] * 8 for m in ODD_MASKS}
+    for (f, sign), z in zip(Z_DICT, s.z):
+        if z == 0:
+            continue
+        for k in range(8):
+            hit = table[1 << k][f]
+            if hit is not None:
+                rows[hit[0]][k] = z if sign * hit[1] > 0 else -z
+    return [rows[m] for m in ODD_MASKS]
 
 
 def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
@@ -227,7 +235,7 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
 
 def _validate_isotropic(basis8x4):
     """B^T G B = 0 and rank B = 4 for the 8 x 4 basis B."""
-    gram = mat_mul(transpose(basis8x4), mat_mul(CV().gram, basis8x4))
+    gram = sublattice_gram(CV().lattice, transpose(basis8x4)).gram
     if any(x != 0 for row in gram for x in row):
         raise ValueError("subspace is not isotropic")
     if rank(mat(basis8x4)) != 4:

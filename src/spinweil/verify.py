@@ -80,7 +80,7 @@ def _rand_nonzero_rational(rng, span=6):
 def check_field_axioms(seed):
     rng = random.Random(seed)
     m = -5
-    for _ in range(1000):
+    for trial in range(1000):
         kind = rng.randrange(3)
         if kind == 0:
             xs = [_rand_rational(rng) for _ in range(3)]
@@ -91,14 +91,17 @@ def check_field_axioms(seed):
             xs = [TowerScalar(*(_rand_rational(rng) for _ in range(4)), m=m)
                   for _ in range(3)]
         a, b, c = xs
-        if (a + b) + c != a + (b + c) or a + b != b + a:
-            return False, "additive axioms failed"
-        if (a * b) * c != a * (b * c) or a * b != b * a:
-            return False, "multiplicative axioms failed"
-        if a * (b + c) != a * b + a * c:
-            return False, "distributivity failed"
-        if a != 0 and (a / a) != 1:
-            return False, "inverse failed"
+        laws = {
+            "additive axioms":
+                (a + b) + c == a + (b + c) and a + b == b + a,
+            "multiplicative axioms":
+                (a * b) * c == a * (b * c) and a * b == b * a,
+            "distributivity": a * (b + c) == a * b + a * c,
+            "inverse": a == 0 or a / a == 1}
+        failed = [law for law, holds in laws.items() if not holds]
+        if failed:
+            return False, (f"seed {seed}, trial {trial}: {failed[0]} failed "
+                           f"at a, b, c = {reps._text(xs)}")
     return True, "1000 random triples"
 
 
@@ -333,7 +336,7 @@ def check_commutator_identity(seed):
     rng = random.Random(seed)
     alg = CV()
     lat = make_V()
-    for _ in range(1000):
+    for trial in range(1000):
         xs = [[Fraction(rng.randint(-2, 2)) for _ in range(8)]
               for _ in range(3)]
         x, y, v = (alg.vector(c) for c in xs)
@@ -341,7 +344,8 @@ def check_commutator_identity(seed):
         rhs = (alg.vector(xs[0]).scale(lat.pair(xs[1], xs[2])) -
                alg.vector(xs[1]).scale(lat.pair(xs[0], xs[2])))
         if lhs != rhs:
-            return False, "commutator identity failed"
+            return False, (f"seed {seed}, trial {trial}: commutator identity "
+                           f"failed at x, y, v = {reps._text(xs)}")
     return True, "1000 random triples"
 
 
@@ -351,7 +355,7 @@ def check_commutator_identity(seed):
 def check_module_structure(seed):
     rng = random.Random(seed)
     alg = CV()
-    for _ in range(1000):
+    for trial in range(1000):
         x = clifford.CliffordElement(
             alg, {rng.randrange(256): Fraction(rng.randint(-2, 2))
                   for _ in range(2)})
@@ -360,9 +364,11 @@ def check_module_structure(seed):
                   for _ in range(2)})
         eta = _random_multivector(rng, 4)
         if sigma_action(x * y, eta) != sigma_action(x, sigma_action(y, eta)):
-            return False, "module law failed"
-    for _ in range(100):
-        even_masks = [m for m in range(256) if bin(m).count('1') % 2 == 0]
+            inputs = reps._text([x.terms, y.terms, eta.terms])
+            return False, (f"seed {seed}, trial {trial}: module law failed at "
+                           f"x, y, eta = {inputs}")
+    even_masks = [m for m in range(256) if bin(m).count('1') % 2 == 0]
+    for trial in range(100):
         x = clifford.CliffordElement(
             alg, {rng.choice(even_masks): Fraction(rng.randint(-2, 2))
                   for _ in range(3)})
@@ -370,7 +376,9 @@ def check_module_structure(seed):
                               for m in spingeo.EVEN_MASKS})
         img = sigma_action(x, eta)
         if any(mm not in spingeo.EVEN_MASKS for mm in img.terms):
-            return False, "even element mixed the halves"
+            return False, (f"seed {seed}, parity trial {trial}: even element "
+                           f"mixed the halves at x, eta = "
+                           f"{reps._text([x.terms, eta.terms])}")
     return True, "1000 module law + 100 parity trials"
 
 
@@ -710,17 +718,19 @@ def check_center_invariance(seed):
     rng = random.Random(seed)
     _, lattice = kuga.complement_data(Spinor(list(STANDARD_H)),
                                       Spinor(list(STANDARD_S)))
-    basis0, sq0 = kuga.ks_center(lattice)
-    part0 = scalars.squarefree_part(sq0.numerator * sq0.denominator)
-    for _ in range(2):
-        t = _random_unimodular(rng, 6)
+    changes = [identity(6)] + [_random_unimodular(rng, 6) for _ in range(2)]
+    parts = []
+    for trial, t in enumerate(changes):
         tt = [[t[b][a] for b in range(6)] for a in range(6)]
         g2 = mat_mul(tt, mat_mul(lattice.gram, t))
-        basis2, sq2 = kuga.ks_center(lattices.BilinearLattice(g2))
-        part2 = scalars.squarefree_part(sq2.numerator * sq2.denominator)
-        if len(basis2) != len(basis0) or part2 != part0:
-            return False, "center changed under change of basis"
-    return True, f"square class {part0}"
+        basis, sq = kuga.ks_center(lattices.BilinearLattice(g2))
+        where = f"seed {seed}, trial {trial}: T = {reps._text(t)}"
+        if sq is None:
+            return False, f"{where}: center of dimension {len(basis)}, not 2"
+        parts.append(scalars.squarefree_part(sq.numerator * sq.denominator))
+        if parts[-1] != parts[0]:
+            return False, f"{where}: square class {parts[-1]}, not {parts[0]}"
+    return True, f"square class {parts[0]}"
 
 
 @register("ks-complex-structure", "kuga",
@@ -747,12 +757,13 @@ def check_mukai(seed):
 
 def run_checks(suite=None, seed=20240):
     """Run the registered checks; returns a list of result dicts, each
-    with the wall time of its check in seconds as elapsed_s."""
+    with the wall time of its check in seconds as elapsed_s and its CPU
+    time (time.process_time) as cpu_s."""
     results = []
     for check in CHECKS:
         if suite and check.suite != suite:
             continue
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         try:
             ok, detail = check.fn(seed)
         except Exception as exc:  # a crash is a failure with the reason
@@ -764,6 +775,7 @@ def run_checks(suite=None, seed=20240):
             "passed": bool(ok),
             "detail": str(detail),
             "elapsed_s": round(time.perf_counter() - start, 6),
+            "cpu_s": round(time.process_time() - cpu_start, 6),
         })
     return results
 

@@ -2,20 +2,28 @@
 them before the sparse routes: derivations entry by entry over every row
 index, the degree-4 Gram as 4,900 determinants, the basis-action tables
 scaled from dense matrices, and the quadratic dictionary as the targets
-times the inverse of the column matrix.  Tests compare the library with
-them by == and by repr."""
+times the inverse of the column matrix.  Also the Fraction-by-Fraction
+kernels that the integer route replaced: the scalar-tower products, the
+lattice pairing, the spinor action matrix built by sigma_action, the
+commutator over the blade products of both orders, and the center of the
+even Clifford algebra from left and right multiplication matrices.  Tests
+compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from spinweil import reps
-from spinweil.clifford import spin_v_xyz_table
-from spinweil.linalg import det, inverse, mat_mul, scale_to_integers
+from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
+                               sigma_action, spin_v_xyz_table)
+from spinweil.kuga import mult_matrix
+from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat_mul,
+                             nullspace, scale_to_integers)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
                                   coords_degree, indices_of, pluecker,
                                   popcount)
 from spinweil.reps import SYM2_BASIS, rep_space, sminus_matrix, splus_matrix
-from spinweil.spingeo import graph_basis
+from spinweil.scalars import QuadExt, TowerScalar
+from spinweil.spingeo import ODD_MASKS, graph_basis
 
 
 def derivation_matrix(m, k):
@@ -136,3 +144,72 @@ def phi_matrix():
     colmat = [[cols[c][r] for c in range(36)] for r in range(36)]
     tarmat = [[targets[c][r] for c in range(36)] for r in range(70)]
     return mat_mul(tarmat, inverse(colmat))
+
+
+def quad_product(x, y):
+    """x y in Q(sqrt(m)) by Fraction products of the coordinates."""
+    return QuadExt(x.a * y.a + x.m * x.b * y.b, x.a * y.b + x.b * y.a, x.m)
+
+
+def tower_product(x, y):
+    """x y in Q(i, sqrt(m)) by sixteen Fraction products."""
+    a0, a1, a2, a3 = x.c
+    b0, b1, b2, b3 = y.c
+    m = x.m
+    return TowerScalar(a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3),
+                       a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2),
+                       a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                       a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, m=m)
+
+
+def pair(lattice, v, w):
+    """The dense double loop v^T G w over the Gram matrix, summed from
+    int 0 over the nonzero terms."""
+    g, n = lattice.gram, lattice.rank
+    total = 0
+    for i in range(n):
+        if v[i] == 0:
+            continue
+        for j in range(n):
+            if g[i][j] != 0 and w[j] != 0:
+                total = total + v[i] * g[i][j] * w[j]
+    return total
+
+
+def spinor_action_matrix(s):
+    """A_s with column k the form sigma_action(e_k, s) on the odd masks."""
+    eta, alg = s.multivector(), CV()
+    cols = [sigma_action(alg.generator(k), eta) for k in range(8)]
+    return [[col.coefficient(m) for col in cols] for m in ODD_MASKS]
+
+
+def commutator(x, y):
+    """x y - y x in one pass over the blade products of both orders."""
+    alg = x.algebra
+    a, b, d = _scaled_terms(x.terms, y.terms)
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            cc = ca * cb
+            for m, c in alg.blade_product(ma, mb).items():
+                out[m] = out.get(m, 0) + cc * c
+            for m, c in alg.blade_product(mb, ma).items():
+                out[m] = out.get(m, 0) - cc * c
+    return CliffordElement._of(
+        alg, {m: _over(c, d) for m, c in out.items() if c})
+
+
+def ks_center_basis(lattice):
+    """The center of the even Clifford algebra as the kernel of the dense
+    stacked L_g - R_g over g = e_i e_j, from the left and right
+    multiplication matrices."""
+    algebra = CliffordAlgebra(lattice)
+    masks = tuple(algebra.basis_masks(even_only=True))
+    rows = []
+    for i, j in combinations(range(lattice.rank), 2):
+        g = algebra.generator(i) * algebra.generator(j)
+        left = mult_matrix(algebra, g, masks)
+        right = mult_matrix(algebra, g, masks, right=True)
+        rows += [[x - y for x, y in zip(lr, rr)]
+                 for lr, rr in zip(left, right)]
+    return nullspace(rows)

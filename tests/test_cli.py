@@ -159,6 +159,8 @@ def test_verify_json_times_every_check(capsys):
     for r in doc["results"]:
         assert isinstance(r["elapsed_s"], (int, float))
         assert r["elapsed_s"] >= 0
+        assert isinstance(r["cpu_s"], (int, float))
+        assert r["cpu_s"] >= 0
 
 
 def test_verify_text_output_has_no_timing(capsys):

@@ -18,8 +18,10 @@ from spinweil.lattices import BilinearLattice, make_V
 from spinweil.linalg import det, identity, mat_mul, rank
 from spinweil.multivector import (Multivector, indices_of, mask_of, pfaffian,
                                   popcount)
-from spinweil.scalars import QuadExt
+from spinweil.scalars import QuadExt, TowerScalar
 from spinweil.spingeo import EVEN_MASKS, random_alternating
+
+import table_references as reference
 
 
 def test_defining_relations():
@@ -449,6 +451,48 @@ def test_commutator_matches_two_products(pair):
     x, y = pair
     _same(commutator(x, y), x * y - y * x)
     _same(commutator(y, x), -(x * y - y * x))
+
+
+#: a Clifford algebra over a Gram with non-integral entries
+FRAC = CliffordAlgebra(BilinearLattice(
+    [[Fraction(2, 3), Fraction(1, 2), 0, 0],
+     [Fraction(1, 2), -1, Fraction(3, 4), 0],
+     [0, Fraction(3, 4), 0, 1],
+     [0, 0, 1, Fraction(-1, 5)]]))
+TOWER = st.builds(lambda *c: TowerScalar(*c, m=-2),
+                  *[st.integers(-2, 2)] * 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.tuples(elements(CV()), elements(CV())),
+    st.tuples(elements(KS), elements(KS)),
+    st.tuples(elements(ODD), elements(ODD)),
+    st.tuples(elements(FRAC), elements(FRAC)),
+    st.tuples(elements(CV(), coeffs=QUAD, max_terms=4), elements(CV())),
+    st.tuples(elements(FRAC, max_terms=4),
+              elements(FRAC, coeffs=TOWER, max_terms=3))))
+def test_commutator_table_matches_both_orders(pair):
+    x, y = pair
+    _same(commutator(x, y), reference.commutator(x, y))
+    _same(commutator(y, x), reference.commutator(y, x))
+
+
+@pytest.mark.parametrize("alg", [CV(), KS, ODD, FRAC],
+                         ids=["V", "KS", "odd", "frac"])
+def test_blade_commutator_drops_cancelled_terms(alg):
+    masks = range(1 << alg.rank)
+    for a in masks[::3]:
+        for b in masks[::5]:
+            got = alg.blade_commutator(a, b)
+            expected = dict(alg.blade_product(a, b))
+            for m, c in alg.blade_product(b, a).items():
+                expected[m] = expected.get(m, 0) - c
+            assert got == {m: c for m, c in expected.items() if c}
+            assert all(c and (type(c) is int or c.denominator > 1)
+                       for c in got.values())
+        assert alg.blade_commutator(a, a) == {}
+        assert alg.blade_commutator(0, a) == {}
 
 
 def forms(coeffs=COEFFS):

@@ -9,7 +9,9 @@ from spinweil.lattices import (BilinearLattice, MukaiVector, make_Splus,
                                mukai_pairing, orthogonal_complement,
                                signature, sublattice_gram)
 from spinweil.linalg import identity, mat_mul
-from spinweil.scalars import QuadExt
+from spinweil.scalars import QuadExt, TowerScalar
+
+import table_references as reference
 
 
 def unit(i, n=8):
@@ -125,41 +127,70 @@ def test_mukai_pure_h2_component():
     assert mukai_pairing(v, v) == 2
 
 
-def reference_pair(lattice, v, w):
-    """The dense double loop over the Gram matrix, summed from int 0."""
-    g, n = lattice.gram, lattice.rank
-    total = 0
-    for i in range(n):
-        if v[i] == 0:
-            continue
-        for j in range(n):
-            if g[i][j] != 0 and w[j] != 0:
-                total = total + v[i] * g[i][j] * w[j]
-    return total
-
-
 ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(min_value=-2, max_value=2,
                                  max_denominator=4))
-COORDS = st.one_of(ENTRIES, st.builds(lambda a, b: QuadExt(a, b, -3),
-                                      ENTRIES, ENTRIES))
+#: coordinates of one vector pair: rationals, mixed with QuadExt or with
+#: TowerScalar values of one field
+COORDS = st.sampled_from([
+    ENTRIES,
+    st.one_of(ENTRIES, st.builds(lambda a, b: QuadExt(a, b, -3),
+                                 ENTRIES, ENTRIES)),
+    st.one_of(ENTRIES, st.builds(lambda *c: TowerScalar(*c, m=-3),
+                                 *[ENTRIES] * 4))])
 
 
 @st.composite
 def gram_and_vectors(draw):
+    """A symmetric Gram of ints and Fractions (so often not integral) and
+    two vectors."""
     n = draw(st.integers(1, 8))
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             g[i][j] = g[j][i] = draw(ENTRIES)
-    v, w = ([draw(COORDS) for _ in range(n)] for _ in range(2))
+    coords = draw(COORDS)
+    v, w = ([draw(coords) for _ in range(n)] for _ in range(2))
     return BilinearLattice(g), v, w
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(gram_and_vectors())
 def test_pair_matches_dense_double_loop(case):
     lattice, v, w = case
-    got, expected = lattice.pair(v, w), reference_pair(lattice, v, w)
+    got, expected = lattice.pair(v, w), reference.pair(lattice, v, w)
     assert got == expected
     assert repr(got) == repr(expected) and type(got) is type(expected)
+    vectors = [v, w, [c - d for c, d in zip(v, w)]]
+    gram = sublattice_gram(lattice, vectors).gram
+    dense = BilinearLattice([[reference.pair(lattice, a, b) for b in vectors]
+                             for a in vectors]).gram
+    assert gram == dense and repr(gram) == repr(dense)
+
+
+def test_pair_on_a_non_integral_gram():
+    g = [[Fraction(1, 2), Fraction(2, 3), 0],
+         [Fraction(2, 3), -3, Fraction(5, 4)],
+         [0, Fraction(5, 4), 0]]
+    lattice = BilinearLattice(g)
+    vectors = [[1, 0, 0], [Fraction(3, 5), -2, 1], [0, 0, 7], [0, 0, 0]]
+    for v in vectors:
+        for w in vectors:
+            got, expected = lattice.pair(v, w), reference.pair(lattice, v, w)
+            assert repr(got) == repr(expected) and got == expected
+    assert lattice.pair(vectors[2], vectors[2]) == 0
+    assert type(lattice.pair(vectors[2], vectors[2])) is int
+    assert lattice.pair(vectors[0], vectors[1]) == Fraction(3, 10) - \
+        Fraction(4, 3)
+    assert sublattice_gram(lattice, vectors[:3]).gram == \
+        [[Fraction(reference.pair(lattice, v, w)) for w in vectors[:3]]
+         for v in vectors[:3]]
+
+
+def test_pair_on_a_gram_over_a_quadratic_field():
+    r = QuadExt(0, 1, 2)
+    lattice = BilinearLattice([[1, r], [r, Fraction(1, 3)]])
+    for v in ([1, 2], [Fraction(1, 2), 0], [r, 1], [0, 0]):
+        for w in ([3, Fraction(-1, 4)], [r, r], [0, 1]):
+            got, expected = lattice.pair(v, w), reference.pair(lattice, v, w)
+            assert got == expected and repr(got) == repr(expected)

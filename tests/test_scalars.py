@@ -8,6 +8,8 @@ from spinweil.scalars import (QuadExt, REAL_PLACE, TowerScalar, factorize,
                               hilbert_symbol, is_norm, is_square, is_prime,
                               legendre, relevant_places, squarefree_part)
 
+import table_references as reference
+
 
 def solvable_mod_2k(a, b, k):
     """Brute-force oracle: primitive solution of z^2 = a x^2 + b y^2 mod 2^k."""
@@ -249,3 +251,33 @@ def test_public_constructors_reject_bad_m(m):
 def test_tower_constructor_rejects_minus_one():
     with pytest.raises(ValueError, match="not -1, 0 or 1"):
         TowerScalar(1, m=-1)
+
+
+def _lifted(x, like):
+    """x as an element of the field of like (a rational is coerced)."""
+    if isinstance(x, (QuadExt, TowerScalar)):
+        return x
+    if isinstance(like, QuadExt):
+        return QuadExt(x, 0, like.m)
+    return TowerScalar(x, m=like.m)
+
+
+PRODUCT_PAIRS = st.one_of(
+    SAME_FIELD_PAIRS,
+    st.sampled_from([-1, 2, -3, 5]).flatmap(
+        lambda m: st.tuples(quad(m), RATIONALS)),
+    st.sampled_from([-2, 5]).flatmap(
+        lambda m: st.tuples(tower(m), RATIONALS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRODUCT_PAIRS)
+def test_products_on_ints_match_fraction_products(pair):
+    x, y = pair
+    fx, fy = x, _lifted(y, x)
+    product = (reference.quad_product if isinstance(x, QuadExt)
+               else reference.tower_product)
+    for got, expected in ((x * y, product(fx, fy)),
+                          (y * x, product(fy, fx))):
+        assert got == expected and repr(got) == repr(expected)
+        assert all(type(c) is Fraction for c in _coords(got))

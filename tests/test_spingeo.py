@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from spinweil.jsonio import encode_scalar
 from spinweil.multivector import (DEGREE4_MASKS, Multivector,
                                   check_alternating, mask_of, wedge)
 from spinweil.reps import phi_matrix, sym2_coords, veronese_pluecker_check
-from spinweil.scalars import QuadExt
-from spinweil.spingeo import (Spinor, graph_basis, move_to_cell,
-                              random_alternating, random_isotropic_spinor,
+from spinweil.scalars import QuadExt, TowerScalar
+from spinweil.spingeo import (Spinor, _validate_isotropic, graph_basis,
+                              move_to_cell, random_alternating,
+                              random_isotropic_spinor, spinor_action_matrix,
                               spinor_inverse, spinor_map, subspace_of_spinor,
                               transversality)
+
+import table_references as reference
 
 
 def test_spinor_map_zero_matrix():
@@ -220,6 +224,44 @@ def test_subspace_matches_graph(rng):
         expected = graph_basis(b)
         joint = [sub.basis[r] + expected[r] for r in range(8)]
         assert rank(mat(joint)) == 4
+
+
+SPINOR_ENTRIES = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    "quadext": st.builds(lambda a, b: QuadExt(a, b, 2), st.integers(-2, 2),
+                         st.integers(-2, 2)),
+    "tower": st.builds(lambda *c: TowerScalar(*c, m=-3),
+                       *[st.integers(-2, 2)] * 4),
+}
+
+
+@st.composite
+def spinors(draw):
+    """A spinor (not necessarily isotropic) of ints, Fractions, QuadExt or
+    TowerScalar coordinates, mixed with zeros."""
+    entry = SPINOR_ENTRIES[draw(st.sampled_from(sorted(SPINOR_ENTRIES)))]
+    return Spinor([draw(st.one_of(st.just(0), entry)) for _ in range(8)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spinors())
+def test_spinor_action_matrix_matches_sigma_action(s):
+    got, expected = spinor_action_matrix(s), reference.spinor_action_matrix(s)
+    assert got == expected and repr(got) == repr(expected)
+
+
+def test_validate_isotropic_rejects_a_non_isotropic_basis():
+    i = QuadExt(0, 1, -1)
+    basis = graph_basis(random_alternating(random.Random(5)))
+    _validate_isotropic(basis)
+    for bad in ([row[:] for row in basis], [[x * i for x in row]
+                                            for row in basis]):
+        bad[0][0] = bad[0][0] + 1  # column 0 pairs to 2 with itself
+        with pytest.raises(ValueError, match="not isotropic"):
+            _validate_isotropic(bad)
+    with pytest.raises(ValueError, match="rank deficient"):
+        _validate_isotropic([row[:3] + [0] for row in basis])
 
 
 def test_subspace_rejects_zero_and_non_isotropic():

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from spinweil import verify
+from spinweil.jsonio import decode_scalar
+from spinweil.multivector import Multivector
 from spinweil.spingeo import Spinor
 
 SEEDS = (20240, 1, 2)
@@ -258,3 +260,119 @@ def test_parity_mismatch_names_seed_trial_and_spinor(monkeypatch):
     assert not ok and detail.startswith(head)
     z = verify.random_isotropic_spinor(random.Random(11))
     assert [Fraction(x) for x in json.loads(detail[len(head):])] == z.z
+
+
+def _scalar_triples(seed):
+    """The 1000 triples of field-axioms at the seed, drawn as it draws
+    them."""
+    rng, r, out = random.Random(seed), verify._rand_rational, []
+    for _ in range(1000):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append([r(rng) for _ in range(3)])
+        elif kind == 1:
+            out.append([verify.QuadExt(r(rng), r(rng), -5) for _ in range(3)])
+        else:
+            out.append([verify.TowerScalar(*(r(rng) for _ in range(4)), m=-5)
+                        for _ in range(3)])
+    return out
+
+
+def test_field_axioms_failure_names_seed_trial_and_triple(monkeypatch):
+    real = verify.TowerScalar.__mul__
+    monkeypatch.setattr(verify.TowerScalar, "__mul__",
+                        lambda x, y: real(x, y) + 1)
+    ok, detail = _check("field-axioms").fn(4)
+    triples = _scalar_triples(4)
+    trial = next(t for t, xs in enumerate(triples)
+                 if isinstance(xs[0], verify.TowerScalar))
+    head = f"seed 4, trial {trial}: multiplicative axioms failed at a, b, c = "
+    assert not ok and detail.startswith(head)
+    named = [decode_scalar(x) for x in json.loads(detail[len(head):])]
+    assert named == triples[trial]
+
+
+def test_commutator_identity_failure_names_seed_trial_and_vectors(
+        monkeypatch):
+    monkeypatch.setattr(verify, "commutator", _nth_call_changed(
+        verify.commutator, 3, lambda out: out + 1))
+    ok, detail = _check("degree2-commutator").fn(6)
+    rng = random.Random(6)
+    drawn = [[[Fraction(rng.randint(-2, 2)) for _ in range(8)]
+              for _ in range(3)] for _ in range(4)]
+    head = "seed 6, trial 3: commutator identity failed at x, y, v = "
+    assert not ok and detail.startswith(head)
+    named = json.loads(detail[len(head):])
+    assert [[Fraction(c) for c in row] for row in named] == drawn[3]
+
+
+def _named_terms(text):
+    """The {mask: coefficient} terms named as one JSON list."""
+    return [{int(m): Fraction(c) for m, c in terms.items()}
+            for terms in json.loads(text)]
+
+
+def test_module_law_failure_names_seed_trial_and_inputs(monkeypatch):
+    calls = []
+    real = verify.sigma_action
+
+    def wrapped(x, eta):
+        calls.append((x, eta))
+        out = real(x, eta)
+        # call 3 t + 2 is sigma(x, sigma(y, eta)) in trial t
+        return out + Multivector.one(4) if len(calls) == 3 * 5 + 3 else out
+
+    monkeypatch.setattr(verify, "sigma_action", wrapped)
+    ok, detail = _check("module-structure").fn(8)
+    head = "seed 8, trial 5: module law failed at x, y, eta = "
+    assert not ok and detail.startswith(head)
+    assert _named_terms(detail[len(head):]) == [
+        calls[17][0].terms, calls[16][0].terms, calls[15][1].terms]
+
+
+def test_module_parity_failure_names_seed_trial_and_inputs(monkeypatch):
+    calls = []
+    real = verify.sigma_action
+
+    def wrapped(x, eta):
+        calls.append((x, eta))
+        out = real(x, eta)
+        # the parity trials start after 3 calls in each of 1000 trials
+        return (out + Multivector.basis_vector(4, 0)
+                if len(calls) == 3000 + 2 + 1 else out)
+
+    monkeypatch.setattr(verify, "sigma_action", wrapped)
+    ok, detail = _check("module-structure").fn(8)
+    head = "seed 8, parity trial 2: even element mixed the halves at x, eta = "
+    assert not ok and detail.startswith(head)
+    assert _named_terms(detail[len(head):]) == [calls[3002][0].terms,
+                                                calls[3002][1].terms]
+
+
+def _center_changed(n, change):
+    """kuga.ks_center with the output of call n (from 0) changed."""
+    return _nth_call_changed(verify.kuga.ks_center, n, change)
+
+
+@pytest.mark.parametrize("trial", [0, 2])
+def test_center_of_other_dimension_names_seed_trial_and_change(monkeypatch,
+                                                               trial):
+    monkeypatch.setattr(verify.kuga, "ks_center", _center_changed(
+        trial, lambda out: (out[0] + [out[0][0]], None)))
+    ok, detail = _check("center-basis-invariance").fn(3)
+    rng = random.Random(3)
+    changes = [verify.identity(6)] + [verify._random_unimodular(rng, 6)
+                                      for _ in range(2)]
+    head = f"seed 3, trial {trial}: T = "
+    tail = ": center of dimension 3, not 2"
+    assert not ok and detail.startswith(head) and detail.endswith(tail)
+    named = json.loads(detail[len(head):-len(tail)])
+    assert [[Fraction(x) for x in row] for row in named] == changes[trial]
+
+
+def test_center_square_class_mismatch_names_the_classes(monkeypatch):
+    monkeypatch.setattr(verify.kuga, "ks_center", _center_changed(
+        1, lambda out: (out[0], 2 * out[1])))
+    ok, detail = _check("center-basis-invariance").fn(3)
+    assert not ok and detail.startswith("seed 3, trial 1: T = [[")
+    assert detail.endswith(": square class -2, not -1")
