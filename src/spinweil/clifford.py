@@ -7,13 +7,14 @@ so the generators of the rank-8 lattice V satisfy e_i e_{i+4} + e_{i+4} e_i
 = 1 and all e_i square to zero.  Products are reduced to the canonical
 basis {e_{i_1} ... e_{i_k} : i_1 < ... < i_k} indexed by bitmasks.
 
-The product of two elements with rational coefficients runs on ints: each
-factor is put over the common denominator of its terms
-(linalg.scale_to_integers), the cached blade products keep integral
-coefficients as ints, and each term of the result becomes one Fraction at
-the end.  Other coefficients (QuadExt, TowerScalar) go through the same
-loop unscaled.  The commutator x y - y x is the same loop over the cached
-blade commutators, cancelled terms dropped (blade_commutator).
+The product of two elements runs on ints for rational coefficients: each
+factor is put over the common denominator of its terms by the scaling
+rule of scalars (scale_to_integers, which passes QuadExt and TowerScalar
+coefficients through unscaled), the cached blade products keep integral
+coefficients as ints, and each term of the result is divided by the two
+denominators once at the end.  The commutator x y - y x is the same loop
+over the cached blade commutators, cancelled terms dropped
+(blade_commutator).
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -35,8 +36,8 @@ from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import (_over, _scaled_terms, all_rational, mat,
-                     scale_to_integers, solve, sparse_product)
+from .linalg import (_over, _scaled_terms, mat, rank, scale_to_integers,
+                     solve, sparse_product)
 from .multivector import (Multivector, _accumulate, contract, indices_of,
                           popcount, wedge)
 from .scalars import rat
@@ -266,8 +267,8 @@ class CliffordElement:
     def conj(self):
         """The anti-involution x_1...x_r -> (-1)^r x_r...x_1."""
         alg = self.algebra
-        # on ints over the common denominator d (the empty factor adds none)
-        a, _, d = _scaled_terms(self.terms, {})
+        # on ints over the common denominator d
+        a, d = scale_to_integers(self.terms.items())
         out = {}
         get = out.get
         for mask, c in a.items():
@@ -387,12 +388,9 @@ def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
 
 def _sigma_rows(terms, table):
     """sigma of the element with the {mask: coefficient} terms, over their
-    common denominator d, as (rows, d): row G is {F: int}, the nonzero
-    entries at the form masks F.  With a coefficient that is not rational,
-    d = 1 and the entries are the coefficients themselves."""
-    d = 1
-    if all_rational(terms.values()):
-        terms, d = scale_to_integers(terms.items())
+    common denominator d, as (rows, d): row G is {F: c}, the nonzero
+    entries at the form masks F, scaled by scale_to_integers."""
+    terms, d = scale_to_integers(terms.items())
     rows = [{} for _ in range(16)]
     for a, c in terms.items():
         for f, hit in enumerate(table[a]):
@@ -621,9 +619,8 @@ def random_spin_group_element(rng, span=1):
 
 def spin_v_dimension_check():
     """Rank of the 28 basis elements acting on V; equals n(2n-1) = 28."""
-    from .linalg import rank as mat_rank
     rows = []
     for _, x, _ in spin_v_xyz_table():
         mx = spin_so_iso(x)
         rows.append([mx[i][j] for i in range(8) for j in range(8)])
-    return mat_rank(mat(rows)), len(rows)
+    return rank(mat(rows)), len(rows)

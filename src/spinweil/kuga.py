@@ -16,29 +16,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .clifford import (CliffordAlgebra, commutator, is_so_matrix,
                        so_to_spin, spin_so_iso)
-from .lattices import BilinearLattice, orthogonal_complement, sublattice_gram
-from .linalg import (all_rational, det, identity, mat, mat_mul, nullspace,
+from .lattices import BilinearLattice, sublattice_gram
+from .linalg import (det, identity, mat, mat_mul, nullspace,
                      scale_to_integers, solve, solve_matrix, sparse_nullspace)
 from .reps import splus_matrix, stabilizer_algebra
 from .scalars import QuadExt, rat, squarefree_part
 from .spingeo import Spinor, splus_lattice
-from .weil import Period, field_parameters
+from .weil import Period, complement_basis, field_parameters
 
 
 def complement_data(h, s):
     """Basis of the rank-6 complement of <h, s> inside S+, and its Gram."""
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
-    lat = splus_lattice()
-    basis = [v.coords for v in orthogonal_complement(lat, [h.z, s.z])]
-    if len(basis) != 6:
-        raise ValueError("complement is not of rank 6")
-    gram = sublattice_gram(lat, basis, label="H").gram
-    return basis, BilinearLattice(gram, label="H")
+    basis = complement_basis(h, s)
+    return basis, sublattice_gram(splus_lattice(), basis, label="H")
 
 
 def _h_coordinates(basis, vec):
@@ -140,10 +133,11 @@ def ks_center(lattice: BilinearLattice):
     its traceless generator.
 
     The center is the kernel of the L_g - R_g, g = e_i e_j, whose column b
-    is the commutator [g, e_b]: sparse rows, on ints when rational.  It is
-    2-dimensional; the non-scalar generator squares to a rational number
-    whose squarefree part identifies the field attached to the lattice
-    (None for a center of another dimension).
+    is the commutator [g, e_b]: sparse rows, scaled by scale_to_integers
+    (on ints when rational).  It is 2-dimensional; the non-scalar
+    generator squares to a rational number whose squarefree part
+    identifies the field attached to the lattice (None for a center of
+    another dimension).
     """
     algebra = CliffordAlgebra(lattice)
     masks = tuple(algebra.basis_masks(even_only=True))
@@ -156,8 +150,7 @@ def ks_center(lattice: BilinearLattice):
             img = commutator(g, algebra.element({m: Fraction(1)}))
             for mm, c in img.terms.items():
                 block[index[mm]][b] = c
-        rows += [scale_to_integers(row.items())[0]
-                 if all_rational(row.values()) else row for row in block]
+        rows += [scale_to_integers(row.items())[0] for row in block]
     basis = sparse_nullspace(rows, len(masks))
     if len(basis) != 2:
         return basis, None
@@ -203,12 +196,13 @@ def ks_center_field_check(h, s) -> dict:
 def _charpoly_values(matrix, points):
     """det(t I - M) at integer points, exactly, via integer determinants."""
     n = len(matrix)
-    denom = lcm(*(rat(x).denominator for row in matrix for x in row))
-    scaled = [[int(rat(x) * denom) for x in row] for row in matrix]
+    scaled, denom = scale_to_integers(((a, b), x) for a, row in
+                                      enumerate(matrix) for b, x in
+                                      enumerate(row))
     out = []
     for t in points:
-        m = [[(t * denom if a == b else 0) - scaled[a][b] for b in range(n)]
-             for a in range(n)]
+        m = [[(t * denom if a == b else 0) - scaled.get((a, b), 0)
+              for b in range(n)] for a in range(n)]
         out.append(det(m) / denom ** n)
     return out
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import all_rational, identity, mat_mul, nullspace
-from .scalars import _integer_coords, rat
+from .linalg import identity, mat_mul, nullspace
+from .scalars import _integer_coords, _over, rat
 
 
 class BilinearLattice:
@@ -40,13 +40,11 @@ class BilinearLattice:
         object.__setattr__(self, "label", label)
         # the nonzero Gram entries of each row, as (column, value) pairs:
         # ints over the denominator _den when the Gram is rational
-        rows, den = gram, 1
-        if all(map(all_rational, gram)):
-            flat, den = _integer_coords([x for row in gram for x in row])
-            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        flat, den = _integer_coords([x for row in gram for x in row])
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", [
-            [(j, x) for j, x in enumerate(row) if x != 0] for row in rows])
+            [(j, x) for j, x in enumerate(flat[i * n:(i + 1) * n]) if x != 0]
+            for i in range(n)])
 
     def __setattr__(self, *args):
         raise AttributeError("BilinearLattice values are immutable")
@@ -56,17 +54,10 @@ class BilinearLattice:
         n = self.rank
         if len(v) != n or len(w) != n:
             raise ValueError("coordinate length does not match lattice rank")
-        return self._pair(self._scaled(v), self._scaled(w))
-
-    def _scaled(self, v):
-        """(v, d) with v times the lcm d of its denominators, as ints, when
-        v is rational; else (v, 1)."""
-        if all_rational(v):
-            return _integer_coords(v)
-        return v, 1
+        return self._pair(_integer_coords(v), _integer_coords(w))
 
     def _pair(self, sv, sw):
-        """pair of two vectors as _scaled gives them."""
+        """pair of two vectors as _integer_coords gives them."""
         (v, dv), (w, dw) = sv, sw
         total, hit = 0, False
         for x, row in zip(v, self._rows):
@@ -76,8 +67,7 @@ class BilinearLattice:
                         total, hit = total + x * g * w[j], True
         if not hit:
             return 0
-        d = self._den * dv * dw
-        return Fraction(total, d) if type(total) is int else total / d
+        return _over(total, self._den * dv * dw)
 
     def vector(self, coords):
         return LatticeVector(self, list(coords))
@@ -147,7 +137,6 @@ def signature(lattice: BilinearLattice):
     """
     n = lattice.rank
     g = [list(row) for row in lattice.gram]
-    order = list(range(n))
 
     def swap(i, j):
         g[i], g[j] = g[j], g[i]
@@ -195,7 +184,6 @@ def signature(lattice: BilinearLattice):
                 for t in range(n):
                     g[t][i] = g[t][i] - f * g[t][k]
     radical = n - pos - neg
-    del order
     return (pos, neg, radical)
 
 
@@ -213,7 +201,7 @@ def orthogonal_complement(lattice: BilinearLattice, vectors):
 def sublattice_gram(lattice: BilinearLattice, basis_vectors, label=""):
     """The Gram matrix of a list of vectors, as a new BilinearLattice; each
     vector is scaled to ints once."""
-    scaled = [lattice._scaled(v.coords if isinstance(v, LatticeVector)
+    scaled = [_integer_coords(v.coords if isinstance(v, LatticeVector)
                               else list(v)) for v in basis_vectors]
     return BilinearLattice([[lattice._pair(a, b) for b in scaled]
                             for a in scaled], label=label)

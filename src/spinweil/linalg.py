@@ -23,26 +23,27 @@ the row scales.  A matrix over K is eliminated over K on the first
 nonzero pivot of each column: an exact determinant needs no pivot
 preference.
 
-mat_mul takes an integer route when both factors are rational: each
-row of a and each column of b is scaled by the lcm of its denominators
-(scale_to_integers, the one scaling rule, also used by rref, det, the
-wedge, the Clifford product and commutator, the spin-module rows and the
-Kuga-Satake center rows; its dense form scalars._integer_coords scales
-the lattice pairing and the QuadExt and TowerScalar products), the sparse
-integer rows are multiplied and summed on ints (sparse_product, which
-also multiplies sparse rows of any scalars), and each product entry
-becomes one Fraction at the end.  A product with a QuadExt or TowerScalar
-entry runs the generic loop, which is a product, not an elimination.
+mat_mul is one sparse product for every scalar: each row of a and each
+column of b goes through the scaling rule of scalars (scale_to_integers:
+rationals become ints over the lcm of their denominators, other scalars
+pass through with denominator 1), the sparse rows are multiplied and
+summed (sparse_product), and each nonzero product entry is divided by its
+row and column denominators once at the end (_over); a zero entry is
+Fraction(0).  The rule has one owner, scalars; rref, det, the wedge, the
+Clifford product and commutator, the spin-module rows, the lattice
+pairing and the Kuga-Satake center rows call it without branching.  Only
+an algorithm that is the sole path for its inputs chooses by type: rref
+over K by restriction of scalars (_integer_rows), the integer kernel of
+sparse_nullspace, and Bareiss or field elimination in det.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import TowerScalar
-
-_RATIONAL = frozenset((int, Fraction))
+from .scalars import (_RATIONAL, TowerScalar, _over, all_rational,
+                      scale_to_integers)
 
 
 def mat(rows):
@@ -58,32 +59,12 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def all_rational(values):
-    """Whether every value is an int or a Fraction."""
-    return _RATIONAL.issuperset(map(type, values))
-
-
-def scale_to_integers(pairs):
-    """The nonzero (key, x) pairs of rationals as ({key: int}, d), each x
-    times the lcm d of their denominators."""
-    nonzero = [(k, x) for k, x in pairs if x]
-    d = lcm(*[x.denominator for _, x in nonzero])
-    return {k: x.numerator * (d // x.denominator) for k, x in nonzero}, d
-
-
 def _scaled_terms(a, b):
-    """(a, b, d): the terms a and b over their common denominators, whose
-    product is d, when all are rational; else a, b and d = 1."""
-    if all_rational(a.values()) and all_rational(b.values()):
-        a, da = scale_to_integers(a.items())
-        b, db = scale_to_integers(b.items())
-        return a, b, da * db
-    return a, b, 1
-
-
-def _over(c, d):
-    """c / d, as a Fraction for a rational c (d is 1 for other scalars)."""
-    return Fraction(c, d) if isinstance(c, (int, Fraction)) else c
+    """(a, b, d): the terms a and b, each scaled by scale_to_integers, and
+    the product d of their two denominators."""
+    a, da = scale_to_integers(a.items())
+    b, db = scale_to_integers(b.items())
+    return a, b, da * db
 
 
 def sparse_product(a_rows, b_rows):
@@ -101,11 +82,8 @@ def sparse_product(a_rows, b_rows):
 
 
 def mat_mul(a, b):
-    if not (all(map(all_rational, a)) and all(map(all_rational, b))):
-        bt = transpose(b)
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt]
-                for row in a]
-    # b scaled column by column, then read as sparse integer rows
+    """a b from the rows of a and the columns of b as scale_to_integers
+    gives them, summed by sparse_product (see the module docstring)."""
     m = len(b[0])
     col_dens = []
     b_rows = [{} for _ in b]
@@ -121,7 +99,7 @@ def mat_mul(a, b):
                            sparse_product([r for r, _ in a_scaled], b_rows)):
         full = [zero] * m
         for j, s in acc.items():
-            full[j] = Fraction(s, d * col_dens[j])
+            full[j] = _over(s, d * col_dens[j])
         out.append(full)
     return out
 

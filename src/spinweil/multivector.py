@@ -147,9 +147,9 @@ class Multivector:
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
-    """Graded-commutative wedge product.  Rational factors are put over
-    their common denominators and summed on ints, one Fraction per term
-    at the end, as in the Clifford product; other scalars run unscaled."""
+    """Graded-commutative wedge product.  Each factor goes through the
+    scaling rule (_scaled_terms), so rational terms are summed on ints and
+    divided once at the end, as in the Clifford product."""
     x._check(y)
     a, b, d = _scaled_terms(x.terms, y.terms)
     out = {}

@@ -32,9 +32,8 @@ from itertools import combinations, combinations_with_replacement
 from .clifford import (CV, _over, cartan_elements, sigma_matrix,
                        spin_v_xyz_table)
 from .jsonio import encode_scalar
-from .linalg import (all_rational, extend_span, identity, mat, mat_vec,
-                     nullspace, rank, scale_to_integers, sparse_nullspace,
-                     sparse_product)
+from .linalg import (extend_span, identity, mat, mat_vec, nullspace, rank,
+                     scale_to_integers, sparse_nullspace, sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
                           mask_of, nonzero_columns, pluecker, star_matrix,
@@ -183,20 +182,15 @@ def _action_table(name):
 
 def _action_rows(x, name):
     """The action sum c_a A_a of x on a space as (rows, d), entry (i, j)
-    being rows[i][j] / d.  Rational c are scaled to integers, so the
-    entries are ints; other scalars are divided by d at once."""
+    being rows[i][j] / d, with c scaled by scale_to_integers: the entries
+    are ints for rational c."""
     table, d = _action_table(name)
-    c = spin_coordinates(x)
-    if all_rational(c):
-        c, dc = scale_to_integers(enumerate(c))
-        d *= dc
-    else:
-        c, d = {a: ca / d for a, ca in enumerate(c) if ca}, 1
+    c, dc = scale_to_integers(enumerate(spin_coordinates(x)))
     dim = rep_space(name).dim
     rows = [{} for _ in range(dim)]
     for k, v in sparse_product([c], table)[0].items():
         rows[k // dim][k % dim] = v
-    return rows, d
+    return rows, d * dc
 
 
 def derived_action(x, space):
@@ -249,15 +243,14 @@ def stabilizer_algebra(fixed):
 
     Returns (clifford elements, coefficient vectors over the 28-element
     standard basis in X/Y/Z order).  The system for a spinor f has the
-    rows {a: (A_a f)_i} of the S+ table, on ints for a rational f scaled
-    to integers.
+    rows {a: (A_a f)_i} of the S+ table, with f scaled by
+    scale_to_integers (on ints for a rational f).
     """
     fixed = [f if isinstance(f, Spinor) else Spinor(f) for f in fixed]
     table, _ = _action_table("S+")
     rows = []
     for f in fixed:
-        z = (scale_to_integers(enumerate(f.z))[0] if all_rational(f.z)
-             else {j: c for j, c in enumerate(f.z) if c})
+        z, _ = scale_to_integers(enumerate(f.z))
         images = sparse_product(table, [{k // 8: z[k % 8]} if k % 8 in z
                                         else {} for k in range(64)])
         rows += [{a: im[i] for a, im in enumerate(images) if i in im}

@@ -6,8 +6,14 @@ Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
 positive denominator).  ``QuadExt`` and ``TowerScalar`` fix a single
 squarefree ``m`` per value; mixing different ``m`` is a usage error and
 raises ``ValueError`` at the operation boundary.
-Products in Q(sqrt(m)) and Q(i, sqrt(m)) run on ints over each factor's
-common denominator (_integer_coords), one Fraction per coordinate.
+This module owns the scaling rule of every exact kernel: rational values
+become ints over the lcm d of their denominators; with any other scalar
+among them, the values pass through unchanged and d = 1.  _integer_coords
+is its dense form, scale_to_integers its sparse keyed form (zeros left
+out), and _over(c, d) turns a result back into c / d.  Callers apply the
+rule without asking whether their values are rational.  Products in
+Q(sqrt(m)) and Q(i, sqrt(m)) run on ints over each factor's common
+denominator, one Fraction per coordinate.
 """
 
 from __future__ import annotations
@@ -32,10 +38,36 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def all_rational(values):
+    """Whether every value is an int or a Fraction."""
+    return _RATIONAL.issuperset(map(type, values))
+
+
 def _integer_coords(xs):
-    """(ints, d): the Fractions xs times the lcm d of their denominators."""
+    """(ints, d): the rationals xs times the lcm d of their denominators;
+    (xs, 1) when any other scalar is among them."""
+    if not all_rational(xs):
+        return xs, 1
     d = lcm(*[x.denominator for x in xs])
     return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def scale_to_integers(pairs):
+    """The nonzero (key, x) pairs as ({key: x}, d), the values scaled by
+    _integer_coords."""
+    nonzero = {k: x for k, x in pairs if x}
+    ints, d = _integer_coords(nonzero.values())
+    return dict(zip(nonzero, ints)), d
+
+
+def _over(c, d):
+    """c / d: a Fraction for an int c, c itself when d = 1."""
+    if type(c) is int:
+        return Fraction(c, d)
+    return c if d == 1 else c / d
 
 
 def _as_fraction(x):

@@ -17,9 +17,11 @@ from .clifford import CV, commutator, sigma_action
 from .lattices import make_Splus, make_V
 from .jsonio import encode_scalar
 from .linalg import (det, extend_span, identity, inverse, mat, mat_mul,
-                     mat_vec, rank, scale_to_integers)
-from .multivector import (DEGREE4_MASKS, Multivector, contract, pfaffian,
-                          pluecker, star_matrix, wedge)
+                     mat_vec, rank, scale_to_integers, transpose)
+from .multivector import (DEGREE4_MASKS, Multivector, contract,
+                          induced_gram4, pfaffian, pluecker, star_matrix,
+                          wedge)
+from .reps import splus_matrix
 from .scalars import (QuadExt, TowerScalar, hilbert_symbol, relevant_places,
                       REAL_PLACE)
 from .spingeo import (Spinor, graph_basis, move_to_cell, random_alternating,
@@ -177,8 +179,7 @@ def check_signature_invariance(seed):
     for lat in (make_V(), make_Splus()):
         for _ in range(10):
             t = _random_unimodular(rng, 8)
-            tt = [[t[b][a] for b in range(8)] for a in range(8)]
-            g2 = mat_mul(tt, mat_mul(lat.gram, t))
+            g2 = mat_mul(transpose(t), mat_mul(lat.gram, t))
             if lattices.signature(lattices.BilinearLattice(g2)) != \
                     lattices.signature(lat):
                 return False, "signature moved under congruence"
@@ -279,8 +280,7 @@ def check_pfaffian(seed):
                 return False, "Pfaffian square is not the determinant"
             t = [[Fraction(rng.randint(-2, 2)) for _ in range(size)]
                  for _ in range(size)]
-            tt = [[t[j][i] for j in range(size)] for i in range(size)]
-            btb = mat_mul(tt, mat_mul(b, t))
+            btb = mat_mul(transpose(t), mat_mul(b, t))
             if pfaffian(btb) != det(t) * pfaffian(b):
                 return False, "congruence transformation rule failed"
     return True, "50 random matrices of sizes 4 and 6"
@@ -305,14 +305,13 @@ def check_pluecker_equivariance(seed):
 @register("star-self-adjoint", "exterior",
           "(star x, y) = (x, star y) for the induced degree-4 pairing")
 def check_star_self_adjoint(seed):
-    from .multivector import induced_gram4
     star = star_matrix()
     g4 = induced_gram4(make_V().gram)
     idx = {m: i for i, m in enumerate(DEGREE4_MASKS)}
     gm = [[Fraction(0)] * 70 for _ in range(70)]
     for (ma, mb), v in g4.items():
         gm[idx[ma]][idx[mb]] = v
-    lhs = mat_mul([[star[b][a] for b in range(70)] for a in range(70)], gm)
+    lhs = mat_mul(transpose(star), gm)
     rhs = mat_mul(gm, star)
     if lhs != rhs:
         return False, (f"seed {seed}, trial 0: (star x, y) against (x, star y)"
@@ -419,7 +418,6 @@ def check_spinor_isotropic(seed):
           "the spinor map intertwines the vector and half-spin actions")
 def check_spinor_equivariance(seed):
     rng = random.Random(seed)
-    from .reps import splus_matrix
     for trial in range(100):
         g = clifford.random_spin_group_element(rng)
         b2 = random_alternating(rng, lo=-2, hi=2)
@@ -721,8 +719,7 @@ def check_center_invariance(seed):
     changes = [identity(6)] + [_random_unimodular(rng, 6) for _ in range(2)]
     parts = []
     for trial, t in enumerate(changes):
-        tt = [[t[b][a] for b in range(6)] for a in range(6)]
-        g2 = mat_mul(tt, mat_mul(lattice.gram, t))
+        g2 = mat_mul(transpose(t), mat_mul(lattice.gram, t))
         basis, sq = kuga.ks_center(lattices.BilinearLattice(g2))
         where = f"seed {seed}, trial {trial}: T = {reps._text(t)}"
         if sq is None:

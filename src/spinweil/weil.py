@@ -23,12 +23,13 @@ from functools import lru_cache
 from math import isqrt
 
 from .lattices import make_V, orthogonal_complement
-from .linalg import (inverse, leading_principal_minors, mat, mat_mul,
-                     mat_vec, nullspace, rank, scale_to_integers)
+from .linalg import (det, inverse, leading_principal_minors, mat, mat_mul,
+                     mat_vec, nullspace, rank, scale_to_integers, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
-                          derive_multivector, pluecker, wedge)
-from .reps import (_text, cayley_class, invariant_subspace,
-                   stabilizer_algebra, weight_multiset)
+                          derive_multivector, indices_of, mask_of, pluecker,
+                          wedge)
+from .reps import (WEDGE2V_BASIS, _text, cayley_class, derivation_matrix,
+                   invariant_subspace, stabilizer_algebra, weight_multiset)
 from .scalars import QuadExt, is_norm, rat, squarefree_part
 from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
                       subspace_of_spinor)
@@ -72,6 +73,18 @@ def _sqrt_rational(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
+def complement_basis(h, s):
+    """Coordinates of a basis of the rank-6 complement of <h, s> in S+;
+    ValueError when the complement has another rank."""
+    h = h if isinstance(h, Spinor) else Spinor(h)
+    s = s if isinstance(s, Spinor) else Spinor(s)
+    basis = [v.coords for v in orthogonal_complement(splus_lattice(),
+                                                     [h.z, s.z])]
+    if len(basis) != 6:
+        raise ValueError("complement is not of rank 6")
+    return basis
+
+
 def sample_period(h, s, seed=0, tries=5000) -> Period:
     """A rational period orthogonal to h and s.
 
@@ -79,8 +92,9 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     of positive length a, the projection w' of w away from u of positive
     length c, and a c a rational square, in which case q = (sqrt(a c)/c) w'
     has the same length as u.  The search runs on integer vectors over the
-    common denominator of the complement basis: with A = (U, U) > 0 and
-    T = (U, W), P = A W - T U has the sign of c and A (P, P) the square
+    common denominator of the complement basis, paired through the integer
+    Gram rows of the lattice (BilinearLattice._rows): with A = (U, U) > 0
+    and T = (U, W), P = A W - T U has the sign of c and A (P, P) the square
     class of a c.  Only the accepted pair is made rational.  Deterministic
     for a fixed seed; raises after the given number of tries.
     """
@@ -91,15 +105,14 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
         raise ValueError("need orthogonal h, s spanning a positive "
                          "definite plane")
     comp, den = scale_to_integers(
-        ((k, i), x) for k, v in enumerate(orthogonal_complement(
-            lat, [h.z, s.z])) for i, x in enumerate(v.coords))
-    gram, _ = scale_to_integers(((i, j), x) for i, row in enumerate(lat.gram)
-                                for j, x in enumerate(row))
+        ((k, i), x) for k, v in enumerate(complement_basis(h, s))
+        for i, x in enumerate(v))
     cols = [[comp.get((k, i), 0) for k in range(6)] for i in range(8)]
     rng = random.Random(seed)
 
     def pair(v, w):
-        return sum(g * v[i] * w[j] for (i, j), g in gram.items())
+        return sum(x * g * w[j] for x, row in zip(v, lat._rows) if x
+                   for j, g in row)
 
     def draw():
         while True:
@@ -163,7 +176,7 @@ def _check_complex_structure(j):
             if sq[a][b] != (-1 if a == b else 0):
                 raise RuntimeError("J^2 = -I failed")
     g = make_V().gram
-    jt = [[j[b][a] for b in range(n)] for a in range(n)]
+    jt = transpose(j)
     if mat_mul(jt, mat_mul(g, j)) != g:
         raise RuntimeError("J is not orthogonal for the form on V")
 
@@ -231,9 +244,7 @@ def weil_condition(j, mu) -> bool:
 
 def _polarization_matrices(mu):
     g = make_V().gram
-    mut = [[mu[b][a] for b in range(8)] for a in range(8)]
-    e = mat_mul(mut, g)  # E[i][j] = (mu e_i, e_j)
-    return e
+    return mat_mul(transpose(mu), g)  # E[i][j] = (mu e_i, e_j)
 
 
 def polarization(mu, j):
@@ -250,7 +261,7 @@ def polarization(mu, j):
         for b in range(8):
             if e[a][b] != -e[b][a]:
                 raise RuntimeError("E is not alternating")
-    jt = [[j[b][a] for b in range(8)] for a in range(8)]
+    jt = transpose(j)
     if mat_mul(jt, mat_mul(e, j)) != e:
         raise RuntimeError("E is not J-invariant (not of type (1,1))")
     bform = mat_mul(jt, e)
@@ -308,7 +319,6 @@ def hermitian_and_discriminant(mu, e, d, m, f):
         for b in range(4):
             if psi[a][b] != psi[b][a].conj():
                 raise RuntimeError("Psi failed to be Hermitian")
-    from .linalg import det
     dpsi = det(psi)
     if isinstance(dpsi, QuadExt):
         if dpsi.b != 0:
@@ -399,8 +409,6 @@ def omega_line_check(datum: WeilDatum) -> bool:
     inv = invariant_subspace(stab, "Wedge2V")
     if len(inv) != 1:
         return False
-    from .reps import WEDGE2V_BASIS
-    from .multivector import mask_of
     omega_coords = [datum.omega.coefficient(mask_of(t)) for t in WEDGE2V_BASIS]
     aug = mat([inv[0], omega_coords])
     return rank(aug) == 1 and any(x != 0 for x in omega_coords)
@@ -474,7 +482,6 @@ def weil_class_space(datum: WeilDatum):
 
 def _wedge4_apply(m, x: Multivector) -> Multivector:
     """Multiplicative wedge-4 action of a matrix on a degree-4 form."""
-    from .multivector import indices_of
     out = Multivector.zero(8)
     for mask, c in x.terms.items():
         cols = indices_of(mask)
@@ -497,8 +504,7 @@ def h2_split(h, s):
     s = s if isinstance(s, Spinor) else Spinor(s)
     kappa, d, m, f = kappa_spinor(h, s)
     kb = [c.conj() for c in kappa.z]
-    lat = splus_lattice()
-    comp = [v.coords for v in orthogonal_complement(lat, [h.z, s.z])]
+    comp = complement_basis(h, s)
     p8 = [[kappa.z[i], kb[i]] + [QuadExt(comp[k][i], 0, m) for k in range(6)]
           for i in range(8)]
     pinv = inverse(p8)
@@ -506,7 +512,6 @@ def h2_split(h, s):
     diag = [two, -two] + [QuadExt(0, 0, m)] * 6
     xr = mat_mul(p8, [[diag[a] * pinv[a][b] for b in range(8)]
                       for a in range(8)])
-    from .reps import derivation_matrix
     d2 = derivation_matrix(xr, 2)
     dims = []
     for lam in (0, 2, -2):
@@ -522,7 +527,7 @@ def datum_report(datum: WeilDatum) -> dict:
     """Named pass/fail summary of every invariant of one datum."""
     j, mu = datum.j, datum.mu
     g = make_V().gram
-    jt = [[j[b][a] for b in range(8)] for a in range(8)]
+    jt = transpose(j)
     e = datum.e
     bform = mat_mul(jt, e)
     minors = leading_principal_minors(bform)

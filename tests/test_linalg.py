@@ -9,7 +9,9 @@ unique, so on rational matrices both routes must give the same rref,
 pivots, rank, kernel, solutions and inverse, down to the repr of every
 entry, and on field matrices they must be equal.  A product of rational
 matrices is summed on ints and must equal the textbook loop over
-Fractions, again down to the repr.  The determinant of a rational matrix
+Fractions, again down to the repr; a product over a field takes the same
+sparse path and must equal the textbook loop, each nonzero entry of the
+type its nonzero terms give.  The determinant of a rational matrix
 is fraction-free (Bareiss) and must equal Gaussian elimination over the
 field, down to the repr.
 """
@@ -314,14 +316,14 @@ KINDS = {
 
 
 @st.composite
-def factor_pairs(draw):
+def factor_pairs(draw, kinds=st.sampled_from(sorted(KINDS)).map(KINDS.get)):
     """(a, b) with a n x k and b k x m, n in 0..7, k and m in 1..7, so
-    1 x k, k x 1, wide and tall shapes all occur, with all-int,
-    all-Fraction or mixed entries and some zero rows of a and zero
-    columns of b."""
+    1 x k, k x 1, wide and tall shapes all occur, with entries of a kind
+    drawn from kinds (all-int, all-Fraction or mixed by default) and some
+    zero rows of a and zero columns of b."""
     n = draw(st.integers(0, 7))
     k, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    entry = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    entry = draw(kinds)
     a = [[draw(entry) for _ in range(k)] for _ in range(n)]
     b = [[draw(entry) for _ in range(m)] for _ in range(k)]
     for row in a:
@@ -346,6 +348,32 @@ def test_mat_mul_matches_reference_loop(pair):
 def test_mat_mul_of_ints_returns_fractions():
     assert repr(mat_mul([[1, 2]], [[3], [4]])) == "[[Fraction(11, 1)]]"
     assert mat_mul([], [[1, 2]]) == []
+
+
+def nonzero_term_mat_mul(a, b):
+    """The triple loop over the terms whose two factors are nonzero,
+    summed from Fraction(0): the scalar type each nonzero entry of a
+    sparse product has."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))
+                  if a[i][t] and b[t][j]), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_pairs(st.sampled_from(FIELDS).map(
+    lambda field: field_entries(*field))))
+def test_mat_mul_over_a_field_matches_reference_loop(pair):
+    # one sparse path for every scalar: equal to the textbook loop, each
+    # nonzero entry of the type its nonzero terms give (a Fraction when all
+    # are rational, where the textbook loop has an element of K), and each
+    # zero entry Fraction(0)
+    a, b = pair
+    got = mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    terms = nonzero_term_mat_mul(a, b)
+    for row, term_row in zip(got, terms):
+        for x, y in zip(row, term_row):
+            assert repr(x) == (repr(y) if x else "Fraction(0, 1)")
 
 
 def test_mat_mul_with_quadext_entries():

@@ -1,12 +1,16 @@
+import ast
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinweil.scalars import (QuadExt, REAL_PLACE, TowerScalar, factorize,
-                              hilbert_symbol, is_norm, is_square, is_prime,
-                              legendre, relevant_places, squarefree_part)
+from spinweil.scalars import (QuadExt, REAL_PLACE, TowerScalar, _over,
+                              factorize, hilbert_symbol, is_norm, is_square,
+                              is_prime, legendre, relevant_places,
+                              scale_to_integers, squarefree_part)
 
 import table_references as reference
 
@@ -281,3 +285,76 @@ def test_products_on_ints_match_fraction_products(pair):
                           (y * x, product(fy, fx))):
         assert got == expected and repr(got) == repr(expected)
         assert all(type(c) is Fraction for c in _coords(got))
+
+
+# -- the scaling rule ---------------------------------------------------------
+
+RATIONAL_LISTS = st.lists(st.one_of(st.just(0), st.just(Fraction(0)),
+                                    RATIONALS), max_size=8)
+NONZERO_FIELD_ELEMENTS = st.one_of(quad(-3), quad(2), tower(-2),
+                                  tower(5)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONAL_LISTS)
+def test_scale_to_integers_of_rationals(xs):
+    ints, d = scale_to_integers(enumerate(xs))
+    assert sorted(ints) == [i for i, x in enumerate(xs) if x]
+    assert all(type(c) is int for c in ints.values())
+    assert d == lcm(*(Fraction(x).denominator for x in xs if x))
+    for i, c in ints.items():
+        got = _over(c, d)
+        assert got == xs[i] and type(got) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONAL_LISTS,
+       st.lists(NONZERO_FIELD_ELEMENTS, min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_scale_to_integers_passes_other_scalars_through(xs, fields, rng):
+    values = xs + fields
+    rng.shuffle(values)
+    ints, d = scale_to_integers(enumerate(values))
+    assert d == 1
+    assert sorted(ints) == [i for i, x in enumerate(values) if x]
+    assert all(ints[i] is values[i] for i in ints)
+    assert all(_over(c, 1) is c for c in ints.values()
+               if type(c) is not int)
+
+
+def test_over_divides_field_elements_and_fractions():
+    x = QuadExt(Fraction(1, 2), 3, 2)
+    assert _over(x, 6) == QuadExt(Fraction(1, 12), Fraction(1, 2), 2)
+    assert repr(_over(Fraction(3, 4), 3)) == "Fraction(1, 4)"
+    assert repr(_over(6, 4)) == "Fraction(3, 2)"
+
+
+#: the modules that own the rational-or-not decision
+SCALING_OWNERS = {"scalars.py", "linalg.py"}
+SCALING_NAMES = {"all_rational", "lcm"}
+
+
+def _names(tree):
+    """Every identifier a module names: variables, attributes, imports
+    and definitions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_scalars_and_linalg_decide_whether_values_are_rational():
+    src = Path(__file__).resolve().parents[1] / "src" / "spinweil"
+    offenders = sorted(
+        (path.name, name) for path in src.glob("*.py")
+        if path.name not in SCALING_OWNERS
+        for name in set(_names(ast.parse(path.read_text())))
+        if name in SCALING_NAMES)
+    assert offenders == []
