@@ -14,6 +14,12 @@ Exit codes (this is the one place they are listed):
      spinor, h or s without exactly eight coordinates, a spinor B that is
      not a 4x4 matrix, or an --input document (or its inputs) that is not
      a JSON object or carries a non-integer n or seed
+
+verify, weil and kuga are imported inside run_verify, run_weil and run_ks,
+the only verbs that use them.  A process that does not write bytecode
+compiles every module it imports, and the three are about a third of the
+package's source: a cold cayley, spinor or invariants call would compile
+them for code it never runs.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .jsonio import (decode_matrix, decode_vector, encode_matrix,
                      encode_multivector, encode_scalar, encode_vector)
 from .lattices import moduli_dimension
@@ -31,9 +36,6 @@ from .reps import (branching_dims, cayley_class, cayley_constant,
                    explicit_cayley_formula, gamma2alpha_star_sign,
                    invariant_subspace, stabilizer_algebra, standard_spinor)
 from .spingeo import Spinor, spinor_inverse, spinor_map
-from .weil import (datum_report, field_parameters, h2_split, make_weil_datum,
-                   sample_period, weil_class_space)
-from .kuga import ks_report
 
 DEFAULT_SEED = 20240
 
@@ -218,6 +220,8 @@ def _h_s_seed(args):
 
 
 def run_weil(args):
+    from .weil import (datum_report, field_parameters, h2_split,
+                       make_weil_datum, weil_class_space)
     h, s, seed = _h_s_seed(args)
     if args.field_scan:
         rows = []
@@ -271,6 +275,8 @@ def run_weil(args):
 # -- verb: ks ----------------------------------------------------------------
 
 def run_ks(args):
+    from .kuga import ks_report
+    from .weil import sample_period
     h, s, seed = _h_s_seed(args)
     period = sample_period(h, s, seed=seed)
     report = ks_report(h, s, period, seed=seed)
@@ -314,6 +320,7 @@ def run_invariants(args):
 # -- verb: verify ------------------------------------------------------------
 
 def run_verify(args):
+    from . import verify as verify_mod
     if args.suite and args.suite not in verify_mod.suites():
         raise UsageError(f"unknown suite {args.suite!r}; available: "
                          f"{', '.join(verify_mod.suites())}")

@@ -29,8 +29,8 @@ from functools import lru_cache
 from math import gcd
 from itertools import combinations, combinations_with_replacement
 
-from .clifford import (CV, _over, cartan_elements, sigma_matrix,
-                       spin_v_xyz_table)
+from .clifford import (CV, _module_table, _over, cartan_elements,
+                       sigma_matrix, spin_v_xyz_table)
 from .jsonio import encode_scalar
 from .linalg import (extend_span, identity, mat, mat_vec, nullspace, rank,
                      scale_to_integers, sparse_nullspace, sparse_product)
@@ -307,24 +307,6 @@ def quadric_square_span():
                        f"dimension {len(vectors)} of 35 after {draws} draws")
 
 
-def _chevalley_product(indices):
-    """Chevalley's antisymmetrized product of the generators e_j of C(V),
-    j in the order given (Chevalley, The Algebraic Theory of Spinors, 1954).
-    V's Gram pairs e_j only with its dual e_{j+4 mod 8}: a dual pair is
-    moved together past the anticommuting generators between them, and
-    taken as e_j e_{j+4 mod 8} - 1/2."""
-    alg, x, rest = CV(), CV().one(), list(indices)
-    while rest:
-        j = rest.pop(0)
-        e = alg.generator(j)
-        if (j + 4) % 8 in rest:
-            k = rest.index((j + 4) % 8)
-            e = (e * alg.generator(rest.pop(k)) -
-                 alg.scalar(Fraction(1, 2))).scale(Fraction((-1) ** k))
-        x = x * e
-    return x
-
-
 @lru_cache(maxsize=1)
 def phi_matrix():
     """The equivariant 70 x 36 map Sym^2 S+ -> degree-4 forms on V, whose
@@ -332,17 +314,55 @@ def phi_matrix():
 
     The closed form is the bilinear covariant s (.) t -> sum_I (s, e^_{I*}
     t) e^I (Chevalley 1954; Harvey-Lawson, Calibrated geometries, 1982,
-    section IV): I* = {i + 4 mod 8 : i in I} in the order of I, e^_{I*} its
-    _chevalley_product, and the S+ pairing (z_a, w) = w_{a+4 mod 8}.  For
-    a 4-form that pairing is symmetric in s and t, so s (.) s goes to
-    s^T Q s with Q[a][b] = (z_a, e^_{I*} z_b), whose 2 Q[a][b] z_a z_b
-    (a < b) meets the 2 z_a z_b of sym2_coords: phi[I][(a, b)] = Q[a][b].
+    section IV): I* = {i + 4 mod 8 : i in I} in the order of I, e^_J the
+    antisymmetrized product of the generators e_j, j in J, and the S+
+    pairing (z_a, w) = w_{a+4 mod 8}.  For a 4-form that pairing is
+    symmetric in s and t, so s (.) s goes to s^T Q s with Q[a][b] = (z_a,
+    e^_{I*} z_b), whose 2 Q[a][b] z_a z_b (a < b) meets the 2 z_a z_b of
+    sym2_coords: phi[I][(a, b)] = Q[a][b].
+
+    V's Gram pairs e_j only with its dual e_{j+4 mod 8}, so e^_J is the
+    product in the order of J of single generators e_j and of dual-pair
+    factors (-1)^k (e_j e_{j+4 mod 8} - 1/2), the dual moved past the k
+    generators between them.  On the 16 forms w_F a single e_j is a signed
+    partial permutation, row 1 << j of clifford._module_table, and e_j
+    e_{j+4 mod 8} is 1 or 0 on each w_F, so a dual-pair factor acts by
+    +-1/2.  So e^_J sends w_{Z_DICT[b]} to +-2^-p w_G or to 0, p the
+    number of dual pairs in J, and phi[I][(a, b)] is that +-2^-p, with
+    the signs of Z_DICT, when G is the form of z_{a+4 mod 8}, and 0
+    otherwise.  No Clifford product and no 16 x 16 matrix is formed.
     """
+    table, zero = _module_table(), Fraction(0)
+    position = {f: (i, s) for i, (f, s) in enumerate(Z_DICT)}
+    column = {ab: i for i, ab in enumerate(SYM2_BASIS)}
     rows = []
     for mask in DEGREE4_MASKS:
-        m = splus_matrix(_chevalley_product([(i + 4) % 8
-                                             for i in indices_of(mask)]))
-        rows.append([m[(a + 4) % 8][b] for a, b in SYM2_BASIS])
+        word, rest = [], [(i + 4) % 8 for i in indices_of(mask)]
+        while rest:
+            j = rest.pop(0)
+            k = rest.index((j + 4) % 8) if (j + 4) % 8 in rest else None
+            word.append((j, None, 1) if k is None
+                        else (j, rest.pop(k), (-1) ** k))
+        d = 2 ** sum(dual is not None for _, dual, _ in word)
+        row = [zero] * 36
+        for b, (g, c) in enumerate(Z_DICT):
+            # c w_g, through the factors of e^_J from the right
+            for j, dual, sign in reversed(word):
+                if dual is None:
+                    hit = table[1 << j][g]
+                    if hit is None:
+                        break
+                    g, c = hit[0], c * hit[1]
+                else:
+                    hit = table[1 << dual][g]
+                    on = hit is not None and table[1 << j][hit[0]] is not None
+                    c *= sign if on else -sign
+            else:  # e^_J w_{Z_DICT[b]} = c 2^-p w_g, w_g = +-z_i
+                i, s_g = position[g]
+                a = (i + 4) % 8
+                if a <= b:
+                    row[column[a, b]] = Fraction(c * s_g, d)
+        rows.append(row)
     return rows
 
 

@@ -57,10 +57,17 @@ def _integer_coords(xs):
 
 def scale_to_integers(pairs):
     """The nonzero (key, x) pairs as ({key: x}, d), the values scaled by
-    _integer_coords."""
+    the rule of _integer_coords: each denominator is read once, and the
+    numerators are taken as they are when d = 1."""
     nonzero = {k: x for k, x in pairs if x}
-    ints, d = _integer_coords(nonzero.values())
-    return dict(zip(nonzero, ints)), d
+    if not all_rational(nonzero.values()):
+        return nonzero, 1
+    dens = [x.denominator for x in nonzero.values()]
+    d = lcm(*dens)
+    if d == 1:
+        return {k: x.numerator for k, x in nonzero.items()}, 1
+    return {k: x.numerator * (d // e)
+            for (k, x), e in zip(nonzero.items(), dens)}, d
 
 
 def _over(c, d):

@@ -5,9 +5,10 @@ scaled from dense matrices, and the quadratic dictionary as the targets
 times the inverse of the column matrix.  Also the Fraction-by-Fraction
 kernels that the integer route replaced: the scalar-tower products, the
 lattice pairing, the spinor action matrix built by sigma_action, the
-commutator over the blade products of both orders, and the center of the
-even Clifford algebra from left and right multiplication matrices.  Tests
-compare the library with them by == and by repr."""
+commutator over the blade products of both orders, the center of the
+even Clifford algebra from left and right multiplication matrices, and
+the bilinear covariant as Chevalley products of generators read through
+splus_matrix.  Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -144,6 +145,35 @@ def phi_matrix():
     colmat = [[cols[c][r] for c in range(36)] for r in range(36)]
     tarmat = [[targets[c][r] for c in range(36)] for r in range(70)]
     return mat_mul(tarmat, inverse(colmat))
+
+
+def chevalley_product(indices):
+    """Chevalley's antisymmetrized product of the generators e_j of C(V),
+    j in the order given (Chevalley, The Algebraic Theory of Spinors, 1954).
+    V's Gram pairs e_j only with its dual e_{j+4 mod 8}: a dual pair is
+    moved together past the anticommuting generators between them, and
+    taken as e_j e_{j+4 mod 8} - 1/2."""
+    alg, x, rest = CV(), CV().one(), list(indices)
+    while rest:
+        j = rest.pop(0)
+        e = alg.generator(j)
+        if (j + 4) % 8 in rest:
+            k = rest.index((j + 4) % 8)
+            e = (e * alg.generator(rest.pop(k)) -
+                 alg.scalar(Fraction(1, 2))).scale(Fraction((-1) ** k))
+        x = x * e
+    return x
+
+
+def chevalley_phi_matrix():
+    """The bilinear covariant by 70 Clifford products: phi[I][(a, b)] =
+    (z_a, e^_{I*} z_b), read off splus_matrix of the product."""
+    rows = []
+    for mask in DEGREE4_MASKS:
+        m = splus_matrix(chevalley_product([(i + 4) % 8
+                                            for i in indices_of(mask)]))
+        rows.append([m[(a + 4) % 8][b] for a, b in SYM2_BASIS])
+    return rows
 
 
 def quad_product(x, y):

@@ -171,15 +171,26 @@ def test_verify_text_output_has_no_timing(capsys):
 
 
 def test_python_m_spinweil_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # fresh interpreters, so the verb-local imports of verify, weil and
+    # kuga run cold
+    root = Path(__file__).resolve().parents[1]
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-m", "spinweil", "verify",
-                           "--suite", "mukai"], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "1/1 checks passed" in proc.stdout
+    env = dict(os.environ, PYTHONPATH=str(root / "src") +
+               (os.pathsep + path if path else ""))
+
+    def spinweil(*argv):
+        proc = subprocess.run([sys.executable, "-m", "spinweil", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert "1/1 checks passed" in spinweil("verify", "--suite", "mukai")
+    for argv, golden in [(["weil-family", "--field-scan"],
+                          "weil_family_field_scan"), (["ks"], "ks")]:
+        assert spinweil(*argv, "--json") == \
+            (root / "tests" / "golden" / f"{golden}.json").read_text(
+                encoding="utf-8")
 
 
 def test_verify_unknown_suite(capsys):

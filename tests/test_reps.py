@@ -687,11 +687,19 @@ def test_phi_matrix_is_equivariant_on_every_basis_element():
             mat_mul(phi, derived_action(x, "Sym2S+")), label
 
 
+def test_phi_matrix_reads_the_chevalley_products_off_the_module_table():
+    # the table read of phi_matrix is the product e^_{I*} of Clifford
+    # elements read through splus_matrix, entry by entry
+    phi, expected = phi_matrix(), reference.chevalley_phi_matrix()
+    assert phi == expected
+    assert repr(phi) == repr(expected)
+
+
 def test_chevalley_products_of_four_generators_pair_symmetrically():
     # phi_matrix reads (z_a, e^_J z_b) for a <= b only: the pairing is
     # symmetric for every 4-element J, in any order
     for j in [(0, 1, 2, 3), (4, 0, 1, 5), (7, 3, 6, 2), (5, 1, 2, 7)]:
-        m = splus_matrix(reps._chevalley_product(list(j)))
+        m = splus_matrix(reference.chevalley_product(list(j)))
         q = m[4:] + m[:4]
         assert q == transpose(q) and any(x != 0 for r in q for x in r)
 
