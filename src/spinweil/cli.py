@@ -13,7 +13,8 @@ Exit codes (this is the one place they are listed):
      JSON values that do not decode to scalars, vectors or matrices, a
      spinor, h or s without exactly eight coordinates, a spinor B that is
      not a 4x4 matrix, or an --input document (or its inputs) that is not
-     a JSON object or carries a non-integer n or seed
+     a JSON object or carries a non-integer n or seed or a non-boolean
+     field_scan
 
 verify, weil and kuga are imported inside run_verify, run_weil and run_ks,
 the only verbs that use them.  A process that does not write bytecode
@@ -208,22 +209,27 @@ def run_cayley(args):
 # -- verb: weil-family -------------------------------------------------------
 
 def _h_s_seed(args):
-    """The h and s vectors and the seed of weil-family and ks."""
+    """The h and s vectors, the seed and the --input document's inputs
+    (empty without --input) of weil-family and ks."""
     if args.input:
         inputs = _input_doc(args.input)
         return (_decode_8(inputs.get("h"), "h"),
                 _decode_8(inputs.get("s"), "s"),
-                _int_input(inputs, "seed", args.seed))
+                _int_input(inputs, "seed", args.seed), inputs)
     h = _decode_8(_load_json(args.h), "--h") if args.h else STANDARD_H
     s = _decode_8(_load_json(args.s), "--s") if args.s else STANDARD_S
-    return list(h), list(s), args.seed
+    return list(h), list(s), args.seed, {}
 
 
 def run_weil(args):
     from .weil import (datum_report, field_parameters, h2_split,
                        make_weil_datum, weil_class_space)
-    h, s, seed = _h_s_seed(args)
-    if args.field_scan:
+    h, s, seed, inputs = _h_s_seed(args)
+    scan = inputs.get("field_scan", False)
+    if not isinstance(scan, bool):
+        raise UsageError(f"input 'field_scan' must be a boolean, got "
+                         f"{json.dumps(scan)}")
+    if args.field_scan or scan:
         rows = []
         for k in (1, 2, 3, 5):
             hk = [0, k, 0, 0, 0, 1, 0, 0]
@@ -277,7 +283,7 @@ def run_weil(args):
 def run_ks(args):
     from .kuga import ks_report
     from .weil import sample_period
-    h, s, seed = _h_s_seed(args)
+    h, s, seed, _ = _h_s_seed(args)
     period = sample_period(h, s, seed=seed)
     report = ks_report(h, s, period, seed=seed)
     doc = {

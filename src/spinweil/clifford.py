@@ -20,8 +20,9 @@ The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
 wedging, W* by contracting, and each blade e_A sends each of the 16 basis
 forms w_F to +-w_G or to 0.  The table of these signed partial
-permutations is built once from the generator action; sigma_action and
-sigma_matrix read it, on ints over a common denominator like the product.
+permutations is built once in closed form, with no product: e_k (k < 4)
+sends w_F to +-w_{F + k} and e_{k+4} sends it to +-w_{F - k} (_module_table).
+sigma_action and sigma_matrix read it, on ints over a common denominator.
 Since sigma is injective, the spin-group test runs on 16 x 16 matrices:
 x x* = 1 iff sigma(x) sigma(x*) = 1, and x e_j x* is the vector v iff
 sigma(x) sigma(e_j) sigma(x*) = sigma(v).  twisted_conjugation and
@@ -38,8 +39,7 @@ from math import factorial
 from .lattices import BilinearLattice, make_V
 from .linalg import (_over, _scaled_terms, mat, rank, scale_to_integers,
                      solve, sparse_product)
-from .multivector import (Multivector, _accumulate, contract, indices_of,
-                          popcount, wedge)
+from .multivector import Multivector, _accumulate, indices_of, popcount
 from .scalars import rat
 
 
@@ -326,26 +326,23 @@ def CV() -> CliffordAlgebra:
 # ---------------------------------------------------------------------------
 # the spin module S = exterior algebra of W
 
-def _gen_action(k: int, eta: Multivector) -> Multivector:
-    # generators of W act by left wedge, generators of W* by contraction
-    if k < 4:
-        return wedge(Multivector.basis_vector(4, k), eta)
-    unit = [0] * 4
-    unit[k - 4] = 1
-    return contract(unit, eta)
-
-
 @lru_cache(maxsize=1)
 def _module_table():
     """table[A][F] = (G, s) with e_A w_F = s w_G (s = +-1), or None when
     e_A w_F = 0, for the 256 blades e_A of C(V) and the 16 basis forms w_F.
 
-    e_A = e_k e_{A - k} with k its lowest index, so each row is the
-    generator action (_gen_action) applied to a row built before it.
+    The generators act in closed form, with s = (-1)^#{i in F : i < k}:
+    e_k (k < 4) sends w_F to s w_{F + k} when k is not in F (wedging), and
+    e_{k+4} sends w_F to s w_{F - k} when k is in F (contracting); every
+    other entry is None.  e_A = e_k e_{A - k} with k its lowest index, so
+    each further row is a generator row applied to a row built before it.
     """
-    gen = [[next(((g, int(s)) for g, s in
-                  _gen_action(k, Multivector(4, {f: 1})).terms.items()), None)
-            for f in range(16)] for k in range(8)]
+    gen = []
+    for k in range(8):
+        bit = 1 << k % 4
+        gen.append([None if bool(f & bit) == (k < 4) else
+                    (f ^ bit, -1 if (f & bit - 1).bit_count() & 1 else 1)
+                    for f in range(16)])
     table = [tuple((f, 1) for f in range(16))]
     for a in range(1, 256):
         low = a & -a
@@ -565,26 +562,29 @@ def spin_v_xyz_table():
       Y_{i,j} = e_i e_j (i < j)           ->  E_{i,4+j} - E_{j,4+i}
       Z_{i,j} = e_{i+4} e_{j+4} (i < j)   ->  E_{4+i,j} - E_{4+j,i}
     Returns a tuple of (label, clifford element, expected matrix), built
-    once; callers only read it.
+    once; callers only read it.  For a < b, e_a e_b is the canonical blade
+    of mask 2^a + 2^b, so each element is written down, with no product.
     """
     alg = CV()
+
+    def blade(a, b):
+        terms = {1 << a | 1 << b: Fraction(1)}
+        if b == a + 4:
+            terms[0] = Fraction(-1, 2)
+        return CliffordElement._of(alg, terms)
+
     out = []
     for i in range(4):
         for j in range(4):
-            x = alg.generator(i) * alg.generator(j + 4)
-            if i == j:
-                x = x - alg.scalar(Fraction(1, 2))
-            out.append((f"X{i + 1}{j + 1}", x,
+            out.append((f"X{i + 1}{j + 1}", blade(i, j + 4),
                         _unit_difference((i, j), (4 + j, 4 + i))))
     for i in range(4):
         for j in range(i + 1, 4):
-            y = alg.generator(i) * alg.generator(j)
-            out.append((f"Y{i + 1}{j + 1}", y,
+            out.append((f"Y{i + 1}{j + 1}", blade(i, j),
                         _unit_difference((i, 4 + j), (j, 4 + i))))
     for i in range(4):
         for j in range(i + 1, 4):
-            z = alg.generator(i + 4) * alg.generator(j + 4)
-            out.append((f"Z{i + 1}{j + 1}", z,
+            out.append((f"Z{i + 1}{j + 1}", blade(i + 4, j + 4),
                         _unit_difference((4 + i, j), (4 + j, i))))
     return tuple(out)
 

@@ -12,7 +12,7 @@ the doubled form is stored as-is rather than rescaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import identity, mat_mul, nullspace
@@ -76,22 +76,20 @@ class BilinearLattice:
         return f"BilinearLattice({self.label or 'rank %d' % self.rank})"
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    parent: BilinearLattice
-    coords: list
+# The records are namedtuples, not dataclasses: every process imports this
+# module, and importing dataclasses (with inspect) would cost each of them.
+class LatticeVector(namedtuple("LatticeVector", "parent coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.parent.rank:
+    def __new__(cls, parent, coords):
+        if len(coords) != parent.rank:
             raise ValueError("coordinate length does not match lattice rank")
+        return super().__new__(cls, parent, coords)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(namedtuple("MukaiVector", "r c s")):
     """Triple (r, c, s) with c a coordinate vector in a rank-6 H^2 slot."""
-    r: int
-    c: tuple
-    s: int
+    __slots__ = ()
 
 
 def make_V() -> BilinearLattice:

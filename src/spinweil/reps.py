@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -48,11 +48,9 @@ SYM2_BASIS = tuple(combinations_with_replacement(range(8), 2))
 WEDGE2S_BASIS = tuple(combinations(range(8), 2))
 
 
-@dataclass(frozen=True)
-class RepSpace:
-    name: str
-    dim: int
-    basis: tuple
+#: a namedtuple, not a dataclass: importing dataclasses would cost every
+#: process that imports this module
+RepSpace = namedtuple("RepSpace", "name dim basis")
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ identity c_0 c_1234 - c_12 c_34 + c_13 c_24 - c_14 c_23 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -96,12 +96,12 @@ class Spinor:
         return f"Spinor({self.z})"
 
 
-@dataclass(frozen=True)
-class IsotropicSubspace:
+class IsotropicSubspace(namedtuple("IsotropicSubspace", "basis parity")):
     """Maximal isotropic subspace of V spanned by the columns of an 8x4
-    matrix, together with its connected-component parity."""
-    basis: list
-    parity: int
+    matrix, together with its connected-component parity.  A namedtuple,
+    not a dataclass: importing dataclasses would cost every process that
+    imports this module."""
+    __slots__ = ()
 
     @property
     def is_even(self):

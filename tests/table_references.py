@@ -8,7 +8,10 @@ lattice pairing, the spinor action matrix built by sigma_action, the
 commutator over the blade products of both orders, the center of the
 even Clifford algebra from left and right multiplication matrices, and
 the bilinear covariant as Chevalley products of generators read through
-splus_matrix.  Tests compare the library with them by == and by repr."""
+splus_matrix.  And the products that the written-down spin tables
+replaced: the generator action on the exterior algebra of W by wedge and
+contract, and the 28 spin(V) basis elements as Clifford products.  Tests
+compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -20,8 +23,8 @@ from spinweil.kuga import mult_matrix
 from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat_mul,
                              nullspace, scale_to_integers)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
-                                  coords_degree, indices_of, pluecker,
-                                  popcount)
+                                  contract, coords_degree, indices_of,
+                                  pluecker, popcount, wedge)
 from spinweil.reps import SYM2_BASIS, rep_space, sminus_matrix, splus_matrix
 from spinweil.scalars import QuadExt, TowerScalar
 from spinweil.spingeo import ODD_MASKS, graph_basis
@@ -145,6 +148,35 @@ def phi_matrix():
     colmat = [[cols[c][r] for c in range(36)] for r in range(36)]
     tarmat = [[targets[c][r] for c in range(36)] for r in range(70)]
     return mat_mul(tarmat, inverse(colmat))
+
+
+def gen_action(k, eta):
+    """e_k eta for a generator of C(V) on a form eta of the exterior algebra
+    of W: generators of W act by left wedge, generators of W* by
+    contraction."""
+    if k < 4:
+        return wedge(Multivector.basis_vector(4, k), eta)
+    unit = [0] * 4
+    unit[k - 4] = 1
+    return contract(unit, eta)
+
+
+def xyz_products():
+    """(label, element) for the 28 spin(V) basis elements of
+    spin_v_xyz_table, each as a Clifford product of two generators."""
+    alg, e = CV(), CV().generator
+    out = []
+    for i in range(4):
+        for j in range(4):
+            x = e(i) * e(j + 4)
+            if i == j:
+                x = x - alg.scalar(Fraction(1, 2))
+            out.append((f"X{i + 1}{j + 1}", x))
+    out += [(f"Y{i + 1}{j + 1}", e(i) * e(j))
+            for i, j in combinations(range(4), 2)]
+    out += [(f"Z{i + 1}{j + 1}", e(i + 4) * e(j + 4))
+            for i, j in combinations(range(4), 2)]
+    return out
 
 
 def chevalley_product(indices):

@@ -218,6 +218,18 @@ def test_cayley_input_n_not_an_integer_is_usage_error(capsys, tmp_path, doc):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scan", ["yes", 1, None, [True]])
+def test_weil_input_field_scan_not_a_boolean_is_usage_error(capsys, tmp_path,
+                                                            scan):
+    path = tmp_path / "weil.json"
+    path.write_text(json.dumps({"inputs": {
+        "h": [0, 1, 0, 0, 0, 1, 0, 0], "s": [1, 0, 0, 0, 1, 0, 0, 0],
+        "seed": 5, "field_scan": scan}}))
+    rc = main(["weil-family", "--input", str(path)])
+    assert rc == 2
+    assert "'field_scan' must be a boolean" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["cayley", "--s", '["1","2"]'],
     ["spinor", "--invert", '["1","1","0","0","2","-2","0"]'],

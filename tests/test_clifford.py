@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               _gen_action, cartan_elements,
+                               _module_table, cartan_elements,
                                commutator, conjugation, exp_nilpotent,
                                is_spin_group_element, is_spin_lie_element,
                                random_spin_group_element, sigma_action,
@@ -224,6 +225,17 @@ def test_xyz_explicit_examples():
     assert m12 == [[Fraction(v) for v in row] for row in e]
 
 
+def test_xyz_table_is_the_clifford_products():
+    # the written-down terms against the products they replaced: the same
+    # values, the same types and the same dict order
+    table = spin_v_xyz_table()
+    expected = reference.xyz_products()
+    assert [label for label, _, _ in table] == [lab for lab, _ in expected]
+    for (label, elt, _), (_, x) in zip(table, expected):
+        assert elt == x, label
+        assert repr(list(elt.terms.items())) == repr(list(x.terms.items()))
+
+
 def test_spin_dimension_28():
     assert spin_v_dimension_check() == (28, 28)
 
@@ -374,6 +386,27 @@ def test_product_is_associative(x, y, z):
 
 # -- the spin module table against the generator action ----------------------
 
+def test_module_table_digest():
+    # SHA-256 of the table's repr, taken when it was built from wedge and
+    # contract
+    digest = hashlib.sha256(repr(_module_table()).encode()).hexdigest()
+    assert digest == ("a00b2ad2d5ba9497b5213d7dd8cdbdf9"
+                      "c1ea955cc93200e1a967709db38758d8")
+
+
+def test_module_table_generator_rows_are_the_generator_action():
+    table = _module_table()
+    for k in range(8):
+        for f in range(16):
+            image = reference.gen_action(k, Multivector(4, {f: 1}))
+            hit = table[1 << k][f]
+            if not image.terms:
+                assert hit is None, (k, f)
+                continue
+            [(g, s)] = image.terms.items()
+            assert hit == (g, s) and type(hit[1]) is int, (k, f)
+
+
 def reference_sigma(x, eta):
     """sigma(x) eta by composing the generator actions of each blade,
     rightmost factor first, on Multivectors."""
@@ -381,7 +414,7 @@ def reference_sigma(x, eta):
     for mask, c in x.terms.items():
         cur = eta
         for k in reversed(indices_of(mask)):
-            cur = _gen_action(k, cur)
+            cur = reference.gen_action(k, cur)
         out = out + cur.scale(c)
     return out
 
@@ -524,7 +557,7 @@ def reference_sigma_terms(x, eta):
         for f, cf in eta.terms.items():
             cur = Multivector(4, {f: 1})
             for k in reversed(indices_of(mask)):
-                cur = _gen_action(k, cur)
+                cur = reference.gen_action(k, cur)
             for g, s in cur.terms.items():
                 out[g] = out.get(g, Fraction(0)) + c * cf * s
     return Multivector(4, out)

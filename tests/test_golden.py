@@ -1,5 +1,6 @@
 """The --json output of every computation verb at the default seed is a
-contract: it must match the files in tests/golden/ byte for byte."""
+contract: it must match the files in tests/golden/ byte for byte, both from
+the command line and with the golden file itself as the --input document."""
 
 from pathlib import Path
 
@@ -28,3 +29,12 @@ def test_json_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_document_round_trips_through_input(capsys, name):
+    path = GOLDEN / f"{name}.json"
+    rc = main([CASES[name][0], "--input", str(path), "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == path.read_text(encoding="utf-8")

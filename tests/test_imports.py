@@ -1,14 +1,20 @@
-"""What a cold process imports, and the public names of the package."""
+"""What a cold process imports, the public names of the package, and the
+records that stand in for dataclasses on the verb path."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import spinweil
+from spinweil.clifford import spin_v_xyz_table
+from spinweil.lattices import LatticeVector, MukaiVector, make_Splus, make_V
+from spinweil.reps import RepSpace, derived_action, rep_space
+from spinweil.spingeo import IsotropicSubspace
 
 #: every name the package exports, by the submodule that defines it
 PUBLIC = {
@@ -40,7 +46,7 @@ PUBLIC = {
 def test_a_cold_cli_import_leaves_the_verb_modules_out():
     # the benchmark worker reads its set-up tables off reps, multivector
     # and clifford after these two imports; verify, weil and kuga load in
-    # the verbs that use them
+    # the verbs that use them, and no verb-path module imports dataclasses
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -56,6 +62,7 @@ def test_a_cold_cli_import_leaves_the_verb_modules_out():
         assert f"spinweil.{name}" in loaded
     for name in ("weil", "kuga", "verify"):
         assert f"spinweil.{name}" not in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
@@ -71,3 +78,56 @@ def test_an_unknown_name_is_an_attribute_error():
         spinweil.no_such_name
     with pytest.raises(ImportError):
         from spinweil import no_such_name  # noqa: F401
+
+
+#: each record with its fields, a value to change the last field to, and
+#: its repr as the dataclass it replaced printed it
+RECORDS = {
+    "LatticeVector": (
+        LatticeVector, {"parent": make_V(), "coords": [1, 0, 0, 0, 0, 0, 0, 2]},
+        [0] * 8, "LatticeVector(parent=BilinearLattice(V), "
+                 "coords=[1, 0, 0, 0, 0, 0, 0, 2])"),
+    "MukaiVector": (
+        MukaiVector, {"r": 1, "c": (0, 1, 0, 0, 0, 0), "s": -3}, 2,
+        "MukaiVector(r=1, c=(0, 1, 0, 0, 0, 0), s=-3)"),
+    "RepSpace": (
+        RepSpace, {"name": "V", "dim": 8, "basis": ("e1", "e2")}, ("e1",),
+        "RepSpace(name='V', dim=8, basis=('e1', 'e2'))"),
+    "IsotropicSubspace": (
+        IsotropicSubspace, {"basis": [[Fraction(1, 2), 0]], "parity": 1}, 0,
+        "IsotropicSubspace(basis=[[Fraction(1, 2), 0]], parity=1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_construct_compare_print_and_stay_frozen(name):
+    cls, fields, other, text = RECORDS[name]
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    for field, value in fields.items():
+        assert getattr(record, field) is value
+    last = list(fields)[-1]
+    assert record != cls(**dict(fields, **{last: other}))
+    assert repr(record) == text
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_a_lattice_vector_of_the_wrong_length_is_a_value_error():
+    with pytest.raises(ValueError, match="^coordinate length does not match "
+                                         "lattice rank$"):
+        LatticeVector(make_Splus(), [1, 2, 3])
+    with pytest.raises(ValueError, match="lattice rank"):
+        make_V().vector([0] * 9)
+
+
+def test_isotropic_subspace_parity():
+    assert IsotropicSubspace([], 0).is_even
+    assert not IsotropicSubspace(basis=[], parity=1).is_even
+
+
+def test_derived_action_takes_a_rep_space_or_its_name():
+    for label, x, matrix in spin_v_xyz_table()[::9]:
+        assert derived_action(x, rep_space("V")) == matrix, label
+        assert derived_action(x, "V") == matrix, label

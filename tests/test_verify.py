@@ -9,7 +9,7 @@ import pytest
 
 from spinweil import verify
 from spinweil.jsonio import decode_scalar
-from spinweil.multivector import Multivector
+from spinweil.multivector import DEGREE4_MASKS, Multivector
 from spinweil.spingeo import Spinor
 
 SEEDS = (20240, 1, 2)
@@ -251,6 +251,18 @@ def test_cayley_image_mismatch_names_the_column(monkeypatch):
     column = [row[0] for row in verify.reps.phi_matrix()]
     named = json.loads(detail.split("star of ")[1].split(" is ")[0])
     assert [Fraction(x) for x in named] == column
+
+
+def test_cayley_image_checks_every_column(monkeypatch):
+    # column 8 (z2 z2) lies outside every seventh column; the form e_1235
+    # is no star eigenvector, since star moves it to another basis form
+    phi = [list(row) for row in verify.reps.phi_matrix()]
+    for mask, row in zip(DEGREE4_MASKS, phi):
+        row[8] = Fraction(int(mask == 0b10111))
+    monkeypatch.setattr(verify.reps, "phi_matrix", lambda: phi)
+    ok, detail = _check("cayley-image-one-eigenspace").fn(3)
+    assert not ok
+    assert detail.startswith("seed 3, trial 8: the image of z2 z2 is not in ")
 
 
 def test_parity_mismatch_names_seed_trial_and_spinor(monkeypatch):
