@@ -36,12 +36,10 @@ from .lattices import moduli_dimension
 from .reps import (branching_dims, cayley_class, cayley_constant,
                    explicit_cayley_formula, gamma2alpha_star_sign,
                    invariant_subspace, stabilizer_algebra, standard_spinor)
-from .spingeo import Spinor, spinor_inverse, spinor_map
+from .spingeo import (STANDARD_H, STANDARD_S, Spinor, spinor_inverse,
+                      spinor_map)
 
 DEFAULT_SEED = 20240
-
-STANDARD_H = [0, 1, 0, 0, 0, 1, 0, 0]
-STANDARD_S = [1, 0, 0, 0, 1, 0, 0, 0]
 
 
 def _load_json(text_or_path, inline=True):
@@ -222,8 +220,8 @@ def _h_s_seed(args):
 
 
 def run_weil(args):
-    from .weil import (datum_report, field_parameters, h2_split,
-                       make_weil_datum, weil_class_space)
+    from .weil import (FIELD_SCAN_H, datum_report, field_parameters,
+                       h2_split, make_weil_datum, weil_class_space)
     h, s, seed, inputs = _h_s_seed(args)
     scan = inputs.get("field_scan", False)
     if not isinstance(scan, bool):
@@ -231,8 +229,7 @@ def run_weil(args):
                          f"{json.dumps(scan)}")
     if args.field_scan or scan:
         rows = []
-        for k in (1, 2, 3, 5):
-            hk = [0, k, 0, 0, 0, 1, 0, 0]
+        for hk in map(list, FIELD_SCAN_H):
             d, m, f = field_parameters(hk, s)
             datum = make_weil_datum(hk, s, seed=seed)
             rows.append({
@@ -303,7 +300,7 @@ def run_ks(args):
 def run_invariants(args):
     s1 = standard_spinor(2)
     stab_s, _ = stabilizer_algebra([s1])
-    stab_hs, _ = stabilizer_algebra([Spinor(STANDARD_H), Spinor(STANDARD_S)])
+    stab_hs, _ = stabilizer_algebra([STANDARD_H, STANDARD_S])
     profile = branching_dims(s1)
     sq, dim = moduli_dimension(3)
     doc = {

@@ -27,6 +27,11 @@ Since sigma is injective, the spin-group test runs on 16 x 16 matrices:
 x x* = 1 iff sigma(x) sigma(x*) = 1, and x e_j x* is the vector v iff
 sigma(x) sigma(e_j) sigma(x*) = sigma(v).  twisted_conjugation and
 is_spin_group_element share that test, for algebras with V's Gram only.
+
+The lift so(L) -> spin(L) is written down, with no solve: m lifts to
+sum_{i<j} a_ij (e_i e_j - (e_i, e_j)/2) with A = m G^-1 (so_to_spin).  It
+needs G invertible; on a degenerate Gram the lift need not be unique,
+and so_to_spin raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import (_over, _scaled_terms, mat, rank, scale_to_integers,
-                     solve, sparse_product)
+from .linalg import (_over, _scaled_terms, inverse, mat, mat_mul, rank,
+                     scale_to_integers, sparse_product)
 from .multivector import Multivector, _accumulate, indices_of, popcount
 from .scalars import rat
 
@@ -472,18 +477,6 @@ def exp_nilpotent(x: CliffordElement) -> CliffordElement:
 # ---------------------------------------------------------------------------
 # the Lie algebra spin(L) and its matrix picture so(L)
 
-def spin_basis(algebra: CliffordAlgebra):
-    """Basis e_i e_j - (e_i, e_j)/2 (i < j) of spin(L), n(n-1)/2 elements."""
-    out = []
-    for i, j in combinations(range(algebra.rank), 2):
-        x = algebra.generator(i) * algebra.generator(j)
-        g = algebra.gram[i][j]
-        if g != 0:
-            x = x - algebra.scalar(g / 2)
-        out.append(x)
-    return out
-
-
 def is_spin_lie_element(x: CliffordElement) -> bool:
     """Membership test: even, x + x* = 0 and [x, V] inside V."""
     if not x.is_even():
@@ -506,42 +499,29 @@ def spin_so_iso(x: CliffordElement):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def is_so_matrix(m, gram) -> bool:
-    """Whether m satisfies (m v, w) + (v, m w) = 0, i.e. m^T G + G m = 0."""
-    n = len(m)
-    for a in range(n):
-        for b in range(n):
-            s = sum(m[i][a] * gram[i][b] + gram[a][i] * m[i][b]
-                    for i in range(n))
-            if s != 0:
-                return False
-    return True
-
-
 def so_to_spin(algebra: CliffordAlgebra, m) -> CliffordElement:
     """Inverse of spin_so_iso: lift a matrix in so(L) into spin(L) in C(L).
 
-    Solves for the coefficients on the basis e_i e_j - (e_i, e_j)/2, which
-    reinstates the scalar shifts that the commutator action forgets.
+    The lift is x = sum_{i<j} a_ij (e_i e_j - (e_i, e_j)/2) with
+    A = m G^-1, G the Gram.  As [e_i e_j, v] = (e_j, v) e_i - (e_i, v) e_j,
+    the commutator action of x is A G, and m is in so(L) exactly when A is
+    antisymmetric; the shifts -(e_i, e_j)/2 make x + x* = 0.  ValueError
+    for a degenerate Gram (where the lift need not be unique) and for m
+    outside so(L).
     """
-    if not is_so_matrix(m, algebra.gram):
+    try:
+        a = mat_mul(m, inverse(algebra.gram))
+    except ValueError as exc:
+        raise ValueError(f"the lift needs a nondegenerate Gram: {exc}")
+    n, terms, shift = algebra.rank, {}, 0
+    if any(a[i][j] != -a[j][i] for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not in so(L) for the lattice Gram")
-    basis = spin_basis(algebra)
-    n = algebra.rank
-    cols = []
-    for b in basis:
-        mb = spin_so_iso(b)
-        cols.append([mb[i][j] for i in range(n) for j in range(n)])
-    rhs = [m[i][j] for i in range(n) for j in range(n)]
-    coeffs = solve(mat([[cols[c][r] for c in range(len(cols))]
-                        for r in range(n * n)]), rhs)
-    if coeffs is None:
-        raise ValueError("matrix is outside the image of spin(L)")
-    out = algebra.zero()
-    for c, b in zip(coeffs, basis):
-        if c != 0:
-            out = out + b.scale(c)
-    return out
+    for i, j in combinations(range(n), 2):
+        if a[i][j]:
+            terms[1 << i | 1 << j] = a[i][j]
+            shift -= a[i][j] * algebra.gram[i][j] / 2
+    terms[0] = shift
+    return CliffordElement(algebra, terms)
 
 
 # -- the explicit so(8) dictionary for V ------------------------------------

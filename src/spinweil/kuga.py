@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .clifford import (CliffordAlgebra, commutator, is_so_matrix,
-                       so_to_spin, spin_so_iso)
+from .clifford import CliffordAlgebra, commutator, so_to_spin, spin_so_iso
 from .lattices import BilinearLattice, sublattice_gram
 from .linalg import (det, identity, mat, mat_mul, nullspace,
-                     scale_to_integers, solve, solve_matrix, sparse_nullspace)
+                     scale_to_integers, solve_matrix, sparse_nullspace,
+                     transpose)
 from .reps import splus_matrix, stabilizer_algebra
 from .scalars import QuadExt, rat, squarefree_part
-from .spingeo import Spinor, splus_lattice
+from .spingeo import splus_lattice
 from .weil import Period, complement_basis, field_parameters
 
 
@@ -34,9 +34,10 @@ def complement_data(h, s):
     return basis, sublattice_gram(splus_lattice(), basis, label="H")
 
 
-def _h_coordinates(basis, vec):
-    cols = mat([[basis[k][i] for k in range(6)] for i in range(8)])
-    x = solve(cols, list(vec))
+def _h_coordinates(cols, vectors):
+    """Complement coordinates of the columns of the 8-row matrix vectors,
+    cols the 8 x 6 matrix whose columns are the complement basis."""
+    x = solve_matrix(cols, vectors)
     if x is None:
         raise ValueError("vector is not supported in the complement")
     return x
@@ -77,8 +78,8 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
     squares to minus the identity on all 32 even basis blades.
     """
     basis, lattice = complement_data(h, s)
-    f1 = _h_coordinates(basis, period.p)
-    f2 = _h_coordinates(basis, period.q)
+    f1, f2 = transpose(_h_coordinates(transpose(basis),
+                                      transpose([period.p, period.q])))
     algebra = CliffordAlgebra(lattice)
     c = lattice.pair(f1, f1)
     if c <= 0 or lattice.pair(f2, f2) != c or lattice.pair(f1, f2) != 0:
@@ -217,25 +218,19 @@ def ks_spin_rep_check(h, s, seed=0, count=10) -> dict:
     of the former must be the fourth power of the latter.  Decided exactly
     by evaluating both determinants at 33 integer points.
     """
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
     basis, lattice = complement_data(h, s)
     algebra = CliffordAlgebra(lattice)
     masks = tuple(algebra.basis_masks(even_only=True))
     stab, _ = stabilizer_algebra([h, s])
     if len(stab) != 15:
         raise RuntimeError("stabilizer of h, s is not 15-dimensional")
-    cols8x6 = mat([[basis[k][i] for k in range(6)] for i in range(8)])
+    cols = transpose(basis)
     rng = random.Random(seed)
     points = list(range(33))
     all_match = True
     for _ in range(count):
         xi = _random_combination(stab, rng)
-        ms = splus_matrix(xi)
-        y = solve_matrix(cols8x6, mat_mul(ms, cols8x6))
-        if y is None or not is_so_matrix(y, lattice.gram):
-            raise RuntimeError("stabilizer action failed to restrict to "
-                               "the complement")
+        y = _h_coordinates(cols, mat_mul(splus_matrix(xi), cols))
         lifted = so_to_spin(algebra, y)
         lmat = mult_matrix(algebra, lifted, masks)
         mv = spin_so_iso(xi)

@@ -2,12 +2,11 @@
 
 The two central lattices are V = W + W* of rank 8 with the hyperbolic
 pairing (x, y) = sum_i x_i y_{i+4} + x_{i+4} y_i (basis order e_1..e_4 in W,
-e_5 = e_1*, ..., e_8 = e_4*), and the spinor lattice S+ whose Gram is the
-doubled hyperbolic form, (z, z) = 2(z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8).
-
-The factor 2 in the S+ form makes its Gram twice the Gram of U^4; every
-integrality statement handled here is insensitive to that global scale, so
-the doubled form is stored as-is rather than rescaled.
+e_5 = e_1*, ..., e_8 = e_4*), and the spinor lattice S+ in z-coordinates.
+Both are four hyperbolic planes, built by one builder that stores the
+Gram of U^4 unscaled.  The factor 2 in (z, z) = 2(z_1 z_5 + z_2 z_6 +
+z_3 z_7 + z_4 z_8) is that of the quadratic form, whose zero set is the
+quadric z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8 = 0; it is not in the Gram.
 """
 
 from __future__ import annotations
@@ -92,13 +91,17 @@ class MukaiVector(namedtuple("MukaiVector", "r c s")):
     __slots__ = ()
 
 
-def make_V() -> BilinearLattice:
-    """The rank-8 lattice V = W + W*, four hyperbolic planes."""
+def _four_hyperbolic_planes(label) -> BilinearLattice:
+    """U^4 of rank 8, coordinate i paired with coordinate i + 4."""
     g = [[0] * 8 for _ in range(8)]
     for i in range(4):
-        g[i][i + 4] = 1
-        g[i + 4][i] = 1
-    return BilinearLattice(g, label="V")
+        g[i][i + 4] = g[i + 4][i] = 1
+    return BilinearLattice(g, label=label)
+
+
+def make_V() -> BilinearLattice:
+    """The rank-8 lattice V = W + W*, four hyperbolic planes."""
+    return _four_hyperbolic_planes("V")
 
 
 def make_Splus() -> BilinearLattice:
@@ -109,11 +112,7 @@ def make_Splus() -> BilinearLattice:
     (z, z) = 2(z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8); the quadric cut out
     by it is z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8 = 0.
     """
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(4):
-        g[i][i + 4] = 1
-        g[i + 4][i] = 1
-    return BilinearLattice(g, label="S+")
+    return _four_hyperbolic_planes("S+")
 
 
 def make_U3() -> BilinearLattice:

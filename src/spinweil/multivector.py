@@ -218,7 +218,6 @@ def pfaffian(b):
 
 
 DEGREE4_MASKS = tuple(mask_of(c) for c in combinations(range(8), 4))
-DEGREE2_MASKS = tuple(mask_of(c) for c in combinations(range(8), 2))
 VOLUME_MASK = 0xFF
 
 

@@ -244,7 +244,7 @@ def stabilizer_algebra(fixed):
     rows {a: (A_a f)_i} of the S+ table, with f scaled by
     scale_to_integers (on ints for a rational f).
     """
-    fixed = [f if isinstance(f, Spinor) else Spinor(f) for f in fixed]
+    fixed = [Spinor(f) for f in fixed]
     table, _ = _action_table("S+")
     rows = []
     for f in fixed:
@@ -386,7 +386,7 @@ def cayley_class(s, cross_check=True) -> Multivector:
     stabilizer algebra of s acting on the degree-4 forms, rescaled; the
     two must be proportional.
     """
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    s = Spinor(s)
     if s.is_zero():
         raise ValueError("the zero spinor has no Cayley class")
     coords = mat_vec(phi_matrix(), sym2_coords(s.z))
@@ -431,7 +431,7 @@ def _proportionality(u, v):
 
 def cayley_routes(s):
     """Both routes and the proportionality factor (A = factor * B)."""
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    s = Spinor(s)
     a = mat_vec(phi_matrix(), sym2_coords(s.z))
     b = _cayley_route_b(tuple(s.z))
     lam = _proportionality(a, b)
@@ -483,7 +483,7 @@ def branching_dims(s):
     the 35-dimensional image splits off 27, and the complementary
     star-eigenspace contributes 35; the profile sums to 70.
     """
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    s = Spinor(s)
     if s.pair(s) == 0:
         raise ValueError("branching profile needs a non-isotropic spinor")
     stab, _ = stabilizer_algebra([s])

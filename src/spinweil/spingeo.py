@@ -36,6 +36,10 @@ Z_DICT = ((0, 1), (0b0011, 1), (0b0101, 1), (0b1001, 1),
 EVEN_MASKS = (0, 3, 5, 6, 9, 10, 12, 15)
 ODD_MASKS = (1, 2, 4, 8, 7, 11, 13, 14)
 
+#: h and s of the standard Weil datum, whose plane has field Q(i)
+STANDARD_H = (0, 1, 0, 0, 0, 1, 0, 0)
+STANDARD_S = (1, 0, 0, 0, 1, 0, 0, 0)
+
 
 @lru_cache(maxsize=1)
 def splus_lattice():
@@ -43,11 +47,15 @@ def splus_lattice():
 
 
 class Spinor:
-    """Element of S+ (possibly with extended scalars) in z-coordinates."""
+    """Element of S+ (possibly with extended scalars) in z-coordinates;
+    Spinor(z) takes eight coordinates or a Spinor, whose list it copies."""
 
     __slots__ = ("z",)
 
     def __init__(self, z):
+        if isinstance(z, Spinor):
+            self.z = list(z.z)
+            return
         z = list(z)
         if len(z) != 8:
             raise ValueError("a spinor has eight z-coordinates")

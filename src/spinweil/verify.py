@@ -24,7 +24,8 @@ from .multivector import (DEGREE4_MASKS, Multivector, contract,
 from .reps import splus_matrix
 from .scalars import (QuadExt, TowerScalar, hilbert_symbol, relevant_places,
                       REAL_PLACE)
-from .spingeo import (Spinor, graph_basis, move_to_cell, random_alternating,
+from .spingeo import (STANDARD_H, STANDARD_S, Spinor, graph_basis,
+                      move_to_cell, random_alternating,
                       random_isotropic_spinor, spinor_inverse, spinor_map,
                       subspace_of_spinor)
 
@@ -606,11 +607,6 @@ def check_acth_spectrum(seed):
 
 # -- weil --------------------------------------------------------------------
 
-STANDARD_H = (0, 1, 0, 0, 0, 1, 0, 0)
-STANDARD_S = (1, 0, 0, 0, 1, 0, 0, 0)
-STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
-
-
 @register("weil-datum-battery", "weil",
           "J^2 = -I, orthogonality, mu^2 = -d, commutation, balanced "
           "trace, E alternating (1,1) positive, trivial discriminant")
@@ -621,9 +617,8 @@ def check_weil_battery(seed):
         where = (f"seed {seed}, trial {trial}: period of sample seed "
                  f"{period_seed}")
         try:
-            datum = weil.make_weil_datum(
-                Spinor(list(STANDARD_H)), Spinor(list(STANDARD_S)),
-                seed=period_seed)
+            datum = weil.make_weil_datum(STANDARD_H, STANDARD_S,
+                                         seed=period_seed)
             rep = weil.datum_report(datum)
         except (ValueError, RuntimeError) as exc:
             return False, f"{where}: {exc}"
@@ -639,11 +634,10 @@ def check_weil_battery(seed):
           "orthogonal to the spinor")
 def check_hodge_criterion(seed):
     rng = random.Random(seed)
-    s = Spinor(list(STANDARD_S))
-    h = Spinor(list(STANDARD_H))
+    s = Spinor(STANDARD_S)
     # periods orthogonal to h and s, then to a fixed vector and h
-    planes = (("orthogonal", h, s),
-              ("generic", Spinor(list(STANDARD_PERIOD[0])), h))
+    planes = (("orthogonal", STANDARD_H, s),
+              ("generic", weil.STANDARD_PERIOD[0], STANDARD_H))
     ok = 0
     for trial in range(10):
         for kind, u, w in planes:
@@ -665,20 +659,17 @@ def check_hodge_criterion(seed):
           "the polarization form spans the stabilizer-invariant line in "
           "degree 2")
 def check_omega_line(seed):
-    datum = weil.make_weil_datum(
-        Spinor(list(STANDARD_H)), Spinor(list(STANDARD_S)),
-        period=weil.Period(*STANDARD_PERIOD))
+    datum = weil.make_weil_datum(STANDARD_H, STANDARD_S,
+                                 period=weil.Period(*weil.STANDARD_PERIOD))
     return weil.omega_line_check(datum), "standard datum"
 
 
 @register("field-scan", "weil",
           "the discriminant fields realize squarefree parts 1, 2, 3, 5")
 def check_field_scan(seed):
-    s = Spinor(list(STANDARD_S))
-    hs = [Spinor([0, k, 0, 0, 0, 1, 0, 0]) for k in (1, 2, 3, 5)]
     parts = set()
-    for h in hs:
-        d, m, f = weil.field_parameters(h, s)
+    for h in weil.FIELD_SCAN_H:
+        d, m, f = weil.field_parameters(h, STANDARD_S)
         parts.add(-m)
     return parts == {1, 2, 3, 5}, f"parts {sorted(parts)}"
 
@@ -690,8 +681,7 @@ def check_field_scan(seed):
           "and is closed under multiplication")
 def check_even_closure(seed):
     rng = random.Random(seed)
-    _, lattice = kuga.complement_data(Spinor(list(STANDARD_H)),
-                                      Spinor(list(STANDARD_S)))
+    _, lattice = kuga.complement_data(STANDARD_H, STANDARD_S)
     algebra = clifford.CliffordAlgebra(lattice)
     masks = tuple(algebra.basis_masks(even_only=True))
     if len(masks) != 32:
@@ -711,8 +701,7 @@ def check_even_closure(seed):
           "by unimodular change of basis")
 def check_center_invariance(seed):
     rng = random.Random(seed)
-    _, lattice = kuga.complement_data(Spinor(list(STANDARD_H)),
-                                      Spinor(list(STANDARD_S)))
+    _, lattice = kuga.complement_data(STANDARD_H, STANDARD_S)
     changes = [identity(6)] + [_random_unimodular(rng, 6) for _ in range(2)]
     parts = []
     for trial, t in enumerate(changes):
@@ -730,9 +719,8 @@ def check_center_invariance(seed):
 @register("ks-complex-structure", "kuga",
           "J_KS squares to -I and commutes with right multiplications")
 def check_ks_structure(seed):
-    datum = kuga.ks_complex_structure(Spinor(list(STANDARD_H)),
-                                      Spinor(list(STANDARD_S)),
-                                      weil.Period(*STANDARD_PERIOD))
+    datum = kuga.ks_complex_structure(STANDARD_H, STANDARD_S,
+                                      weil.Period(*weil.STANDARD_PERIOD))
     comm = kuga.ks_right_commutation(datum, seed=seed)
     return comm, "construction validates J^2 = -I internally"
 

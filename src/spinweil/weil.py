@@ -7,11 +7,14 @@ Periods are restricted to points p + i q with rational p, q: this keeps
 the complex structure, the field action and the polarization exactly
 rational while sampling a Zariski-dense set of the period domain (every
 identity verified here is polynomial).  The complex structure J and the
-field action mu are rational by construction: each is a product of the
-rational matrices A_x of v -> v x (spingeo.spinor_action_matrix) for the
-rational spinors p, q, h and s, read off the isotropic annihilators of
-p + i q and of sqrt(-d) h + (h,h) s.  Other square roots are handled by
-quadratic-extension scalars; nothing is ever evaluated numerically.
+field action mu are rational by construction, and one builder makes and
+checks both (_spinor_ratio): each is c A_y^-1 A_x for non-pure rational
+spinors, with A_x the matrix of v -> v x (spingeo.spinor_action_matrix),
+J = -A_q^-1 A_p and mu = (s,s) A_s^-1 A_h, read off the isotropic
+annihilators of p + i q and of sqrt(-d) h + (h,h) s.  For orthogonal x
+and y the square is -c^2 (x,x)/(y,y) I, so J^2 = -I and mu^2 = -d I.
+Other square roots are handled by quadratic-extension scalars; nothing is
+ever evaluated numerically.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from .reps import (WEDGE2V_BASIS, _text, cayley_class, derivation_matrix,
 from .scalars import QuadExt, is_norm, rat, squarefree_part
 from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
                       subspace_of_spinor)
+
+#: the period of the standard datum (spingeo.STANDARD_H, STANDARD_S)
+STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
+#: the field scan's h = (0, k, 0, 0, 0, 1, 0, 0), k = 1, 2, 3, 5, against
+#: the standard s
+FIELD_SCAN_H = tuple((0, k, 0, 0, 0, 1, 0, 0) for k in (1, 2, 3, 5))
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,7 @@ def _sqrt_rational(x: Fraction) -> Fraction:
 def complement_basis(h, s):
     """Coordinates of a basis of the rank-6 complement of <h, s> in S+;
     ValueError when the complement has another rank."""
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     basis = [v.coords for v in orthogonal_complement(splus_lattice(),
                                                      [h.z, s.z])]
     if len(basis) != 6:
@@ -98,8 +106,7 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     class of a c.  Only the accepted pair is made rational.  Deterministic
     for a fixed seed; raises after the given number of tries.
     """
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     lat = splus_lattice()
     if s.pair(h) != 0 or h.pair(h) <= 0 or s.pair(s) <= 0:
         raise ValueError("need orthogonal h, s spanning a positive "
@@ -151,40 +158,41 @@ def _period(lat, u, w):
     return Period(tuple(u), tuple(scale * x for x in proj))
 
 
+def _spinor_ratio(x: Spinor, y: Spinor, c):
+    """The rational matrix c A_y^-1 A_x on V, for orthogonal rational
+    spinors x and y with (y, y) > 0, checked to square to
+    -c^2 (x, x)/(y, y) I (A_s is spinor_action_matrix).
+
+    A_y is invertible: v y = 0 gives Q(v) y = v (v y) = 0, and as
+    (y, y) > 0 the spinor y is not pure, so its annihilator is zero.
+    """
+    r = [[c * v for v in row] for row in
+         mat_mul(inverse(spinor_action_matrix(y)), spinor_action_matrix(x))]
+    lam = -c * c * x.pair(x) / y.pair(y)
+    if mat_mul(r, r) != [[lam if a == b else 0 for b in range(8)]
+                         for a in range(8)]:
+        raise RuntimeError(f"square check (c A_y^-1 A_x)^2 = {lam} I failed")
+    return r
+
+
 def complex_structure(period: Period):
     """The rational orthogonal complex structure J = -A_q^-1 A_p of a period.
 
     J acts as +i on the annihilator Z of p + i q: x + i y lies in Z
     exactly when (x + i y)(p + i q) = 0, that is A_p x = A_q y, and then
-    J x = -y (A_s is spinor_action_matrix).  A_q is invertible: v q = 0
-    gives Q(v) q = v (v q) = 0, and as (q, q) > 0 the spinor q is not
-    pure, so its annihilator is zero.  J^2 = -I and orthogonality for the
-    form on V are checked.
+    J x = -y.  J^2 = -I (by _spinor_ratio) and orthogonality for the form
+    on V are checked.
     """
-    a_p = spinor_action_matrix(Spinor(period.p))
-    a_q = spinor_action_matrix(Spinor(period.q))
-    j = [[-x for x in row] for row in mat_mul(inverse(a_q), a_p)]
-    _check_complex_structure(j)
-    return j
-
-
-def _check_complex_structure(j):
-    n = len(j)
-    sq = mat_mul(j, j)
-    for a in range(n):
-        for b in range(n):
-            if sq[a][b] != (-1 if a == b else 0):
-                raise RuntimeError("J^2 = -I failed")
+    j = _spinor_ratio(Spinor(period.p), Spinor(period.q), -1)
     g = make_V().gram
-    jt = transpose(j)
-    if mat_mul(jt, mat_mul(g, j)) != g:
+    if mat_mul(transpose(j), mat_mul(g, j)) != g:
         raise RuntimeError("J is not orthogonal for the form on V")
+    return j
 
 
 def field_parameters(h, s):
     """d = (h,h)(s,s) > 0 and its decomposition -d = m f^2, m squarefree."""
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     a, b = h.pair(h), s.pair(s)
     d = a * b
     if d <= 0 or h.pair(s) != 0:
@@ -199,8 +207,7 @@ def field_parameters(h, s):
 
 def kappa_spinor(h, s):
     """The isotropic point sqrt(-d) h + (h,h) s of the plane through h, s."""
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     d, m, f = field_parameters(h, s)
     a = h.pair(h)
     coords = [QuadExt(a * sc, f * hc, m) for hc, sc in zip(h.z, s.z)]
@@ -212,22 +219,13 @@ def k_action(h, s):
 
     mu acts as +sqrt(-d) on the annihilator of kappa = sqrt(-d) h +
     (h,h) s: x + sqrt(-d) y lies in it exactly when A_h x = -(h,h) A_s y,
-    and then mu x = -d y, with d = (h,h)(s,s).  A_s is invertible as
-    (s,s) > 0 (see complex_structure).  mu^2 = -d I is checked.
-    Returns (mu, d, m, f) with -d = m f^2, m squarefree.
+    and then mu x = -d y, with d = (h,h)(s,s).  mu^2 = -d I is checked
+    (by _spinor_ratio).  Returns (mu, d, m, f) with -d = m f^2, m
+    squarefree.
     """
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     d, m, f = field_parameters(h, s)
-    ss = s.pair(s)
-    mu = [[ss * x for x in row] for row in
-          mat_mul(inverse(spinor_action_matrix(s)), spinor_action_matrix(h))]
-    sq = mat_mul(mu, mu)
-    for a in range(8):
-        for b in range(8):
-            if sq[a][b] != (-d if a == b else 0):
-                raise RuntimeError("mu^2 = -d I failed")
-    return mu, d, m, f
+    return _spinor_ratio(h, s, s.pair(s)), d, m, f
 
 
 def weil_condition(j, mu) -> bool:
@@ -242,11 +240,6 @@ def weil_condition(j, mu) -> bool:
     return sum(comm[i][i] for i in range(8)) == 0
 
 
-def _polarization_matrices(mu):
-    g = make_V().gram
-    return mat_mul(transpose(mu), g)  # E[i][j] = (mu e_i, e_j)
-
-
 def polarization(mu, j):
     """The alternating form E(v, w) = (sqrt(-d) v, w) and its 2-form.
 
@@ -256,7 +249,8 @@ def polarization(mu, j):
     by raising both indices with the (self-inverse) Gram of V, which is the
     equivariant identification of forms with bivectors.
     """
-    e = _polarization_matrices(mu)
+    g = make_V().gram
+    e = mat_mul(transpose(mu), g)  # E[i][j] = (mu e_i, e_j)
     for a in range(8):
         for b in range(8):
             if e[a][b] != -e[b][a]:
@@ -273,7 +267,6 @@ def polarization(mu, j):
     if not all(x > 0 for x in minors):
         raise ValueError("E(J v, v) is not positive definite: wrong "
                          "component or invalid period")
-    g = make_V().gram
     omega_mat = mat_mul(g, mat_mul(e, g))
     terms = {}
     for a in range(8):
@@ -359,16 +352,13 @@ def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
     two signs correspond to the two embeddings of the field, exactly one
     of which matches the orientation of the period.
     """
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    h, s = Spinor(h), Spinor(s)
     if period is None:
         period = sample_period(h, s, seed=seed)
     if not (period.pairs_to_zero_with(h.z) and period.pairs_to_zero_with(s.z)):
         raise ValueError("period must be orthogonal to h and s")
     j = complex_structure(period)
     mu, d, m, f = k_action(h, s)
-    if mat_mul(j, mu) != mat_mul(mu, j):
-        raise RuntimeError("field action does not commute with J")
     if not weil_condition(j, mu):
         raise RuntimeError("field eigenvalues are unbalanced on the +i part")
     try:
@@ -389,7 +379,7 @@ def cayley_hodge_test(s, period: Period) -> bool:
     the complex structure kills it; this is equivalent to the period being
     orthogonal to s.
     """
-    s = s if isinstance(s, Spinor) else Spinor(s)
+    s = Spinor(s)
     j = complex_structure(period)
     return derive_multivector(j, _cayley_class_of(tuple(s.z))).is_zero()
 
@@ -441,7 +431,8 @@ def weil_class_space(datum: WeilDatum):
     w2 = coords_degree(omega2, DEGREE4_MASKS)
     three = [w2, a_part, b_part]
     dim3 = rank(mat(three))
-    cs = coords_degree(cayley_class(datum.s, cross_check=False), DEGREE4_MASKS)
+    cayley = _cayley_class_of(tuple(datum.s.z))
+    cs = coords_degree(cayley, DEGREE4_MASKS)
     in_three = rank(mat(three + [cs])) == dim3
     not_in_omega_line = rank(mat([w2, cs])) == 2
 
@@ -449,7 +440,7 @@ def weil_class_space(datum: WeilDatum):
     # eigen-lines: mu / sqrt(-d), with eigenvalues +1, -1 on the two halves
     inv_sqrt = QuadExt(0, f, m).inverse()
     y_r = [[inv_sqrt * x for x in row] for row in datum.mu]
-    hr_on_cs = derive_multivector(y_r, cayley_class(datum.s, cross_check=False))
+    hr_on_cs = derive_multivector(y_r, cayley)
     hr_on_omega2 = derive_multivector(y_r, omega2)
 
     # multiplicative action of x = 1 + sqrt(-d): the matrix I + mu, rational
@@ -500,8 +491,6 @@ def h2_split(h, s):
     eigenspaces of dimension 6 each.  Also checks that the wedge squares
     of S+ and V carry identical weight multisets.
     """
-    h = h if isinstance(h, Spinor) else Spinor(h)
-    s = s if isinstance(s, Spinor) else Spinor(s)
     kappa, d, m, f = kappa_spinor(h, s)
     kb = [c.conj() for c in kappa.z]
     comp = complement_basis(h, s)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from spinweil.spingeo import Spinor
-from spinweil.weil import Period
+from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
+from spinweil.weil import STANDARD_PERIOD, Period
 
 SEED = 987123
 
@@ -15,14 +15,14 @@ def rng():
 
 @pytest.fixture
 def standard_h():
-    return Spinor([0, 1, 0, 0, 0, 1, 0, 0])
+    return Spinor(STANDARD_H)
 
 
 @pytest.fixture
 def standard_s():
-    return Spinor([1, 0, 0, 0, 1, 0, 0, 0])
+    return Spinor(STANDARD_S)
 
 
 @pytest.fixture
 def standard_period():
-    return Period((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
+    return Period(*STANDARD_PERIOD)

@@ -10,7 +10,9 @@ even Clifford algebra from left and right multiplication matrices, and
 the bilinear covariant as Chevalley products of generators read through
 splus_matrix.  And the products that the written-down spin tables
 replaced: the generator action on the exterior algebra of W by wedge and
-contract, and the 28 spin(V) basis elements as Clifford products.  Tests
+contract, and the 28 spin(V) basis elements as Clifford products.  And
+the lift so(L) -> spin(L) as a solve over the images of the basis
+e_i e_j - (e_i, e_j)/2 of spin(L), which the closed form replaced.  Tests
 compare the library with them by == and by repr."""
 
 from fractions import Fraction
@@ -18,10 +20,10 @@ from itertools import combinations
 
 from spinweil import reps
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               sigma_action, spin_v_xyz_table)
+                               sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
-from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat_mul,
-                             nullspace, scale_to_integers)
+from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat, mat_mul,
+                             nullspace, scale_to_integers, solve)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
                                   contract, coords_degree, indices_of,
                                   pluecker, popcount, wedge)
@@ -275,3 +277,36 @@ def ks_center_basis(lattice):
         rows += [[x - y for x, y in zip(lr, rr)]
                  for lr, rr in zip(left, right)]
     return nullspace(rows)
+
+
+def spin_basis(algebra):
+    """Basis e_i e_j - (e_i, e_j)/2 (i < j) of spin(L), n(n-1)/2 elements."""
+    out = []
+    for i, j in combinations(range(algebra.rank), 2):
+        x = algebra.generator(i) * algebra.generator(j)
+        g = algebra.gram[i][j]
+        if g != 0:
+            x = x - algebra.scalar(g / 2)
+        out.append(x)
+    return out
+
+
+def so_to_spin(algebra, m):
+    """The lift of m into spin(L): the coefficients on spin_basis solved
+    from the n^2 entries of m against the spin_so_iso images."""
+    basis = spin_basis(algebra)
+    n = algebra.rank
+    cols = []
+    for b in basis:
+        mb = spin_so_iso(b)
+        cols.append([mb[i][j] for i in range(n) for j in range(n)])
+    rhs = [m[i][j] for i in range(n) for j in range(n)]
+    coeffs = solve(mat([[cols[c][r] for c in range(len(cols))]
+                        for r in range(n * n)]), rhs)
+    if coeffs is None:
+        raise ValueError("matrix is outside the image of spin(L)")
+    out = algebra.zero()
+    for c, b in zip(coeffs, basis):
+        if c != 0:
+            out = out + b.scale(c)
+    return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
@@ -11,7 +11,7 @@ from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                commutator, conjugation, exp_nilpotent,
                                is_spin_group_element, is_spin_lie_element,
                                random_spin_group_element, sigma_action,
-                               sigma_matrix, so_to_spin, spin_basis, spin_so_iso,
+                               sigma_matrix, so_to_spin, spin_so_iso,
                                spin_v_dimension_check, spin_v_xyz_table,
                                twisted_conjugation)
 from spinweil.kuga import complement_data
@@ -274,19 +274,64 @@ def test_so_to_spin_restores_scalar_shift():
 def test_so_to_spin_rejects_non_so():
     alg = CV()
     bad = identity(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in so"):
         so_to_spin(alg, bad)
+
+
+def test_so_to_spin_rejects_a_degenerate_gram():
+    # e_3 and e_4 span the radical, so e_3 e_4 acts as 0 and the lift of
+    # the image of e_1 e_3 is not unique
+    g = [[2, 1, 0, 0], [1, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    alg = CliffordAlgebra(BilinearLattice(g))
+    e = alg.generator
+    m = spin_so_iso(e(0) * e(2))
+    assert spin_so_iso(e(0) * e(2) + e(2) * e(3)) == m
+    with pytest.raises(ValueError, match="nondegenerate Gram"):
+        so_to_spin(alg, m)
 
 
 def test_spin_basis_generic_lattice():
     lat = BilinearLattice([[2, 1, 0], [1, -2, 1], [0, 1, 4]])
     alg = CliffordAlgebra(lat)
-    basis = spin_basis(alg)
+    basis = reference.spin_basis(alg)
     assert len(basis) == 3
     for x in basis:
         assert is_spin_lie_element(x)
         m = spin_so_iso(x)
         assert so_to_spin(alg, m) == x
+
+
+LIFT_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                         st.fractions(min_value=-2, max_value=2,
+                                      max_denominator=4))
+
+
+@st.composite
+def lifts(draw):
+    """A nondegenerate rational Gram of rank 2 to 5 and a random element
+    of spin(L) on the reference basis."""
+    n = draw(st.integers(2, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(LIFT_ENTRIES)
+    assume(det(g) != 0)
+    alg = CliffordAlgebra(BilinearLattice(g))
+    x = alg.zero()
+    for b in reference.spin_basis(alg):
+        x = x + b.scale(Fraction(draw(LIFT_ENTRIES)))
+    return alg, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts())
+def test_so_to_spin_inverts_spin_so_iso_on_nondegenerate_grams(lift):
+    alg, x = lift
+    m = spin_so_iso(x)
+    got = so_to_spin(alg, m)
+    assert got == x
+    expected = reference.so_to_spin(alg, m)
+    assert got == expected and repr(got) == repr(expected)
 
 
 # -- the product against a per-term Fraction reference ------------------------

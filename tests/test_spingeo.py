@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -355,3 +357,31 @@ def test_veronese_dictionary_rows():
 def test_veronese_pluecker_check_random(rng):
     for _ in range(100):
         assert veronese_pluecker_check(random_alternating(rng))
+
+
+def test_a_spinor_of_a_spinor_copies_its_coordinates():
+    s = Spinor([1, 0, Fraction(1, 2), 0, 0, 0, QuadExt(0, 1, -1), 0])
+    t = Spinor(s)
+    assert t == s and repr(t) == repr(s) and t.z is not s.z
+    t.z[0] = Fraction(5)
+    assert s.z[0] == 1
+
+
+def _tests_for_spinor(tree):
+    """The isinstance calls whose class argument names Spinor."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "Spinor"
+                        or isinstance(n, ast.Attribute) and n.attr == "Spinor"
+                        for n in ast.walk(node.args[1]))):
+            yield node.lineno
+
+
+def test_only_spingeo_turns_inputs_into_spinors():
+    src = Path(__file__).resolve().parents[1] / "src" / "spinweil"
+    offenders = sorted(
+        (path.name, line) for path in src.glob("*.py")
+        if path.name != "spingeo.py"
+        for line in _tests_for_spinor(ast.parse(path.read_text())))
+    assert offenders == []

@@ -10,7 +10,8 @@ import pytest
 from spinweil import verify
 from spinweil.jsonio import decode_scalar
 from spinweil.multivector import DEGREE4_MASKS, Multivector
-from spinweil.spingeo import Spinor
+from spinweil.spingeo import STANDARD_H, STANDARD_S
+from spinweil.weil import STANDARD_PERIOD
 
 SEEDS = (20240, 1, 2)
 
@@ -103,8 +104,7 @@ def test_weil_battery_mismatch_names_seed_trial_and_period(monkeypatch):
     # the named sample seed reproduces the period of the failing trial
     period_seed = int(detail.split("sample seed ")[1].split(":")[0])
     assert verify.weil.sample_period(
-        Spinor(list(verify.STANDARD_H)), Spinor(list(verify.STANDARD_S)),
-        seed=period_seed) == log[1].period
+        STANDARD_H, STANDARD_S, seed=period_seed) == log[1].period
 
 
 def test_hodge_failure_names_seed_trial_and_period(monkeypatch):
@@ -120,8 +120,7 @@ def test_hodge_failure_names_seed_trial_and_period(monkeypatch):
     assert detail.endswith(": J^2 = -I failed")
     period_seed = int(detail.split("sample seed ")[1].split(":")[0])
     assert verify.weil.sample_period(
-        Spinor(list(verify.STANDARD_PERIOD[0])),
-        Spinor(list(verify.STANDARD_H)), seed=period_seed) == log[5][0][1]
+        STANDARD_PERIOD[0], STANDARD_H, seed=period_seed) == log[5][0][1]
 
 
 def test_hodge_mismatch_names_seed_trial_and_period(monkeypatch):

@@ -15,9 +15,10 @@ from spinweil.multivector import (DEGREE4_MASKS, coords_degree,
 from spinweil.reps import (cayley_class, invariant_subspace,
                            stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar, is_norm, is_square
-from spinweil.spingeo import Spinor, splus_lattice, subspace_of_spinor
-from spinweil.verify import STANDARD_H, STANDARD_PERIOD, STANDARD_S
-from spinweil.weil import (Period, _sqrt_rational, cayley_hodge_test,
+from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
+                              subspace_of_spinor)
+from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
+                           _spinor_ratio, _sqrt_rational, cayley_hodge_test,
                            complex_structure, datum_report, field_parameters,
                            h2_split, hermitian_and_discriminant, k_action,
                            kappa_spinor, make_weil_datum, omega_line_check,
@@ -107,7 +108,7 @@ def reference_sample_period(h, s, seed=0, tries=5000):
 #: the standard s, the standard plane, the plane of the generic periods of
 #: the hodge-criterion check, the nu plane and a plane with a Fraction
 PERIOD_PLANES = (
-    [([0, k, 0, 0, 0, 1, 0, 0], STANDARD_S, 25) for k in (1, 2, 3, 5)]
+    [(h, STANDARD_S, 25) for h in FIELD_SCAN_H]
     + [(STANDARD_H, STANDARD_S, 50), (STANDARD_PERIOD[0], STANDARD_H, 50),
        (NU1, NU2, 10),
        ([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0], STANDARD_S, 10)])
@@ -218,6 +219,22 @@ def test_k_action_matches_eigen_assembly(standard_s):
     # (h,h) = 8, (s,s) = 4, d = 32, m = -2
     h, s = Spinor([0, 1, 1, 0, 0, 1, 3, 0]), Spinor([1, 0, 0, 0, 2, 0, 0, 0])
     assert k_action(h, s)[0] == reference_k_action(h, s)
+
+
+def test_spinor_ratio_rejects_a_non_orthogonal_pair():
+    # (x, y) = 1: A_y is invertible, but the square is no scalar matrix
+    x, y = Spinor([1, 1, 0, 0, 0, 1, 0, 0]), Spinor([1, 0, 0, 0, 1, 0, 0, 0])
+    with pytest.raises(RuntimeError, match=re.escape("square check")):
+        _spinor_ratio(x, y, 1)
+
+
+def test_a_non_commuting_field_action_fails_the_weil_condition(
+        monkeypatch, standard_h, standard_s, standard_period):
+    mu, d, m, f = k_action(standard_h, standard_s)
+    swap = [[Fraction(a == (b ^ 1)) for b in range(8)] for a in range(8)]
+    monkeypatch.setattr(weil, "k_action", lambda h, s: (swap, d, m, f))
+    with pytest.raises(ValueError, match="do not commute"):
+        make_weil_datum(standard_h, standard_s, period=standard_period)
 
 
 def test_kappa_isotropic_symbolically(standard_h, standard_s):
