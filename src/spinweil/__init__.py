@@ -30,7 +30,7 @@ _LAZY = {
                      "make_weil_datum", "polarization", "sample_period",
                      "weil_class_space", "weil_condition"), "weil"),
     **dict.fromkeys(("KSDatum", "ks_center", "ks_complex_structure",
-                     "ks_spin_rep_check"), "kuga"),
+                     "ks_hom"), "kuga"),
 }
 
 __version__ = "0.1.0"

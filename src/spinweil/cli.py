@@ -282,7 +282,7 @@ def run_ks(args):
     from .weil import sample_period
     h, s, seed, _ = _h_s_seed(args)
     period = sample_period(h, s, seed=seed)
-    report = ks_report(h, s, period, seed=seed)
+    report = ks_report(h, s, period)
     doc = {
         "verb": "ks",
         "inputs": {"h": encode_vector(h)["coords"],

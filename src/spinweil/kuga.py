@@ -1,8 +1,16 @@
-"""The Kuga-Satake construction on the even Clifford algebra of the rank-6
-complement of the plane through h and s: the 32-dimensional lattice, the
-complex structure by left multiplication, the center of the even algebra,
-and the representation-level certificates behind the identification of the
-Kuga-Satake abelian variety with four copies of the Weil fourfold.
+"""The Kuga-Satake construction on the even Clifford algebra C+(H) of the
+rank-6 complement H of <h, s> in S+: the 32-dimensional lattice, the
+complex structure J_KS by left multiplication, the center, and the
+certificate that the Kuga-Satake variety is isogenous to A^4, A the Weil
+fourfold of (h, s, period).
+
+The certificate is Hom_G(V, C+(H)) (ks_hom), G the joint stabilizer of h
+and s, acting on C+(H) by left multiplication through spin(H).  mu commutes
+with G, so Hom is a vector space over K = Q(mu).  Rational dimension 8 and
+joint rank 32 make a K-basis Phi_1, ..., Phi_4 an isomorphism V^4 -> C+(H)
+of G-representations (Phi mu has the image of Phi); J_KS Phi = Phi J for
+every Phi, J the complex structure of the period on V, makes it carry J
+to J_KS.
 
 With the convention v^2 = (v, v)/2 the product of two orthogonal vectors
 of common length c squares to -c^2/4, so the exact complex structure is
@@ -19,13 +27,12 @@ from itertools import combinations
 
 from .clifford import CliffordAlgebra, commutator, so_to_spin, spin_so_iso
 from .lattices import BilinearLattice, sublattice_gram
-from .linalg import (det, identity, mat, mat_mul, nullspace,
-                     scale_to_integers, solve_matrix, sparse_nullspace,
-                     transpose)
+from .linalg import (identity, mat_mul, rank, scale_to_integers,
+                     solve_matrix, sparse_nullspace, transpose)
 from .reps import splus_matrix, stabilizer_algebra
-from .scalars import QuadExt, rat, squarefree_part
+from .scalars import rat, squarefree_part
 from .spingeo import splus_lattice
-from .weil import Period, complement_basis, field_parameters
+from .weil import Period, complement_basis, complex_structure, field_parameters
 
 
 def complement_data(h, s):
@@ -45,8 +52,9 @@ def _h_coordinates(cols, vectors):
 
 @dataclass(frozen=True)
 class KSDatum:
-    """The even Clifford algebra of the complement with its complex
-    structure by scaled left multiplication."""
+    """The even Clifford algebra of the complement (basis: its S+
+    coordinates) with its complex structure by scaled left multiplication."""
+    basis: list
     lattice: BilinearLattice
     algebra: CliffordAlgebra
     f1: list
@@ -66,8 +74,7 @@ def mult_matrix(algebra, x, masks, right=False):
         if any(mm not in masks for mm in img.terms):
             raise RuntimeError("multiplication left the even part")
         cols.append([img.terms.get(mm, Fraction(0)) for mm in masks])
-    return [[cols[j][i] for j in range(len(masks))]
-            for i in range(len(masks))]
+    return transpose(cols)
 
 
 def ks_complex_structure(h, s, period: Period) -> KSDatum:
@@ -86,18 +93,15 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
         raise ValueError("period does not give an orthogonal equal-length "
                          "pair in the complement")
     w = algebra.vector(f1) * algebra.vector(f2)
-    wsq = w * w
-    if wsq != algebra.scalar(-c * c / 4):
+    if w * w != algebra.scalar(-c * c / 4):
         raise RuntimeError("(f1 f2)^2 = -c^2/4 failed: scale convention "
                            "violated")
     masks = tuple(algebra.basis_masks(even_only=True))
-    lmat = mult_matrix(algebra, w, masks)
-    scale = Fraction(2) / c
-    j_ks = [[scale * x for x in row] for row in lmat]
+    j_ks = mult_matrix(algebra, w.scale(Fraction(2) / c), masks)
     if not _squares_to_minus_identity(j_ks):
         raise RuntimeError("J_KS^2 = -I failed")
-    return KSDatum(lattice=lattice, algebra=algebra, f1=f1, f2=f2, c=c,
-                   even_masks=masks, j_ks=j_ks)
+    return KSDatum(basis=basis, lattice=lattice, algebra=algebra, f1=f1,
+                   f2=f2, c=c, even_masks=masks, j_ks=j_ks)
 
 
 def _squares_to_minus_identity(m) -> bool:
@@ -117,16 +121,6 @@ def ks_right_commutation(datum: KSDatum, seed=0, count=20) -> bool:
         if mat_mul(rmat, datum.j_ks) != mat_mul(datum.j_ks, rmat):
             return False
     return True
-
-
-def ks_i_eigenspace_dim(datum: KSDatum) -> int:
-    """Dimension of the +i eigenspace of J_KS (16 of 32)."""
-    n = len(datum.even_masks)
-    i_unit = QuadExt(0, 1, -1)
-    shifted = [[QuadExt(datum.j_ks[a][b], 0, -1) -
-                (i_unit if a == b else QuadExt(0, 0, -1))
-                for b in range(n)] for a in range(n)]
-    return len(nullspace(mat(shifted)))
 
 
 def ks_center(lattice: BilinearLattice):
@@ -179,98 +173,73 @@ def ks_center(lattice: BilinearLattice):
     return basis, square.scalar_part()
 
 
-def ks_center_field_check(h, s) -> dict:
-    """The center of the even algebra matches the field of the datum."""
-    _, lattice = complement_data(h, s)
+def ks_center_field_check(lattice, h, s) -> dict:
+    """The center of the even algebra of the complement lattice matches the
+    field of the datum."""
     basis, omega_sq = ks_center(lattice)
-    d, m, f = field_parameters(h, s)
     sq = rat(omega_sq)
     part = squarefree_part(sq.numerator * sq.denominator)
     return {
         "center_dim": len(basis),
         "omega_c_square": sq,
         "square_negative": sq < 0,
-        "squarefree_part_matches": part == m,
+        "squarefree_part_matches": part == field_parameters(h, s)[1],
     }
 
 
-def _charpoly_values(matrix, points):
-    """det(t I - M) at integer points, exactly, via integer determinants."""
-    n = len(matrix)
-    scaled, denom = scale_to_integers(((a, b), x) for a, row in
-                                      enumerate(matrix) for b, x in
-                                      enumerate(row))
-    out = []
-    for t in points:
-        m = [[(t * denom if a == b else 0) - scaled.get((a, b), 0)
-              for b in range(n)] for a in range(n)]
-        out.append(det(m) / denom ** n)
-    return out
+def ks_hom(datum: KSDatum, h, s):
+    """Basis of Hom_G(V, C+(H)) as 32 x 8 matrices, G the joint stabilizer
+    of h and s.
 
-
-def ks_spin_rep_check(h, s, seed=0, count=10) -> dict:
-    """Necessary conditions for the even algebra to be four copies of V
-    as a representation of the joint stabilizer of h and s.
-
-    Random Lie elements of the rank-15 stabilizer act on the even Clifford
-    algebra by left multiplication (through the lift into the complement's
-    spin algebra) and on V by the commutator; the characteristic polynomial
-    of the former must be the fourth power of the latter.  Decided exactly
-    by evaluating both determinants at 33 integer points.
+    The kernel of Phi -> L(xi) Phi - Phi M(xi) over the 15 generators xi,
+    L(xi) left multiplication by the lift of xi's action on the complement,
+    M(xi) = spin_so_iso(xi).  Phi[c][b] is unknown 8 c + b: row (a, b) has
+    L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
+    the rows go through scale_to_integers to sparse_nullspace on ints.
     """
-    basis, lattice = complement_data(h, s)
-    algebra = CliffordAlgebra(lattice)
-    masks = tuple(algebra.basis_masks(even_only=True))
     stab, _ = stabilizer_algebra([h, s])
     if len(stab) != 15:
         raise RuntimeError("stabilizer of h, s is not 15-dimensional")
-    cols = transpose(basis)
-    rng = random.Random(seed)
-    points = list(range(33))
-    all_match = True
-    for _ in range(count):
-        xi = _random_combination(stab, rng)
+    cols = transpose(datum.basis)
+    rows = []
+    for xi in stab:
         y = _h_coordinates(cols, mat_mul(splus_matrix(xi), cols))
-        lifted = so_to_spin(algebra, y)
-        lmat = mult_matrix(algebra, lifted, masks)
+        lmat = mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
+                           datum.even_masks)
         mv = spin_so_iso(xi)
-        left_vals = _charpoly_values(lmat, points)
-        v_vals = _charpoly_values(mv, points)
-        if any(lv != vv ** 4 for lv, vv in zip(left_vals, v_vals)):
-            all_match = False
-            break
-    return {
-        "dimension_32_equals_4x8": len(masks) == 4 * len(mv),
-        "charpoly_fourth_power": all_match,
-        "trials": count,
-    }
+        for a, lrow in enumerate(lmat):
+            nonzero = [(c, x) for c, x in enumerate(lrow) if x]
+            for b in range(8):
+                row = {8 * a + c: -mv[c][b] for c in range(8)}
+                for c, x in nonzero:
+                    row[8 * c + b] = row.get(8 * c + b, 0) + x
+                rows.append(scale_to_integers(row.items())[0])
+    return [[v[i:i + 8] for i in range(0, len(v), 8)]
+            for v in sparse_nullspace(rows, 8 * len(datum.even_masks))]
 
 
-def _random_combination(elements, rng):
-    out = None
-    for e in elements:
-        c = rng.randint(-2, 2)
-        if c:
-            term = e.scale(rat(c))
-            out = term if out is None else out + term
-    if out is None:
-        out = elements[0]
-    return out
+def ks_report(h, s, period: Period) -> dict:
+    """Full Kuga-Satake verification summary for one datum.
 
-
-def ks_report(h, s, period: Period, seed=0) -> dict:
-    """Full Kuga-Satake verification summary for one datum."""
+    The isogeny_* fields are the certificate of the module docstring:
+    dim Hom_G(V, C+(H)) = 8 and joint rank 32, which together give
+    V^4 = C+(H) as G-representations, and J_KS Phi = Phi J for every Phi
+    (false when Hom is empty), which makes the isomorphism carry J to J_KS.
+    """
     datum = ks_complex_structure(h, s, period)
-    rep = ks_spin_rep_check(h, s, seed=seed)
-    center = ks_center_field_check(h, s)
+    homs = ks_hom(datum, h, s)
+    joint = rank([col for phi in homs for col in transpose(phi)])
+    j = complex_structure(period)
+    center = ks_center_field_check(datum.lattice, h, s)
     return {
         "even_algebra_dim": len(datum.even_masks),
         "f1f2_square": -datum.c * datum.c / 4,
         "J_KS_squares_to_minus_identity":
             _squares_to_minus_identity(datum.j_ks),
-        "right_multiplication_commutes": ks_right_commutation(datum,
-                                                              seed=seed),
-        "plus_i_eigenspace_dim": ks_i_eigenspace_dim(datum),
         **{f"center_{k}": v for k, v in center.items()},
-        **{f"rep_{k}": v for k, v in rep.items()},
+        "isogeny_hom_dim": len(homs),
+        "isogeny_joint_rank": joint,
+        "isogeny_even_algebra_is_V4": len(homs) == 8 and joint == 32,
+        "isogeny_intertwines_J": bool(homs) and all(
+            mat_mul(datum.j_ks, phi) == mat_mul(phi, j) for phi in homs),
     }

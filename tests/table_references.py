@@ -12,8 +12,11 @@ splus_matrix.  And the products that the written-down spin tables
 replaced: the generator action on the exterior algebra of W by wedge and
 contract, and the 28 spin(V) basis elements as Clifford products.  And
 the lift so(L) -> spin(L) as a solve over the images of the basis
-e_i e_j - (e_i, e_j)/2 of spin(L), which the closed form replaced.  Tests
-compare the library with them by == and by repr."""
+e_i e_j - (e_i, e_j)/2 of spin(L), which the closed form replaced.  And
+the random-trial check that the Hom_G(V, C+(H)) certificate replaced: the
+characteristic polynomials of a random stabilizer element on the even
+Clifford algebra and on V, evaluated at integer points.  Tests compare the
+library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -23,11 +26,13 @@ from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
 from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat, mat_mul,
-                             nullspace, scale_to_integers, solve)
+                             nullspace, scale_to_integers, solve,
+                             solve_matrix, transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
                                   contract, coords_degree, indices_of,
                                   pluecker, popcount, wedge)
-from spinweil.reps import SYM2_BASIS, rep_space, sminus_matrix, splus_matrix
+from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix, splus_matrix,
+                           stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar
 from spinweil.spingeo import ODD_MASKS, graph_basis
 
@@ -310,3 +315,31 @@ def so_to_spin(algebra, m):
         if c != 0:
             out = out + b.scale(c)
     return out
+
+
+def charpoly_values(matrix, points):
+    """det(t I - M) at integer points, exactly, via integer determinants."""
+    n = len(matrix)
+    scaled, denom = scale_to_integers(((a, b), x) for a, row in
+                                      enumerate(matrix) for b, x in
+                                      enumerate(row))
+    out = []
+    for t in points:
+        m = [[(t * denom if a == b else 0) - scaled.get((a, b), 0)
+              for b in range(n)] for a in range(n)]
+        out.append(det(m) / denom ** n)
+    return out
+
+
+def spin_rep_trial(datum, h, s, rng):
+    """(L(xi), M(xi)) for a random xi in the stabilizer of h and s, with
+    coefficients in [-2, 2] on its basis: left multiplication on the even
+    algebra of the KSDatum by the lift (so_to_spin above) of xi's action on
+    the complement, and the commutator action on V."""
+    stab, _ = stabilizer_algebra([h, s])
+    terms = [e.scale(Fraction(c)) for e in stab if (c := rng.randint(-2, 2))]
+    xi = sum(terms[1:], terms[0]) if terms else stab[0]
+    cols = transpose(datum.basis)
+    y = solve_matrix(cols, mat_mul(splus_matrix(xi), cols))
+    return (mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
+                        datum.even_masks), spin_so_iso(xi))

@@ -15,8 +15,7 @@ from spinweil.clifford import (CV, cartan_elements, commutator,
                                sigma_action, spin_so_iso, spin_v_xyz_table,
                                twisted_conjugation)
 from spinweil.kuga import (ks_center_field_check, ks_complex_structure,
-                           ks_i_eigenspace_dim, ks_right_commutation,
-                           ks_spin_rep_check)
+                           ks_report, ks_right_commutation)
 from spinweil.lattices import make_V, moduli_dimension
 from spinweil.linalg import det, identity, mat, mat_mul, mat_vec, nullspace, rank
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
@@ -305,15 +304,17 @@ def test_criterion_13_kuga_satake():
     assert sq == [[Fraction(-1 if a == b else 0) for b in range(32)]
                   for a in range(32)]
     assert ks_right_commutation(datum, seed=SEED)
-    assert ks_i_eigenspace_dim(datum) == 16
-    center = ks_center_field_check(H_STD, S_STD)
+    center = ks_center_field_check(datum.lattice, H_STD, S_STD)
     assert center["center_dim"] == 2
     assert center["squarefree_part_matches"]
-    rep = ks_spin_rep_check(H_STD, S_STD, seed=SEED, count=10)
-    assert rep["charpoly_fourth_power"]
+    rep = ks_report(H_STD, S_STD, PERIOD_STD)
+    assert rep["isogeny_hom_dim"] == 8
+    assert rep["isogeny_joint_rank"] == 32
+    assert rep["isogeny_even_algebra_is_V4"]
+    assert rep["isogeny_intertwines_J"]
     report(13, "dimension 32; J_KS^2 = -I; right multiplications commute; "
-               "center field matches; characteristic polynomial is a "
-               "fourth power (10 trials)")
+               "center field matches; Hom_G(V, C+(H)) has dimension 8 and "
+               "joint rank 32 and carries J to J_KS")
 
 
 def test_criterion_14_mukai():

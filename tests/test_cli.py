@@ -140,6 +140,18 @@ def test_ks_verb(capsys):
     assert doc["report"]["center_center_dim"] == 2
 
 
+def test_ks_with_no_equivariant_map_fails(capsys, monkeypatch):
+    # an empty Hom must read false on both certificate fields and exit 1
+    from spinweil import kuga
+    monkeypatch.setattr(kuga, "ks_hom", lambda datum, h, s: [])
+    rc, doc = run_json(capsys, "ks")
+    assert rc == 1
+    assert doc["report"]["isogeny_hom_dim"] == 0
+    assert doc["report"]["isogeny_joint_rank"] == 0
+    assert doc["report"]["isogeny_even_algebra_is_V4"] is False
+    assert doc["report"]["isogeny_intertwines_J"] is False
+
+
 def test_invariants_verb(capsys):
     rc, doc = run_json(capsys, "invariants")
     assert rc == 0

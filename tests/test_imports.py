@@ -39,7 +39,7 @@ PUBLIC = {
              "make_weil_datum", "polarization", "sample_period",
              "weil_class_space", "weil_condition"),
     "kuga": ("KSDatum", "ks_center", "ks_complex_structure",
-             "ks_spin_rep_check"),
+             "ks_hom"),
 }
 
 

@@ -1,19 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweil import kuga
 from spinweil.clifford import CliffordAlgebra
 from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
-                           ks_complex_structure, ks_i_eigenspace_dim,
-                           ks_report, ks_right_commutation,
-                           ks_spin_rep_check, mult_matrix)
+                           ks_complex_structure, ks_hom, ks_report,
+                           ks_right_commutation, mult_matrix)
 from spinweil.lattices import BilinearLattice
-from spinweil.linalg import identity, mat_mul
-from spinweil.scalars import squarefree_part
-from spinweil.spingeo import Spinor
-from spinweil.weil import Period, sample_period
+from spinweil.linalg import mat_mul
+from spinweil.spingeo import STANDARD_S, Spinor, splus_lattice
+from spinweil.weil import (FIELD_SCAN_H, Period, complex_structure,
+                           field_parameters, sample_period)
 
 import table_references as reference
 
@@ -61,13 +62,9 @@ def test_left_multiplication_does_not_commute(standard_h, standard_s,
     assert mat_mul(lmat, datum.j_ks) != mat_mul(datum.j_ks, lmat)
 
 
-def test_plus_i_eigenspace_dim(standard_h, standard_s, standard_period):
-    datum = ks_complex_structure(standard_h, standard_s, standard_period)
-    assert ks_i_eigenspace_dim(datum) == 16
-
-
 def test_center_standard(standard_h, standard_s):
-    out = ks_center_field_check(standard_h, standard_s)
+    _, lattice = complement_data(standard_h, standard_s)
+    out = ks_center_field_check(lattice, standard_h, standard_s)
     assert out["center_dim"] == 2
     assert out["square_negative"]
     assert out["squarefree_part_matches"]
@@ -76,7 +73,8 @@ def test_center_standard(standard_h, standard_s):
 def test_center_across_fields(standard_s):
     for k in (1, 2, 3):
         h = Spinor([0, k, 0, 0, 0, 1, 0, 0])
-        out = ks_center_field_check(h, standard_s)
+        _, lattice = complement_data(h, standard_s)
+        out = ks_center_field_check(lattice, h, standard_s)
         assert out["center_dim"] == 2
         assert out["squarefree_part_matches"], (k, out)
 
@@ -126,18 +124,106 @@ def test_center_basis_matches_reference_on_small_grams(lattice):
     assert (sq is None) == (len(basis) != 2)
 
 
-def test_spin_rep_charpoly(standard_h, standard_s):
-    out = ks_spin_rep_check(standard_h, standard_s, seed=2, count=10)
-    assert out["dimension_32_equals_4x8"]
-    assert out["charpoly_fourth_power"]
+def test_spin_rep_charpoly(standard_h, standard_s, standard_period):
+    # the deleted random-trial check, from the references: on the even
+    # algebra a stabilizer element has the fourth power of its
+    # characteristic polynomial on V, at 33 integer points
+    datum = ks_complex_structure(standard_h, standard_s, standard_period)
+    rng, points = random.Random(2), range(33)
+    for _ in range(2):
+        lmat, mv = reference.spin_rep_trial(datum, standard_h, standard_s,
+                                            rng)
+        assert reference.charpoly_values(lmat, points) == [
+            v ** 4 for v in reference.charpoly_values(mv, points)]
+
+
+def test_hom_maps_intertwine_random_stabilizer_elements(
+        standard_h, standard_s, standard_period):
+    # ks_hom solves on the 15 generators; each map also intertwines random
+    # combinations, built through the reference lift
+    datum = ks_complex_structure(standard_h, standard_s, standard_period)
+    homs = ks_hom(datum, standard_h, standard_s)
+    assert len(homs) == 8
+    assert all(len(phi) == 32 and all(len(row) == 8 for row in phi)
+               for phi in homs)
+    rng = random.Random(5)
+    for _ in range(2):
+        lmat, mv = reference.spin_rep_trial(datum, standard_h, standard_s,
+                                            rng)
+        for phi in homs:
+            assert mat_mul(lmat, phi) == mat_mul(phi, mv)
+
+
+CERTIFICATE = ("isogeny_hom_dim", "isogeny_joint_rank",
+               "isogeny_even_algebra_is_V4", "isogeny_intertwines_J")
+
+
+def certificate(h, s, period):
+    report = ks_report(h, s, period)
+    return tuple(report[k] for k in CERTIFICATE)
 
 
 def test_ks_report(standard_h, standard_s, standard_period):
-    rep = ks_report(standard_h, standard_s, standard_period, seed=3)
+    rep = ks_report(standard_h, standard_s, standard_period)
     assert rep["even_algebra_dim"] == 32
-    assert rep["plus_i_eigenspace_dim"] == 16
+    assert tuple(rep[k] for k in CERTIFICATE) == (8, 32, True, True)
     bad = [k for k, v in rep.items() if isinstance(v, bool) and not v]
     assert not bad
+
+
+@pytest.mark.parametrize("h", FIELD_SCAN_H)
+def test_certificate_on_the_field_scan_planes(h):
+    period = sample_period(h, STANDARD_S, seed=11)
+    assert certificate(h, STANDARD_S, period) == (8, 32, True, True)
+
+
+def random_positive_planes(rng, count):
+    """The first count planes with integer h in [-2, 2]^8 and s drawn
+    there and projected off h, kept when (h, h) > 0 and (s, s) > 0."""
+    lat = splus_lattice()
+    planes = []
+    while len(planes) < count:
+        h = [Fraction(rng.randint(-2, 2)) for _ in range(8)]
+        s = [Fraction(rng.randint(-2, 2)) for _ in range(8)]
+        hh = lat.pair(h, h)
+        if hh <= 0:
+            continue
+        t = lat.pair(s, h) / hh
+        s = [x - t * y for x, y in zip(s, h)]
+        if lat.pair(s, s) > 0:
+            planes.append((h, s))
+    return planes
+
+
+def test_certificate_on_random_planes():
+    # a plane whose period search gives up is counted, not skipped
+    fields, gave_up = [], 0
+    for h, s in random_positive_planes(random.Random(7), 3):
+        try:
+            period = sample_period(h, s, seed=11)
+        except RuntimeError:
+            gave_up += 1
+            continue
+        assert certificate(h, s, period) == (8, 32, True, True), (h, s)
+        fields.append(field_parameters(h, s)[1])
+    assert gave_up == 0
+    assert fields == [-59, -2, -35]
+
+
+def test_minus_j_fails_the_intertwining(monkeypatch, standard_h, standard_s,
+                                        standard_period):
+    # the certificate is not vacuous: no map carries -J to J_KS, and the
+    # report reads false when handed -J
+    datum = ks_complex_structure(standard_h, standard_s, standard_period)
+    minus_j = [[-x for x in row] for row in complex_structure(standard_period)]
+    homs = ks_hom(datum, standard_h, standard_s)
+    assert len(homs) == 8
+    assert all(mat_mul(datum.j_ks, phi) != mat_mul(phi, minus_j)
+               for phi in homs)
+    monkeypatch.setattr(kuga, "complex_structure", lambda period: minus_j)
+    report = ks_report(standard_h, standard_s, standard_period)
+    assert report["isogeny_even_algebra_is_V4"] is True
+    assert report["isogeny_intertwines_J"] is False
 
 
 def test_period_not_in_complement_rejected(standard_h, standard_s):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -235,6 +236,20 @@ def test_a_non_commuting_field_action_fails_the_weil_condition(
     monkeypatch.setattr(weil, "k_action", lambda h, s: (swap, d, m, f))
     with pytest.raises(ValueError, match="do not commute"):
         make_weil_datum(standard_h, standard_s, period=standard_period)
+
+
+def test_datum_report_reads_a_non_commuting_field_action_as_false(
+        standard_h, standard_s, standard_period):
+    # every report field is computed, none raises: the i <-> i ^ 1 swap
+    # does not commute with J, and the trace of swap J, the sum of the
+    # entries J[i ^ 1][i] = 1, -1, -1, 1, 1, -1, -1, 1, is still read off
+    datum = make_weil_datum(standard_h, standard_s, period=standard_period)
+    swap = [[Fraction(a == (b ^ 1)) for b in range(8)] for a in range(8)]
+    report = datum_report(dataclasses.replace(datum, mu=swap))
+    assert report["J_mu_commute"] is False
+    assert report["trace_mu_J_zero"] is True
+    assert report["mu_squares_to_minus_d"] is False
+    assert datum_report(datum)["J_mu_commute"] is True
 
 
 def test_kappa_isotropic_symbolically(standard_h, standard_s):
