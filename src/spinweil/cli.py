@@ -5,16 +5,25 @@ randomized work takes an explicit seed (fixed default) so runs are
 reproducible; `--json` switches to one machine-readable document per
 invocation.
 
+Input rule of the five computation verbs (all but verify; _inputs): with
+--input, the inputs are the document's "inputs" object (or the document
+itself) and every flag but --json is ignored; without it, they are the
+flags that are set, JSON text parsed.  The keys are B and z (--invert) of
+spinor, n and s of cayley, and h, s, seed and field_scan of weil-family
+and ks.  A missing h or s is the standard one, a missing seed 20240 and a
+missing field_scan false; a present key, null included, must decode.
+
 Exit codes (this is the one place they are listed):
   0  success
-  1  verification failure: a check failed, or the input decodes but is
-     mathematically invalid (say, a non-isotropic spinor for --invert)
+  1  verification failure: some boolean in a computation verb's document
+     is false (the exit rule, _emit), a verify check failed, or the input
+     decodes but is mathematically invalid (say, a non-isotropic z)
   2  usage error: bad or missing arguments, unreadable or malformed JSON,
-     JSON values that do not decode to scalars, vectors or matrices, a
-     spinor, h or s without exactly eight coordinates, a spinor B that is
-     not a 4x4 matrix, or an --input document (or its inputs) that is not
-     a JSON object or carries a non-integer n or seed or a non-boolean
-     field_scan
+     or an input, named by its key, that does not decode: values that are
+     not scalars, vectors or matrices, a z, h or s without exactly eight
+     coordinates, a B that is not a 4x4 matrix, a non-integer n or seed,
+     a non-boolean field_scan, or an --input document (or its inputs)
+     that is not a JSON object
 
 verify, weil and kuga are imported inside run_verify, run_weil and run_ks,
 the only verbs that use them.  A process that does not write bytecode
@@ -28,10 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .jsonio import (decode_matrix, decode_vector, encode_matrix,
-                     encode_multivector, encode_scalar, encode_vector)
+from .jsonio import decode_matrix, decode_vector, to_json
 from .lattices import moduli_dimension
 from .reps import (branching_dims, cayley_class, cayley_constant,
                    explicit_cayley_formula, gamma2alpha_star_sign,
@@ -42,70 +49,98 @@ from .spingeo import (STANDARD_H, STANDARD_S, Spinor, spinor_inverse,
 DEFAULT_SEED = 20240
 
 
-def _load_json(text_or_path, inline=True):
-    try:
-        if inline:
-            return json.loads(text_or_path)
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise UsageError(f"malformed JSON input: {exc}")
-
-
 class UsageError(Exception):
     pass
 
 
-def _decode(decoder, obj):
-    """Apply a jsonio decoder; a value it cannot decode is a usage error."""
-    try:
-        return decoder(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"malformed JSON input: {type(exc).__name__}: "
-                         f"{exc}")
-
-
-def _decode_8(obj, name):
-    """A vector of eight coordinates (a spinor, h or s) from JSON."""
-    v = _decode(decode_vector, obj)
-    if len(v) != 8:
-        raise UsageError(f"{name} needs eight coordinates, got {len(v)}")
-    return v
-
-
-def _decode_4x4(obj):
-    """The matrix B of the spinor verb from JSON: four rows of four."""
-    b = _decode(decode_matrix, obj)
-    if len(b) != 4 or any(len(row) != 4 for row in b):
-        raise UsageError(f"B needs four rows of four entries, got rows of "
-                         f"lengths {[len(row) for row in b]}")
-    return b
-
-
-def _input_doc(path):
-    """The inputs object of an --input document (or the document itself)."""
-    doc = _load_json(path, inline=False)
-    inputs = doc.get("inputs", doc) if isinstance(doc, dict) else doc
-    if not isinstance(inputs, dict):
-        raise UsageError("an --input document and its inputs must be JSON "
-                         "objects")
+def _inputs(args, names):
+    """The inputs among `names` as JSON values, by the input rule of the
+    module docstring."""
+    if args.input:
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (ValueError, OSError) as exc:
+            raise UsageError(f"malformed JSON input: {exc}")
+        inputs = doc.get("inputs", doc) if isinstance(doc, dict) else doc
+        if not isinstance(inputs, dict):
+            raise UsageError("an --input document and its inputs must be "
+                             "JSON objects")
+        return {key: inputs[key] for key in names if key in inputs}
+    inputs = {}
+    for key in names:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if isinstance(value, str):
+            try:
+                value = json.loads(value)
+            except ValueError as exc:
+                raise UsageError(f"malformed JSON input {key!r}: {exc}")
+        inputs[key] = value
     return inputs
 
 
-def _int_input(inputs, key, default=None):
-    """An integer field of an --input document."""
-    value = inputs.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"input {key!r} must be an integer, got "
-                         f"{json.dumps(value)}")
-    return value
+def _eight(obj, key):
+    """A vector of eight coordinates (a spinor z, h or s)."""
+    v = decode_vector(obj)
+    if len(v) != 8:
+        raise UsageError(f"{key} needs eight coordinates, got {len(v)}")
+    return v
+
+
+def _four_by_four(obj, key):
+    """The matrix B of the spinor verb: four rows of four."""
+    b = decode_matrix(obj)
+    if len(b) != 4 or any(len(row) != 4 for row in b):
+        raise UsageError(f"{key} needs four rows of four entries, got rows "
+                         f"of lengths {[len(row) for row in b]}")
+    return b
+
+
+def _of_type(kind, noun):
+    def check(obj, key):
+        if type(obj) is not kind:
+            raise UsageError(f"input {key!r} must be {noun}, got "
+                             f"{json.dumps(obj)}")
+        return obj
+    return check
+
+
+_DECODERS = {"B": _four_by_four, "z": _eight, "h": _eight, "s": _eight,
+             "n": _of_type(int, "an integer"),
+             "seed": _of_type(int, "an integer"),
+             "field_scan": _of_type(bool, "a boolean")}
+_DEFAULTS = {"h": STANDARD_H, "s": STANDARD_S, "seed": DEFAULT_SEED,
+             "field_scan": False}
+
+
+def _value(inputs, key):
+    """Input `key` decoded, or its default when it is absent."""
+    if key not in inputs:
+        return _DEFAULTS[key]
+    try:
+        return _DECODERS[key](inputs[key], key)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed JSON input {key!r}: "
+                         f"{type(exc).__name__}: {exc}")
 
 
 def _emit(doc, args):
+    """Print the document, encoded once by to_json; the exit code is 1
+    exactly when some boolean in it is false."""
+    doc = to_json(doc)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         _pretty(doc)
+    return 1 if _holds_false(doc) else 0
+
+
+def _holds_false(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    return any(map(_holds_false, x)) if isinstance(x, list) else x is False
 
 
 def _pretty(doc, indent=0):
@@ -125,183 +160,97 @@ def _pretty(doc, indent=0):
 # -- verb: spinor ------------------------------------------------------------
 
 def run_spinor(args):
-    if args.input:
-        inputs = _input_doc(args.input)
-        if "B" in inputs and inputs["B"] is not None:
-            return _spinor_forward(_decode_4x4(inputs["B"]), args)
-        if "z" in inputs and inputs["z"] is not None:
-            return _spinor_invert(_decode_8(inputs["z"], "z"), args)
-        raise UsageError("input document carries neither a matrix nor "
-                         "spinor coordinates")
-    if args.B:
-        return _spinor_forward(_decode_4x4(_load_json(args.B)), args)
-    if args.invert:
-        return _spinor_invert(_decode_8(_load_json(args.invert), "--invert"),
-                              args)
-    raise UsageError("spinor needs --B, --invert or --input")
-
-
-def _spinor_forward(b, args):
-    z = spinor_map(b)
-    doc = {
-        "verb": "spinor",
-        "inputs": {"B": encode_matrix(b)},
-        "z": [encode_scalar(c) for c in z.z],
-        "e_coefficients": encode_multivector(z.multivector()),
-        "isotropic": z.is_isotropic(),
-    }
-    _emit(doc, args)
-    return 0
-
-
-def _spinor_invert(zc, args):
-    z = Spinor(zc)
-    b = spinor_inverse(z)
-    doc = {
-        "verb": "spinor",
-        "inputs": {"z": [encode_scalar(c) for c in z.z]},
-        "B": encode_matrix(b),
-        "roundtrip_z": [encode_scalar(c) for c in spinor_map(b).z],
-    }
-    _emit(doc, args)
-    return 0
+    inputs = _inputs(args, ("B", "z"))
+    if "B" in inputs:
+        b = _value(inputs, "B")
+        z = spinor_map(b)
+        doc = {"verb": "spinor", "inputs": {"B": b}, "z": z.z,
+               "e_coefficients": z.multivector(),
+               "isotropic": z.is_isotropic()}
+    elif "z" in inputs:
+        z = Spinor(_value(inputs, "z"))
+        b = spinor_inverse(z)
+        doc = {"verb": "spinor", "inputs": {"z": z.z}, "B": b,
+               "roundtrip_z": spinor_map(b).z}
+    else:
+        raise UsageError("spinor needs B (--B) or z (--invert)")
+    return _emit(doc, args)
 
 
 # -- verb: cayley ------------------------------------------------------------
 
 def run_cayley(args):
-    if args.input:
-        inputs = _input_doc(args.input)
-        if inputs.get("n") is not None:
-            args.n = _int_input(inputs, "n")
-            args.s = None
-        elif inputs.get("s") is not None:
-            args.s = json.dumps(inputs["s"])
-            args.n = None
-    if args.n is not None:
-        s = standard_spinor(args.n)
-        c = cayley_class(s)
-        constant = cayley_constant(args.n)
-        doc = {
-            "verb": "cayley",
-            "inputs": {"n": args.n},
-            "s": [encode_scalar(x) for x in s.z],
-            "cayley_class": encode_multivector(c),
-            "closed_form": encode_multivector(explicit_cayley_formula(args.n)),
-            "closed_form_constant": encode_scalar(constant),
-        }
-    elif args.s:
-        s = Spinor(_decode_8(_load_json(args.s), "s"))
-        c = cayley_class(s)
-        doc = {
-            "verb": "cayley",
-            "inputs": {"s": [encode_scalar(x) for x in s.z]},
-            "cayley_class": encode_multivector(c),
-        }
+    inputs = _inputs(args, ("n", "s"))
+    if "n" in inputs:
+        n = _value(inputs, "n")
+        s = standard_spinor(n)
+        doc = {"verb": "cayley", "inputs": {"n": n}, "s": s.z,
+               "cayley_class": cayley_class(s),
+               "closed_form": explicit_cayley_formula(n),
+               "closed_form_constant": cayley_constant(n)}
+    elif "s" in inputs:
+        s = Spinor(_value(inputs, "s"))
+        doc = {"verb": "cayley", "inputs": {"s": s.z},
+               "cayley_class": cayley_class(s)}
     else:
-        raise UsageError("cayley needs --n, --s or --input")
-    _emit(doc, args)
-    return 0
+        raise UsageError("cayley needs n (--n) or s (--s)")
+    return _emit(doc, args)
 
 
-# -- verb: weil-family -------------------------------------------------------
+# -- verbs: weil-family and ks -----------------------------------------------
 
-def _h_s_seed(args):
-    """The h and s vectors, the seed and the --input document's inputs
-    (empty without --input) of weil-family and ks."""
-    if args.input:
-        inputs = _input_doc(args.input)
-        return (_decode_8(inputs.get("h"), "h"),
-                _decode_8(inputs.get("s"), "s"),
-                _int_input(inputs, "seed", args.seed), inputs)
-    h = _decode_8(_load_json(args.h), "--h") if args.h else STANDARD_H
-    s = _decode_8(_load_json(args.s), "--s") if args.s else STANDARD_S
-    return list(h), list(s), args.seed, {}
+def _plane(inputs):
+    """h and s as Spinors, and the seed, of weil-family and ks."""
+    return (Spinor(_value(inputs, "h")), Spinor(_value(inputs, "s")),
+            _value(inputs, "seed"))
 
 
 def run_weil(args):
-    from .weil import (FIELD_SCAN_H, datum_report, field_parameters,
-                       h2_split, make_weil_datum, weil_class_space)
-    h, s, seed, inputs = _h_s_seed(args)
-    scan = inputs.get("field_scan", False)
-    if not isinstance(scan, bool):
-        raise UsageError(f"input 'field_scan' must be a boolean, got "
-                         f"{json.dumps(scan)}")
-    if args.field_scan or scan:
+    from .weil import (FIELD_SCAN_H, datum_report, h2_split, make_weil_datum,
+                       weil_class_space)
+    inputs = _inputs(args, ("h", "s", "seed", "field_scan"))
+    h, s, seed = _plane(inputs)
+    echo = {"h": h.z, "s": s.z, "seed": seed}
+    if _value(inputs, "field_scan"):
         rows = []
-        for hk in map(list, FIELD_SCAN_H):
-            d, m, f = field_parameters(hk, s)
+        for hk in FIELD_SCAN_H:
             datum = make_weil_datum(hk, s, seed=seed)
-            rows.append({
-                "h": encode_vector(hk)["coords"],
-                "d": encode_scalar(d),
-                "squarefree_part": -m,
-                "discriminant_trivial": datum.disc_trivial,
-            })
-        doc = {"verb": "weil-family",
-               "inputs": {"h": encode_vector(h)["coords"],
-                          "s": encode_vector(s)["coords"],
-                          "seed": seed, "field_scan": True},
+            rows.append({"h": datum.h.z, "d": datum.d,
+                         "squarefree_part": -datum.m,
+                         "discriminant_trivial": datum.disc_trivial})
+        doc = {"verb": "weil-family", "inputs": dict(echo, field_scan=True),
                "fields": rows}
-        _emit(doc, args)
-        return 0
-    datum = make_weil_datum(h, s, seed=seed)
-    report = datum_report(datum)
-    wcs = weil_class_space(datum)
-    split = h2_split(h, s)
-    doc = {
-        "verb": "weil-family",
-        "inputs": {"h": encode_vector(h)["coords"],
-                   "s": encode_vector(s)["coords"], "seed": seed},
-        "d": encode_scalar(datum.d),
-        "field_squarefree_part": -datum.m,
-        "period": {"p": encode_vector(list(datum.period.p))["coords"],
-                   "q": encode_vector(list(datum.period.q))["coords"]},
-        "J": encode_matrix(datum.j),
-        "mu": encode_matrix(datum.mu),
-        "E": encode_matrix(datum.e),
-        "omega": encode_multivector(datum.omega),
-        "Psi": encode_matrix(datum.psi),
-        "discriminant": encode_scalar(datum.disc),
-        "report": report,
-        "weil_classes": {k: (encode_scalar(v) if isinstance(v, Fraction)
-                             else v) for k, v in wcs.items()},
-        "h2_split": {"profile": list(split["profile"]),
-                     "weights_match": split["weights_match"]},
-    }
-    _emit(doc, args)
-    failures = [k for k, v in report.items() if isinstance(v, bool) and not v]
-    failures += [k for k, v in wcs.items() if isinstance(v, bool) and not v]
-    return 1 if failures else 0
+    else:
+        datum = make_weil_datum(h, s, seed=seed)
+        split = h2_split(h, s)
+        doc = {"verb": "weil-family", "inputs": echo, "d": datum.d,
+               "field_squarefree_part": -datum.m,
+               "period": {"p": datum.period.p, "q": datum.period.q},
+               "J": datum.j, "mu": datum.mu, "E": datum.e,
+               "omega": datum.omega, "Psi": datum.psi,
+               "discriminant": datum.disc, "report": datum_report(datum),
+               "weil_classes": weil_class_space(datum),
+               "h2_split": {key: split[key]
+                            for key in ("profile", "weights_match")}}
+    return _emit(doc, args)
 
-
-# -- verb: ks ----------------------------------------------------------------
 
 def run_ks(args):
     from .kuga import ks_report
     from .weil import sample_period
-    h, s, seed, _ = _h_s_seed(args)
-    period = sample_period(h, s, seed=seed)
-    report = ks_report(h, s, period)
-    doc = {
-        "verb": "ks",
-        "inputs": {"h": encode_vector(h)["coords"],
-                   "s": encode_vector(s)["coords"], "seed": seed},
-        "report": {k: (encode_scalar(v) if isinstance(v, Fraction) else v)
-                   for k, v in report.items()},
-    }
-    _emit(doc, args)
-    failures = [k for k, v in report.items() if isinstance(v, bool) and not v]
-    return 1 if failures else 0
+    h, s, seed = _plane(_inputs(args, ("h", "s", "seed")))
+    doc = {"verb": "ks", "inputs": {"h": h.z, "s": s.z, "seed": seed},
+           "report": ks_report(h, s, sample_period(h, s, seed=seed))}
+    return _emit(doc, args)
 
 
 # -- verb: invariants --------------------------------------------------------
 
 def run_invariants(args):
+    _inputs(args, ())
     s1 = standard_spinor(2)
     stab_s, _ = stabilizer_algebra([s1])
     stab_hs, _ = stabilizer_algebra([STANDARD_H, STANDARD_S])
-    profile = branching_dims(s1)
     sq, dim = moduli_dimension(3)
     doc = {
         "verb": "invariants",
@@ -311,13 +260,11 @@ def run_invariants(args):
         "invariants_in_degree4": len(invariant_subspace(stab_s, "Wedge4V")),
         "invariants_in_degree2_of_pair": len(
             invariant_subspace(stab_hs, "Wedge2V")),
-        "branching_profile": profile,
+        "branching_profile": branching_dims(s1),
         "star_eigenvalue_of_veronese_image": gamma2alpha_star_sign(),
-        "mukai_example": {"n": 3, "square": encode_scalar(sq),
-                          "moduli_dim": encode_scalar(dim)},
+        "mukai_example": {"n": 3, "square": sq, "moduli_dim": dim},
     }
-    _emit(doc, args)
-    return 0
+    return _emit(doc, args)
 
 
 # -- verb: verify ------------------------------------------------------------
@@ -360,7 +307,8 @@ def build_parser():
     p = sub.add_parser("spinor", parents=[common],
                        help="spinor coordinates of an alternating matrix")
     p.add_argument("--B", help="alternating 4x4 matrix as JSON")
-    p.add_argument("--invert", help="isotropic z-coordinates as JSON")
+    p.add_argument("--invert", dest="z",
+                   help="isotropic z-coordinates as JSON")
     p.set_defaults(fn=run_spinor)
 
     p = sub.add_parser("cayley", parents=[common],

@@ -43,7 +43,7 @@ from math import factorial
 
 from .lattices import BilinearLattice, make_V
 from .linalg import (_over, _scaled_terms, inverse, mat, mat_mul, rank,
-                     scale_to_integers, sparse_product)
+                     scale_to_integers, sparse_product, transpose)
 from .multivector import Multivector, _accumulate, indices_of, popcount
 from .scalars import rat
 
@@ -479,24 +479,24 @@ def exp_nilpotent(x: CliffordElement) -> CliffordElement:
 
 def is_spin_lie_element(x: CliffordElement) -> bool:
     """Membership test: even, x + x* = 0 and [x, V] inside V."""
-    if not x.is_even():
-        return False
-    if not (x + x.conj()).is_zero():
-        return False
-    for i in range(x.algebra.rank):
-        if not commutator(x, x.algebra.generator(i)).is_vector():
-            return False
-    return True
+    return _spin_lie_images(x) is not None
+
+
+def _spin_lie_images(x: CliffordElement):
+    """The commutators [x, e_i], or None when x fails is_spin_lie_element."""
+    if not x.is_even() or not (x + x.conj()).is_zero():
+        return None
+    images = [commutator(x, x.algebra.generator(i))
+              for i in range(x.algebra.rank)]
+    return images if all(image.is_vector() for image in images) else None
 
 
 def spin_so_iso(x: CliffordElement):
     """Matrix of v -> x v - v x on L; the Lie isomorphism spin(L) -> so(L)."""
-    if not is_spin_lie_element(x):
+    images = _spin_lie_images(x)
+    if images is None:
         raise ValueError("element fails the spin Lie algebra membership test")
-    n = x.algebra.rank
-    cols = [commutator(x, x.algebra.generator(j)).vector_part()
-            for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return transpose([image.vector_part() for image in images])
 
 
 def so_to_spin(algebra: CliffordAlgebra, m) -> CliffordElement:

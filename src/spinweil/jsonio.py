@@ -1,10 +1,13 @@
 """JSON encoding of the scalar tower, vectors, matrices and exterior forms.
 
+to_json is the one encoder of a whole document: the CLI builds its
+documents from raw values and encodes each once through it.
+
 Wire formats:
   rational      "p/q" (or "p")
   quadratic     {"a": "p/q", "b": "p/q", "m": int}
   tower         {"c": ["p/q", "p/q", "p/q", "p/q"], "m": int}
-  vector        {"coords": [scalar]} (decoded from a bare list too)
+  vector        [scalar] (decoded from {"coords": [scalar]} too)
   matrix        [[scalar]]
   multivector   [{"indices": [int, 1-based], "coeff": scalar}]
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattices import LatticeVector
 from .multivector import Multivector, indices_of, mask_of
 from .scalars import QuadExt, TowerScalar, rat
 
@@ -42,20 +44,10 @@ def decode_scalar(obj):
     raise ValueError(f"cannot decode scalar from {obj!r}")
 
 
-def encode_vector(coords):
-    if isinstance(coords, LatticeVector):
-        coords = coords.coords
-    return {"coords": [encode_scalar(c) for c in coords]}
-
-
 def decode_vector(obj):
     if isinstance(obj, list):
         return [decode_scalar(c) for c in obj]
     return [decode_scalar(c) for c in obj["coords"]]
-
-
-def encode_matrix(m):
-    return [[encode_scalar(x) for x in row] for row in m]
 
 
 def decode_matrix(obj):
@@ -76,3 +68,18 @@ def decode_multivector(obj, n):
         mask = mask_of(i - 1 for i in item["indices"])
         terms[mask] = decode_scalar(item["coeff"])
     return Multivector(n, terms)
+
+
+def to_json(x):
+    """x as a JSON value: dicts, lists and tuples entry by entry, bool, int
+    and str unchanged (an int stays a number), a Multivector through
+    encode_multivector and any other scalar through encode_scalar."""
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    if isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, Multivector):
+        return encode_multivector(x)
+    return encode_scalar(x)

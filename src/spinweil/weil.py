@@ -296,18 +296,15 @@ def hermitian_and_discriminant(mu, e, d, m, f):
     """The Hermitian matrix of the polarization and its discriminant class.
 
     H(x, y) = E(x, mu y) + sqrt(-d) E(x, y) on a 4-element basis over the
-    field; det(Psi) is rational and its class modulo norms decides
-    triviality via is_norm.
+    field, the columns of V: Psi = V^T E mu V + sqrt(-d) V^T E V.  det(Psi)
+    is rational and its class modulo norms decides triviality via is_norm.
     """
-    vs = select_k_basis(mu)
-    psi = []
-    for vi in vs:
-        row = []
-        for vj in vs:
-            real = _apply_form(e, vi, mat_vec(mu, vj))
-            imag = _apply_form(e, vi, vj)
-            row.append(QuadExt(real, f * imag, m))
-        psi.append(row)
+    vt = select_k_basis(mu)
+    v = transpose(vt)
+    vte = mat_mul(vt, e)
+    psi = [[QuadExt(x, f * y, m) for x, y in zip(real, imag)]
+           for real, imag in zip(mat_mul(vte, mat_mul(mu, v)),
+                                 mat_mul(vte, v))]
     for a in range(4):
         for b in range(4):
             if psi[a][b] != psi[b][a].conj():
@@ -320,11 +317,6 @@ def hermitian_and_discriminant(mu, e, d, m, f):
     if dpsi == 0:
         raise RuntimeError("Psi is degenerate")
     return psi, dpsi, is_norm(dpsi, d)
-
-
-def _apply_form(e, v, w):
-    return sum(v[a] * e[a][b] * w[b]
-               for a in range(8) for b in range(8) if e[a][b] != 0)
 
 
 @dataclass(frozen=True)
@@ -425,8 +417,9 @@ def weil_class_space(datum: WeilDatum):
         else:
             a_part.append(rat(c))
             b_part.append(Fraction(0))
-    if rank(mat([a_part, b_part])) != 2:
-        raise RuntimeError("Weil plane degenerated")
+    plane_dim = rank(mat([a_part, b_part]))
+    if plane_dim != 2:
+        raise RuntimeError(f"Weil plane degenerated: rank {plane_dim}")
     omega2 = wedge(datum.omega, datum.omega)
     w2 = coords_degree(omega2, DEGREE4_MASKS)
     three = [w2, a_part, b_part]
@@ -437,11 +430,10 @@ def weil_class_space(datum: WeilDatum):
     not_in_omega_line = rank(mat([w2, cs])) == 2
 
     # derived action of the one-parameter subgroup distinguishing the
-    # eigen-lines: mu / sqrt(-d), with eigenvalues +1, -1 on the two halves
-    inv_sqrt = QuadExt(0, f, m).inverse()
-    y_r = [[inv_sqrt * x for x in row] for row in datum.mu]
-    hr_on_cs = derive_multivector(y_r, cayley)
-    hr_on_omega2 = derive_multivector(y_r, omega2)
+    # eigen-lines: mu / sqrt(-d), with eigenvalues +1, -1 on the two halves;
+    # mu itself, a nonzero multiple, kills and moves the same forms
+    hr_on_cs = derive_multivector(datum.mu, cayley)
+    hr_on_omega2 = derive_multivector(datum.mu, omega2)
 
     # multiplicative action of x = 1 + sqrt(-d): the matrix I + mu, rational
     x = QuadExt(1, f, m)
@@ -460,7 +452,7 @@ def weil_class_space(datum: WeilDatum):
             for mask in DEGREE4_MASKS)
         for ev in (x4, xbar4))
     return {
-        "weil_plane_dim": 2,
+        "weil_plane_dim": plane_dim,
         "three_space_dim": dim3,
         "cayley_in_three_space": in_three,
         "cayley_not_in_omega_line": not_in_omega_line,

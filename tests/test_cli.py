@@ -1,12 +1,20 @@
+import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spinweil.cli import main
+from spinweil.jsonio import to_json
+from spinweil.multivector import Multivector
+from spinweil.scalars import QuadExt
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -294,3 +302,123 @@ def test_spinor_b_not_alternating_is_verification_failure(capsys):
     rc = main(["spinor", "--B", "[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,-1,0]]"])
     assert rc == 1
     assert "not alternating" in capsys.readouterr().err
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["weil-family", "ks"])
+@pytest.mark.parametrize("inputs", [{"seed": 5},
+                                    {"h": [0, 1, 0, 0, 0, 1, 0, 0],
+                                     "seed": 5}])
+def test_input_without_h_or_s_uses_the_standard_pair(capsys, tmp_path, verb,
+                                                     inputs):
+    path = write_doc(tmp_path, {"inputs": inputs})
+    rc, doc = run_json(capsys, verb, "--input", path)
+    assert rc == 0
+    assert doc == run_json(capsys, verb, "--seed", "5")[1]
+
+
+def test_cayley_input_without_n_or_s_is_usage_error(capsys, tmp_path):
+    # the flags are ignored beside --input, so --n does not fill the gap
+    rc = main(["cayley", "--n", "2", "--input", write_doc(tmp_path, {})])
+    assert rc == 2
+
+
+Z_ISO = ["1", "1", "0", "0", "2", "-2", "0", "0"]
+
+
+@pytest.mark.parametrize("verb, inputs, key", [
+    ("cayley", {"n": None, "s": Z_ISO}, "n"),
+    ("spinor", {"B": None, "z": Z_ISO}, "B"),
+    ("spinor", {"z": None}, "z"),
+    ("weil-family", {"seed": None}, "seed"),
+    ("ks", {"h": None}, "h"),
+])
+def test_null_input_is_usage_error_naming_its_key(capsys, tmp_path, verb,
+                                                  inputs, key):
+    rc = main([verb, "--input", write_doc(tmp_path, {"inputs": inputs})])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+
+def test_input_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"n": 3, "x": "\xff"}')
+    rc = main(["cayley", "--input", str(path)])
+    assert rc == 2
+    assert "malformed JSON input" in capsys.readouterr().err
+
+def test_null_flag_is_usage_error_naming_its_key(capsys):
+    rc = main(["spinor", "--invert", "null"])
+    assert rc == 2
+    assert "'z'" in capsys.readouterr().err
+
+
+#: flags that the golden --input documents must override
+IGNORED_FLAGS = {
+    "spinor": ["--invert", '["1"]'],
+    "cayley_n3": ["--n", "2"],
+    "weil_family": ["--field-scan", "--h", "[0,2,0,0,0,1,0,0]"],
+    "weil_family_field_scan": ["--s", "[1,0,0,0,2,0,0,0]"],
+    "ks": ["--h", "[0,2,0,0,0,1,0,0]"],
+    "invariants": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(IGNORED_FLAGS))
+def test_flags_beside_input_are_ignored(capsys, name):
+    path = GOLDEN / f"{name}.json"
+    text = path.read_text(encoding="utf-8")
+    rc = main([json.loads(text)["verb"], "--input", str(path), "--seed", "7",
+               *IGNORED_FLAGS[name], "--json"])
+    assert rc == 0
+    assert capsys.readouterr().out == text
+
+
+def test_field_scan_with_a_nontrivial_discriminant_fails(capsys, monkeypatch):
+    from spinweil import weil
+    make = weil.make_weil_datum
+    monkeypatch.setattr(weil, "make_weil_datum", lambda *a, **k:
+                        dataclasses.replace(make(*a, **k), disc_trivial=False))
+    rc, doc = run_json(capsys, "weil-family", "--field-scan")
+    assert rc == 1
+    assert [row["discriminant_trivial"] for row in doc["fields"]] == [False] * 4
+
+
+def test_weil_family_with_unmatched_weights_fails(capsys, monkeypatch):
+    from spinweil import weil
+    split = weil.h2_split
+    monkeypatch.setattr(weil, "h2_split", lambda h, s:
+                        dict(split(h, s), weights_match=False))
+    rc, doc = run_json(capsys, "weil-family")
+    assert rc == 1
+    assert doc["h2_split"]["weights_match"] is False
+
+
+def test_to_json_encodes_every_value_once():
+    mv = Multivector(8, {0b1111: Fraction(1, 2)})
+    doc = {"n": 3, "ok": False, "name": "x", "r": Fraction(-3, 4),
+           "one": Fraction(1), "pair": (Fraction(2), 5),
+           "q": QuadExt(1, Fraction(1, 2), -3), "mv": mv, "rows": [[mv]]}
+    assert to_json(doc) == {
+        "n": 3, "ok": False, "name": "x", "r": "-3/4", "one": "1",
+        "pair": ["2", 5], "q": {"a": "1", "b": "1/2", "m": -3},
+        "mv": [{"indices": [1, 2, 3, 4], "coeff": "1/2"}],
+        "rows": [[[{"indices": [1, 2, 3, 4], "coeff": "1/2"}]]]}
+    assert json.loads(json.dumps(to_json(doc))) == to_json(doc)
+
+
+def test_cli_encodes_only_through_to_json():
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" /
+                      "spinweil" / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "to_json" in names
+    assert sorted(n for n in names if n.startswith("encode_")) == []

@@ -355,6 +355,21 @@ def test_hermitian_matrix_properties(standard_h, standard_s, standard_period):
     assert is_norm(datum.disc, datum.d)
 
 
+@pytest.mark.parametrize("hk", FIELD_SCAN_H)
+def test_hermitian_matrix_matches_the_form_on_each_basis_pair(hk):
+    # Psi[a][b] = E(v_a, mu v_b) + sqrt(-d) E(v_a, v_b), entry by entry
+    datum = make_weil_datum(hk, STANDARD_S, seed=5)
+    vs = weil.select_k_basis(datum.mu)
+
+    def form(v, w):
+        return sum(v[a] * datum.e[a][b] * w[b]
+                   for a in range(8) for b in range(8))
+
+    assert datum.psi == [[QuadExt(form(vi, mat_vec(datum.mu, vj)),
+                                  datum.f * form(vi, vj), datum.m)
+                          for vj in vs] for vi in vs]
+
+
 def test_hermitian_basis_independence(rng, standard_h, standard_s,
                                       standard_period):
     datum = make_weil_datum(standard_h, standard_s, period=standard_period)
