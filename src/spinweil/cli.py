@@ -20,10 +20,12 @@ Exit codes (this is the one place they are listed):
      decodes but is mathematically invalid (say, a non-isotropic z)
   2  usage error: bad or missing arguments, unreadable or malformed JSON,
      or an input, named by its key, that does not decode: values that are
-     not scalars, vectors or matrices, a z, h or s without exactly eight
-     coordinates, a B that is not a 4x4 matrix, a non-integer n or seed,
-     a non-boolean field_scan, or an --input document (or its inputs)
-     that is not a JSON object
+     not scalars, vectors or matrices (a JSON boolean is no scalar), a z,
+     h or s without exactly eight coordinates, a B that is not a 4x4
+     matrix, a non-integer n or seed, a non-boolean field_scan, or an
+     --input document (or its inputs) that is not a JSON object
+A reader that closes early (`| head`) changes none of them: main writes
+the verb's buffered output once and drops the rest, with no traceback.
 
 verify, weil and kuga are imported inside run_verify, run_weil and run_ks,
 the only verbs that use them.  A process that does not write bytecode
@@ -35,7 +37,10 @@ them for code it never runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 
 from .jsonio import decode_matrix, decode_vector, to_json
@@ -345,14 +350,21 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:  # the signal module docs' recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

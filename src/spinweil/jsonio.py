@@ -33,7 +33,7 @@ def encode_scalar(x):
 
 
 def decode_scalar(obj):
-    if isinstance(obj, (int, str)):
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return rat(obj if isinstance(obj, str) else int(obj))
     if isinstance(obj, dict) and "c" in obj:
         return TowerScalar(*(decode_scalar(c) for c in obj["c"]),

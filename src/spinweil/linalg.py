@@ -4,17 +4,20 @@ Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
 point.  rank and nullspace read the reduced row echelon form (rref);
 solve, solve_matrix and inverse read one rref of [a | b], which also
-gives the rank of a (_solution).  There is one elimination routine:
+gives the rank of a (_solution).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
-1968), one row at a time (extend_span).  Each row is scaled to coprime
-integers, kept sparse, inserted into a fully reduced basis, and divided
-only once at the end; a row in the span costs one clear per pivot it
-meets, so a tall matrix of low rank is cheap.  A matrix over K =
-Q(sqrt(m)) or Q(i, sqrt(m)) is first made rational by restriction of
-scalars: each row x becomes the coordinate rows of u x for u in the
-Q-basis of K.  The rref is unique, so the rational rref rows are the
-coordinate rows of u R for the K-rref rows R, and R is read back from the
-rows that pivot on a first coordinate.
+1968): _integer_rref.  A row with one entry is the unit rref row of its
+column, so those columns are settled first and dropped from the other
+rows, until none has one entry left.  The rest go in one at a time
+(extend_span): each is scaled to coprime integers, kept sparse, inserted
+into a fully reduced basis, and divided only once at the end; a row in
+the span costs one clear per pivot it meets, so a tall matrix of low
+rank is cheap.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is first
+made rational by restriction of scalars: each row x becomes the
+coordinate rows of u x for u in the Q-basis of K.  The rref is unique,
+so the rational rref rows are the coordinate rows of u R for the K-rref
+rows R, and R is read back from the rows that pivot on a first
+coordinate.
 sparse_nullspace takes sparse rows as built by its caller, integer rows
 straight to that routine, and shares the kernel read-off of nullspace.
 det is one routine: a rational matrix is scaled row by row to integers
@@ -172,10 +175,18 @@ def extend_span(basis, row) -> bool:
 
 
 def _integer_rref(rows):
-    """Gauss-Jordan on sparse integer rows, one row at a time
-    (extend_span): [(pivot column, row)] in column order, every pivot
-    column cleared from every other row."""
-    basis = {}
+    """Gauss-Jordan on sparse integer rows: [(pivot column, row)] in
+    column order, every pivot column cleared from every other row.  A row
+    with one entry settles its column (the unit row is its rref row), which
+    is dropped from every other row until no row has one entry left; the
+    rest go in one at a time (extend_span)."""
+    pinned, new = set(), {c for row in rows if len(row) == 1 for c in row}
+    while new:
+        pinned |= new
+        rows = [r for r in ({c: x for c, x in row.items() if c not in new}
+                            for row in rows) if r]
+        new = {c for row in rows if len(row) == 1 for c in row}
+    basis = {c: {c: 1} for c in pinned}
     for row in rows:
         extend_span(basis, row)
     return sorted(basis.items())
@@ -216,7 +227,7 @@ def _pivot_rows(a):
 
 
 def _reduced(rows, ncols, k=1, element=None):
-    """_pivot_rows from nonzero primitive sparse integer rows, read back
+    """_pivot_rows from sparse integer rows, read back
     over K by element when k > 1."""
     zero = Fraction(0)
     out, pivots = [], []
@@ -260,7 +271,6 @@ def sparse_nullspace(rows, ncols):
     they are, with no Fraction in between; other rows run as a dense
     matrix."""
     if all(type(x) is int for row in rows for x in row.values()):
-        rows = [_primitive(row) for row in rows if row]
         return _kernel(*_reduced(rows, ncols), ncols)
     return nullspace([[row.get(j, 0) for j in range(ncols)] for row in rows])
 

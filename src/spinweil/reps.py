@@ -16,7 +16,8 @@ module structure on the exterior algebra of W on the half-spin spaces
 extension on wedge/symmetric powers.  The coordinates c are x's degree-2
 coefficients, and x = sum c_a X_a is the membership test.  Invariant
 subspaces and stabilizers hand their rows, on ints for rational inputs,
-to linalg.sparse_nullspace.
+to linalg.sparse_nullspace.  An action's rows come from c alone
+(_coefficient_rows): route B reads the stabilizer's coefficients as given.
 """
 
 from __future__ import annotations
@@ -178,12 +179,12 @@ def _action_table(name):
     return [{k: v // g for k, v in t.items()} for t in table], d // g
 
 
-def _action_rows(x, name):
-    """The action sum c_a A_a of x on a space as (rows, d), entry (i, j)
-    being rows[i][j] / d, with c scaled by scale_to_integers: the entries
-    are ints for rational c."""
+def _coefficient_rows(c, name):
+    """The action sum c_a A_a on a space, for coefficients c on the X_a,
+    as (rows, d), entry (i, j) being rows[i][j] / d, with c scaled by
+    scale_to_integers: the entries are ints for rational c."""
     table, d = _action_table(name)
-    c, dc = scale_to_integers(enumerate(spin_coordinates(x)))
+    c, dc = scale_to_integers(enumerate(c))
     dim = rep_space(name).dim
     rows = [{} for _ in range(dim)]
     for k, v in sparse_product([c], table)[0].items():
@@ -195,8 +196,8 @@ def derived_action(x, space):
     """Derived action matrix of a spin Lie element on a named space: one
     path for every space, sum c_a A_a over x's coordinates c on the basis
     (spin_coordinates, the membership test) and the cached actions A_a."""
-    rows, d = _action_rows(x, space.name if isinstance(space, RepSpace)
-                           else space)
+    rows, d = _coefficient_rows(spin_coordinates(x), space.name
+                                if isinstance(space, RepSpace) else space)
     zero = Fraction(0)
     return [[_over(row[j], d) if j in row else zero for j in range(len(rows))]
             for row in rows]
@@ -229,11 +230,16 @@ def weight_multiset(space):
 
 def invariant_subspace(generators, space):
     """Basis of the joint kernel of the derived actions on a space, from
-    the stacked integer rows of each action times its d (_action_rows): a
-    block scaled by a nonzero constant keeps its kernel."""
-    sp = rep_space(space if isinstance(space, str) else space.name)
-    rows = [r for x in generators for r in _action_rows(x, sp.name)[0]]
-    return sparse_nullspace(rows, sp.dim)
+    the coordinates of the generators (spin_coordinates)."""
+    return _joint_kernel([spin_coordinates(x) for x in generators],
+                         space if isinstance(space, str) else space.name)
+
+
+def _joint_kernel(coeffs, name):
+    """invariant_subspace from coefficient vectors: the stacked rows of
+    each action times its d (a block scaled by d keeps its kernel)."""
+    rows = [r for c in coeffs for r in _coefficient_rows(c, name)[0]]
+    return sparse_nullspace(rows, rep_space(name).dim)
 
 
 def stabilizer_algebra(fixed):
@@ -392,9 +398,7 @@ def cayley_class(s, cross_check=True) -> Multivector:
     coords = mat_vec(phi_matrix(), sym2_coords(s.z))
     route_a = from_coords(8, DEGREE4_MASKS, coords)
     if cross_check and s.pair(s) != 0:
-        route_b = _cayley_route_b(tuple(s.z))
-        lam = _proportionality(coords, route_b)
-        if lam is None:
+        if _proportionality(coords, _cayley_route_b(tuple(s.z))) is None:
             raise RuntimeError("stabilizer route disagrees with the "
                                f"symmetric-square route at s = {_text(s.z)}")
     return route_a
@@ -402,12 +406,14 @@ def cayley_class(s, cross_check=True) -> Multivector:
 
 @lru_cache(maxsize=32)
 def _cayley_route_b(z_tuple):
-    stab, _ = stabilizer_algebra([Spinor(list(z_tuple))])
-    if len(stab) != 21:
+    """The stabilizer's invariant line on the degree-4 forms, from its
+    coefficient vectors: they need no membership test (_joint_kernel)."""
+    _, coeffs = stabilizer_algebra([Spinor(list(z_tuple))])
+    if len(coeffs) != 21:
         raise RuntimeError("stabilizer of a non-isotropic spinor must have "
-                           f"dimension 21, found {len(stab)} at s = "
+                           f"dimension 21, found {len(coeffs)} at s = "
                            f"{_text(z_tuple)}")
-    inv = invariant_subspace(stab, "Wedge4V")
+    inv = _joint_kernel(coeffs, "Wedge4V")
     if len(inv) != 1:
         raise RuntimeError("stabilizer invariants in degree 4 not a line: "
                            f"dimension {len(inv)} at s = {_text(z_tuple)}")
@@ -427,16 +433,6 @@ def _proportionality(u, v):
             c = a / b
             return c if all(x == c * y for x, y in zip(u, v)) else None
     return None if any(x != 0 for x in u) else Fraction(0)
-
-
-def cayley_routes(s):
-    """Both routes and the proportionality factor (A = factor * B)."""
-    s = Spinor(s)
-    a = mat_vec(phi_matrix(), sym2_coords(s.z))
-    b = _cayley_route_b(tuple(s.z))
-    lam = _proportionality(a, b)
-    return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
-            lam)
 
 
 def standard_spinor(n: int) -> Spinor:

