@@ -254,8 +254,8 @@ def run_ks(args):
 def run_invariants(args):
     _inputs(args, ())
     s1 = standard_spinor(2)
-    stab_s, _ = stabilizer_algebra([s1])
-    stab_hs, _ = stabilizer_algebra([STANDARD_H, STANDARD_S])
+    stab_s = stabilizer_algebra([s1])
+    stab_hs = stabilizer_algebra([STANDARD_H, STANDARD_S])
     sq, dim = moduli_dimension(3)
     doc = {
         "verb": "invariants",

@@ -1,7 +1,8 @@
 """JSON encoding of the scalar tower, vectors, matrices and exterior forms.
 
 to_json is the one encoder of a whole document: the CLI builds its
-documents from raw values and encodes each once through it.
+documents from raw values and encodes each once through it, and to_text
+is its JSON text, which failure messages use to name their inputs.
 
 Wire formats:
   rational      "p/q" (or "p")
@@ -14,6 +15,7 @@ Wire formats:
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .multivector import Multivector, indices_of, mask_of
@@ -83,3 +85,9 @@ def to_json(x):
     if isinstance(x, Multivector):
         return encode_multivector(x)
     return encode_scalar(x)
+
+
+def to_text(x):
+    """x as JSON text through to_json: spinor coordinates as the list that
+    cayley --s reads."""
+    return json.dumps(to_json(x))

@@ -21,15 +21,15 @@ need a real square root and is recovered projectively.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .clifford import CliffordAlgebra, commutator, so_to_spin, spin_so_iso
+from .clifford import CliffordAlgebra, commutator, so_to_spin
 from .lattices import BilinearLattice, sublattice_gram
 from .linalg import (identity, mat_mul, rank, scale_to_integers,
                      solve_matrix, sparse_nullspace, transpose)
-from .reps import splus_matrix, stabilizer_algebra
+from .reps import _action_matrix, stabilizer_algebra
 from .scalars import rat, squarefree_part
 from .spingeo import splus_lattice
 from .weil import Period, complement_basis, complex_structure, field_parameters
@@ -50,18 +50,10 @@ def _h_coordinates(cols, vectors):
     return x
 
 
-@dataclass(frozen=True)
-class KSDatum:
-    """The even Clifford algebra of the complement (basis: its S+
-    coordinates) with its complex structure by scaled left multiplication."""
-    basis: list
-    lattice: BilinearLattice
-    algebra: CliffordAlgebra
-    f1: list
-    f2: list
-    c: Fraction
-    even_masks: tuple
-    j_ks: list
+#: the even Clifford algebra of the complement (basis: its S+ coordinates)
+#: with its complex structure by scaled left multiplication
+KSDatum = namedtuple("KSDatum", "basis lattice algebra f1 f2 c even_masks "
+                                "j_ks")
 
 
 def mult_matrix(algebra, x, masks, right=False):
@@ -192,21 +184,23 @@ def ks_hom(datum: KSDatum, h, s):
     of h and s.
 
     The kernel of Phi -> L(xi) Phi - Phi M(xi) over the 15 generators xi,
-    L(xi) left multiplication by the lift of xi's action on the complement,
-    M(xi) = spin_so_iso(xi).  Phi[c][b] is unknown 8 c + b: row (a, b) has
-    L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
+    the stabilizer's coefficient vectors on the X_a: L(xi) is left
+    multiplication by the lift of xi's action on the complement, M(xi) is
+    xi's action on V, and both actions on S+ and V are read off the cached
+    tables (reps._action_matrix).  Phi[c][b] is unknown 8 c + b: row (a, b)
+    has L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
     the rows go through scale_to_integers to sparse_nullspace on ints.
     """
-    stab, _ = stabilizer_algebra([h, s])
+    stab = stabilizer_algebra([h, s])
     if len(stab) != 15:
         raise RuntimeError("stabilizer of h, s is not 15-dimensional")
     cols = transpose(datum.basis)
     rows = []
     for xi in stab:
-        y = _h_coordinates(cols, mat_mul(splus_matrix(xi), cols))
+        y = _h_coordinates(cols, mat_mul(_action_matrix(xi, "S+"), cols))
         lmat = mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
                            datum.even_masks)
-        mv = spin_so_iso(xi)
+        mv = _action_matrix(xi, "V")
         for a, lrow in enumerate(lmat):
             nonzero = [(c, x) for c, x in enumerate(lrow) if x]
             for b in range(8):

@@ -14,7 +14,9 @@ into a fully reduced basis, and divided only once at the end; a row in
 the span costs one clear per pivot it meets, so a tall matrix of low
 rank is cheap.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is first
 made rational by restriction of scalars: each row x becomes the
-coordinate rows of u x for u in the Q-basis of K.  The rref is unique,
+coordinate rows of u x for u in the Q-basis of K, read off the coordinate
+tuple c that every element of K carries (scalars._Multiquadratic), so no
+field type is named here.  The rref is unique,
 so the rational rref rows are the coordinate rows of u R for the K-rref
 rows R, and R is read back from the rows that pivot on a first
 coordinate.
@@ -45,8 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (_RATIONAL, TowerScalar, _over, all_rational,
-                      scale_to_integers)
+from .scalars import _RATIONAL, _over, all_rational, scale_to_integers
 
 
 def mat(rows):
@@ -192,12 +193,6 @@ def _integer_rref(rows):
     return sorted(basis.items())
 
 
-def _coords(x):
-    """The rational coordinates of a QuadExt or TowerScalar on its
-    Q-basis (1, sqrt(m)) or (1, i, sqrt(m), i sqrt(m))."""
-    return x.c if isinstance(x, TowerScalar) else (x.a, x.b)
-
-
 def _realify(a):
     """a over K = Q(sqrt(m)) or Q(i, sqrt(m)), the field of its first
     irrational entry, as a rational matrix: row x becomes the coordinate
@@ -206,9 +201,9 @@ def _realify(a):
     element of K with given coordinates."""
     x = next(x for row in a for x in row if type(x) not in _RATIONAL)
     kind, m = type(x), x.m
-    k = len(_coords(x))
+    k = len(x.c)
     basis = [kind(*(int(t == s) for t in range(k)), m=m) for s in range(k)]
-    real = [[y for x in row for y in _coords(u * x)]
+    real = [[y for x in row for y in (u * x).c]
             for row in a for u in basis]
     return real, k, lambda c: kind(*c, m=m)
 

@@ -13,16 +13,18 @@ sum c_a A_a.  The basis actions A_a are built once per space, as sparse
 integer rows over one denominator: the table's so(8) matrices on V, the
 module structure on the exterior algebra of W on the half-spin spaces
 (including the scalar shifts of the Cartan basis), and the derivation
-extension on wedge/symmetric powers.  The coordinates c are x's degree-2
-coefficients, and x = sum c_a X_a is the membership test.  Invariant
-subspaces and stabilizers hand their rows, on ints for rational inputs,
-to linalg.sparse_nullspace.  An action's rows come from c alone
-(_coefficient_rows): route B reads the stabilizer's coefficients as given.
+extension on wedge/symmetric powers.  An action's rows come from c alone
+(_coefficient_rows), so the Lie algebra elements of this module are their
+coefficient vectors: stabilizer_algebra returns a basis of them,
+invariant_subspace takes them, and no Clifford element is built between
+the two.  Only derived_action starts from an element, reading c off its
+degree-2 coefficients (spin_coordinates, with x = sum c_a X_a as the
+membership test).  Invariant subspaces and stabilizers hand their rows, on
+ints for rational inputs, to linalg.sparse_nullspace.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -32,7 +34,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .clifford import (CV, _module_table, _over, cartan_elements,
                        sigma_matrix, spin_v_xyz_table)
-from .jsonio import encode_scalar
+from .jsonio import to_text
 from .linalg import (extend_span, identity, mat, mat_vec, nullspace, rank,
                      scale_to_integers, sparse_nullspace, sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
@@ -192,15 +194,21 @@ def _coefficient_rows(c, name):
     return rows, d * dc
 
 
+def _action_matrix(c, name):
+    """The dense matrix of sum c_a A_a on a named space, for coefficients
+    c on the X_a (_coefficient_rows)."""
+    rows, d = _coefficient_rows(c, name)
+    zero = Fraction(0)
+    return [[_over(row[j], d) if j in row else zero for j in range(len(rows))]
+            for row in rows]
+
+
 def derived_action(x, space):
     """Derived action matrix of a spin Lie element on a named space: one
     path for every space, sum c_a A_a over x's coordinates c on the basis
     (spin_coordinates, the membership test) and the cached actions A_a."""
-    rows, d = _coefficient_rows(spin_coordinates(x), space.name
-                                if isinstance(space, RepSpace) else space)
-    zero = Fraction(0)
-    return [[_over(row[j], d) if j in row else zero for j in range(len(rows))]
-            for row in rows]
+    return _action_matrix(spin_coordinates(x), space.name
+                          if isinstance(space, RepSpace) else space)
 
 
 def weight_decomposition(space):
@@ -228,27 +236,21 @@ def weight_multiset(space):
     return sorted(wt for wt, _, _ in weight_decomposition(space))
 
 
-def invariant_subspace(generators, space):
-    """Basis of the joint kernel of the derived actions on a space, from
-    the coordinates of the generators (spin_coordinates)."""
-    return _joint_kernel([spin_coordinates(x) for x in generators],
-                         space if isinstance(space, str) else space.name)
-
-
-def _joint_kernel(coeffs, name):
-    """invariant_subspace from coefficient vectors: the stacked rows of
-    each action times its d (a block scaled by d keeps its kernel)."""
+def invariant_subspace(coeffs, space):
+    """Basis of the joint kernel on a space of the actions sum c_a A_a,
+    one for each coefficient vector c on the X_a: the stacked rows of each
+    action times its d (a block scaled by d keeps its kernel)."""
+    name = space if isinstance(space, str) else space.name
     rows = [r for c in coeffs for r in _coefficient_rows(c, name)[0]]
     return sparse_nullspace(rows, rep_space(name).dim)
 
 
 def stabilizer_algebra(fixed):
-    """Basis of {x in spin(V) : x annihilates every given spinor}.
-
-    Returns (clifford elements, coefficient vectors over the 28-element
-    standard basis in X/Y/Z order).  The system for a spinor f has the
-    rows {a: (A_a f)_i} of the S+ table, with f scaled by
-    scale_to_integers (on ints for a rational f).
+    """Basis of {x in spin(V) : x annihilates every given spinor}, as
+    coefficient vectors over the 28-element standard basis in X/Y/Z order
+    (x = sum c_a X_a).  The system for a spinor f has the rows
+    {a: (A_a f)_i} of the S+ table, with f scaled by scale_to_integers (on
+    ints for a rational f).
     """
     fixed = [Spinor(f) for f in fixed]
     table, _ = _action_table("S+")
@@ -259,8 +261,7 @@ def stabilizer_algebra(fixed):
                                         else {} for k in range(64)])
         rows += [{a: im[i] for a, im in enumerate(images) if i in im}
                  for i in range(8)]
-    coeff_vecs = sparse_nullspace(rows, 28)
-    return [CV().element(_xyz_terms(v)) for v in coeff_vecs], coeff_vecs
+    return sparse_nullspace(rows, 28)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +282,7 @@ def sym2_coords_pair(z, w):
 def gamma0_line():
     """The unique full-spin(V) invariant line in Sym^2 S+ (dimension 1),
     which phi_matrix kills (verify's symmetric-square-split check)."""
-    basis = invariant_subspace([x for _, x, _ in spin_v_xyz_table()],
-                               "Sym2S+")
+    basis = invariant_subspace(identity(28), "Sym2S+")
     if len(basis) != 1:
         raise RuntimeError("invariant line of Sym^2 S+ has wrong dimension: "
                            f"found {len(basis)}, not 1")
@@ -400,30 +400,24 @@ def cayley_class(s, cross_check=True) -> Multivector:
     if cross_check and s.pair(s) != 0:
         if _proportionality(coords, _cayley_route_b(tuple(s.z))) is None:
             raise RuntimeError("stabilizer route disagrees with the "
-                               f"symmetric-square route at s = {_text(s.z)}")
+                               f"symmetric-square route at s = {to_text(s.z)}")
     return route_a
 
 
 @lru_cache(maxsize=32)
 def _cayley_route_b(z_tuple):
     """The stabilizer's invariant line on the degree-4 forms, from its
-    coefficient vectors: they need no membership test (_joint_kernel)."""
-    _, coeffs = stabilizer_algebra([Spinor(list(z_tuple))])
+    coefficient vectors."""
+    coeffs = stabilizer_algebra([Spinor(list(z_tuple))])
     if len(coeffs) != 21:
         raise RuntimeError("stabilizer of a non-isotropic spinor must have "
                            f"dimension 21, found {len(coeffs)} at s = "
-                           f"{_text(z_tuple)}")
-    inv = _joint_kernel(coeffs, "Wedge4V")
+                           f"{to_text(z_tuple)}")
+    inv = invariant_subspace(coeffs, "Wedge4V")
     if len(inv) != 1:
         raise RuntimeError("stabilizer invariants in degree 4 not a line: "
-                           f"dimension {len(inv)} at s = {_text(z_tuple)}")
+                           f"dimension {len(inv)} at s = {to_text(z_tuple)}")
     return inv[0]
-
-
-def _text(x):
-    """A scalar, or nested lists of scalars, as JSON through encode_scalar:
-    spinor coordinates as the list that cayley --s reads."""
-    return json.dumps(x, default=encode_scalar)
 
 
 def _proportionality(u, v):
@@ -482,8 +476,7 @@ def branching_dims(s):
     s = Spinor(s)
     if s.pair(s) == 0:
         raise ValueError("branching profile needs a non-isotropic spinor")
-    stab, _ = stabilizer_algebra([s])
-    inv = invariant_subspace(stab, "Wedge4V")
+    inv = invariant_subspace(stabilizer_algebra([s]), "Wedge4V")
     phi = phi_matrix()
     image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t))
                      for t in perp_basis(s)]

@@ -3,9 +3,13 @@ the biquadratic tower Q(i, sqrt(m)), and Hilbert-symbol norm tests.
 
 All scalars are immutable and exact; there is no floating point anywhere.
 Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
-positive denominator).  ``QuadExt`` and ``TowerScalar`` fix a single
-squarefree ``m`` per value; mixing different ``m`` is a usage error and
-raises ``ValueError`` at the operation boundary.
+positive denominator).  ``QuadExt`` and ``TowerScalar`` share one base,
+_Multiquadratic: an element is the tuple c of its rational coordinates on
+the Q-basis (1, sqrt(m)) or (1, i, sqrt(m), i sqrt(m)) and a single
+squarefree ``m``; the base owns everything that reads c coordinatewise,
+and each class only its product, inverse and conjugations.  Mixing
+different ``m`` is a usage error and raises ``ValueError`` at the
+operation boundary.
 This module owns the scaling rule of every exact kernel: rational values
 become ints over the lcm d of their denominators; with any other scalar
 among them, the values pass through unchanged and d = 1.  _integer_coords
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add, neg, sub
 
 Rational = Fraction
 
@@ -77,88 +82,58 @@ def _over(c, d):
     return c if d == 1 else c / d
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
+class _Multiquadratic:
+    """An element of a multiquadratic field over Q: the tuple c of its
+    rational coordinates on the field's Q-basis, 1 first, and the field
+    parameter m.  The additive group, coercion of ints and Fractions,
+    division, equality, hashing and truthiness read c alone and are shared;
+    a subclass supplies its basis, product, inverse, conjugations and the
+    text of its mixed-field error (_MIXED)."""
 
-
-class QuadExt:
-    """Element a + b*sqrt(m) of Q(sqrt(m)), m squarefree, m != 0, 1.
-
-    conj negates sqrt(m); norm(x) = x * conj(x) = a^2 - m b^2.
-    """
-
-    __slots__ = ("a", "b", "m")
-
-    def __init__(self, a, b=0, m=None):
-        if m is None:
-            raise ValueError("QuadExt requires the field parameter m")
-        if m in (0, 1) or squarefree_part(m) != m:
-            raise ValueError(f"m = {m} must be squarefree and not 0 or 1")
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-        object.__setattr__(self, "m", m)
+    __slots__ = ("c", "m")
 
     @classmethod
-    def _of(cls, a, b, m):
-        """a + b sqrt(m) for Fractions a, b and a valid m, unchecked."""
+    def _of(cls, c, m):
+        """The element with the Fractions c and a valid m, unchecked."""
         x = object.__new__(cls)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "c", c)
         object.__setattr__(x, "m", m)
         return x
 
     def __setattr__(self, *args):
-        raise AttributeError("QuadExt values are immutable")
+        raise AttributeError(f"{type(self).__name__} values are immutable")
 
     def _coerce(self, other):
-        if isinstance(other, QuadExt):
+        """other in the field of self: itself when it shares m, a rational
+        as its coordinates, None for any other value."""
+        if isinstance(other, type(self)):
             if other.m != self.m:
-                raise ValueError(
-                    f"mixed quadratic fields: sqrt({self.m}) vs sqrt({other.m})")
+                raise ValueError(self._MIXED.format(self.m, other.m))
             return other
-        f = _as_fraction(other)
-        if f is None:
-            return None
-        return QuadExt._of(f, Fraction(0), self.m)
+        if isinstance(other, (int, Fraction)):
+            zeros = (Fraction(0),) * (len(self.c) - 1)
+            return self._of((Fraction(other), *zeros), self.m)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt._of(self.a + o.a, self.b + o.b, self.m)
+        return self._of(tuple(map(add, self.c, o.c)), self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._of(-self.a, -self.b, self.m)
+        return self._of(tuple(map(neg, self.c)), self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt._of(self.a - o.a, self.b - o.b, self.m)
+        return self._of(tuple(map(sub, self.c, o.c)), self.m)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        (a, b), d = _integer_coords((self.a, self.b))
-        (c, e), f = _integer_coords((o.a, o.b))
-        return QuadExt._of(Fraction(a * c + self.m * b * e, d * f),
-                           Fraction(a * e + b * c, d * f), self.m)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(m))")
-        return QuadExt._of(self.a / n, -self.b / n, self.m)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -169,10 +144,68 @@ class QuadExt:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    def is_rational(self) -> bool:
+        return not any(self.c[1:])
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.m == other.m and self.c == other.c
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.c[0] == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.c[0])
+        return hash((self.c, self.m))
+
+    def __bool__(self):
+        return any(self.c)
+
+
+class QuadExt(_Multiquadratic):
+    """Element a + b*sqrt(m) of Q(sqrt(m)), m squarefree, m != 0, 1, with
+    coordinates c = (a, b).
+
+    conj negates sqrt(m); norm(x) = x * conj(x) = a^2 - m b^2.
+    """
+
+    __slots__ = ()
+    _MIXED = "mixed quadratic fields: sqrt({}) vs sqrt({})"
+
+    def __init__(self, a, b=0, m=None):
+        if m is None:
+            raise ValueError("QuadExt requires the field parameter m")
+        if m in (0, 1) or squarefree_part(m) != m:
+            raise ValueError(f"m = {m} must be squarefree and not 0 or 1")
+        object.__setattr__(self, "c", (rat(a), rat(b)))
+        object.__setattr__(self, "m", m)
+
+    a = property(lambda self: self.c[0])
+    b = property(lambda self: self.c[1])
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        (a, b), d = _integer_coords(self.c)
+        (c, e), f = _integer_coords(o.c)
+        return QuadExt._of((Fraction(a * c + self.m * b * e, d * f),
+                            Fraction(a * e + b * c, d * f)), self.m)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(m))")
+        a, b = self.c
+        return QuadExt._of((a / n, -b / n), self.m)
+
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExt._of(Fraction(1), Fraction(0), self.m)
+        out = QuadExt._of((Fraction(1), Fraction(0)), self.m)
         base = self
         while k:
             if k & 1:
@@ -182,37 +215,21 @@ class QuadExt:
         return out
 
     def conj(self):
-        return QuadExt._of(self.a, -self.b, self.m)
+        a, b = self.c
+        return QuadExt._of((a, -b), self.m)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.m * self.b * self.b
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.m == other.m and self.a == other.a and self.b == other.b
-        f = _as_fraction(other)
-        if f is not None:
-            return self.b == 0 and self.a == f
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
+        a, b = self.c
+        return a * a - self.m * b * b
 
     def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"({self.a} + {self.b}*sqrt({self.m}))"
+        a, b = self.c
+        if b == 0:
+            return f"{a}"
+        return f"({a} + {b}*sqrt({self.m}))"
 
 
-class TowerScalar:
+class TowerScalar(_Multiquadratic):
     """Element c0 + c1*i + c2*sqrt(m) + c3*i*sqrt(m) of Q(i, sqrt(m)),
     m squarefree, m != -1, 0, 1 (for m = -1 the ring has zero divisors).
 
@@ -220,7 +237,8 @@ class TowerScalar:
     commuting conjugations: ``conj_i`` negates i, ``conj_m`` negates sqrt(m).
     """
 
-    __slots__ = ("c", "m")
+    __slots__ = ()
+    _MIXED = "mixed tower fields"
 
     def __init__(self, c0, c1=0, c2=0, c3=0, m=None):
         if m is None:
@@ -232,54 +250,11 @@ class TowerScalar:
         object.__setattr__(self, "m", m)
 
     @classmethod
-    def _of(cls, c, m):
-        """The element of four Fractions c and a valid m, unchecked."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "c", c)
-        object.__setattr__(x, "m", m)
-        return x
-
-    def __setattr__(self, *args):
-        raise AttributeError("TowerScalar values are immutable")
-
-    @classmethod
     def from_gaussian(cls, x: QuadExt, m: int):
         """Lift an element of Q(i) (QuadExt with m = -1) into Q(i, sqrt(m))."""
         if x.m != -1:
             raise ValueError("from_gaussian expects a Q(i) element")
-        return cls(x.a, x.b, 0, 0, m=m)
-
-    def _coerce(self, other):
-        if isinstance(other, TowerScalar):
-            if other.m != self.m:
-                raise ValueError("mixed tower fields")
-            return other
-        f = _as_fraction(other)
-        if f is None:
-            return None
-        return TowerScalar._of((f, *(Fraction(0),) * 3), self.m)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TowerScalar._of(
-            tuple(a + b for a, b in zip(self.c, o.c)), self.m)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TowerScalar._of(tuple(-a for a in self.c), self.m)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TowerScalar._of(
-            tuple(a - b for a, b in zip(self.c, o.c)), self.m)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return cls(*x.c, 0, 0, m=m)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -315,34 +290,6 @@ class TowerScalar:
         r = n.c[0]
         num = self.conj_i() * t.conj_m()
         return TowerScalar._of(tuple(a / r for a in num.c), self.m)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def is_rational(self) -> bool:
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
-
-    def __eq__(self, other):
-        if isinstance(other, TowerScalar):
-            return self.m == other.m and self.c == other.c
-        f = _as_fraction(other)
-        if f is not None:
-            return self.is_rational() and self.c[0] == f
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.c[0])
-        return hash((self.c, self.m))
-
-    def __bool__(self):
-        return any(a != 0 for a in self.c)
 
     def __repr__(self):
         return (f"({self.c[0]} + {self.c[1]}*i + {self.c[2]}*sqrt({self.m})"

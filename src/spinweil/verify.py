@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import clifford, kuga, lattices, reps, scalars, spingeo, weil
 from .clifford import CV, commutator, sigma_action
 from .lattices import make_Splus, make_V
-from .jsonio import encode_scalar
+from .jsonio import encode_scalar, to_text
 from .linalg import (det, extend_span, identity, inverse, mat, mat_mul,
                      mat_vec, rank, scale_to_integers, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, contract,
@@ -50,12 +50,12 @@ def register(name, suite, identity):
 
 def _mismatch(lhs, rhs, labels=None):
     """Where two matrices first differ, the entries as JSON through
-    encode_scalar; rows and columns named by labels when given."""
+    to_text; rows and columns named by labels when given."""
     i, j = next((i, j) for i, (p, q) in enumerate(zip(lhs, rhs))
                 for j, (x, y) in enumerate(zip(p, q)) if x != y)
     at = f"({i}, {j})" if labels is None else f"({labels[i]}, {labels[j]})"
-    return (f"entry {at} is {reps._text(lhs[i][j])}, "
-            f"not {reps._text(rhs[i][j])}")
+    return (f"entry {at} is {to_text(lhs[i][j])}, "
+            f"not {to_text(rhs[i][j])}")
 
 
 #: the degree-4 basis forms, e1234 to e5678
@@ -104,7 +104,7 @@ def check_field_axioms(seed):
         failed = [law for law, holds in laws.items() if not holds]
         if failed:
             return False, (f"seed {seed}, trial {trial}: {failed[0]} failed "
-                           f"at a, b, c = {reps._text(xs)}")
+                           f"at a, b, c = {to_text(xs)}")
     return True, "1000 random triples"
 
 
@@ -345,7 +345,7 @@ def check_commutator_identity(seed):
                alg.vector(xs[1]).scale(lat.pair(xs[0], xs[2])))
         if lhs != rhs:
             return False, (f"seed {seed}, trial {trial}: commutator identity "
-                           f"failed at x, y, v = {reps._text(xs)}")
+                           f"failed at x, y, v = {to_text(xs)}")
     return True, "1000 random triples"
 
 
@@ -364,7 +364,7 @@ def check_module_structure(seed):
                   for _ in range(2)})
         eta = _random_multivector(rng, 4)
         if sigma_action(x * y, eta) != sigma_action(x, sigma_action(y, eta)):
-            inputs = reps._text([x.terms, y.terms, eta.terms])
+            inputs = to_text([x.terms, y.terms, eta.terms])
             return False, (f"seed {seed}, trial {trial}: module law failed at "
                            f"x, y, eta = {inputs}")
     even_masks = [m for m in range(256) if bin(m).count('1') % 2 == 0]
@@ -378,7 +378,7 @@ def check_module_structure(seed):
         if any(mm not in spingeo.EVEN_MASKS for mm in img.terms):
             return False, (f"seed {seed}, parity trial {trial}: even element "
                            f"mixed the halves at x, eta = "
-                           f"{reps._text([x.terms, eta.terms])}")
+                           f"{to_text([x.terms, eta.terms])}")
     return True, "1000 module law + 100 parity trials"
 
 
@@ -450,14 +450,14 @@ def check_parity(seed):
         where = f"seed {seed}, trial {trial}"
         sub = subspace_of_spinor(z)
         if sub.parity != 0:
-            return False, f"{where}: odd parity at s = {reps._text(z.z)}"
+            return False, f"{where}: odd parity at s = {to_text(z.z)}"
         # cross-check the annihilator against the cell-move route
         _, gmat, moved = move_to_cell(z)
         via_cell = mat_mul(inverse(gmat), graph_basis(spinor_inverse(moved)))
         joint = [sub.basis[i] + via_cell[i] for i in range(8)]
         if rank(mat(joint)) != 4:
             return False, (f"{where}: cell-move route spans another subspace"
-                           f" at s = {reps._text(z.z)}")
+                           f" at s = {to_text(z.z)}")
     return True, "200 random isotropic spinors"
 
 
@@ -534,14 +534,14 @@ def check_sym_split(seed):
     for trial, (b, u) in enumerate(reps.quadric_square_span()
                                    + [(None, line)]):
         if not extend_span(basis, scale_to_integers(enumerate(u))[0]):
-            what = (f"the invariant line {reps._text(u)}" if b is None else
-                    f"the square of sample B = {reps._text(b)}")
+            what = (f"the invariant line {to_text(u)}" if b is None else
+                    f"the square of sample B = {to_text(b)}")
             return False, (f"seed {seed}, trial {trial}: {what} lies in the "
                            f"span of the {trial} vectors before it")
     image = mat_vec(reps.phi_matrix(), line)
     if any(x != 0 for x in image):
         return False, (f"seed {seed}: phi sends the invariant line to "
-                       f"{reps._text(image)}, not 0")
+                       f"{to_text(image)}, not 0")
     return len(basis) == 36, "35 + 1 = 36 split, phi(gamma0) = 0"
 
 
@@ -554,7 +554,7 @@ def check_veronese_pluecker(seed):
         b = random_alternating(rng)
         if not reps.veronese_pluecker_check(b):
             return False, (f"seed {seed}, trial {trial}: phi(z (.) z) is not "
-                           f"the Pluecker image at B = {reps._text(b)}")
+                           f"the Pluecker image at B = {to_text(b)}")
     return True, "3 random B"
 
 
@@ -586,8 +586,8 @@ def check_phi_eigenspace(seed):
         if sv != [sgn * x for x in v]:
             return False, (f"seed {seed}, trial {col}: the image of "
                            f"z{a + 1} z{b + 1} is not in the eigenspace "
-                           f"{sgn}: star of {reps._text(v)} is "
-                           f"{reps._text(sv)}")
+                           f"{sgn}: star of {to_text(v)} is "
+                           f"{to_text(sv)}")
     return True, f"eigenvalue {sgn}"
 
 
@@ -707,7 +707,7 @@ def check_center_invariance(seed):
     for trial, t in enumerate(changes):
         g2 = mat_mul(transpose(t), mat_mul(lattice.gram, t))
         basis, sq = kuga.ks_center(lattices.BilinearLattice(g2))
-        where = f"seed {seed}, trial {trial}: T = {reps._text(t)}"
+        where = f"seed {seed}, trial {trial}: T = {to_text(t)}"
         if sq is None:
             return False, f"{where}: center of dimension {len(basis)}, not 2"
         parts.append(scalars.squarefree_part(sq.numerator * sq.denominator))

@@ -20,18 +20,19 @@ ever evaluated numerically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .jsonio import to_text
 from .lattices import make_V, orthogonal_complement
 from .linalg import (det, inverse, leading_principal_minors, mat, mat_mul,
                      mat_vec, nullspace, rank, scale_to_integers, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derive_multivector, indices_of, mask_of, pluecker,
                           wedge)
-from .reps import (WEDGE2V_BASIS, _text, cayley_class, derivation_matrix,
+from .reps import (WEDGE2V_BASIS, cayley_class, derivation_matrix,
                    invariant_subspace, stabilizer_algebra, weight_multiset)
 from .scalars import QuadExt, is_norm, rat, squarefree_part
 from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
@@ -44,26 +45,25 @@ STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
 FIELD_SCAN_H = tuple((0, k, 0, 0, 0, 1, 0, 0) for k in (1, 2, 3, 5))
 
 
-@dataclass(frozen=True)
-class Period:
+class Period(namedtuple("Period", "p q")):
     """A rational point p + i q of the period domain.
 
     Constraints: (p, p) = (q, q) > 0 and (p, q) = 0, which say exactly that
     the complex spinor is isotropic with positive pairing against its
     conjugate.
     """
-    p: tuple
-    q: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p, q):
         lat = splus_lattice()
-        p, q = list(self.p), list(self.q)
-        if lat.pair(p, q) != 0:
+        pl, ql = list(p), list(q)
+        if lat.pair(pl, ql) != 0:
             raise ValueError("period needs (p, q) = 0")
-        if lat.pair(p, p) != lat.pair(q, q):
+        if lat.pair(pl, pl) != lat.pair(ql, ql):
             raise ValueError("period needs (p, p) = (q, q)")
-        if lat.pair(p, p) <= 0:
+        if lat.pair(pl, pl) <= 0:
             raise ValueError("period needs (p, p) > 0")
+        return super().__new__(cls, p, q)
 
     def spinor(self) -> Spinor:
         """p + i q over the Gaussian rationals."""
@@ -144,7 +144,7 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
         if len(positives) < 64:
             positives.append((w, ww))
     raise RuntimeError(f"period search exhausted the height cap: h = "
-                       f"{_text(h.z)}, s = {_text(s.z)}, seed {seed}, "
+                       f"{to_text(h.z)}, s = {to_text(s.z)}, seed {seed}, "
                        f"tries {tries}")
 
 
@@ -319,22 +319,9 @@ def hermitian_and_discriminant(mu, e, d, m, f):
     return psi, dpsi, is_norm(dpsi, d)
 
 
-@dataclass(frozen=True)
-class WeilDatum:
-    """One abelian fourfold of Weil type, with every exact certificate."""
-    h: Spinor
-    s: Spinor
-    d: Fraction
-    m: int
-    f: Fraction
-    period: Period
-    j: list
-    mu: list
-    e: list
-    omega: Multivector
-    psi: list
-    disc: Fraction
-    disc_trivial: bool
+#: one abelian fourfold of Weil type, with every exact certificate
+WeilDatum = namedtuple("WeilDatum", "h s d m f period j mu e omega psi disc "
+                                    "disc_trivial")
 
 
 def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
@@ -385,7 +372,7 @@ def _cayley_class_of(z):
 
 def omega_line_check(datum: WeilDatum) -> bool:
     """The 2-form spans the invariant line of the stabilizer of h and s."""
-    stab, _ = stabilizer_algebra([datum.h, datum.s])
+    stab = stabilizer_algebra([datum.h, datum.s])
     if len(stab) != 15:
         return False
     inv = invariant_subspace(stab, "Wedge2V")

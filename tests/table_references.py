@@ -336,12 +336,19 @@ def charpoly_values(matrix, points):
     return out
 
 
+def stabilizer_elements(fixed):
+    """The Clifford elements sum c_a X_a of the stabilizer's coefficient
+    vectors, for the references that act by elements."""
+    return [CV().element(reps._xyz_terms(c))
+            for c in stabilizer_algebra(fixed)]
+
+
 def spin_rep_trial(datum, h, s, rng):
     """(L(xi), M(xi)) for a random xi in the stabilizer of h and s, with
     coefficients in [-2, 2] on its basis: left multiplication on the even
     algebra of the KSDatum by the lift (so_to_spin above) of xi's action on
     the complement, and the commutator action on V."""
-    stab, _ = stabilizer_algebra([h, s])
+    stab = stabilizer_elements([h, s])
     terms = [e.scale(Fraction(c)) for e in stab if (c := rng.randint(-2, 2))]
     xi = sum(terms[1:], terms[0]) if terms else stab[0]
     cols = transpose(datum.basis)
@@ -355,7 +362,7 @@ def cayley_route_b(z):
     the stacked rows of its Clifford elements' actions, each element's
     coordinates read back by spin_coordinates, inserted one at a time by
     extend_span with no presolve, and the kernel read off."""
-    stab, _ = stabilizer_algebra([Spinor(z)])
+    stab = stabilizer_elements([Spinor(z)])
     basis = {}
     for x in stab:
         for row in reps._coefficient_rows(spin_coordinates(x), "Wedge4V")[0]:

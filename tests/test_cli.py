@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import fcntl
 import json
 import os
@@ -419,7 +418,7 @@ def test_field_scan_with_a_nontrivial_discriminant_fails(capsys, monkeypatch):
     from spinweil import weil
     make = weil.make_weil_datum
     monkeypatch.setattr(weil, "make_weil_datum", lambda *a, **k:
-                        dataclasses.replace(make(*a, **k), disc_trivial=False))
+                        make(*a, **k)._replace(disc_trivial=False))
     rc, doc = run_json(capsys, "weil-family", "--field-scan")
     assert rc == 1
     assert [row["discriminant_trivial"] for row in doc["fields"]] == [False] * 4

@@ -15,6 +15,7 @@ from spinweil.clifford import spin_v_xyz_table
 from spinweil.lattices import LatticeVector, MukaiVector, make_Splus, make_V
 from spinweil.reps import RepSpace, derived_action, rep_space
 from spinweil.spingeo import IsotropicSubspace
+from spinweil.weil import STANDARD_PERIOD, Period
 
 #: every name the package exports, by the submodule that defines it
 PUBLIC = {
@@ -43,25 +44,36 @@ PUBLIC = {
 }
 
 
-def test_a_cold_cli_import_leaves_the_verb_modules_out():
-    # the benchmark worker reads its set-up tables off reps, multivector
-    # and clifford after these two imports; verify, weil and kuga load in
-    # the verbs that use them, and no verb-path module imports dataclasses
+def _loaded_after(imports):
+    """The module names a fresh interpreter holds after the given import
+    lines."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = ("import sys, spinweil\n"
-            "from spinweil import cli\n"
-            "print(' '.join(sorted(sys.modules)))")
+    code = "import sys\n" + imports + "\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_a_cold_cli_import_leaves_the_verb_modules_out():
+    # the benchmark worker reads its set-up tables off reps, multivector
+    # and clifford after these two imports; verify, weil and kuga load in
+    # the verbs that use them, and no verb-path module imports dataclasses
+    loaded = _loaded_after("import spinweil\nfrom spinweil import cli")
     for name in ("reps", "multivector", "clifford"):
         assert f"spinweil.{name}" in loaded
     for name in ("weil", "kuga", "verify"):
         assert f"spinweil.{name}" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_the_weil_and_kuga_verbs_load_no_dataclasses():
+    # their records are namedtuples too; only verify's Check is a dataclass
+    loaded = _loaded_after("import spinweil.weil, spinweil.kuga")
+    assert {"spinweil.weil", "spinweil.kuga"} <= loaded
     assert "dataclasses" not in loaded
 
 
@@ -96,6 +108,10 @@ RECORDS = {
     "IsotropicSubspace": (
         IsotropicSubspace, {"basis": [[Fraction(1, 2), 0]], "parity": 1}, 0,
         "IsotropicSubspace(basis=[[Fraction(1, 2), 0]], parity=1)"),
+    "Period": (
+        Period, dict(zip("pq", STANDARD_PERIOD)),
+        tuple(-x for x in STANDARD_PERIOD[1]),
+        "Period(p=(0, 0, 1, 0, 0, 0, 1, 0), q=(0, 0, 0, 1, 0, 0, 0, 1))"),
 }
 
 
@@ -112,6 +128,19 @@ def test_records_construct_compare_print_and_stay_frozen(name):
     for field in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+P, Q = STANDARD_PERIOD
+
+
+@pytest.mark.parametrize("p, q, text", [
+    (P, P, "(p, q) = 0"),
+    (P, tuple(2 * x for x in Q), "(p, p) = (q, q)"),
+    ((0,) * 8, (0,) * 8, "(p, p) > 0")])
+def test_a_period_off_the_period_domain_is_a_value_error(p, q, text):
+    with pytest.raises(ValueError) as err:
+        Period(p, q)
+    assert str(err.value) == f"period needs {text}"
 
 
 def test_a_lattice_vector_of_the_wrong_length_is_a_value_error():

@@ -12,9 +12,10 @@ from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
                            ks_right_commutation, mult_matrix)
 from spinweil.lattices import BilinearLattice
 from spinweil.linalg import mat_mul
-from spinweil.spingeo import STANDARD_S, Spinor, splus_lattice
-from spinweil.weil import (FIELD_SCAN_H, Period, complex_structure,
-                           field_parameters, sample_period)
+from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor, splus_lattice
+from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
+                           complex_structure, field_parameters, k_action,
+                           make_weil_datum, sample_period)
 
 import table_references as reference
 
@@ -175,6 +176,54 @@ def test_ks_report(standard_h, standard_s, standard_period):
 def test_certificate_on_the_field_scan_planes(h):
     period = sample_period(h, STANDARD_S, seed=11)
     assert certificate(h, STANDARD_S, period) == (8, 32, True, True)
+
+
+def traceless_center_generator(datum):
+    """omega read off ks_center's basis as ks_center reads it: the basis
+    vector, or else the combination, with no mask-0 coordinate, less the
+    scalar that makes the trace of left multiplication 0."""
+    u, v = ks_center(datum.lattice)[0]
+    i0 = datum.even_masks.index(0)
+    w = (u if u[i0] == 0 else v if v[i0] == 0 else
+         [a * v[i0] - b * u[i0] for a, b in zip(u, v)])
+    x = datum.algebra.element(dict(zip(datum.even_masks, w)))
+    lx = mult_matrix(datum.algebra, x, datum.even_masks)
+    trace = sum(lx[i][i] for i in range(len(lx)))
+    return x - datum.algebra.scalar(trace / len(lx))
+
+
+def tie_constants(lw, homs, mu):
+    """The c with L_omega Phi = c Phi mu, one for each Phi (None where
+    there is no such c)."""
+    out = []
+    for phi in homs:
+        lhs, rhs = mat_mul(lw, phi), mat_mul(phi, mu)
+        pairs = [(a, b) for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb)]
+        c = next(a / b for a, b in pairs if b)
+        out.append(c if all(a == c * b for a, b in pairs) else None)
+    return out
+
+
+@pytest.mark.parametrize("h, period", [(STANDARD_H, STANDARD_PERIOD)]
+                         + [(h, None) for h in FIELD_SCAN_H])
+def test_the_center_acts_on_hom_as_the_field(h, period):
+    # the center tie: L_omega Phi = c Phi mu for every Phi in Hom_G(V, C+(H)),
+    # c = 1/8 with k_action's mu; the datum's mu is k_action's up to the sign
+    # that the positivity of E(J v, v) picks (both occur here), and c follows
+    h = Spinor(h)
+    period = (Period(*period) if period else
+              sample_period(h, STANDARD_S, seed=11))
+    datum = ks_complex_structure(h, STANDARD_S, period)
+    lw = mult_matrix(datum.algebra, traceless_center_generator(datum),
+                     datum.even_masks)
+    homs = ks_hom(datum, h, STANDARD_S)
+    assert len(homs) == 8
+    mu = k_action(h, STANDARD_S)[0]
+    assert tie_constants(lw, homs, mu) == [Fraction(1, 8)] * 8
+    weil_mu = make_weil_datum(h, STANDARD_S, period=period).mu
+    sign = 1 if weil_mu == mu else -1
+    assert weil_mu == [[sign * x for x in row] for row in mu]
+    assert tie_constants(lw, homs, weil_mu) == [Fraction(sign, 8)] * 8
 
 
 def random_positive_planes(rng, count):

@@ -137,28 +137,26 @@ def test_top_weight_of_wedge4():
 
 
 def test_invariant_dimensions():
-    stab_s, _ = stabilizer_algebra([standard_spinor(1)])
+    stab_s = stabilizer_algebra([standard_spinor(1)])
     assert len(invariant_subspace(stab_s, "Wedge4V")) == 1
     h = Spinor([0, 1, 0, 0, 0, 1, 0, 0])
     s = Spinor([1, 0, 0, 0, 1, 0, 0, 0])
-    stab_hs, _ = stabilizer_algebra([h, s])
+    stab_hs = stabilizer_algebra([h, s])
     assert len(invariant_subspace(stab_hs, "Wedge2V")) == 1
-    all28 = [elt for _, elt, _ in spin_v_xyz_table()]
-    assert len(invariant_subspace(all28, "Sym2S+")) == 1
+    assert len(invariant_subspace(identity(28), "Sym2S+")) == 1
 
 
 def test_stabilizer_dimensions():
-    assert len(stabilizer_algebra([])[0]) == 28
+    assert stabilizer_algebra([]) == identity(28)
     for n in (1, 2, 3, 5):
-        stab, _ = stabilizer_algebra([standard_spinor(n)])
-        assert len(stab) == 21
+        assert len(stabilizer_algebra([standard_spinor(n)])) == 21
     h = Spinor([0, 1, 0, 0, 0, 1, 0, 0])
     s = Spinor([1, 0, 0, 0, 1, 0, 0, 0])
-    assert len(stabilizer_algebra([h, s])[0]) == 15
+    assert len(stabilizer_algebra([h, s])) == 15
     # the reference pair {1, e*}
     one = Spinor([1, 0, 0, 0, 0, 0, 0, 0])
     estar = Spinor([0, 0, 0, 0, 1, 0, 0, 0])
-    assert len(stabilizer_algebra([one, estar])[0]) == 15
+    assert len(stabilizer_algebra([one, estar])) == 15
 
 
 def test_stabilizer_membership_families():
@@ -483,32 +481,31 @@ ISO_SPINORS = st.integers(0, 10 ** 6).map(
 @given(st.one_of(noniso_spinors(), ISO_SPINORS),
        st.sampled_from(("Wedge4V", "Wedge2V", "Sym2S+")))
 def test_stabilizer_and_invariants_match_reference(s, name):
-    stab, vecs = stabilizer_algebra([s])
+    vecs = stabilizer_algebra([s])
     ref_stab, ref_vecs = reference_stabilizer([s])
-    assert repr(vecs) == repr(ref_vecs)
-    assert stab == ref_stab and repr(stab) == repr(ref_stab)
-    _same_matrix(invariant_subspace(stab, name),
+    _same_matrix(vecs, ref_vecs)
+    _same_matrix(invariant_subspace(vecs, name),
                  reference_invariants(ref_stab, name))
 
 
 def test_invariants_of_the_full_table_and_of_nothing():
     xs = list(XYZ.values())
-    _same_matrix(invariant_subspace(xs, "Sym2S+"),
+    _same_matrix(invariant_subspace(identity(28), "Sym2S+"),
                  reference_invariants(xs, "Sym2S+"))
     for name in REP_NAMES:
         _same_matrix(invariant_subspace([], name),
                      reference_invariants([], name))
     pair = [Spinor([0, 1, 0, 0, 0, 1, 0, 0]), Spinor([1, 0, 0, 0, 1, 0, 0, 0])]
-    assert repr(stabilizer_algebra(pair)) == repr(reference_stabilizer(pair))
-    assert repr(stabilizer_algebra([])) == repr(reference_stabilizer([]))
+    _same_matrix(stabilizer_algebra(pair), reference_stabilizer(pair)[1])
+    _same_matrix(stabilizer_algebra([]), reference_stabilizer([])[1])
 
 
 def test_stabilizer_and_invariants_over_a_quadratic_field():
     s = Spinor([QuadExt(1, 1, 2), 0, 0, 0, 1, 0, 0, 0])
-    stab, vecs = stabilizer_algebra([s])
+    vecs = stabilizer_algebra([s])
     ref_stab, ref_vecs = reference_stabilizer([s])
-    assert (stab, vecs) == (ref_stab, ref_vecs) and len(stab) == 21
-    inv = invariant_subspace(stab, "Wedge2V")
+    assert vecs == ref_vecs and len(vecs) == 21
+    inv = invariant_subspace(vecs, "Wedge2V")
     assert inv == reference_invariants(ref_stab, "Wedge2V")
 
 
@@ -594,7 +591,7 @@ NONISO_TEXT = '["1", "0", "0", "0", "2", "0", "0", "0"]'
 def test_route_b_reports_stabilizer_dimension(monkeypatch):
     real = reps.stabilizer_algebra
     monkeypatch.setattr(reps, "stabilizer_algebra",
-                        lambda fixed: tuple(v[:20] for v in real(fixed)))
+                        lambda fixed: real(fixed)[:20])
     reps._cayley_route_b.cache_clear()
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)
@@ -604,8 +601,8 @@ def test_route_b_reports_stabilizer_dimension(monkeypatch):
 
 
 def test_route_b_reports_invariant_dimension(monkeypatch):
-    monkeypatch.setattr(reps, "_joint_kernel",
-                        lambda coeffs, name: [[0] * 70, [0] * 70])
+    monkeypatch.setattr(reps, "invariant_subspace",
+                        lambda coeffs, space: [[0] * 70, [0] * 70])
     reps._cayley_route_b.cache_clear()
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -245,7 +244,7 @@ def test_datum_report_reads_a_non_commuting_field_action_as_false(
     # entries J[i ^ 1][i] = 1, -1, -1, 1, 1, -1, -1, 1, is still read off
     datum = make_weil_datum(standard_h, standard_s, period=standard_period)
     swap = [[Fraction(a == (b ^ 1)) for b in range(8)] for a in range(8)]
-    report = datum_report(dataclasses.replace(datum, mu=swap))
+    report = datum_report(datum._replace(mu=swap))
     assert report["J_mu_commute"] is False
     assert report["trace_mu_J_zero"] is True
     assert report["mu_squares_to_minus_d"] is False
