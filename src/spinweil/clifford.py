@@ -10,11 +10,13 @@ basis {e_{i_1} ... e_{i_k} : i_1 < ... < i_k} indexed by bitmasks.
 The product of two elements runs on ints for rational coefficients: each
 factor is put over the common denominator of its terms by the scaling
 rule of scalars (scale_to_integers, which passes QuadExt and TowerScalar
-coefficients through unscaled), the cached blade products keep integral
+coefficients through unscaled), the blade products keep integral
 coefficients as ints, and each term of the result is divided by the two
 denominators once at the end.  The commutator x y - y x is the same loop
-over the cached blade commutators, cancelled terms dropped
-(blade_commutator).
+over the blade commutators, cancelled terms dropped (blade_commutator).
+Blade products and commutators are kept in one table each per algebra,
+filled on first use: a row of 2^rank entries per left blade, each entry
+the (mask, coefficient) pairs of the result (_blade_entry).
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -22,11 +24,15 @@ wedging, W* by contracting, and each blade e_A sends each of the 16 basis
 forms w_F to +-w_G or to 0.  The table of these signed partial
 permutations is built once in closed form, with no product: e_k (k < 4)
 sends w_F to +-w_{F + k} and e_{k+4} sends it to +-w_{F - k} (_module_table).
-sigma_action and sigma_matrix read it, on ints over a common denominator.
-Since sigma is injective, the spin-group test runs on 16 x 16 matrices:
-x x* = 1 iff sigma(x) sigma(x*) = 1, and x e_j x* is the vector v iff
-sigma(x) sigma(e_j) sigma(x*) = sigma(v).  twisted_conjugation and
-is_spin_group_element share that test, for algebras with V's Gram only.
+sigma_action reads it, on ints over a common denominator.  Chevalley's
+invariant form on spinors, C[F][15 - F] = (-1)^|F & {0, 2}|, its own
+inverse, makes sigma(x*) = C sigma(x)^T C.  As sigma is injective, the
+spin-group test runs on 16 x 16 matrices: x x* = 1 iff X C X^T C = 1 for
+X = sigma(x); and for a vector u, y = x e_j x* - u is odd with y* = -y,
+so the S- -> S+ block of sigma(y) is -C+ Q^T C- for its S+ -> S- block Q
+(C keeps the half-spin split), and x e_j x* = u iff Q = 0.
+twisted_conjugation and is_spin_group_element share that test, for
+algebras with V's Gram only.
 
 The lift so(L) -> spin(L) is written down, with no solve: m lifts to
 sum_{i<j} a_ij (e_i e_j - (e_i, e_j)/2) with A = m G^-1 (so_to_spin).  It
@@ -42,7 +48,7 @@ from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import (_over, _scaled_terms, inverse, mat, mat_mul, rank,
+from .linalg import (_over, _scaled_terms, inverse, mat_mul, rank,
                      scale_to_integers, sparse_product, transpose)
 from .multivector import Multivector, _accumulate, indices_of, popcount
 from .scalars import rat
@@ -62,8 +68,8 @@ class CliffordAlgebra:
         self.rank = lattice.rank
         self.gram = lattice.gram
         self._gen_cache = {}
-        self._blade_cache = {}
-        self._comm_cache = {}
+        self._products = [None] * (1 << self.rank)
+        self._commutators = [None] * (1 << self.rank)
         self._conj_cache = {}
 
     # -- basis blade reduction ------------------------------------------
@@ -95,49 +101,47 @@ class CliffordAlgebra:
         self._gen_cache[key] = out
         return out
 
-    def blade_product(self, ma, mb):
-        key = (ma, mb)
-        hit = self._blade_cache.get(key)
-        if hit is not None:
-            return hit
-        acc = {ma: 1}
-        m = mb
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
+    def _times_gens(self, acc, ks):
+        """The terms {mask: coeff} acc times e_k for k in ks, in order."""
+        for k in ks:
             nxt = {}
-            for mask, c in acc.items():
-                for m2, c2 in self._blade_times_gen(mask, k).items():
+            for m, c in acc.items():
+                for m2, c2 in self._blade_times_gen(m, k).items():
                     _accumulate(nxt, m2, c * c2)
             acc = nxt
-            m ^= low
-        acc = _integral_as_int(acc)
-        self._blade_cache[key] = acc
         return acc
+
+    def _blade_entry(self, rows, ma, mb):
+        """The (mask, coeff) pairs of e_A e_B (rows the product table) or
+        of e_A e_B - e_B e_A (the commutator table), filled on first use."""
+        row = rows[ma]
+        if row is None:
+            row = rows[ma] = [None] * len(rows)
+        if row[mb] is None:
+            if rows is self._products:
+                acc = self._times_gens({ma: 1}, indices_of(mb))
+            else:
+                acc = self.blade_product(ma, mb)
+                for m, c in self._blade_entry(self._products, mb, ma):
+                    _accumulate(acc, m, -c)
+            row[mb] = tuple(_integral_as_int(acc).items())
+        return row[mb]
+
+    def blade_product(self, ma, mb):
+        """e_A e_B for canonical blades, as {mask: coeff}."""
+        return dict(self._blade_entry(self._products, ma, mb))
 
     def blade_commutator(self, ma, mb):
         """e_A e_B - e_B e_A for canonical blades, as {mask: coeff}, the
         cancelled terms left out."""
-        hit = self._comm_cache.get((ma, mb))
-        if hit is None:
-            hit = dict(self.blade_product(ma, mb))
-            for m, c in self.blade_product(mb, ma).items():
-                _accumulate(hit, m, -c)
-            hit = self._comm_cache[ma, mb] = _integral_as_int(hit)
-        return hit
+        return dict(self._blade_entry(self._commutators, ma, mb))
 
     def blade_conj(self, mask):
         """Conjugate of a canonical blade: (-1)^r times the reversed product."""
         hit = self._conj_cache.get(mask)
         if hit is not None:
             return hit
-        prod = {0: 1}
-        for k in reversed(indices_of(mask)):
-            nxt = {}
-            for m, c in prod.items():
-                for m2, c2 in self._blade_times_gen(m, k).items():
-                    _accumulate(nxt, m2, c * c2)
-            prod = nxt
+        prod = self._times_gens({0: 1}, reversed(indices_of(mask)))
         if popcount(mask) % 2:
             prod = {m: -c for m, c in prod.items()}
         prod = _integral_as_int(prod)
@@ -162,8 +166,7 @@ class CliffordAlgebra:
         return CliffordElement(self, {1 << i: Fraction(1)})
 
     def vector(self, coords):
-        return CliffordElement(self, {1 << i: c for i, c in enumerate(coords)
-                                      if c != 0})
+        return CliffordElement(self, {1 << i: c for i, c in enumerate(coords)})
 
     def basis_masks(self, even_only=False):
         masks = range(1 << self.rank)
@@ -183,7 +186,7 @@ class CliffordElement:
         if terms:
             for m, c in terms.items():
                 c = rat(c) if isinstance(c, (int, str, Fraction)) else c
-                if c != 0:
+                if c:
                     clean[m] = c
         self.terms = clean
 
@@ -232,8 +235,7 @@ class CliffordElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(rat(other))
         self._check(other)
-        return _blade_sum(self, other, self.algebra._blade_cache,
-                          self.algebra.blade_product)
+        return _blade_sum(self, other, self.algebra._products)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,25 +300,29 @@ def conjugation(x: CliffordElement) -> CliffordElement:
 
 
 def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """x y - y x, in one pass over the cached blade commutators."""
+    """x y - y x, in one pass over the blade commutators."""
     x._check(y)
-    return _blade_sum(x, y, x.algebra._comm_cache, x.algebra.blade_commutator)
+    return _blade_sum(x, y, x.algebra._commutators)
 
 
-def _blade_sum(x, y, cache, table):
-    """The sum of c_A c_B table(A, B) over the terms c_A e_A of x and c_B e_B
-    of y (table the cached blade product or commutator), on ints for
-    rational x and y and made one Fraction per term at the end."""
+def _blade_sum(x, y, rows):
+    """The sum of c_A c_B rows[A][B] over the terms c_A e_A of x and c_B e_B
+    of y (rows the blade product or commutator table), on ints for rational
+    x and y and made one Fraction per term at the end."""
     a, b, d = _scaled_terms(x.terms, y.terms)
+    entry = x.algebra._blade_entry
     out = {}
     get = out.get
     for ma, ca in a.items():
+        row = rows[ma]
+        if row is None:
+            row = rows[ma] = [None] * len(rows)
         for mb, cb in b.items():
-            cc = ca * cb
-            prod = cache.get((ma, mb))
+            prod = row[mb]
             if prod is None:
-                prod = table(ma, mb)
-            for m, c in prod.items():
+                prod = entry(rows, ma, mb)
+            cc = ca * cb
+            for m, c in prod:
                 out[m] = get(m, 0) + cc * c
     return CliffordElement._of(
         x.algebra, {m: _over(c, d) for m, c in out.items() if c})
@@ -401,18 +407,8 @@ def _sigma_rows(terms, table):
     return [{f: c for f, c in row.items() if c} for row in rows], d
 
 
-def sigma_matrix(x: CliffordElement):
-    """The 16 x 16 matrix of sigma(x) on the basis forms of the exterior
-    algebra of W; row and column F stand for the form of mask F."""
-    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
-    zero = Fraction(0)
-    return [[_over(row[f], d) if f in row else zero for f in range(16)]
-            for row in rows]
-
-
 def is_spin_group_element(x: CliffordElement) -> bool:
-    """Check x x* = 1, evenness, and stability of V under conjugation:
-    the test twisted_conjugation runs."""
+    """Whether x passes the spin-group test that twisted_conjugation runs."""
     _table_for(x.algebra)
     try:
         twisted_conjugation(x)
@@ -421,38 +417,48 @@ def is_spin_group_element(x: CliffordElement) -> bool:
     return True
 
 
-def twisted_conjugation(x: CliffordElement):
-    """The SO(V) matrix of v -> x v x* for x in the spin group.
+#: C[F][15 - F], the spin-module form (see the module docstring)
+_FORM_SIGN = tuple(-1 if (f & 5).bit_count() & 1 else 1 for f in range(16))
+_ODD_FORMS = tuple(f for f in range(16) if f.bit_count() & 1)
 
-    Both spin-group conditions are verified before the matrix is
-    assembled, and invalid inputs raise ValueError.  sigma is injective on
-    C(V), so with X = sigma(x) and X* = sigma(x*) over their denominators
-    d and d*: x x* = 1 iff X X* = d d* I, and x e_j x* is the vector v iff
-    Y = X sigma(e_j) X* equals d d* sigma(v), where v is read from Y at
-    (1 << i, 0) (its W part) and (0, 1 << i) (its W* part).  The products
-    run on sparse integer rows.
-    """
+
+def twisted_conjugation(x: CliffordElement):
+    """The SO(V) matrix of v -> x v x* for x in the spin group; ValueError
+    for x outside it, by the test of the module docstring.  X = sigma(x)
+    and X* = C X^T C share the denominator d; the vector u of x e_j x* is
+    read off Y = X sigma(e_j) X* at (2^i, 0) (its W part) and at
+    (15 - 2^i, 15) (its W* part, signed by e_{i+4} w_15), and the odd rows
+    of Y are compared with those of d^2 sigma(u), on sparse integer rows."""
     table = _table_for(x.algebra)
     xs, d = _sigma_rows(x.terms, table)
-    xcs, dc = _sigma_rows(x.conj().terms, table)
-    dd = d * dc
+    xcs = [{} for _ in range(16)]
+    for g, row in enumerate(xs):
+        for f, c in row.items():
+            xcs[15 - f][15 - g] = _FORM_SIGN[f] * _FORM_SIGN[g] * c
+    dd = d * d
     if (not x.is_even() or
             sparse_product(xs, xcs) != [{r: dd} for r in range(16)]):
         raise ValueError("element does not satisfy x x* = 1 in C(L)+")
-    cols = []
+    # the S+ -> S- block of sigma(e_k): (f, g, s) when e_k w_f = s w_g
+    hits = [[(f, *hit) for f, hit in enumerate(table[1 << k])
+             if hit is not None and hit[0] in _ODD_FORMS] for k in range(8)]
+    odd_xs = [xs[g] for g in _ODD_FORMS]
+    cols, zero = [], Fraction(0)
     for j in range(8):
-        # sigma(e_j) X*: row g is s times row f of X* when e_j w_f = s w_g
         ej_xc = [{} for _ in range(16)]
-        for f, hit in enumerate(table[1 << j]):
-            if hit is not None:
-                ej_xc[hit[0]] = {k: hit[1] * c for k, c in xcs[f].items()}
-        y = sparse_product(xs, ej_xc)
+        for f, g, s in hits[j]:
+            ej_xc[g] = {k: s * c for k, c in xcs[f].items()}
+        y = dict(zip(_ODD_FORMS, sparse_product(odd_xs, ej_xc)))
         u = ([y[1 << i].get(0, 0) for i in range(4)] +
-             [y[0].get(1 << i, 0) for i in range(4)])
-        if y != _sigma_rows({1 << i: c for i, c in enumerate(u) if c},
-                            table)[0]:
+             [table[1 << i + 4][15][1] * y[15 ^ 1 << i].get(15, 0)
+              for i in range(4)])
+        v = {g: {} for g in _ODD_FORMS}
+        for k, c in enumerate(u):
+            for f, g, s in hits[k] if c else ():
+                v[g][f] = s * c
+        if y != v:
             raise ValueError("conjugation by x does not preserve V")
-        cols.append([_over(c, dd) for c in u])
+        cols.append([_over(c, dd) if c else zero for c in u])
     return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
@@ -581,26 +587,23 @@ def random_spin_group_element(rng, span=1):
 
     Built as a product of exponentials of the two nilpotent degree-2
     families (W-pairs and W*-pairs); sums across the families are not
-    nilpotent, so exactness forces the product form.
+    nilpotent, so exactness forces the product form.  Each exponent is
+    written down: e_a e_b (a < b, one family) is the blade of its mask.
     """
     alg = CV()
     g = alg.one()
     for family in (0, 4, 0):
-        x = alg.zero()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                c = rng.randint(-span, span)
-                if c:
-                    x = x + (alg.generator(i + family) *
-                             alg.generator(j + family)).scale(Fraction(c))
-        g = g * exp_nilpotent(x)
+        terms = {}
+        for i, j in combinations(range(family, family + 4), 2):
+            c = rng.randint(-span, span)
+            if c:
+                terms[1 << i | 1 << j] = Fraction(c)
+        g = g * exp_nilpotent(CliffordElement._of(alg, terms))
     return g
 
 
 def spin_v_dimension_check():
     """Rank of the 28 basis elements acting on V; equals n(2n-1) = 28."""
-    rows = []
-    for _, x, _ in spin_v_xyz_table():
-        mx = spin_so_iso(x)
-        rows.append([mx[i][j] for i in range(8) for j in range(8)])
-    return rank(mat(rows)), len(rows)
+    rows = [[c for row in spin_so_iso(x) for c in row]
+            for _, x, _ in spin_v_xyz_table()]
+    return rank(rows), len(rows)

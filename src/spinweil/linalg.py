@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
-point.  rank and nullspace read the reduced row echelon form (rref);
+point.  nullspace reads the reduced row echelon form (rref), rank counts
+its pivots (over K, those on a first coordinate) with no Fraction row;
 solve, solve_matrix and inverse read one rref of [a | b], which also
 gives the rank of a (_solution).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
@@ -55,8 +56,8 @@ def mat(rows):
 
 
 def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def transpose(a):
@@ -214,11 +215,17 @@ def _pivot_rows(a):
     pivot on a first coordinate (see the module docstring)."""
     if not a:
         return [], []
-    rows, k, element = _integer_rows(a), 1, None
-    if rows is None:
-        real, k, element = _realify(a)
-        rows = _integer_rows(real)
+    rows, k, element = _rational_form(a)
     return _reduced(rows, len(a[0]) * k, k, element)
+
+
+def _rational_form(a):
+    """The integer rows, k and element of a, or of _realify(a) over K."""
+    rows = _integer_rows(a)
+    if rows is not None:
+        return rows, 1, None
+    real, k, element = _realify(a)
+    return _integer_rows(real), k, element
 
 
 def _reduced(rows, ncols, k=1, element=None):
@@ -250,7 +257,9 @@ def rref(a):
 
 
 def rank(a) -> int:
-    return len(_pivot_rows(a)[1])
+    """The pivots of _integer_rref that _pivot_rows would keep, counted."""
+    rows, k, _ = _rational_form(a)
+    return sum(pc % k == 0 for pc, _ in _integer_rref(rows))
 
 
 def nullspace(a):
@@ -369,10 +378,3 @@ def det(a):
 def leading_principal_minors(a):
     """The n determinants of the upper-left k x k blocks, k = 1..n."""
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
-
-
-def in_span(vectors, v) -> bool:
-    """Whether v lies in the span of the given vectors."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    return solve(transpose(mat(vectors)), list(v)) is not None

@@ -32,8 +32,8 @@ from functools import lru_cache
 from math import gcd
 from itertools import combinations, combinations_with_replacement
 
-from .clifford import (CV, _module_table, _over, cartan_elements,
-                       sigma_matrix, spin_v_xyz_table)
+from .clifford import (CV, _module_table, _over, _sigma_rows, _table_for,
+                       cartan_elements, spin_v_xyz_table)
 from .jsonio import to_text
 from .linalg import (extend_span, identity, mat, mat_vec, nullspace, rank,
                      scale_to_integers, sparse_nullspace, sparse_product)
@@ -41,7 +41,7 @@ from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
                           mask_of, nonzero_columns, pluecker, star_matrix,
                           wedge)
-from .spingeo import (EVEN_MASKS, ODD_MASKS, Z_DICT, Spinor, graph_basis,
+from .spingeo import (ODD_MASKS, Z_DICT, Spinor, graph_basis,
                       random_alternating, spinor_map, splus_lattice)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
@@ -77,23 +77,30 @@ def rep_space(name: str) -> RepSpace:
 REP_NAMES = ("V", "S+", "S-", "Wedge2V", "Wedge4V", "Sym2S+", "Wedge2S+")
 
 
+def _half_spin_block(x, basis, message):
+    """The block of sigma(x) on the half-spin basis [(mask, sign)], read
+    off _sigma_rows; ValueError(message) when it leaves that half."""
+    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
+    half = {f for f, _ in basis}
+    if any(f in half for g in set(range(16)) - half for f in rows[g]):
+        raise ValueError(message)
+    zero = Fraction(0)
+    return [[_over(rows[g][f] if s == t else -rows[g][f], d)
+             if f in rows[g] else zero for f, t in basis] for g, s in basis]
+
+
 def splus_matrix(x) -> list:
     """Matrix of an even Clifford element on S+ in z-coordinates: the even
-    block of sigma_matrix(x), with the signs of Z_DICT."""
-    m = sigma_matrix(x)
-    if any(m[g][f] != 0 for g in ODD_MASKS for f in EVEN_MASKS):
-        raise ValueError("spinors come from the even algebra of W")
-    return [[m[g][f] if s == t else -m[g][f] for f, t in Z_DICT]
-            for g, s in Z_DICT]
+    block of sigma(x), with the signs of Z_DICT."""
+    return _half_spin_block(x, Z_DICT,
+                            "spinors come from the even algebra of W")
 
 
 def sminus_matrix(x) -> list:
     """Matrix of an even Clifford element on S- (odd exterior powers): the
-    odd block of sigma_matrix(x)."""
-    m = sigma_matrix(x)
-    if any(m[g][f] != 0 for g in EVEN_MASKS for f in ODD_MASKS):
-        raise ValueError("element does not preserve the odd part")
-    return [[m[g][f] for f in ODD_MASKS] for g in ODD_MASKS]
+    odd block of sigma(x)."""
+    return _half_spin_block(x, [(g, 1) for g in ODD_MASKS],
+                            "element does not preserve the odd part")
 
 
 def _dense_derivation(m, blades, symmetric=False):
@@ -111,11 +118,6 @@ def _dense_derivation(m, blades, symmetric=False):
 def derivation_matrix(m, k):
     """Derivation extension of a square matrix to the k-th wedge power."""
     return _dense_derivation(m, tuple(combinations(range(len(m)), k)))
-
-
-def sym2_derivation_matrix(m):
-    """Derivation extension of an 8 x 8 matrix to Sym^2 of the space."""
-    return _dense_derivation(m, SYM2_BASIS, symmetric=True)
 
 
 @lru_cache(maxsize=1)

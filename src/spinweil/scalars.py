@@ -23,7 +23,7 @@ denominator, one Fraction per coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from operator import add, neg, sub
 
 Rational = Fraction
@@ -76,9 +76,10 @@ def scale_to_integers(pairs):
 
 
 def _over(c, d):
-    """c / d: a Fraction for an int c, c itself when d = 1."""
+    """c / d: a Fraction for an int c (Fraction(c) skips the gcd when
+    d = 1), c itself when d = 1."""
     if type(c) is int:
-        return Fraction(c, d)
+        return Fraction(c, d) if d != 1 else Fraction(c)
     return c if d == 1 else c / d
 
 
@@ -336,14 +337,6 @@ def squarefree_part(n: int) -> int:
         if e % 2 == 1:
             s *= p
     return s
-
-
-def is_square(q: Fraction) -> bool:
-    q = rat(q)
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def legendre(a: int, p: int) -> int:

@@ -19,14 +19,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
-from .clifford import (CV, _module_table, exp_nilpotent, sigma_action,
-                       twisted_conjugation)
-from .lattices import make_Splus, sublattice_gram
-from .linalg import mat, nullspace, rank, transpose
+from .clifford import (CV, CliffordElement, _module_table, exp_nilpotent,
+                       sigma_action, twisted_conjugation)
+from .lattices import make_Splus
+from .linalg import mat, rank, sparse_nullspace
 from .multivector import Multivector, check_alternating, pfaffian
-from .scalars import rat
+from .scalars import _integer_coords, rat
 
 # z-coordinate index -> (bitmask of e_I, sign), see module docstring
 Z_DICT = ((0, 1), (0b0011, 1), (0b0101, 1), (0b1001, 1),
@@ -183,12 +183,10 @@ def move_to_cell(s: Spinor):
         raise ValueError("spinor must be nonzero")
     if not s.is_isotropic():
         raise ValueError("spinor is not isotropic")
-    alg = CV()
     for coeffs in _zfamily_exponent_candidates():
-        x = alg.zero()
-        for (i, j), c in coeffs.items():
-            x = x + (alg.generator(i + 4) * alg.generator(j + 4)).scale(rat(c))
-        g = exp_nilpotent(x)
+        # e_{i+4} e_{j+4} (i < j) is the canonical blade of its mask
+        g = exp_nilpotent(CliffordElement._of(CV(), {
+            16 << i | 16 << j: Fraction(c) for (i, j), c in coeffs.items()}))
         moved = Spinor.from_multivector(sigma_action(g, s.multivector()))
         if moved.z[0] != 0:
             return g, twisted_conjugation(g), moved
@@ -203,32 +201,39 @@ def graph_basis(b):
         for i in range(4)]
 
 
-def spinor_action_matrix(s: Spinor):
-    """The 8 x 8 matrix A_s of v -> v s from V into S-, read on the odd
-    masks: column k is the action of the generator e_k on s, read off the
-    spin-module table: e_k w_F is +-w_G or 0, so each entry is +-z or 0."""
-    table, rows = _module_table(), {m: [Fraction(0)] * 8 for m in ODD_MASKS}
-    for (f, sign), z in zip(Z_DICT, s.z):
-        if z == 0:
+def _action_rows(z):
+    """The rows of spinor_action_matrix for the coordinates z, sparse."""
+    table, rows = _module_table(), {m: {} for m in ODD_MASKS}
+    for (f, sign), c in zip(Z_DICT, z):
+        if c == 0:
             continue
         for k in range(8):
             hit = table[1 << k][f]
             if hit is not None:
-                rows[hit[0]][k] = z if sign * hit[1] > 0 else -z
+                rows[hit[0]][k] = c if sign * hit[1] > 0 else -c
     return [rows[m] for m in ODD_MASKS]
+
+
+def spinor_action_matrix(s: Spinor):
+    """The 8 x 8 matrix A_s of v -> v s from V into S-, read on the odd
+    masks: column k is the action of the generator e_k on s, read off the
+    spin-module table: e_k w_F is +-w_G or 0, so each entry is +-z or 0."""
+    zero = Fraction(0)
+    return [[row.get(k, zero) for k in range(8)] for row in _action_rows(s.z)]
 
 
 def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
     """The maximal isotropic subspace attached to an isotropic spinor.
 
     It is Cartan's annihilator {v in V : v s = 0} (Chevalley, The
-    Algebraic Theory of Spinors, 1954): the kernel of spinor_action_matrix.
+    Algebraic Theory of Spinors, 1954): the kernel of spinor_action_matrix,
+    whose rows go to sparse_nullspace with s scaled to integers.
     """
     if s.is_zero():
         raise ValueError("spinor must be nonzero")
     if not s.is_isotropic():
         raise ValueError("spinor is not isotropic")
-    kernel = nullspace(spinor_action_matrix(s))
+    kernel = sparse_nullspace(_action_rows(_integer_coords(s.z)[0]), 8)
     if len(kernel) != 4:
         raise RuntimeError("annihilator of a nonzero isotropic spinor is "
                            "not 4-dimensional")
@@ -242,11 +247,12 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
 
 
 def _validate_isotropic(basis8x4):
-    """B^T G B = 0 and rank B = 4 for the 8 x 4 basis B."""
-    gram = sublattice_gram(CV().lattice, transpose(basis8x4)).gram
-    if any(x != 0 for row in gram for x in row):
+    """B^T G B = 0 (columns paired on ints) and rank 4 for the 8 x 4 B."""
+    cols = [_integer_coords(col) for col in zip(*basis8x4)]
+    if any(CV().lattice._pair(a, b) != 0
+           for a, b in combinations_with_replacement(cols, 2)):
         raise ValueError("subspace is not isotropic")
-    if rank(mat(basis8x4)) != 4:
+    if rank(basis8x4) != 4:
         raise ValueError("subspace basis is rank deficient")
 
 

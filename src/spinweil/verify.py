@@ -58,6 +58,12 @@ def _mismatch(lhs, rhs, labels=None):
             f"not {to_text(rhs[i][j])}")
 
 
+def _failed(seed, trial, what, inputs):
+    """A randomized check's failure: its detail names the seed and the
+    trial that reproduce it, and the offending inputs as JSON (to_text)."""
+    return False, f"seed {seed}, trial {trial}: {what} = {to_text(inputs)}"
+
+
 #: the degree-4 basis forms, e1234 to e5678
 _DEGREE4_LABELS = ["e" + "".join(str(i + 1) for i in b)
                    for b in reps.WEDGE4V_BASIS]
@@ -103,8 +109,7 @@ def check_field_axioms(seed):
             "inverse": a == 0 or a / a == 1}
         failed = [law for law, holds in laws.items() if not holds]
         if failed:
-            return False, (f"seed {seed}, trial {trial}: {failed[0]} failed "
-                           f"at a, b, c = {to_text(xs)}")
+            return _failed(seed, trial, f"{failed[0]} failed at a, b, c", xs)
     return True, "1000 random triples"
 
 
@@ -112,16 +117,17 @@ def check_field_axioms(seed):
           "conj is an involution and Nm(xy) = Nm(x) Nm(y)")
 def check_conj_norm(seed):
     rng = random.Random(seed)
-    for _ in range(300):
+    for trial in range(300):
         x = QuadExt(_rand_rational(rng), _rand_rational(rng), -3)
         y = QuadExt(_rand_rational(rng), _rand_rational(rng), -3)
         if x.conj().conj() != x:
-            return False, "conj not an involution"
+            return _failed(seed, trial, "conj not an involution at x", x)
         if (x * y).norm() != x.norm() * y.norm():
-            return False, "norm not multiplicative"
+            return _failed(seed, trial, "norm not multiplicative at x, y",
+                           [x, y])
         t = TowerScalar(*(_rand_rational(rng) for _ in range(4)), m=-3)
         if t.conj_i().conj_m() != t.conj_m().conj_i():
-            return False, "conjugations do not commute"
+            return _failed(seed, trial, "conjugations do not commute at t", t)
     return True, "300 random pairs"
 
 
@@ -130,17 +136,19 @@ def check_conj_norm(seed):
 def check_hilbert_bilinear(seed):
     rng = random.Random(seed)
     places = [REAL_PLACE, 2, 3, 5, 7, 11]
-    for _ in range(300):
+    for trial in range(300):
         a = _rand_nonzero_rational(rng)
         a2 = _rand_nonzero_rational(rng)
         b = _rand_nonzero_rational(rng)
         p = rng.choice(places)
         if hilbert_symbol(a, b, p) != hilbert_symbol(b, a, p):
-            return False, f"symmetry failed at {p}"
+            return _failed(seed, trial, f"symmetry failed at {p} for a, b",
+                           [a, b])
         lhs = hilbert_symbol(a * a2, b, p)
         rhs = hilbert_symbol(a, b, p) * hilbert_symbol(a2, b, p)
         if lhs != rhs:
-            return False, f"multiplicativity failed at {p}"
+            return _failed(seed, trial, f"multiplicativity failed at {p} "
+                           f"for a, a', b", [a, a2, b])
     return True, "300 random triples over 6 places"
 
 
@@ -148,14 +156,15 @@ def check_hilbert_bilinear(seed):
           "the product of (a,b)p over all places is +1")
 def check_product_formula(seed):
     rng = random.Random(seed)
-    for _ in range(100):
+    for trial in range(100):
         a = _rand_nonzero_rational(rng, span=20)
         b = _rand_nonzero_rational(rng, span=20)
         prod = 1
         for p in relevant_places(a, b):
             prod *= hilbert_symbol(a, b, p)
         if prod != 1:
-            return False, f"product formula failed for {a}, {b}"
+            return _failed(seed, trial, "product formula failed for a, b",
+                           [a, b])
     return True, "100 random pairs"
 
 
@@ -177,13 +186,14 @@ def _random_unimodular(rng, n):
           "Sylvester signature is unchanged by unimodular change of basis")
 def check_signature_invariance(seed):
     rng = random.Random(seed)
-    for lat in (make_V(), make_Splus()):
-        for _ in range(10):
+    for name, lat in (("V", make_V()), ("S+", make_Splus())):
+        for trial in range(10):
             t = _random_unimodular(rng, 8)
             g2 = mat_mul(transpose(t), mat_mul(lat.gram, t))
             if lattices.signature(lattices.BilinearLattice(g2)) != \
                     lattices.signature(lat):
-                return False, "signature moved under congruence"
+                return _failed(seed, f"{trial} on {name}",
+                               "signature moved under congruence by T", t)
     return True, "20 random congruences"
 
 
@@ -193,11 +203,12 @@ def check_signature_invariance(seed):
 def check_quadric_isotropy(seed):
     rng = random.Random(seed)
     lat = make_Splus()
-    for _ in range(1000):
+    for trial in range(1000):
         z = random_isotropic_spinor(rng)
         qsum = sum(z.z[i] * z.z[i + 4] for i in range(4))
         if lat.pair(z.z, z.z) != 2 * qsum or qsum != 0:
-            return False, "isotropic construction left the quadric"
+            return _failed(seed, trial, "isotropic construction left the "
+                           "quadric at s", z.z)
     return True, "1000 random isotropic spinors"
 
 
@@ -206,7 +217,7 @@ def check_quadric_isotropy(seed):
 def check_complement(seed):
     rng = random.Random(seed)
     lat = make_Splus()
-    for _ in range(25):
+    for trial in range(25):
         vs = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(2)]
         if all(all(x == 0 for x in v) for v in vs):
             continue
@@ -214,7 +225,8 @@ def check_complement(seed):
         for w in comp:
             for v in vs:
                 if lat.pair(w.coords, v) != 0:
-                    return False, "complement vector pairs nonzero"
+                    return _failed(seed, trial, "complement vector pairs "
+                                   "nonzero at w, inputs", [w.coords, vs])
     return True, "25 random vector pairs"
 
 
@@ -231,23 +243,22 @@ def _random_multivector(rng, n, nterms=4):
           "wedge is associative and graded-commutative")
 def check_wedge(seed):
     rng = random.Random(seed)
-    for _ in range(1000):
+    for trial in range(1000):
         x = _random_multivector(rng, 4)
         y = _random_multivector(rng, 4)
         z = _random_multivector(rng, 4)
         if wedge(wedge(x, y), z) != wedge(x, wedge(y, z)):
-            return False, "associativity failed"
-    for _ in range(200):
+            return _failed(seed, trial, "associativity failed at x, y, z",
+                           [x, y, z])
+    for trial in range(200):
         ka, kb = rng.randrange(4), rng.randrange(4)
-        a = Multivector(4, {m: Fraction(rng.randint(-2, 2))
-                            for m in range(16)
-                            if bin(m).count('1') == ka})
-        b = Multivector(4, {m: Fraction(rng.randint(-2, 2))
-                            for m in range(16)
-                            if bin(m).count('1') == kb})
+        a, b = (Multivector(4, {m: Fraction(rng.randint(-2, 2))
+                                for m in range(16) if bin(m).count('1') == k})
+                for k in (ka, kb))
         sign = -1 if (ka * kb) % 2 else 1
         if wedge(a, b) != wedge(b, a).scale(sign):
-            return False, "graded commutativity failed"
+            return _failed(seed, f"{trial} of commutativity", "graded "
+                           "commutativity failed at a, b", [a, b])
     return True, "1000 associativity + 200 commutativity triples"
 
 
@@ -255,7 +266,7 @@ def check_wedge(seed):
           "D(x ^ y) = D(x) ^ y + (-1)^deg(x) x ^ D(y)")
 def check_contraction(seed):
     rng = random.Random(seed)
-    for _ in range(300):
+    for trial in range(300):
         k = rng.randrange(4)
         dual = [0] * 4
         dual[rng.randrange(4)] = Fraction(rng.randint(1, 3))
@@ -266,7 +277,8 @@ def check_contraction(seed):
         sign = -1 if k % 2 else 1
         rhs = wedge(contract(dual, x), y) + wedge(x, contract(dual, y)).scale(sign)
         if lhs != rhs:
-            return False, "derivation rule failed"
+            return _failed(seed, trial, "derivation rule failed at D, x, y",
+                           [dual, x, y])
     return True, "300 random pairs"
 
 
@@ -275,15 +287,17 @@ def check_contraction(seed):
 def check_pfaffian(seed):
     rng = random.Random(seed)
     for size in (4, 6):
-        for _ in range(25):
+        for trial in range(25):
             b = random_alternating(rng, size=size)
             if pfaffian(b) ** 2 != det(b):
-                return False, "Pfaffian square is not the determinant"
+                return _failed(seed, f"{trial} of size {size}", "Pfaffian "
+                               "square is not the determinant at B", b)
             t = [[Fraction(rng.randint(-2, 2)) for _ in range(size)]
                  for _ in range(size)]
             btb = mat_mul(transpose(t), mat_mul(b, t))
             if pfaffian(btb) != det(t) * pfaffian(b):
-                return False, "congruence transformation rule failed"
+                return _failed(seed, f"{trial} of size {size}", "congruence "
+                               "transformation rule failed at B, T", [b, t])
     return True, "50 random matrices of sizes 4 and 6"
 
 
@@ -291,7 +305,7 @@ def check_pfaffian(seed):
           "pluecker(M A) = det(A) pluecker(M) for 4 x 4 A")
 def check_pluecker_equivariance(seed):
     rng = random.Random(seed)
-    for _ in range(50):
+    for trial in range(50):
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(4)]
              for _ in range(8)]
         a = [[Fraction(rng.randint(-2, 2)) for _ in range(4)]
@@ -299,7 +313,7 @@ def check_pluecker_equivariance(seed):
         lhs = pluecker(mat_mul(m, a))
         rhs = pluecker(m).scale(det(a))
         if lhs != rhs:
-            return False, "equivariance failed"
+            return _failed(seed, trial, "equivariance failed at M, A", [m, a])
     return True, "50 random pairs"
 
 
@@ -344,8 +358,8 @@ def check_commutator_identity(seed):
         rhs = (alg.vector(xs[0]).scale(lat.pair(xs[1], xs[2])) -
                alg.vector(xs[1]).scale(lat.pair(xs[0], xs[2])))
         if lhs != rhs:
-            return False, (f"seed {seed}, trial {trial}: commutator identity "
-                           f"failed at x, y, v = {to_text(xs)}")
+            return _failed(seed, trial, "commutator identity failed at "
+                           "x, y, v", xs)
     return True, "1000 random triples"
 
 
@@ -356,17 +370,12 @@ def check_module_structure(seed):
     rng = random.Random(seed)
     alg = CV()
     for trial in range(1000):
-        x = clifford.CliffordElement(
-            alg, {rng.randrange(256): Fraction(rng.randint(-2, 2))
-                  for _ in range(2)})
-        y = clifford.CliffordElement(
-            alg, {rng.randrange(256): Fraction(rng.randint(-2, 2))
-                  for _ in range(2)})
+        x, y = (alg.element({rng.randrange(256): Fraction(rng.randint(-2, 2))
+                             for _ in range(2)}) for _ in range(2))
         eta = _random_multivector(rng, 4)
         if sigma_action(x * y, eta) != sigma_action(x, sigma_action(y, eta)):
-            inputs = to_text([x.terms, y.terms, eta.terms])
-            return False, (f"seed {seed}, trial {trial}: module law failed at "
-                           f"x, y, eta = {inputs}")
+            return _failed(seed, trial, "module law failed at x, y, eta",
+                           [x.terms, y.terms, eta.terms])
     even_masks = [m for m in range(256) if bin(m).count('1') % 2 == 0]
     for trial in range(100):
         x = clifford.CliffordElement(
@@ -407,11 +416,11 @@ def check_twisted_conjugation(seed):
           "the spinor image of every alternating matrix lies on the quadric")
 def check_spinor_isotropic(seed):
     rng = random.Random(seed)
-    for _ in range(500):
+    for trial in range(500):
         b = random_alternating(rng)
         z = spinor_map(b)
         if not z.is_isotropic():
-            return False, "image left the quadric"
+            return _failed(seed, trial, "image left the quadric at B", b)
     return True, "500 random matrices"
 
 
@@ -447,17 +456,16 @@ def check_parity(seed):
         z = random_isotropic_spinor(rng)
         if z.is_zero():
             continue
-        where = f"seed {seed}, trial {trial}"
         sub = subspace_of_spinor(z)
         if sub.parity != 0:
-            return False, f"{where}: odd parity at s = {to_text(z.z)}"
+            return _failed(seed, trial, "odd parity at s", z.z)
         # cross-check the annihilator against the cell-move route
         _, gmat, moved = move_to_cell(z)
         via_cell = mat_mul(inverse(gmat), graph_basis(spinor_inverse(moved)))
         joint = [sub.basis[i] + via_cell[i] for i in range(8)]
         if rank(mat(joint)) != 4:
-            return False, (f"{where}: cell-move route spans another subspace"
-                           f" at s = {to_text(z.z)}")
+            return _failed(seed, trial, "cell-move route spans another "
+                           "subspace at s", z.z)
     return True, "200 random isotropic spinors"
 
 
@@ -553,8 +561,8 @@ def check_veronese_pluecker(seed):
     for trial in range(3):
         b = random_alternating(rng)
         if not reps.veronese_pluecker_check(b):
-            return False, (f"seed {seed}, trial {trial}: phi(z (.) z) is not "
-                           f"the Pluecker image at B = {to_text(b)}")
+            return _failed(seed, trial, "phi(z (.) z) is not the Pluecker "
+                           "image at B", b)
     return True, "3 random B"
 
 

@@ -19,26 +19,32 @@ Clifford algebra and on V, evaluated at integer points.  And route B of
 the Cayley class as it ran before the elimination settled one-entry rows
 first: the stabilizer's Clifford elements, their coordinates read back by
 the membership test, and every stacked row inserted one at a time; and
-both routes side by side (cayley_routes), which only tests read.  Tests
-compare the library with them by == and by repr."""
+both routes side by side (cayley_routes), which only tests read.  And
+twisted conjugation by the three-sided route, with sigma(x*) built from
+conj and every row of each product tested, which the form transpose and
+the one-block test replaced; and the helpers that only tests use: the
+16 x 16 matrix of sigma, the span test and the rational square test.
+Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from spinweil import reps
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               sigma_action, spin_so_iso, spin_v_xyz_table)
+                               _sigma_rows, _table_for, sigma_action,
+                               spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
 from spinweil.linalg import (_kernel, _over, _scaled_terms, det,
                              extend_span, inverse, mat, mat_mul, mat_vec,
                              nullspace, scale_to_integers, solve,
-                             solve_matrix, transpose)
+                             solve_matrix, sparse_product, transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
                                   contract, coords_degree, from_coords,
                                   indices_of, pluecker, popcount, wedge)
 from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix,
                            spin_coordinates, splus_matrix, stabilizer_algebra)
-from spinweil.scalars import QuadExt, TowerScalar
+from spinweil.scalars import QuadExt, TowerScalar, rat
 from spinweil.spingeo import ODD_MASKS, Spinor, graph_basis
 
 
@@ -162,6 +168,43 @@ def phi_matrix():
     return mat_mul(tarmat, inverse(colmat))
 
 
+def sigma_matrix(x):
+    """The 16 x 16 matrix of sigma(x) on the basis forms of the exterior
+    algebra of W; row and column F stand for the form of mask F."""
+    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
+    zero = Fraction(0)
+    return [[_over(row[f], d) if f in row else zero for f in range(16)]
+            for row in rows]
+
+
+def twisted_conjugation(x):
+    """The SO(V) matrix of v -> x v x* by the three-sided route: sigma(x)
+    and sigma(x*), with x* from conj, over their denominators d and d*,
+    x x* = 1 tested on all 16 rows of X X*, and x e_j x* on all 16 rows of
+    X sigma(e_j) X*, its W* part read at (0, 2^i)."""
+    table = _table_for(x.algebra)
+    xs, d = _sigma_rows(x.terms, table)
+    xcs, dc = _sigma_rows(x.conj().terms, table)
+    dd = d * dc
+    if (not x.is_even() or
+            sparse_product(xs, xcs) != [{r: dd} for r in range(16)]):
+        raise ValueError("element does not satisfy x x* = 1 in C(L)+")
+    cols = []
+    for j in range(8):
+        ej_xc = [{} for _ in range(16)]
+        for f, hit in enumerate(table[1 << j]):
+            if hit is not None:
+                ej_xc[hit[0]] = {k: hit[1] * c for k, c in xcs[f].items()}
+        y = sparse_product(xs, ej_xc)
+        u = ([y[1 << i].get(0, 0) for i in range(4)] +
+             [y[0].get(1 << i, 0) for i in range(4)])
+        if y != _sigma_rows({1 << i: c for i, c in enumerate(u) if c},
+                            table)[0]:
+            raise ValueError("conjugation by x does not preserve V")
+        cols.append([_over(c, dd) for c in u])
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
+
+
 def gen_action(k, eta):
     """e_k eta for a generator of C(V) on a form eta of the exterior algebra
     of W: generators of W act by left wedge, generators of W* by
@@ -218,6 +261,20 @@ def chevalley_phi_matrix():
                                             for i in indices_of(mask)]))
         rows.append([m[(a + 4) % 8][b] for a, b in SYM2_BASIS])
     return rows
+
+
+def is_square(q):
+    """Whether the rational q is a square in Q."""
+    q = rat(q)
+    n, d = q.numerator, q.denominator
+    return q >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+
+
+def in_span(vectors, v):
+    """Whether v lies in the span of the given vectors."""
+    if not vectors:
+        return all(x == 0 for x in v)
+    return solve(transpose(mat(vectors)), list(v)) is not None
 
 
 def quad_product(x, y):

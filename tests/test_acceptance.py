@@ -8,8 +8,6 @@ they pass).
 import random
 from fractions import Fraction
 
-import pytest
-
 from spinweil.clifford import (CV, cartan_elements, commutator,
                                exp_nilpotent, random_spin_group_element,
                                sigma_action, spin_so_iso, spin_v_xyz_table,
@@ -18,12 +16,10 @@ from spinweil.kuga import (ks_center_field_check, ks_complex_structure,
                            ks_report, ks_right_commutation)
 from spinweil.lattices import make_V, moduli_dimension
 from spinweil.linalg import det, identity, mat, mat_mul, mat_vec, nullspace, rank
-from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
-                                  mask_of, pfaffian, star_matrix)
-from spinweil.reps import (branching_dims, cayley_class, cayley_constant,
-                           derived_action,
+from spinweil.multivector import Multivector, mask_of, pfaffian, star_matrix
+from spinweil.reps import (cayley_class, cayley_constant, derived_action,
                            explicit_cayley_formula, invariant_subspace,
-                           phi_matrix, quadric_square_span, splus_matrix,
+                           quadric_square_span, splus_matrix,
                            stabilizer_algebra, standard_spinor,
                            weight_decomposition, weight_multiset)
 from spinweil.spingeo import (EVEN_MASKS, Spinor, random_alternating,

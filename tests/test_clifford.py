@@ -1,4 +1,6 @@
 import hashlib
+import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,11 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               _module_table, cartan_elements,
-                               commutator, conjugation, exp_nilpotent,
-                               is_spin_group_element, is_spin_lie_element,
-                               random_spin_group_element, sigma_action,
-                               sigma_matrix, so_to_spin, spin_so_iso,
+                               _module_table, commutator, conjugation,
+                               exp_nilpotent, is_spin_group_element,
+                               is_spin_lie_element, random_spin_group_element,
+                               sigma_action, so_to_spin, spin_so_iso,
                                spin_v_dimension_check, spin_v_xyz_table,
                                twisted_conjugation)
 from spinweil.kuga import complement_data
@@ -579,6 +580,63 @@ def test_blade_commutator_drops_cancelled_terms(alg):
         assert alg.blade_commutator(0, a) == {}
 
 
+def _by_hand(alg, x, y, sign=0):
+    """sum c_A c_B (e_A e_B + sign e_B e_A), each blade product read from
+    blade_product."""
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            for order, s in (((ma, mb), 1), ((mb, ma), sign)):
+                for m, c in alg.blade_product(*order).items():
+                    out[m] = out.get(m, 0) + s * ca * cb * c
+    return CliffordElement(alg, out)
+
+
+@pytest.mark.parametrize("alg", [CV(), KS, ODD, FRAC],
+                         ids=["V", "KS", "odd", "frac"])
+def test_blade_tables_are_rows_of_the_blade_products(alg):
+    # e_A e_B is e_A times the generators of B in turn, each step read
+    # from blade_product; the tables keep one row of 2^rank entries per
+    # left blade, each entry the pairs of blade_product or blade_commutator
+    n = 1 << alg.rank
+    for a in range(0, n, 3):
+        for b in range(0, n, 7):
+            hand = {a: 1}
+            for k in indices_of(b):
+                step = {}
+                for m, c in hand.items():
+                    for m2, c2 in alg.blade_product(m, 1 << k).items():
+                        step[m2] = step.get(m2, 0) + c * c2
+                hand = {m: c for m, c in step.items() if c}
+            assert alg.blade_product(a, b) == hand
+            commutator_ab = alg.blade_commutator(a, b)
+            for rows, entry in ((alg._products, hand),
+                                (alg._commutators, commutator_ab)):
+                assert len(rows) == n and len(rows[a]) == n
+                assert rows[a][b] == tuple(entry.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(elements(CV()), elements(CV())),
+    st.tuples(elements(ODD), elements(ODD)),
+    st.tuples(elements(FRAC, max_terms=4),
+              elements(FRAC, coeffs=QUAD, max_terms=3))))
+def test_row_table_product_and_commutator_match_blade_products(pair):
+    x, y = pair
+    _same(x * y, _by_hand(x.algebra, x, y))
+    _same(commutator(x, y), _by_hand(x.algebra, x, y, -1))
+
+
+def test_random_spin_group_elements_keep_their_repr():
+    # SHA-256 of the reprs at seeds 0-11 and spans 1, 2, taken when the
+    # exponents were built from generator products
+    text = "\n".join(repr(random_spin_group_element(random.Random(s), span))
+                     for s in range(12) for span in (1, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6322979121e7d09063508e56595a6cd6e003e8fcfdb3c03f2501b4b38a711b51")
+
+
 def forms(coeffs=COEFFS):
     return st.dictionaries(st.integers(0, 15), coeffs, max_size=6).map(
         lambda terms: Multivector(4, terms))
@@ -623,7 +681,7 @@ def test_sigma_action_with_quadext_coefficients(pair):
 @settings(max_examples=40, deadline=None)
 @given(elements(CV(), max_terms=6))
 def test_sigma_matrix_columns_are_sigma_action(x):
-    m = sigma_matrix(x)
+    m = reference.sigma_matrix(x)
     for f in range(16):
         image = sigma_action(x, Multivector(4, {f: 1}))
         assert [row[f] for row in m] == [image.coefficient(g)
@@ -634,8 +692,8 @@ def test_sigma_is_injective():
     # C(V) = End of the exterior algebra of W: the 256 blades act by
     # independent 16 x 16 matrices, which makes the spin-group test exact
     alg = CV()
-    rows = [[c for row in sigma_matrix(alg.element({a: 1})) for c in row]
-            for a in range(256)]
+    rows = [[c for row in reference.sigma_matrix(alg.element({a: 1}))
+             for c in row] for a in range(256)]
     assert rank(rows) == 256
 
 
@@ -649,13 +707,28 @@ def _nilpotent_exponential(coeffs, family):
     return exp_nilpotent(x)
 
 
+def _same_route(x):
+    """twisted_conjugation(x) and the three-sided route of table_references
+    agree: the same matrix by == and repr, or the same ValueError."""
+    try:
+        expected = reference.twisted_conjugation(x)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            twisted_conjugation(x)
+        return None
+    got = twisted_conjugation(x)
+    assert got == expected and repr(got) == repr(expected)
+    return got
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_twisted_conjugation_matches_sandwich_on_random_elements(seed, span):
-    import random
     g = random_spin_group_element(random.Random(seed), span)
     assert twisted_conjugation(g) == reference_twisted(g)
     assert is_spin_group_element(g)
+    assert _same_route(g) is not None
+    assert _same_route(-g) == _same_route(g)
 
 
 @settings(max_examples=15, deadline=None)
@@ -668,6 +741,7 @@ def test_twisted_conjugation_matches_sandwich_on_exponentials(coeffs, family,
     got = twisted_conjugation(g)
     assert got == reference_twisted(g)
     assert repr(got) == repr(reference_twisted(g))
+    assert _same_route(g) == got
 
 
 def test_twisted_conjugation_rejects_unit_outside_spin():
@@ -680,6 +754,48 @@ def test_twisted_conjugation_rejects_unit_outside_spin():
     with pytest.raises(ValueError, match="does not preserve V"):
         twisted_conjugation(x)
     assert not is_spin_group_element(x)
+
+
+def _form_transpose(m):
+    """C m^T C for the spin-module form C[F][15 - F] = (-1)^|F & {0, 2}|:
+    entry (g, f) is s(g) s(f) m[15 - f][15 - g]."""
+    s = [(-1) ** bin(f & 0b101).count("1") for f in range(16)]
+    return [[s[g] * s[f] * m[15 - f][15 - g] for f in range(16)]
+            for g in range(16)]
+
+
+def test_spin_module_form_is_its_own_inverse():
+    # C I^T C = C^2
+    one = reference.sigma_matrix(CV().one())
+    assert _form_transpose(one) == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(elements(CV(), max_terms=6),
+                 elements(CV(), coeffs=QUAD, max_terms=4),
+                 elements(CV(), coeffs=FRACTIONAL_QUAD, max_terms=3)))
+def test_sigma_of_conjugate_is_the_form_transpose(x):
+    # Chevalley's invariant form: sigma(x*) = C sigma(x)^T C
+    assert reference.sigma_matrix(x.conj()) == \
+        _form_transpose(reference.sigma_matrix(x))
+
+
+def test_units_outside_spin_fail_on_the_one_block():
+    # x = 1 + (e - e*)/2 is even; where x x* = 1 and x e_j x* leaves V, the
+    # S+ -> S- block alone must see it
+    alg, outside = CV(), 0
+    for mask in range(256):
+        if bin(mask).count("1") not in (2, 4, 6):
+            continue
+        e = alg.element({mask: 1})
+        x = alg.one() + (e - e.conj()).scale(Fraction(1, 2))
+        if x * x.conj() != alg.one():
+            continue
+        if _same_route(x) is None:
+            outside += 1
+            with pytest.raises(ValueError, match="does not preserve V"):
+                twisted_conjugation(x)
+    assert outside == 24
 
 
 def test_spin_group_membership_rejections():
@@ -701,7 +817,7 @@ def test_spin_module_needs_the_gram_of_V():
     assert e1 * e1 == alg.one()
     one = Multivector.one(4)
     for call in (lambda: sigma_action(e1 * e1, one),
-                 lambda: sigma_matrix(alg.one()),
+                 lambda: reference.sigma_matrix(alg.one()),
                  lambda: twisted_conjugation(alg.one()),
                  lambda: is_spin_group_element(alg.one())):
         with pytest.raises(ValueError, match="C\\(V\\)"):

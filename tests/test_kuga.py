@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil import kuga
-from spinweil.clifford import CliffordAlgebra
 from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
                            ks_complex_structure, ks_hom, ks_report,
                            ks_right_commutation, mult_matrix)

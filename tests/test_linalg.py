@@ -268,6 +268,19 @@ def test_field_matrices_match_reference(pair, data):
     against_reference(inverse, [row[:n] for row in a[:n]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), field_matrices().map(lambda pair: pair[0])))
+def test_rank_counts_the_pivots_of_rref(a):
+    expected = len(rref(a)[1])
+    real = linalg._reduced
+    try:
+        # rank counts pivots off the integer rref: no Fraction row is built
+        linalg._reduced = None
+        assert rank(a) == expected
+    finally:
+        linalg._reduced = real
+
+
 def _sparse(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 

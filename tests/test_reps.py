@@ -25,7 +25,6 @@ from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
                            phi_matrix, quadric_square_span, rep_space,
                            sminus_matrix, spin_coordinates, splus_matrix,
                            stabilizer_algebra, standard_spinor,
-                           sym2_coords, sym2_derivation_matrix,
                            veronese_pluecker_check, weight_decomposition,
                            weight_multiset)
 from spinweil.scalars import QuadExt
@@ -636,7 +635,7 @@ def test_derivations_of_basis_and_cartan_matrices_match_dense_loops(space,
                                                                     k):
     for m in BASE_MATRICES[space]:
         if k == "Sym2":
-            _same_matrix(sym2_derivation_matrix(m),
+            _same_matrix(reps._dense_derivation(m, reps.SYM2_BASIS, True),
                          reference.sym2_derivation_matrix(m))
         else:
             _same_matrix(derivation_matrix(m, k),
@@ -658,7 +657,7 @@ def test_derivations_of_random_matrices_match_dense_loops(kind, data):
     for k in (1, 2, 3, 4):
         _same_matrix(derivation_matrix(m, k),
                      reference.derivation_matrix(m, k))
-    _same_matrix(sym2_derivation_matrix(m),
+    _same_matrix(reps._dense_derivation(m, reps.SYM2_BASIS, True),
                  reference.sym2_derivation_matrix(m))
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from spinweil import verify
-from spinweil.jsonio import decode_scalar
+from spinweil.jsonio import decode_multivector, decode_scalar
 from spinweil.multivector import DEGREE4_MASKS, Multivector
-from spinweil.spingeo import STANDARD_H, STANDARD_S
+from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
 from spinweil.weil import STANDARD_PERIOD
 
 SEEDS = (20240, 1, 2)
@@ -387,3 +387,40 @@ def test_center_square_class_mismatch_names_the_classes(monkeypatch):
     ok, detail = _check("center-basis-invariance").fn(3)
     assert not ok and detail.startswith("seed 3, trial 1: T = [[")
     assert detail.endswith(": square class -2, not -1")
+
+
+def test_wedge_associativity_failure_names_seed_trial_and_forms(monkeypatch):
+    calls = []
+    real = verify.wedge
+
+    def wrapped(x, y):
+        calls.append((x, y))
+        out = real(x, y)
+        # call 4 t + 1 is (x ^ y) ^ z in trial t
+        return out + Multivector.one(4) if len(calls) == 4 * 6 + 2 else out
+
+    monkeypatch.setattr(verify, "wedge", wrapped)
+    ok, detail = _check("wedge-algebra").fn(9)
+    head = "seed 9, trial 6: associativity failed at x, y, z = "
+    assert not ok and detail.startswith(head)
+    named = [decode_multivector(terms, 4)
+             for terms in json.loads(detail[len(head):])]
+    assert named == [calls[24][0], calls[24][1], calls[26][1]]
+
+
+def test_spinor_image_failure_names_seed_trial_and_matrix(monkeypatch):
+    drawn = []
+
+    def spinor_map(b):
+        drawn.append(b)
+        return Spinor([1, 0, 0, 0, 1, 0, 0, 0] if len(drawn) == 8 else
+                      [1] + [0] * 7)
+
+    monkeypatch.setattr(verify, "spinor_map", spinor_map)
+    ok, detail = _check("spinor-image-isotropic").fn(12)
+    head = "seed 12, trial 7: image left the quadric at B = "
+    assert not ok and detail.startswith(head)
+    named = json.loads(detail[len(head):])
+    assert [[Fraction(x) for x in row] for row in named] == drawn[7]
+    rng = random.Random(12)
+    assert drawn == [verify.random_alternating(rng) for _ in range(8)]

@@ -8,22 +8,20 @@ import pytest
 from spinweil import weil
 from spinweil.jsonio import decode_vector
 from spinweil.lattices import make_V, orthogonal_complement
-from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
-                             mat_mul, mat_vec, rank, solve)
-from spinweil.multivector import (DEGREE4_MASKS, coords_degree,
-                                  derive_multivector, wedge)
-from spinweil.reps import (cayley_class, invariant_subspace,
-                           stabilizer_algebra)
-from spinweil.scalars import QuadExt, TowerScalar, is_norm, is_square
+from spinweil.linalg import (inverse, leading_principal_minors, mat, mat_mul,
+                             mat_vec, rank)
+from spinweil.reps import cayley_class
+from spinweil.scalars import QuadExt, TowerScalar, is_norm
 from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
                               subspace_of_spinor)
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            _spinor_ratio, _sqrt_rational, cayley_hodge_test,
                            complex_structure, datum_report, field_parameters,
-                           h2_split, hermitian_and_discriminant, k_action,
-                           kappa_spinor, make_weil_datum, omega_line_check,
-                           polarization, sample_period, weil_class_space,
+                           h2_split, k_action, kappa_spinor, make_weil_datum,
+                           omega_line_check, sample_period, weil_class_space,
                            weil_condition)
+
+import table_references as reference
 
 NU1 = (1, 1, 1, 1, 1, 1, 1, 1)
 NU2 = (1, 1, -1, -1, 1, 1, -1, -1)
@@ -95,7 +93,7 @@ def reference_sample_period(h, s, seed=0, tries=5000):
             t = lat.pair(u, w)
             proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
             c = lat.pair(proj, proj)
-            if c <= 0 or not is_square(a * c):
+            if c <= 0 or not reference.is_square(a * c):
                 continue
             scale = _sqrt_rational(a * c) / c
             return Period(tuple(u), tuple(scale * x for x in proj))
