@@ -184,7 +184,10 @@ class CliffordElement:
         self.algebra = algebra
         clean = {}
         if terms:
+            top = 1 << algebra.rank
             for m, c in terms.items():
+                if not 0 <= m < top:
+                    raise ValueError("index outside the ambient space")
                 c = rat(c) if isinstance(c, (int, str, Fraction)) else c
                 if c:
                     clean[m] = c

@@ -7,12 +7,21 @@ Both are four hyperbolic planes, built by one builder that stores the
 Gram of U^4 unscaled.  The factor 2 in (z, z) = 2(z_1 z_5 + z_2 z_6 +
 z_3 z_7 + z_4 z_8) is that of the quadratic form, whose zero set is the
 quadric z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8 = 0; it is not in the Gram.
+
+The Mukai lattice H^ev(A) = U + U^3 of an abelian surface is S+, as
+Spin(H^1(A) + H^1(A)^v) acts on H^ev(A) (Mukai 1987; Golyshev-Lunts-Orlov
+2001): z -> (r, c, s) = (z_0, (z_1, z_5, z_2, z_6, z_3, z_7), -z_4), with
+0-based z, is an isometry onto -(r s' + r' s) + c . c', c . c' pairing
+c_2i with c_2i+1; the sign of z_4 is what makes it one.  The pure spinor
+exp(B) = spinor_map(B) goes to (1, c(B), -Pf B), of square 0, with c(B) =
+(b_12, -b_34, b_13, b_24, b_14, -b_23); the tests pin this convention.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import identity, mat_mul, nullspace
 from .scalars import _integer_coords, _over, rat
@@ -87,8 +96,15 @@ class LatticeVector(namedtuple("LatticeVector", "parent coords")):
 
 
 class MukaiVector(namedtuple("MukaiVector", "r c s")):
-    """Triple (r, c, s) with c a coordinate vector in a rank-6 H^2 slot."""
+    """Mukai vector (r, c, s), c in H^2 = U^3, read as the spinor z of S+
+    (module docstring): s_n = (1, 0, -n) is z = (1, 0, 0, 0, n, 0, 0, 0)."""
     __slots__ = ()
+
+    @property
+    def z(self):
+        """The S+ coordinates; r and s may be given as "p/q" text."""
+        r, c, s = (rat(x) if isinstance(x, str) else x for x in self)
+        return [r, c[0], c[2], c[4], -s, c[1], c[3], c[5]]
 
 
 def _four_hyperbolic_planes(label) -> BilinearLattice:
@@ -115,73 +131,49 @@ def make_Splus() -> BilinearLattice:
     return _four_hyperbolic_planes("S+")
 
 
-def make_U3() -> BilinearLattice:
-    """Rank-6 sum of three hyperbolic planes (an H^2 intersection form)."""
-    g = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        g[2 * i][2 * i + 1] = 1
-        g[2 * i + 1][2 * i] = 1
-    return BilinearLattice(g, label="U^3")
+@lru_cache(maxsize=1)
+def splus_lattice() -> BilinearLattice:
+    """The one S+ lattice that spinors and Mukai vectors pair in."""
+    return make_Splus()
 
 
 def signature(lattice: BilinearLattice):
     """Exact Sylvester signature (positive, negative, radical).
 
-    Symmetric Gaussian reduction: pivot on the largest-absolute-value
-    diagonal entry; when the remaining diagonal is zero but an off-diagonal
-    entry g_ij survives, replace x_i by x_i + x_j to create the diagonal
-    entry 2 g_ij and continue.
+    Lagrange's diagonalisation: take the first nonzero diagonal entry
+    d = g_kk, count its sign and pass to the Schur complement
+    g_ab - g_ak g_kb / d on the other indices.  When the diagonal left is
+    zero, x_i -> x_i + x_j at the first nonzero g_ij makes g_ii = 2 g_ij.
+    What is left when g = 0 is the radical.  Exact arithmetic needs no
+    pivot choice.
     """
-    n = lattice.rank
     g = [list(row) for row in lattice.gram]
-
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-
+    rest = list(range(lattice.rank))
     pos = neg = 0
-    for k in range(n):
-        # best available diagonal pivot
-        best, best_abs = -1, None
-        for i in range(k, n):
-            if g[i][i] != 0 and (best_abs is None or abs(g[i][i]) > best_abs):
-                best, best_abs = i, abs(g[i][i])
-        if best < 0:
-            # look for a surviving off-diagonal entry
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if g[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                break  # remaining block is the radical
-            i, j = found
-            # x_i -> x_i + x_j gives diagonal entry 2 g_ij
-            for t in range(n):
-                g[i][t] = g[i][t] + g[j][t]
-            for t in range(n):
-                g[t][i] = g[t][i] + g[t][j]
-            best = i
-        if best != k:
-            swap(k, best)
+    while True:
+        k = next((i for i in rest if g[i][i] != 0), None)
+        if k is None:
+            hit = next(((i, j) for i in rest for j in rest if g[i][j] != 0),
+                       None)
+            if hit is None:
+                break
+            k, j = hit
+            for t in rest:
+                g[k][t] += g[j][t]
+            for t in rest:
+                g[t][k] += g[t][j]
         d = g[k][k]
         if d > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if g[i][k] != 0:
-                f = g[i][k] / d
-                for t in range(n):
-                    g[i][t] = g[i][t] - f * g[k][t]
-                for t in range(n):
-                    g[t][i] = g[t][i] - f * g[t][k]
-    radical = n - pos - neg
-    return (pos, neg, radical)
+        rest.remove(k)
+        for a in rest:
+            if g[a][k] != 0:
+                f = g[a][k] / d
+                for b in rest:
+                    g[a][b] -= f * g[k][b]
+    return pos, neg, lattice.rank - pos - neg
 
 
 def orthogonal_complement(lattice: BilinearLattice, vectors):
@@ -204,15 +196,15 @@ def sublattice_gram(lattice: BilinearLattice, basis_vectors, label=""):
                             for a in scaled], label=label)
 
 
-def mukai_pairing(v: MukaiVector, w: MukaiVector, gramH2=None):
-    """Mukai pairing -(r s' + r' s) + c . c' on (r, c, s) triples."""
-    lat = make_U3() if gramH2 is None else BilinearLattice(gramH2)
-    cc = lat.pair(list(v.c), list(w.c))
-    return -(rat(v.r) * rat(w.s) + rat(w.r) * rat(v.s)) + cc
+def mukai_pairing(v: MukaiVector, w: MukaiVector):
+    """Mukai pairing -(r s' + r' s) + c . c', the S+ pairing of v.z and w.z."""
+    return splus_lattice().pair(v.z, w.z)
 
 
 def moduli_dimension(n: int):
-    """Dimension 2n + 2 of the moduli space attached to s_n = (1, 0, -n)."""
+    """(s_n, s_n) = 2n and the dimension 2n + 2 of the moduli space of
+    s_n = (1, 0, -n), the spinor (1, 0, 0, 0, n, 0, 0, 0) of S+, which is
+    reps.standard_spinor(-n)."""
     v = MukaiVector(1, (0,) * 6, -n)
     sq = mukai_pairing(v, v)
     return sq, sq + 2

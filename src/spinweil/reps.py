@@ -35,14 +35,16 @@ from itertools import combinations, combinations_with_replacement
 from .clifford import (CV, _module_table, _over, _sigma_rows, _table_for,
                        cartan_elements, spin_v_xyz_table)
 from .jsonio import to_text
-from .linalg import (extend_span, identity, mat, mat_vec, nullspace, rank,
+from .lattices import orthogonal_complement
+from .linalg import (extend_span, identity, mat, mat_vec, rank,
                      scale_to_integers, sparse_nullspace, sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
                           mask_of, nonzero_columns, pluecker, star_matrix,
                           wedge)
-from .spingeo import (ODD_MASKS, Z_DICT, Spinor, graph_basis,
-                      random_alternating, spinor_map, splus_lattice)
+from .spingeo import (ODD_MASKS, Z_DICT, Spinor, _proportionality,
+                      graph_basis, random_alternating, spinor_map,
+                      splus_lattice)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
 WEDGE4V_BASIS = tuple(combinations(range(8), 4))
@@ -422,15 +424,6 @@ def _cayley_route_b(z_tuple):
     return inv[0]
 
 
-def _proportionality(u, v):
-    """The scalar c with u = c v, or None."""
-    for a, b in zip(u, v):
-        if b != 0:
-            c = a / b
-            return c if all(x == c * y for x, y in zip(u, v)) else None
-    return None if any(x != 0 for x in u) else Fraction(0)
-
-
 def standard_spinor(n: int) -> Spinor:
     """The spinor 1 - n e_* (z-coordinates (1, 0, 0, 0, -n, 0, 0, 0))."""
     return Spinor([1, 0, 0, 0, -n, 0, 0, 0])
@@ -462,11 +455,6 @@ def cayley_constant(n: int):
     return lam
 
 
-def perp_basis(s: Spinor):
-    """Basis of the orthogonal complement of s inside S+."""
-    return nullspace([[splus_lattice().pair(s.z, e) for e in identity(8)]])
-
-
 def branching_dims(s):
     """Dimension profile of degree-4 forms under the stabilizer of s.
 
@@ -480,8 +468,8 @@ def branching_dims(s):
         raise ValueError("branching profile needs a non-isotropic spinor")
     inv = invariant_subspace(stabilizer_algebra([s]), "Wedge4V")
     phi = phi_matrix()
-    image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t))
-                     for t in perp_basis(s)]
+    image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t.coords))
+                     for t in orthogonal_complement(splus_lattice(), [s.z])]
     standard_dim = rank(mat(image_vectors))
     phi_rank = rank(phi)
     profile = {

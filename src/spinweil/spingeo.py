@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .clifford import (CV, CliffordElement, _module_table, exp_nilpotent,
                        sigma_action, twisted_conjugation)
-from .lattices import make_Splus
+from .lattices import splus_lattice
 from .linalg import mat, rank, sparse_nullspace
 from .multivector import Multivector, check_alternating, pfaffian
 from .scalars import _integer_coords, rat
@@ -39,11 +38,6 @@ ODD_MASKS = (1, 2, 4, 8, 7, 11, 13, 14)
 #: h and s of the standard Weil datum, whose plane has field Q(i)
 STANDARD_H = (0, 1, 0, 0, 0, 1, 0, 0)
 STANDARD_S = (1, 0, 0, 0, 1, 0, 0, 0)
-
-
-@lru_cache(maxsize=1)
-def splus_lattice():
-    return make_Splus()
 
 
 class Spinor:
@@ -264,7 +258,7 @@ def transversality(s1: Spinor, s2: Spinor, cross_validate=True) -> bool:
     """
     if not (s1.is_isotropic() and s2.is_isotropic()):
         raise ValueError("both spinors must be isotropic")
-    if _proportional(s1.z, s2.z):
+    if s1.is_zero() or _proportionality(s2.z, s1.z) is not None:
         raise ValueError("spinors are proportional")
     answer = s1.pair(s2) != 0
     if cross_validate:
@@ -277,11 +271,13 @@ def transversality(s1: Spinor, s2: Spinor, cross_validate=True) -> bool:
     return answer
 
 
-def _proportional(u, v):
+def _proportionality(u, v):
+    """The scalar c with u = c v, or None."""
     for a, b in zip(u, v):
-        if a != 0:
-            return all(a * y == b * x for x, y in zip(u, v))
-    return all(x == 0 for x in u)
+        if b != 0:
+            c = a / b
+            return c if all(x == c * y for x, y in zip(u, v)) else None
+    return None if any(x != 0 for x in u) else Fraction(0)
 
 
 def random_alternating(rng, lo=-3, hi=3, size=4):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import clifford, kuga, lattices, reps, scalars, spingeo, weil
 from .clifford import CV, commutator, sigma_action
-from .lattices import make_Splus, make_V
+from .lattices import MukaiVector, make_Splus, make_V
 from .jsonio import encode_scalar, to_text
 from .linalg import (det, extend_span, identity, inverse, mat, mat_mul,
                      mat_vec, rank, scale_to_integers, transpose)
@@ -736,13 +736,33 @@ def check_ks_structure(seed):
 # -- mukai -------------------------------------------------------------------
 
 @register("mukai-pairing", "mukai",
-          "(1,0,-n)^2 = 2n and the moduli dimension is 2n + 2")
+          "z -> (z_0, (z_1, z_5, z_2, z_6, z_3, z_7), -z_4) is an isometry "
+          "of S+ onto the Mukai lattice, exp(B) goes to (1, c(B), -Pf B) of "
+          "square 0, and (s_n, s_n) = 2n")
 def check_mukai(seed):
+    rng = random.Random(seed)
+    for trial in range(100):
+        v, w = (MukaiVector(rng.randint(-5, 5), tuple(
+            rng.randint(-5, 5) for _ in range(6)), rng.randint(-5, 5))
+            for _ in range(2))
+        if lattices.mukai_pairing(v, w) != -(v.r * w.s + w.r * v.s) + sum(
+                v.c[i] * w.c[i ^ 1] for i in range(6)):
+            return _failed(seed, trial, "pairing differs from "
+                           "-(r s' + r' s) + c . c' at v, w", [v, w])
+    for trial in range(50):
+        b = random_alternating(rng)
+        v = MukaiVector(1, (b[0][1], -b[2][3], b[0][2], b[1][3], b[0][3],
+                            -b[1][2]), -pfaffian(b))
+        if v.z != spinor_map(b).z or lattices.mukai_pairing(v, v):
+            return _failed(seed, f"{trial} of exp(B)", "exp(B) is not "
+                           "(1, c(B), -Pf B) of square 0 at B", b)
     for n in (3, 4, 5):
-        sq, dim = lattices.moduli_dimension(n)
-        if sq != 2 * n or dim != 2 * n + 2:
-            return False, f"n = {n} gave {sq}, {dim}"
-    return True, "n in {3, 4, 5}"
+        sq, _ = lattices.moduli_dimension(n)
+        if sq != 2 * n or MukaiVector(1, (0,) * 6, -n).z != \
+                reps.standard_spinor(-n).z:
+            return _failed(seed, f"s_{n}", "s_n is not standard_spinor(-n)"
+                           " of square 2n; (s_n, s_n)", sq)
+    return True, "100 random pairs, 50 exponentials, n in {3, 4, 5}"
 
 
 def run_checks(suite=None, seed=20240):

@@ -439,3 +439,63 @@ def cayley_routes(s):
     lam = reps._proportionality(a, b)
     return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
             lam)
+
+
+def signature(lattice):
+    """Exact Sylvester signature (positive, negative, radical).
+
+    Symmetric Gaussian reduction: pivot on the largest-absolute-value
+    diagonal entry; when the remaining diagonal is zero but an off-diagonal
+    entry g_ij survives, replace x_i by x_i + x_j to create the diagonal
+    entry 2 g_ij and continue.
+    """
+    n = lattice.rank
+    g = [list(row) for row in lattice.gram]
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    pos = neg = 0
+    for k in range(n):
+        # best available diagonal pivot
+        best, best_abs = -1, None
+        for i in range(k, n):
+            if g[i][i] != 0 and (best_abs is None or abs(g[i][i]) > best_abs):
+                best, best_abs = i, abs(g[i][i])
+        if best < 0:
+            # look for a surviving off-diagonal entry
+            found = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if g[i][j] != 0:
+                        found = (i, j)
+                        break
+                if found:
+                    break
+            if found is None:
+                break  # remaining block is the radical
+            i, j = found
+            # x_i -> x_i + x_j gives diagonal entry 2 g_ij
+            for t in range(n):
+                g[i][t] = g[i][t] + g[j][t]
+            for t in range(n):
+                g[t][i] = g[t][i] + g[t][j]
+            best = i
+        if best != k:
+            swap(k, best)
+        d = g[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if g[i][k] != 0:
+                f = g[i][k] / d
+                for t in range(n):
+                    g[i][t] = g[i][t] - f * g[k][t]
+                for t in range(n):
+                    g[t][i] = g[t][i] - f * g[t][k]
+    radical = n - pos - neg
+    return (pos, neg, radical)

@@ -149,6 +149,17 @@ def test_twisted_conjugation_rejects_non_spin():
         twisted_conjugation(alg.generator(0))  # odd
 
 
+@pytest.mark.parametrize("mask", [1 << 8, -1])
+def test_an_element_rejects_a_mask_outside_its_algebra(mask):
+    # mask -1 would read the product table row of mask 255
+    alg = CV()
+    with pytest.raises(ValueError, match="index outside the ambient space"):
+        alg.element({mask: 1})
+    with pytest.raises(ValueError, match="index outside the ambient space"):
+        CliffordElement(alg, {0: 2, mask: 1})
+    assert alg.element({255: 1}).terms == {255: 1}
+
+
 def test_exp_nilpotent_basic():
     alg = CV()
     assert exp_nilpotent(alg.zero()) == alg.one()

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil.lattices import (BilinearLattice, MukaiVector, make_Splus,
-                               make_U3, make_V, moduli_dimension,
-                               mukai_pairing, orthogonal_complement,
-                               signature, sublattice_gram)
-from spinweil.linalg import identity, mat_mul
+                               make_V, moduli_dimension, mukai_pairing,
+                               orthogonal_complement, signature,
+                               sublattice_gram)
+from spinweil.linalg import identity, mat_mul, transpose
+from spinweil.multivector import pfaffian
+from spinweil.reps import standard_spinor
 from spinweil.scalars import QuadExt, TowerScalar
+from spinweil.spingeo import spinor_map
 
 import table_references as reference
 
@@ -113,6 +116,9 @@ def test_mukai_sn_square_and_dimension():
         sq, dim = moduli_dimension(n)
         assert sq == 2 * n
         assert dim == 2 * n + 2
+        # s_n = (1, 0, -n) is the spinor 1 + n e_*, not standard_spinor(n)
+        assert MukaiVector(1, (0,) * 6, -n).z == standard_spinor(-n).z
+        assert MukaiVector(1, (0,) * 6, -n).z != standard_spinor(n).z
 
 
 def test_mukai_zero_branch():
@@ -123,8 +129,45 @@ def test_mukai_zero_branch():
 def test_mukai_pure_h2_component():
     c = (1, 1, 0, 0, 0, 0)  # c . c = 2 in three hyperbolic planes
     v = MukaiVector(0, c, 0)
-    assert make_U3().pair(list(c), list(c)) == 2
     assert mukai_pairing(v, v) == 2
+
+
+INTS = st.integers(-9, 9)
+TRIPLES = st.builds(MukaiVector, INTS, st.tuples(*[INTS] * 6), INTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRIPLES, TRIPLES)
+def test_mukai_pairing_is_the_explicit_formula(v, w):
+    expected = -(v.r * w.s + w.r * v.s) + sum(
+        v.c[2 * i] * w.c[2 * i + 1] + v.c[2 * i + 1] * w.c[2 * i]
+        for i in range(3))
+    assert mukai_pairing(v, w) == expected
+
+
+def test_mukai_pairing_reads_rational_text():
+    v = MukaiVector("1/2", (0, 1, 0, 0, 0, 0), "-3")
+    w = MukaiVector(Fraction(1, 2), (0, 1, 0, 0, 0, 0), -3)
+    assert mukai_pairing(v, v) == mukai_pairing(w, w) == 3
+
+
+@st.composite
+def alternating(draw):
+    b = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            x = draw(ENTRIES)
+            b[i][j], b[j][i] = Fraction(x), -Fraction(x)
+    return b
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternating())
+def test_the_pure_spinor_of_b_is_the_mukai_vector_of_exp_b(b):
+    v = MukaiVector(1, (b[0][1], -b[2][3], b[0][2], b[1][3], b[0][3],
+                        -b[1][2]), -pfaffian(b))
+    assert v.z == spinor_map(b).z
+    assert mukai_pairing(v, v) == 0
 
 
 ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
@@ -185,6 +228,42 @@ def test_pair_on_a_non_integral_gram():
     assert sublattice_gram(lattice, vectors[:3]).gram == \
         [[Fraction(reference.pair(lattice, v, w)) for w in vectors[:3]]
          for v in vectors[:3]]
+
+
+@st.composite
+def symmetric_grams(draw):
+    """A symmetric rational Gram of size 1-7: entries drawn freely (zero
+    diagonals and zero Grams among them), or A^T D A of rank at most k."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(ENTRIES)
+        return g
+    k = draw(st.integers(0, n))
+    if not k:
+        return [[0] * n for _ in range(n)]
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(k)]
+    d = [[draw(st.sampled_from([-3, -1, 1, 2])) if i == j else 0
+          for j in range(k)] for i in range(k)]
+    return mat_mul(transpose(a), mat_mul(d, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_grams())
+def test_signature_matches_the_pivoting_reference(gram):
+    lattice = BilinearLattice(gram)
+    got = signature(lattice)
+    assert got == reference.signature(lattice)
+    assert sum(got) == lattice.rank
+
+
+def test_signature_on_zero_diagonals():
+    assert signature(BilinearLattice([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) \
+        == (1, 1, 1)
+    assert signature(BilinearLattice([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) \
+        == (1, 2, 0)
 
 
 def test_pair_on_a_gram_over_a_quadratic_field():

@@ -299,6 +299,15 @@ def test_transversality_rejects_proportional():
         transversality(z, z.scale(Fraction(3)))
 
 
+@pytest.mark.parametrize("first, second", [
+    ("s", "-s/2"), ("s", "0"), ("0", "s"), ("0", "0")])
+def test_transversality_rejects_every_proportional_pair(first, second):
+    s = Spinor([1, 1, 0, 0, 0, 0, 0, 0])
+    pick = {"s": s, "-s/2": s.scale(Fraction(-1, 2)), "0": Spinor([0] * 8)}
+    with pytest.raises(ValueError, match="^spinors are proportional$"):
+        transversality(pick[first], pick[second])
+
+
 def test_transversality_rank_oracle(rng):
     # independent rank computation must agree with the pairing criterion
     for _ in range(100):

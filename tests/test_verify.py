@@ -424,3 +424,47 @@ def test_spinor_image_failure_names_seed_trial_and_matrix(monkeypatch):
     assert [[Fraction(x) for x in row] for row in named] == drawn[7]
     rng = random.Random(12)
     assert drawn == [verify.random_alternating(rng) for _ in range(8)]
+
+
+def _wrong_at(call, real, change):
+    """real, with the result of its call number `call` (from 0) changed."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        out = real(*args)
+        return change(out) if len(calls) - 1 == call else out
+    wrapped.calls = calls
+    return wrapped
+
+
+def test_mukai_pairing_failure_names_seed_trial_and_vectors(monkeypatch):
+    wrong = _wrong_at(3, verify.lattices.mukai_pairing, lambda x: x + 1)
+    monkeypatch.setattr(verify.lattices, "mukai_pairing", wrong)
+    ok, detail = _check("mukai-pairing").fn(5)
+    head = ("seed 5, trial 3: pairing differs from -(r s' + r' s) + c . c' "
+            "at v, w = ")
+    assert not ok and detail.startswith(head)
+    v, w = wrong.calls[3]
+    assert json.loads(detail[len(head):]) == [[v.r, list(v.c), v.s],
+                                              [w.r, list(w.c), w.s]]
+
+
+def test_mukai_exponential_failure_names_seed_trial_and_matrix(monkeypatch):
+    wrong = _wrong_at(4, verify.spinor_map, lambda s: s.scale(2))
+    monkeypatch.setattr(verify, "spinor_map", wrong)
+    ok, detail = _check("mukai-pairing").fn(5)
+    head = ("seed 5, trial 4 of exp(B): exp(B) is not (1, c(B), -Pf B) of "
+            "square 0 at B = ")
+    assert not ok and detail.startswith(head)
+    named = json.loads(detail[len(head):])
+    assert [[Fraction(x) for x in row] for row in named] == wrong.calls[4][0]
+
+
+def test_mukai_standard_spinor_failure_names_n(monkeypatch):
+    monkeypatch.setattr(verify.reps, "standard_spinor",
+                        lambda n: Spinor([1, 0, 0, 0, n, 0, 0, 0]))
+    ok, detail = _check("mukai-pairing").fn(5)
+    assert (ok, detail) == (False, "seed 5, trial s_3: s_n is not "
+                            "standard_spinor(-n) of square 2n; (s_n, s_n) "
+                            "= \"6\"")
