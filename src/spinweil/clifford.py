@@ -16,7 +16,10 @@ denominators once at the end.  The commutator x y - y x is the same loop
 over the blade commutators, cancelled terms dropped (blade_commutator).
 Blade products and commutators are kept in one table each per algebra,
 filled on first use: a row of 2^rank entries per left blade, each entry
-the (mask, coefficient) pairs of the result (_blade_entry).
+the (mask, coefficient) pairs of the result (_blade_entry).  The one
+product loop (multivector._blade_sum) serves both algebras: the exterior
+algebra is the Clifford algebra of the zero form, so its wedge reads the
+product table of that algebra.
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -50,7 +53,8 @@ from math import factorial
 from .lattices import BilinearLattice, make_V
 from .linalg import (_over, _scaled_terms, inverse, mat_mul, rank,
                      scale_to_integers, sparse_product, transpose)
-from .multivector import Multivector, _accumulate, indices_of, popcount
+from .multivector import (Multivector, _Blades, _accumulate, _blade_sum,
+                          indices_of, popcount)
 from .scalars import rat
 
 
@@ -175,69 +179,29 @@ class CliffordAlgebra:
         return list(masks)
 
 
-class CliffordElement:
+class CliffordElement(_Blades):
     """Finite mapping {generator-subset bitmask: scalar} in a fixed C(L)."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
+    _MIXED = "elements of different Clifford algebras"
 
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
-        clean = {}
-        if terms:
-            top = 1 << algebra.rank
-            for m, c in terms.items():
-                if not 0 <= m < top:
-                    raise ValueError("index outside the ambient space")
-                c = rat(c) if isinstance(c, (int, str, Fraction)) else c
-                if c:
-                    clean[m] = c
-        self.terms = clean
-
-    @classmethod
-    def _of(cls, algebra, terms):
-        """An element on terms that are already clean (nonzero, and no int
-        where __init__ would make a Fraction), without the per-term pass."""
-        x = object.__new__(cls)
-        x.algebra, x.terms = algebra, terms
-        return x
-
-    def _check(self, other):
-        if not isinstance(other, CliffordElement) or other.algebra is not self.algebra:
-            raise ValueError("elements of different Clifford algebras")
+    @staticmethod
+    def _order(m):
+        return popcount(m), m
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(rat(other))
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return CliffordElement._of(self.algebra, out)
+        return _Blades.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CliffordElement._of(self.algebra,
-                                   {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(rat(other))
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, c):
-        if c == 0:
-            return self.algebra.zero()
-        return CliffordElement._of(self.algebra,
-                                   {m: c * x for m, x in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(rat(other))
-        self._check(other)
         return _blade_sum(self, other, self.algebra._products)
 
     def __rmul__(self, other):
@@ -248,20 +212,13 @@ class CliffordElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(rat(other))
-        return (isinstance(other, CliffordElement)
-                and other.algebra is self.algebra and other.terms == self.terms)
+        return _Blades.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-
-    def is_zero(self):
-        return not self.terms
+    # defining __eq__ drops the inherited hash
+    __hash__ = _Blades.__hash__
 
     def is_even(self):
         return all(popcount(m) % 2 == 0 for m in self.terms)
-
-    def degrees(self):
-        return sorted({popcount(m) for m in self.terms})
 
     def scalar_part(self):
         return self.terms.get(0, Fraction(0))
@@ -287,16 +244,6 @@ class CliffordElement:
         return CliffordElement._of(
             alg, {m: _over(c, d) for m, c in out.items() if c})
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda t: (popcount(t), t)):
-            lab = "1" if m == 0 else "e" + "".join(str(i + 1)
-                                                   for i in indices_of(m))
-            parts.append(f"{self.terms[m]}*{lab}")
-        return " + ".join(parts)
-
 
 def conjugation(x: CliffordElement) -> CliffordElement:
     return x.conj()
@@ -304,31 +251,7 @@ def conjugation(x: CliffordElement) -> CliffordElement:
 
 def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """x y - y x, in one pass over the blade commutators."""
-    x._check(y)
     return _blade_sum(x, y, x.algebra._commutators)
-
-
-def _blade_sum(x, y, rows):
-    """The sum of c_A c_B rows[A][B] over the terms c_A e_A of x and c_B e_B
-    of y (rows the blade product or commutator table), on ints for rational
-    x and y and made one Fraction per term at the end."""
-    a, b, d = _scaled_terms(x.terms, y.terms)
-    entry = x.algebra._blade_entry
-    out = {}
-    get = out.get
-    for ma, ca in a.items():
-        row = rows[ma]
-        if row is None:
-            row = rows[ma] = [None] * len(rows)
-        for mb, cb in b.items():
-            prod = row[mb]
-            if prod is None:
-                prod = entry(rows, ma, mb)
-            cc = ca * cb
-            for m, c in prod:
-                out[m] = get(m, 0) + cc * c
-    return CliffordElement._of(
-        x.algebra, {m: _over(c, d) for m, c in out.items() if c})
 
 
 @lru_cache(maxsize=1)

@@ -65,10 +65,15 @@ def encode_multivector(x: Multivector):
 
 
 def decode_multivector(obj, n):
+    """The multivector of the items, each a blade whose indices increase
+    strictly within 1..n, as encode_multivector writes them."""
     terms = {}
     for item in obj:
-        mask = mask_of(i - 1 for i in item["indices"])
-        terms[mask] = decode_scalar(item["coeff"])
+        idx = item["indices"]
+        if not all(a < b for a, b in zip([0, *idx], [*idx, n + 1])):
+            raise ValueError(f"blade indices must increase strictly within "
+                             f"1..{n}: {item!r}")
+        terms[mask_of(i - 1 for i in idx)] = decode_scalar(item["coeff"])
     return Multivector(n, terms)
 
 

@@ -1,12 +1,19 @@
 """Exterior algebras over W (rank 4) and V (rank 8) with bitmask bases.
 
 A multivector is a finite mapping {index-subset bitmask: scalar}; bit i of a
-mask stands for the basis vector e_{i+1}.  Degree-4 bases on V are ordered
-by lexicographic index subsets (itertools.combinations order).  The volume
-form is e_1 ^ ... ^ e_8 in this basis order; the Hodge star below depends on
-that orientation choice, which is fixed once here.  The star's Gram
-(induced_gram4) and every derivation extension of a matrix, on forms, wedge
-powers and Sym^2 (derivation_columns), read nonzero entries only.
+mask stands for the basis vector e_{i+1}.  The exterior algebra of rank n
+is the Clifford algebra C(0) of the zero form on it (Chevalley, The
+Algebraic Theory of Spinors, 1954), one cached CliffordAlgebra per n
+(_exterior).  So Multivector and clifford.CliffordElement share one term
+base (_Blades), and _blade_sum is the one product loop: the Clifford
+product, the commutator and the wedge each read a blade table through it.
+
+Degree-4 bases on V are ordered by lexicographic index subsets
+(itertools.combinations order).  The volume form is e_1 ^ ... ^ e_8 in
+this basis order; the Hodge star below depends on that orientation choice,
+which is fixed once here.  The star's Gram (induced_gram4) and every
+derivation extension of a matrix, on forms, wedge powers and Sym^2
+(derivation_columns), read nonzero entries only.
 """
 
 from __future__ import annotations
@@ -56,30 +63,137 @@ def _accumulate(acc, mask, value):
         acc[mask] = v
 
 
-class Multivector:
-    """Element of the exterior algebra of a rank-n space (n <= 8)."""
+class _Blades:
+    """A finite mapping {blade bitmask: scalar} in a fixed Clifford
+    algebra (an exterior algebra is the Clifford algebra of the zero
+    form).  Construction, the additive group, scaling, equality, hashing
+    and the text are shared; a subclass supplies the text of its
+    mixed-ambient error (_MIXED) and the sort key of its terms in repr
+    (_order)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, n, terms=None):
-        self.n = n
+    def __init__(self, algebra, terms=None):
+        self.algebra = algebra
         clean = {}
         if terms:
+            top = 1 << algebra.rank
             for m, c in terms.items():
-                if m >> n:
+                if not 0 <= m < top:
                     raise ValueError("index outside the ambient space")
                 c = rat(c) if isinstance(c, (int, str, Fraction)) else c
-                if c != 0:
+                if c:
                     clean[m] = c
         self.terms = clean
 
     @classmethod
-    def _of(cls, n, terms):
-        """A multivector on clean terms (nonzero, inside the space, no int),
-        without the per-term pass of __init__."""
+    def _of(cls, algebra, terms):
+        """An element on terms that are already clean (nonzero, inside the
+        algebra, and no int where __init__ would make a Fraction), without
+        the per-term pass."""
         x = object.__new__(cls)
-        x.n, x.terms = n, terms
+        x.algebra, x.terms = algebra, terms
         return x
+
+    def _check(self, other):
+        if (not isinstance(other, type(self))
+                or other.algebra is not self.algebra):
+            raise ValueError(self._MIXED)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _accumulate(out, m, c)
+        return self._of(self.algebra, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self.algebra, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, c):
+        if c == 0:
+            return self._of(self.algebra, {})
+        return self._of(self.algebra,
+                        {m: c * x for m, x in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and other.algebra is self.algebra
+                and other.terms == self.terms)
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
+
+    def is_zero(self):
+        return not self.terms
+
+    def degrees(self):
+        return sorted({popcount(m) for m in self.terms})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=self._order):
+            lab = "1" if m == 0 else "e" + "".join(str(i + 1)
+                                                   for i in indices_of(m))
+            parts.append(f"{self.terms[m]}*{lab}")
+        return " + ".join(parts)
+
+
+def _blade_sum(x, y, rows):
+    """The sum of c_A c_B rows[A][B] over the terms c_A e_A of x and c_B e_B
+    of y (rows the blade product or commutator table of their algebra), on
+    ints for rational x and y and made one Fraction per term at the end."""
+    x._check(y)
+    a, b, d = _scaled_terms(x.terms, y.terms)
+    entry = x.algebra._blade_entry
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        row = rows[ma]
+        if row is None:
+            row = rows[ma] = [None] * len(rows)
+        for mb, cb in b.items():
+            prod = row[mb]
+            if prod is None:
+                prod = entry(rows, ma, mb)
+            cc = ca * cb
+            for m, c in prod:
+                out[m] = get(m, 0) + cc * c
+    return type(x)._of(
+        x.algebra, {m: _over(c, d) for m, c in out.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _exterior(n):
+    """The exterior algebra of rank n (0 to 8): the Clifford algebra of the
+    zero form, whose blade products are the wedge products."""
+    if not 0 <= n <= 8:
+        raise ValueError(f"exterior algebras have rank 0 to 8, not {n}")
+    from .clifford import CliffordAlgebra
+    from .lattices import BilinearLattice
+    return CliffordAlgebra(BilinearLattice([[0] * n for _ in range(n)]))
+
+
+class Multivector(_Blades):
+    """Element of the exterior algebra of a rank-n space (n <= 8)."""
+
+    __slots__ = ()
+    _MIXED = "mismatched ambient exterior algebras"
+
+    @staticmethod
+    def _order(m):
+        return popcount(m), indices_of(m)
+
+    def __init__(self, n, terms=None):
+        super().__init__(_exterior(n), terms)
+
+    @property
+    def n(self):
+        return self.algebra.rank
 
     @classmethod
     def zero(cls, n):
@@ -98,68 +212,14 @@ class Multivector:
         n = len(coords)
         return cls(n, {1 << i: c for i, c in enumerate(coords) if c != 0})
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, mask):
         return self.terms.get(mask, Fraction(0))
 
-    def degrees(self):
-        return sorted({popcount(m) for m in self.terms})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return Multivector(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Multivector(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        if c == 0:
-            return Multivector.zero(self.n)
-        return Multivector(self.n, {m: c * x for m, x in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, Multivector) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    def _check(self, other):
-        if not isinstance(other, Multivector) or other.n != self.n:
-            raise ValueError("mismatched ambient exterior algebras")
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda t: (popcount(t), indices_of(t))):
-            lab = "1" if m == 0 else "e" + "".join(str(i + 1) for i in indices_of(m))
-            parts.append(f"{self.terms[m]}*{lab}")
-        return " + ".join(parts)
-
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
-    """Graded-commutative wedge product.  Each factor goes through the
-    scaling rule (_scaled_terms), so rational terms are summed on ints and
-    divided once at the end, as in the Clifford product."""
-    x._check(y)
-    a, b, d = _scaled_terms(x.terms, y.terms)
-    out = {}
-    get = out.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if not ma & mb:
-                m = ma | mb
-                out[m] = get(m, 0) + wedge_sign(ma, mb) * ca * cb
-    return Multivector._of(x.n, {m: _over(c, d) for m, c in out.items() if c})
+    """Graded-commutative wedge product: the Clifford product of the zero
+    form, read off the blade product table of the exterior algebra."""
+    return _blade_sum(x, y, x.algebra._products)
 
 
 def contract(dual_coords, x: Multivector) -> Multivector:
@@ -342,7 +402,7 @@ def derive_multivector(m, x: Multivector) -> Multivector:
     for (_, c), image in zip(terms, images):
         for blade, v in image.items():
             _accumulate(acc, mask_of(blade), c * v)
-    return Multivector._of(x.n, acc)
+    return Multivector._of(x.algebra, acc)
 
 
 def coords_degree(x: Multivector, masks):

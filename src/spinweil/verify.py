@@ -610,7 +610,7 @@ def check_acth_spectrum(seed):
     diag = [m[i][i] for i in range(8)]
     offdiag = all(m[i][j] == 0 for i in range(8) for j in range(8) if i != j)
     want = [Fraction(v) for v in (-2, 0, 0, 0, 2, 0, 0, 0)]
-    return (offdiag and diag == want), f"diagonal {diag}"
+    return (offdiag and diag == want), f"diagonal {to_text(diag)}"
 
 
 # -- weil --------------------------------------------------------------------
@@ -694,13 +694,14 @@ def check_even_closure(seed):
     masks = tuple(algebra.basis_masks(even_only=True))
     if len(masks) != 32:
         return False, "dimension is not 32"
-    for _ in range(50):
+    for trial in range(50):
         x = algebra.element({rng.choice(masks): Fraction(rng.randint(-2, 2))
                              for _ in range(3)})
         y = algebra.element({rng.choice(masks): Fraction(rng.randint(-2, 2))
                              for _ in range(3)})
         if not (x * y).is_even():
-            return False, "product left the even part"
+            return _failed(seed, trial, "product left the even part at the "
+                           "terms of x, y", [x.terms, y.terms])
     return True, "50 random products"
 
 
@@ -729,8 +730,10 @@ def check_center_invariance(seed):
 def check_ks_structure(seed):
     datum = kuga.ks_complex_structure(STANDARD_H, STANDARD_S,
                                       weil.Period(*weil.STANDARD_PERIOD))
-    comm = kuga.ks_right_commutation(datum, seed=seed)
-    return comm, "construction validates J^2 = -I internally"
+    if not kuga.ks_right_commutation(datum, seed=seed):
+        return False, (f"seed {seed}: a right multiplication by a random even "
+                       f"element does not commute with J_KS")
+    return True, "construction validates J^2 = -I internally"
 
 
 # -- mukai -------------------------------------------------------------------

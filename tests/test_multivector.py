@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinweil.lattices import make_V
+from spinweil.clifford import CV, CliffordAlgebra, CliffordElement
+from spinweil.jsonio import decode_multivector, encode_multivector, to_json
+from spinweil.lattices import make_Splus, make_V
 from spinweil.linalg import det, mat_mul
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, VOLUME_MASK,
                                   contract, derive_multivector, hodge_star,
@@ -253,9 +255,9 @@ def multivectors(n, coeffs):
 
 @st.composite
 def wedge_factors(draw):
-    """Two multivectors on n = 4 or n = 8, each with rational, QuadExt or
+    """Two multivectors on one n from 0 to 8, each with rational, QuadExt or
     mixed coefficients."""
-    n = draw(st.sampled_from([4, 8]))
+    n = draw(st.integers(0, 8))
     kinds = [RATIONAL, QUAD, st.one_of(RATIONAL, QUAD)]
     return [draw(multivectors(n, draw(st.sampled_from(kinds))))
             for _ in range(2)]
@@ -270,10 +272,64 @@ def test_wedge_matches_per_term_reference(pair):
     assert repr(got) == repr(expected)
 
 
+@pytest.mark.parametrize("n", [-1, 9, 30])
+def test_the_rank_of_an_exterior_algebra_is_at_most_8(n):
+    with pytest.raises(ValueError, match="rank 0 to 8"):
+        Multivector(n, {})
+    assert Multivector(8, {0xFF: 1}).n == 8
+    assert Multivector.one(0) == Multivector(0, {0: 1})
+
+
+def test_the_two_blade_algebras_stay_apart():
+    terms = {mask_of((0, 3)): 1, mask_of((1, 2)): 2}
+    x, y = Multivector(4, terms), CV().element(terms)
+    # a Multivector lists its terms by (degree, indices), a Clifford
+    # element by (degree, mask)
+    assert repr(x) == "1*e14 + 2*e23"
+    assert repr(y) == "2*e23 + 1*e14"
+    with pytest.raises(ValueError,
+                       match="^mismatched ambient exterior algebras$"):
+        x + Multivector(8, terms)
+    with pytest.raises(ValueError,
+                       match="^mismatched ambient exterior algebras$"):
+        wedge(x, y)
+    with pytest.raises(ValueError,
+                       match="^elements of different Clifford algebras$"):
+        y + CliffordAlgebra(make_Splus()).element(terms)
+    with pytest.raises(ValueError,
+                       match="^elements of different Clifford algebras$"):
+        y * x
+    # not even on the exterior algebra's own Clifford algebra
+    assert x != y and y != x
+    assert x != CliffordElement(x.algebra, terms)
+    assert to_json(x) == [{"indices": [2, 3], "coeff": "2"},
+                          {"indices": [1, 4], "coeff": "1"}]
+    with pytest.raises(TypeError):
+        to_json(y)
+
+
+@pytest.mark.parametrize("indices", [[2, 1], [1, 1], [0, 2], [1, 5]])
+def test_decoding_rejects_a_blade_out_of_order_or_range(indices):
+    item = {"indices": indices, "coeff": "1"}
+    with pytest.raises(ValueError, match="increase strictly within 1..4"):
+        decode_multivector([item], 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: multivectors(n, RATIONAL)))
+def test_decoding_inverts_encoding(x):
+    assert decode_multivector(encode_multivector(x), x.n) == x
+
+
 def test_popcount_and_wedge_sign():
+    exterior = Multivector(8).algebra
     for mask in range(256):
         assert popcount(mask) == bin(mask).count("1")
         assert all(wedge_sign(mask, mb) == reference_sign(mask, mb)
+                   for mb in range(256))
+        # the blade products of the zero form are the signed wedges
+        assert all(exterior.blade_product(mask, mb) ==
+                   ({mask | mb: wedge_sign(mask, mb)} if not mask & mb else {})
                    for mb in range(256))
     # e_2 ^ e_1 = -e_12, e_3 ^ e_12 = e_123, e_24 ^ e_13 = -e_1234
     assert wedge_sign(0b10, 0b01) == -1

@@ -468,3 +468,34 @@ def test_mukai_standard_spinor_failure_names_n(monkeypatch):
     assert (ok, detail) == (False, "seed 5, trial s_3: s_n is not "
                             "standard_spinor(-n) of square 2n; (s_n, s_n) "
                             "= \"6\"")
+
+
+def test_scaling_element_spectrum_prints_its_diagonal_as_text():
+    assert _check("scaling-element-spectrum").fn(20240) == (
+        True, 'diagonal ["-2", "0", "0", "0", "2", "0", "0", "0"]')
+
+
+def test_even_closure_failure_names_seed_trial_and_factors(monkeypatch):
+    calls = []
+    real = verify.clifford.CliffordElement.__mul__
+
+    def wrapped(x, y):
+        calls.append((x, y))
+        out = real(x, y)
+        return out + x.algebra.generator(0) if len(calls) == 7 + 1 else out
+
+    monkeypatch.setattr(verify.clifford.CliffordElement, "__mul__", wrapped)
+    ok, detail = _check("even-algebra-closure").fn(5)
+    head = ("seed 5, trial 7: product left the even part at the terms of "
+            "x, y = ")
+    assert not ok and detail.startswith(head)
+    assert _named_terms(detail[len(head):]) == [calls[7][0].terms,
+                                                calls[7][1].terms]
+
+
+def test_ks_structure_failure_says_so_and_names_the_seed(monkeypatch):
+    monkeypatch.setattr(verify.kuga, "ks_right_commutation",
+                        lambda datum, seed: False)
+    assert _check("ks-complex-structure").fn(4) == (
+        False, "seed 4: a right multiplication by a random even element "
+        "does not commute with J_KS")
