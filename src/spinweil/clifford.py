@@ -16,10 +16,15 @@ denominators once at the end.  The commutator x y - y x is the same loop
 over the blade commutators, cancelled terms dropped (blade_commutator).
 Blade products and commutators are kept in one table each per algebra,
 filled on first use: a row of 2^rank entries per left blade, each entry
-the (mask, coefficient) pairs of the result (_blade_entry).  The one
-product loop (multivector._blade_sum) serves both algebras: the exterior
-algebra is the Clifford algebra of the zero form, so its wedge reads the
-product table of that algebra.
+the (mask, coefficient) pairs of the result (_blade_entry).  The product
+entry e_A e_k of a generator is written in closed form: e_k moves left
+past each e_j of A with j > k, flipping the sign and leaving
+(e_j, e_k) e_{A - j} behind, then joins A or squares to (e_k, e_k)/2.
+Every other product entry, and the conjugate of a blade (on each call),
+folds one generator at a time through those entries.
+The one product loop (multivector._blade_sum) serves both algebras: the
+exterior algebra is the Clifford algebra of the zero form, so its wedge
+reads the product table of that algebra.
 
 The spin module is one table.  C(V) is isomorphic to End of the exterior
 algebra of W (Chevalley, The Algebraic Theory of Spinors, 1954): W acts by
@@ -59,58 +64,52 @@ from .scalars import rat
 
 
 def _integral_as_int(terms):
-    """The {mask: rational} terms with every integral value as an int."""
-    return {m: c.numerator if c.denominator == 1 else c
-            for m, c in terms.items()}
+    """The {mask: scalar} terms with every integral rational as an int."""
+    return {m: c.numerator if isinstance(c, Fraction) and c.denominator == 1
+            else c for m, c in terms.items()}
 
 
 class CliffordAlgebra:
-    """The Clifford algebra C(L) of a bilinear lattice, dimension 2^rank."""
+    """The Clifford algebra C(L) of a bilinear lattice, dimension 2^rank.
+
+    It keeps two memos: _products, the one memo of blade products (e_A e_k
+    by the generator step _times_gen, the rest folded from it), and
+    _commutators, since x y - y x would run the product loop twice.
+    """
 
     def __init__(self, lattice: BilinearLattice):
         self.lattice = lattice
         self.rank = lattice.rank
         self.gram = lattice.gram
-        self._gen_cache = {}
         self._products = [None] * (1 << self.rank)
         self._commutators = [None] * (1 << self.rank)
-        self._conj_cache = {}
 
     # -- basis blade reduction ------------------------------------------
 
-    def _blade_times_gen(self, mask, k):
-        """Reduce e_mask * e_k to the canonical basis, as {mask: coeff}."""
-        key = (mask, k)
-        hit = self._gen_cache.get(key)
-        if hit is not None:
-            return hit
-        if mask == 0:
-            out = {1 << k: 1}
-        else:
-            j = mask.bit_length() - 1
-            if j < k:
-                out = {mask | (1 << k): 1}
-            elif j == k:
-                c = self.gram[k][k] / 2
-                out = {mask ^ (1 << k): c} if c != 0 else {}
-            else:
-                # e_rest e_j e_k = -(e_rest e_k) e_j + (e_j, e_k) e_rest
-                out = {}
-                for m2, c in self._blade_times_gen(mask ^ (1 << j), k).items():
-                    out[m2 | (1 << j)] = out.get(m2 | (1 << j), 0) - c
-                g = self.gram[j][k]
-                if g != 0:
-                    _accumulate(out, mask ^ (1 << j), g)
-        out = _integral_as_int(out)
-        self._gen_cache[key] = out
+    def _times_gen(self, ma, k):
+        """e_A e_k as {mask: coeff}, by the closed form of the module
+        docstring: the end term, then the e_{A - j} by increasing j (the
+        order of an entry sets the dict order of every product)."""
+        g, out = self.gram, {}
+        sign = -1 if popcount(ma >> k + 1) & 1 else 1
+        if not ma >> k & 1:
+            out[ma | 1 << k] = sign
+        elif g[k][k]:
+            out[ma ^ 1 << k] = sign * g[k][k] / 2
+        for j in range(k + 1, ma.bit_length()):
+            if ma >> j & 1:
+                sign = -sign
+                if g[j][k]:
+                    out[ma ^ 1 << j] = sign * g[j][k]
         return out
 
     def _times_gens(self, acc, ks):
-        """The terms {mask: coeff} acc times e_k for k in ks, in order."""
+        """The terms {mask: coeff} acc times e_k for k in ks, in order, each
+        step read from the entries e_A e_k of the product table."""
         for k in ks:
             nxt = {}
             for m, c in acc.items():
-                for m2, c2 in self._blade_times_gen(m, k).items():
+                for m2, c2 in self._blade_entry(self._products, m, 1 << k):
                     _accumulate(nxt, m2, c * c2)
             acc = nxt
         return acc
@@ -122,12 +121,14 @@ class CliffordAlgebra:
         if row is None:
             row = rows[ma] = [None] * len(rows)
         if row[mb] is None:
-            if rows is self._products:
-                acc = self._times_gens({ma: 1}, indices_of(mb))
-            else:
+            if rows is not self._products:
                 acc = self.blade_product(ma, mb)
                 for m, c in self._blade_entry(self._products, mb, ma):
                     _accumulate(acc, m, -c)
+            elif popcount(mb) == 1:
+                acc = self._times_gen(ma, mb.bit_length() - 1)
+            else:
+                acc = self._times_gens({ma: 1}, indices_of(mb))
             row[mb] = tuple(_integral_as_int(acc).items())
         return row[mb]
 
@@ -142,15 +143,9 @@ class CliffordAlgebra:
 
     def blade_conj(self, mask):
         """Conjugate of a canonical blade: (-1)^r times the reversed product."""
-        hit = self._conj_cache.get(mask)
-        if hit is not None:
-            return hit
-        prod = self._times_gens({0: 1}, reversed(indices_of(mask)))
-        if popcount(mask) % 2:
-            prod = {m: -c for m, c in prod.items()}
-        prod = _integral_as_int(prod)
-        self._conj_cache[mask] = prod
-        return prod
+        sign = -1 if popcount(mask) % 2 else 1
+        return _integral_as_int(
+            self._times_gens({0: sign}, reversed(indices_of(mask))))
 
     # -- element constructors -------------------------------------------
 
@@ -502,10 +497,10 @@ def spin_v_xyz_table():
 
 
 def cartan_elements():
-    """H_i = e_i e_{i+4} - 1/2 (i = 1..4), the Cartan basis of spin(V)."""
-    alg = CV()
-    return [alg.generator(i) * alg.generator(i + 4) - alg.scalar(Fraction(1, 2))
-            for i in range(4)]
+    """H_i = X_ii = e_i e_{i+4} - 1/2 (i = 1..4), the Cartan basis of
+    spin(V), read off spin_v_xyz_table."""
+    table = {label: x for label, x, _ in spin_v_xyz_table()}
+    return [table[f"X{i}{i}"] for i in range(1, 5)]
 
 
 def random_spin_group_element(rng, span=1):

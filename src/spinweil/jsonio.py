@@ -66,14 +66,17 @@ def encode_multivector(x: Multivector):
 
 def decode_multivector(obj, n):
     """The multivector of the items, each a blade whose indices increase
-    strictly within 1..n, as encode_multivector writes them."""
+    strictly within 1..n, once, as encode_multivector writes them."""
     terms = {}
     for item in obj:
         idx = item["indices"]
         if not all(a < b for a, b in zip([0, *idx], [*idx, n + 1])):
             raise ValueError(f"blade indices must increase strictly within "
                              f"1..{n}: {item!r}")
-        terms[mask_of(i - 1 for i in idx)] = decode_scalar(item["coeff"])
+        mask = mask_of(i - 1 for i in idx)
+        if mask in terms:
+            raise ValueError(f"blade given twice: {item!r}")
+        terms[mask] = decode_scalar(item["coeff"])
     return Multivector(n, terms)
 
 

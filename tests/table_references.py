@@ -24,9 +24,13 @@ twisted conjugation by the three-sided route, with sigma(x*) built from
 conj and every row of each product tested, which the form transpose and
 the one-block test replaced; and the helpers that only tests use: the
 16 x 16 matrix of sigma, the span test and the rational square test.
+And the memoised recursion for e_A e_k that the closed-form generator
+step of the product table replaced, with the blade conjugate folded
+through it, and the Cartan elements as Clifford products.
 Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
@@ -232,6 +236,56 @@ def xyz_products():
     out += [(f"Z{i + 1}{j + 1}", e(i + 4) * e(j + 4))
             for i, j in combinations(range(4), 2)]
     return out
+
+
+def cartan_products():
+    """H_i = e_i e_{i+4} - 1/2 (i = 0..3), as Clifford products."""
+    alg, e = CV(), CV().generator
+    return [e(i) * e(i + 4) - alg.scalar(Fraction(1, 2)) for i in range(4)]
+
+
+def _integral_as_int(terms):
+    return {m: c.numerator if isinstance(c, Fraction) and c.denominator == 1
+            else c for m, c in terms.items()}
+
+
+@lru_cache(maxsize=None)
+def blade_times_gen(algebra, mask, k):
+    """e_mask e_k reduced to the canonical basis, as {mask: coeff}, by
+    e_rest e_j e_k = -(e_rest e_k) e_j + (e_j, e_k) e_rest for the top
+    index j of mask, memoised per (algebra, mask, k)."""
+    if mask == 0:
+        out = {1 << k: 1}
+    else:
+        j = mask.bit_length() - 1
+        if j < k:
+            out = {mask | (1 << k): 1}
+        elif j == k:
+            c = algebra.gram[k][k] / 2
+            out = {mask ^ (1 << k): c} if c != 0 else {}
+        else:
+            out = {}
+            for m2, c in blade_times_gen(algebra, mask ^ (1 << j), k).items():
+                out[m2 | (1 << j)] = out.get(m2 | (1 << j), 0) - c
+            g = algebra.gram[j][k]
+            if g != 0:
+                _accumulate(out, mask ^ (1 << j), g)
+    return _integral_as_int(out)
+
+
+def blade_conj(algebra, mask):
+    """(-1)^r times the reversed product of the generators of a blade,
+    folded through blade_times_gen."""
+    acc = {0: 1}
+    for k in reversed(indices_of(mask)):
+        nxt = {}
+        for m, c in acc.items():
+            for m2, c2 in blade_times_gen(algebra, m, k).items():
+                _accumulate(nxt, m2, c * c2)
+        acc = nxt
+    if popcount(mask) % 2:
+        acc = {m: -c for m, c in acc.items()}
+    return _integral_as_int(acc)
 
 
 def chevalley_product(indices):

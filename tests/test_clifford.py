@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               _module_table, commutator, conjugation,
+                               _module_table, cartan_elements, commutator,
+                               conjugation,
                                exp_nilpotent, is_spin_group_element,
                                is_spin_lie_element, random_spin_group_element,
                                sigma_action, so_to_spin, spin_so_iso,
@@ -246,6 +247,13 @@ def test_xyz_table_is_the_clifford_products():
     for (label, elt, _), (_, x) in zip(table, expected):
         assert elt == x, label
         assert repr(list(elt.terms.items())) == repr(list(x.terms.items()))
+
+
+def test_cartan_elements_are_the_clifford_products():
+    for i, (h, x) in enumerate(zip(cartan_elements(),
+                                   reference.cartan_products())):
+        assert h == x, i
+        assert repr(list(h.terms.items())) == repr(list(x.terms.items()))
 
 
 def test_spin_dimension_28():
@@ -512,6 +520,45 @@ def test_conj_matches_reference(x):
 def test_blade_conj_stores_ints_like_the_product_tables():
     assert all(type(c) is int for m in range(256)
                for c in CV().blade_conj(m).values())
+
+
+#: Gram entries over Q (half-integers and quarters among them) or Q(sqrt(2))
+GRAM_SCALARS = st.sampled_from([
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(QuadExt, st.integers(-2, 2), st.integers(-2, 2), st.just(2))])
+
+
+@st.composite
+def grams(draw):
+    """A symmetric Gram of rank 0 to 6 over one field: free entries, or
+    A^T D A for r <= n rows of A, which is degenerate when r < n."""
+    n, scalars = draw(st.integers(0, 6)), draw(GRAM_SCALARS)
+    g = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(scalars)
+        return g
+    r = draw(st.integers(0, n))
+    a = [[draw(scalars) for _ in range(n)] for _ in range(r)]
+    d = [draw(scalars) for _ in range(r)]
+    return [[sum((a[t][i] * d[t] * a[t][j] for t in range(r)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grams())
+def test_generator_entries_and_conjugates_match_the_recursion(gram):
+    # values, types and dict order, for every blade and generator
+    alg = CliffordAlgebra(BilinearLattice(gram))
+    for a in range(1 << alg.rank):
+        got, expected = alg.blade_conj(a), reference.blade_conj(alg, a)
+        assert repr(list(got.items())) == repr(list(expected.items())), a
+        for k in range(alg.rank):
+            got = alg.blade_product(a, 1 << k)
+            expected = reference.blade_times_gen(alg, a, k)
+            assert repr(list(got.items())) == \
+                repr(list(expected.items())), (a, k)
 
 
 @settings(max_examples=60, deadline=None)

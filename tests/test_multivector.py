@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -313,6 +314,13 @@ def test_decoding_rejects_a_blade_out_of_order_or_range(indices):
     item = {"indices": indices, "coeff": "1"}
     with pytest.raises(ValueError, match="increase strictly within 1..4"):
         decode_multivector([item], 4)
+
+
+def test_decoding_rejects_a_repeated_blade():
+    items = [{"indices": [1], "coeff": "1"}, {"indices": [1], "coeff": "2"}]
+    with pytest.raises(ValueError, match=re.escape(
+            "blade given twice: {'indices': [1], 'coeff': '2'}")):
+        decode_multivector(items, 4)
 
 
 @settings(max_examples=50, deadline=None)

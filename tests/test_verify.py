@@ -273,6 +273,19 @@ def test_parity_mismatch_names_seed_trial_and_spinor(monkeypatch):
     assert [Fraction(x) for x in json.loads(detail[len(head):])] == z.z
 
 
+def test_odd_parity_names_seed_trial_and_spinor(monkeypatch):
+    real = verify.spingeo.rank
+    # the rank of the top four rows of the basis decides the parity
+    monkeypatch.setattr(verify.spingeo, "rank",
+                        lambda m: 3 if len(m) == 4 else real(m))
+    ok, detail = _check("subspace-parity").fn(11)
+    head = ("seed 11, trial 0: spinor produced an odd-component subspace "
+            "at s = ")
+    assert not ok and detail.startswith(head)
+    z = verify.random_isotropic_spinor(random.Random(11))
+    assert [Fraction(x) for x in json.loads(detail[len(head):])] == z.z
+
+
 def _scalar_triples(seed):
     """The 1000 triples of field-axioms at the seed, drawn as it draws
     them."""
