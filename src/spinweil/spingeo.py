@@ -98,16 +98,12 @@ class Spinor:
         return f"Spinor({self.z})"
 
 
-class IsotropicSubspace(namedtuple("IsotropicSubspace", "basis parity")):
+class IsotropicSubspace(namedtuple("IsotropicSubspace", "basis")):
     """Maximal isotropic subspace of V spanned by the columns of an 8x4
-    matrix, together with its connected-component parity.  A namedtuple,
-    not a dataclass: importing dataclasses would cost every process that
-    imports this module."""
+    matrix, on the even component (subspace_of_spinor raises on an odd
+    one).  A namedtuple, not a dataclass: importing dataclasses would cost
+    every process that imports this module."""
     __slots__ = ()
-
-    @property
-    def is_even(self):
-        return self.parity == 0
 
 
 def spinor_map(b) -> Spinor:
@@ -234,10 +230,9 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
     basis = [[v[i] for v in kernel] for i in range(8)]
     _validate_isotropic(basis)
     # Z meets W* = span(e_5..e_8) in the kernel of the top rows of its basis
-    parity = (4 - rank(basis[:4])) % 2
-    if parity != 0:
+    if (4 - rank(basis[:4])) % 2:
         raise RuntimeError("spinor produced an odd-component subspace")
-    return IsotropicSubspace(basis=basis, parity=parity)
+    return IsotropicSubspace(basis=basis)
 
 
 def _validate_isotropic(basis8x4):

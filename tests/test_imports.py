@@ -106,8 +106,8 @@ RECORDS = {
         RepSpace, {"name": "V", "dim": 8, "basis": ("e1", "e2")}, ("e1",),
         "RepSpace(name='V', dim=8, basis=('e1', 'e2'))"),
     "IsotropicSubspace": (
-        IsotropicSubspace, {"basis": [[Fraction(1, 2), 0]], "parity": 1}, 0,
-        "IsotropicSubspace(basis=[[Fraction(1, 2), 0]], parity=1)"),
+        IsotropicSubspace, {"basis": [[Fraction(1, 2), 0]]}, [[0, 0]],
+        "IsotropicSubspace(basis=[[Fraction(1, 2), 0]])"),
     "Period": (
         Period, dict(zip("pq", STANDARD_PERIOD)),
         tuple(-x for x in STANDARD_PERIOD[1]),
@@ -149,11 +149,6 @@ def test_a_lattice_vector_of_the_wrong_length_is_a_value_error():
         LatticeVector(make_Splus(), [1, 2, 3])
     with pytest.raises(ValueError, match="lattice rank"):
         make_V().vector([0] * 9)
-
-
-def test_isotropic_subspace_parity():
-    assert IsotropicSubspace([], 0).is_even
-    assert not IsotropicSubspace(basis=[], parity=1).is_even
 
 
 def test_derived_action_takes_a_rep_space_or_its_name():
