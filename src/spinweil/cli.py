@@ -20,10 +20,10 @@ Exit codes (this is the one place they are listed):
      decodes but is mathematically invalid (say, a non-isotropic z)
   2  usage error: bad or missing arguments, unreadable or malformed JSON,
      or an input, named by its key, that does not decode: values that are
-     not scalars, vectors or matrices (a JSON boolean is no scalar), a z,
-     h or s without exactly eight coordinates, a B that is not a 4x4
-     matrix, a non-integer n or seed, a non-boolean field_scan, or an
-     --input document (or its inputs) that is not a JSON object
+     not scalars, vectors or matrices (a JSON boolean is no scalar, nor is
+     "p/0"), a z, h or s without exactly eight coordinates, a B that is
+     not a 4x4 matrix, a non-integer n or seed, a non-boolean field_scan,
+     or an --input document (or its inputs) that is not a JSON object
 A reader that closes early (`| head`) changes none of them: main writes
 the verb's buffered output once and drops the rest, with no traceback.
 
@@ -126,7 +126,7 @@ def _value(inputs, key):
         return _DEFAULTS[key]
     try:
         return _DECODERS[key](inputs[key], key)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed JSON input {key!r}: "
                          f"{type(exc).__name__}: {exc}")
 

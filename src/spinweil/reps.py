@@ -387,24 +387,24 @@ def veronese_pluecker_check(b) -> bool:
     return coords == coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
 
 
-def cayley_class(s, cross_check=True) -> Multivector:
+def cayley_class(s) -> Multivector:
     """The degree-4 form attached to a spinor via the symmetric square.
 
-    Route A (always): the image of s (.) s under phi_matrix, the closed
-    form sum_I (s, e^_{I*} s) e^I of Chevalley (1954).  Route B (when
-    (s, s) != 0 and cross_check is set): the unique invariant of the
-    stabilizer algebra of s acting on the degree-4 forms, rescaled; the
-    two must be proportional.
+    Route A: the image of s (.) s under phi_matrix, the closed form
+    sum_I (s, e^_{I*} s) e^I of Chevalley (1954).  Route B, which always
+    runs when (s, s) != 0 and is cached per spinor (_cayley_route_b): the
+    unique invariant of the stabilizer algebra of s acting on the degree-4
+    forms; the two must be proportional, or the call raises.
     """
     s = Spinor(s)
     if s.is_zero():
         raise ValueError("the zero spinor has no Cayley class")
     coords = mat_vec(phi_matrix(), sym2_coords(s.z))
     route_a = from_coords(8, DEGREE4_MASKS, coords)
-    if cross_check and s.pair(s) != 0:
-        if _proportionality(coords, _cayley_route_b(tuple(s.z))) is None:
-            raise RuntimeError("stabilizer route disagrees with the "
-                               f"symmetric-square route at s = {to_text(s.z)}")
+    if (s.pair(s) != 0 and
+            _proportionality(coords, _cayley_route_b(tuple(s.z))) is None):
+        raise RuntimeError("stabilizer route disagrees with the "
+                           f"symmetric-square route at s = {to_text(s.z)}")
     return route_a
 
 

@@ -245,24 +245,22 @@ def _validate_isotropic(basis8x4):
         raise ValueError("subspace basis is rank deficient")
 
 
-def transversality(s1: Spinor, s2: Spinor, cross_validate=True) -> bool:
+def transversality(s1: Spinor, s2: Spinor) -> bool:
     """Whether the subspaces of two isotropic spinors meet only in 0.
 
-    Decided by (s1, s2) != 0 on S+; when cross_validate is set the answer
-    is confirmed against the rank of the concatenated 8x8 basis matrix.
+    Decided by (s1, s2) != 0 on S+, and always confirmed against the rank
+    of the concatenated 8x8 basis matrix; a disagreement raises.
     """
     if not (s1.is_isotropic() and s2.is_isotropic()):
         raise ValueError("both spinors must be isotropic")
     if s1.is_zero() or _proportionality(s2.z, s1.z) is not None:
         raise ValueError("spinors are proportional")
     answer = s1.pair(s2) != 0
-    if cross_validate:
-        z1 = subspace_of_spinor(s1)
-        z2 = subspace_of_spinor(s2)
-        joint = [z1.basis[i] + z2.basis[i] for i in range(8)]
-        if (rank(mat(joint)) == 8) != answer:
-            raise RuntimeError("form criterion disagrees with rank "
-                               "criterion: conventions corrupted")
+    z1, z2 = subspace_of_spinor(s1), subspace_of_spinor(s2)
+    joint = [z1.basis[i] + z2.basis[i] for i in range(8)]
+    if (rank(mat(joint)) == 8) != answer:
+        raise RuntimeError("form criterion disagrees with rank "
+                           "criterion: conventions corrupted")
     return answer
 
 

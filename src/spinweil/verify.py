@@ -6,15 +6,18 @@ it yields (trial, inputs) as a trial starts (again when the inputs it
 names change), yields the text of what failed when that trial fails, and
 returns its passing detail.  _drive alone runs them, and it writes
 a failure as "seed S, trial T: what = <inputs as JSON, by to_text>" and a
-crash as "seed S, trial T: <exception type>: <message> = <inputs>"; T is
-"set-up" and the inputs [] before the first trial.  The identity column
-states the mathematical fact being exercised.
+crash as "seed S, trial T: <exception type>: <message> (<file>:<line> in
+<function>) = <inputs>", the frame where it was raised; T is "set-up" and
+the inputs [] before the first trial.  The identity column states the
+mathematical fact being exercised.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -69,7 +72,10 @@ def _drive(trials, seed):
     except Exception as exc:  # the check returned, or crashed in its trial
         if isinstance(exc, StopIteration):
             return True, exc.value
-        step = f"{type(exc).__name__}: {exc}"
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = os.path.basename(frame.filename)
+        step = (f"{type(exc).__name__}: {exc} ({where}:{frame.lineno} in "
+                f"{frame.name})")
     return False, f"seed {seed}, trial {trial}: {step} = {to_text(inputs)}"
 
 

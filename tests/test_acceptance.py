@@ -163,7 +163,7 @@ def test_criterion_06_cayley_class():
     for _ in range(20):
         g = random_spin_group_element(rng)
         moved = Spinor(mat_vec(splus_matrix(g), s.z))
-        assert cayley_class(moved, cross_check=False) == _wedge4_apply(
+        assert cayley_class(moved) == _wedge4_apply(
             twisted_conjugation(g), c)
     report(6, "two routes proportional; constant 1/4 against the closed "
               "form; equivariance on 20 group elements")
@@ -189,7 +189,7 @@ def test_criterion_08_transversality_and_scaling():
         z1 = random_isotropic_spinor(rng)
         z2 = random_isotropic_spinor(rng)
         try:
-            claim = transversality(z1, z2, cross_validate=False)
+            claim = transversality(z1, z2)
         except ValueError:
             continue
         b1 = subspace_of_spinor(z1).basis

@@ -387,6 +387,24 @@ def test_boolean_scalar_is_usage_error_naming_its_key(capsys, argv, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+ZERO_DENOMINATOR = [  # verb, key and a value with a "1/0" entry
+    ("cayley", "s", ["1/0"] + ["0"] * 7),
+    ("spinor", "B", [["0", "1/0", "0", "0"], ["-1", "0", "0", "0"],
+                     ["0", "0", "0", "2"], ["0", "0", "-2", "0"]]),
+    ("weil-family", "h", ["0", "1", "0", "0", "0", "1/0", "0", "0"]),
+]
+
+
+@pytest.mark.parametrize("through", ["flag", "input"])
+@pytest.mark.parametrize("verb, key, value", ZERO_DENOMINATOR)
+def test_zero_denominator_is_usage_error_naming_its_key(
+        capsys, tmp_path, through, verb, key, value):
+    rc = main([verb, f"--{key}", json.dumps(value)] if through == "flag"
+              else [verb, "--input", write_doc(tmp_path, {key: value})])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_null_flag_is_usage_error_naming_its_key(capsys):
     rc = main(["spinor", "--invert", "null"])
     assert rc == 2

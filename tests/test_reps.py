@@ -267,7 +267,7 @@ def test_cayley_equivariance(rng):
         rho_s = splus_matrix(g)
         rho_v = twisted_conjugation(g)
         moved_s = Spinor(mat_vec(rho_s, s.z))
-        lhs = cayley_class(moved_s, cross_check=False)
+        lhs = cayley_class(moved_s)
         rhs = _wedge4_apply(rho_v, c)
         assert lhs == rhs
 
@@ -517,7 +517,7 @@ def test_cayley_routes_match_reference_route_b(s):
     expected = from_coords(8, DEGREE4_MASKS, ref_b[0])
     assert b == expected and repr(b) == repr(expected)
     assert lam is not None and lam != 0
-    assert a == cayley_class(s, cross_check=False)
+    assert a == cayley_class(s)
 
 
 def _workload_noniso_spinors(seed, count):

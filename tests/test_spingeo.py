@@ -317,7 +317,7 @@ def test_transversality_rank_oracle(rng):
         if z1.pair(z1) != 0 or z2.pair(z2) != 0:
             continue
         try:
-            claim = transversality(z1, z2, cross_validate=False)
+            claim = transversality(z1, z2)
         except ValueError:
             continue
         b1 = subspace_of_spinor(z1).basis

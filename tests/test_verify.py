@@ -2,7 +2,9 @@
 more seeds."""
 
 import functools
+import inspect
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -160,15 +162,34 @@ def test_registry_keeps_its_checks_and_passing_details(seed):
                     for name, suite, identity, detail in CONTRACT]
 
 
-def _fail_at(trial, real):
-    """real, except that its call number `trial` (from 0) raises."""
-    calls = iter(range(10 ** 6))
+def _at_call(real, n, act):
+    """real, with the (args, kwargs) of every call kept in .calls; call
+    number n (from 0) raises act when act is an exception, and returns
+    act(its result) otherwise."""
+    calls = []
 
-    def wrapped(*args):
-        if next(calls) == trial:
-            raise ValueError("conjugation by x does not preserve V")
-        return real(*args)
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        at_n = len(calls) - 1 == n
+        if at_n and isinstance(act, Exception):
+            raise act
+        out = real(*args, **kwargs)
+        return act(out) if at_n else out
+    wrapped.calls = calls
     return wrapped
+
+
+def _site(fn, text, name=None):
+    """"(<file>:<line> in <name>)", the line of fn's source that holds
+    text: where a crash raised there is named; name defaults to fn's."""
+    lines, first = inspect.getsourcelines(fn)
+    line = first + next(i for i, x in enumerate(lines) if text in x)
+    return (f"({os.path.basename(inspect.getsourcefile(fn))}:{line} in "
+            f"{name or fn.__name__})")
+
+
+#: where _at_call raises its exception
+AT_CALL = _site(_at_call, "raise act", "wrapped")
 
 
 @pytest.mark.parametrize("name", ["spinor-equivariance",
@@ -176,7 +197,9 @@ def _fail_at(trial, real):
 def test_group_check_failures_name_seed_and_trial(monkeypatch, name):
     check = next(c for c in verify.CHECKS if c.name == name)
     monkeypatch.setattr(verify.clifford, "twisted_conjugation",
-                        _fail_at(2, verify.clifford.twisted_conjugation))
+                        _at_call(verify.clifford.twisted_conjugation, 2,
+                                 ValueError("conjugation by x does not "
+                                            "preserve V")))
     ok, detail = check.fn(7)
     assert not ok
     assert detail.startswith("seed 7, trial 2: ")
@@ -218,27 +241,15 @@ def _check(name):
     return next(c for c in verify.CHECKS if c.name == name)
 
 
-def _recording_failure(real, fail_call, log):
-    """real, recording each call's arguments in log; call number
-    fail_call (from 0) raises."""
-    def wrapped(*args, **kwargs):
-        log.append((args, kwargs))
-        if len(log) - 1 == fail_call:
-            raise RuntimeError("J^2 = -I failed")
-        return real(*args, **kwargs)
-    return wrapped
-
-
 def test_weil_battery_failure_names_seed_trial_and_period(monkeypatch):
-    log = []
-    monkeypatch.setattr(verify.weil, "make_weil_datum",
-                        _recording_failure(verify.weil.make_weil_datum, 2,
-                                           log))
+    wrong = _at_call(verify.weil.make_weil_datum, 2,
+                     RuntimeError("J^2 = -I failed"))
+    monkeypatch.setattr(verify.weil, "make_weil_datum", wrong)
     ok, detail = _check("weil-datum-battery").fn(7)
-    period_seed = log[2][1]["seed"]
+    period_seed = wrong.calls[2][1]["seed"]
     assert (ok, detail) == (
-        False, f"seed 7, trial 2: RuntimeError: J^2 = -I failed = "
-               f"{period_seed}")
+        False, f"seed 7, trial 2: RuntimeError: J^2 = -I failed {AT_CALL} "
+               f"= {period_seed}")
 
 
 def test_weil_battery_mismatch_names_seed_trial_and_period(monkeypatch):
@@ -246,12 +257,12 @@ def test_weil_battery_mismatch_names_seed_trial_and_period(monkeypatch):
 
     def report(datum):
         log.append(datum)
-        return {"J_orthogonal": len(log) != 2, "discriminant": "1"}
+        return {"discriminant_trivial": len(log) != 2, "discriminant": "1"}
 
     monkeypatch.setattr(verify.weil, "datum_report", report)
     ok, detail = _check("weil-datum-battery").fn(7)
-    head = ('seed 7, trial 1: report fields ["J_orthogonal"] false at the '
-            "period's seed = ")
+    head = ('seed 7, trial 1: report fields ["discriminant_trivial"] false '
+            "at the period's seed = ")
     assert not ok and detail.startswith(head)
     # the named sample seed reproduces the period of the failing trial
     period_seed = int(detail[len(head):])
@@ -260,19 +271,19 @@ def test_weil_battery_mismatch_names_seed_trial_and_period(monkeypatch):
 
 
 def test_hodge_failure_names_seed_trial_and_period(monkeypatch):
-    log = []
-    monkeypatch.setattr(verify.weil, "cayley_hodge_test",
-                        _recording_failure(verify.weil.cayley_hodge_test, 5,
-                                           log))
+    wrong = _at_call(verify.weil.cayley_hodge_test, 5,
+                     RuntimeError("J^2 = -I failed"))
+    monkeypatch.setattr(verify.weil, "cayley_hodge_test", wrong)
     ok, detail = _check("hodge-criterion").fn(7)
     assert not ok
     # call 5 is the second (generic) period of trial 2
-    head = ("seed 7, trial 2 on the generic plane: RuntimeError: J^2 = -I "
-            "failed = ")
+    head = (f"seed 7, trial 2 on the generic plane: RuntimeError: J^2 = -I "
+            f"failed {AT_CALL} = ")
     assert detail.startswith(head)
     period_seed = int(detail[len(head):])
+    (_, period), _ = wrong.calls[5]
     assert verify.weil.sample_period(
-        STANDARD_PERIOD[0], STANDARD_H, seed=period_seed) == log[5][0][1]
+        STANDARD_PERIOD[0], STANDARD_H, seed=period_seed) == period
 
 
 def test_hodge_mismatch_names_seed_trial_and_period(monkeypatch):
@@ -286,19 +297,6 @@ def test_hodge_mismatch_names_seed_trial_and_period(monkeypatch):
 
 
 # -- the checks that read the one-time tables, and subspace-parity ------------
-
-def _nth_call_changed(real, n, change):
-    """real, except that the result of its call number n (from 0) goes
-    through change; the arguments of every call are kept in .calls."""
-    calls = []
-
-    def wrapped(*args):
-        calls.append(args)
-        out = real(*args)
-        return change(out) if len(calls) - 1 == n else out
-    wrapped.calls = calls
-    return wrapped
-
 
 def _plus_unit(m):
     """m with 1 added to its entry (0, 1), which the Hodge star does not
@@ -317,7 +315,7 @@ def test_star_self_adjoint_mismatch_names_the_basis_forms(monkeypatch):
 
 
 def test_star_stability_mismatch_names_the_generator(monkeypatch):
-    monkeypatch.setattr(verify.reps, "derived_action", _nth_call_changed(
+    monkeypatch.setattr(verify.reps, "derived_action", _at_call(
         verify.reps.derived_action, 2, _plus_unit))
     ok, detail = _check("star-eigenspaces-stable").fn(7)
     rng = random.Random(7)
@@ -331,7 +329,7 @@ def test_star_stability_mismatch_names_the_generator(monkeypatch):
 
 def test_bracket_mismatch_names_space_and_elements(monkeypatch):
     # call 3 t + 2 is the action of [x, y] in trial t
-    monkeypatch.setattr(verify.reps, "derived_action", _nth_call_changed(
+    monkeypatch.setattr(verify.reps, "derived_action", _at_call(
         verify.reps.derived_action, 3 * 4 + 2, _plus_unit))
     ok, detail = _check("bracket-compatibility").fn(9)
     rng = random.Random(9)
@@ -439,7 +437,8 @@ def test_odd_parity_names_seed_trial_and_spinor(monkeypatch):
                         lambda m: 3 if len(m) == 4 else real(m))
     ok, detail = _check("subspace-parity").fn(11)
     head = ("seed 11, trial 0: RuntimeError: spinor produced an "
-            "odd-component subspace = ")
+            "odd-component subspace "
+            f"{_site(verify.spingeo.subspace_of_spinor, 'odd-component')} = ")
     assert not ok and detail.startswith(head)
     z = verify.random_isotropic_spinor(random.Random(11))
     assert [Fraction(x) for x in json.loads(detail[len(head):])] == z.z
@@ -477,7 +476,7 @@ def test_field_axioms_failure_names_seed_trial_and_triple(monkeypatch):
 
 def test_commutator_identity_failure_names_seed_trial_and_vectors(
         monkeypatch):
-    monkeypatch.setattr(verify, "commutator", _nth_call_changed(
+    monkeypatch.setattr(verify, "commutator", _at_call(
         verify.commutator, 3, lambda out: out + 1))
     ok, detail = _check("degree2-commutator").fn(6)
     rng = random.Random(6)
@@ -533,16 +532,12 @@ def test_module_parity_failure_names_seed_trial_and_inputs(monkeypatch):
                                                 calls[3002][1].terms]
 
 
-def _center_changed(n, change):
-    """kuga.ks_center with the output of call n (from 0) changed."""
-    return _nth_call_changed(verify.kuga.ks_center, n, change)
-
-
 @pytest.mark.parametrize("trial", [0, 2])
 def test_center_of_other_dimension_names_seed_trial_and_change(monkeypatch,
                                                                trial):
-    monkeypatch.setattr(verify.kuga, "ks_center", _center_changed(
-        trial, lambda out: (out[0] + [out[0][0]], None)))
+    monkeypatch.setattr(verify.kuga, "ks_center", _at_call(
+        verify.kuga.ks_center, trial,
+        lambda out: (out[0] + [out[0][0]], None)))
     ok, detail = _check("center-basis-invariance").fn(3)
     rng = random.Random(3)
     changes = [verify.identity(6)] + [verify._random_unimodular(rng, 6)
@@ -554,8 +549,8 @@ def test_center_of_other_dimension_names_seed_trial_and_change(monkeypatch,
 
 
 def test_center_square_class_mismatch_names_the_classes(monkeypatch):
-    monkeypatch.setattr(verify.kuga, "ks_center", _center_changed(
-        1, lambda out: (out[0], 2 * out[1])))
+    monkeypatch.setattr(verify.kuga, "ks_center", _at_call(
+        verify.kuga.ks_center, 1, lambda out: (out[0], 2 * out[1])))
     ok, detail = _check("center-basis-invariance").fn(3)
     head = "seed 3, trial 1: square class -2, not -1, at T = "
     assert not ok and detail.startswith(head)
@@ -603,27 +598,28 @@ def test_spinor_image_failure_names_seed_trial_and_matrix(monkeypatch):
 
 
 def test_mukai_pairing_failure_names_seed_trial_and_vectors(monkeypatch):
-    wrong = _nth_call_changed(verify.lattices.mukai_pairing, 3,
+    wrong = _at_call(verify.lattices.mukai_pairing, 3,
                               lambda x: x + 1)
     monkeypatch.setattr(verify.lattices, "mukai_pairing", wrong)
     ok, detail = _check("mukai-pairing").fn(5)
     head = ("seed 5, trial 3: pairing differs from -(r s' + r' s) + c . c' "
             "at v, w = ")
     assert not ok and detail.startswith(head)
-    v, w = wrong.calls[3]
+    (v, w), _ = wrong.calls[3]
     assert json.loads(detail[len(head):]) == [[v.r, list(v.c), v.s],
                                               [w.r, list(w.c), w.s]]
 
 
 def test_mukai_exponential_failure_names_seed_trial_and_matrix(monkeypatch):
-    wrong = _nth_call_changed(verify.spinor_map, 4, lambda s: s.scale(2))
+    wrong = _at_call(verify.spinor_map, 4, lambda s: s.scale(2))
     monkeypatch.setattr(verify, "spinor_map", wrong)
     ok, detail = _check("mukai-pairing").fn(5)
     head = ("seed 5, trial 4 of exp(B): exp(B) is not (1, c(B), -Pf B) of "
             "square 0 at B = ")
     assert not ok and detail.startswith(head)
     named = json.loads(detail[len(head):])
-    assert [[Fraction(x) for x in row] for row in named] == wrong.calls[4][0]
+    (b,), _ = wrong.calls[4]
+    assert [[Fraction(x) for x in row] for row in named] == b
 
 
 def test_mukai_standard_spinor_failure_names_n(monkeypatch):
@@ -699,7 +695,7 @@ def test_a_crash_names_its_type_seed_trial_and_inputs(monkeypatch):
     monkeypatch.setattr(verify.QuadExt, "__mul__", mul)
     ok, detail = _check("field-axioms").fn(4)
     assert not ok and len(calls) == 40
-    head = f"seed 4, trial {trial}: KeyError: 5 = "
+    head = f"seed 4, trial {trial}: KeyError: 5 {_site(mul, 'raise')} = "
     assert detail.startswith(head)
     triple = _scalar_triples(4)[trial]
     assert [decode_scalar(x) for x in json.loads(detail[len(head):])] == triple
@@ -713,7 +709,8 @@ def test_a_crash_of_a_deterministic_check_names_its_inputs(monkeypatch):
 
     monkeypatch.setattr(verify.weil, "omega_line_check", omega_line_check)
     ok, detail = _check("omega-invariant-line").fn(3)
-    head = "seed 3, trial 0: ValueError: stabilizer of dimension 14 = "
+    head = ("seed 3, trial 0: ValueError: stabilizer of dimension 14 "
+            f"{_site(omega_line_check, 'raise')} = ")
     assert not ok and detail.startswith(head)
     assert json.loads(detail[len(head):]) == [
         list(STANDARD_H), list(STANDARD_S), [list(v) for v in STANDARD_PERIOD]]
@@ -730,7 +727,8 @@ def test_verify_prints_a_crash_and_exits_one(monkeypatch, capsys):
     v, w = ([rng.randint(-5, 5), [rng.randint(-5, 5) for _ in range(6)],
              rng.randint(-5, 5)] for _ in range(2))
     assert lines[1:] == [
-        f"       -> seed 20240, trial 0: KeyError: 5 = {json.dumps([v, w])}",
+        f"       -> seed 20240, trial 0: KeyError: 5 "
+        f"{_site(mukai_pairing, 'raise')} = {json.dumps([v, w])}",
         "0/1 checks passed"]
 
 
@@ -746,14 +744,14 @@ def test_omega_line_failure_names_the_datum(monkeypatch):
 
 def test_fixture_failure_names_the_matrix_and_both_spinors(monkeypatch):
     real = verify.spinor_map
-    wrong = _nth_call_changed(real, 1, lambda z: z.scale(2))
+    wrong = _at_call(real, 1, lambda z: z.scale(2))
     monkeypatch.setattr(verify, "spinor_map", wrong)
     ok, detail = _check("paper-point-fixtures").fn(1)
     head = "seed 1, trial 1: spinor "
     assert not ok and detail.startswith(head)
     spinors, named = detail[len(head):].split(", at B = ")
     got, want = (json.loads(x) for x in spinors.split(", not "))
-    b = wrong.calls[1][0]
+    (b,), _ = wrong.calls[1]
     assert [decode_scalar(x) for x in got] == [2 * x for x in real(b).z]
     assert [decode_scalar(x) for x in want] == real(b).z
     assert [[decode_scalar(x) for x in row] for row in json.loads(named)] == b
@@ -783,7 +781,7 @@ def test_spin_dimension_failure_names_the_basis(monkeypatch):
 
 
 def test_scaling_element_failure_names_the_matrix_and_element(monkeypatch):
-    monkeypatch.setattr(verify.reps, "derived_action", _nth_call_changed(
+    monkeypatch.setattr(verify.reps, "derived_action", _at_call(
         verify.reps.derived_action, 0, _plus_unit))
     ok, detail = _check("scaling-element-spectrum").fn(2)
     head = "seed 2, trial 0: x acts on S+ by "

@@ -8,8 +8,8 @@ import pytest
 from spinweil import weil
 from spinweil.jsonio import decode_vector
 from spinweil.lattices import make_V, orthogonal_complement
-from spinweil.linalg import (inverse, leading_principal_minors, mat, mat_mul,
-                             mat_vec, rank)
+from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
+                             mat_mul, mat_vec, rank)
 from spinweil.reps import cayley_class
 from spinweil.scalars import QuadExt, TowerScalar, is_norm
 from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
@@ -18,8 +18,8 @@ from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            _spinor_ratio, _sqrt_rational, cayley_hodge_test,
                            complex_structure, datum_report, field_parameters,
                            h2_split, k_action, kappa_spinor, make_weil_datum,
-                           omega_line_check, sample_period, weil_class_space,
-                           weil_condition)
+                           omega_line_check, polarization, sample_period,
+                           weil_class_space, weil_condition)
 
 import table_references as reference
 
@@ -235,18 +235,47 @@ def test_a_non_commuting_field_action_fails_the_weil_condition(
         make_weil_datum(standard_h, standard_s, period=standard_period)
 
 
-def test_datum_report_reads_a_non_commuting_field_action_as_false(
-        standard_h, standard_s, standard_period):
-    # every report field is computed, none raises: the i <-> i ^ 1 swap
-    # does not commute with J, and the trace of swap J, the sum of the
-    # entries J[i ^ 1][i] = 1, -1, -1, 1, 1, -1, -1, 1, is still read off
-    datum = make_weil_datum(standard_h, standard_s, period=standard_period)
-    swap = [[Fraction(a == (b ^ 1)) for b in range(8)] for a in range(8)]
-    report = datum_report(datum._replace(mu=swap))
-    assert report["J_mu_commute"] is False
-    assert report["trace_mu_J_zero"] is True
-    assert report["mu_squares_to_minus_d"] is False
-    assert datum_report(datum)["J_mu_commute"] is True
+#: J and (mu, d, m, f) of the standard datum
+J_STD = complex_structure(Period(*STANDARD_PERIOD))
+K_STD = k_action(STANDARD_H, STANDARD_S)
+
+
+def _standard_datum():
+    return make_weil_datum(STANDARD_H, STANDARD_S,
+                           period=Period(*STANDARD_PERIOD))
+
+
+# the constructor raises that datum_report does not repeat, beside the two
+# above: what to patch in weil, the call, the error and its message
+CERTIFICATE_RAISES = [
+    pytest.param(
+        {"_spinor_ratio": lambda x, y, c: [[2 * v for v in row]
+                                           for row in J_STD]},
+        lambda: complex_structure(Period(*STANDARD_PERIOD)),
+        RuntimeError, "J is not orthogonal", id="J-orthogonal"),
+    pytest.param(
+        {"k_action": lambda h, s: (J_STD, *K_STD[1:])}, _standard_datum,
+        RuntimeError, "field eigenvalues are unbalanced", id="trace-mu-J"),
+    pytest.param(
+        {}, lambda: polarization(identity(8), J_STD),
+        RuntimeError, "E is not alternating", id="E-alternating"),
+    pytest.param(
+        {}, lambda: polarization(K_STD[0],
+                                 complex_structure(Period(NU1, NU2))),
+        RuntimeError, "not J-invariant", id="E-type-1-1"),
+    pytest.param(
+        {"leading_principal_minors": lambda m: [-1]}, _standard_datum,
+        ValueError, "not positive definite", id="E-J-positive-both-signs"),
+]
+
+
+@pytest.mark.parametrize("patches, call, error, match", CERTIFICATE_RAISES)
+def test_each_certificate_raises_where_the_datum_is_built(
+        monkeypatch, patches, call, error, match):
+    for name, value in patches.items():
+        monkeypatch.setattr(weil, name, value)
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_kappa_isotropic_symbolically(standard_h, standard_s):
@@ -485,9 +514,9 @@ def test_cayley_hodge_builds_the_class_once_per_spinor(monkeypatch,
                                                        standard_h, standard_s):
     calls = []
 
-    def counting(s, cross_check=True):
+    def counting(s):
         calls.append(tuple(s.z))
-        return cayley_class(s, cross_check=cross_check)
+        return cayley_class(s)
 
     monkeypatch.setattr(weil, "cayley_class", counting)
     weil._cayley_class_of.cache_clear()
