@@ -257,15 +257,16 @@ def run_invariants(args):
     stab_s = stabilizer_algebra([s1])
     stab_hs = stabilizer_algebra([STANDARD_H, STANDARD_S])
     sq, dim = moduli_dimension(3)
+    profile = branching_dims(s1)
     doc = {
         "verb": "invariants",
         "inputs": {},
         "stabilizer_of_spinor_dim": len(stab_s),
         "stabilizer_of_pair_dim": len(stab_hs),
-        "invariants_in_degree4": len(invariant_subspace(stab_s, "Wedge4V")),
+        "invariants_in_degree4": profile["invariants"],
         "invariants_in_degree2_of_pair": len(
             invariant_subspace(stab_hs, "Wedge2V")),
-        "branching_profile": branching_dims(s1),
+        "branching_profile": profile,
         "star_eigenvalue_of_veronese_image": gamma2alpha_star_sign(),
         "mukai_example": {"n": 3, "square": sq, "moduli_dim": dim},
     }

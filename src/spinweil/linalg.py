@@ -8,12 +8,14 @@ solve, solve_matrix and inverse read one rref of [a | b], which also
 gives the rank of a (_solution).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
 1968): _integer_rref.  A row with one entry is the unit rref row of its
-column, so those columns are settled first and dropped from the other
-rows, until none has one entry left.  The rest go in one at a time
-(extend_span): each is scaled to coprime integers, kept sparse, inserted
-into a fully reduced basis, and divided only once at the end; a row in
-the span costs one clear per pivot it meets, so a tall matrix of low
-rank is cheap.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is first
+column, so those columns are settled first, by propagation: an index from
+each column to the rows that hold it finds the rows a settled column is
+dropped from, and a row left with one entry settles its column in turn.
+The rows left go in one at a time, in input order (extend_span): each
+is scaled to coprime integers, kept sparse, inserted into a fully reduced
+basis, and divided only once at the end; a row in the span costs one
+clear per pivot it meets, so a tall matrix
+of low rank is cheap.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is first
 made rational by restriction of scalars: each row x becomes the
 coordinate rows of u x for u in the Q-basis of K, read off the coordinate
 tuple c that every element of K carries (scalars._Multiquadratic), so no
@@ -41,11 +43,16 @@ pairing and the Kuga-Satake center rows call it without branching.  Only
 an algorithm that is the sole path for its inputs chooses by type: rref
 over K by restriction of scalars (_integer_rows), the integer kernel of
 sparse_nullspace, and Bareiss or field elimination in det.
+mat_vec sums each row over the nonzero coordinates of v only: the
+symmetric square coordinates of a sparse spinor are mostly zero (6 of 36
+for three nonzero coordinates).  A zero v is summed over all its
+coordinates, so its zero has the type of the dense sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .scalars import _RATIONAL, _over, all_rational, scale_to_integers
@@ -110,7 +117,10 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
+    """a v, each row summed over the nonzero coordinates of v (see the
+    module docstring)."""
+    terms = [(t, x) for t, x in enumerate(v) if x] or list(enumerate(v))
+    return [sum([row[t] * x for t, x in terms]) for row in a]
 
 
 def _integer_rows(a):
@@ -179,18 +189,33 @@ def extend_span(basis, row) -> bool:
 def _integer_rref(rows):
     """Gauss-Jordan on sparse integer rows: [(pivot column, row)] in
     column order, every pivot column cleared from every other row.  A row
-    with one entry settles its column (the unit row is its rref row), which
-    is dropped from every other row until no row has one entry left; the
-    rest go in one at a time (extend_span)."""
-    pinned, new = set(), {c for row in rows if len(row) == 1 for c in row}
-    while new:
-        pinned |= new
-        rows = [r for r in ({c: x for c, x in row.items() if c not in new}
-                            for row in rows) if r]
-        new = {c for row in rows if len(row) == 1 for c in row}
+    with one entry settles its column (the unit row is its rref row); the
+    column is dropped from the rows that hold it, and a row left with one
+    entry settles its column in turn.  The rows left, without the settled
+    columns, go in one at a time (extend_span).  The input rows are not
+    changed."""
+    pinned = {c for row in rows if len(row) == 1 for c in row}
+    rows = [row for row in rows if len(row) > 1]
+    holders = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, []).append(i)
+    # left[i]: the entries of rows[i] on columns not yet dropped from it;
+    # when one is left, its column may be settled already and in todo
+    left = [len(row) for row in rows]
+    todo = list(pinned)
+    while todo:
+        for i in holders.get(todo.pop(), ()):
+            left[i] -= 1
+            if left[i] == 1:
+                new = [c for c in rows[i] if c not in pinned]
+                pinned.update(new)
+                todo += new
     basis = {c: {c: 1} for c in pinned}
-    for row in rows:
-        extend_span(basis, row)
+    for row, n in zip(rows, left):
+        if n:
+            extend_span(basis, row if n == len(row) else
+                        {c: x for c, x in row.items() if c not in pinned})
     return sorted(basis.items())
 
 
@@ -274,7 +299,8 @@ def sparse_nullspace(rows, ncols):
     {column: x}, zeros left out.  Rows of ints go to the integer kernel as
     they are, with no Fraction in between; other rows run as a dense
     matrix."""
-    if all(type(x) is int for row in rows for x in row.values()):
+    if {int}.issuperset(map(type, chain.from_iterable(
+            row.values() for row in rows))):
         return _kernel(*_reduced(rows, ncols), ncols)
     return nullspace([[row.get(j, 0) for j in range(ncols)] for row in rows])
 

@@ -7,8 +7,10 @@ names change), yields the text of what failed when that trial fails, and
 returns its passing detail.  _drive alone runs them, and it writes
 a failure as "seed S, trial T: what = <inputs as JSON, by to_text>" and a
 crash as "seed S, trial T: <exception type>: <message> (<file>:<line> in
-<function>) = <inputs>", the frame where it was raised; T is "set-up" and
-the inputs [] before the first trial.  The identity column states the
+<function>) = <inputs>", the last frame of the traceback in this package
+(the last frame of all when none is), so an arithmetic fault names the
+package line that divided, not fractions.py; T is "set-up" and the inputs
+[] before the first trial.  The identity column states the
 mathematical fact being exercised.
 """
 
@@ -72,7 +74,10 @@ def _drive(trials, seed):
     except Exception as exc:  # the check returned, or crashed in its trial
         if isinstance(exc, StopIteration):
             return True, exc.value
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        frames = traceback.extract_tb(exc.__traceback__)
+        here = os.path.dirname(__file__)
+        frame = next((f for f in reversed(frames)
+                      if os.path.dirname(f.filename) == here), frames[-1])
         where = os.path.basename(frame.filename)
         step = (f"{type(exc).__name__}: {exc} ({where}:{frame.lineno} in "
                 f"{frame.name})")

@@ -26,7 +26,10 @@ the one-block test replaced; and the helpers that only tests use: the
 16 x 16 matrix of sigma, the span test and the rational square test.
 And the memoised recursion for e_A e_k that the closed-form generator
 step of the product table replaced, with the blade conjugate folded
-through it, and the Cartan elements as Clifford products.
+through it, and the Cartan elements as Clifford products.  And the two
+exact kernels that now touch only nonzero data: mat_vec forming every
+product, zero coordinates of v included, and the presolve of the integer
+rref that rebuilt every row on each round.
 Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
@@ -493,6 +496,34 @@ def cayley_routes(s):
     lam = reps._proportionality(a, b)
     return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
             lam)
+
+
+def dense_mat_vec(a, v):
+    """a v with every product formed, zero coordinates of v included."""
+    return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
+
+
+def round_presolve(rows):
+    """(the settled columns, the rows left without them): each round
+    settles the columns of the one-entry rows and drops them from every
+    row, until no row has one entry left."""
+    pinned, new = set(), {c for row in rows if len(row) == 1 for c in row}
+    while new:
+        pinned |= new
+        rows = [r for r in ({c: x for c, x in row.items() if c not in new}
+                            for row in rows) if r]
+        new = {c for row in rows if len(row) == 1 for c in row}
+    return pinned, rows
+
+
+def round_presolve_rref(rows):
+    """The integer rref by round_presolve, then the rows left one at a
+    time (extend_span)."""
+    pinned, rows = round_presolve(rows)
+    basis = {c: {c: 1} for c in pinned}
+    for row in rows:
+        extend_span(basis, row)
+    return sorted(basis.items())
 
 
 def signature(lattice):

@@ -13,9 +13,18 @@ GOLDEN = Path(__file__).parent / "golden"
 B_JSON = ('[["0","1","0","0"],["-1","0","0","0"],'
           '["0","0","0","2"],["0","0","-2","0"]]')
 
+#: STANDARD_S = (1, 0, 0, 0, 1, 0, 0, 0), non-isotropic: route A reads 2 of
+#: its 8 coordinates, and route B runs
+STANDARD_S_JSON = '["1","0","0","0","1","0","0","0"]'
+#: spinor_map of [[0,1,2,3],[-1,0,-1,2],[-2,1,0,1],[-3,-2,-1,0]], a B with
+#: all six entries nonzero: isotropic, with every coordinate nonzero
+DENSE_ISO_JSON = '["1","1","2","3","-6","-1","2","1"]'
+
 CASES = {
     "spinor": ["spinor", "--B", B_JSON],
     "cayley_n3": ["cayley", "--n", "3"],
+    "cayley_standard_s": ["cayley", "--s", STANDARD_S_JSON],
+    "cayley_dense_iso": ["cayley", "--s", DENSE_ISO_JSON],
     "weil_family": ["weil-family"],
     "weil_family_field_scan": ["weil-family", "--field-scan"],
     "ks": ["ks"],

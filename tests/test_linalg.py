@@ -16,6 +16,7 @@ is fraction-free (Bareiss) and must equal Gaussian elimination over the
 field, down to the repr.
 """
 
+import copy
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import lcm
@@ -25,10 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil import linalg, reps
-from spinweil.linalg import (det, inverse, mat_mul, nullspace, rank, rref,
-                             solve, solve_matrix, sparse_nullspace, transpose)
+from spinweil.linalg import (det, inverse, mat_mul, mat_vec, nullspace, rank,
+                             rref, solve, solve_matrix, sparse_nullspace,
+                             transpose)
 from spinweil.scalars import QuadExt, TowerScalar
 from spinweil.spingeo import Spinor
+
+import table_references as reference
 
 ENTRIES = st.one_of(
     st.just(0),
@@ -401,6 +405,77 @@ def test_mat_mul_with_quadext_entries():
     assert mat_mul(b, a) == reference_mat_mul(b, a)
 
 
+# -- mat_vec over the nonzero coordinates against the dense sum ---------------
+
+def one_type_entries(kind, m):
+    """int, Fraction and field-element strategies, each of one type and
+    half of its draws zero."""
+    k = 2 if kind is QuadExt else 4
+    element = st.builds(lambda *c: kind(*c, m=m), *[ENTRIES] * k)
+    zero = kind(*[0] * k, m=m)
+    return [st.one_of(st.just(z), e) for z, e in (
+        (0, st.integers(-6, 6)),
+        (Fraction(0), st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7)),
+        (zero, element))]
+
+
+@st.composite
+def mat_vec_pairs(draw, one_type):
+    """(a, v), a n x k and v of length k, n in 0..6 and k in 1..7, over one
+    field: with one_type, a and v each of one scalar type (int, Fraction or
+    an element of the field), else entries mixed; v all zero now and then."""
+    field = draw(st.sampled_from(FIELDS))
+    if one_type:
+        kinds = one_type_entries(*field)
+        ea, ev = draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))
+    else:
+        ea = ev = field_entries(*field)
+    k = draw(st.integers(1, 7))
+    a = [[draw(ea) for _ in range(k)] for _ in range(draw(st.integers(0, 6)))]
+    v = [draw(ev) for _ in range(k)]
+    if draw(st.integers(0, 4)) == 0:
+        v = [x * 0 for x in v]
+    return a, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat_vec_pairs(one_type=False))
+def test_mat_vec_equals_the_dense_sum(pair):
+    a, v = pair
+    assert mat_vec(a, v) == reference.dense_mat_vec(a, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat_vec_pairs(one_type=True))
+def test_mat_vec_of_one_type_keeps_the_type_of_the_dense_sum(pair):
+    # every src caller passes a matrix and a vector of one type each
+    a, v = pair
+    got, expected = mat_vec(a, v), reference.dense_mat_vec(a, v)
+    assert [(type(x), repr(x)) for x in got] == \
+        [(type(x), repr(x)) for x in expected]
+
+
+def test_mat_vec_of_a_zero_vector_keeps_the_type_of_the_dense_sum():
+    zero, one = QuadExt(0, 0, 2), QuadExt(1, 1, 2)
+    for a, v in [([[Fraction(1, 2), 3]], [0, 0]),
+                 ([[1, 2], [0, 0]], [Fraction(0), Fraction(0)]),
+                 ([[Fraction(1, 2), one]], [zero, zero]),
+                 ([[1, 2]], [zero, one]),
+                 ([[1, 2]], [])]:
+        got, expected = mat_vec(a, v), reference.dense_mat_vec(a, v)
+        assert [(type(x), repr(x)) for x in got] == \
+            [(type(x), repr(x)) for x in expected]
+
+
+def test_mat_vec_forms_no_product_with_a_zero_coordinate():
+    # None * 0 would raise: the columns of the zero coordinates are unread
+    assert mat_vec([[None, 2, None], [None, -1, None]], [0, 3, 0]) == [6, -3]
+    zero = QuadExt(0, 0, 5)
+    assert mat_vec([[None, 2]], [zero, QuadExt(1, 1, 5)]) == \
+        [QuadExt(2, 2, 5)]
+
+
 def reference_det(a):
     """Gaussian elimination over the field on the first nonzero pivot of
     each column."""
@@ -668,6 +743,54 @@ def test_presolve_settles_a_cascade_before_the_rest():
         (0, {0: 1}), (1, {1: 1}), (2, {2: 1}), (3, {3: 1}), (4, {4: 1})]
     assert linalg._integer_rref([{0: 4}, {0: 4, 1: 2, 2: -6}]) == [
         (0, {0: 1}), (1, {1: 1, 2: -3})]
+
+
+@st.composite
+def presolve_rows(draw):
+    """Sparse integer rows on up to 10 columns: a few random rows, chains
+    of rows that each add one column to the one before (the first has one
+    entry, so each settles the next column once the ones before are
+    dropped), and empty rows, shuffled."""
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-9, 9).filter(bool)
+
+    def row(cols):
+        return {c: draw(entry) for c in cols}
+
+    rows = [row(draw(st.sets(st.integers(0, ncols - 1), max_size=4)))
+            for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        cols = draw(st.permutations(range(ncols)))
+        cols = cols[:draw(st.integers(1, ncols))]
+        rows += [row(cols[:n]) for n in range(1, len(cols) + 1)]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presolve_rows())
+def test_presolve_by_propagation_matches_the_round_loop(rows):
+    before = copy.deepcopy(rows)
+    left, first_basis, real = [], [], linalg.extend_span
+
+    def spy(basis, row):
+        if not left:
+            first_basis.append(set(basis))
+        left.append(row)
+        return real(basis, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "extend_span", spy)
+        got = linalg._integer_rref(rows)
+    assert rows == before
+    expected = reference.round_presolve_rref(rows)
+    assert got == expected and repr(got) == repr(expected)
+    # the same settled columns, and the same rows left in the same order
+    # (the round loop also hands on an empty row when no row has one entry;
+    # extend_span returns at once on it)
+    pinned, rest = reference.round_presolve(rows)
+    assert left == [r for r in rest if r]
+    assert (first_basis[0] if left else {pc for pc, _ in got}) == pinned
 
 
 def test_route_b_invariants_match_field_reference():

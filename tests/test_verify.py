@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinweil import cli, verify
+from spinweil import cli, scalars, verify
 from spinweil.jsonio import decode_multivector, decode_scalar, to_text
 from spinweil.multivector import DEGREE4_MASKS, Multivector
 from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
@@ -179,17 +179,13 @@ def _at_call(real, n, act):
     return wrapped
 
 
-def _site(fn, text, name=None):
-    """"(<file>:<line> in <name>)", the line of fn's source that holds
-    text: where a crash raised there is named; name defaults to fn's."""
+def _site(fn, text):
+    """"(<file>:<line> in <fn's name>)", the line of fn's source that holds
+    text: where a crash there is named."""
     lines, first = inspect.getsourcelines(fn)
     line = first + next(i for i, x in enumerate(lines) if text in x)
     return (f"({os.path.basename(inspect.getsourcefile(fn))}:{line} in "
-            f"{name or fn.__name__})")
-
-
-#: where _at_call raises its exception
-AT_CALL = _site(_at_call, "raise act", "wrapped")
+            f"{fn.__name__})")
 
 
 @pytest.mark.parametrize("name", ["spinor-equivariance",
@@ -247,8 +243,11 @@ def test_weil_battery_failure_names_seed_trial_and_period(monkeypatch):
     monkeypatch.setattr(verify.weil, "make_weil_datum", wrong)
     ok, detail = _check("weil-datum-battery").fn(7)
     period_seed = wrong.calls[2][1]["seed"]
+    # the raise is in this file: the crash names the package line that
+    # called the patched function
+    site = _site(verify.check_weil_battery, "weil.make_weil_datum(")
     assert (ok, detail) == (
-        False, f"seed 7, trial 2: RuntimeError: J^2 = -I failed {AT_CALL} "
+        False, f"seed 7, trial 2: RuntimeError: J^2 = -I failed {site} "
                f"= {period_seed}")
 
 
@@ -277,8 +276,9 @@ def test_hodge_failure_names_seed_trial_and_period(monkeypatch):
     ok, detail = _check("hodge-criterion").fn(7)
     assert not ok
     # call 5 is the second (generic) period of trial 2
+    site = _site(verify.check_hodge_criterion, "weil.cayley_hodge_test(")
     head = (f"seed 7, trial 2 on the generic plane: RuntimeError: J^2 = -I "
-            f"failed {AT_CALL} = ")
+            f"failed {site} = ")
     assert detail.startswith(head)
     period_seed = int(detail[len(head):])
     (_, period), _ = wrong.calls[5]
@@ -695,7 +695,9 @@ def test_a_crash_names_its_type_seed_trial_and_inputs(monkeypatch):
     monkeypatch.setattr(verify.QuadExt, "__mul__", mul)
     ok, detail = _check("field-axioms").fn(4)
     assert not ok and len(calls) == 40
-    head = f"seed 4, trial {trial}: KeyError: 5 {_site(mul, 'raise')} = "
+    # call 40 is the product inside a / a, where QuadExt divides
+    site = _site(verify.QuadExt.__truediv__, "self * o.inverse()")
+    head = f"seed 4, trial {trial}: KeyError: 5 {site} = "
     assert detail.startswith(head)
     triple = _scalar_triples(4)[trial]
     assert [decode_scalar(x) for x in json.loads(detail[len(head):])] == triple
@@ -710,7 +712,7 @@ def test_a_crash_of_a_deterministic_check_names_its_inputs(monkeypatch):
     monkeypatch.setattr(verify.weil, "omega_line_check", omega_line_check)
     ok, detail = _check("omega-invariant-line").fn(3)
     head = ("seed 3, trial 0: ValueError: stabilizer of dimension 14 "
-            f"{_site(omega_line_check, 'raise')} = ")
+            f"{_site(verify.check_omega_line, 'weil.omega_line_check(')} = ")
     assert not ok and detail.startswith(head)
     assert json.loads(detail[len(head):]) == [
         list(STANDARD_H), list(STANDARD_S), [list(v) for v in STANDARD_PERIOD]]
@@ -728,8 +730,21 @@ def test_verify_prints_a_crash_and_exits_one(monkeypatch, capsys):
              rng.randint(-5, 5)] for _ in range(2))
     assert lines[1:] == [
         f"       -> seed 20240, trial 0: KeyError: 5 "
-        f"{_site(mukai_pairing, 'raise')} = {json.dumps([v, w])}",
+        f"{_site(verify.check_mukai, 'lattices.mukai_pairing(v, w)')} = "
+        f"{json.dumps([v, w])}",
         "0/1 checks passed"]
+
+
+def test_an_arithmetic_crash_names_the_package_line_not_fractions(
+        monkeypatch):
+    # Fraction(1, 0) raises inside fractions.py; the crash names the
+    # package function that built it, not fractions.py or this file
+    monkeypatch.setattr(verify.lattices, "mukai_pairing",
+                        lambda v, w: scalars._over(1, 0))
+    ok, detail = _check("mukai-pairing").fn(5)
+    head = ("seed 5, trial 0: ZeroDivisionError: Fraction(1, 0) "
+            f"{_site(scalars._over, 'Fraction(c, d)')} = ")
+    assert not ok and detail.startswith(head)
 
 
 def test_omega_line_failure_names_the_datum(monkeypatch):
