@@ -2,10 +2,13 @@
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
-point.  nullspace reads the reduced row echelon form (rref), rank counts
-its pivots (over K, those on a first coordinate) with no Fraction row;
-solve, solve_matrix and inverse read one rref of [a | b], which also
-gives the rank of a (_solution).  There is one elimination routine,
+point.  nullspace and rank read the integer rows of the reduced row
+echelon form (rref) with no dense Fraction row: rank counts their pivots
+(over K, those on a first coordinate), and nullspace reads each kernel
+vector straight off them, v[pc] = -row[fc] / row[pc] for each free column
+fc (_kernel); solve, solve_matrix and inverse read one rref of [a | b],
+built as dense rows (_reduced), which also gives the rank of a
+(_solution).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
 1968): _integer_rref.  A row with one entry is the unit rref row of its
 column, so those columns are settled first, by propagation: an index from
@@ -24,7 +27,7 @@ so the rational rref rows are the coordinate rows of u R for the K-rref
 rows R, and R is read back from the rows that pivot on a first
 coordinate.
 sparse_nullspace takes sparse rows as built by its caller, integer rows
-straight to that routine, and shares the kernel read-off of nullspace.
+straight to that routine and to the kernel read-off of nullspace.
 det is one routine: a rational matrix is scaled row by row to integers
 and reduced fraction-free (Bareiss), the last pivot over the product of
 the row scales.  A matrix over K is eliminated over K on the first
@@ -191,26 +194,27 @@ def _integer_rref(rows):
     column order, every pivot column cleared from every other row.  A row
     with one entry settles its column (the unit row is its rref row); the
     column is dropped from the rows that hold it, and a row left with one
-    entry settles its column in turn.  The rows left, without the settled
-    columns, go in one at a time (extend_span).  The input rows are not
-    changed."""
+    entry settles its column in turn; with no one-entry row, no column
+    index is built.  The rows left, without the settled columns, go in one
+    at a time (extend_span).  The input rows are not changed."""
     pinned = {c for row in rows if len(row) == 1 for c in row}
     rows = [row for row in rows if len(row) > 1]
-    holders = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            holders.setdefault(c, []).append(i)
     # left[i]: the entries of rows[i] on columns not yet dropped from it;
     # when one is left, its column may be settled already and in todo
     left = [len(row) for row in rows]
-    todo = list(pinned)
-    while todo:
-        for i in holders.get(todo.pop(), ()):
-            left[i] -= 1
-            if left[i] == 1:
-                new = [c for c in rows[i] if c not in pinned]
-                pinned.update(new)
-                todo += new
+    if pinned:
+        holders = {}
+        for i, row in enumerate(rows):
+            for c in row:
+                holders.setdefault(c, []).append(i)
+        todo = list(pinned)
+        while todo:
+            for i in holders.get(todo.pop(), ()):
+                left[i] -= 1
+                if left[i] == 1:
+                    new = [c for c in rows[i] if c not in pinned]
+                    pinned.update(new)
+                    todo += new
     basis = {c: {c: 1} for c in pinned}
     for row, n in zip(rows, left):
         if n:
@@ -291,7 +295,8 @@ def nullspace(a):
     """Basis of the right kernel {v : a v = 0}, as a list of vectors."""
     if not a:
         return []
-    return _kernel(*_pivot_rows(a), len(a[0]))
+    rows, k, element = _rational_form(a)
+    return _kernel(rows, len(a[0]), k, element)
 
 
 def sparse_nullspace(rows, ncols):
@@ -301,20 +306,33 @@ def sparse_nullspace(rows, ncols):
     matrix."""
     if {int}.issuperset(map(type, chain.from_iterable(
             row.values() for row in rows))):
-        return _kernel(*_reduced(rows, ncols), ncols)
+        return _kernel(rows, ncols)
     return nullspace([[row.get(j, 0) for j in range(ncols)] for row in rows])
 
 
-def _kernel(r, pivots, ncols):
-    """The kernel basis read off the nonzero rref rows and their pivots:
-    one vector per free column."""
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(rows, ncols, k=1, element=None):
+    """The kernel basis read off the integer rref of the sparse integer
+    rows, one vector per free column fc: v[fc] = 1 and v[pc] = -row[fc] /
+    row[pc] for the row pivoting on pc (0 when fc is not in it).  Over K
+    (k > 1) the rows are those of the realification, and the value at pc
+    is rebuilt by element from the k coordinates of fc in the row that
+    pivots on the first coordinate of pc, as _reduced reads it."""
+    zero, one = Fraction(0), Fraction(1)
+    pivot_rows = [(pc, row) for pc, row in _integer_rref(rows) if pc % k == 0]
+    pivots = {pc // k for pc, _ in pivot_rows}
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for pc, row in pivot_rows:
+            p = row[pc]
+            if element:
+                v[pc // k] = -element([Fraction(row.get(k * fc + s, 0), p)
+                                       for s in range(k)])
+            elif fc in row:
+                v[pc] = Fraction(-row[fc], p)
         basis.append(v)
     return basis
 

@@ -29,7 +29,10 @@ step of the product table replaced, with the blade conjugate folded
 through it, and the Cartan elements as Clifford products.  And the two
 exact kernels that now touch only nonzero data: mat_vec forming every
 product, zero coordinates of v included, and the presolve of the integer
-rref that rebuilt every row on each round.
+rref that rebuilt every row on each round.  And the kernel read off dense
+Fraction rref rows, which the read-off from the integer rows replaced;
+route B above reads its kernel through it, so it shares no read-off with
+reps.
 Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
@@ -42,7 +45,7 @@ from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                _sigma_rows, _table_for, sigma_action,
                                spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
-from spinweil.linalg import (_kernel, _over, _scaled_terms, det,
+from spinweil.linalg import (_over, _scaled_terms, det,
                              extend_span, inverse, mat, mat_mul, mat_vec,
                              nullspace, scale_to_integers, solve,
                              solve_matrix, sparse_product, transpose)
@@ -485,7 +488,22 @@ def cayley_route_b(z):
     pivots = sorted(basis)
     rows = [[Fraction(basis[pc].get(j, 0), basis[pc][pc]) for j in range(70)]
             for pc in pivots]
-    return _kernel(rows, pivots, 70)
+    return dense_kernel(rows, pivots, 70)
+
+
+def dense_kernel(r, pivots, ncols):
+    """The kernel basis read off the dense nonzero rref rows r and their
+    pivots: one vector per free column fc, v[fc] = 1 and v[pc] = -r[i][fc]
+    for the row i pivoting on pc."""
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc]
+        basis.append(v)
+    return basis
 
 
 def cayley_routes(s):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from spinweil import cli, reps
 from spinweil.cli import main
 from spinweil.jsonio import to_json
 from spinweil.multivector import Multivector
@@ -168,6 +169,22 @@ def test_invariants_verb(capsys):
     assert doc["stabilizer_of_pair_dim"] == 15
 
 
+def test_invariants_computes_the_stabilizer_of_its_spinor_once(
+        capsys, monkeypatch):
+    calls = []
+    real = reps.stabilizer_algebra
+
+    def counting(fixed):
+        calls.append(fixed)
+        return real(fixed)
+
+    monkeypatch.setattr(reps, "stabilizer_algebra", counting)
+    monkeypatch.setattr(cli, "stabilizer_algebra", counting)
+    assert main(["invariants"]) == 0
+    # the stabilizer of 1 - 2 e_* and that of the standard pair
+    assert len(calls) == 2
+
+
 def test_verify_single_suite(capsys):
     rc, doc = run_json(capsys, "verify", "--suite", "mukai")
     assert rc == 0
@@ -213,6 +230,37 @@ def test_python_m_spinweil_runs_the_cli():
                           "weil_family_field_scan"), (["ks"], "ks")]:
         assert spinweil(*argv, "--json") == \
             (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_process_answers_as_fresh_processes_do(capsys, monkeypatch,
+                                                  tmp_path):
+    # the parser is shared by every main call of a process, so a usage
+    # error, a good call and a bad input in a row must each read as in a
+    # fresh process (same width, so argparse wraps its usage alike)
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    calls = [["cayley", "--n", "x"],
+             ["cayley", "--s", '["1","0","0","0","1","0","0","0"]', "--json"],
+             ["cayley", "--input", str(bad)],
+             ["cayley", "--n", "x"]]
+    codes = []
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "spinweil", *argv],
+                              env=dict(_fresh_env(), COLUMNS="80"),
+                              capture_output=True, text=True, timeout=120)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        codes.append(rc)
+    assert codes == [2, 0, 2, 2]
 
 
 def test_reader_that_closes_after_one_line_gets_no_traceback():

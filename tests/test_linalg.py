@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinweil import linalg, reps
@@ -121,14 +121,31 @@ def field_path():
         yield
 
 
+def field_nullspace(a):
+    """The kernel read off the dense rows of the reference rref."""
+    if not a:
+        return []
+    return reference.dense_kernel(*field_pivot_rows(a), len(a[0]))
+
+
+def field_rank(a):
+    return len(field_pivot_rows(a)[1])
+
+
+#: the field path of the functions that read the integer rref rows
+#: themselves, which field_path alone leaves on the integer path
+FIELD_ROUTES = {nullspace: field_nullspace, rank: field_rank}
+
+
 def both(fn, *args):
     """fn on the integer path and on the field path; a ValueError is a
     result too."""
     out = []
-    for ctx in (nullcontext(), field_path()):
+    for ctx, f in ((nullcontext(), fn),
+                   (field_path(), FIELD_ROUTES.get(fn, fn))):
         with ctx:
             try:
-                out.append(fn(*args))
+                out.append(f(*args))
             except ValueError as exc:
                 out.append(("ValueError", str(exc)))
     return out
@@ -289,12 +306,17 @@ def _sparse(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
+def _row_integers(a):
+    """Each rational row of a times the lcm of its denominators."""
+    return [[int(x * lcm(*(Fraction(y).denominator for y in row)))
+             for x in row] for row in a]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(), st.integers(1, 4))
 def test_sparse_nullspace_of_integer_rows_matches_nullspace(a, scale):
     # each row times its own nonzero constant has the same kernel
-    ints = [[int(x * scale * lcm(*(Fraction(y).denominator for y in row)))
-             for x in row] for row in a]
+    ints = [[scale * x for x in row] for row in _row_integers(a)]
     if a:
         assert repr(sparse_nullspace(_sparse(ints), len(a[0]))) == \
             repr(nullspace(a))
@@ -307,6 +329,59 @@ def test_sparse_nullspace_of_field_rows_matches_nullspace(pair):
     a, _ = pair
     if a:
         assert sparse_nullspace(_sparse(a), len(a[0])) == nullspace(a)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """A matrix over Q, Q(sqrt 2) or Q(i, sqrt m) with one to three empty
+    rows: random, zero, or of full column rank (an upper triangular block
+    with a nonzero diagonal among random rows), rows shuffled."""
+    field = draw(st.sampled_from([None, (QuadExt, 2), (TowerScalar, -2),
+                                  (TowerScalar, 5)]))
+    entries = ENTRIES if field is None else field_entries(*field)
+    nonzero = entries.filter(lambda x: x != 0)
+    ncols = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["random", "zero", "full column rank"]))
+    a = [] if shape == "zero" else [
+        [draw(entries) for _ in range(ncols)]
+        for _ in range(draw(st.integers(0, 4)))]
+    if shape == "full column rank":
+        a += [[draw(nonzero) if j == i else draw(entries) if j > i else 0
+               for j in range(ncols)] for i in range(ncols)]
+    a += [[0] * ncols for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(a)), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+# a field matrix whose field elements are all zero is rational when sparse
+@example(([[1, 0], [QuadExt(0, 0, m=2), 0]], "random"))
+def test_kernel_read_off_the_integer_rows_matches_the_dense_read_off(case):
+    a, shape = case
+    ncols = len(a[0])
+
+    def dense_read_off(m):
+        return reference.dense_kernel(*linalg._pivot_rows(m), ncols)
+
+    expected = dense_read_off(a)
+    if shape != "random":
+        assert len(expected) == (ncols if shape == "zero" else 0)
+    sparse = [_sparse(a)]
+    if linalg._integer_rows(a) is not None:
+        sparse.append(_sparse(_row_integers(a)))
+    # sparse rows drop zero entries, so a matrix whose field elements are
+    # all zero is rational in sparse form: each sparse form is held to the
+    # read-off of the dense matrix it stands for
+    wanted = [expected] + [
+        dense_read_off([[row.get(j, 0) for j in range(ncols)] for row in rows])
+        for rows in sparse]
+    with pytest.MonkeyPatch.context() as mp:
+        # the read-off builds no dense rref row
+        mp.setattr(linalg, "_reduced", None)
+        got = [nullspace(a)] + [sparse_nullspace(rows, ncols)
+                                for rows in sparse]
+    for kernel, want in zip(got, wanted):
+        assert kernel == want and repr(kernel) == repr(want)
 
 
 @pytest.mark.parametrize("a", [
@@ -768,7 +843,8 @@ def presolve_rows(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(presolve_rows())
+@given(st.one_of(presolve_rows(), presolve_rows().map(
+    lambda rows: [row for row in rows if len(row) != 1])))
 def test_presolve_by_propagation_matches_the_round_loop(rows):
     before = copy.deepcopy(rows)
     left, first_basis, real = [], [], linalg.extend_span
@@ -798,9 +874,8 @@ def test_route_b_invariants_match_field_reference():
     # stacked rows (899 nonzero) of rank 69 on the degree-4 forms
     vecs = reps.stabilizer_algebra([Spinor([1, 0, 0, 3, 3, 0, 0, 0])])
     rows = [r for c in vecs for r in reps._coefficient_rows(c, "Wedge4V")[0]]
-    with field_path():
-        expected = nullspace([[r.get(j, 0) for j in range(70)]
-                              for r in rows])
+    expected = field_nullspace([[r.get(j, 0) for j in range(70)]
+                                for r in rows])
     got = reps.invariant_subspace(vecs, "Wedge4V")
     assert len(got) == 1
     assert got == expected and repr(got) == repr(expected)
