@@ -7,13 +7,13 @@ so the generators of the rank-8 lattice V satisfy e_i e_{i+4} + e_{i+4} e_i
 = 1 and all e_i square to zero.  Products are reduced to the canonical
 basis {e_{i_1} ... e_{i_k} : i_1 < ... < i_k} indexed by bitmasks.
 
-The product of two elements runs on ints for rational coefficients: each
-factor is put over the common denominator of its terms by the scaling
-rule of scalars (scale_to_integers, which passes QuadExt and TowerScalar
-coefficients through unscaled), the blade products keep integral
-coefficients as ints, and each term of the result is divided by the two
-denominators once at the end.  The commutator x y - y x is the same loop
-over the blade commutators, cancelled terms dropped (blade_commutator).
+The product of two elements runs on the integer forms that they store
+(multivector._Blades: ints over one denominator for rational
+coefficients, QuadExt and TowerScalar coefficients as they are), the
+blade products keep integral coefficients as ints, and the result is put
+in lowest terms over the product of the two denominators once at the
+end.  The commutator x y - y x is the same loop over the blade
+commutators, cancelled terms dropped (blade_commutator).
 Blade products and commutators are kept in one table each per algebra,
 filled on first use: a row of 2^rank entries per left blade, each entry
 the (mask, coefficient) pairs of the result (_blade_entry).  The product
@@ -32,9 +32,9 @@ wedging, W* by contracting, and each blade e_A sends each of the 16 basis
 forms w_F to +-w_G or to 0.  The table of these signed partial
 permutations is built once in closed form, with no product: e_k (k < 4)
 sends w_F to +-w_{F + k} and e_{k+4} sends it to +-w_{F - k} (_module_table).
-sigma_action reads it, on ints over a common denominator.  Chevalley's
-invariant form on spinors, C[F][15 - F] = (-1)^|F & {0, 2}|, its own
-inverse, makes sigma(x*) = C sigma(x)^T C.  As sigma is injective, the
+sigma_action and _sigma_rows read it, on the stored integer forms.
+Chevalley's invariant form on spinors, C[F][15 - F] = (-1)^|F & {0, 2}|,
+its own inverse, makes sigma(x*) = C sigma(x)^T C.  As sigma is injective, the
 spin-group test runs on 16 x 16 matrices: x x* = 1 iff X C X^T C = 1 for
 X = sigma(x); and for a vector u, y = x e_j x* - u is odd with y* = -y,
 so the S- -> S+ block of sigma(y) is -C+ Q^T C- for its S+ -> S- block Q
@@ -56,11 +56,10 @@ from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import (_over, _scaled_terms, inverse, mat_mul, rank,
-                     scale_to_integers, sparse_product, transpose)
+from .linalg import inverse, mat_mul, rank, sparse_product, transpose
 from .multivector import (Multivector, _Blades, _accumulate, _blade_sum,
                           indices_of, popcount)
-from .scalars import rat
+from .scalars import _over, lowest_terms, rat
 
 
 def _integral_as_int(terms):
@@ -213,31 +212,28 @@ class CliffordElement(_Blades):
     __hash__ = _Blades.__hash__
 
     def is_even(self):
-        return all(popcount(m) % 2 == 0 for m in self.terms)
+        return all(popcount(m) % 2 == 0 for m in self._ints)
 
     def scalar_part(self):
-        return self.terms.get(0, Fraction(0))
+        return _over(self._ints.get(0, 0), self._d)
 
     def vector_part(self):
         """Coordinates of the degree-1 component."""
-        return [self.terms.get(1 << i, Fraction(0))
+        return [_over(self._ints.get(1 << i, 0), self._d)
                 for i in range(self.algebra.rank)]
 
     def is_vector(self):
-        return all(popcount(m) == 1 for m in self.terms)
+        return all(popcount(m) == 1 for m in self._ints)
 
     def conj(self):
         """The anti-involution x_1...x_r -> (-1)^r x_r...x_1."""
         alg = self.algebra
-        # on ints over the common denominator d
-        a, d = scale_to_integers(self.terms.items())
         out = {}
         get = out.get
-        for mask, c in a.items():
+        for mask, c in self._ints.items():
             for m, c2 in alg.blade_conj(mask).items():
                 out[m] = get(m, 0) + c * c2
-        return CliffordElement._of(
-            alg, {m: _over(c, d) for m, c in out.items() if c})
+        return CliffordElement._of(alg, *lowest_terms(out, self._d))
 
 
 def conjugation(x: CliffordElement) -> CliffordElement:
@@ -304,28 +300,26 @@ def sigma_action(x: CliffordElement, eta: Multivector) -> Multivector:
     table = _table_for(x.algebra)
     if eta.n != 4:
         raise ValueError("sigma_action acts on the exterior algebra of W")
-    a, b, d = _scaled_terms(x.terms, eta.terms)
+    b = eta._ints.items()
     out = {}
-    for ma, ca in a.items():
+    for ma, ca in x._ints.items():
         row = table[ma]
-        for f, cf in b.items():
+        for f, cf in b:
             if row[f] is not None:
                 g, s = row[f]
                 out[g] = out.get(g, 0) + s * ca * cf
-    return Multivector(4, {g: _over(c, d) for g, c in out.items()})
+    return Multivector._of(eta.algebra, *lowest_terms(out, x._d * eta._d))
 
 
-def _sigma_rows(terms, table):
-    """sigma of the element with the {mask: coefficient} terms, over their
-    common denominator d, as (rows, d): row G is {F: c}, the nonzero
-    entries at the form masks F, scaled by scale_to_integers."""
-    terms, d = scale_to_integers(terms.items())
+def _sigma_rows(x, table):
+    """sigma(x) over the denominator d of its stored form, as (rows, d):
+    row G is {F: c}, the nonzero entries at the form masks F."""
     rows = [{} for _ in range(16)]
-    for a, c in terms.items():
+    for a, c in x._ints.items():
         for f, hit in enumerate(table[a]):
             if hit is not None:
                 rows[hit[0]][f] = rows[hit[0]].get(f, 0) + hit[1] * c
-    return [{f: c for f, c in row.items() if c} for row in rows], d
+    return [{f: c for f, c in row.items() if c} for row in rows], x._d
 
 
 def is_spin_group_element(x: CliffordElement) -> bool:
@@ -351,7 +345,7 @@ def twisted_conjugation(x: CliffordElement):
     (15 - 2^i, 15) (its W* part, signed by e_{i+4} w_15), and the odd rows
     of Y are compared with those of d^2 sigma(u), on sparse integer rows."""
     table = _table_for(x.algebra)
-    xs, d = _sigma_rows(x.terms, table)
+    xs, d = _sigma_rows(x, table)
     xcs = [{} for _ in range(16)]
     for g, row in enumerate(xs):
         for f, c in row.items():
@@ -389,15 +383,12 @@ def exp_nilpotent(x: CliffordElement) -> CliffordElement:
     The power chain is capped at 2^rank terms; a chain that fails to
     terminate by then is not nilpotent and raises ValueError.
     """
-    alg = x.algebra
-    acc = alg.one()
-    power = alg.one()
-    cap = 1 << alg.rank
-    for k in range(1, cap + 1):
-        power = power * x
+    acc, power = x.algebra.one(), x
+    for k in range(1, (1 << x.algebra.rank) + 1):
         if power.is_zero():
             return acc
         acc = acc + power.scale(Fraction(1, factorial(k)))
+        power = power * x
     raise ValueError("power chain did not terminate: element is not nilpotent")
 
 
@@ -475,10 +466,9 @@ def spin_v_xyz_table():
     alg = CV()
 
     def blade(a, b):
-        terms = {1 << a | 1 << b: Fraction(1)}
         if b == a + 4:
-            terms[0] = Fraction(-1, 2)
-        return CliffordElement._of(alg, terms)
+            return CliffordElement._of(alg, {1 << a | 1 << b: 2, 0: -1}, 2)
+        return CliffordElement._of(alg, {1 << a | 1 << b: 1}, 1)
 
     out = []
     for i in range(4):
@@ -511,15 +501,15 @@ def random_spin_group_element(rng, span=1):
     nilpotent, so exactness forces the product form.  Each exponent is
     written down: e_a e_b (a < b, one family) is the blade of its mask.
     """
-    alg = CV()
-    g = alg.one()
+    g = None
     for family in (0, 4, 0):
         terms = {}
         for i, j in combinations(range(family, family + 4), 2):
             c = rng.randint(-span, span)
             if c:
-                terms[1 << i | 1 << j] = Fraction(c)
-        g = g * exp_nilpotent(CliffordElement._of(alg, terms))
+                terms[1 << i | 1 << j] = c
+        e = exp_nilpotent(CliffordElement._of(CV(), terms, 1))
+        g = e if g is None else g * e
     return g
 
 

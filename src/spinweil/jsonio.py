@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 from .multivector import Multivector, indices_of, mask_of
 from .scalars import QuadExt, TowerScalar, rat
@@ -81,10 +82,11 @@ def decode_multivector(obj, n):
 
 
 def to_json(x):
-    """x as a JSON value: dicts, lists and tuples entry by entry, bool, int
-    and str unchanged (an int stays a number), a Multivector through
-    encode_multivector and any other scalar through encode_scalar."""
-    if isinstance(x, dict):
+    """x as a JSON value: dicts (the terms of an element among them),
+    lists and tuples entry by entry, bool, int and str unchanged (an int
+    stays a number), a Multivector through encode_multivector and any
+    other scalar through encode_scalar."""
+    if isinstance(x, (dict, MappingProxyType)):
         return {k: to_json(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_json(v) for v in x]

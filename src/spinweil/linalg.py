@@ -40,9 +40,11 @@ rationals become ints over the lcm of their denominators, other scalars
 pass through with denominator 1), the sparse rows are multiplied and
 summed (sparse_product), and each nonzero product entry is divided by its
 row and column denominators once at the end (_over); a zero entry is
-Fraction(0).  The rule has one owner, scalars; rref, det, the wedge, the
-Clifford product and commutator, the spin-module rows, the lattice
-pairing and the Kuga-Satake center rows call it without branching.  Only
+Fraction(0).  The rule has one owner, scalars; rref, det, the lattice
+pairing and the Kuga-Satake center rows call it without branching, and
+the blade algebras and the scalar tower keep their values in its form,
+so the wedge, the Clifford product and commutator and the spin-module
+rows read it with no call.  Only
 an algorithm that is the sole path for its inputs chooses by type: rref
 over K by restriction of scalars (_integer_rows), the integer kernel of
 sparse_nullspace, and Bareiss or field elimination in det.
@@ -72,14 +74,6 @@ def identity(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def _scaled_terms(a, b):
-    """(a, b, d): the terms a and b, each scaled by scale_to_integers, and
-    the product d of their two denominators."""
-    a, da = scale_to_integers(a.items())
-    b, db = scale_to_integers(b.items())
-    return a, b, da * db
 
 
 def sparse_product(a_rows, b_rows):

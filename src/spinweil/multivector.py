@@ -7,6 +7,12 @@ Algebraic Theory of Spinors, 1954), one cached CliffordAlgebra per n
 (_exterior).  So Multivector and clifford.CliffordElement share one term
 base (_Blades), and _blade_sum is the one product loop: the Clifford
 product, the commutator and the wedge each read a blade table through it.
+An element keeps its terms in the form of the scaling rule of scalars
+(scale_to_integers): rational coefficients as ints over one denominator
+in lowest terms, any other scalars as they are over 1.  A product, sum,
+negation or scaling reads the forms of its operands and is born with its
+own (lowest_terms, one gcd per result), and == compares the forms; the
+terms as Fractions are built only when read.
 
 Degree-4 bases on V are ordered by lexicographic index subsets
 (itertools.combinations order).  The volume form is e_1 ^ ... ^ e_8 in
@@ -22,9 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
+from types import MappingProxyType
 
-from .linalg import _over, _scaled_terms, scale_to_integers
-from .scalars import rat
+from .scalars import (_integer_coords, _over, lowest_terms, rat,
+                      scale_to_integers)
 
 
 popcount = int.bit_count
@@ -66,12 +73,15 @@ def _accumulate(acc, mask, value):
 class _Blades:
     """A finite mapping {blade bitmask: scalar} in a fixed Clifford
     algebra (an exterior algebra is the Clifford algebra of the zero
-    form).  Construction, the additive group, scaling, equality, hashing
-    and the text are shared; a subclass supplies the text of its
-    mixed-ambient error (_MIXED) and the sort key of its terms in repr
-    (_order)."""
+    form), stored as scale_to_integers gives its terms: _ints over one
+    denominator _d in lowest terms (rational coefficients as ints, any
+    other scalars as they are with _d = 1).  The terms, Fractions for
+    rational coefficients, are a read-only view built on first read.
+    Construction, the additive group, scaling, equality, hashing and the
+    text are shared; a subclass supplies the text of its mixed-ambient
+    error (_MIXED) and the sort key of its terms in repr (_order)."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_ints", "_d", "_terms")
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
@@ -84,56 +94,86 @@ class _Blades:
                 c = rat(c) if isinstance(c, (int, str, Fraction)) else c
                 if c:
                     clean[m] = c
-        self.terms = clean
+        self._terms = MappingProxyType(clean)
+        self._ints, self._d = scale_to_integers(clean.items())
 
     @classmethod
-    def _of(cls, algebra, terms):
-        """An element on terms that are already clean (nonzero, inside the
-        algebra, and no int where __init__ would make a Fraction), without
-        the per-term pass."""
+    def _of(cls, algebra, ints, d):
+        """The element of the form (ints, d) that scale_to_integers or
+        lowest_terms gives, unchecked."""
         x = object.__new__(cls)
-        x.algebra, x.terms = algebra, terms
+        x.algebra, x._ints, x._d = algebra, ints, d
         return x
+
+    @property
+    def terms(self):
+        try:
+            return self._terms
+        except AttributeError:
+            d = self._d
+            self._terms = MappingProxyType(
+                {m: _over(c, d) for m, c in self._ints.items()})
+            return self._terms
 
     def _check(self, other):
         if (not isinstance(other, type(self))
                 or other.algebra is not self.algebra):
             raise ValueError(self._MIXED)
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other, over the denominator they share or the
+        product of the two."""
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return self._of(self.algebra, out)
+        d, e = self._d, other._d
+        if d == e:
+            out = dict(self._ints)
+        else:
+            out = {m: c * e for m, c in self._ints.items()}
+            sign *= d
+            d *= e
+        get = out.get
+        for m, c in other._ints.items():
+            out[m] = get(m, 0) + sign * c
+        return self._of(self.algebra, *lowest_terms(out, d))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return self._of(self.algebra, {m: -c for m, c in self.terms.items()})
+        return self._of(self.algebra,
+                        {m: -c for m, c in self._ints.items()}, self._d)
 
     def scale(self, c):
-        if c == 0:
-            return self._of(self.algebra, {})
-        return self._of(self.algebra,
-                        {m: c * x for m, x in self.terms.items()})
+        (n,), e = _integer_coords([c])
+        return self._of(self.algebra, *lowest_terms(
+            {m: n * x for m, x in self._ints.items()}, self._d * e))
 
     def __eq__(self, other):
-        return (isinstance(other, type(self)) and other.algebra is self.algebra
-                and other.terms == self.terms)
+        if not (isinstance(other, type(self))
+                and other.algebra is self.algebra):
+            return False
+        if self._d == other._d:
+            return self._ints == other._ints
+        # two rational forms in lowest terms differ with their denominators;
+        # one with other scalars (d = 1) may still hold the same values
+        return (any(type(c) is not int for x in (self, other)
+                    for c in x._ints.values())
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
 
     def is_zero(self):
-        return not self.terms
+        return not self._ints
 
     def degrees(self):
-        return sorted({popcount(m) for m in self.terms})
+        return sorted({popcount(m) for m in self._ints})
 
     def __repr__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         parts = []
         for m in sorted(self.terms, key=self._order):
@@ -146,25 +186,24 @@ class _Blades:
 def _blade_sum(x, y, rows):
     """The sum of c_A c_B rows[A][B] over the terms c_A e_A of x and c_B e_B
     of y (rows the blade product or commutator table of their algebra), on
-    ints for rational x and y and made one Fraction per term at the end."""
+    their stored forms, over the product of their denominators."""
     x._check(y)
-    a, b, d = _scaled_terms(x.terms, y.terms)
     entry = x.algebra._blade_entry
+    b = y._ints.items()
     out = {}
     get = out.get
-    for ma, ca in a.items():
+    for ma, ca in x._ints.items():
         row = rows[ma]
         if row is None:
             row = rows[ma] = [None] * len(rows)
-        for mb, cb in b.items():
+        for mb, cb in b:
             prod = row[mb]
             if prod is None:
                 prod = entry(rows, ma, mb)
             cc = ca * cb
             for m, c in prod:
                 out[m] = get(m, 0) + cc * c
-    return type(x)._of(
-        x.algebra, {m: _over(c, d) for m, c in out.items() if c})
+    return type(x)._of(x.algebra, *lowest_terms(out, x._d * y._d))
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +252,7 @@ class Multivector(_Blades):
         return cls(n, {1 << i: c for i, c in enumerate(coords) if c != 0})
 
     def coefficient(self, mask):
-        return self.terms.get(mask, Fraction(0))
+        return _over(self._ints.get(mask, 0), self._d)
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
@@ -395,14 +434,14 @@ def derivation_columns(cols, blades, symmetric=False):
 def derive_multivector(m, x: Multivector) -> Multivector:
     """Apply the derivation extension of a matrix on vectors to a form:
     each term's blade is mapped by derivation_columns."""
-    terms = list(x.terms.items())
+    terms = list(x._ints.items())
     images = derivation_columns(nonzero_columns(m),
                                 [indices_of(mask) for mask, _ in terms])
     acc = {}
     for (_, c), image in zip(terms, images):
         for blade, v in image.items():
             _accumulate(acc, mask_of(blade), c * v)
-    return Multivector._of(x.algebra, acc)
+    return Multivector._of(x.algebra, *lowest_terms(acc, x._d))
 
 
 def coords_degree(x: Multivector, masks):

@@ -82,7 +82,7 @@ REP_NAMES = ("V", "S+", "S-", "Wedge2V", "Wedge4V", "Sym2S+", "Wedge2S+")
 def _half_spin_block(x, basis, message):
     """The block of sigma(x) on the half-spin basis [(mask, sign)], read
     off _sigma_rows; ValueError(message) when it leaves that half."""
-    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
+    rows, d = _sigma_rows(x, _table_for(x.algebra))
     half = {f for f, _ in basis}
     if any(f in half for g in set(range(16)) - half for f in rows[g]):
         raise ValueError(message)

@@ -4,27 +4,30 @@ the biquadratic tower Q(i, sqrt(m)), and Hilbert-symbol norm tests.
 All scalars are immutable and exact; there is no floating point anywhere.
 Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
 positive denominator).  ``QuadExt`` and ``TowerScalar`` share one base,
-_Multiquadratic: an element is the tuple c of its rational coordinates on
-the Q-basis (1, sqrt(m)) or (1, i, sqrt(m), i sqrt(m)) and a single
-squarefree ``m``; the base owns everything that reads c coordinatewise,
-and each class only its product, inverse and conjugations.  Mixing
-different ``m`` is a usage error and raises ``ValueError`` at the
-operation boundary.
+_Multiquadratic: an element is its rational coordinates on the Q-basis
+(1, sqrt(m)) or (1, i, sqrt(m), i sqrt(m)) and a single squarefree ``m``;
+the base owns everything that reads the coordinates one by one, and each
+class only its product, inverse and conjugations.  Mixing different ``m``
+is a usage error and raises ``ValueError`` at the operation boundary.
 This module owns the scaling rule of every exact kernel: rational values
 become ints over the lcm d of their denominators; with any other scalar
 among them, the values pass through unchanged and d = 1.  _integer_coords
 is its dense form, scale_to_integers its sparse keyed form (zeros left
 out), and _over(c, d) turns a result back into c / d.  Callers apply the
-rule without asking whether their values are rational.  Products in
-Q(sqrt(m)) and Q(i, sqrt(m)) run on ints over each factor's common
-denominator, one Fraction per coordinate.
+rule without asking whether their values are rational.  The rule's form
+is in lowest terms (gcd(d, all ints) = 1), so it is the one canonical
+form of its values (Knuth, TAOCP vol. 2, 4.5.1), and values are kept in
+it: an element of Q(sqrt(m)) or Q(i, sqrt(m)) stores its coordinates as
+ints over one denominator, and every operation reads and returns that
+form, divided once by a gcd (_lowest); lowest_terms does the same for
+keyed sums, such as the blade algebras' products.  The Fractions of the
+coordinate tuple c are built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, neg, sub
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -44,6 +47,7 @@ def rat(x) -> Fraction:
 
 
 _RATIONAL = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 def all_rational(values):
@@ -83,23 +87,61 @@ def _over(c, d):
     return c if d == 1 else c / d
 
 
-class _Multiquadratic:
-    """An element of a multiquadratic field over Q: the tuple c of its
-    rational coordinates on the field's Q-basis, 1 first, and the field
-    parameter m.  The additive group, coercion of ints and Fractions,
-    division, equality, hashing and truthiness read c alone and are shared;
-    a subclass supplies its basis, product, inverse, conjugations and the
-    text of its mixed-field error (_MIXED)."""
+def _lowest(ns, d):
+    """The tuple of ints ns over the int d != 0 in lowest terms, d > 0."""
+    g = gcd(d, *ns) if d > 0 else -gcd(d, *ns)
+    if g == 1:
+        return ns, d
+    return tuple(n // g for n in ns), d // g
 
-    __slots__ = ("c", "m")
+
+def lowest_terms(sums, d):
+    """The nonzero {key: value} sums over d > 0 as scale_to_integers gives
+    the values sums / d: ints divided with d by their gcd, or, when a sum
+    is not an int, the values sums / d put through the scaling rule."""
+    nonzero = {k: v for k, v in sums.items() if v}
+    if not _INT.issuperset(map(type, nonzero.values())):
+        return scale_to_integers((k, _over(v, d)) for k, v in nonzero.items())
+    g = gcd(d, *nonzero.values()) if d != 1 else 1
+    if g == 1:
+        return nonzero, d
+    return {k: v // g for k, v in nonzero.items()}, d // g
+
+
+_set = object.__setattr__
+
+
+class _Multiquadratic:
+    """An element of a multiquadratic field over Q: its rational
+    coordinates on the field's Q-basis, 1 first, as the tuple _n of ints
+    over one denominator _d > 0 in lowest terms, and the field parameter
+    m.  The tuple c of the coordinates as Fractions is a view, built on
+    first read.  The additive group, coercion of ints and Fractions,
+    division, equality, hashing and truthiness read _n and _d alone and
+    are shared; a subclass supplies its basis, product, inverse,
+    conjugations and the text of its mixed-field error (_MIXED)."""
+
+    __slots__ = ("_n", "_d", "m", "_c")
 
     @classmethod
-    def _of(cls, c, m):
-        """The element with the Fractions c and a valid m, unchecked."""
+    def _of(cls, n, d, m):
+        """The element n / d, for a tuple n of ints and d > 0 in lowest
+        terms and a valid m, unchecked."""
         x = object.__new__(cls)
-        object.__setattr__(x, "c", c)
-        object.__setattr__(x, "m", m)
+        _set(x, "_n", n)
+        _set(x, "_d", d)
+        _set(x, "m", m)
         return x
+
+    @property
+    def c(self):
+        try:
+            return self._c
+        except AttributeError:
+            d = self._d
+            c = tuple(Fraction(v, d) for v in self._n)
+            _set(self, "_c", c)
+            return c
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} values are immutable")
@@ -112,26 +154,35 @@ class _Multiquadratic:
                 raise ValueError(self._MIXED.format(self.m, other.m))
             return other
         if isinstance(other, (int, Fraction)):
-            zeros = (Fraction(0),) * (len(self.c) - 1)
-            return self._of((Fraction(other), *zeros), self.m)
+            zeros = (0,) * (len(self._n) - 1)
+            return self._of((other.numerator, *zeros), other.denominator,
+                            self.m)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other, over the denominator they share or the
+        product of the two."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._of(tuple(map(add, self.c, o.c)), self.m)
+        d, e = self._d, o._d
+        if d == e:
+            n = tuple(a + sign * b for a, b in zip(self._n, o._n))
+        else:
+            n = tuple(a * e + sign * b * d for a, b in zip(self._n, o._n))
+            d *= e
+        return self._of(*_lowest(n, d), self.m)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of(tuple(map(neg, self.c)), self.m)
+        return self._of(tuple(-v for v in self._n), self._d, self.m)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._of(tuple(map(sub, self.c, o.c)), self.m)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,13 +197,15 @@ class _Multiquadratic:
         return self.inverse() * other
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self._n[1:])
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self.m == other.m and self.c == other.c
+            return (self.m == other.m and self._d == other._d
+                    and self._n == other._n)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c[0] == other
+            return (self.is_rational() and self._n[0] == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
@@ -161,7 +214,7 @@ class _Multiquadratic:
         return hash((self.c, self.m))
 
     def __bool__(self):
-        return any(self.c)
+        return any(self._n)
 
 
 class QuadExt(_Multiquadratic):
@@ -174,13 +227,13 @@ class QuadExt(_Multiquadratic):
     __slots__ = ()
     _MIXED = "mixed quadratic fields: sqrt({}) vs sqrt({})"
 
-    def __init__(self, a, b=0, m=None):
+    def __new__(cls, a, b=0, m=None):
         if m is None:
             raise ValueError("QuadExt requires the field parameter m")
         if m in (0, 1) or squarefree_part(m) != m:
             raise ValueError(f"m = {m} must be squarefree and not 0 or 1")
-        object.__setattr__(self, "c", (rat(a), rat(b)))
-        object.__setattr__(self, "m", m)
+        n, d = _integer_coords([rat(a), rat(b)])
+        return cls._of(tuple(n), d, m)
 
     a = property(lambda self: self.c[0])
     b = property(lambda self: self.c[1])
@@ -189,24 +242,25 @@ class QuadExt(_Multiquadratic):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (a, b), d = _integer_coords(self.c)
-        (c, e), f = _integer_coords(o.c)
-        return QuadExt._of((Fraction(a * c + self.m * b * e, d * f),
-                            Fraction(a * e + b * c, d * f)), self.m)
+        a, b = self._n
+        c, e = o._n
+        return QuadExt._of(*_lowest((a * c + self.m * b * e, a * e + b * c),
+                                    self._d * o._d), self.m)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.norm()
+        # d / (a + b sqrt(m)) = d (a - b sqrt(m)) / (a^2 - m b^2)
+        a, b = self._n
+        n = a * a - self.m * b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(m))")
-        a, b = self.c
-        return QuadExt._of((a / n, -b / n), self.m)
+        return QuadExt._of(*_lowest((a * self._d, -b * self._d), n), self.m)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExt._of((Fraction(1), Fraction(0)), self.m)
+        out = QuadExt._of((1, 0), 1, self.m)
         base = self
         while k:
             if k & 1:
@@ -216,12 +270,12 @@ class QuadExt(_Multiquadratic):
         return out
 
     def conj(self):
-        a, b = self.c
-        return QuadExt._of((a, -b), self.m)
+        a, b = self._n
+        return QuadExt._of((a, -b), self._d, self.m)
 
     def norm(self) -> Fraction:
-        a, b = self.c
-        return a * a - self.m * b * b
+        a, b = self._n
+        return Fraction(a * a - self.m * b * b, self._d * self._d)
 
     def __repr__(self):
         a, b = self.c
@@ -241,14 +295,14 @@ class TowerScalar(_Multiquadratic):
     __slots__ = ()
     _MIXED = "mixed tower fields"
 
-    def __init__(self, c0, c1=0, c2=0, c3=0, m=None):
+    def __new__(cls, c0, c1=0, c2=0, c3=0, m=None):
         if m is None:
             raise ValueError("TowerScalar requires the field parameter m")
         if m in (-1, 0, 1) or squarefree_part(m) != m:
             raise ValueError(f"m = {m} must be squarefree and not -1, 0 "
                              f"or 1")
-        object.__setattr__(self, "c", (rat(c0), rat(c1), rat(c2), rat(c3)))
-        object.__setattr__(self, "m", m)
+        n, d = _integer_coords([rat(c0), rat(c1), rat(c2), rat(c3)])
+        return cls._of(tuple(n), d, m)
 
     @classmethod
     def from_gaussian(cls, x: QuadExt, m: int):
@@ -261,36 +315,37 @@ class TowerScalar(_Multiquadratic):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (a0, a1, a2, a3), d = _integer_coords(self.c)
-        (b0, b1, b2, b3), e = _integer_coords(o.c)
-        m, n = self.m, d * e
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = o._n
+        m = self.m
         # basis products: 1, i, s, is with i^2 = -1, s^2 = m, (is)^2 = -m
-        return TowerScalar._of((
-            Fraction(a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3), n),
-            Fraction(a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2), n),
-            Fraction(a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1, n),
-            Fraction(a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, n)), m)
+        return TowerScalar._of(*_lowest((
+            a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3),
+            a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2),
+            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1), self._d * o._d), m)
 
     __rmul__ = __mul__
 
     def conj_i(self):
-        c0, c1, c2, c3 = self.c
-        return TowerScalar._of((c0, -c1, c2, -c3), self.m)
+        c0, c1, c2, c3 = self._n
+        return TowerScalar._of((c0, -c1, c2, -c3), self._d, self.m)
 
     def conj_m(self):
-        c0, c1, c2, c3 = self.c
-        return TowerScalar._of((c0, c1, -c2, -c3), self.m)
+        c0, c1, c2, c3 = self._n
+        return TowerScalar._of((c0, c1, -c2, -c3), self._d, self.m)
 
     def inverse(self):
         t = self * self.conj_i()          # lands in Q(sqrt(m))
-        n = t * t.conj_m()                # lands in Q
-        if not n.is_rational() or n.c[0] == 0:
-            if n.c[0] == 0 and n.is_rational():
+        n = t * t.conj_m()                # lands in Q, as r / e
+        r, e = n._n[0], n._d
+        if not n.is_rational() or r == 0:
+            if r == 0 and n.is_rational():
                 raise ZeroDivisionError("division by zero in Q(i, sqrt(m))")
             raise ArithmeticError("tower norm failed to be rational")
-        r = n.c[0]
         num = self.conj_i() * t.conj_m()
-        return TowerScalar._of(tuple(a / r for a in num.c), self.m)
+        return TowerScalar._of(
+            *_lowest(tuple(v * e for v in num._n), num._d * r), self.m)
 
     def __repr__(self):
         return (f"({self.c[0]} + {self.c[1]}*i + {self.c[2]}*sqrt({self.m})"

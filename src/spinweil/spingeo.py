@@ -176,7 +176,7 @@ def move_to_cell(s: Spinor):
     for coeffs in _zfamily_exponent_candidates():
         # e_{i+4} e_{j+4} (i < j) is the canonical blade of its mask
         g = exp_nilpotent(CliffordElement._of(CV(), {
-            16 << i | 16 << j: Fraction(c) for (i, j), c in coeffs.items()}))
+            16 << i | 16 << j: c for (i, j), c in coeffs.items()}, 1))
         moved = Spinor.from_multivector(sigma_action(g, s.multivector()))
         if moved.z[0] != 0:
             return g, twisted_conjugation(g), moved

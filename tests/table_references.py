@@ -32,26 +32,29 @@ product, zero coordinates of v included, and the presolve of the integer
 rref that rebuilt every row on each round.  And the kernel read off dense
 Fraction rref rows, which the read-off from the integer rows replaced;
 route B above reads its kernel through it, so it shares no read-off with
-reps.
+reps.  And the arithmetic that the stored integer forms replaced: the
+scalar tower on Fraction coordinates (sum, difference, the product over
+each factor's common denominator, conjugates, norm and inverse), and the
+product loop of the blade algebras and sigma_action with both operands'
+Fraction terms scaled on every call.
 Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from spinweil import reps
-from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
-                               _sigma_rows, _table_for, sigma_action,
-                               spin_so_iso, spin_v_xyz_table)
+from spinweil.clifford import (CV, CliffordAlgebra, _sigma_rows, _table_for,
+                               sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
-from spinweil.linalg import (_over, _scaled_terms, det,
-                             extend_span, inverse, mat, mat_mul, mat_vec,
-                             nullspace, scale_to_integers, solve,
+from spinweil.linalg import (_over, det, extend_span, inverse, mat, mat_mul,
+                             mat_vec, nullspace, scale_to_integers, solve,
                              solve_matrix, sparse_product, transpose)
-from spinweil.multivector import (DEGREE4_MASKS, Multivector, _accumulate,
-                                  contract, coords_degree, from_coords,
-                                  indices_of, pluecker, popcount, wedge)
+from spinweil.multivector import (DEGREE4_MASKS, Multivector, _Blades,
+                                  _accumulate, contract, coords_degree,
+                                  from_coords, indices_of, pluecker, popcount,
+                                  wedge)
 from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix,
                            spin_coordinates, splus_matrix, stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar, rat
@@ -101,7 +104,6 @@ def sym2_derivation_matrix(m):
 def derive_multivector(m, x):
     """Apply the derivation extension of a matrix on vectors to a form."""
     n = x.n
-    out = Multivector.zero(n)
     acc = {}
     for mask, c in x.terms.items():
         idxs = indices_of(mask)
@@ -121,8 +123,7 @@ def derive_multivector(m, x):
                     else 1
                 _accumulate(acc, (mask ^ (1 << t)) | (1 << r),
                             sign * c * coef)
-    out.terms.update({k: v for k, v in acc.items() if v != 0})
-    return out
+    return Multivector(n, {k: v for k, v in acc.items() if v != 0})
 
 
 def induced_gram4(gram):
@@ -181,7 +182,7 @@ def phi_matrix():
 def sigma_matrix(x):
     """The 16 x 16 matrix of sigma(x) on the basis forms of the exterior
     algebra of W; row and column F stand for the form of mask F."""
-    rows, d = _sigma_rows(x.terms, _table_for(x.algebra))
+    rows, d = _sigma_rows(x, _table_for(x.algebra))
     zero = Fraction(0)
     return [[_over(row[f], d) if f in row else zero for f in range(16)]
             for row in rows]
@@ -193,8 +194,8 @@ def twisted_conjugation(x):
     x x* = 1 tested on all 16 rows of X X*, and x e_j x* on all 16 rows of
     X sigma(e_j) X*, its W* part read at (0, 2^i)."""
     table = _table_for(x.algebra)
-    xs, d = _sigma_rows(x.terms, table)
-    xcs, dc = _sigma_rows(x.conj().terms, table)
+    xs, d = _sigma_rows(x, table)
+    xcs, dc = _sigma_rows(x.conj(), table)
     dd = d * dc
     if (not x.is_even() or
             sparse_product(xs, xcs) != [{r: dd} for r in range(16)]):
@@ -208,8 +209,7 @@ def twisted_conjugation(x):
         y = sparse_product(xs, ej_xc)
         u = ([y[1 << i].get(0, 0) for i in range(4)] +
              [y[0].get(1 << i, 0) for i in range(4)])
-        if y != _sigma_rows({1 << i: c for i, c in enumerate(u) if c},
-                            table)[0]:
+        if y != _sigma_rows(x.algebra.vector(u), table)[0]:
             raise ValueError("conjugation by x does not preserve V")
         cols.append([_over(c, dd) for c in u])
     return [[cols[j][i] for j in range(8)] for i in range(8)]
@@ -353,6 +353,122 @@ def tower_product(x, y):
                        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, m=m)
 
 
+# -- the scalar tower and the blade algebras on Fraction coordinates, as
+# they ran before each value kept its integer form
+
+def _integer_coords(xs):
+    """The Fractions xs as ints over the lcm of their denominators."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _field_element(like, coords):
+    """The element of the field of like with the given coordinates."""
+    if isinstance(like, QuadExt):
+        return QuadExt(*coords, like.m)
+    return TowerScalar(*coords, m=like.m)
+
+
+def field_product(x, y):
+    """x y in Q(sqrt(m)) or Q(i, sqrt(m)): each factor's coordinates over
+    their common denominator, one Fraction per coordinate."""
+    a, d = _integer_coords(x.c)
+    b, e = _integer_coords(y.c)
+    m, n = x.m, d * e
+    if isinstance(x, QuadExt):
+        return _field_element(x, (Fraction(a[0] * b[0] + m * a[1] * b[1], n),
+                                  Fraction(a[0] * b[1] + a[1] * b[0], n)))
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+    return _field_element(x, (
+        Fraction(a0 * b0 - a1 * b1 + m * (a2 * b2 - a3 * b3), n),
+        Fraction(a0 * b1 + a1 * b0 + m * (a2 * b3 + a3 * b2), n),
+        Fraction(a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1, n),
+        Fraction(a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, n)))
+
+
+def field_conjugates(x):
+    """(conj,) in Q(sqrt(m)), (conj_i, conj_m) in Q(i, sqrt(m)), each
+    negating coordinates."""
+    if isinstance(x, QuadExt):
+        return (_field_element(x, (x.c[0], -x.c[1])),)
+    c0, c1, c2, c3 = x.c
+    return (_field_element(x, (c0, -c1, c2, -c3)),
+            _field_element(x, (c0, c1, -c2, -c3)))
+
+
+def field_inverse(x):
+    """1 / x: over Q(sqrt(m)) conj(x) / norm(x); over Q(i, sqrt(m)) with
+    t = x conj_i(x) and n = t conj_m(t) rational, conj_i(x) conj_m(t) / n."""
+    if isinstance(x, QuadExt):
+        a, b = x.c
+        n = a * a - x.m * b * b
+        return _field_element(x, (a / n, -b / n))
+    t = field_product(x, field_conjugates(x)[0])
+    n = field_product(t, field_conjugates(t)[1]).c[0]
+    num = field_product(field_conjugates(x)[0], field_conjugates(t)[1])
+    return _field_element(x, tuple(c / n for c in num.c))
+
+
+def field_results(x, y):
+    """{operation: result} for two elements of one field: sum,
+    difference, product, conjugates, for a nonzero y quotient and inverse,
+    and, over Q(sqrt(m)), the norm."""
+    out = {"+": _field_element(x, [a + b for a, b in zip(x.c, y.c)]),
+           "-": _field_element(x, [a - b for a, b in zip(x.c, y.c)]),
+           "*": field_product(x, y),
+           "conj": field_conjugates(x)}
+    if any(y.c):
+        out["/"] = field_product(x, field_inverse(y))
+        out["inverse"] = field_inverse(y)
+    if isinstance(x, QuadExt):
+        out["norm"] = x.c[0] * x.c[0] - x.m * x.c[1] * x.c[1]
+    return out
+
+
+def _scaled_terms(a, b):
+    """The terms a and b, each scaled by scale_to_integers, and the product
+    of their two denominators."""
+    a, da = scale_to_integers(a.items())
+    b, db = scale_to_integers(b.items())
+    return a, b, da * db
+
+
+def _element(like, terms):
+    """The element of the algebra of like with the given terms."""
+    x = object.__new__(type(like))
+    _Blades.__init__(x, like.algebra, terms)
+    return x
+
+
+def blade_sum(x, y, rows):
+    """The sum of c_A c_B rows[A][B] over the terms of x and y (rows a
+    blade table of their algebra), both terms scaled on every call and
+    the result made one Fraction per term."""
+    x._check(y)
+    a, b, d = _scaled_terms(x.terms, y.terms)
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            cc = ca * cb
+            for m, c in x.algebra._blade_entry(rows, ma, mb):
+                out[m] = out.get(m, 0) + cc * c
+    return _element(x, {m: _over(c, d) for m, c in out.items() if c})
+
+
+def sigma_action_on_fractions(x, eta):
+    """sigma(x) eta read off the module table, both terms scaled on every
+    call and the result made one Fraction per form."""
+    table = _table_for(x.algebra)
+    a, b, d = _scaled_terms(x.terms, eta.terms)
+    out = {}
+    for ma, ca in a.items():
+        for f, cf in b.items():
+            if table[ma][f] is not None:
+                g, s = table[ma][f]
+                out[g] = out.get(g, 0) + s * ca * cf
+    return Multivector(4, {g: _over(c, d) for g, c in out.items()})
+
+
 def pair(lattice, v, w):
     """The dense double loop v^T G w over the Gram matrix, summed from
     int 0 over the nonzero terms."""
@@ -386,8 +502,7 @@ def commutator(x, y):
                 out[m] = out.get(m, 0) + cc * c
             for m, c in alg.blade_product(mb, ma).items():
                 out[m] = out.get(m, 0) - cc * c
-    return CliffordElement._of(
-        alg, {m: _over(c, d) for m, c in out.items() if c})
+    return _element(x, {m: _over(c, d) for m, c in out.items() if c})
 
 
 def ks_center_basis(lattice):

@@ -686,6 +686,108 @@ def test_row_table_product_and_commutator_match_blade_products(pair):
     _same(commutator(x, y), _by_hand(x.algebra, x, y, -1))
 
 
+
+# -- the stored integer forms against the Fraction paths ---------------------
+
+#: Fraction coefficients with zeros, signs and denominators
+FORM_COEFFS = st.one_of(st.just(0), st.just(Fraction(0)), COEFFS)
+
+
+def _same_in_order(got, expected):
+    """Equal by ==, with the same terms in the same order, by repr."""
+    assert got == expected
+    assert repr(list(got.terms.items())) == \
+        repr(list(expected.terms.items()))
+
+
+def _sum_on_fractions(x, y, sign):
+    """x + sign y term by term on the Fraction terms, cancelled terms
+    left out, in the order of x's terms and then y's."""
+    total = dict(x.terms)
+    for m, v in y.terms.items():
+        total[m] = total.get(m, 0) + sign * v
+    return CliffordElement(x.algebra, total)
+
+
+def _conj_on_fractions(x):
+    """The conjugate summed over the Fraction terms of x."""
+    out = {}
+    for mask, c in x.terms.items():
+        for m, c2 in x.algebra.blade_conj(mask).items():
+            out[m] = out.get(m, 0) + c * c2
+    return CliffordElement(x.algebra, out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.tuples(elements(CV(), FORM_COEFFS), elements(CV(), FORM_COEFFS)),
+    st.tuples(elements(FRAC, FORM_COEFFS, 4), elements(FRAC, FORM_COEFFS, 4)),
+    st.tuples(elements(CV(), QUAD, 4), elements(CV(), FORM_COEFFS)),
+    st.tuples(elements(CV(), FORM_COEFFS), elements(CV(), QUAD, 4))),
+    st.one_of(FORM_COEFFS, QUAD))
+def test_integer_forms_match_the_fraction_paths(pair, c):
+    x, y = pair
+    alg = x.algebra
+    _same_in_order(x * y, reference.blade_sum(x, y, alg._products))
+    _same_in_order(commutator(x, y),
+                   reference.blade_sum(x, y, alg._commutators))
+    _same_in_order(x + y, _sum_on_fractions(x, y, 1))
+    _same_in_order(x - y, _sum_on_fractions(x, y, -1))
+    _same_in_order(-x, CliffordElement(alg, {m: -v
+                                             for m, v in x.terms.items()}))
+    _same_in_order(x.scale(c), CliffordElement(
+        alg, {m: c * v for m, v in x.terms.items()}))
+    _same_in_order(x.conj(), _conj_on_fractions(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(elements(CV(), FORM_COEFFS), elements(CV(), QUAD, 4)),
+       st.dictionaries(st.integers(0, 15), st.one_of(FORM_COEFFS, QUAD),
+                       max_size=8).map(lambda t: Multivector(4, t)))
+def test_sigma_action_matches_the_fraction_path(x, eta):
+    _same_in_order(sigma_action(x, eta),
+                   reference.sigma_action_on_fractions(x, eta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements(CV(), FORM_COEFFS), elements(CV(), FORM_COEFFS))
+def test_a_product_equals_and_hashes_as_its_terms_rebuilt(x, y):
+    # the product is born with its integer form and builds its Fraction
+    # terms on first read; an element built from those terms compares and
+    # hashes the same, in the same key order
+    z = x * y
+    rebuilt = CliffordElement(z.algebra, dict(z.terms))
+    assert z == rebuilt and rebuilt == z and hash(z) == hash(rebuilt)
+    assert list(z.terms) == list(rebuilt.terms)
+    assert all(type(c) is Fraction for c in z.terms.values())
+    assert z.terms is z.terms
+    with pytest.raises(TypeError):
+        z.terms[0] = Fraction(1)
+    # unequal values: another denominator, or the same one
+    assert z != rebuilt + CV().one() and z != rebuilt + CV().scalar(
+        Fraction(1, 2))
+    assert z.is_zero() or z != rebuilt.scale(Fraction(1, 2))
+
+
+def test_the_exponential_chain_starts_at_its_first_factor(monkeypatch):
+    # exp(x) forms x^2, ..., x^k for x^k = 0 and no product by 1, and the
+    # spin-group element multiplies its three exponentials only
+    calls = []
+    product = CliffordElement.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    x = CV().generator(0) * CV().generator(1)
+    calls.clear()
+    assert exp_nilpotent(x) == CV().one() + x
+    assert calls == [(x, x)]
+    calls.clear()
+    random_spin_group_element(random.Random(3))
+    assert calls and all(a != CV().one() for a, _ in calls)
+
 def test_random_spin_group_elements_keep_their_repr():
     # SHA-256 of the reprs at seeds 0-11 and spans 1, 2, taken when the
     # exponents were built from generator products

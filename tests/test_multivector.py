@@ -273,6 +273,36 @@ def test_wedge_matches_per_term_reference(pair):
     assert repr(got) == repr(expected)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_factors(), st.one_of(st.just(0), RATIONAL, QUAD))
+def test_wedge_sum_and_scale_match_the_fraction_paths(pair, c):
+    # the stored forms against the product loop on Fraction terms, with
+    # rational, QuadExt and mixed coefficients: equal, in the same order
+    x, y = pair
+    total = dict(x.terms)
+    for m, v in y.terms.items():
+        total[m] = total.get(m, 0) + v
+    for got, expected in (
+            (wedge(x, y), reference.blade_sum(x, y, x.algebra._products)),
+            (x + y, Multivector(x.n, total)),
+            (x.scale(c), Multivector(x.n, {m: c * v
+                                           for m, v in x.terms.items()}))):
+        assert got == expected
+        assert repr(list(got.terms.items())) == \
+            repr(list(expected.terms.items()))
+
+
+def test_a_field_coefficient_of_rational_value_equals_its_fraction():
+    # a form with a QuadExt coefficient keeps it over 1, so it can equal a
+    # rational form over another denominator only by value
+    half, sqrt5 = Fraction(1, 2), QuadExt(0, 1, 5)
+    x = Multivector(4, {1: QuadExt(half, 0, 5)})
+    assert x == Multivector(4, {1: half}) == x
+    assert hash(x) == hash(Multivector(4, {1: half}))
+    assert x != Multivector(4, {1: Fraction(1, 3)})
+    assert x.scale(sqrt5) != Multivector(4, {1: half})
+
 @pytest.mark.parametrize("n", [-1, 9, 30])
 def test_the_rank_of_an_exterior_algebra_is_at_most_8(n):
     with pytest.raises(ValueError, match="rank 0 to 8"):

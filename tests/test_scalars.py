@@ -288,7 +288,9 @@ def test_arithmetic_results_equal_a_validated_rebuild(pair, r):
     x, y = pair
     for z in _results(x, y, r):
         assert repr(z) == repr(_rebuilt(z)) and z == _rebuilt(z)
+        assert hash(z) == hash(_rebuilt(z))
         assert all(type(c) is Fraction for c in _coords(z))
+        assert z.c is z.c
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])
@@ -332,6 +334,25 @@ def test_products_on_ints_match_fraction_products(pair):
                           (y * x, product(fy, fx))):
         assert got == expected and repr(got) == repr(expected)
         assert all(type(c) is Fraction for c in _coords(got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SAME_FIELD_PAIRS)
+def test_integer_coordinates_match_the_fraction_paths(pair):
+    # each value keeps ints over one denominator; the Fraction-coordinate
+    # reference gives the same values, by == and repr
+    x, y = pair
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        got.update({"/": x / y, "inverse": y.inverse()})
+    got["conj"] = ((x.conj(),) if isinstance(x, QuadExt)
+                   else (x.conj_i(), x.conj_m()))
+    if isinstance(x, QuadExt):
+        got["norm"] = x.norm()
+    expected = reference.field_results(x, y)
+    assert sorted(got) == sorted(expected)
+    for op, value in got.items():
+        assert value == expected[op] and repr(value) == repr(expected[op]), op
 
 
 # -- the scaling rule ---------------------------------------------------------
@@ -378,7 +399,7 @@ def test_over_divides_field_elements_and_fractions():
 
 #: the modules that own the rational-or-not decision
 SCALING_OWNERS = {"scalars.py", "linalg.py"}
-SCALING_NAMES = {"all_rational", "lcm"}
+SCALING_NAMES = {"all_rational", "lcm", "_lowest"}
 
 
 def _names(tree):
