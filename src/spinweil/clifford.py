@@ -215,12 +215,11 @@ class CliffordElement(_Blades):
         return all(popcount(m) % 2 == 0 for m in self._ints)
 
     def scalar_part(self):
-        return _over(self._ints.get(0, 0), self._d)
+        return self.coefficient(0)
 
     def vector_part(self):
         """Coordinates of the degree-1 component."""
-        return [_over(self._ints.get(1 << i, 0), self._d)
-                for i in range(self.algebra.rank)]
+        return [self.coefficient(1 << i) for i in range(self.algebra.rank)]
 
     def is_vector(self):
         return all(popcount(m) == 1 for m in self._ints)

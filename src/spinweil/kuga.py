@@ -25,10 +25,10 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .clifford import CliffordAlgebra, commutator, so_to_spin
+from .clifford import CliffordAlgebra, CliffordElement, commutator, so_to_spin
 from .lattices import BilinearLattice, sublattice_gram
-from .linalg import (identity, mat_mul, rank, scale_to_integers,
-                     solve_matrix, sparse_nullspace, transpose)
+from .linalg import (identity, mat_mul, rank, solve_matrix, sparse_nullspace,
+                     transpose)
 from .reps import _action_matrix, stabilizer_algebra
 from .scalars import rat, squarefree_part
 from .spingeo import splus_lattice
@@ -58,14 +58,15 @@ KSDatum = namedtuple("KSDatum", "basis lattice algebra f1 f2 c even_masks "
 
 def mult_matrix(algebra, x, masks, right=False):
     """The matrix of y -> x y, or of y -> y x when right is set, on the
-    span of the blades of the given masks."""
+    span of the blades of the given masks, read off the stored form of
+    each product."""
     cols = []
     for m in masks:
-        e = algebra.element({m: Fraction(1)})
+        e = CliffordElement._of(algebra, {m: 1}, 1)
         img = e * x if right else x * e
-        if any(mm not in masks for mm in img.terms):
+        if any(mm not in masks for mm in img._ints):
             raise RuntimeError("multiplication left the even part")
-        cols.append([img.terms.get(mm, Fraction(0)) for mm in masks])
+        cols.append([img.coefficient(mm) for mm in masks])
     return transpose(cols)
 
 
@@ -117,8 +118,8 @@ def ks_center(lattice: BilinearLattice):
     its traceless generator.
 
     The center is the kernel of the L_g - R_g, g = e_i e_j, whose column b
-    is the commutator [g, e_b]: sparse rows, scaled by scale_to_integers
-    (on ints when rational).  It is 2-dimensional; the non-scalar
+    is the commutator [g, e_b]: sparse rows, handed to sparse_nullspace as
+    they are built.  It is 2-dimensional; the non-scalar
     generator squares to a rational number whose squarefree part
     identifies the field attached to the lattice (None for a center of
     another dimension).
@@ -131,10 +132,10 @@ def ks_center(lattice: BilinearLattice):
         g = algebra.generator(i) * algebra.generator(j)
         block = [{} for _ in masks]
         for b, m in enumerate(masks):
-            img = commutator(g, algebra.element({m: Fraction(1)}))
+            img = commutator(g, CliffordElement._of(algebra, {m: 1}, 1))
             for mm, c in img.terms.items():
                 block[index[mm]][b] = c
-        rows += [scale_to_integers(row.items())[0] for row in block]
+        rows += block
     basis = sparse_nullspace(rows, len(masks))
     if len(basis) != 2:
         return basis, None
@@ -186,7 +187,7 @@ def ks_hom(datum: KSDatum, h, s):
     xi's action on V, and both actions on S+ and V are read off the cached
     tables (reps._action_matrix).  Phi[c][b] is unknown 8 c + b: row (a, b)
     has L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
-    the rows go through scale_to_integers to sparse_nullspace on ints.
+    the rows go to sparse_nullspace with their zeros left out.
     """
     stab = stabilizer_algebra([h, s])
     if len(stab) != 15:
@@ -204,7 +205,7 @@ def ks_hom(datum: KSDatum, h, s):
                 row = {8 * a + c: -mv[c][b] for c in range(8)}
                 for c, x in nonzero:
                     row[8 * c + b] = row.get(8 * c + b, 0) + x
-                rows.append(scale_to_integers(row.items())[0])
+                rows.append({j: x for j, x in row.items() if x})
     return [[v[i:i + 8] for i in range(0, len(v), 8)]
             for v in sparse_nullspace(rows, 8 * len(datum.even_masks))]
 

@@ -2,13 +2,16 @@
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
-point.  nullspace and rank read the integer rows of the reduced row
-echelon form (rref) with no dense Fraction row: rank counts their pivots
-(over K, those on a first coordinate), and nullspace reads each kernel
-vector straight off them, v[pc] = -row[fc] / row[pc] for each free column
-fc (_kernel); solve, solve_matrix and inverse read one rref of [a | b],
-built as dense rows (_reduced), which also gives the rank of a
-(_solution).  There is one elimination routine,
+point.  Every rref consumer goes in by one entry and out by one read-off.
+The entry, _rational_form, takes sparse rows {column: x} (a dense matrix
+gives them by _rows, zeros left out but for a zero of K, which still sets
+the field) and alone decides their form: rows of ints pass as they are,
+rational rows become primitive int rows, and rows over K = Q(sqrt(m)) or
+Q(i, sqrt(m)), the field of their first other value, are made rational by
+restriction of scalars: each row x becomes the coordinate rows of u x for
+u in the Q-basis of K, 1 first, the k = [K : Q] coordinates of column j at
+k j + s, scaled to ints from the integer coordinates each element of K
+stores (scalars._Multiquadratic).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
 1968): _integer_rref.  A row with one entry is the unit rref row of its
 column, so those columns are settled first, by propagation: an index from
@@ -17,21 +20,21 @@ dropped from, and a row left with one entry settles its column in turn.
 The rows left go in one at a time, in input order (extend_span): each
 is scaled to coprime integers, kept sparse, inserted into a fully reduced
 basis, and divided only once at the end; a row in the span costs one
-clear per pivot it meets, so a tall matrix
-of low rank is cheap.  A matrix over K = Q(sqrt(m)) or Q(i, sqrt(m)) is first
-made rational by restriction of scalars: each row x becomes the
-coordinate rows of u x for u in the Q-basis of K, read off the coordinate
-tuple c that every element of K carries (scalars._Multiquadratic), so no
-field type is named here.  The rref is unique,
-so the rational rref rows are the coordinate rows of u R for the K-rref
-rows R, and R is read back from the rows that pivot on a first
-coordinate.
-sparse_nullspace takes sparse rows as built by its caller, integer rows
-straight to that routine and to the kernel read-off of nullspace.
-det is one routine: a rational matrix is scaled row by row to integers
-and reduced fraction-free (Bareiss), the last pivot over the product of
-the row scales.  A matrix over K is eliminated over K on the first
-nonzero pivot of each column: an exact determinant needs no pivot
+clear per pivot it meets, so a tall matrix of low rank is cheap.  The
+rref is unique, so the rational rref rows are the coordinate rows of u R
+for the K-rref rows R, and R is the rows that pivot on a first
+coordinate.  The read-off, _rref_rows, gives each K-or-Q rref row as its
+pivot and the value at any column c, built only when asked for: the
+integer entry over the pivot entry, or over K the element rebuilt from
+the k coordinates of c.  rref reads every column of each row, rank counts
+the rows, sparse_nullspace reads one vector per free column fc, v[fc] = 1
+and v[pc] = -R[pc][fc], and solve, solve_matrix and inverse read the b
+block of one rref of [a | b], whose pivots also give the rank of a
+(_solution).  nullspace is sparse_nullspace of the rows of a.
+det keeps its own routine: a rational matrix is scaled row by row to
+integers and reduced fraction-free (Bareiss), the last pivot over the
+product of the row scales.  A matrix over K is eliminated over K on the
+first nonzero pivot of each column: an exact determinant needs no pivot
 preference.
 
 mat_mul is one sparse product for every scalar: each row of a and each
@@ -40,14 +43,13 @@ rationals become ints over the lcm of their denominators, other scalars
 pass through with denominator 1), the sparse rows are multiplied and
 summed (sparse_product), and each nonzero product entry is divided by its
 row and column denominators once at the end (_over); a zero entry is
-Fraction(0).  The rule has one owner, scalars; rref, det, the lattice
-pairing and the Kuga-Satake center rows call it without branching, and
-the blade algebras and the scalar tower keep their values in its form,
-so the wedge, the Clifford product and commutator and the spin-module
-rows read it with no call.  Only
-an algorithm that is the sole path for its inputs chooses by type: rref
-over K by restriction of scalars (_integer_rows), the integer kernel of
-sparse_nullspace, and Bareiss or field elimination in det.
+Fraction(0).  The rule has one owner, scalars; _rational_form (on
+rational rows), det and the lattice pairing call it, and the blade
+algebras and the scalar tower keep their values in its form, so the
+wedge, the Clifford product and commutator and the spin-module rows read
+it with no call.  Only an algorithm that is the sole path for its inputs
+chooses by type: the form of the rows of an rref (_rational_form), and
+Bareiss or field elimination in det.
 mat_vec sums each row over the nonzero coordinates of v only: the
 symmetric square coordinates of a sparse spinor are mostly zero (6 of 36
 for three nonzero coordinates).  A zero v is summed over all its
@@ -57,10 +59,12 @@ coordinates, so its zero has the type of the dense sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from functools import partial
+from itertools import chain, product
+from math import gcd, lcm
 
-from .scalars import _RATIONAL, _over, all_rational, scale_to_integers
+from .scalars import (_INT, _RATIONAL, _lowest, _over, all_rational,
+                      scale_to_integers)
 
 
 def mat(rows):
@@ -118,23 +122,6 @@ def mat_vec(a, v):
     module docstring)."""
     terms = [(t, x) for t, x in enumerate(v) if x] or list(enumerate(v))
     return [sum([row[t] * x for t, x in terms]) for row in a]
-
-
-def _integer_rows(a):
-    """The nonzero rows of a as sparse {column: int}, each scaled by the
-    lcm of its denominators and divided by the gcd of its entries.
-
-    None at the first row with an entry that is neither an int nor a
-    Fraction.
-    """
-    out = []
-    for row in a:
-        if not all_rational(row):
-            return None
-        ints, _ = scale_to_integers(enumerate(row))
-        if ints:
-            out.append(_primitive(ints))
-    return out
 
 
 def _primitive(row):
@@ -217,116 +204,98 @@ def _integer_rref(rows):
     return sorted(basis.items())
 
 
-def _realify(a):
-    """a over K = Q(sqrt(m)) or Q(i, sqrt(m)), the field of its first
-    irrational entry, as a rational matrix: row x becomes the coordinate
-    rows of u x for u in the Q-basis of K, 1 first, with the k = [K : Q]
-    coordinates of each column side by side.  Returns it, k, and the
-    element of K with given coordinates."""
-    x = next(x for row in a for x in row if type(x) not in _RATIONAL)
-    kind, m = type(x), x.m
-    k = len(x.c)
-    basis = [kind(*(int(t == s) for t in range(k)), m=m) for s in range(k)]
-    real = [[y for x in row for y in (u * x).c]
-            for row in a for u in basis]
-    return real, k, lambda c: kind(*c, m=m)
+def _rows(a):
+    """The sparse rows {column: x} of the dense rows of a: zeros left out,
+    but for a zero of K, which still sets the field."""
+    return [{j: x for j, x in enumerate(row) if x or type(x) not in _RATIONAL}
+            for row in a]
 
 
-def _pivot_rows(a):
-    """The nonzero rows of rref(a) and their pivot columns; a matrix
-    over K is read back from the rational rows of its realification that
-    pivot on a first coordinate (see the module docstring)."""
-    if not a:
-        return [], []
-    rows, k, element = _rational_form(a)
-    return _reduced(rows, len(a[0]) * k, k, element)
+_ZERO = Fraction(0)
 
 
-def _rational_form(a):
-    """The integer rows, k and element of a, or of _realify(a) over K."""
-    rows = _integer_rows(a)
-    if rows is not None:
-        return rows, 1, None
-    real, k, element = _realify(a)
-    return _integer_rows(real), k, element
+def _read_q(row, p, c):
+    """read of _rational_form over Q: row[c] / p, one shared zero for a
+    column row has no entry at."""
+    return Fraction(row[c], p) if c in row else _ZERO
 
 
-def _reduced(rows, ncols, k=1, element=None):
-    """_pivot_rows from sparse integer rows, read back
-    over K by element when k > 1."""
-    zero = Fraction(0)
-    out, pivots = [], []
-    for pc, row in _integer_rref(rows):
-        if pc % k:
-            continue
-        p = row[pc]
-        full = [zero] * ncols
-        for c, x in row.items():
-            full[c] = Fraction(x, p)
-        if element:
-            full = [element(full[j:j + k]) for j in range(0, ncols, k)]
-        out.append(full)
-        pivots.append(pc // k)
-    return out, pivots
+def _rational_form(rows):
+    """(integer rows, k, read) of the sparse rows {column: x}: rows of ints
+    as they are, rational rows as primitive int rows (k = 1), and rows over
+    K realified (see the module docstring); read(row, p, c) is the value
+    at column c, over Q or K, of the rref row that is the integer rref row
+    over its pivot entry p."""
+    kinds = set(map(type, chain.from_iterable(row.values() for row in rows)))
+    if kinds <= _INT:
+        return rows, 1, _read_q
+    if kinds <= _RATIONAL:
+        scaled = (scale_to_integers(row.items())[0] for row in rows)
+        return [_primitive(ints) for ints in scaled if ints], 1, _read_q
+    x = next(x for row in rows for x in row.values()
+             if type(x) not in _RATIONAL)
+    kind, m, k = type(x), x.m, len(x._n)
+    units = [kind._of(tuple(int(t == s) for t in range(k)), 1, m)
+             for s in range(k)]
+    out = []
+    for row, u in product(rows, units):
+        prods = [(k * j, u * x) for j, x in row.items()]
+        d = lcm(*[p._d for _, p in prods])
+        ints = {c + s: n * (d // p._d) for c, p in prods
+                for s, n in enumerate(p._n) if n}
+        if ints:
+            out.append(_primitive(ints))
+
+    def read(row, p, c):
+        return kind._of(*_lowest(tuple(row.get(k * c + s, 0)
+                                       for s in range(k)), p), m)
+    return out, k, read
+
+
+def _rref_rows(rows):
+    """The read-off: the nonzero rows of the rref over Q or K of the sparse
+    rows, as [(pivot, entry)] in pivot order, entry(c) the value of the row
+    at column c, read off the integer rref row that pivots on pivot, or
+    over K on its first coordinate (see the module docstring)."""
+    ints, k, read = _rational_form(rows)
+    return [(pc // k, partial(read, row, row[pc]))
+            for pc, row in _integer_rref(ints) if pc % k == 0]
 
 
 def rref(a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    rows, pivots = _pivot_rows(a)
-    if a:
-        ncols = len(a[0])
-        rows += [[Fraction(0)] * ncols for _ in range(len(a) - len(rows))]
-    return rows, pivots
+    if not a:
+        return [], []
+    ncols = len(a[0])
+    pivot_rows = _rref_rows(_rows(a))
+    rows = [[entry(c) for c in range(ncols)] for _, entry in pivot_rows]
+    rows += [[Fraction(0)] * ncols for _ in range(len(a) - len(rows))]
+    return rows, [pc for pc, _ in pivot_rows]
 
 
 def rank(a) -> int:
-    """The pivots of _integer_rref that _pivot_rows would keep, counted."""
-    rows, k, _ = _rational_form(a)
-    return sum(pc % k == 0 for pc, _ in _integer_rref(rows))
+    """The number of rows _rref_rows reads off."""
+    return len(_rref_rows(_rows(a)))
 
 
 def nullspace(a):
     """Basis of the right kernel {v : a v = 0}, as a list of vectors."""
-    if not a:
-        return []
-    rows, k, element = _rational_form(a)
-    return _kernel(rows, len(a[0]), k, element)
+    return sparse_nullspace(_rows(a), len(a[0])) if a else []
 
 
 def sparse_nullspace(rows, ncols):
     """nullspace of the matrix with ncols columns and the given sparse rows
-    {column: x}, zeros left out.  Rows of ints go to the integer kernel as
-    they are, with no Fraction in between; other rows run as a dense
-    matrix."""
-    if {int}.issuperset(map(type, chain.from_iterable(
-            row.values() for row in rows))):
-        return _kernel(rows, ncols)
-    return nullspace([[row.get(j, 0) for j in range(ncols)] for row in rows])
-
-
-def _kernel(rows, ncols, k=1, element=None):
-    """The kernel basis read off the integer rref of the sparse integer
-    rows, one vector per free column fc: v[fc] = 1 and v[pc] = -row[fc] /
-    row[pc] for the row pivoting on pc (0 when fc is not in it).  Over K
-    (k > 1) the rows are those of the realification, and the value at pc
-    is rebuilt by element from the k coordinates of fc in the row that
-    pivots on the first coordinate of pc, as _reduced reads it."""
-    zero, one = Fraction(0), Fraction(1)
-    pivot_rows = [(pc, row) for pc, row in _integer_rref(rows) if pc % k == 0]
-    pivots = {pc // k for pc, _ in pivot_rows}
+    {column: x}, zeros left out, in any of the forms _rational_form takes,
+    unscaled: one vector per free column fc of the rref R, v[fc] = 1 and
+    v[pc] = -R[pc][fc] for each pivot pc, read off _rref_rows with no
+    dense row built."""
+    pivot_rows = _rref_rows(rows)
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for pc, row in pivot_rows:
-            p = row[pc]
-            if element:
-                v[pc // k] = -element([Fraction(row.get(k * fc + s, 0), p)
-                                       for s in range(k)])
-            elif fc in row:
-                v[pc] = Fraction(-row[fc], p)
+    for fc in sorted(set(range(ncols)).difference(pc for pc, _ in pivot_rows)):
+        v = [_ZERO] * ncols
+        v[fc] = Fraction(1)
+        for pc, entry in pivot_rows:
+            v[pc] = -entry(fc)
         basis.append(v)
     return basis
 
@@ -343,13 +312,13 @@ def _solution(a, b):
     with a pivot in the a block carry the values of every column of b at
     once; the rows of X at free columns are 0."""
     ncols = len(a[0]) if a else 0
-    r, pivots = _pivot_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    rank = sum(pc < ncols for pc in pivots)
-    if rank < len(pivots):
+    pivot_rows = _rref_rows(_rows(chain(ra, rb) for ra, rb in zip(a, b)))
+    rank = sum(pc < ncols for pc, _ in pivot_rows)
+    if rank < len(pivot_rows):
         return None, rank
     x = [[Fraction(0)] * len(b[0]) for _ in range(ncols)]
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][ncols:]
+    for pc, entry in pivot_rows:
+        x[pc] = [entry(ncols + j) for j in range(len(b[0]))]
     return x, rank
 
 

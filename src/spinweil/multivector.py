@@ -35,6 +35,7 @@ from .scalars import (_integer_coords, _over, lowest_terms, rat,
 
 
 popcount = int.bit_count
+_ZERO = Fraction(0)
 
 
 def mask_of(indices) -> int:
@@ -169,6 +170,12 @@ class _Blades:
     def is_zero(self):
         return not self._ints
 
+    def coefficient(self, mask):
+        """The coefficient on e_mask, read off the stored form: one shared
+        Fraction(0) for a mask with no term."""
+        ints = self._ints
+        return _over(ints[mask], self._d) if mask in ints else _ZERO
+
     def degrees(self):
         return sorted({popcount(m) for m in self._ints})
 
@@ -250,9 +257,6 @@ class Multivector(_Blades):
     def from_vector(cls, coords):
         n = len(coords)
         return cls(n, {1 << i: c for i, c in enumerate(coords) if c != 0})
-
-    def coefficient(self, mask):
-        return _over(self._ints.get(mask, 0), self._d)
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:

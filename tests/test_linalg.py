@@ -34,10 +34,15 @@ from spinweil.spingeo import Spinor
 
 import table_references as reference
 
+#: the 181 Fractions p/q with q <= 7 in [-5, 5]
+FRACTIONS = sorted({Fraction(p, q) for q in range(1, 8)
+                    for p in range(-5 * q, 5 * q + 1)})
+
+#: 0, an int in -6..6 or one of FRACTIONS, each drawn from a fixed pool
 ENTRIES = st.one_of(
     st.just(0),
-    st.integers(-6, 6),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.sampled_from(range(-6, 7)),
+    st.sampled_from(FRACTIONS),
 )
 
 
@@ -113,11 +118,23 @@ def field_pivot_rows(a):
     return m[:len(pivots)], pivots
 
 
+def field_rref_rows(rows):
+    """The read-off of linalg._rref_rows, [(pivot, entry)], from the
+    reference rref of the sparse rows made dense: entry(c) is 0 past the
+    last column any row holds."""
+    width = 1 + max((c for row in rows for c in row), default=-1)
+    m, pivots = field_pivot_rows([[row.get(j, 0) for j in range(width)]
+                                  for row in rows])
+    return [(pc, lambda c, r=r: r[c] if c < width else Fraction(0))
+            for r, pc in zip(m, pivots)]
+
+
 @contextmanager
 def field_path():
-    """Route every elimination through the textbook reference."""
+    """Route every elimination through the textbook reference: rref,
+    solve, solve_matrix and inverse read field_rref's rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_pivot_rows", field_pivot_rows)
+        mp.setattr(linalg, "_rref_rows", field_rref_rows)
         yield
 
 
@@ -132,8 +149,8 @@ def field_rank(a):
     return len(field_pivot_rows(a)[1])
 
 
-#: the field path of the functions that read the integer rref rows
-#: themselves, which field_path alone leaves on the integer path
+#: the field path of the functions whose read-off field_path alone would
+#: share: the kernel read off the dense reference rows, and their count
 FIELD_ROUTES = {nullspace: field_nullspace, rank: field_rank}
 
 
@@ -151,10 +168,27 @@ def both(fn, *args):
     return out
 
 
+def test_field_path_sends_each_rref_consumer_through_field_rref(
+        monkeypatch):
+    calls, real = [], field_rref
+    monkeypatch.setitem(globals(), "field_rref",
+                        lambda a: calls.append(a) or real(a))
+    a = [[1, 2], [3, 4]]
+    for fn, args in ((rref, (a,)), (solve, (a, [1, 0])),
+                     (solve_matrix, (a, [[1], [0]])), (inverse, (a,))):
+        calls.clear()
+        with field_path():
+            fn(*args)
+        assert calls, fn.__name__
+        calls.clear()
+        fn(*args)
+        assert not calls, fn.__name__
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_and_pivots_match_field_path(a):
-    assert linalg._integer_rows(a) is not None
+    assert linalg._rational_form(linalg._rows(a))[1] == 1
     (r_int, p_int), (r_field, p_field) = both(rref, a)
     assert p_int == p_field
     assert r_int == r_field
@@ -225,9 +259,45 @@ def test_empty_matrix():
 
 
 def test_integer_rows_are_primitive_and_sparse():
-    rows = linalg._integer_rows([[Fraction(1, 2), 0, Fraction(-3, 4)],
-                                 [0, 0, 0], [6, 4, 0]])
-    assert rows == [{0: 2, 2: -3}, {0: 3, 1: 2}]
+    # rational rows become primitive int rows, empty ones left out
+    rows = linalg._rows([[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 0, 0],
+                         [6, 4, 0]])
+    assert linalg._rational_form(rows)[:2] == (
+        [{0: 2, 2: -3}, {0: 3, 1: 2}], 1)
+
+
+def test_rational_form_passes_ints_and_realifies_field_rows():
+    # rows of ints pass as they are
+    ints = [{0: 6, 1: 4}, {}]
+    assert linalg._rational_form(ints)[0] is ints
+    # over Q(sqrt 2), row x gives the rows of x and sqrt(2) x, the two
+    # coordinates of column j at 2 j and 2 j + 1, on ints
+    r = QuadExt(0, 1, m=2)
+    rows, k, read = linalg._rational_form(
+        [{0: 1 + r, 1: Fraction(1, 2)}, {1: QuadExt(0, 0, m=2)}])
+    assert (rows, k) == ([{0: 2, 1: 2, 2: 1}, {0: 4, 1: 2, 3: 1}], 2)
+    # the value at column 0 of the K-row whose realified row is 1, 2 at
+    # columns 0, 1 over the pivot entry -4
+    x = read({0: 1, 1: 2}, -4, 0)
+    assert type(x) is QuadExt and repr(x) == repr(QuadExt(
+        Fraction(-1, 4), Fraction(-1, 2), m=2))
+
+
+def test_a_zero_of_a_field_sets_the_field():
+    # the only field entry is a zero: the matrix is still over Q(sqrt 2),
+    # so the values read off its rref rows are of the field type, whose
+    # repr has no "Fraction"; with a rational zero they are Fractions
+    field = [[1, 0], [QuadExt(0, 0, m=2), 0]]
+    rows, _ = rref(field)
+    assert repr(rref(field)) == \
+        "([[1, 0], [Fraction(0, 1), Fraction(0, 1)]], [0])"
+    assert repr(nullspace(field)) == "[[0, Fraction(1, 1)]]"
+    assert repr(solve_matrix(field, [[1], [0]])) == "[[1], [Fraction(0, 1)]]"
+    assert {type(x) for x in rows[0] + [nullspace(field)[0][0],
+                                        solve_matrix(field, [[1], [0]])[0][0]]
+            } == {QuadExt}
+    assert repr(rref([[1, 0], [0, 0]])[0][0]) == \
+        "[Fraction(1, 1), Fraction(0, 1)]"
 
 
 FIELDS = ([(QuadExt, m) for m in (-1, 2, -3, 5)]
@@ -293,13 +363,12 @@ def test_field_matrices_match_reference(pair, data):
 @given(st.one_of(matrices(), field_matrices().map(lambda pair: pair[0])))
 def test_rank_counts_the_pivots_of_rref(a):
     expected = len(rref(a)[1])
-    real = linalg._reduced
-    try:
-        # rank counts pivots off the integer rref: no Fraction row is built
-        linalg._reduced = None
+    real = linalg._rref_rows
+    with pytest.MonkeyPatch.context() as mp:
+        # rank counts the rows read off and reads no entry of them
+        mp.setattr(linalg, "_rref_rows",
+                   lambda rows: [(pc, None) for pc, _ in real(rows)])
         assert rank(a) == expected
-    finally:
-        linalg._reduced = real
 
 
 def _sparse(a):
@@ -315,11 +384,13 @@ def _row_integers(a):
 @settings(max_examples=100, deadline=None)
 @given(matrices(), st.integers(1, 4))
 def test_sparse_nullspace_of_integer_rows_matches_nullspace(a, scale):
-    # each row times its own nonzero constant has the same kernel
+    # each row times its own nonzero constant has the same kernel, and the
+    # unscaled rows of a are scaled to those ints in one place
     ints = [[scale * x for x in row] for row in _row_integers(a)]
     if a:
-        assert repr(sparse_nullspace(_sparse(ints), len(a[0]))) == \
-            repr(nullspace(a))
+        expected = repr(nullspace(a))
+        assert repr(sparse_nullspace(_sparse(ints), len(a[0]))) == expected
+        assert repr(sparse_nullspace(_sparse(a), len(a[0]))) == expected
     assert sparse_nullspace([], 3) == nullspace([[0, 0, 0]])
 
 
@@ -361,13 +432,14 @@ def test_kernel_read_off_the_integer_rows_matches_the_dense_read_off(case):
     ncols = len(a[0])
 
     def dense_read_off(m):
-        return reference.dense_kernel(*linalg._pivot_rows(m), ncols)
+        rows, pivots = rref(m)
+        return reference.dense_kernel(rows[:len(pivots)], pivots, ncols)
 
     expected = dense_read_off(a)
     if shape != "random":
         assert len(expected) == (ncols if shape == "zero" else 0)
     sparse = [_sparse(a)]
-    if linalg._integer_rows(a) is not None:
+    if all(map(linalg.all_rational, a)):
         sparse.append(_sparse(_row_integers(a)))
     # sparse rows drop zero entries, so a matrix whose field elements are
     # all zero is rational in sparse form: each sparse form is held to the
@@ -376,8 +448,8 @@ def test_kernel_read_off_the_integer_rows_matches_the_dense_read_off(case):
         dense_read_off([[row.get(j, 0) for j in range(ncols)] for row in rows])
         for rows in sparse]
     with pytest.MonkeyPatch.context() as mp:
-        # the read-off builds no dense rref row
-        mp.setattr(linalg, "_reduced", None)
+        # the kernel is read off with no dense rref row built
+        mp.setattr(linalg, "rref", None)
         got = [nullspace(a)] + [sparse_nullspace(rows, ncols)
                                 for rows in sparse]
     for kernel, want in zip(got, wanted):
@@ -673,21 +745,45 @@ def _positive_pivots(pairs):
             for pc, row in pairs]
 
 
+def _read_off(rows, ncols):
+    """The dense rows of the read-off of the sparse rows, and their
+    pivots, as field_pivot_rows gives them."""
+    pivot_rows = linalg._rref_rows(rows)
+    return ([[entry(c) for c in range(ncols)] for _, entry in pivot_rows],
+            [pc for pc, _ in pivot_rows])
+
+
+def _primitive_rows(a):
+    """The nonzero rows of the integer matrix a, sparse and primitive."""
+    return [linalg._primitive(row) for row in _sparse(a) if row]
+
+
 def _same_rref(rows, a):
     """The row-by-row kernel on rows, the sparse primitive integer rows of
-    the rational matrix a, equals the column scan by == and repr, and its
-    rref equals the field reference on a."""
+    the rational matrix a, equals the column scan by == and repr, and the
+    rows read off it equal the field reference on a."""
     got = _positive_pivots(linalg._integer_rref(rows))
     expected = _positive_pivots(column_scan_rref(rows))
     assert got == expected and repr(got) == repr(expected)
-    reduced, reference = linalg._reduced(rows, len(a[0])), field_pivot_rows(a)
+    reduced, reference = _read_off(rows, len(a[0])), field_pivot_rows(a)
     assert reduced == reference and repr(reduced) == repr(reference)
+
+
+def _same_realified_rref(a):
+    """_same_rref on the realified rows of a matrix a over K (a zero row
+    when they are all empty), whose rows read off over K equal the field
+    reference on a."""
+    rows, k, _ = linalg._rational_form(linalg._rows(a))
+    n = len(a[0]) * k
+    _same_rref(rows, [[row.get(j, 0) for j in range(n)] for row in rows]
+               or [[0] * n])
+    assert _read_off(linalg._rows(a), len(a[0])) == field_pivot_rows(a)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tall_integer_matrices())
 def test_row_insertion_matches_column_scan_and_field_reference(a):
-    _same_rref(linalg._integer_rows(a), a)
+    _same_rref(_primitive_rows(a), a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -696,11 +792,7 @@ def test_row_insertion_matches_on_realified_field_matrices(pair):
     a, _ = pair
     if not a or all(map(linalg.all_rational, a)):
         return
-    real, k, element = linalg._realify(a)
-    rows = linalg._integer_rows(real)
-    _same_rref(rows, real)
-    assert linalg._reduced(rows, len(a[0]) * k, k, element) == \
-        field_pivot_rows(a)
+    _same_realified_rref(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,7 +852,7 @@ def unit_rich_matrices(draw, entries=st.integers(-9, 9).filter(bool)):
 def test_presolve_matches_column_scan_and_field_reference(a):
     if not a:
         return
-    _same_rref(linalg._integer_rows(a), a)
+    _same_rref(_primitive_rows(a), a)
     for fn in (rref, rank, nullspace):
         got, expected = both(fn, a)
         assert got == expected and repr(got) == repr(expected)
@@ -791,7 +883,7 @@ def test_presolve_of_solve_with_one_entry_rows_in_b(a, data):
 @given(st.sampled_from(FIELDS), unit_rich_matrices(), st.data())
 def test_presolve_on_realified_field_matrices(field, a, data):
     # each entry of an integer matrix rich in one-entry rows becomes a
-    # field element; the rational ones stay one-entry after _realify
+    # field element; the rational ones stay one-entry once realified
     if not a:
         return
     entries = field_entries(*field)
@@ -800,11 +892,7 @@ def test_presolve_on_realified_field_matrices(field, a, data):
     a.append([data.draw(entries.filter(lambda x: x != 0 and type(x) not in
                                        (int, Fraction)))]
              + [0] * (len(a[0]) - 1))
-    real, k, element = linalg._realify(a)
-    rows = linalg._integer_rows(real)
-    _same_rref(rows, real)
-    assert linalg._reduced(rows, len(a[0]) * k, k, element) == \
-        field_pivot_rows(a)
+    _same_realified_rref(a)
     for fn in (rank, nullspace):
         against_reference(fn, a)
 
