@@ -233,7 +233,6 @@ def run_weil(args):
                "fields": rows}
     else:
         datum = make_weil_datum(h, s, seed=seed)
-        split = h2_split(h, s)
         doc = {"verb": "weil-family", "inputs": echo, "d": datum.d,
                "field_squarefree_part": -datum.m,
                "period": {"p": datum.period.p, "q": datum.period.q},
@@ -241,8 +240,7 @@ def run_weil(args):
                "omega": datum.omega, "Psi": datum.psi,
                "discriminant": datum.disc, "report": datum_report(datum),
                "weil_classes": weil_class_space(datum),
-               "h2_split": {key: split[key]
-                            for key in ("profile", "weights_match")}}
+               "h2_split": h2_split(h, s)}
     return _emit(doc, args)
 
 

@@ -119,10 +119,12 @@ def ks_center(lattice: BilinearLattice):
 
     The center is the kernel of the L_g - R_g, g = e_i e_j, whose column b
     is the commutator [g, e_b]: sparse rows, handed to sparse_nullspace as
-    they are built.  It is 2-dimensional; the non-scalar
-    generator squares to a rational number whose squarefree part
-    identifies the field attached to the lattice (None for a center of
-    another dimension).
+    they are built.  It is 2-dimensional.  The scalar column is empty in
+    every row, so the first free column is mask 0 and basis[0] is the unit
+    scalar; basis[1] has no mask-0 coordinate and is the non-scalar
+    generator.  Shifted by a scalar, it squares to a rational number whose
+    squarefree part identifies the field attached to the lattice (None
+    for a center of another dimension).
     """
     algebra = CliffordAlgebra(lattice)
     masks = tuple(algebra.basis_masks(even_only=True))
@@ -139,18 +141,7 @@ def ks_center(lattice: BilinearLattice):
     basis = sparse_nullspace(rows, len(masks))
     if len(basis) != 2:
         return basis, None
-    # a non-scalar generator w of the center: zero its mask-0 coordinate
-    idx0 = masks.index(0)
-    u, v = basis
-    if u[idx0] == 0:
-        w = u
-    elif v[idx0] == 0:
-        w = v
-    else:
-        w = [a * v[idx0] - b * u[idx0] for a, b in zip(u, v)]
-    if all(x == 0 for x in w):
-        raise RuntimeError("center degenerated to the scalar line")
-    omega_c = algebra.element({m: c for m, c in zip(masks, w)})
+    omega_c = algebra.element(dict(zip(masks, basis[1])))
     # the center is Q[w] with w^2 = alpha + beta w, so w - beta/2 squares to
     # a scalar; in a non-orthogonal basis e_i e_j has scalar part
     # (e_i, e_j)/2, so beta need not be 0; it is read off one non-scalar blade

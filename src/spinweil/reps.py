@@ -256,7 +256,12 @@ def stabilizer_algebra(fixed):
     coefficient vectors over the 28-element standard basis in X/Y/Z order
     (x = sum c_a X_a).  The system for a spinor f has the rows
     {a: (A_a f)_i} of the S+ table, with f scaled by scale_to_integers (on
-    ints for a rational f).
+    ints for a rational f).  The scaling stays here: sparse_product and
+    sparse_nullspace then run on ints, and a call took 236-284 us against
+    357-385 us with Fraction coordinates on spinors drawn as the cayley
+    workload draws them, 390-439 us against 618-655 us on isotropic ones
+    (best of 7 passes over 300 spinors, 3 alternating runs, one core of a
+    2-core Xeon).
     """
     fixed = [Spinor(f) for f in fixed]
     table, _ = _action_table("S+")
@@ -395,11 +400,13 @@ def cayley_class(s) -> Multivector:
     Route A: the image of s (.) s under phi_matrix, the closed form
     sum_I (s, e^_{I*} s) e^I of Chevalley (1954); mat_vec reads only the
     nonzero coordinates of s (.) s (6 of 36 when s has three).  Route B,
-    which always runs when (s, s) != 0 and is cached per spinor
-    (_cayley_route_b): the unique invariant of the stabilizer algebra of s
-    acting on the degree-4 forms, the kernel of 1470 sparse integer rows in
-    70 unknowns (linalg settles its one-entry rows by propagation); the two
-    must be proportional, or the call raises.
+    which runs on every call with (s, s) != 0 (_cayley_route_b): the
+    unique invariant of the stabilizer algebra of s acting on the degree-4
+    forms, the kernel of 1470 sparse integer rows in 70 unknowns (linalg
+    settles its one-entry rows by propagation); the two must be
+    proportional, or the call raises.  Nothing is cached here: the cayley
+    workload draws distinct spinors, and verify's Hodge criterion keeps
+    the whole class per spinor (weil._cayley_class_of).
     """
     s = Spinor(s)
     if s.is_zero():
@@ -407,25 +414,24 @@ def cayley_class(s) -> Multivector:
     coords = mat_vec(phi_matrix(), sym2_coords(s.z))
     route_a = from_coords(8, DEGREE4_MASKS, coords)
     if (s.pair(s) != 0 and
-            _proportionality(coords, _cayley_route_b(tuple(s.z))) is None):
+            _proportionality(coords, _cayley_route_b(s)) is None):
         raise RuntimeError("stabilizer route disagrees with the "
                            f"symmetric-square route at s = {to_text(s.z)}")
     return route_a
 
 
-@lru_cache(maxsize=32)
-def _cayley_route_b(z_tuple):
+def _cayley_route_b(s):
     """The stabilizer's invariant line on the degree-4 forms, from its
     coefficient vectors."""
-    coeffs = stabilizer_algebra([Spinor(list(z_tuple))])
+    coeffs = stabilizer_algebra([s])
     if len(coeffs) != 21:
         raise RuntimeError("stabilizer of a non-isotropic spinor must have "
                            f"dimension 21, found {len(coeffs)} at s = "
-                           f"{to_text(z_tuple)}")
+                           f"{to_text(s.z)}")
     inv = invariant_subspace(coeffs, "Wedge4V")
     if len(inv) != 1:
         raise RuntimeError("stabilizer invariants in degree 4 not a line: "
-                           f"dimension {len(inv)} at s = {to_text(z_tuple)}")
+                           f"dimension {len(inv)} at s = {to_text(s.z)}")
     return inv[0]
 
 
@@ -498,15 +504,14 @@ def _branching_profile(s, stab):
 def gamma2alpha_star_sign():
     """Which star-eigenvalue the image of the symmetric square lands in.
 
-    Read off a nonzero column of phi_matrix, the closed form sum_I
+    Read off column 0 of phi_matrix, the closed form sum_I
     (z_a, e^_{I*} z_b) e^I of Chevalley (1954), rather than asserted as a
-    convention; the image must lie in a single eigenspace.
+    convention: that column is the Cayley class of the pure spinor 1,
+    +-e_5678, so it is never zero.  The image must lie in a single
+    eigenspace.
     """
     star = star_matrix()
-    phi = phi_matrix()
-    sample = [row[0] for row in phi]
-    if all(x == 0 for x in sample):
-        sample = [row[1] for row in phi]
+    sample = [row[0] for row in phi_matrix()]
     starred = mat_vec(star, sample)
     lam = _proportionality(starred, sample)
     if lam not in (1, -1):

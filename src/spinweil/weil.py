@@ -35,8 +35,8 @@ from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
 from .reps import (WEDGE2V_BASIS, cayley_class, derivation_matrix,
                    invariant_subspace, stabilizer_algebra, weight_multiset)
 from .scalars import QuadExt, is_norm, rat, squarefree_part
-from .spingeo import (Spinor, spinor_action_matrix, splus_lattice,
-                      subspace_of_spinor)
+from .spingeo import (Spinor, _proportionality, spinor_action_matrix,
+                      splus_lattice, subspace_of_spinor)
 
 #: the period of the standard datum (spingeo.STANDARD_H, STANDARD_S)
 STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
@@ -103,8 +103,10 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     common denominator of the complement basis, paired through the integer
     Gram rows of the lattice (BilinearLattice._rows): with A = (U, U) > 0
     and T = (U, W), P = A W - T U has the sign of c and A (P, P) the square
-    class of a c.  Only the accepted pair is made rational.  Deterministic
-    for a fixed seed; raises after the given number of tries.
+    class of a c.  The accepted pair is read off these integers, with den
+    the common denominator: p = U / den and q = isqrt(A (P, P)) P /
+    ((P, P) den).  Deterministic for a fixed seed; raises after the given
+    number of tries.
     """
     h, s = Spinor(h), Spinor(s)
     lat = splus_lattice()
@@ -137,25 +139,17 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
         for u, a in positives:
             t = pair(u, w)
             proj = [a * wi - t * ui for wi, ui in zip(w, u)]
-            ac = a * pair(proj, proj)
+            pp = pair(proj, proj)
+            ac = a * pp
             if ac > 0 and isqrt(ac) ** 2 == ac:
-                return _period(lat, [Fraction(x, den) for x in u],
-                               [Fraction(x, den) for x in w])
+                scale = Fraction(isqrt(ac), pp * den)
+                return Period(tuple(Fraction(x, den) for x in u),
+                              tuple(scale * x for x in proj))
         if len(positives) < 64:
             positives.append((w, ww))
     raise RuntimeError(f"period search exhausted the height cap: h = "
                        f"{to_text(h.z)}, s = {to_text(s.z)}, seed {seed}, "
                        f"tries {tries}")
-
-
-def _period(lat, u, w):
-    """The Period (u, q), q the projection of w off u scaled to u's length."""
-    a = lat.pair(u, u)
-    t = lat.pair(u, w)
-    proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
-    c = lat.pair(proj, proj)
-    scale = _sqrt_rational(a * c) / c
-    return Period(tuple(u), tuple(scale * x for x in proj))
 
 
 def _spinor_ratio(x: Spinor, y: Spinor, c):
@@ -384,8 +378,7 @@ def omega_line_check(datum: WeilDatum) -> bool:
     if len(inv) != 1:
         return False
     omega_coords = [datum.omega.coefficient(mask_of(t)) for t in WEDGE2V_BASIS]
-    aug = mat([inv[0], omega_coords])
-    return rank(aug) == 1 and any(x != 0 for x in omega_coords)
+    return _proportionality(omega_coords, inv[0]) not in (None, 0)
 
 
 def weil_class_space(datum: WeilDatum):
@@ -492,8 +485,7 @@ def h2_split(h, s):
                    for a in range(28)]
         dims.append(len(nullspace(mat(shifted))))
     weights_equal = weight_multiset("Wedge2S+") == weight_multiset("Wedge2V")
-    return {"profile": tuple(dims), "weights_match": weights_equal,
-            "splits_sum": dims[0] + dims[1] + dims[2]}
+    return {"profile": tuple(dims), "weights_match": weights_equal}
 
 
 def datum_report(datum: WeilDatum) -> dict:

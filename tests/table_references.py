@@ -36,16 +36,20 @@ reps.  And the arithmetic that the stored integer forms replaced: the
 scalar tower on Fraction coordinates (sum, difference, the product over
 each factor's common denominator, conjugates, norm and inverse), and the
 product loop of the blade algebras and sigma_action with both operands'
-Fraction terms scaled on every call.
+Fraction terms scaled on every call.  And three answers that are now read
+off the construction: the cell move as a search over a schedule of
+exponentials, the non-scalar center generator as a selection among the
+kernel vectors, and the accepted period rebuilt from Fraction pairings.
 Tests compare the library with them by == and by repr."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt, lcm
 
-from spinweil import reps
-from spinweil.clifford import (CV, CliffordAlgebra, _sigma_rows, _table_for,
+from spinweil import clifford, reps
+from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
+                               _sigma_rows, _table_for, exp_nilpotent,
                                sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
 from spinweil.linalg import (_over, det, extend_span, inverse, mat, mat_mul,
@@ -59,6 +63,7 @@ from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix,
                            spin_coordinates, splus_matrix, stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar, rat
 from spinweil.spingeo import ODD_MASKS, Spinor, graph_basis
+from spinweil.weil import Period, _sqrt_rational
 
 
 def derivation_matrix(m, k):
@@ -521,6 +526,19 @@ def ks_center_basis(lattice):
     return nullspace(rows)
 
 
+def center_generator(basis, masks):
+    """The non-scalar generator of a 2-dimensional center as ks_center
+    selected it from its kernel basis (u, v): a vector with no mask-0
+    coordinate, else the combination of the two that has none."""
+    idx0 = masks.index(0)
+    u, v = basis
+    if u[idx0] == 0:
+        return u
+    if v[idx0] == 0:
+        return v
+    return [a * v[idx0] - b * u[idx0] for a, b in zip(u, v)]
+
+
 def spin_basis(algebra):
     """Basis e_i e_j - (e_i, e_j)/2 (i < j) of spin(L), n(n-1)/2 elements."""
     out = []
@@ -625,7 +643,7 @@ def cayley_routes(s):
     """Both routes and the proportionality factor (A = factor * B)."""
     s = Spinor(s)
     a = mat_vec(reps.phi_matrix(), reps.sym2_coords(s.z))
-    b = reps._cayley_route_b(tuple(s.z))
+    b = reps._cayley_route_b(s)
     lam = reps._proportionality(a, b)
     return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
             lam)
@@ -717,3 +735,40 @@ def signature(lattice):
                     g[t][i] = g[t][i] - f * g[t][k]
     radical = n - pos - neg
     return (pos, neg, radical)
+
+
+def zfamily_exponent_candidates():
+    """The schedule of cell-move exponents {(i, j): c}: the identity, each
+    pair with c = 1 then -1, then every pattern over (0, 1, -1) with at
+    least two nonzero pairs, in product order."""
+    pairs = list(combinations(range(4), 2))
+    yield {}
+    for p in pairs:
+        for c in (1, -1):
+            yield {p: c}
+    for pattern in product((0, 1, -1), repeat=6):
+        if sum(1 for c in pattern if c) >= 2:
+            yield {p: c for p, c in zip(pairs, pattern) if c}
+
+
+def move_to_cell(s):
+    """(g, matrix of g on V, g s) for the first exponential
+    g = exp(sum c e_{i+4} e_{j+4}) of the schedule with (g s)_1 != 0."""
+    for coeffs in zfamily_exponent_candidates():
+        g = exp_nilpotent(CliffordElement._of(CV(), {
+            16 << i | 16 << j: c for (i, j), c in coeffs.items()}, 1))
+        moved = Spinor.from_multivector(sigma_action(g, s.multivector()))
+        if moved.z[0] != 0:
+            return g, clifford.twisted_conjugation(g), moved
+    raise RuntimeError("cell-move schedule exhausted")
+
+
+def period_of_pair(lattice, u, w):
+    """The Period (u, q), q the projection of w off u scaled to u's
+    length, from Fraction pairings."""
+    a = lattice.pair(u, u)
+    t = lattice.pair(u, w)
+    proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
+    c = lattice.pair(proj, proj)
+    scale = _sqrt_rational(a * c) / c
+    return Period(tuple(u), tuple(scale * x for x in proj))

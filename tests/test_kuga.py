@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil import kuga
+from spinweil.clifford import CliffordAlgebra
 from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
                            ks_complex_structure, ks_hom, ks_report,
                            ks_right_commutation, mult_matrix)
 from spinweil.lattices import BilinearLattice
 from spinweil.linalg import mat_mul
+from spinweil.scalars import squarefree_part
 from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor, splus_lattice
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            complex_structure, field_parameters, k_action,
@@ -100,6 +102,45 @@ def test_center_basis_matches_left_minus_right_matrices(k, standard_s):
     assert sq < 0
 
 
+def _unimodular_change(lattice, rng, steps=8):
+    """The lattice with Gram P^T G P, P in GL(n, Z) a product of random
+    column additions."""
+    n = lattice.rank
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in p:
+            row[i] += c * row[j]
+    pt = [list(col) for col in zip(*p)]
+    return BilinearLattice(mat_mul(pt, mat_mul(lattice.gram, p)))
+
+
+def test_center_basis_is_the_unit_scalar_then_the_generator():
+    """The scalar column of the commutator rows is empty, so basis[0] is 1
+    and basis[1] has no scalar coordinate: the generator that the old
+    selection among the kernel vectors picked."""
+    rng = random.Random(3301)
+    _, standard = complement_data(STANDARD_H, STANDARD_S)
+    lattices = ([standard] + [_unimodular_change(standard, rng)
+                              for _ in range(3)]
+                + [BilinearLattice(g, label="toy") for g in (
+                    [[-2, 0], [0, -2]], [[2, 1], [1, -2]],
+                    [[1, 0, 0, 1], [0, -1, 1, 0], [0, 1, 3, 0],
+                     [1, 0, 0, 2]])])
+    parts = set()
+    for lattice in lattices:
+        basis, sq = ks_center(lattice)
+        masks = CliffordAlgebra(lattice).basis_masks(even_only=True)
+        assert len(basis) == 2 and masks[0] == 0
+        assert basis[0] == [1] + [0] * (len(masks) - 1)
+        assert basis[1][0] == 0
+        assert reference.center_generator(basis, masks) == basis[1]
+        if lattice.rank == 6:
+            parts.add(squarefree_part(sq.numerator * sq.denominator))
+    assert parts == {-1}
+
+
 GRAM_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
                          st.fractions(min_value=-2, max_value=2,
                                       max_denominator=4))
@@ -178,13 +219,10 @@ def test_certificate_on_the_field_scan_planes(h):
 
 
 def traceless_center_generator(datum):
-    """omega read off ks_center's basis as ks_center reads it: the basis
-    vector, or else the combination, with no mask-0 coordinate, less the
-    scalar that makes the trace of left multiplication 0."""
-    u, v = ks_center(datum.lattice)[0]
-    i0 = datum.even_masks.index(0)
-    w = (u if u[i0] == 0 else v if v[i0] == 0 else
-         [a * v[i0] - b * u[i0] for a, b in zip(u, v)])
+    """omega read off ks_center's basis as ks_center reads it: the second
+    vector, which has no mask-0 coordinate, less the scalar that makes the
+    trace of left multiplication 0."""
+    w = ks_center(datum.lattice)[0][1]
     x = datum.algebra.element(dict(zip(datum.even_masks, w)))
     lx = mult_matrix(datum.algebra, x, datum.even_masks)
     trace = sum(lx[i][i] for i in range(len(lx)))

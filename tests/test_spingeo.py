@@ -203,6 +203,33 @@ def test_move_to_cell_random(rng):
         assert moved.is_isotropic()
 
 
+def _outside_the_cell(rng, count):
+    """Isotropic spinors with z_1 = 0 and coordinates in {-1, 0, 1}."""
+    out = []
+    while len(out) < count:
+        s = Spinor([0] + [rng.choice((-1, 0, 1)) for _ in range(7)])
+        if s.is_isotropic() and not s.is_zero():
+            out.append(s)
+    return out
+
+
+#: one spinor per branch of move_to_cell: the identity, c_ij e_ij for each
+#: pair in the order 12, 13, 14, 23, 24, 34 (z-indices 1, 2, 3, 7, 6, 5)
+#: beside a top-cell part, and the top cell alone
+CELL_BRANCHES = ([Spinor([1, 2, 0, 0, 0, 0, 0, 2])]
+                 + [Spinor([3 if i == k else 5 if i == 4 else 0
+                            for i in range(8)]) for k in (1, 2, 3, 7, 6, 5)]
+                 + [Spinor([0, 0, 0, 0, c, 0, 0, 0]) for c in (1, -3)])
+
+
+def test_move_to_cell_matches_the_schedule_search(rng):
+    spinors = CELL_BRANCHES + _outside_the_cell(rng, 60) + [
+        random_isotropic_spinor(rng) for _ in range(60)]
+    for s in spinors:
+        got, expected = move_to_cell(s), reference.move_to_cell(s)
+        assert got == expected and repr(got) == repr(expected)
+
+
 def test_subspace_of_reference_points():
     # the unit spinor corresponds to the reference half W*
     sub = subspace_of_spinor(Spinor([1, 0, 0, 0, 0, 0, 0, 0]))

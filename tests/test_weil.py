@@ -10,12 +10,13 @@ from spinweil.jsonio import decode_vector
 from spinweil.lattices import make_V, orthogonal_complement
 from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
                              mat_mul, mat_vec, rank)
+from spinweil.multivector import Multivector, mask_of
 from spinweil.reps import cayley_class
 from spinweil.scalars import QuadExt, TowerScalar, is_norm
 from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
                               subspace_of_spinor)
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
-                           _spinor_ratio, _sqrt_rational, cayley_hodge_test,
+                           _spinor_ratio, cayley_hodge_test,
                            complex_structure, datum_report, field_parameters,
                            h2_split, k_action, kappa_spinor, make_weil_datum,
                            omega_line_check, polarization, sample_period,
@@ -93,10 +94,8 @@ def reference_sample_period(h, s, seed=0, tries=5000):
             t = lat.pair(u, w)
             proj = [wi - (t / a) * ui for wi, ui in zip(w, u)]
             c = lat.pair(proj, proj)
-            if c <= 0 or not reference.is_square(a * c):
-                continue
-            scale = _sqrt_rational(a * c) / c
-            return Period(tuple(u), tuple(scale * x for x in proj))
+            if c > 0 and reference.is_square(a * c):
+                return reference.period_of_pair(lat, u, w)
         if len(positives) < 64:
             positives.append(w)
     raise RuntimeError("period search exhausted the height cap")
@@ -104,12 +103,14 @@ def reference_sample_period(h, s, seed=0, tries=5000):
 
 #: (h, s) planes of the period search: the four h of the field scan with
 #: the standard s, the standard plane, the plane of the generic periods of
-#: the hodge-criterion check, the nu plane and a plane with a Fraction
+#: the hodge-criterion check, the nu plane, a plane with a Fraction and the
+#: (1, 2, 4, 8) plane
 PERIOD_PLANES = (
     [(h, STANDARD_S, 25) for h in FIELD_SCAN_H]
     + [(STANDARD_H, STANDARD_S, 50), (STANDARD_PERIOD[0], STANDARD_H, 50),
        (NU1, NU2, 10),
-       ([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0], STANDARD_S, 10)])
+       ([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0], STANDARD_S, 10),
+       ((1, -1, 0, -1, 1, 1, -2, -2), (2, 2, 0, 0, 0, 2, 1, 2), 10)])
 
 
 def test_sample_period_matches_rational_search():
@@ -421,6 +422,11 @@ def test_hermitian_basis_independence(rng, standard_h, standard_s,
 def test_omega_line(standard_h, standard_s, standard_period):
     datum = make_weil_datum(standard_h, standard_s, period=standard_period)
     assert omega_line_check(datum)
+    # a nonzero multiple spans the line; zero and a form off it do not
+    omega, off = datum.omega, Multivector(8, {mask_of((0, 1)): Fraction(1)})
+    assert omega_line_check(datum._replace(omega=omega.scale(Fraction(-3))))
+    assert not omega_line_check(datum._replace(omega=Multivector.zero(8)))
+    assert not omega_line_check(datum._replace(omega=omega + off))
 
 
 def test_cayley_hodge_standard(standard_h, standard_s, standard_period):
@@ -466,7 +472,7 @@ def test_h2_split(standard_h, standard_s):
     out = h2_split(standard_h, standard_s)
     assert out["profile"] == (16, 6, 6)
     assert out["weights_match"]
-    assert out["splits_sum"] == 28
+    assert sum(out["profile"]) == 28
     # the three Hodge substructures have dimensions 15, 12, 1
     assert out["profile"][0] == 15 + 1
     assert out["profile"][1] + out["profile"][2] == 12
