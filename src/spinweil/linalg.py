@@ -2,14 +2,15 @@
 
 Matrices are lists of row lists whose entries are Fractions, QuadExt or
 TowerScalar values (mixed with ints/Fractions via coercion); no floating
-point.  Every rref consumer goes in by one entry and out by one read-off.
-The entry, _rational_form, takes sparse rows {column: x} (a dense matrix
-gives them by _rows, zeros left out but for a zero of K, which still sets
-the field) and alone decides their form: rows of ints pass as they are,
-rational rows become primitive int rows, and rows over K = Q(sqrt(m)) or
-Q(i, sqrt(m)), the field of their first other value, are made rational by
-restriction of scalars: each row x becomes the coordinate rows of u x for
-u in the Q-basis of K, 1 first, the k = [K : Q] coordinates of column j at
+point.  Every rref consumer goes in by one entry and out by one of two
+read-offs, of the rref rows or of the kernel.  The entry, _rational_form,
+takes sparse rows {column: x} (a dense matrix gives them by _rows, zeros
+left out but for a zero of K, which still sets the field) and alone
+decides their form: rows of ints pass as they are, rational rows become
+primitive int rows, and rows over K = Q(sqrt(m)) or Q(i, sqrt(m)), the
+field of their first other value, are made rational by restriction of
+scalars: each row x becomes the coordinate rows of u x for u in the
+Q-basis of K, 1 first, the k = [K : Q] coordinates of column j at
 k j + s, scaled to ints from the integer coordinates each element of K
 stores (scalars._Multiquadratic).  There is one elimination routine,
 fraction-free Gauss-Jordan on integer rows (Bareiss, Math. Comp. 22,
@@ -23,14 +24,22 @@ basis, and divided only once at the end; a row in the span costs one
 clear per pivot it meets, so a tall matrix of low rank is cheap.  The
 rref is unique, so the rational rref rows are the coordinate rows of u R
 for the K-rref rows R, and R is the rows that pivot on a first
-coordinate.  The read-off, _rref_rows, gives each K-or-Q rref row as its
-pivot and the value at any column c, built only when asked for: the
-integer entry over the pivot entry, or over K the element rebuilt from
-the k coordinates of c.  rref reads every column of each row, rank counts
-the rows, sparse_nullspace reads one vector per free column fc, v[fc] = 1
-and v[pc] = -R[pc][fc], and solve, solve_matrix and inverse read the b
-block of one rref of [a | b], whose pivots also give the rank of a
-(_solution).  nullspace is sparse_nullspace of the rows of a.
+coordinate.  The rows' read-off, _rref_rows, gives each K-or-Q rref row
+as its pivot and the value at any column c, built only when asked for:
+the integer entry over the pivot entry, or over K the element rebuilt
+from the k coordinates of c.  rref reads every column of each row, rank counts
+the rows, and solve, solve_matrix and inverse read the b block of one
+rref of [a | b], whose pivots also give the rank of a (_solution).  The
+kernel read-off, _sparse_kernel, reads the same integer rref rows: one
+sparse vector w per free column fc, leading with fc, a multiple of v,
+v[fc] = 1 and v[pc] = -R[pc][fc].  Over Q, w is the primitive integer
+vector with w[fc] > 0: w[fc] = L and w[pc] = -r[fc] L / r[pc] for the
+integer rref rows r that hold fc, L the lcm of their pivot entries, over
+the gcd of all its entries; a row without fc is not read.  Over K, w is v,
+with the element of K at every pivot, a zero of K included (it sets the
+field, as in _rows).  sparse_nullspace is its dense view, w over w[fc]
+with the shared Fraction(0) at every other column, so no Fraction is built
+for a zero; nullspace is sparse_nullspace of the rows of a.
 det keeps its own routine: a rational matrix is scaled row by row to
 integers and reduced fraction-free (Bareiss), the last pivot over the
 product of the row scales.  A matrix over K is eliminated over K on the
@@ -82,7 +91,8 @@ def transpose(a):
 
 def sparse_product(a_rows, b_rows):
     """The rows of a b from the sparse rows ({column: x}, zeros left out)
-    of a and of b, in the same form."""
+    of a and of b, in the same form: each row is the dict its sums went
+    into, copied without its zeros only when a sum cancelled."""
     out = []
     for row in a_rows:
         acc = {}
@@ -90,7 +100,8 @@ def sparse_product(a_rows, b_rows):
         for t, x in row.items():
             for j, y in b_rows[t].items():
                 acc[j] = get(j, 0) + x * y
-        out.append({j: s for j, s in acc.items() if s})
+        out.append(acc if all(acc.values()) else
+                   {j: s for j, s in acc.items() if s})
     return out
 
 
@@ -283,19 +294,39 @@ def nullspace(a):
     return sparse_nullspace(_rows(a), len(a[0])) if a else []
 
 
+def _sparse_kernel(rows, ncols):
+    """The kernel read-off: the right kernel of the matrix with ncols
+    columns and the given sparse rows {column: x}, zeros left out, in any
+    of the forms _rational_form takes, unscaled, as one sparse vector w
+    per free column fc of the rref R, in column order, each leading with
+    fc and a multiple of v, v[fc] = 1 and v[pc] = -R[pc][fc] for each
+    pivot pc (see the module docstring)."""
+    ints, k, read = _rational_form(rows)
+    pivots = [(pc // k, r) for pc, r in _integer_rref(ints) if pc % k == 0]
+    free = sorted(set(range(ncols)).difference(pc for pc, _ in pivots))
+    if k > 1:
+        return [{fc: 1, **{pc: read(row, -row[k * pc], fc)
+                           for pc, row in pivots}} for fc in free]
+    out = []
+    for fc in free:
+        held = [(pc, row[pc], row[fc]) for pc, row in pivots if fc in row]
+        scale = lcm(*[p for _, p, _ in held])
+        out.append(_primitive({fc: scale, **{pc: -x * (scale // p)
+                                             for pc, p, x in held}}))
+    return out
+
+
 def sparse_nullspace(rows, ncols):
     """nullspace of the matrix with ncols columns and the given sparse rows
-    {column: x}, zeros left out, in any of the forms _rational_form takes,
-    unscaled: one vector per free column fc of the rref R, v[fc] = 1 and
-    v[pc] = -R[pc][fc] for each pivot pc, read off _rref_rows with no
-    dense row built."""
-    pivot_rows = _rref_rows(rows)
+    {column: x}: the dense view of _sparse_kernel, each vector over its
+    entry at its free column, with the shared Fraction(0) where it has no
+    entry."""
     basis = []
-    for fc in sorted(set(range(ncols)).difference(pc for pc, _ in pivot_rows)):
+    for w in _sparse_kernel(rows, ncols):
+        d = next(iter(w.values()))
         v = [_ZERO] * ncols
-        v[fc] = Fraction(1)
-        for pc, entry in pivot_rows:
-            v[pc] = -entry(fc)
+        for c, x in w.items():
+            v[c] = _over(x, d)
         basis.append(v)
     return basis
 

@@ -13,14 +13,19 @@ sum c_a A_a.  The basis actions A_a are built once per space, as sparse
 integer rows over one denominator: the table's so(8) matrices on V, the
 module structure on the exterior algebra of W on the half-spin spaces
 (including the scalar shifts of the Cartan basis), and the derivation
-extension on wedge/symmetric powers.  An action's rows come from c alone
-(_coefficient_rows), so the Lie algebra elements of this module are their
-coefficient vectors: stabilizer_algebra returns a basis of them,
-invariant_subspace takes them, and no Clifford element is built between
-the two.  Only derived_action starts from an element, reading c off its
-degree-2 coefficients (spin_coordinates, with x = sum c_a X_a as the
-membership test).  Invariant subspaces and stabilizers hand their rows, on
-ints for rational inputs, to linalg.sparse_nullspace.
+extension on wedge/symmetric powers.  An action's rows come from c alone,
+and the rows of any number of actions from one sparse_product of their
+sparse coefficient vectors with the table (_action_blocks), so the Lie
+algebra elements of this module are their coefficient vectors.  Only
+derived_action starts from an element, reading c off its degree-2
+coefficients (spin_coordinates, with x = sum c_a X_a as the membership
+test).  A stabilizer and an invariant subspace are one row builder each
+(_stabilizer_rows, _action_rows), on ints for rational inputs and on the
+field's values for a spinor over K, and one kernel read-off of linalg:
+stabilizer_algebra and invariant_subspace return the dense kernel
+(sparse_nullspace), and route B of cayley_class hands the stabilizer's
+sparse kernel vectors (linalg._sparse_kernel) to the invariant rows as
+they are, with no Fraction and no Clifford element between the steps.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .clifford import (CV, _module_table, _over, _sigma_rows, _table_for,
                        cartan_elements, spin_v_xyz_table)
 from .jsonio import to_text
 from .lattices import orthogonal_complement
-from .linalg import (extend_span, identity, mat, mat_vec, rank,
-                     scale_to_integers, sparse_nullspace, sparse_product)
+from .linalg import (_sparse_kernel, extend_span, identity, mat, mat_vec,
+                     rank, scale_to_integers, sparse_nullspace,
+                     sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
                           mask_of, nonzero_columns, pluecker, star_matrix,
@@ -185,23 +191,33 @@ def _action_table(name):
     return [{k: v // g for k, v in t.items()} for t in table], d // g
 
 
-def _coefficient_rows(c, name):
-    """The action sum c_a A_a on a space, for coefficients c on the X_a,
-    as (rows, d), entry (i, j) being rows[i][j] / d, with c scaled by
-    scale_to_integers: the entries are ints for rational c."""
-    table, d = _action_table(name)
-    c, dc = scale_to_integers(enumerate(c))
+def _action_blocks(vectors, name):
+    """The rows {j: x} of d sum c_a A_a on a space, d the denominator of
+    its table, for each sparse coefficient vector c {a: x} on the X_a:
+    one sparse_product of all the vectors with the table."""
     dim = rep_space(name).dim
-    rows = [{} for _ in range(dim)]
-    for k, v in sparse_product([c], table)[0].items():
-        rows[k // dim][k % dim] = v
-    return rows, d * dc
+    blocks = []
+    for image in sparse_product(vectors, _action_table(name)[0]):
+        rows = [{} for _ in range(dim)]
+        for k, v in image.items():
+            rows[k // dim][k % dim] = v
+        blocks.append(rows)
+    return blocks
+
+
+def _action_rows(vectors, name):
+    """The nonzero rows of _action_blocks, stacked: the joint kernel of
+    the actions is theirs (a block scaled by d keeps its kernel)."""
+    return [r for rows in _action_blocks(vectors, name) for r in rows if r]
 
 
 def _action_matrix(c, name):
     """The dense matrix of sum c_a A_a on a named space, for coefficients
-    c on the X_a (_coefficient_rows)."""
-    rows, d = _coefficient_rows(c, name)
+    c on the X_a: the block of _action_blocks for c scaled by
+    scale_to_integers, over the product d of the two denominators."""
+    c, dc = scale_to_integers(enumerate(c))
+    rows, = _action_blocks([c], name)
+    d = _action_table(name)[1] * dc
     zero = Fraction(0)
     return [[_over(row[j], d) if j in row else zero for j in range(len(rows))]
             for row in rows]
@@ -242,37 +258,38 @@ def weight_multiset(space):
 
 def invariant_subspace(coeffs, space):
     """Basis of the joint kernel on a space of the actions sum c_a A_a,
-    one for each coefficient vector c on the X_a: the stacked nonzero rows
-    of each action times its d (a block scaled by d keeps its kernel).
-    Empty rows add nothing, and are 571 of the 1470 rows of Cayley route
-    B at s = (1, 0, 0, 3, 3, 0, 0, 0)."""
+    one for each coefficient vector c on the X_a: the sparse_nullspace of
+    the _action_rows of the vectors, each scaled by scale_to_integers."""
     name = space if isinstance(space, str) else space.name
-    rows = [r for c in coeffs for r in _coefficient_rows(c, name)[0] if r]
-    return sparse_nullspace(rows, rep_space(name).dim)
+    vectors = [scale_to_integers(enumerate(c))[0] for c in coeffs]
+    return sparse_nullspace(_action_rows(vectors, name), rep_space(name).dim)
 
 
 def stabilizer_algebra(fixed):
     """Basis of {x in spin(V) : x annihilates every given spinor}, as
     coefficient vectors over the 28-element standard basis in X/Y/Z order
-    (x = sum c_a X_a).  The system for a spinor f has the rows
-    {a: (A_a f)_i} of the S+ table, with f scaled by scale_to_integers (on
-    ints for a rational f).  The scaling stays here: sparse_product and
-    sparse_nullspace then run on ints, and a call took 236-284 us against
-    357-385 us with Fraction coordinates on spinors drawn as the cayley
-    workload draws them, 390-439 us against 618-655 us on isotropic ones
-    (best of 7 passes over 300 spinors, 3 alternating runs, one core of a
-    2-core Xeon).
-    """
-    fixed = [Spinor(f) for f in fixed]
+    (x = sum c_a X_a): the sparse_nullspace of _stabilizer_rows."""
+    return sparse_nullspace(_stabilizer_rows(fixed), 28)
+
+
+def _stabilizer_rows(fixed):
+    """The rows {a: (A_a f)_i} of the system x f = 0 for each given spinor
+    f, read off the S+ table with f scaled by scale_to_integers (on ints
+    for a rational f).  The scaling stays here: sparse_product and the
+    kernel then run on ints, and the stabilizer's kernel took 155-203 us
+    against 293-398 us with Fraction coordinates on spinors drawn as the
+    cayley workload draws them, 292-324 us against 560-725 us on
+    isotropic ones (best of 7 passes over 300 spinors, 2 runs, one core of
+    a 2-core Xeon)."""
     table, _ = _action_table("S+")
     rows = []
     for f in fixed:
-        z, _ = scale_to_integers(enumerate(f.z))
+        z, _ = scale_to_integers(enumerate(Spinor(f).z))
         images = sparse_product(table, [{k // 8: z[k % 8]} if k % 8 in z
                                         else {} for k in range(64)])
         rows += [{a: im[i] for a, im in enumerate(images) if i in im}
                  for i in range(8)]
-    return sparse_nullspace(rows, 28)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -402,37 +419,52 @@ def cayley_class(s) -> Multivector:
     nonzero coordinates of s (.) s (6 of 36 when s has three).  Route B,
     which runs on every call with (s, s) != 0 (_cayley_route_b): the
     unique invariant of the stabilizer algebra of s acting on the degree-4
-    forms, the kernel of 1470 sparse integer rows in 70 unknowns (linalg
-    settles its one-entry rows by propagation); the two must be
-    proportional, or the call raises.  Nothing is cached here: the cayley
-    workload draws distinct spinors, and verify's Hodge criterion keeps
-    the whole class per spinor (weil._cayley_class_of).
+    forms, the kernel of the 1470 rows, 21 blocks of 70, that one
+    sparse_product makes from the stabilizer's 21 kernel vectors, primitive
+    integer vectors for a rational s (linalg settles the one-entry rows by
+    propagation), read off as one sparse vector, on ints for a rational s.
+    The two must be nonzero multiples of each other (_agree, route A
+    scaled to ints once), or the call raises.  Nothing is cached here: the
+    cayley workload draws distinct spinors, and verify's Hodge criterion
+    keeps the whole class per spinor (weil._cayley_class_of).
     """
     s = Spinor(s)
     if s.is_zero():
         raise ValueError("the zero spinor has no Cayley class")
     coords = mat_vec(phi_matrix(), sym2_coords(s.z))
     route_a = from_coords(8, DEGREE4_MASKS, coords)
-    if (s.pair(s) != 0 and
-            _proportionality(coords, _cayley_route_b(s)) is None):
+    if s.pair(s) != 0 and not _agree(scale_to_integers(enumerate(coords))[0],
+                                     _cayley_route_b(s)):
         raise RuntimeError("stabilizer route disagrees with the "
                            f"symmetric-square route at s = {to_text(s.z)}")
     return route_a
 
 
 def _cayley_route_b(s):
-    """The stabilizer's invariant line on the degree-4 forms, from its
-    coefficient vectors."""
-    coeffs = stabilizer_algebra([s])
+    """The stabilizer's invariant line on the degree-4 forms, as one
+    sparse vector: the kernel vectors of _stabilizer_rows, all through one
+    _action_rows, and the kernel of those rows (linalg._sparse_kernel)."""
+    coeffs = _sparse_kernel(_stabilizer_rows([s]), 28)
     if len(coeffs) != 21:
         raise RuntimeError("stabilizer of a non-isotropic spinor must have "
                            f"dimension 21, found {len(coeffs)} at s = "
                            f"{to_text(s.z)}")
-    inv = invariant_subspace(coeffs, "Wedge4V")
+    inv = _sparse_kernel(_action_rows(coeffs, "Wedge4V"), 70)
     if len(inv) != 1:
         raise RuntimeError("stabilizer invariants in degree 4 not a line: "
                            f"dimension {len(inv)} at s = {to_text(s.z)}")
     return inv[0]
+
+
+def _agree(u, v):
+    """Whether the sparse vectors u {column: x}, zeros left out (as
+    scale_to_integers gives them), and v, where a zero of K may stand (as
+    linalg._sparse_kernel gives them), are nonzero multiples of each other:
+    the same columns hold their nonzero values, and u[c] v[c0] == v[c]
+    u[c0] on them for the first such column c0."""
+    c0 = next(iter(u), None)
+    return (c0 is not None and u.keys() == {c for c, x in v.items() if x}
+            and all(x * v[c0] == v[c] * u[c0] for c, x in u.items()))
 
 
 def standard_spinor(n: int) -> Spinor:
@@ -460,7 +492,7 @@ def cayley_constant(n: int):
     got = coords_degree(cayley_class(standard_spinor(n)), DEGREE4_MASKS)
     ref = coords_degree(explicit_cayley_formula(n), DEGREE4_MASKS)
     lam = _proportionality(got, ref)
-    if lam is None:
+    if lam in (None, 0):
         raise RuntimeError("Cayley class is not proportional to the "
                            "closed form")
     return lam

@@ -19,7 +19,10 @@ Clifford algebra and on V, evaluated at integer points.  And route B of
 the Cayley class as it ran before the elimination settled one-entry rows
 first: the stabilizer's Clifford elements, their coordinates read back by
 the membership test, and every stacked row inserted one at a time; and
-both routes side by side (cayley_routes), which only tests read.  And
+both routes side by side (cayley_routes), which only tests read, route
+B there as it ran before its one integer pass: the public
+stabilizer_algebra and invariant_subspace, dense, and _proportionality
+(route_b_line, routes_agree).  And
 twisted conjugation by the three-sided route, with sigma(x*) built from
 conj and every row of each product tested, which the form transpose and
 the one-block test replaced; and the helpers that only tests use: the
@@ -59,8 +62,9 @@ from spinweil.multivector import (DEGREE4_MASKS, Multivector, _Blades,
                                   _accumulate, contract, coords_degree,
                                   from_coords, indices_of, pluecker, popcount,
                                   wedge)
-from spinweil.reps import (SYM2_BASIS, rep_space, sminus_matrix,
-                           spin_coordinates, splus_matrix, stabilizer_algebra)
+from spinweil.reps import (SYM2_BASIS, invariant_subspace, rep_space,
+                           sminus_matrix, spin_coordinates, splus_matrix,
+                           stabilizer_algebra)
 from spinweil.scalars import QuadExt, TowerScalar, rat
 from spinweil.spingeo import ODD_MASKS, Spinor, graph_basis
 from spinweil.weil import Period, _sqrt_rational
@@ -614,10 +618,10 @@ def cayley_route_b(z):
     extend_span with no presolve, and the kernel read off."""
     stab = stabilizer_elements([Spinor(z)])
     basis = {}
-    for x in stab:
-        for row in reps._coefficient_rows(spin_coordinates(x), "Wedge4V")[0]:
-            if row:
-                extend_span(basis, row)
+    coeffs = [scale_to_integers(enumerate(spin_coordinates(x)))[0]
+              for x in stab]
+    for row in reps._action_rows(coeffs, "Wedge4V"):
+        extend_span(basis, row)
     pivots = sorted(basis)
     rows = [[Fraction(basis[pc].get(j, 0), basis[pc][pc]) for j in range(70)]
             for pc in pivots]
@@ -639,11 +643,47 @@ def dense_kernel(r, pivots, ncols):
     return basis
 
 
+def route_b_line(s):
+    """Route B of cayley_class as it ran before its one integer pass: the
+    stabilizer's dense coefficient vectors (stabilizer_algebra), and the
+    invariant line of their actions on the degree-4 forms
+    (invariant_subspace), with the same dimension errors."""
+    coeffs = stabilizer_algebra([s])
+    if len(coeffs) != 21:
+        raise RuntimeError("stabilizer of a non-isotropic spinor must have "
+                           f"dimension 21, found {len(coeffs)}")
+    inv = invariant_subspace(coeffs, "Wedge4V")
+    if len(inv) != 1:
+        raise RuntimeError("stabilizer invariants in degree 4 not a line: "
+                           f"dimension {len(inv)}")
+    return inv[0]
+
+
+def routes_agree(a, b):
+    """The verdict of the cross-check of the dense vectors a (route A) and
+    b (route B): a = c b for a nonzero c (_proportionality), so a zero on
+    either side disagrees."""
+    return reps._proportionality(a, b) not in (None, 0)
+
+
+def dense_line(w, n):
+    """The sparse kernel vector w (linalg._sparse_kernel) as the dense
+    vector of length n that sparse_nullspace gives: w over its value at
+    its free column, its first key, and Fraction(0) where it has no
+    entry."""
+    d = next(iter(w.values()))
+    v = [Fraction(0)] * n
+    for c, x in w.items():
+        v[c] = Fraction(x, d) if isinstance(x, int) else x / d
+    return v
+
+
 def cayley_routes(s):
-    """Both routes and the proportionality factor (A = factor * B)."""
+    """Both routes and the proportionality factor (A = factor * B), route B
+    by route_b_line."""
     s = Spinor(s)
     a = mat_vec(reps.phi_matrix(), reps.sym2_coords(s.z))
-    b = reps._cayley_route_b(s)
+    b = route_b_line(s)
     lam = reps._proportionality(a, b)
     return (from_coords(8, DEGREE4_MASKS, a), from_coords(8, DEGREE4_MASKS, b),
             lam)

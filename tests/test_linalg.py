@@ -961,7 +961,8 @@ def test_route_b_invariants_match_field_reference():
     # the first noniso spinor of the cayley benchmark at seed 11: 1470
     # stacked rows (899 nonzero) of rank 69 on the degree-4 forms
     vecs = reps.stabilizer_algebra([Spinor([1, 0, 0, 3, 3, 0, 0, 0])])
-    rows = [r for c in vecs for r in reps._coefficient_rows(c, "Wedge4V")[0]]
+    rows = reps._action_rows([reps.scale_to_integers(enumerate(c))[0]
+                              for c in vecs], "Wedge4V")
     expected = field_nullspace([[r.get(j, 0) for j in range(70)]
                                 for r in rows])
     got = reps.invariant_subspace(vecs, "Wedge4V")

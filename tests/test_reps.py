@@ -516,6 +516,9 @@ def test_cayley_routes_match_reference_route_b(s):
     assert len(ref_b) == 1
     expected = from_coords(8, DEGREE4_MASKS, ref_b[0])
     assert b == expected and repr(b) == repr(expected)
+    # route B of cayley_class is that line up to its scale
+    line = reference.dense_line(reps._cayley_route_b(s), 70)
+    assert line == ref_b[0] and repr(line) == repr(ref_b[0])
     assert lam is not None and lam != 0
     assert a == cayley_class(s)
 
@@ -535,9 +538,94 @@ def _workload_noniso_spinors(seed, count):
 
 def test_route_b_matches_the_route_through_clifford_elements():
     for s in _workload_noniso_spinors(2205, 20):
-        got = [reps._cayley_route_b(s)]
+        got = [reference.dense_line(reps._cayley_route_b(s), 70)]
         expected = reference.cayley_route_b(s.z)
         assert got == expected and repr(got) == repr(expected)
+
+
+def dense_noniso_spinors():
+    """Spinors with 8 nonzero integer coordinates in [-3, 3], (s, s) != 0."""
+    return st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=8,
+                    max_size=8).map(Spinor).filter(
+        lambda s: not s.is_isotropic())
+
+
+def fraction_noniso_spinors():
+    """Spinors with 2 to 4 nonzero Fraction coordinates, (s, s) != 0."""
+    return st.lists(SMALL, min_size=8, max_size=8).map(Spinor).filter(
+        lambda s: not s.is_isotropic() and 2 <= sum(map(bool, s.z)) <= 4)
+
+
+#: a spinor over Q(sqrt 2) and one over Q(sqrt -3)
+FIELD_SPINORS = (
+    Spinor([QuadExt(1, 1, 2), 0, 0, 0, 1, 0, 0, 0]),
+    Spinor([0, QuadExt(1, 2, -3), 0, 1, 0, QuadExt(0, 1, -3), 2, 0]))
+
+
+def _same_route_b_as_reference(s):
+    """Route B's line has the support of the reference line and is a
+    multiple of it, and the verdict against route A is the reference's."""
+    line = reps._cayley_route_b(s)
+    ref = reference.route_b_line(s)
+    assert {c for c, x in line.items() if x} == {c for c, x in
+                                                 enumerate(ref) if x}
+    assert reference.routes_agree([line.get(c, 0) for c in range(70)], ref)
+    a = mat_vec(phi_matrix(), reps.sym2_coords(s.z))
+    verdict = reps._agree(reps.scale_to_integers(enumerate(a))[0], line)
+    assert verdict and reference.routes_agree(a, ref)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(noniso_spinors(), fraction_noniso_spinors()))
+def test_route_b_line_is_the_reference_line(s):
+    _same_route_b_as_reference(s)
+
+
+@settings(max_examples=4, deadline=None)
+@given(dense_noniso_spinors())
+def test_route_b_line_is_the_reference_line_on_dense_spinors(s):
+    _same_route_b_as_reference(s)
+
+
+@pytest.mark.parametrize("s", FIELD_SPINORS)
+def test_route_b_line_is_the_reference_line_over_a_field(s):
+    assert not s.is_isotropic()
+    _same_route_b_as_reference(s)
+
+
+def _agreement_cases():
+    """(a, b) dense pairs: b a multiple of a by a nonzero, zero, negative
+    or fractional factor, over Q or Q(sqrt 2), then possibly one entry off
+    or either side zero."""
+    values = st.one_of(st.integers(-4, 4).map(Fraction), SMALL,
+                       st.builds(lambda p, q: QuadExt(p, q, 2), SMALL, SMALL))
+    factors = st.one_of(st.sampled_from((0, 1, -1, 2, Fraction(-3, 2))),
+                        values)
+
+    @st.composite
+    def case(draw):
+        a = draw(st.lists(values, min_size=1, max_size=6))
+        lam = draw(factors)
+        b = [lam * x for x in a]
+        edit = draw(st.sampled_from(("none", "off", "zero a", "zero b")))
+        if edit == "off":
+            i = draw(st.integers(0, len(a) - 1))
+            b[i] = b[i] + draw(values)
+        elif edit == "zero a":
+            a = [Fraction(0)] * len(a)
+        elif edit == "zero b":
+            b = [Fraction(0)] * len(b)
+        return a, b
+    return case()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_agreement_cases())
+def test_agreement_matches_the_reference_verdict(pair):
+    a, b = pair
+    u = reps.scale_to_integers(enumerate(a))[0]
+    v = {c: x for c, x in enumerate(b) if x or isinstance(x, QuadExt)}
+    assert reps._agree(u, v) == reference.routes_agree(a, b)
 
 
 # -- the membership test ------------------------------------------------------
@@ -588,9 +676,9 @@ NONISO_TEXT = '["1", "0", "0", "0", "2", "0", "0", "0"]'
 
 
 def test_route_b_reports_stabilizer_dimension(monkeypatch):
-    real = reps.stabilizer_algebra
-    monkeypatch.setattr(reps, "stabilizer_algebra",
-                        lambda fixed: real(fixed)[:20])
+    real = reps._sparse_kernel
+    monkeypatch.setattr(reps, "_sparse_kernel", lambda rows, ncols: real(
+        rows, ncols)[:20 if ncols == 28 else None])
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)
     assert "must have dimension 21, found 20" in str(err.value)
@@ -598,8 +686,9 @@ def test_route_b_reports_stabilizer_dimension(monkeypatch):
 
 
 def test_route_b_reports_invariant_dimension(monkeypatch):
-    monkeypatch.setattr(reps, "invariant_subspace",
-                        lambda coeffs, space: [[0] * 70, [0] * 70])
+    real = reps._sparse_kernel
+    monkeypatch.setattr(reps, "_sparse_kernel", lambda rows, ncols: real(
+        rows, ncols) * (2 if ncols == 70 else 1))
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)
     assert "not a line: dimension 2" in str(err.value)
@@ -607,12 +696,22 @@ def test_route_b_reports_invariant_dimension(monkeypatch):
 
 
 def test_route_b_reports_disagreement(monkeypatch):
-    monkeypatch.setattr(reps, "_cayley_route_b",
-                        lambda s: [Fraction(1)] + [Fraction(0)] * 69)
+    monkeypatch.setattr(reps, "_cayley_route_b", lambda s: {0: 1})
     with pytest.raises(RuntimeError) as err:
         cayley_class(NONISO)
     assert "stabilizer route disagrees" in str(err.value)
     assert NONISO_TEXT in str(err.value)
+
+
+def test_a_zero_route_a_disagrees(monkeypatch):
+    monkeypatch.setattr(reps, "mat_vec", lambda a, v: [Fraction(0)] * 70)
+    with pytest.raises(RuntimeError) as err:
+        cayley_class(NONISO)
+    assert "stabilizer route disagrees" in str(err.value)
+    assert NONISO_TEXT in str(err.value)
+    # the pure spinor 1 - 0 e_* takes route A alone
+    with pytest.raises(RuntimeError, match="not proportional"):
+        cayley_constant(0)
 
 
 # -- the one-time tables against the dense references ------------------------
