@@ -8,7 +8,7 @@ Wire formats:
   rational      "p/q" (or "p")
   quadratic     {"a": "p/q", "b": "p/q", "m": int}
   tower         {"c": ["p/q", "p/q", "p/q", "p/q"], "m": int}
-  vector        [scalar] (decoded from {"coords": [scalar]} too)
+  vector        [scalar]
   matrix        [[scalar]]
   multivector   [{"indices": [int, 1-based], "coeff": scalar}]
 """
@@ -48,9 +48,9 @@ def decode_scalar(obj):
 
 
 def decode_vector(obj):
-    if isinstance(obj, list):
-        return [decode_scalar(c) for c in obj]
-    return [decode_scalar(c) for c in obj["coords"]]
+    if not isinstance(obj, list):
+        raise ValueError(f"a vector is a list of scalars, got {obj!r}")
+    return [decode_scalar(c) for c in obj]
 
 
 def decode_matrix(obj):

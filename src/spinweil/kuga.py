@@ -99,11 +99,11 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
                    f2=f2, c=c, even_masks=masks, j_ks=j_ks)
 
 
-def ks_right_commutation(datum: KSDatum, seed=0, count=20) -> bool:
-    """Right multiplications commute with the complex structure."""
+def ks_right_commutation(datum: KSDatum, seed=0) -> bool:
+    """Twenty seeded right multiplications commute with J_KS."""
     rng = random.Random(seed)
     masks = datum.even_masks
-    for _ in range(count):
+    for _ in range(20):
         terms = {m: Fraction(rng.randint(-2, 2)) for m in
                  rng.sample(masks, 5)}
         x = datum.algebra.element(terms)

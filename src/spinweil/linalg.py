@@ -40,11 +40,14 @@ with the element of K at every pivot, a zero of K included (it sets the
 field, as in _rows).  sparse_nullspace is its dense view, w over w[fc]
 with the shared Fraction(0) at every other column, so no Fraction is built
 for a zero; nullspace is sparse_nullspace of the rows of a.
-det keeps its own routine: a rational matrix is scaled row by row to
-integers and reduced fraction-free (Bareiss), the last pivot over the
-product of the row scales.  A matrix over K is eliminated over K on the
-first nonzero pivot of each column: an exact determinant needs no pivot
-preference.
+det is one fraction-free loop (Bareiss) for every scalar, on the first
+nonzero pivot of each column (an exact determinant needs no pivot
+preference): the rows scaled by _integer_coords (a row with an element of
+K passes as it is, its zeros of K kept), the division by the previous
+pivot // on a matrix of ints and the field's (_over) otherwise, and the
+last pivot over the product of the row scales.  A row with a zero at the
+pivot column takes no multiple of the pivot row, so the determinant is an
+element of K exactly when a pivot of elimination over the field is one.
 
 mat_mul is one sparse product for every scalar: each row of a and each
 column of b goes through the scaling rule of scalars (scale_to_integers:
@@ -58,7 +61,7 @@ algebras and the scalar tower keep their values in its form, so the
 wedge, the Clifford product and commutator and the spin-module rows read
 it with no call.  Only an algorithm that is the sole path for its inputs
 chooses by type: the form of the rows of an rref (_rational_form), and
-Bareiss or field elimination in det.
+the exact division of det (on ints, or in the field).
 mat_vec sums each row over the nonzero coordinates of v only: the
 symmetric square coordinates of a sparse spinor are mostly zero (6 of 36
 for three nonzero coordinates).  A zero v is summed over all its
@@ -70,9 +73,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .scalars import (_INT, _RATIONAL, _lowest, _over, all_rational,
+from .scalars import (_INT, _RATIONAL, _integer_coords, _lowest, _over,
                       scale_to_integers)
 
 
@@ -369,50 +372,26 @@ def inverse(a):
 
 
 def det(a):
-    """Exact determinant: Bareiss on rows scaled to integers for a rational
-    matrix, elimination over K otherwise (see the module docstring)."""
+    """Exact determinant by one fraction-free loop (see the module
+    docstring)."""
     n = len(a)
-    if all(map(all_rational, a)):
-        m, scale = [], 1
-        for row in a:
-            ints, d = scale_to_integers(enumerate(row))
-            if not ints:
-                return Fraction(0)
-            m.append([ints.get(j, 0) for j in range(n)])
-            scale *= d
-        sign = prev = 1
-        for c in range(n):
-            i = next((i for i in range(c, n) if m[i][c]), -1)
-            if i < 0:
-                return Fraction(0)
-            if i != c:
-                m[c], m[i] = m[i], m[c]
-                sign = -sign
-            p, pivot = m[c][c], m[c]
-            for row in m[c + 1:]:
-                x = row[c]
-                for j in range(c + 1, n):
-                    row[j] = (row[j] * p - x * pivot[j]) // prev
-            prev = p
-        return Fraction(sign * prev, scale)
-    m = [list(r) for r in a]
-    d = Fraction(1)
+    scaled = [_integer_coords(row) for row in a]
+    m, scale = [list(xs) for xs, _ in scaled], prod(d for _, d in scaled)
+    over_z = _INT.issuperset(map(type, chain.from_iterable(m)))
+    sign = prev = 1
     for c in range(n):
-        i = next((i for i in range(c, n) if m[i][c] != 0), -1)
+        i = next((i for i in range(c, n) if m[i][c]), -1)
         if i < 0:
-            return 0 * d
+            return _over(0 * prev, scale)
         if i != c:
             m[c], m[i] = m[i], m[c]
-            d = -d
-        d = d * m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for j in range(c + 1, n):
-            if m[j][c] != 0:
-                f = m[j][c] * inv
-                m[j] = [x - f * y for x, y in zip(m[j], m[c])]
-    return d
-
-
-def leading_principal_minors(a):
-    """The n determinants of the upper-left k x k blocks, k = 1..n."""
-    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+            sign = -sign
+        p, pivot = m[c][c], m[c][c + 1:]
+        for row in m[c + 1:]:
+            x = row[c]
+            ys = ([y * p - x * z for y, z in zip(row[c + 1:], pivot)] if x
+                  else [y * p for y in row[c + 1:]])
+            row[c + 1:] = ([y // prev for y in ys] if over_z
+                           else [_over(y, prev) for y in ys])
+        prev = p
+    return _over(sign * prev, scale)

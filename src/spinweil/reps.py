@@ -227,19 +227,18 @@ def derived_action(x, space):
     """Derived action matrix of a spin Lie element on a named space: one
     path for every space, sum c_a A_a over x's coordinates c on the basis
     (spin_coordinates, the membership test) and the cached actions A_a."""
-    return _action_matrix(spin_coordinates(x), space.name
-                          if isinstance(space, RepSpace) else space)
+    return _action_matrix(spin_coordinates(x), space)
 
 
 def weight_decomposition(space):
-    """Simultaneous eigendata of the four Cartan generators on a space.
+    """Simultaneous eigendata of the four Cartan generators on a named space.
 
     Returns a list of (weight 4-tuple, basis label, coordinate vector);
     each Cartan matrix must act diagonally on the standard basis of the
     space (a non-diagonal action signals a bug).
     """
-    sp = rep_space(space if isinstance(space, str) else space.name)
-    mats = [derived_action(h, sp.name) for h in cartan_elements()]
+    sp = rep_space(space)
+    mats = [derived_action(h, space) for h in cartan_elements()]
     if any(x != 0 for m in mats for i, row in enumerate(m)
            for j, x in enumerate(row) if i != j):
         raise RuntimeError("Cartan action failed to be diagonal")
@@ -257,12 +256,12 @@ def weight_multiset(space):
 
 
 def invariant_subspace(coeffs, space):
-    """Basis of the joint kernel on a space of the actions sum c_a A_a,
+    """Basis of the joint kernel on a named space of the actions sum c_a A_a,
     one for each coefficient vector c on the X_a: the sparse_nullspace of
     the _action_rows of the vectors, each scaled by scale_to_integers."""
-    name = space if isinstance(space, str) else space.name
     vectors = [scale_to_integers(enumerate(c))[0] for c in coeffs]
-    return sparse_nullspace(_action_rows(vectors, name), rep_space(name).dim)
+    return sparse_nullspace(_action_rows(vectors, space),
+                            rep_space(space).dim)
 
 
 def stabilizer_algebra(fixed):

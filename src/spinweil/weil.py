@@ -26,9 +26,10 @@ from functools import lru_cache
 from math import isqrt
 
 from .jsonio import to_text
-from .lattices import make_V, orthogonal_complement
-from .linalg import (det, inverse, leading_principal_minors, mat, mat_mul,
-                     mat_vec, nullspace, rank, scale_to_integers, transpose)
+from .lattices import (BilinearLattice, make_V, orthogonal_complement,
+                       signature)
+from .linalg import (det, inverse, mat, mat_mul, mat_vec, nullspace, rank,
+                     scale_to_integers, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derive_multivector, indices_of, mask_of, pluecker,
                           wedge)
@@ -43,6 +44,8 @@ STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
 #: the field scan's h = (0, k, 0, 0, 0, 1, 0, 0), k = 1, 2, 3, 5, against
 #: the standard s
 FIELD_SCAN_H = tuple((0, k, 0, 0, 0, 1, 0, 0) for k in (1, 2, 3, 5))
+#: the draws of the period search before it gives up
+PERIOD_TRIES = 5000
 
 
 class Period(namedtuple("Period", "p q")):
@@ -93,7 +96,7 @@ def complement_basis(h, s):
     return basis
 
 
-def sample_period(h, s, seed=0, tries=5000) -> Period:
+def sample_period(h, s, seed=0) -> Period:
     """A rational period orthogonal to h and s.
 
     Searches small-height vectors u, w in the rank-6 complement; u must be
@@ -105,8 +108,8 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
     and T = (U, W), P = A W - T U has the sign of c and A (P, P) the square
     class of a c.  The accepted pair is read off these integers, with den
     the common denominator: p = U / den and q = isqrt(A (P, P)) P /
-    ((P, P) den).  Deterministic for a fixed seed; raises after the given
-    number of tries.
+    ((P, P) den).  Deterministic for a fixed seed; raises after
+    PERIOD_TRIES draws.
     """
     h, s = Spinor(h), Spinor(s)
     lat = splus_lattice()
@@ -130,7 +133,7 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
                 return [sum(c * x for c, x in zip(c6, col)) for col in cols]
 
     positives = []
-    for _ in range(tries):
+    for _ in range(PERIOD_TRIES):
         w = draw()
         ww = pair(w, w)
         if ww <= 0:
@@ -149,7 +152,7 @@ def sample_period(h, s, seed=0, tries=5000) -> Period:
             positives.append((w, ww))
     raise RuntimeError(f"period search exhausted the height cap: h = "
                        f"{to_text(h.z)}, s = {to_text(s.z)}, seed {seed}, "
-                       f"tries {tries}")
+                       f"tries {PERIOD_TRIES}")
 
 
 def _spinor_ratio(x: Spinor, y: Spinor, c):
@@ -239,26 +242,22 @@ def polarization(mu, j):
 
     Checks that E is alternating, of type (1,1) for J, and that the
     symmetric form E(J v, w) is positive definite, certified exactly by
-    leading principal minors.  The 2-form coordinates are obtained from E
-    by raising both indices with the (self-inverse) Gram of V, which is the
-    equivariant identification of forms with bivectors.
+    Sylvester's law of inertia: its signature is (8, 0, 0).  The 2-form
+    coordinates are obtained from E by raising both indices with the
+    (self-inverse) Gram of V, which is the equivariant identification of
+    forms with bivectors.
     """
     g = make_V().gram
     e = mat_mul(transpose(mu), g)  # E[i][j] = (mu e_i, e_j)
-    for a in range(8):
-        for b in range(8):
-            if e[a][b] != -e[b][a]:
-                raise RuntimeError("E is not alternating")
+    if e != [[-x for x in row] for row in transpose(e)]:
+        raise RuntimeError("E is not alternating")
     jt = transpose(j)
     if mat_mul(jt, mat_mul(e, j)) != e:
         raise RuntimeError("E is not J-invariant (not of type (1,1))")
     bform = mat_mul(jt, e)
-    for a in range(8):
-        for b in range(8):
-            if bform[a][b] != bform[b][a]:
-                raise RuntimeError("E(J v, w) failed to be symmetric")
-    minors = leading_principal_minors(bform)
-    if not all(x > 0 for x in minors):
+    if bform != transpose(bform):
+        raise RuntimeError("E(J v, w) failed to be symmetric")
+    if signature(BilinearLattice(bform)) != (8, 0, 0):
         raise ValueError("E(J v, v) is not positive definite: wrong "
                          "component or invalid period")
     omega_mat = mat_mul(g, mat_mul(e, g))

@@ -86,6 +86,14 @@ def test_malformed_vector_object_is_usage_error(capsys):
     assert "malformed JSON input" in capsys.readouterr().err
 
 
+def test_vector_as_a_coords_object_is_usage_error(capsys):
+    rc = main(["cayley", "--s", '{"coords": ["1", "0", "0", "0", "1", "0", '
+                                '"0", "0"]}'])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed JSON input 's'" in err and "list of scalars" in err
+
+
 def test_tower_scalar_with_m_minus_one_is_usage_error(capsys):
     tower = '{"c": ["0", "1", "1", "0"], "m": -1}'
     rc = main(["cayley", "--s", f'[{tower}, 0, 0, 0, 0, 0, 0, 0]'])

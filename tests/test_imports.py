@@ -13,7 +13,7 @@ import pytest
 import spinweil
 from spinweil.clifford import spin_v_xyz_table
 from spinweil.lattices import LatticeVector, MukaiVector, make_Splus, make_V
-from spinweil.reps import RepSpace, derived_action, rep_space
+from spinweil.reps import RepSpace, derived_action
 from spinweil.spingeo import IsotropicSubspace
 from spinweil.weil import STANDARD_PERIOD, Period
 
@@ -151,7 +151,6 @@ def test_a_lattice_vector_of_the_wrong_length_is_a_value_error():
         make_V().vector([0] * 9)
 
 
-def test_derived_action_takes_a_rep_space_or_its_name():
+def test_derived_action_takes_a_space_name():
     for label, x, matrix in spin_v_xyz_table()[::9]:
-        assert derived_action(x, rep_space("V")) == matrix, label
         assert derived_action(x, "V") == matrix, label

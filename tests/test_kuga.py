@@ -50,7 +50,7 @@ def test_jks_squares_to_minus_one(standard_h, standard_s, standard_period):
 def test_right_multiplication_commutes(rng, standard_h, standard_s,
                                        standard_period):
     datum = ks_complex_structure(standard_h, standard_s, standard_period)
-    assert ks_right_commutation(datum, seed=7, count=20)
+    assert ks_right_commutation(datum, seed=7)
 
 
 def test_left_multiplication_does_not_commute(standard_h, standard_s,

@@ -11,9 +11,10 @@ entry, and on field matrices they must be equal.  A product of rational
 matrices is summed on ints and must equal the textbook loop over
 Fractions, again down to the repr; a product over a field takes the same
 sparse path and must equal the textbook loop, each nonzero entry of the
-type its nonzero terms give.  The determinant of a rational matrix
-is fraction-free (Bareiss) and must equal Gaussian elimination over the
-field, down to the repr.
+type its nonzero terms give.  The determinant is one fraction-free loop
+(Bareiss) for every scalar and must equal Gaussian elimination over the
+field, down to the repr: an element of K exactly when a pivot of that
+elimination is one.
 """
 
 import copy
@@ -25,12 +26,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinweil import linalg, reps
+from spinweil import linalg, reps, scalars
 from spinweil.linalg import (det, inverse, mat_mul, mat_vec, nullspace, rank,
                              rref, solve, solve_matrix, sparse_nullspace,
                              transpose)
 from spinweil.scalars import QuadExt, TowerScalar
-from spinweil.spingeo import Spinor
+from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
+from spinweil.weil import make_weil_datum
 
 import table_references as reference
 
@@ -439,7 +441,7 @@ def test_kernel_read_off_the_integer_rows_matches_the_dense_read_off(case):
     if shape != "random":
         assert len(expected) == (ncols if shape == "zero" else 0)
     sparse = [_sparse(a)]
-    if all(map(linalg.all_rational, a)):
+    if all(map(scalars.all_rational, a)):
         sparse.append(_sparse(_row_integers(a)))
     # sparse rows drop zero entries, so a matrix whose field elements are
     # all zero is rational in sparse form: each sparse form is held to the
@@ -678,8 +680,34 @@ def test_det_matches_gaussian_elimination(a):
     ([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 5], [0, 0, 7]],
      Fraction(7, 3)),
     ([[QuadExt(1, 1, 2), 1], [1, QuadExt(1, -1, 2)]], -2),
+    pytest.param([[QuadExt(1, 1, 2), 1], [QuadExt(2, 2, 2), 2]], 0,
+                 id="singular-after-a-K-pivot"),
+    pytest.param([[QuadExt(1, 1, 2), 1], [0, 0]], 0, id="K-zero-row"),
+    # the zero of K sets the field of the pivot it is cleared into
+    pytest.param([[1, QuadExt(0, 0, 2)], [1, 1]], QuadExt(1, 0, 2),
+                 id="K-zero-entry"),
+    pytest.param([[0, 0, 0], [QuadExt(0, 1, 5), 1, 2], [1, 2, 3]], 0,
+                 id="K-zero-row-first"),
+    pytest.param([[1, QuadExt(0, 1, 2)], [Fraction(1, 2), 3]],
+                 QuadExt(3, Fraction(-1, 2), 2), id="rational-and-K-rows"),
+    # no pivot is an element of K: a Fraction, as the field elimination
+    # gives it
+    pytest.param([[Fraction(1, 2), QuadExt(1, 1, 2)], [0, 3]], Fraction(3, 2),
+                 id="rational-pivots-of-a-K-matrix"),
+    pytest.param(
+        [[TowerScalar(1, 1, 0, 0, m=-2), TowerScalar(0, 0, 1, 0, m=-2), 1],
+         [2, TowerScalar(0, 1, 0, 1, m=-2), Fraction(1, 2)],
+         [TowerScalar(1, 0, 0, Fraction(1, 3), m=-2), 0,
+          TowerScalar(0, 0, 0, 1, m=-2)]],
+        TowerScalar(Fraction(4, 3), Fraction(14, 3), Fraction(-1, 6), -2,
+                    m=-2), id="tower-3x3"),
+    # Psi of the standard datum at seed 20240: the golden discriminant
+    pytest.param(lambda: make_weil_datum(STANDARD_H, STANDARD_S,
+                                         seed=20240).psi, 256,
+                 id="standard-psi"),
 ])
 def test_det_examples(a, value):
+    a = a() if callable(a) else a
     assert det(a) == value == reference_det(a)
     assert repr(det(a)) == repr(reference_det(a))
 
@@ -790,7 +818,7 @@ def test_row_insertion_matches_column_scan_and_field_reference(a):
 @given(field_matrices())
 def test_row_insertion_matches_on_realified_field_matrices(pair):
     a, _ = pair
-    if not a or all(map(linalg.all_rational, a)):
+    if not a or all(map(scalars.all_rational, a)):
         return
     _same_realified_rref(a)
 

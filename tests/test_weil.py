@@ -8,8 +8,8 @@ import pytest
 from spinweil import weil
 from spinweil.jsonio import decode_vector
 from spinweil.lattices import make_V, orthogonal_complement
-from spinweil.linalg import (identity, inverse, leading_principal_minors, mat,
-                             mat_mul, mat_vec, rank)
+from spinweil.linalg import (det, identity, inverse, mat, mat_mul, mat_vec,
+                             rank)
 from spinweil.multivector import Multivector, mask_of
 from spinweil.reps import cayley_class
 from spinweil.scalars import QuadExt, TowerScalar, is_norm
@@ -128,10 +128,11 @@ def test_sample_period_matches_rational_search():
     assert cases >= 200
 
 
-def test_sample_period_failure_names_its_inputs():
+def test_sample_period_failure_names_its_inputs(monkeypatch):
+    monkeypatch.setattr(weil, "PERIOD_TRIES", 1)
     h, s = Spinor([0, Fraction(1, 2), 0, 0, 0, 3, 0, 0]), Spinor(STANDARD_S)
     with pytest.raises(RuntimeError) as info:
-        sample_period(h, s, seed=17, tries=1)
+        sample_period(h, s, seed=17)
     message = str(info.value)
     assert message == (
         'period search exhausted the height cap: h = ["0", "1/2", "0", '
@@ -141,10 +142,10 @@ def test_sample_period_failure_names_its_inputs():
     hz, sz, seed, tries = re.fullmatch(
         r".*h = (\[.*\]), s = (\[.*\]), seed (\d+), tries (\d+)",
         message).groups()
+    assert int(tries) == weil.PERIOD_TRIES
     with pytest.raises(RuntimeError, match=re.escape(message)):
         sample_period(Spinor(decode_vector(json.loads(hz))),
-                      Spinor(decode_vector(json.loads(sz))),
-                      seed=int(seed), tries=int(tries))
+                      Spinor(decode_vector(json.loads(sz))), seed=int(seed))
 
 
 def test_complex_structure_properties(standard_period):
@@ -265,7 +266,7 @@ CERTIFICATE_RAISES = [
                                  complex_structure(Period(NU1, NU2))),
         RuntimeError, "not J-invariant", id="E-type-1-1"),
     pytest.param(
-        {"leading_principal_minors": lambda m: [-1]}, _standard_datum,
+        {"signature": lambda lattice: (4, 4, 0)}, _standard_datum,
         ValueError, "not positive definite", id="E-J-positive-both-signs"),
 ]
 
@@ -336,7 +337,8 @@ def test_polarization_properties(standard_h, standard_s, standard_period):
     assert all(e[a][b] == -e[b][a] for a in range(8) for b in range(8))
     # positivity certified by exact leading principal minors
     jt = [[j[b][a] for b in range(8)] for a in range(8)]
-    assert all(x > 0 for x in leading_principal_minors(mat_mul(jt, e)))
+    bform = mat_mul(jt, e)
+    assert all(det([row[:k] for row in bform[:k]]) > 0 for k in range(1, 9))
 
 
 def test_positivity_nu_configuration():
@@ -402,7 +404,6 @@ def test_hermitian_basis_independence(rng, standard_h, standard_s,
     datum = make_weil_datum(standard_h, standard_s, period=standard_period)
     psi = datum.psi
     m = datum.m
-    from spinweil.linalg import det
     for _ in range(5):
         # random invertible matrix over the field
         while True:
