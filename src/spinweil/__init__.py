@@ -8,16 +8,15 @@ imports, and a cold cayley, spinor or invariants process needs none of
 the three.
 """
 
-from .lattices import (BilinearLattice, LatticeVector, MukaiVector, make_V,
-                       make_Splus, mukai_pairing, orthogonal_complement,
-                       signature)
-from .multivector import Multivector, contract, hodge_star, pfaffian, pluecker, wedge
-from .clifford import (CV, CliffordAlgebra, CliffordElement, conjugation,
-                       exp_nilpotent, sigma_action, spin_so_iso, so_to_spin,
+from .lattices import (BilinearLattice, MukaiVector, make_V, make_Splus,
+                       mukai_pairing, orthogonal_complement, signature)
+from .multivector import Multivector, contract, pfaffian, pluecker, wedge
+from .clifford import (CV, CliffordAlgebra, CliffordElement, exp_nilpotent,
+                       sigma_action, spin_so_iso, so_to_spin,
                        twisted_conjugation)
 from .scalars import QuadExt, Rational, TowerScalar, hilbert_symbol, is_norm
-from .spingeo import (IsotropicSubspace, Spinor, move_to_cell, spinor_inverse,
-                      spinor_map, subspace_of_spinor, transversality)
+from .spingeo import (Spinor, move_to_cell, spinor_inverse, spinor_map,
+                      subspace_of_spinor, transversality)
 from .reps import (RepSpace, branching_dims, cayley_class, derived_action,
                    invariant_subspace, stabilizer_algebra,
                    veronese_pluecker_check, weight_decomposition)

@@ -235,10 +235,6 @@ class CliffordElement(_Blades):
         return CliffordElement._of(alg, *lowest_terms(out, self._d))
 
 
-def conjugation(x: CliffordElement) -> CliffordElement:
-    return x.conj()
-
-
 def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """x y - y x, in one pass over the blade commutators."""
     return _blade_sum(x, y, x.algebra._commutators)

@@ -77,24 +77,12 @@ class BilinearLattice:
             return 0
         return _over(total, self._den * dv * dw)
 
-    def vector(self, coords):
-        return LatticeVector(self, list(coords))
-
     def __repr__(self):
         return f"BilinearLattice({self.label or 'rank %d' % self.rank})"
 
 
-# The records are namedtuples, not dataclasses: every process imports this
+# The record is a namedtuple, not a dataclass: every process imports this
 # module, and importing dataclasses (with inspect) would cost each of them.
-class LatticeVector(namedtuple("LatticeVector", "parent coords")):
-    __slots__ = ()
-
-    def __new__(cls, parent, coords):
-        if len(coords) != parent.rank:
-            raise ValueError("coordinate length does not match lattice rank")
-        return super().__new__(cls, parent, coords)
-
-
 class MukaiVector(namedtuple("MukaiVector", "r c s")):
     """Mukai vector (r, c, s), c in H^2 = U^3, read as the spinor z of S+
     (module docstring): s_n = (1, 0, -n) is z = (1, 0, 0, 0, n, 0, 0, 0)."""
@@ -177,21 +165,18 @@ def signature(lattice: BilinearLattice):
 
 
 def orthogonal_complement(lattice: BilinearLattice, vectors):
-    """Basis of {t : (t, v) = 0 for all given v}, as LatticeVectors."""
-    coords = [v.coords if isinstance(v, LatticeVector) else list(v)
-              for v in vectors]
+    """Basis of {t : (t, v) = 0 for all given v}, as coordinate lists."""
+    coords = [list(v) for v in vectors]
     if not coords:
-        return [lattice.vector(row) for row in identity(lattice.rank)]
+        return identity(lattice.rank)
     # rows: v^T G, kernel gives the complement
-    rows = mat_mul(coords, lattice.gram)
-    return [lattice.vector(b) for b in nullspace(rows)]
+    return nullspace(mat_mul(coords, lattice.gram))
 
 
-def sublattice_gram(lattice: BilinearLattice, basis_vectors, label=""):
+def sublattice_gram(lattice: BilinearLattice, vectors, label=""):
     """The Gram matrix of a list of vectors, as a new BilinearLattice; each
     vector is scaled to ints once."""
-    scaled = [_integer_coords(v.coords if isinstance(v, LatticeVector)
-                              else list(v)) for v in basis_vectors]
+    scaled = [_integer_coords(list(v)) for v in vectors]
     return BilinearLattice([[lattice._pair(a, b) for b in scaled]
                             for a in scaled], label=label)
 

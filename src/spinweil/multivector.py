@@ -16,8 +16,8 @@ terms as Fractions are built only when read.
 
 Degree-4 bases on V are ordered by lexicographic index subsets
 (itertools.combinations order).  The volume form is e_1 ^ ... ^ e_8 in
-this basis order; the Hodge star below depends on that orientation choice,
-which is fixed once here.  The star's Gram (induced_gram4) and every
+this basis order; the Hodge star (star_matrix) depends on that orientation
+choice, which is fixed once here.  The star's Gram (induced_gram4) and every
 derivation extension of a matrix, on forms, wedge powers and Sym^2
 (derivation_columns), read nonzero entries only.
 """
@@ -250,10 +250,6 @@ class Multivector(_Blades):
         return cls(n, {0: Fraction(1)})
 
     @classmethod
-    def basis_vector(cls, n, i):
-        return cls(n, {1 << i: Fraction(1)})
-
-    @classmethod
     def from_vector(cls, coords):
         n = len(coords)
         return cls(n, {1 << i: c for i, c in enumerate(coords) if c != 0})
@@ -363,44 +359,24 @@ def induced_gram4(gram):
     return entries
 
 
-@lru_cache(maxsize=None)
-def _star_table():
-    from .lattices import make_V
-    # star(e_J) = sum_I c_{I,J} e_I solves e_I ^ star(e_J) = (e_I, e_J) vol,
-    # so c_{I^c, J} = (e_I, e_J) / sign(e_I ^ e_{I^c} = sign * vol).
-    table = {mj: {} for mj in DEGREE4_MASKS}
-    for (mi, mj), val in induced_gram4(make_V().gram).items():
-        comp = VOLUME_MASK ^ mi
-        table[mj][comp] = val / wedge_sign(mi, comp)
-    return table
-
-
-def hodge_star(x: Multivector) -> Multivector:
-    """Hodge star on degree-4 forms of V for the hyperbolic pairing.
-
-    Solves x ^ star(y) = (x, y) vol with vol = e_1 ^ ... ^ e_8 and the
-    Gram-determinant pairing on degree 4; star is an involution here
-    (middle degree, signature (4,4), Gram determinant +1).
-    """
-    if x.n != 8:
-        raise ValueError("Hodge star is defined on the algebra of V")
-    if not x.is_zero() and x.degrees() != [4]:
-        raise ValueError("Hodge star needs a homogeneous degree-4 input")
-    table = _star_table()
-    out = {}
-    for mj, c in x.terms.items():
-        for mi, t in table[mj].items():
-            _accumulate(out, mi, c * t)
-    return Multivector(8, out)
-
-
+@lru_cache(maxsize=1)
 def star_matrix():
-    """The 70 x 70 matrix of the Hodge star in the lexicographic basis."""
+    """The 70 x 70 matrix of the Hodge star on degree-4 forms of V in the
+    lexicographic basis, for the hyperbolic pairing; cached, so callers
+    only read it.
+
+    Column J is star(e_J), which solves e_I ^ star(e_J) = (e_I, e_J) vol
+    with vol = e_1 ^ ... ^ e_8 and the Gram-determinant pairing on degree
+    4, so its entry at I^c is (e_I, e_J) / sign(e_I ^ e_{I^c} = sign * vol).
+    The star is an involution here (middle degree, signature (4,4), Gram
+    determinant +1).
+    """
+    from .lattices import make_V
     idx = {m: i for i, m in enumerate(DEGREE4_MASKS)}
     out = [[Fraction(0)] * 70 for _ in range(70)]
-    for mj, col in _star_table().items():
-        for mi, v in col.items():
-            out[idx[mi]][idx[mj]] = v
+    for (mi, mj), val in induced_gram4(make_V().gram).items():
+        comp = VOLUME_MASK ^ mi
+        out[idx[comp]][idx[mj]] = val / wedge_sign(mi, comp)
     return out
 
 

@@ -517,7 +517,7 @@ def _branching_profile(s, stab):
     too, and computes it once)."""
     inv = invariant_subspace(stab, "Wedge4V")
     phi = phi_matrix()
-    image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t.coords))
+    image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t))
                      for t in orthogonal_complement(splus_lattice(), [s.z])]
     standard_dim = rank(mat(image_vectors))
     phi_rank = rank(phi)

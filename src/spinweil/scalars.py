@@ -304,13 +304,6 @@ class TowerScalar(_Multiquadratic):
         n, d = _integer_coords([rat(c0), rat(c1), rat(c2), rat(c3)])
         return cls._of(tuple(n), d, m)
 
-    @classmethod
-    def from_gaussian(cls, x: QuadExt, m: int):
-        """Lift an element of Q(i) (QuadExt with m = -1) into Q(i, sqrt(m))."""
-        if x.m != -1:
-            raise ValueError("from_gaussian expects a Q(i) element")
-        return cls(*x.c, 0, 0, m=m)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -372,17 +365,6 @@ def factorize(n: int) -> dict:
     return out
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def squarefree_part(n: int) -> int:
     """The squarefree integer s with n = s * f^2, keeping the sign of n."""
     if n == 0:
@@ -422,7 +404,7 @@ def hilbert_symbol(a, b, p) -> int:
         raise ValueError("hilbert_symbol requires nonzero arguments")
     if p == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"p = {p!r} is not a prime or the real place")
     ai, bi = _square_class_int(a), _square_class_int(b)
 

@@ -16,7 +16,6 @@ identity c_0 c_1234 - c_12 c_34 + c_13 c_24 - c_14 c_23 = 0.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -96,14 +95,6 @@ class Spinor:
 
     def __repr__(self):
         return f"Spinor({self.z})"
-
-
-class IsotropicSubspace(namedtuple("IsotropicSubspace", "basis")):
-    """Maximal isotropic subspace of V spanned by the columns of an 8x4
-    matrix, on the even component (subspace_of_spinor raises on an odd
-    one).  A namedtuple, not a dataclass: importing dataclasses would cost
-    every process that imports this module."""
-    __slots__ = ()
 
 
 def spinor_map(b) -> Spinor:
@@ -207,8 +198,10 @@ def spinor_action_matrix(s: Spinor):
     return [[row.get(k, zero) for k in range(8)] for row in _action_rows(s.z)]
 
 
-def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
-    """The maximal isotropic subspace attached to an isotropic spinor.
+def subspace_of_spinor(s: Spinor):
+    """The maximal isotropic subspace attached to an isotropic spinor, as
+    the 8 x 4 matrix whose columns span it.  It lies on the even component;
+    a subspace on the odd one raises.
 
     It is Cartan's annihilator {v in V : v s = 0} (Chevalley, The
     Algebraic Theory of Spinors, 1954): the kernel of spinor_action_matrix,
@@ -231,7 +224,7 @@ def subspace_of_spinor(s: Spinor) -> IsotropicSubspace:
     # Z meets W* = span(e_5..e_8) in the kernel of the top rows of its basis
     if (4 - rank(basis[:4])) % 2:
         raise RuntimeError("spinor produced an odd-component subspace")
-    return IsotropicSubspace(basis=basis)
+    return basis
 
 
 def _validate_isotropic(basis8x4):
@@ -256,7 +249,7 @@ def transversality(s1: Spinor, s2: Spinor) -> bool:
         raise ValueError("spinors are proportional")
     answer = s1.pair(s2) != 0
     z1, z2 = subspace_of_spinor(s1), subspace_of_spinor(s2)
-    joint = [z1.basis[i] + z2.basis[i] for i in range(8)]
+    joint = [z1[i] + z2[i] for i in range(8)]
     if (rank(mat(joint)) == 8) != answer:
         raise RuntimeError("form criterion disagrees with rank "
                            "criterion: conventions corrupted")

@@ -245,8 +245,8 @@ def check_complement(rng):
             continue
         yield trial, vs
         for w in lattices.orthogonal_complement(lat, vs):
-            if any(lat.pair(w.coords, v) != 0 for v in vs):
-                yield trial, [w.coords, vs]
+            if any(lat.pair(w, v) != 0 for v in vs):
+                yield trial, [w, vs]
                 yield "complement vector pairs nonzero at w, inputs"
     return "25 random vector pairs"
 
@@ -438,9 +438,9 @@ def check_spinor_equivariance(rng):
         rho_v = clifford.twisted_conjugation(g)
         rho_s = reps.splus_matrix(g)
         z = spinor_map(b2)
-        moved = mat_mul(rho_v, subspace_of_spinor(z).basis)
+        moved = mat_mul(rho_v, subspace_of_spinor(z))
         sub2 = subspace_of_spinor(Spinor(mat_vec(rho_s, z.z)))
-        joint = [moved[i] + sub2.basis[i] for i in range(8)]
+        joint = [moved[i] + sub2[i] for i in range(8)]
         if rank(mat(joint)) != 4:
             yield ("moved subspace does not match moved spinor at the terms "
                    "of g, B")
@@ -460,7 +460,7 @@ def check_parity(rng):
         # cross-check the annihilator against the cell-move route
         _, gmat, moved = move_to_cell(z)
         via_cell = mat_mul(inverse(gmat), graph_basis(spinor_inverse(moved)))
-        joint = [sub.basis[i] + via_cell[i] for i in range(8)]
+        joint = [sub[i] + via_cell[i] for i in range(8)]
         if rank(mat(joint)) != 4:
             yield "cell-move route spans another subspace at s"
     return "200 random isotropic spinors"

@@ -72,9 +72,6 @@ class Period(namedtuple("Period", "p q")):
         """p + i q over the Gaussian rationals."""
         return Spinor([QuadExt(a, b, -1) for a, b in zip(self.p, self.q)])
 
-    def norm_pairing(self):
-        return 2 * splus_lattice().pair(list(self.p), list(self.p))
-
     def pairs_to_zero_with(self, z) -> bool:
         lat = splus_lattice()
         return (lat.pair(list(self.p), z) == 0
@@ -89,8 +86,7 @@ def complement_basis(h, s):
     """Coordinates of a basis of the rank-6 complement of <h, s> in S+;
     ValueError when the complement has another rank."""
     h, s = Spinor(h), Spinor(s)
-    basis = [v.coords for v in orthogonal_complement(splus_lattice(),
-                                                     [h.z, s.z])]
+    basis = orthogonal_complement(splus_lattice(), [h.z, s.z])
     if len(basis) != 6:
         raise ValueError("complement is not of rank 6")
     return basis
@@ -391,7 +387,7 @@ def weil_class_space(datum: WeilDatum):
     """
     kappa, d, m, f = kappa_spinor(datum.h, datum.s)
     zk = subspace_of_spinor(kappa)
-    pk = pluecker(zk.basis)
+    pk = pluecker(zk)
     a_part, b_part = [], []
     for mask in DEGREE4_MASKS:
         c = pk.coefficient(mask)
@@ -427,7 +423,7 @@ def weil_class_space(datum: WeilDatum):
     omega2_img = coords_degree(
         _wedge4_apply(tmat, omega2), DEGREE4_MASKS)
     omega2_ok = omega2_img == [norm_sq * c for c in w2]
-    zk_img = pluecker(mat_mul(tmat, zk.basis))
+    zk_img = pluecker(mat_mul(tmat, zk))
     x4, xbar4 = x ** 4, x.conj() ** 4
     # the datum normalizes the sign of the field action for positivity, so
     # this line carries x^4 for one of the two conjugate embeddings
@@ -461,22 +457,21 @@ def h2_split(h, s):
     """Eigenvalue profile on the wedge square of S+ of the generator that
     scales the two isotropic points of the plane through h and s.
 
-    The generator acts with eigenvalues 2, -2 on the two points and 0 on
-    the rank-6 complement; its derivation action on the 28-dimensional
-    wedge square has kernel of dimension 16 = 15 + 1 and (+2, -2)
-    eigenspaces of dimension 6 each.  Also checks that the wedge squares
-    of S+ and V carry identical weight multisets.
+    The generator X = 2 (kappa kappa-bar^T - kappa-bar kappa^T) G /
+    (kappa, kappa-bar), G the Gram of S+, acts with eigenvalues 2, -2 on
+    the two points kappa and kappa-bar (both isotropic) and 0 on the rank-6
+    complement of <h, s>, which pairs to zero with both; its derivation
+    action on the 28-dimensional wedge square has kernel of dimension
+    16 = 15 + 1 and (+2, -2) eigenspaces of dimension 6 each.  Also checks
+    that the wedge squares of S+ and V carry identical weight multisets.
     """
-    kappa, d, m, f = kappa_spinor(h, s)
-    kb = [c.conj() for c in kappa.z]
-    comp = complement_basis(h, s)
-    p8 = [[kappa.z[i], kb[i]] + [QuadExt(comp[k][i], 0, m) for k in range(6)]
-          for i in range(8)]
-    pinv = inverse(p8)
-    two = QuadExt(2, 0, m)
-    diag = [two, -two] + [QuadExt(0, 0, m)] * 6
-    xr = mat_mul(p8, [[diag[a] * pinv[a][b] for b in range(8)]
-                      for a in range(8)])
+    k = kappa_spinor(h, s)[0].z
+    kb = [x.conj() for x in k]
+    lat = splus_lattice()
+    gk, gkb = mat_vec(lat.gram, k), mat_vec(lat.gram, kb)
+    c = 2 / lat.pair(k, kb)
+    xr = [[c * (k[a] * gkb[b] - kb[a] * gk[b]) for b in range(8)]
+          for a in range(8)]
     d2 = derivation_matrix(xr, 2)
     dims = []
     for lam in (0, 2, -2):

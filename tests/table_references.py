@@ -229,7 +229,7 @@ def gen_action(k, eta):
     of W: generators of W act by left wedge, generators of W* by
     contraction."""
     if k < 4:
-        return wedge(Multivector.basis_vector(4, k), eta)
+        return wedge(Multivector(4, {1 << k: 1}), eta)
     unit = [0] * 4
     unit[k - 4] = 1
     return contract(unit, eta)

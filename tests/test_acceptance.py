@@ -192,8 +192,8 @@ def test_criterion_08_transversality_and_scaling():
             claim = transversality(z1, z2)
         except ValueError:
             continue
-        b1 = subspace_of_spinor(z1).basis
-        b2 = subspace_of_spinor(z2).basis
+        b1 = subspace_of_spinor(z1)
+        b2 = subspace_of_spinor(z2)
         joint = [b1[r] + b2[r] for r in range(8)]
         truth = rank(mat(joint)) == 8
         assert claim == truth

@@ -4,7 +4,6 @@ records that stand in for dataclasses on the verb path."""
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -12,26 +11,23 @@ import pytest
 
 import spinweil
 from spinweil.clifford import spin_v_xyz_table
-from spinweil.lattices import LatticeVector, MukaiVector, make_Splus, make_V
+from spinweil.lattices import MukaiVector, make_Splus
 from spinweil.reps import RepSpace, derived_action
-from spinweil.spingeo import IsotropicSubspace
 from spinweil.weil import STANDARD_PERIOD, Period
 
 #: every name the package exports, by the submodule that defines it
 PUBLIC = {
-    "lattices": ("BilinearLattice", "LatticeVector", "MukaiVector", "make_V",
-                 "make_Splus", "mukai_pairing", "orthogonal_complement",
-                 "signature"),
-    "multivector": ("Multivector", "contract", "hodge_star", "pfaffian",
-                    "pluecker", "wedge"),
-    "clifford": ("CV", "CliffordAlgebra", "CliffordElement", "conjugation",
-                 "exp_nilpotent", "sigma_action", "spin_so_iso", "so_to_spin",
+    "lattices": ("BilinearLattice", "MukaiVector", "make_V", "make_Splus",
+                 "mukai_pairing", "orthogonal_complement", "signature"),
+    "multivector": ("Multivector", "contract", "pfaffian", "pluecker",
+                    "wedge"),
+    "clifford": ("CV", "CliffordAlgebra", "CliffordElement", "exp_nilpotent",
+                 "sigma_action", "spin_so_iso", "so_to_spin",
                  "twisted_conjugation"),
     "scalars": ("QuadExt", "Rational", "TowerScalar", "hilbert_symbol",
                 "is_norm"),
-    "spingeo": ("IsotropicSubspace", "Spinor", "move_to_cell",
-                "spinor_inverse", "spinor_map", "subspace_of_spinor",
-                "transversality"),
+    "spingeo": ("Spinor", "move_to_cell", "spinor_inverse", "spinor_map",
+                "subspace_of_spinor", "transversality"),
     "reps": ("RepSpace", "branching_dims", "cayley_class", "derived_action",
              "invariant_subspace", "stabilizer_algebra",
              "veronese_pluecker_check", "weight_decomposition"),
@@ -95,19 +91,12 @@ def test_an_unknown_name_is_an_attribute_error():
 #: each record with its fields, a value to change the last field to, and
 #: its repr as the dataclass it replaced printed it
 RECORDS = {
-    "LatticeVector": (
-        LatticeVector, {"parent": make_V(), "coords": [1, 0, 0, 0, 0, 0, 0, 2]},
-        [0] * 8, "LatticeVector(parent=BilinearLattice(V), "
-                 "coords=[1, 0, 0, 0, 0, 0, 0, 2])"),
     "MukaiVector": (
         MukaiVector, {"r": 1, "c": (0, 1, 0, 0, 0, 0), "s": -3}, 2,
         "MukaiVector(r=1, c=(0, 1, 0, 0, 0, 0), s=-3)"),
     "RepSpace": (
         RepSpace, {"name": "V", "dim": 8, "basis": ("e1", "e2")}, ("e1",),
         "RepSpace(name='V', dim=8, basis=('e1', 'e2'))"),
-    "IsotropicSubspace": (
-        IsotropicSubspace, {"basis": [[Fraction(1, 2), 0]]}, [[0, 0]],
-        "IsotropicSubspace(basis=[[Fraction(1, 2), 0]])"),
     "Period": (
         Period, dict(zip("pq", STANDARD_PERIOD)),
         tuple(-x for x in STANDARD_PERIOD[1]),
@@ -146,9 +135,9 @@ def test_a_period_off_the_period_domain_is_a_value_error(p, q, text):
 def test_a_lattice_vector_of_the_wrong_length_is_a_value_error():
     with pytest.raises(ValueError, match="^coordinate length does not match "
                                          "lattice rank$"):
-        LatticeVector(make_Splus(), [1, 2, 3])
+        make_Splus().pair([1, 2, 3], [0] * 8)
     with pytest.raises(ValueError, match="lattice rank"):
-        make_V().vector([0] * 9)
+        make_Splus().pair([0] * 8, [0] * 9)
 
 
 def test_derived_action_takes_a_space_name():

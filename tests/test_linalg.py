@@ -306,10 +306,15 @@ FIELDS = ([(QuadExt, m) for m in (-1, 2, -3, 5)]
           + [(TowerScalar, m) for m in (-2, 5)])
 
 
+def field_elements(kind, m):
+    """Elements of the field of kind and m, coordinates drawn from ENTRIES."""
+    k = 2 if kind is QuadExt else 4
+    return st.builds(lambda *c: kind(*c, m=m), *[ENTRIES] * k)
+
+
 def field_entries(kind, m):
     """ints and Fractions mixed with elements of the field of kind and m."""
-    k = 2 if kind is QuadExt else 4
-    element = st.builds(lambda *c: kind(*c, m=m), *[ENTRIES] * k)
+    element = field_elements(kind, m)
     return st.one_of(ENTRIES, element, element)
 
 
@@ -647,10 +652,24 @@ def reference_det(a):
     return d
 
 
+#: the nonzero values of ENTRIES
+NONZERO_RATIONALS = st.sampled_from([x for x in range(-6, 7) if x]
+                                    + [x for x in FRACTIONS if x])
+
+
 @st.composite
 def det_matrices(draw):
     """n x n matrices, n in 0..6, rational or over one field, some rows
-    replaced by a zero row or by a combination of two rows."""
+    replaced by a zero row or by a combination of two rows.  One draw in
+    five is upper triangular, n in 2..6, with nonzero rationals on the
+    diagonal and elements of one field above it: every pivot of the field
+    elimination is rational, so its determinant is a Fraction."""
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.integers(2, 6))
+        above = field_elements(*draw(st.sampled_from(FIELDS)))
+        return [[draw(NONZERO_RATIONALS) if i == j else
+                 draw(above) if i < j else 0 for j in range(n)]
+                for i in range(n)]
     n = draw(st.integers(0, 6))
     entries = draw(st.one_of(st.just(ENTRIES), st.sampled_from(FIELDS).map(
         lambda field: field_entries(*field))))

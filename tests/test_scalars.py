@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinweil.scalars import (QuadExt, REAL_PLACE, TowerScalar, _over,
-                              factorize, hilbert_symbol, is_norm, is_prime,
+                              factorize, hilbert_symbol, is_norm,
                               legendre, relevant_places, scale_to_integers,
                               squarefree_part)
 
@@ -221,8 +221,8 @@ def test_tower_rejects_m_minus_one():
     with pytest.raises(ValueError, match="not -1, 0 or 1"):
         TowerScalar(0, 1, 1, 0, m=-1)
     with pytest.raises(ValueError, match="not -1, 0 or 1"):
-        TowerScalar.from_gaussian(QuadExt(1, 2, -1), -1)
-    t = TowerScalar.from_gaussian(QuadExt(1, 2, -1), -2)
+        TowerScalar(*QuadExt(1, 2, -1).c, 0, 0, m=-1)
+    t = TowerScalar(*QuadExt(1, 2, -1).c, 0, 0, m=-2)
     assert t == TowerScalar(1, 2, 0, 0, m=-2)
 
 
@@ -231,7 +231,8 @@ def test_number_theory_helpers():
     assert squarefree_part(360) == 10
     assert squarefree_part(-4) == -1
     assert squarefree_part(-8) == -2
-    assert is_prime(2) and is_prime(97) and not is_prime(91)
+    assert factorize(2) == {2: 1} and factorize(97) == {97: 1}
+    assert factorize(91) == {7: 1, 13: 1}
     assert legendre(2, 7) == 1 and legendre(3, 7) == -1
     assert reference.is_square(Fraction(49, 64))
     assert not reference.is_square(Fraction(2))

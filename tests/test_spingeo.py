@@ -233,12 +233,12 @@ def test_move_to_cell_matches_the_schedule_search(rng):
 def test_subspace_of_reference_points():
     # the unit spinor corresponds to the reference half W*
     sub = subspace_of_spinor(Spinor([1, 0, 0, 0, 0, 0, 0, 0]))
-    assert all(sub.basis[i][j] == 0 for i in range(4) for j in range(4))
-    assert rank(mat([row[:] for row in sub.basis[4:]])) == 4
+    assert all(sub[i][j] == 0 for i in range(4) for j in range(4))
+    assert rank(mat([row[:] for row in sub[4:]])) == 4
     # the top exterior power corresponds to W
     sub2 = subspace_of_spinor(Spinor([0, 0, 0, 0, 1, 0, 0, 0]))
-    assert all(sub2.basis[i][j] == 0 for i in range(4, 8) for j in range(4))
-    assert rank(mat([row[:] for row in sub2.basis[:4]])) == 4
+    assert all(sub2[i][j] == 0 for i in range(4, 8) for j in range(4))
+    assert rank(mat([row[:] for row in sub2[:4]])) == 4
 
 
 def test_subspace_matches_graph(rng):
@@ -251,7 +251,7 @@ def test_subspace_matches_graph(rng):
     for b in [random_alternating(rng) for _ in range(25)] + [gaussian]:
         sub = subspace_of_spinor(spinor_map(b))
         expected = graph_basis(b)
-        joint = [sub.basis[r] + expected[r] for r in range(8)]
+        joint = [sub[r] + expected[r] for r in range(8)]
         assert rank(mat(joint)) == 4
 
 
@@ -305,7 +305,7 @@ def test_subspace_parity_even(rng):
         z = random_isotropic_spinor(rng)
         sub = subspace_of_spinor(z)
         # Z meets W* = span(e_5..e_8) in the kernel of its top four rows
-        assert (4 - rank(sub.basis[:4])) % 2 == 0
+        assert (4 - rank(sub[:4])) % 2 == 0
 
 
 def test_transversality_reference_pair():
@@ -347,8 +347,8 @@ def test_transversality_rank_oracle(rng):
             claim = transversality(z1, z2)
         except ValueError:
             continue
-        b1 = subspace_of_spinor(z1).basis
-        b2 = subspace_of_spinor(z2).basis
+        b1 = subspace_of_spinor(z1)
+        b2 = subspace_of_spinor(z2)
         joint = [b1[r] + b2[r] for r in range(8)]
         assert claim == (rank(mat(joint)) == 8)
 
@@ -363,10 +363,10 @@ def test_equivariance_of_spinor_map(rng):
         rho_s = splus_matrix(g)
         b2 = random_alternating(rng, lo=-2, hi=2)
         z = spinor_map(b2)
-        moved_subspace = mat_mul(rho_v, subspace_of_spinor(z).basis)
+        moved_subspace = mat_mul(rho_v, subspace_of_spinor(z))
         gz = Spinor(mat_vec(rho_s, z.z))
         assert gz.is_isotropic()
-        back = subspace_of_spinor(gz).basis
+        back = subspace_of_spinor(gz)
         joint = [moved_subspace[r] + back[r] for r in range(8)]
         assert rank(mat(joint)) == 4
 

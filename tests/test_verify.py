@@ -520,7 +520,7 @@ def test_module_parity_failure_names_seed_trial_and_inputs(monkeypatch):
         calls.append((x, eta))
         out = real(x, eta)
         # the parity trials start after 3 calls in each of 1000 trials
-        return (out + Multivector.basis_vector(4, 0)
+        return (out + Multivector(4, {1: 1})
                 if len(calls) == 3000 + 2 + 1 else out)
 
     monkeypatch.setattr(verify, "sigma_action", wrapped)

@@ -39,7 +39,7 @@ def test_period_standard_example(standard_period):
     # (ell, ell) = (p,p) - (q,q) = 0 and (ell, conj ell) = (p,p) + (q,q) > 0
     ell = standard_period.spinor()
     assert ell.pair(ell) == 0
-    assert standard_period.norm_pairing() == 4
+    assert ell.pair(Spinor([c.conj() for c in ell.z])) == 4
 
 
 def test_period_validation():
@@ -53,8 +53,8 @@ def test_nu_configuration_periods():
     lat = splus_lattice()
     for nu in (NU1, NU2, NU3, NU4):
         assert lat.pair(list(nu), list(nu)) == 8
-    per = Period(NU1, NU2)
-    assert per.norm_pairing() == 16
+    ell = Period(NU1, NU2).spinor()
+    assert ell.pair(Spinor([c.conj() for c in ell.z])) == 16
 
 
 def test_sample_period_orthogonality(standard_h, standard_s):
@@ -74,7 +74,7 @@ def reference_sample_period(h, s, seed=0, tries=5000):
     """The period search on rational vectors: each draw is a Fraction
     combination of the complement basis and every pairing a Fraction."""
     lat = splus_lattice()
-    comp = [v.coords for v in orthogonal_complement(lat, [h.z, s.z])]
+    comp = orthogonal_complement(lat, [h.z, s.z])
     rng = random.Random(seed)
 
     def draw():
@@ -160,7 +160,7 @@ def test_complex_structure_properties(standard_period):
     z = subspace_of_spinor(standard_period.spinor())
     i_unit = QuadExt(0, 1, -1)
     for col in range(4):
-        v = [z.basis[r][col] for r in range(8)]
+        v = [z[r][col] for r in range(8)]
         jv = [sum(QuadExt(j[r][k], 0, -1) * v[k] for k in range(8))
               for r in range(8)]
         assert jv == [i_unit * x for x in v]
@@ -192,13 +192,13 @@ def eigen_assembly(basis_plus, lam):
 def reference_complex_structure(period):
     """+i on the annihilator of p + i q, -i on its conjugate."""
     z = subspace_of_spinor(period.spinor())
-    return eigen_assembly(z.basis, QuadExt(0, 1, -1))
+    return eigen_assembly(z, QuadExt(0, 1, -1))
 
 
 def reference_k_action(h, s):
     """+sqrt(-d) on the annihilator of kappa, -sqrt(-d) on its conjugate."""
     kappa, d, m, f = kappa_spinor(h, s)
-    return eigen_assembly(subspace_of_spinor(kappa).basis, QuadExt(0, f, m))
+    return eigen_assembly(subspace_of_spinor(kappa), QuadExt(0, f, m))
 
 
 def test_complex_structure_matches_eigen_assembly(standard_h, standard_s,
@@ -506,9 +506,9 @@ def test_tower_intersection_dimension():
     s = Spinor([1, 0, 0, 0, 1, 0, 0, 0])
     h = Spinor([0, 2, 0, 0, 0, 1, 0, 0])    # d = 8, m = -2
     per = sample_period(h, s, seed=3)
-    zl = subspace_of_spinor(per.spinor()).basis
+    zl = subspace_of_spinor(per.spinor())
     kappa, d, m, f = kappa_spinor(h, s)
-    zk = subspace_of_spinor(kappa).basis
+    zk = subspace_of_spinor(kappa)
     lift_l = [[TowerScalar(x.a, x.b, 0, 0, m=m) if isinstance(x, QuadExt)
                else TowerScalar(x, m=m) for x in row] for row in zl]
     lift_k = [[TowerScalar(x.a, 0, x.b, 0, m=m) if isinstance(x, QuadExt)
