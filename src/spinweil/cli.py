@@ -246,10 +246,10 @@ def run_weil(args):
 
 def run_ks(args):
     from .kuga import ks_report
-    from .weil import sample_period
+    from .weil import make_weil_datum
     h, s, seed = _plane(_inputs(args, ("h", "s", "seed")))
     doc = {"verb": "ks", "inputs": {"h": h.z, "s": s.z, "seed": seed},
-           "report": ks_report(h, s, sample_period(h, s, seed=seed))}
+           "report": ks_report(make_weil_datum(h, s, seed=seed))}
     return _emit(doc, args)
 
 

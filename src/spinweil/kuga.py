@@ -4,13 +4,13 @@ complex structure J_KS by left multiplication, the center, and the
 certificate that the Kuga-Satake variety is isogenous to A^4, A the Weil
 fourfold of (h, s, period).
 
-The certificate is Hom_G(V, C+(H)) (ks_hom), G the joint stabilizer of h
-and s, acting on C+(H) by left multiplication through spin(H).  mu commutes
-with G, so Hom is a vector space over K = Q(mu).  Rational dimension 8 and
-joint rank 32 make a K-basis Phi_1, ..., Phi_4 an isomorphism V^4 -> C+(H)
-of G-representations (Phi mu has the image of Phi); J_KS Phi = Phi J for
-every Phi, J the complex structure of the period on V, makes it carry J
-to J_KS.
+The certificate is Hom_G(V, C+(H)) (ks_hom), G the Weil datum's joint
+stabilizer of h and s (WeilDatum.g), acting on C+(H) by left multiplication
+through spin(H).  mu commutes with G, so Hom is a vector space over
+K = Q(mu).  Rational dimension 8 and joint rank 32 make a K-basis Phi_1,
+..., Phi_4 an isomorphism V^4 -> C+(H) of G-representations (Phi mu has
+the image of Phi); J_KS Phi = Phi J for every Phi, J the datum's complex
+structure on V, makes it carry J to J_KS.
 
 With the convention v^2 = (v, v)/2 the product of two orthogonal vectors
 of common length c squares to -c^2/4, so the exact complex structure is
@@ -29,10 +29,10 @@ from .clifford import CliffordAlgebra, CliffordElement, commutator, so_to_spin
 from .lattices import BilinearLattice, sublattice_gram
 from .linalg import (identity, mat_mul, rank, solve_matrix, sparse_nullspace,
                      transpose)
-from .reps import _action_matrix, stabilizer_algebra
+from .reps import _action_matrix
 from .scalars import rat, squarefree_part
 from .spingeo import splus_lattice
-from .weil import Period, complement_basis, complex_structure, field_parameters
+from .weil import Period, WeilDatum, complement_basis
 
 
 def complement_data(h, s):
@@ -154,9 +154,9 @@ def ks_center(lattice: BilinearLattice):
     return basis, square.scalar_part()
 
 
-def ks_center_field_check(lattice, h, s) -> dict:
+def ks_center_field_check(lattice, m) -> dict:
     """The center of the even algebra of the complement lattice matches the
-    field of the datum."""
+    field of the datum, m the squarefree part of -d."""
     basis, omega_sq = ks_center(lattice)
     sq = rat(omega_sq)
     part = squarefree_part(sq.numerator * sq.denominator)
@@ -164,28 +164,24 @@ def ks_center_field_check(lattice, h, s) -> dict:
         "center_dim": len(basis),
         "omega_c_square": sq,
         "square_negative": sq < 0,
-        "squarefree_part_matches": part == field_parameters(h, s)[1],
+        "squarefree_part_matches": part == m,
     }
 
 
-def ks_hom(datum: KSDatum, h, s):
-    """Basis of Hom_G(V, C+(H)) as 32 x 8 matrices, G the joint stabilizer
-    of h and s.
+def ks_hom(datum: KSDatum, weil_datum: WeilDatum):
+    """Basis of Hom_G(V, C+(H)) as 32 x 8 matrices, G = weil_datum.g.
 
     The kernel of Phi -> L(xi) Phi - Phi M(xi) over the 15 generators xi,
-    the stabilizer's coefficient vectors on the X_a: L(xi) is left
-    multiplication by the lift of xi's action on the complement, M(xi) is
-    xi's action on V, and both actions on S+ and V are read off the cached
-    tables (reps._action_matrix).  Phi[c][b] is unknown 8 c + b: row (a, b)
+    G's coefficient vectors on the X_a: L(xi) is left multiplication by
+    the lift of xi's action on the complement, M(xi) is xi's action on V,
+    and both actions on S+ and V are read off the cached tables
+    (reps._action_matrix).  Phi[c][b] is unknown 8 c + b: row (a, b)
     has L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
     the rows go to sparse_nullspace with their zeros left out.
     """
-    stab = stabilizer_algebra([h, s])
-    if len(stab) != 15:
-        raise RuntimeError("stabilizer of h, s is not 15-dimensional")
     cols = transpose(datum.basis)
     rows = []
-    for xi in stab:
+    for xi in weil_datum.g:
         y = _h_coordinates(cols, mat_mul(_action_matrix(xi, "S+"), cols))
         lmat = mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
                            datum.even_masks)
@@ -201,21 +197,21 @@ def ks_hom(datum: KSDatum, h, s):
             for v in sparse_nullspace(rows, 8 * len(datum.even_masks))]
 
 
-def ks_report(h, s, period: Period) -> dict:
-    """Full Kuga-Satake verification summary for one datum, of values it
-    computes: J_KS^2 = -I is ks_complex_structure's certificate, checked
-    there once, and a datum that fails it never reaches a report.
+def ks_report(weil_datum: WeilDatum) -> dict:
+    """Full Kuga-Satake verification summary for one Weil datum, of values
+    it computes: h, s, the period, J, m and G are read off the datum, and
+    J_KS^2 = -I is ks_complex_structure's certificate, checked there once.
 
     The isogeny_* fields are the certificate of the module docstring:
     dim Hom_G(V, C+(H)) = 8 and joint rank 32, which together give
     V^4 = C+(H) as G-representations, and J_KS Phi = Phi J for every Phi
     (false when Hom is empty), which makes the isomorphism carry J to J_KS.
     """
-    datum = ks_complex_structure(h, s, period)
-    homs = ks_hom(datum, h, s)
+    datum = ks_complex_structure(weil_datum.h, weil_datum.s,
+                                 weil_datum.period)
+    homs = ks_hom(datum, weil_datum)
     joint = rank([col for phi in homs for col in transpose(phi)])
-    j = complex_structure(period)
-    center = ks_center_field_check(datum.lattice, h, s)
+    center = ks_center_field_check(datum.lattice, weil_datum.m)
     return {
         "even_algebra_dim": len(datum.even_masks),
         "f1f2_square": -datum.c * datum.c / 4,
@@ -224,5 +220,6 @@ def ks_report(h, s, period: Period) -> dict:
         "isogeny_joint_rank": joint,
         "isogeny_even_algebra_is_V4": len(homs) == 8 and joint == 32,
         "isogeny_intertwines_J": bool(homs) and all(
-            mat_mul(datum.j_ks, phi) == mat_mul(phi, j) for phi in homs),
+            mat_mul(datum.j_ks, phi) == mat_mul(phi, weil_datum.j)
+            for phi in homs),
     }

@@ -309,9 +309,10 @@ def hermitian_and_discriminant(mu, e, d, m, f):
 
 
 #: one abelian fourfold of Weil type: make_weil_datum raises unless every
-#: exact certificate holds, so each datum that exists carries all of them
+#: exact certificate holds, so each datum that exists carries all of them;
+#: g is the joint stabilizer G of h and s, its 15 coefficient vectors
 WeilDatum = namedtuple("WeilDatum", "h s d m f period j mu e omega psi disc "
-                                    "disc_trivial")
+                                    "disc_trivial g")
 
 
 def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
@@ -320,7 +321,8 @@ def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
     Its raises are the datum's certificates, each computed once, here:
     J^2 = -I and mu^2 = -d (_spinor_ratio), J orthogonal
     (complex_structure), [J, mu] = 0 (weil_condition), trace(mu J) = 0,
-    and E alternating, of type (1,1) and positive (polarization).
+    E alternating, of type (1,1) and positive (polarization), and
+    dim G = 15, G the joint stabilizer of h and s, checked nowhere else.
     The sign of the field action is normalized so that E(J v, v) > 0; the
     two signs correspond to the two embeddings of the field, exactly one
     of which matches the orientation of the period.
@@ -340,9 +342,13 @@ def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
         mu = [[-x for x in row] for row in mu]
         e, omega = polarization(mu, j)
     psi, disc, trivial = hermitian_and_discriminant(mu, e, d, m, f)
+    g = stabilizer_algebra([h, s])
+    if len(g) != 15:
+        raise RuntimeError(f"stabilizer of h = {to_text(h.z)}, s = "
+                           f"{to_text(s.z)} is {len(g)}-dimensional, not 15")
     return WeilDatum(h=h, s=s, d=d, m=m, f=f, period=period, j=j, mu=mu,
                      e=e, omega=omega, psi=psi, disc=disc,
-                     disc_trivial=trivial)
+                     disc_trivial=trivial, g=g)
 
 
 def cayley_hodge_test(s, period: Period) -> bool:
@@ -365,11 +371,8 @@ def _cayley_class_of(z):
 
 
 def omega_line_check(datum: WeilDatum) -> bool:
-    """The 2-form spans the invariant line of the stabilizer of h and s."""
-    stab = stabilizer_algebra([datum.h, datum.s])
-    if len(stab) != 15:
-        return False
-    inv = invariant_subspace(stab, "Wedge2V")
+    """The 2-form spans the invariant line in degree 2 of the datum's G."""
+    inv = invariant_subspace(datum.g, "Wedge2V")
     if len(inv) != 1:
         return False
     omega_coords = [datum.omega.coefficient(mask_of(t)) for t in WEDGE2V_BASIS]

@@ -301,10 +301,11 @@ def test_criterion_13_kuga_satake():
     assert sq == [[Fraction(-1 if a == b else 0) for b in range(32)]
                   for a in range(32)]
     assert ks_right_commutation(datum, seed=SEED)
-    center = ks_center_field_check(datum.lattice, H_STD, S_STD)
+    weil_datum = make_weil_datum(H_STD, S_STD, period=PERIOD_STD)
+    center = ks_center_field_check(datum.lattice, weil_datum.m)
     assert center["center_dim"] == 2
     assert center["squarefree_part_matches"]
-    rep = ks_report(H_STD, S_STD, PERIOD_STD)
+    rep = ks_report(weil_datum)
     assert rep["isogeny_hom_dim"] == 8
     assert rep["isogeny_joint_rank"] == 32
     assert rep["isogeny_even_algebra_is_V4"]

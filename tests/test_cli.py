@@ -161,7 +161,7 @@ def test_ks_verb(capsys):
 def test_ks_with_no_equivariant_map_fails(capsys, monkeypatch):
     # an empty Hom must read false on both certificate fields and exit 1
     from spinweil import kuga
-    monkeypatch.setattr(kuga, "ks_hom", lambda datum, h, s: [])
+    monkeypatch.setattr(kuga, "ks_hom", lambda datum, weil_datum: [])
     rc, doc = run_json(capsys, "ks")
     assert rc == 1
     assert doc["report"]["isogeny_hom_dim"] == 0

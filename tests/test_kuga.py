@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinweil import kuga
+from spinweil import kuga, weil
 from spinweil.clifford import CliffordAlgebra
 from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
                            ks_complex_structure, ks_hom, ks_report,
@@ -15,7 +15,7 @@ from spinweil.linalg import mat_mul
 from spinweil.scalars import squarefree_part
 from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor, splus_lattice
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
-                           complex_structure, field_parameters, k_action,
+                           datum_report, field_parameters, k_action,
                            make_weil_datum, sample_period)
 
 import table_references as reference
@@ -66,7 +66,8 @@ def test_left_multiplication_does_not_commute(standard_h, standard_s,
 
 def test_center_standard(standard_h, standard_s):
     _, lattice = complement_data(standard_h, standard_s)
-    out = ks_center_field_check(lattice, standard_h, standard_s)
+    out = ks_center_field_check(lattice,
+                                field_parameters(standard_h, standard_s)[1])
     assert out["center_dim"] == 2
     assert out["square_negative"]
     assert out["squarefree_part_matches"]
@@ -76,7 +77,8 @@ def test_center_across_fields(standard_s):
     for k in (1, 2, 3):
         h = Spinor([0, k, 0, 0, 0, 1, 0, 0])
         _, lattice = complement_data(h, standard_s)
-        out = ks_center_field_check(lattice, h, standard_s)
+        out = ks_center_field_check(lattice,
+                                    field_parameters(h, standard_s)[1])
         assert out["center_dim"] == 2
         assert out["squarefree_part_matches"], (k, out)
 
@@ -183,7 +185,8 @@ def test_hom_maps_intertwine_random_stabilizer_elements(
     # ks_hom solves on the 15 generators; each map also intertwines random
     # combinations, built through the reference lift
     datum = ks_complex_structure(standard_h, standard_s, standard_period)
-    homs = ks_hom(datum, standard_h, standard_s)
+    homs = ks_hom(datum, make_weil_datum(standard_h, standard_s,
+                                         period=standard_period))
     assert len(homs) == 8
     assert all(len(phi) == 32 and all(len(row) == 8 for row in phi)
                for phi in homs)
@@ -200,12 +203,13 @@ CERTIFICATE = ("isogeny_hom_dim", "isogeny_joint_rank",
 
 
 def certificate(h, s, period):
-    report = ks_report(h, s, period)
+    report = ks_report(make_weil_datum(h, s, period=period))
     return tuple(report[k] for k in CERTIFICATE)
 
 
 def test_ks_report(standard_h, standard_s, standard_period):
-    rep = ks_report(standard_h, standard_s, standard_period)
+    rep = ks_report(make_weil_datum(standard_h, standard_s,
+                                    period=standard_period))
     assert rep["even_algebra_dim"] == 32
     assert tuple(rep[k] for k in CERTIFICATE) == (8, 32, True, True)
     bad = [k for k, v in rep.items() if isinstance(v, bool) and not v]
@@ -253,11 +257,12 @@ def test_the_center_acts_on_hom_as_the_field(h, period):
     datum = ks_complex_structure(h, STANDARD_S, period)
     lw = mult_matrix(datum.algebra, traceless_center_generator(datum),
                      datum.even_masks)
-    homs = ks_hom(datum, h, STANDARD_S)
+    weil_datum = make_weil_datum(h, STANDARD_S, period=period)
+    homs = ks_hom(datum, weil_datum)
     assert len(homs) == 8
     mu = k_action(h, STANDARD_S)[0]
     assert tie_constants(lw, homs, mu) == [Fraction(1, 8)] * 8
-    weil_mu = make_weil_datum(h, STANDARD_S, period=period).mu
+    weil_mu = weil_datum.mu
     sign = 1 if weil_mu == mu else -1
     assert weil_mu == [[sign * x for x in row] for row in mu]
     assert tie_constants(lw, homs, weil_mu) == [Fraction(sign, 8)] * 8
@@ -296,20 +301,46 @@ def test_certificate_on_random_planes():
     assert fields == [-59, -2, -35]
 
 
-def test_minus_j_fails_the_intertwining(monkeypatch, standard_h, standard_s,
+def test_minus_j_fails_the_intertwining(standard_h, standard_s,
                                         standard_period):
     # the certificate is not vacuous: no map carries -J to J_KS, and the
-    # report reads false when handed -J
+    # report reads false when handed a datum with -J
     datum = ks_complex_structure(standard_h, standard_s, standard_period)
-    minus_j = [[-x for x in row] for row in complex_structure(standard_period)]
-    homs = ks_hom(datum, standard_h, standard_s)
+    weil_datum = make_weil_datum(standard_h, standard_s,
+                                 period=standard_period)
+    minus_j = [[-x for x in row] for row in weil_datum.j]
+    homs = ks_hom(datum, weil_datum)
     assert len(homs) == 8
     assert all(mat_mul(datum.j_ks, phi) != mat_mul(phi, minus_j)
                for phi in homs)
-    monkeypatch.setattr(kuga, "complex_structure", lambda period: minus_j)
-    report = ks_report(standard_h, standard_s, standard_period)
+    report = ks_report(weil_datum._replace(j=minus_j))
     assert report["isogeny_even_algebra_is_V4"] is True
     assert report["isogeny_intertwines_J"] is False
+
+
+def test_the_reports_read_g_j_and_the_field_off_the_datum(
+        monkeypatch, standard_h, standard_s, standard_period):
+    # once the datum exists, neither report recomputes the stabilizer, the
+    # complex structure or the field
+    datum = make_weil_datum(standard_h, standard_s, period=standard_period)
+
+    def fail(*args):
+        raise AssertionError("recomputed what the datum carries")
+    for module in (weil, kuga):
+        for name in ("stabilizer_algebra", "complex_structure",
+                     "field_parameters"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    assert datum_report(datum) == {
+        "discriminant": "256", "discriminant_trivial": True,
+        "omega_integral_coordinates": True,
+        "omega_spans_invariant_line": True}
+    assert ks_report(datum) == {
+        "even_algebra_dim": 32, "f1f2_square": -1,
+        "center_center_dim": 2, "center_omega_c_square": Fraction(-1, 16),
+        "center_square_negative": True,
+        "center_squarefree_part_matches": True, "isogeny_hom_dim": 8,
+        "isogeny_joint_rank": 32, "isogeny_even_algebra_is_V4": True,
+        "isogeny_intertwines_J": True}
 
 
 def test_period_not_in_complement_rejected(standard_h, standard_s):

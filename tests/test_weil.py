@@ -430,6 +430,19 @@ def test_omega_line(standard_h, standard_s, standard_period):
     assert not omega_line_check(datum._replace(omega=omega + off))
 
 
+def test_a_stabilizer_of_the_wrong_dimension_fails_the_datum(monkeypatch):
+    # the datum is the one place the dimension 15 of G is checked, and its
+    # message names the plane
+    stabilizer = weil.stabilizer_algebra
+    monkeypatch.setattr(weil, "stabilizer_algebra",
+                        lambda fixed: stabilizer(fixed)[1:])
+    with pytest.raises(RuntimeError) as info:
+        _standard_datum()
+    assert str(info.value) == (
+        'stabilizer of h = ["0", "1", "0", "0", "0", "1", "0", "0"], s = '
+        '["1", "0", "0", "0", "1", "0", "0", "0"] is 14-dimensional, not 15')
+
+
 def test_cayley_hodge_standard(standard_h, standard_s, standard_period):
     assert cayley_hodge_test(standard_s, standard_period) is True
 
