@@ -19,7 +19,7 @@ from .spingeo import (Spinor, move_to_cell, spinor_inverse, spinor_map,
                       subspace_of_spinor, transversality)
 from .reps import (RepSpace, branching_dims, cayley_class, derived_action,
                    invariant_subspace, stabilizer_algebra,
-                   veronese_pluecker_check, weight_decomposition)
+                   weight_decomposition)
 
 #: public name -> the submodule that defines it, imported on first access
 _LAZY = {

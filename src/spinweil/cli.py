@@ -240,7 +240,7 @@ def run_weil(args):
                "omega": datum.omega, "Psi": datum.psi,
                "discriminant": datum.disc, "report": datum_report(datum),
                "weil_classes": weil_class_space(datum),
-               "h2_split": h2_split(h, s)}
+               "h2_split": h2_split(datum)}
     return _emit(doc, args)
 
 

@@ -56,7 +56,7 @@ from itertools import combinations
 from math import factorial
 
 from .lattices import BilinearLattice, make_V
-from .linalg import inverse, mat_mul, rank, sparse_product, transpose
+from .linalg import inverse, mat_mul, sparse_product, transpose
 from .multivector import (Multivector, _Blades, _accumulate, _blade_sum,
                           indices_of, popcount)
 from .scalars import _over, lowest_terms, rat
@@ -507,9 +507,3 @@ def random_spin_group_element(rng, span=1):
         g = e if g is None else g * e
     return g
 
-
-def spin_v_dimension_check():
-    """Rank of the 28 basis elements acting on V; equals n(2n-1) = 28."""
-    rows = [[c for row in spin_so_iso(x) for c in row]
-            for _, x, _ in spin_v_xyz_table()]
-    return rank(rows), len(rows)

@@ -29,6 +29,7 @@ from .clifford import CliffordAlgebra, CliffordElement, commutator, so_to_spin
 from .lattices import BilinearLattice, sublattice_gram
 from .linalg import (identity, mat_mul, rank, solve_matrix, sparse_nullspace,
                      transpose)
+from .multivector import nonzero_columns
 from .reps import _action_matrix
 from .scalars import rat, squarefree_part
 from .spingeo import splus_lattice
@@ -74,18 +75,17 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
     """Complex structure on the even Clifford algebra from a period.
 
     f1 = p and f2 = q in complement coordinates share the square c > 0 and
-    are orthogonal, so (f1 f2)^2 = -c^2/4 exactly and (2/c) L_{f1 f2}
-    squares to minus the identity on all 32 even basis blades; both are
-    checked here, the one place they are, and a failure raises.
+    are orthogonal, as the Period guarantees for p and q (the complement's
+    Gram pairs coordinates as S+ pairs the vectors), so (f1 f2)^2 = -c^2/4
+    exactly and (2/c) L_{f1 f2} squares to minus the identity on all 32
+    even basis blades; both are checked here, the one place they are, and
+    a failure raises.
     """
     basis, lattice = complement_data(h, s)
     f1, f2 = transpose(_h_coordinates(transpose(basis),
                                       transpose([period.p, period.q])))
     algebra = CliffordAlgebra(lattice)
     c = lattice.pair(f1, f1)
-    if c <= 0 or lattice.pair(f2, f2) != c or lattice.pair(f1, f2) != 0:
-        raise ValueError("period does not give an orthogonal equal-length "
-                         "pair in the complement")
     w = algebra.vector(f1) * algebra.vector(f2)
     if w * w != algebra.scalar(-c * c / 4):
         raise RuntimeError("(f1 f2)^2 = -c^2/4 failed: scale convention "
@@ -175,9 +175,10 @@ def ks_hom(datum: KSDatum, weil_datum: WeilDatum):
     G's coefficient vectors on the X_a: L(xi) is left multiplication by
     the lift of xi's action on the complement, M(xi) is xi's action on V,
     and both actions on S+ and V are read off the cached tables
-    (reps._action_matrix).  Phi[c][b] is unknown 8 c + b: row (a, b)
-    has L[a][c] at 8 c + b and -M[c][b] at 8 a + c, which can share a column;
-    the rows go to sparse_nullspace with their zeros left out.
+    (reps._action_matrix), M once per generator as its nonzero column
+    entries.  Phi[c][b] is unknown 8 c + b: row (a, b) has L[a][c] at
+    8 c + b and -M[c][b] at 8 a + c, which can share a column; the rows go
+    to sparse_nullspace with their zeros left out.
     """
     cols = transpose(datum.basis)
     rows = []
@@ -185,11 +186,11 @@ def ks_hom(datum: KSDatum, weil_datum: WeilDatum):
         y = _h_coordinates(cols, mat_mul(_action_matrix(xi, "S+"), cols))
         lmat = mult_matrix(datum.algebra, so_to_spin(datum.algebra, y),
                            datum.even_masks)
-        mv = _action_matrix(xi, "V")
+        mcols = nonzero_columns(_action_matrix(xi, "V"))
         for a, lrow in enumerate(lmat):
             nonzero = [(c, x) for c, x in enumerate(lrow) if x]
-            for b in range(8):
-                row = {8 * a + c: -mv[c][b] for c in range(8)}
+            for b, mcol in enumerate(mcols):
+                row = {8 * a + c: -x for c, x in mcol.items()}
                 for c, x in nonzero:
                     row[8 * c + b] = row.get(8 * c + b, 0) + x
                 rows.append({j: x for j, x in row.items() if x})

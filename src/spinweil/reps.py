@@ -1,7 +1,7 @@
 """Lie algebra actions on the seven relevant representation spaces, weight
-decompositions, invariant-subspace and stabilizer solvers, the symmetric
-square splitting, the Cayley-class map, and the dimension bookkeeping of the
-restriction to the stabilizer of a spinor.
+decompositions, invariant-subspace and stabilizer solvers, the span of the
+squares of quadric points in Sym^2 S+, the Cayley-class map, and the
+dimension bookkeeping of the restriction to the stabilizer of a spinor.
 
 The Cayley class of s is sum_I (s, e^_{I*} s) e^I, with e^ Chevalley's
 antisymmetrized Clifford product (The Algebraic Theory of Spinors, 1954),
@@ -41,16 +41,13 @@ from .clifford import (CV, _module_table, _over, _sigma_rows, _table_for,
                        cartan_elements, spin_v_xyz_table)
 from .jsonio import to_text
 from .lattices import orthogonal_complement
-from .linalg import (_sparse_kernel, extend_span, identity, mat, mat_vec,
-                     rank, scale_to_integers, sparse_nullspace,
-                     sparse_product)
+from .linalg import (_sparse_kernel, extend_span, mat, mat_vec, rank,
+                     scale_to_integers, sparse_nullspace, sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
-                          mask_of, nonzero_columns, pluecker, star_matrix,
-                          wedge)
+                          mask_of, nonzero_columns, star_matrix, wedge)
 from .spingeo import (ODD_MASKS, Z_DICT, Spinor, _proportionality,
-                      graph_basis, random_alternating, spinor_map,
-                      splus_lattice)
+                      random_alternating, spinor_map, splus_lattice)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
 WEDGE4V_BASIS = tuple(combinations(range(8), 4))
@@ -292,7 +289,7 @@ def _stabilizer_rows(fixed):
 
 
 # ---------------------------------------------------------------------------
-# the symmetric-square splitting and the Cayley class
+# Sym^2 S+ and the Cayley class
 
 def sym2_coords(z):
     """Coordinates of z (.) z in the basis z_a (.) z_b, a <= b."""
@@ -303,17 +300,6 @@ def sym2_coords_pair(z, w):
     """Coordinates of the symmetrized product z (.) w."""
     return [z[a] * w[a] if a == b else z[a] * w[b] + z[b] * w[a]
             for a, b in SYM2_BASIS]
-
-
-@lru_cache(maxsize=1)
-def gamma0_line():
-    """The unique full-spin(V) invariant line in Sym^2 S+ (dimension 1),
-    which phi_matrix kills (verify's symmetric-square-split check)."""
-    basis = invariant_subspace(identity(28), "Sym2S+")
-    if len(basis) != 1:
-        raise RuntimeError("invariant line of Sym^2 S+ has wrong dimension: "
-                           f"found {len(basis)}, not 1")
-    return basis[0]
 
 
 SPAN_SEED, SPAN_DRAWS = 314159, 350   # of quadric_square_span
@@ -395,19 +381,6 @@ def phi_matrix():
                     row[column[a, b]] = Fraction(c * s_g, d)
         rows.append(row)
     return rows
-
-
-def veronese_pluecker_check(b) -> bool:
-    """Confirm that every maximal minor of (B over I) is the value of
-    phi_matrix at the square of the spinor coordinates of B's image.
-
-    phi_matrix is the closed form sum_I (z, e^_{I*} z) e^I of Chevalley
-    (1954), fitted to no sample, so this checks the Veronese-Pluecker
-    identity: the Cayley class of a pure spinor is the Pluecker image of
-    its maximal isotropic subspace.
-    """
-    coords = mat_vec(phi_matrix(), sym2_coords(spinor_map(b).z))
-    return coords == coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
 
 
 def cayley_class(s) -> Multivector:

@@ -31,8 +31,8 @@ from .jsonio import encode_scalar, to_text
 from .linalg import (det, extend_span, identity, inverse, mat, mat_mul,
                      mat_vec, rank, scale_to_integers, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, contract,
-                          induced_gram4, pfaffian, pluecker, star_matrix,
-                          wedge)
+                          coords_degree, induced_gram4, pfaffian, pluecker,
+                          star_matrix, wedge)
 from .scalars import (QuadExt, TowerScalar, hilbert_symbol, relevant_places,
                       REAL_PLACE)
 from .spingeo import (STANDARD_H, STANDARD_S, Spinor, graph_basis,
@@ -352,9 +352,11 @@ def check_star_self_adjoint(rng):
 @register("spin-dimension", "clifford",
           "the 28 basis elements of spin(V) are independent, n(2n-1) = 28")
 def check_spin_dimension(rng):
-    r, n = clifford.spin_v_dimension_check()
+    table = clifford.spin_v_xyz_table()
+    r, n = rank([[c for row in clifford.spin_so_iso(x) for c in row]
+                 for _, x, _ in table]), len(table)
     if (r, n) != (28, 28):
-        yield 0, [label for label, _, _ in clifford.spin_v_xyz_table()]
+        yield 0, [label for label, _, _ in table]
         yield f"rank {r} of {n} on V, not 28 of 28, at the basis of spin(V)"
     return f"rank {r} of {n}"
 
@@ -533,8 +535,12 @@ def check_brackets(rng):
           "squares of quadric points span 35 dimensions, the invariant "
           "line completes the 36, and phi kills the invariant line")
 def check_sym_split(rng):
-    basis = {}
-    line = reps.gamma0_line()
+    invariants = reps.invariant_subspace(identity(28), "Sym2S+")
+    if len(invariants) != 1:
+        yield "set-up", invariants
+        yield (f"the spin(V)-invariants of Sym^2 S+ span dimension "
+               f"{len(invariants)}, not 1, at their basis")
+    basis, line = {}, invariants[0]
     # (what is named, its inputs, its square coordinates)
     vectors = [("square of sample B", b, u) for b, u in
                reps.quadric_square_span()] + [("invariant line", line, line)]
@@ -554,10 +560,12 @@ def check_sym_split(rng):
           "phi(z (.) z) is the Pluecker image of the subspace of z, for z "
           "the spinor of B")
 def check_veronese_pluecker(rng):
+    phi = reps.phi_matrix()
     for trial in range(3):
         b = random_alternating(rng)
         yield trial, b
-        if not reps.veronese_pluecker_check(b):
+        image = mat_vec(phi, reps.sym2_coords(spinor_map(b).z))
+        if image != coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS):
             yield "phi(z (.) z) is not the Pluecker image at B"
     return "3 random B"
 

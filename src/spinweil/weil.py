@@ -5,16 +5,19 @@ criterion for the Cayley class.
 
 Periods are restricted to points p + i q with rational p, q: this keeps
 the complex structure, the field action and the polarization exactly
-rational while sampling a Zariski-dense set of the period domain (every
-identity verified here is polynomial).  The complex structure J and the
-field action mu are rational by construction, and one builder makes and
-checks both (_spinor_ratio): each is c A_y^-1 A_x for non-pure rational
-spinors, with A_x the matrix of v -> v x (spingeo.spinor_action_matrix),
-J = -A_q^-1 A_p and mu = (s,s) A_s^-1 A_h, read off the isotropic
-annihilators of p + i q and of sqrt(-d) h + (h,h) s.  For orthogonal x
-and y the square is -c^2 (x,x)/(y,y) I, so J^2 = -I and mu^2 = -d I.
-Other square roots are handled by quadratic-extension scalars; nothing is
-ever evaluated numerically.
+rational while sampling a Zariski-dense set of the period domain.  That
+serves identities, which are polynomial (every identity verified here is),
+but not dimension counts: a rational period gives a rational J, so every
+sampled member is special, and its Hodge classes need not be those of the
+very general member.  The complex structure J and the field action mu are
+rational by construction, and one builder makes and checks both
+(_spinor_ratio): each is c A_y^-1 A_x for non-pure rational spinors, with
+A_x the matrix of v -> v x (spingeo.spinor_action_matrix), J = -A_q^-1 A_p
+and mu = (s,s) A_s^-1 A_h, read off the isotropic annihilators of p + i q
+and of sqrt(-d) h + (h,h) s.  For orthogonal x and y the square is
+-c^2 (x,x)/(y,y) I, so J^2 = -I and mu^2 = -d I.  Other square roots are
+handled by quadratic-extension scalars; nothing is ever evaluated
+numerically.
 """
 
 from __future__ import annotations
@@ -198,15 +201,6 @@ def field_parameters(h, s):
     return d, m, f
 
 
-def kappa_spinor(h, s):
-    """The isotropic point sqrt(-d) h + (h,h) s of the plane through h, s."""
-    h, s = Spinor(h), Spinor(s)
-    d, m, f = field_parameters(h, s)
-    a = h.pair(h)
-    coords = [QuadExt(a * sc, f * hc, m) for hc, sc in zip(h.z, s.z)]
-    return Spinor(coords), d, m, f
-
-
 def k_action(h, s):
     """The rational matrix mu = (s,s) A_s^-1 A_h of sqrt(-d) on V.
 
@@ -310,9 +304,11 @@ def hermitian_and_discriminant(mu, e, d, m, f):
 
 #: one abelian fourfold of Weil type: make_weil_datum raises unless every
 #: exact certificate holds, so each datum that exists carries all of them;
-#: g is the joint stabilizer G of h and s, its 15 coefficient vectors
+#: g is the joint stabilizer G of h and s, its 15 coefficient vectors, and
+#: kappa the isotropic point sqrt(-d) h + (h,h) s of the plane, over
+#: K = Q(sqrt(m)) with sqrt(-d) = f sqrt(m)
 WeilDatum = namedtuple("WeilDatum", "h s d m f period j mu e omega psi disc "
-                                    "disc_trivial g")
+                                    "disc_trivial g kappa")
 
 
 def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
@@ -346,9 +342,11 @@ def make_weil_datum(h, s, seed=0, period=None) -> WeilDatum:
     if len(g) != 15:
         raise RuntimeError(f"stabilizer of h = {to_text(h.z)}, s = "
                            f"{to_text(s.z)} is {len(g)}-dimensional, not 15")
+    kappa = Spinor([QuadExt(h.pair(h) * sc, f * hc, m)
+                    for hc, sc in zip(h.z, s.z)])
     return WeilDatum(h=h, s=s, d=d, m=m, f=f, period=period, j=j, mu=mu,
                      e=e, omega=omega, psi=psi, disc=disc,
-                     disc_trivial=trivial, g=g)
+                     disc_trivial=trivial, g=g, kappa=kappa)
 
 
 def cayley_hodge_test(s, period: Period) -> bool:
@@ -388,8 +386,7 @@ def weil_class_space(datum: WeilDatum):
     eigenvalues Nm(x)^2, x^4 and conj(x)^4.  The Cayley class lies in the
     3-space but outside the line of the polarization square.
     """
-    kappa, d, m, f = kappa_spinor(datum.h, datum.s)
-    zk = subspace_of_spinor(kappa)
+    zk = subspace_of_spinor(datum.kappa)
     pk = pluecker(zk)
     a_part, b_part = [], []
     for mask in DEGREE4_MASKS:
@@ -419,7 +416,7 @@ def weil_class_space(datum: WeilDatum):
     hr_on_omega2 = derive_multivector(datum.mu, omega2)
 
     # multiplicative action of x = 1 + sqrt(-d): the matrix I + mu, rational
-    x = QuadExt(1, f, m)
+    x = QuadExt(1, datum.f, datum.m)
     tmat = [[rat(1 if a == b else 0) + datum.mu[a][b] for b in range(8)]
             for a in range(8)]
     norm_sq = (x * x.conj()) ** 2
@@ -456,9 +453,10 @@ def _wedge4_apply(m, x: Multivector) -> Multivector:
     return out
 
 
-def h2_split(h, s):
+def h2_split(datum: WeilDatum):
     """Eigenvalue profile on the wedge square of S+ of the generator that
-    scales the two isotropic points of the plane through h and s.
+    scales the two isotropic points of the datum's plane <h, s>: kappa,
+    read off the datum, and its conjugate.
 
     The generator X = 2 (kappa kappa-bar^T - kappa-bar kappa^T) G /
     (kappa, kappa-bar), G the Gram of S+, acts with eigenvalues 2, -2 on
@@ -468,7 +466,7 @@ def h2_split(h, s):
     16 = 15 + 1 and (+2, -2) eigenspaces of dimension 6 each.  Also checks
     that the wedge squares of S+ and V carry identical weight multisets.
     """
-    k = kappa_spinor(h, s)[0].z
+    k = datum.kappa.z
     kb = [x.conj() for x in k]
     lat = splus_lattice()
     gk, gkb = mat_vec(lat.gram, k), mat_vec(lat.gram, kb)

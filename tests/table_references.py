@@ -55,9 +55,9 @@ from spinweil.clifford import (CV, CliffordAlgebra, CliffordElement,
                                _sigma_rows, _table_for, exp_nilpotent,
                                sigma_action, spin_so_iso, spin_v_xyz_table)
 from spinweil.kuga import mult_matrix
-from spinweil.linalg import (_over, det, extend_span, inverse, mat, mat_mul,
-                             mat_vec, nullspace, scale_to_integers, solve,
-                             solve_matrix, sparse_product, transpose)
+from spinweil.linalg import (_over, det, extend_span, identity, inverse, mat,
+                             mat_mul, mat_vec, nullspace, scale_to_integers,
+                             solve, solve_matrix, sparse_product, transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, _Blades,
                                   _accumulate, contract, coords_degree,
                                   from_coords, indices_of, pluecker, popcount,
@@ -176,10 +176,18 @@ def action_table(name):
     return table, d
 
 
+def sym2_invariant_line():
+    """The spin(V)-invariant line of Sym^2 S+, as verify's
+    symmetric-square-split check computes it: the invariants of all 28
+    basis elements, one vector."""
+    line, = invariant_subspace(identity(28), "Sym2S+")
+    return line
+
+
 def phi_matrix():
     """The quadratic dictionary as T C^-1 over the library's samples."""
     samples = reps.quadric_square_span()
-    cols = [u for _, u in samples] + [reps.gamma0_line()]
+    cols = [u for _, u in samples] + [sym2_invariant_line()]
     targets = [coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
                for b, _ in samples]
     targets.append([Fraction(0)] * 70)

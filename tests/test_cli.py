@@ -501,8 +501,8 @@ def test_field_scan_with_a_nontrivial_discriminant_fails(capsys, monkeypatch):
 def test_weil_family_with_unmatched_weights_fails(capsys, monkeypatch):
     from spinweil import weil
     split = weil.h2_split
-    monkeypatch.setattr(weil, "h2_split", lambda h, s:
-                        dict(split(h, s), weights_match=False))
+    monkeypatch.setattr(weil, "h2_split", lambda datum:
+                        dict(split(datum), weights_match=False))
     rc, doc = run_json(capsys, "weil-family")
     assert rc == 1
     assert doc["h2_split"]["weights_match"] is False

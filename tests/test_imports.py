@@ -1,10 +1,13 @@
-"""What a cold process imports, the public names of the package, and the
-records that stand in for dataclasses on the verb path."""
+"""What a cold process imports, the public names of the package, the names
+the benchmark harness reads, and the records that stand in for dataclasses
+on the verb path."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
-from importlib import import_module
+from importlib import import_module, util
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ PUBLIC = {
                 "subspace_of_spinor", "transversality"),
     "reps": ("RepSpace", "branching_dims", "cayley_class", "derived_action",
              "invariant_subspace", "stabilizer_algebra",
-             "veronese_pluecker_check", "weight_decomposition"),
+             "weight_decomposition"),
     "weil": ("Period", "WeilDatum", "cayley_hodge_test", "complex_structure",
              "h2_split", "hermitian_and_discriminant", "k_action",
              "make_weil_datum", "polarization", "sample_period",
@@ -79,6 +82,75 @@ def test_public_names_are_the_submodule_objects(module):
     for name in PUBLIC[module]:
         assert getattr(spinweil, name) is getattr(mod, name), name
         assert name in dir(spinweil)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _spinweil_reads(tree):
+    """The dotted spinweil names a module's AST imports from spinweil or
+    reads off a spinweil module it imports."""
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "spinweil"):
+            prefix = node.module.partition(".")[2]
+            for alias in node.names:
+                if not prefix and util.find_spec(f"spinweil.{alias.name}"):
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names.add(f"{prefix}.{alias.name}".lstrip("."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def _perfbench_names():
+    """Every spinweil name perfbench reads: the traced LAYERS of spans.py
+    (loaded by path), the SETUP_TABLES of worker.py and what worker.py and
+    workloads.py import from spinweil (both parsed)."""
+    spec = util.spec_from_file_location("perfbench_spans",
+                                        PERFBENCH / "spans.py")
+    spans = util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = {f"{module}.{name}" for module, layer in spans.LAYERS.items()
+             for name in layer}
+    worker = ast.parse((PERFBENCH / "worker.py").read_text())
+    tables = next(ast.literal_eval(node.value) for node in worker.body
+                  if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "SETUP_TABLES")
+    names.update(dotted for entries in tables.values() for dotted in entries)
+    names |= _spinweil_reads(worker)
+    names |= _spinweil_reads(ast.parse((PERFBENCH / "workloads.py")
+                                       .read_text()))
+    return names
+
+
+def _resolves(dotted):
+    """Whether spinweil.<dotted> exists; a class attribute must be the
+    class's own, as the tracer rebinds it in the class's namespace."""
+    path = dotted.split(".")
+    try:
+        obj = import_module(f"spinweil.{path[0]}")
+        path = path[1:]
+    except ModuleNotFoundError:
+        obj = spinweil
+    for part in path:
+        if part not in (vars(obj) if inspect.isclass(obj) else dir(obj)):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    names = _perfbench_names()
+    assert {"reps.phi_matrix", "scalars.QuadExt.__mul__",
+            "clifford.spin_v_xyz_table", "jsonio.decode_multivector",
+            "verify.CHECKS", "spingeo.random_alternating", "cli.main"} <= names
+    assert sorted(n for n in names if not _resolves(n)) == []
 
 
 def test_an_unknown_name_is_an_attribute_error():

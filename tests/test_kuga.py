@@ -15,8 +15,8 @@ from spinweil.linalg import mat_mul
 from spinweil.scalars import squarefree_part
 from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor, splus_lattice
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
-                           datum_report, field_parameters, k_action,
-                           make_weil_datum, sample_period)
+                           datum_report, field_parameters, h2_split, k_action,
+                           make_weil_datum, sample_period, weil_class_space)
 
 import table_references as reference
 
@@ -320,8 +320,8 @@ def test_minus_j_fails_the_intertwining(standard_h, standard_s,
 
 def test_the_reports_read_g_j_and_the_field_off_the_datum(
         monkeypatch, standard_h, standard_s, standard_period):
-    # once the datum exists, neither report recomputes the stabilizer, the
-    # complex structure or the field
+    # once the datum exists, no report recomputes the stabilizer, the
+    # complex structure or the field (kappa, m and f included)
     datum = make_weil_datum(standard_h, standard_s, period=standard_period)
 
     def fail(*args):
@@ -341,6 +341,13 @@ def test_the_reports_read_g_j_and_the_field_off_the_datum(
         "center_squarefree_part_matches": True, "isogeny_hom_dim": 8,
         "isogeny_joint_rank": 32, "isogeny_even_algebra_is_V4": True,
         "isogeny_intertwines_J": True}
+    assert weil_class_space(datum) == {
+        "weil_plane_dim": 2, "three_space_dim": 3,
+        "cayley_in_three_space": True, "cayley_not_in_omega_line": True,
+        "hr_kills_omega_square": True, "hr_moves_cayley": True,
+        "norm_eigenvalue_on_omega_square": True,
+        "x4_eigenvalue_on_weil_line": True}
+    assert h2_split(datum) == {"profile": (16, 6, 6), "weights_match": True}
 
 
 def test_period_not_in_complement_rejected(standard_h, standard_s):

@@ -16,16 +16,15 @@ from spinweil.linalg import (identity, mat, mat_mul, mat_vec, nullspace, rank,
                              transpose)
 from spinweil.multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                                   derive_multivector, from_coords, mask_of,
-                                  star_matrix, wedge)
+                                  pluecker, star_matrix, wedge)
 from spinweil.reps import (REP_NAMES, alpha_beta_gamma, branching_dims,
                            cayley_class, cayley_constant,
                            derivation_matrix, derived_action,
-                           explicit_cayley_formula, gamma0_line,
-                           gamma2alpha_star_sign, invariant_subspace,
-                           phi_matrix, quadric_square_span, rep_space,
-                           sminus_matrix, spin_coordinates, splus_matrix,
-                           stabilizer_algebra, standard_spinor,
-                           veronese_pluecker_check, weight_decomposition,
+                           explicit_cayley_formula, gamma2alpha_star_sign,
+                           invariant_subspace, phi_matrix,
+                           quadric_square_span, rep_space, sminus_matrix,
+                           spin_coordinates, splus_matrix, stabilizer_algebra,
+                           standard_spinor, sym2_coords, weight_decomposition,
                            weight_multiset)
 from spinweil.scalars import QuadExt
 from spinweil.spingeo import (ODD_MASKS, Spinor, graph_basis,
@@ -179,7 +178,7 @@ def test_stabilizer_membership_families():
 
 
 def test_gamma0_is_dual_quadric_direction():
-    g0 = gamma0_line()
+    g0 = reference.sym2_invariant_line()
     # pairing the invariant with the squares of quadric points gives zero
     # coefficients exactly off the quadric relation; sanity: it is nonzero
     assert any(x != 0 for x in g0)
@@ -190,7 +189,7 @@ def test_quadric_squares_span_35():
     assert len(samples) == 35
     vecs = [u for _, u in samples]
     assert rank(mat(vecs)) == 35
-    assert rank(mat(vecs + [gamma0_line()])) == 36
+    assert rank(mat(vecs + [reference.sym2_invariant_line()])) == 36
 
 
 def test_quadric_square_span_is_the_pinned_sample():
@@ -816,18 +815,12 @@ def test_chevalley_products_of_four_generators_pair_symmetrically():
 
 
 def test_phi_matrix_kills_the_invariant_line():
-    assert mat_vec(phi_matrix(), gamma0_line()) == [0] * 70
+    assert mat_vec(phi_matrix(), reference.sym2_invariant_line()) == [0] * 70
 
 
 @settings(max_examples=40, deadline=None)
 @given(alternating())
 def test_veronese_pluecker_holds_for_the_closed_form(case):
     _, b = case
-    assert veronese_pluecker_check(b)
-
-
-def test_gamma0_line_names_the_dimension_found(monkeypatch):
-    monkeypatch.setattr(reps, "invariant_subspace",
-                        lambda gens, space: [[1] * 36, [2] * 36])
-    with pytest.raises(RuntimeError, match="found 2, not 1"):
-        gamma0_line.__wrapped__()
+    assert mat_vec(phi_matrix(), sym2_coords(spinor_map(b).z)) == \
+        coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweil import spingeo
 from spinweil.clifford import CV, twisted_conjugation
 from spinweil.linalg import mat, mat_mul, mat_vec, rank
 from spinweil.jsonio import encode_scalar
 from spinweil.multivector import (DEGREE4_MASKS, Multivector,
-                                  check_alternating, mask_of, wedge)
-from spinweil.reps import phi_matrix, sym2_coords, veronese_pluecker_check
+                                  check_alternating, coords_degree, mask_of,
+                                  pluecker, wedge)
+from spinweil.reps import phi_matrix, sym2_coords
 from spinweil.scalars import QuadExt, TowerScalar
 from spinweil.spingeo import (Spinor, _validate_isotropic, graph_basis,
                               move_to_cell, random_alternating,
@@ -337,20 +339,36 @@ def test_transversality_rejects_every_proportional_pair(first, second):
 
 
 def test_transversality_rank_oracle(rng):
-    # independent rank computation must agree with the pairing criterion
+    # every call confirms the pairing criterion against the rank of the
+    # joint basis and raises on a disagreement (the test below); both
+    # answers occur
+    answers = set()
     for _ in range(100):
         z1 = random_isotropic_spinor(rng)
         z2 = random_isotropic_spinor(rng)
-        if z1.pair(z1) != 0 or z2.pair(z2) != 0:
-            continue
         try:
-            claim = transversality(z1, z2)
+            answers.add(transversality(z1, z2))
         except ValueError:
             continue
-        b1 = subspace_of_spinor(z1)
-        b2 = subspace_of_spinor(z2)
-        joint = [b1[r] + b2[r] for r in range(8)]
-        assert claim == (rank(mat(joint)) == 8)
+    assert answers == {True, False}
+
+
+def test_transversality_raises_when_the_rank_disagrees(monkeypatch):
+    real = spingeo.rank
+
+    def flipped(rows):
+        # the joint 8 x 8 basis reads the other answer; the 8 x 4 and
+        # 4 x 4 ranks of subspace_of_spinor stay as they are
+        r = real(rows)
+        return r if len(rows[0]) != 8 else 7 if r == 8 else 8
+
+    monkeypatch.setattr(spingeo, "rank", flipped)
+    one = Spinor([1, 0, 0, 0, 0, 0, 0, 0])
+    for other in (Spinor([0, 0, 0, 0, 1, 0, 0, 0]),     # transversal
+                  Spinor([1, 1, 0, 0, 0, 0, 0, 0])):    # meeting
+        with pytest.raises(RuntimeError, match="^form criterion disagrees "
+                           "with rank criterion: conventions corrupted$"):
+            transversality(one, other)
 
 
 def test_equivariance_of_spinor_map(rng):
@@ -393,7 +411,9 @@ def test_veronese_dictionary_rows():
 
 def test_veronese_pluecker_check_random(rng):
     for _ in range(100):
-        assert veronese_pluecker_check(random_alternating(rng))
+        b = random_alternating(rng)
+        assert mat_vec(phi_matrix(), sym2_coords(spinor_map(b).z)) == \
+            coords_degree(pluecker(graph_basis(b)), DEGREE4_MASKS)
 
 
 def test_a_spinor_of_a_spinor_copies_its_coordinates():

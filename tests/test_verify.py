@@ -16,6 +16,8 @@ from spinweil.multivector import DEGREE4_MASKS, Multivector
 from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
 from spinweil.weil import STANDARD_PERIOD
 
+import table_references as reference
+
 SEEDS = (20240, 1, 2)
 
 #: every check in registry order: name, suite, identity and the detail it
@@ -358,7 +360,7 @@ def test_symmetric_square_split_names_the_dependent_sample(monkeypatch):
 
 def test_symmetric_square_split_names_the_image_of_the_invariant_line(
         monkeypatch):
-    line = verify.reps.gamma0_line()
+    line = reference.sym2_invariant_line()
     col = next(j for j, x in enumerate(line) if x != 0)
     phi = [row[:] for row in verify.reps.phi_matrix()]
     phi[5][col] += 1
@@ -375,15 +377,11 @@ def test_symmetric_square_split_names_the_image_of_the_invariant_line(
 
 
 def test_veronese_pluecker_names_seed_trial_and_b(monkeypatch):
-    real = verify.reps.veronese_pluecker_check
-    calls = []
-
-    def fails_on_trial_1(b):
-        calls.append(b)
-        return real(b) and len(calls) != 2
-
-    monkeypatch.setattr(verify.reps, "veronese_pluecker_check",
-                        fails_on_trial_1)
+    # trial 1's subspace has its first basis vector doubled, so its
+    # Pluecker image is twice phi(z (.) z)
+    graph = _at_call(verify.graph_basis, 1,
+                     lambda basis: [[2 * row[0], *row[1:]] for row in basis])
+    monkeypatch.setattr(verify, "graph_basis", graph)
     ok, detail = _check("veronese-pluecker").fn(5)
     assert not ok
     head = "seed 5, trial 1: phi(z (.) z) is not the Pluecker image at B = "
@@ -392,7 +390,7 @@ def test_veronese_pluecker_names_seed_trial_and_b(monkeypatch):
     drawn = [verify.random_alternating(rng) for _ in range(2)]
     named = json.loads(detail[len(head):])
     assert [[Fraction(x) for x in row] for row in named] == drawn[1]
-    assert calls == drawn
+    assert [args for args, _ in graph.calls] == [(b,) for b in drawn]
 
 
 def test_cayley_image_mismatch_names_the_column(monkeypatch):
@@ -787,8 +785,9 @@ def test_even_closure_of_another_dimension_names_the_gram(monkeypatch):
 
 
 def test_spin_dimension_failure_names_the_basis(monkeypatch):
-    monkeypatch.setattr(verify.clifford, "spin_v_dimension_check",
-                        lambda: (27, 28))
+    # the fifth basis element acts on V by the zero matrix: rank 27
+    monkeypatch.setattr(verify.clifford, "spin_so_iso", _at_call(
+        verify.clifford.spin_so_iso, 4, lambda m: [[0] * 8 for _ in m]))
     labels = [label for label, _, _ in verify.clifford.spin_v_xyz_table()]
     assert _check("spin-dimension").fn(2) == (
         False, f"seed 2, trial 0: rank 27 of 28 on V, not 28 of 28, at the "
@@ -834,7 +833,19 @@ def test_symmetric_square_split_names_a_short_span(monkeypatch):
             "line u = ")
     assert not ok and detail.startswith(head)
     assert [Fraction(x) for x in json.loads(detail[len(head):])] == \
-        verify.reps.gamma0_line()
+        reference.sym2_invariant_line()
+
+
+def test_symmetric_square_split_names_an_invariant_space_of_another_dimension(
+        monkeypatch):
+    found = [[1] * 36, [2] * 36]
+    monkeypatch.setattr(verify.reps, "invariant_subspace",
+                        lambda gens, space: found)
+    ok, detail = _check("symmetric-square-split").fn(3)
+    assert (ok, detail) == (
+        False, f"seed 3, trial set-up: the spin(V)-invariants of Sym^2 S+ "
+               f"span dimension 2, not 1, at their basis = {to_text(found)}")
+    assert "Error" not in detail
 
 
 def test_hodge_criterion_fails_unless_both_answers_occur(monkeypatch):

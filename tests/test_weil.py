@@ -18,7 +18,7 @@ from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            _spinor_ratio, cayley_hodge_test,
                            complex_structure, datum_report, field_parameters,
-                           h2_split, k_action, kappa_spinor, make_weil_datum,
+                           h2_split, k_action, make_weil_datum,
                            omega_line_check, polarization, sample_period,
                            weil_class_space, weil_condition)
 
@@ -196,8 +196,11 @@ def reference_complex_structure(period):
 
 
 def reference_k_action(h, s):
-    """+sqrt(-d) on the annihilator of kappa, -sqrt(-d) on its conjugate."""
-    kappa, d, m, f = kappa_spinor(h, s)
+    """+sqrt(-d) on the annihilator of kappa = sqrt(-d) h + (h,h) s, -sqrt(-d)
+    on its conjugate (sqrt(-d) = f sqrt(m))."""
+    d, m, f = field_parameters(h, s)
+    kappa = Spinor([QuadExt(h.pair(h) * sc, f * hc, m)
+                    for hc, sc in zip(h.z, s.z)])
     return eigen_assembly(subspace_of_spinor(kappa), QuadExt(0, f, m))
 
 
@@ -282,12 +285,16 @@ def test_each_certificate_raises_where_the_datum_is_built(
 
 def test_kappa_isotropic_symbolically(standard_h, standard_s):
     # (kappa, kappa) = -d a + a^2 b = 0 where a = (h,h), b = (s,s), d = ab
-    kappa, d, m, f = kappa_spinor(standard_h, standard_s)
+    datum = _standard_datum()
+    kappa, d, m, f = datum.kappa, datum.d, datum.m, datum.f
     assert kappa.pair(kappa) == 0
     a = standard_h.pair(standard_h)
     b = standard_s.pair(standard_s)
     assert -d * a + a * a * b == 0
     assert d == 4 and m == -1 and f == 2
+    # 2 s + 2 i h
+    assert kappa == Spinor([QuadExt(2, 0, -1), QuadExt(0, 2, -1), 0, 0,
+                            QuadExt(2, 0, -1), QuadExt(0, 2, -1), 0, 0])
 
 
 def test_k_action_standard(standard_h, standard_s):
@@ -482,8 +489,8 @@ def test_weil_class_space(standard_h, standard_s, standard_period):
     assert report["x4_eigenvalue_on_weil_line"]
 
 
-def test_h2_split(standard_h, standard_s):
-    out = h2_split(standard_h, standard_s)
+def test_h2_split():
+    out = h2_split(_standard_datum())
     assert out["profile"] == (16, 6, 6)
     assert out["weights_match"]
     assert sum(out["profile"]) == 28
@@ -518,10 +525,10 @@ def test_tower_intersection_dimension():
     # computed over the biquadratic tower
     s = Spinor([1, 0, 0, 0, 1, 0, 0, 0])
     h = Spinor([0, 2, 0, 0, 0, 1, 0, 0])    # d = 8, m = -2
-    per = sample_period(h, s, seed=3)
-    zl = subspace_of_spinor(per.spinor())
-    kappa, d, m, f = kappa_spinor(h, s)
-    zk = subspace_of_spinor(kappa)
+    datum = make_weil_datum(h, s, seed=3)
+    zl = subspace_of_spinor(datum.period.spinor())
+    zk = subspace_of_spinor(datum.kappa)
+    m = datum.m
     lift_l = [[TowerScalar(x.a, x.b, 0, 0, m=m) if isinstance(x, QuadExt)
                else TowerScalar(x, m=m) for x in row] for row in zl]
     lift_k = [[TowerScalar(x.a, 0, x.b, 0, m=m) if isinstance(x, QuadExt)
