@@ -166,11 +166,9 @@ class CliffordAlgebra:
     def vector(self, coords):
         return CliffordElement(self, {1 << i: c for i, c in enumerate(coords)})
 
-    def basis_masks(self, even_only=False):
-        masks = range(1 << self.rank)
-        if even_only:
-            return [m for m in masks if popcount(m) % 2 == 0]
-        return list(masks)
+    def even_masks(self):
+        """The masks of the even blades, in increasing order."""
+        return tuple(m for m in range(1 << self.rank) if popcount(m) % 2 == 0)
 
 
 class CliffordElement(_Blades):

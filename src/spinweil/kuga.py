@@ -26,20 +26,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from .clifford import CliffordAlgebra, CliffordElement, commutator, so_to_spin
-from .lattices import BilinearLattice, sublattice_gram
+from .lattices import BilinearLattice, make_Splus, sublattice_gram
 from .linalg import (identity, mat_mul, rank, solve_matrix, sparse_nullspace,
                      transpose)
 from .multivector import nonzero_columns
 from .reps import _action_matrix
 from .scalars import rat, squarefree_part
-from .spingeo import splus_lattice
 from .weil import Period, WeilDatum, complement_basis
 
 
 def complement_data(h, s):
     """Basis of the rank-6 complement of <h, s> inside S+, and its Gram."""
     basis = complement_basis(h, s)
-    return basis, sublattice_gram(splus_lattice(), basis, label="H")
+    return basis, sublattice_gram(make_Splus(), basis, label="H")
 
 
 def _h_coordinates(cols, vectors):
@@ -90,7 +89,7 @@ def ks_complex_structure(h, s, period: Period) -> KSDatum:
     if w * w != algebra.scalar(-c * c / 4):
         raise RuntimeError("(f1 f2)^2 = -c^2/4 failed: scale convention "
                            "violated")
-    masks = tuple(algebra.basis_masks(even_only=True))
+    masks = algebra.even_masks()
     j_ks = mult_matrix(algebra, w.scale(Fraction(2) / c), masks)
     minus_identity = [[-x for x in row] for row in identity(len(masks))]
     if mat_mul(j_ks, j_ks) != minus_identity:
@@ -127,7 +126,7 @@ def ks_center(lattice: BilinearLattice):
     for a center of another dimension).
     """
     algebra = CliffordAlgebra(lattice)
-    masks = tuple(algebra.basis_masks(even_only=True))
+    masks = algebra.even_masks()
     index = {m: a for a, m in enumerate(masks)}
     rows = []
     for i, j in combinations(range(lattice.rank), 2):

@@ -7,6 +7,9 @@ Both are four hyperbolic planes, built by one builder that stores the
 Gram of U^4 unscaled.  The factor 2 in (z, z) = 2(z_1 z_5 + z_2 z_6 +
 z_3 z_7 + z_4 z_8) is that of the quadratic form, whose zero set is the
 quadric z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8 = 0; it is not in the Gram.
+V and S+ are one object each: make_V and make_Splus build their lattice
+once and hand out that object on every call (CV().lattice is make_V()),
+which is sound because no code writes a Gram in place.
 
 The Mukai lattice H^ev(A) = U + U^3 of an abelian surface is S+, as
 Spin(H^1(A) + H^1(A)^v) acts on H^ev(A) (Mukai 1987; Golyshev-Lunts-Orlov
@@ -103,11 +106,13 @@ def _four_hyperbolic_planes(label) -> BilinearLattice:
     return BilinearLattice(g, label=label)
 
 
+@lru_cache(maxsize=1)
 def make_V() -> BilinearLattice:
     """The rank-8 lattice V = W + W*, four hyperbolic planes."""
     return _four_hyperbolic_planes("V")
 
 
+@lru_cache(maxsize=1)
 def make_Splus() -> BilinearLattice:
     """The rank-8 spinor lattice S+ in z-coordinates.
 
@@ -117,12 +122,6 @@ def make_Splus() -> BilinearLattice:
     by it is z_1 z_5 + z_2 z_6 + z_3 z_7 + z_4 z_8 = 0.
     """
     return _four_hyperbolic_planes("S+")
-
-
-@lru_cache(maxsize=1)
-def splus_lattice() -> BilinearLattice:
-    """The one S+ lattice that spinors and Mukai vectors pair in."""
-    return make_Splus()
 
 
 def signature(lattice: BilinearLattice):
@@ -183,7 +182,7 @@ def sublattice_gram(lattice: BilinearLattice, vectors, label=""):
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector):
     """Mukai pairing -(r s' + r' s) + c . c', the S+ pairing of v.z and w.z."""
-    return splus_lattice().pair(v.z, w.z)
+    return make_Splus().pair(v.z, w.z)
 
 
 def moduli_dimension(n: int):

@@ -40,14 +40,14 @@ from itertools import combinations, combinations_with_replacement
 from .clifford import (CV, _module_table, _over, _sigma_rows, _table_for,
                        cartan_elements, spin_v_xyz_table)
 from .jsonio import to_text
-from .lattices import orthogonal_complement
+from .lattices import make_Splus, orthogonal_complement
 from .linalg import (_sparse_kernel, extend_span, mat, mat_vec, rank,
                      scale_to_integers, sparse_nullspace, sparse_product)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derivation_columns, from_coords, indices_of,
                           mask_of, nonzero_columns, star_matrix, wedge)
 from .spingeo import (ODD_MASKS, Z_DICT, Spinor, _proportionality,
-                      random_alternating, spinor_map, splus_lattice)
+                      random_alternating, spinor_map)
 
 WEDGE2V_BASIS = tuple(combinations(range(8), 2))
 WEDGE4V_BASIS = tuple(combinations(range(8), 4))
@@ -491,7 +491,7 @@ def _branching_profile(s, stab):
     inv = invariant_subspace(stab, "Wedge4V")
     phi = phi_matrix()
     image_vectors = [mat_vec(phi, sym2_coords_pair(s.z, t))
-                     for t in orthogonal_complement(splus_lattice(), [s.z])]
+                     for t in orthogonal_complement(make_Splus(), [s.z])]
     standard_dim = rank(mat(image_vectors))
     phi_rank = rank(phi)
     profile = {

@@ -21,9 +21,9 @@ from itertools import combinations, combinations_with_replacement
 
 from .clifford import (CV, CliffordElement, _module_table, exp_nilpotent,
                        sigma_action, twisted_conjugation)
-from .lattices import splus_lattice
+from .lattices import make_Splus
 from .linalg import mat, rank, sparse_nullspace
-from .multivector import Multivector, check_alternating, pfaffian
+from .multivector import Multivector, check_alternating
 from .scalars import _integer_coords, rat
 
 # z-coordinate index -> (bitmask of e_I, sign), see module docstring
@@ -69,7 +69,7 @@ class Spinor:
         return Multivector(4, terms)
 
     def pair(self, other: "Spinor"):
-        return splus_lattice().pair(self.z, other.z)
+        return make_Splus().pair(self.z, other.z)
 
     def is_isotropic(self) -> bool:
         return self.pair(self) == 0
@@ -80,18 +80,9 @@ class Spinor:
     def scale(self, c):
         return Spinor([c * x for x in self.z])
 
-    def __add__(self, other):
-        return Spinor([a + b for a, b in zip(self.z, other.z)])
-
-    def __sub__(self, other):
-        return Spinor([a - b for a, b in zip(self.z, other.z)])
-
     def __eq__(self, other):
         return isinstance(other, Spinor) and all(
             a == b for a, b in zip(self.z, other.z))
-
-    def __hash__(self):
-        return hash(tuple(self.z))
 
     def __repr__(self):
         return f"Spinor({self.z})"
@@ -117,9 +108,11 @@ def spinor_map(b) -> Spinor:
 def spinor_inverse(s: Spinor):
     """The alternating matrix B with spinor_map(B) proportional to s.
 
-    Needs an isotropic s with z_1 != 0 (the open cell); after scaling z_1
-    to 1 the entries are read off and the z_5 coordinate is checked against
-    the Pfaffian of the reconstructed matrix.
+    Needs an isotropic s with z_1 != 0 (the open cell), the two facts
+    checked here; after scaling z_1 to 1 the entries are read off.  The
+    z_5 coordinate needs no check of its own: isotropy with w_1 = 1 gives
+    w_5 = -(w_2 w_6 + w_3 w_7 + w_4 w_8) = b_12 b_34 - b_13 b_24 + b_14 b_23,
+    the Pfaffian of the matrix read off, so spinor_map(B) = w exactly.
     """
     if not s.is_isotropic():
         raise ValueError("spinor is not isotropic")
@@ -134,8 +127,6 @@ def spinor_inverse(s: Spinor):
          [-b12, zero, b23, b24],
          [-b13, -b23, zero, b34],
          [-b14, -b24, -b34, zero]]
-    if pfaffian(b) != w[4]:
-        raise ValueError("z_5 does not equal the Pfaffian: corrupted spinor")
     return b
 
 
@@ -210,6 +201,14 @@ def subspace_of_spinor(s: Spinor):
     and a call took 75-80 us against 113-121 us with the Fraction rows
     (best of 7 passes over 300 spinors drawn as verify draws them, 3
     alternating runs, one core of a 2-core Xeon).
+
+    Three certificates test the spin-module table: the kernel has
+    dimension 4; its columns pair to 0 on V (columns paired on ints), as
+    (v, w) s = v (w s) + w (v s) = 0 for v, w in the kernel; and the top
+    four rows have even corank, the parity of the even component.  The
+    basis has rank 4 with no check: each kernel vector of the read-off
+    (linalg._sparse_kernel) is nonzero at its own free column and zero at
+    the other three.
     """
     if s.is_zero():
         raise ValueError("spinor must be nonzero")
@@ -219,22 +218,15 @@ def subspace_of_spinor(s: Spinor):
     if len(kernel) != 4:
         raise RuntimeError("annihilator of a nonzero isotropic spinor is "
                            "not 4-dimensional")
+    cols = [_integer_coords(v) for v in kernel]
+    if any(CV().lattice._pair(a, b) != 0
+           for a, b in combinations_with_replacement(cols, 2)):
+        raise ValueError("subspace is not isotropic")
     basis = [[v[i] for v in kernel] for i in range(8)]
-    _validate_isotropic(basis)
     # Z meets W* = span(e_5..e_8) in the kernel of the top rows of its basis
     if (4 - rank(basis[:4])) % 2:
         raise RuntimeError("spinor produced an odd-component subspace")
     return basis
-
-
-def _validate_isotropic(basis8x4):
-    """B^T G B = 0 (columns paired on ints) and rank 4 for the 8 x 4 B."""
-    cols = [_integer_coords(col) for col in zip(*basis8x4)]
-    if any(CV().lattice._pair(a, b) != 0
-           for a, b in combinations_with_replacement(cols, 2)):
-        raise ValueError("subspace is not isotropic")
-    if rank(basis8x4) != 4:
-        raise ValueError("subspace basis is rank deficient")
 
 
 def transversality(s1: Spinor, s2: Spinor) -> bool:

@@ -29,10 +29,10 @@ from functools import lru_cache
 from math import isqrt
 
 from .jsonio import to_text
-from .lattices import (BilinearLattice, make_V, orthogonal_complement,
-                       signature)
-from .linalg import (det, inverse, mat, mat_mul, mat_vec, nullspace, rank,
-                     scale_to_integers, transpose)
+from .lattices import (BilinearLattice, make_Splus, make_V,
+                       orthogonal_complement, signature)
+from .linalg import (det, mat, mat_mul, mat_vec, nullspace, rank,
+                     scale_to_integers, solve_matrix, transpose)
 from .multivector import (DEGREE4_MASKS, Multivector, coords_degree,
                           derive_multivector, indices_of, mask_of, pluecker,
                           wedge)
@@ -40,7 +40,7 @@ from .reps import (WEDGE2V_BASIS, cayley_class, derivation_matrix,
                    invariant_subspace, stabilizer_algebra, weight_multiset)
 from .scalars import QuadExt, is_norm, rat, squarefree_part
 from .spingeo import (Spinor, _proportionality, spinor_action_matrix,
-                      splus_lattice, subspace_of_spinor)
+                      subspace_of_spinor)
 
 #: the period of the standard datum (spingeo.STANDARD_H, STANDARD_S)
 STANDARD_PERIOD = ((0, 0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0, 1))
@@ -61,7 +61,7 @@ class Period(namedtuple("Period", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
-        lat = splus_lattice()
+        lat = make_Splus()
         pl, ql = list(p), list(q)
         if lat.pair(pl, ql) != 0:
             raise ValueError("period needs (p, q) = 0")
@@ -71,12 +71,8 @@ class Period(namedtuple("Period", "p q")):
             raise ValueError("period needs (p, p) > 0")
         return super().__new__(cls, p, q)
 
-    def spinor(self) -> Spinor:
-        """p + i q over the Gaussian rationals."""
-        return Spinor([QuadExt(a, b, -1) for a, b in zip(self.p, self.q)])
-
     def pairs_to_zero_with(self, z) -> bool:
-        lat = splus_lattice()
+        lat = make_Splus()
         return (lat.pair(list(self.p), z) == 0
                 and lat.pair(list(self.q), z) == 0)
 
@@ -89,7 +85,7 @@ def complement_basis(h, s):
     """Coordinates of a basis of the rank-6 complement of <h, s> in S+;
     ValueError when the complement has another rank."""
     h, s = Spinor(h), Spinor(s)
-    basis = orthogonal_complement(splus_lattice(), [h.z, s.z])
+    basis = orthogonal_complement(make_Splus(), [h.z, s.z])
     if len(basis) != 6:
         raise ValueError("complement is not of rank 6")
     return basis
@@ -111,7 +107,7 @@ def sample_period(h, s, seed=0) -> Period:
     PERIOD_TRIES draws.
     """
     h, s = Spinor(h), Spinor(s)
-    lat = splus_lattice()
+    lat = make_Splus()
     if s.pair(h) != 0 or h.pair(h) <= 0 or s.pair(s) <= 0:
         raise ValueError("need orthogonal h, s spanning a positive "
                          "definite plane")
@@ -157,13 +153,14 @@ def sample_period(h, s, seed=0) -> Period:
 def _spinor_ratio(x: Spinor, y: Spinor, c):
     """The rational matrix c A_y^-1 A_x on V, for orthogonal rational
     spinors x and y with (y, y) > 0, checked to square to
-    -c^2 (x, x)/(y, y) I (A_s is spinor_action_matrix).
+    -c^2 (x, x)/(y, y) I (A_s is spinor_action_matrix); A_y^-1 A_x is the
+    solution of A_y X = A_x, one elimination of [A_y | A_x].
 
     A_y is invertible: v y = 0 gives Q(v) y = v (v y) = 0, and as
     (y, y) > 0 the spinor y is not pure, so its annihilator is zero.
     """
     r = [[c * v for v in row] for row in
-         mat_mul(inverse(spinor_action_matrix(y)), spinor_action_matrix(x))]
+         solve_matrix(spinor_action_matrix(y), spinor_action_matrix(x))]
     lam = -c * c * x.pair(x) / y.pair(y)
     if mat_mul(r, r) != [[lam if a == b else 0 for b in range(8)]
                          for a in range(8)]:
@@ -468,7 +465,7 @@ def h2_split(datum: WeilDatum):
     """
     k = datum.kappa.z
     kb = [x.conj() for x in k]
-    lat = splus_lattice()
+    lat = make_Splus()
     gk, gkb = mat_vec(lat.gram, k), mat_vec(lat.gram, kb)
     c = 2 / lat.pair(k, kb)
     xr = [[c * (k[a] * gkb[b] - kb[a] * gk[b]) for b in range(8)]

@@ -527,7 +527,7 @@ def ks_center_basis(lattice):
     stacked L_g - R_g over g = e_i e_j, from the left and right
     multiplication matrices."""
     algebra = CliffordAlgebra(lattice)
-    masks = tuple(algebra.basis_masks(even_only=True))
+    masks = algebra.even_masks()
     rows = []
     for i, j in combinations(range(lattice.rank), 2):
         g = algebra.generator(i) * algebra.generator(j)

@@ -14,7 +14,7 @@ from spinweil.clifford import (CV, cartan_elements, commutator,
                                twisted_conjugation)
 from spinweil.kuga import (ks_center_field_check, ks_complex_structure,
                            ks_report, ks_right_commutation)
-from spinweil.lattices import make_V, moduli_dimension
+from spinweil.lattices import make_Splus, make_V, moduli_dimension
 from spinweil.linalg import det, identity, mat, mat_mul, mat_vec, nullspace, rank
 from spinweil.multivector import Multivector, mask_of, pfaffian, star_matrix
 from spinweil.reps import (cayley_class, cayley_constant, derived_action,
@@ -24,7 +24,7 @@ from spinweil.reps import (cayley_class, cayley_constant, derived_action,
                            weight_decomposition, weight_multiset)
 from spinweil.spingeo import (EVEN_MASKS, Spinor, random_alternating,
                               random_isotropic_spinor, spinor_map,
-                              splus_lattice, transversality)
+                              transversality)
 from spinweil.weil import (Period, cayley_hodge_test, datum_report, h2_split,
                            make_weil_datum, sample_period, weil_class_space)
 
@@ -49,7 +49,7 @@ def test_criterion_01_spinor_quadric():
         pf = b[0][1] * b[2][3] - b[0][2] * b[1][3] + b[0][3] * b[1][2]
         assert z == [1, b[0][1], b[0][2], b[0][3], pf,
                      -b[2][3], b[1][3], -b[1][2]]
-        assert splus_lattice().pair(z, z) == 0
+        assert make_Splus().pair(z, z) == 0
     report(1, "1000 spinor images on the quadric, coordinates exact")
 
 

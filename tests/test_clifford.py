@@ -35,10 +35,12 @@ def test_defining_relations():
 
 def test_dimensions():
     alg = CV()
-    assert len(alg.basis_masks()) == 256
-    assert len(alg.basis_masks(even_only=True)) == 128
+    assert alg.rank == 8 and 1 << alg.rank == 256
+    assert alg.even_masks() == tuple(
+        m for m in range(1 << alg.rank) if bin(m).count("1") % 2 == 0)
+    assert len(alg.even_masks()) == 128
     rank6 = BilinearLattice([[0] * 6 for _ in range(6)])
-    assert len(CliffordAlgebra(rank6).basis_masks(even_only=True)) == 32
+    assert len(CliffordAlgebra(rank6).even_masks()) == 32
 
 
 def test_vector_square_is_half_norm(rng):

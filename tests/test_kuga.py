@@ -10,10 +10,10 @@ from spinweil.clifford import CliffordAlgebra
 from spinweil.kuga import (complement_data, ks_center, ks_center_field_check,
                            ks_complex_structure, ks_hom, ks_report,
                            ks_right_commutation, mult_matrix)
-from spinweil.lattices import BilinearLattice
+from spinweil.lattices import BilinearLattice, make_Splus
 from spinweil.linalg import mat_mul
 from spinweil.scalars import squarefree_part
-from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor, splus_lattice
+from spinweil.spingeo import STANDARD_H, STANDARD_S, Spinor
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            datum_report, field_parameters, h2_split, k_action,
                            make_weil_datum, sample_period, weil_class_space)
@@ -133,7 +133,7 @@ def test_center_basis_is_the_unit_scalar_then_the_generator():
     parts = set()
     for lattice in lattices:
         basis, sq = ks_center(lattice)
-        masks = CliffordAlgebra(lattice).basis_masks(even_only=True)
+        masks = CliffordAlgebra(lattice).even_masks()
         assert len(basis) == 2 and masks[0] == 0
         assert basis[0] == [1] + [0] * (len(masks) - 1)
         assert basis[1][0] == 0
@@ -271,7 +271,7 @@ def test_the_center_acts_on_hom_as_the_field(h, period):
 def random_positive_planes(rng, count):
     """The first count planes with integer h in [-2, 2]^8 and s drawn
     there and projected off h, kept when (h, h) > 0 and (s, s) > 0."""
-    lat = splus_lattice()
+    lat = make_Splus()
     planes = []
     while len(planes) < count:
         h = [Fraction(rng.randint(-2, 2)) for _ in range(8)]

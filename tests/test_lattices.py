@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinweil.clifford import CV
 from spinweil.lattices import (BilinearLattice, MukaiVector, make_Splus,
                                make_V, moduli_dimension, mukai_pairing,
                                orthogonal_complement, signature,
@@ -29,6 +30,12 @@ def test_V_gram_values():
     assert v.pair(unit(0), unit(0)) == 0
     assert v.pair(unit(2), unit(6)) == 1
     assert v.pair(unit(2), unit(5)) == 0
+
+
+def test_V_and_Splus_are_built_once():
+    assert make_V() is make_V()
+    assert make_Splus() is make_Splus()
+    assert CV().lattice is make_V()
 
 
 def test_V_signature():

@@ -461,6 +461,15 @@ def test_kernel_read_off_the_integer_rows_matches_the_dense_read_off(case):
                                 for rows in sparse]
     for kernel, want in zip(got, wanted):
         assert kernel == want and repr(kernel) == repr(want)
+    # each read-off vector leads with its own free column, nonzero there
+    # and zero at every other free column: the vectors restricted to the
+    # free columns are a diagonal block, so they are independent
+    for rows in sparse:
+        kernel = linalg._sparse_kernel(rows, ncols)
+        free = [next(iter(w)) for w in kernel]
+        assert free == sorted(set(free))
+        assert [[w.get(fc, 0) != 0 for fc in free] for w in kernel] == [
+            [fc == own for fc in free] for own in free]
 
 
 @pytest.mark.parametrize("a", [

@@ -1,5 +1,4 @@
 import ast
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,14 +12,13 @@ from spinweil.linalg import mat, mat_mul, mat_vec, rank
 from spinweil.jsonio import encode_scalar
 from spinweil.multivector import (DEGREE4_MASKS, Multivector,
                                   check_alternating, coords_degree, mask_of,
-                                  pluecker, wedge)
+                                  pfaffian, pluecker, wedge)
 from spinweil.reps import phi_matrix, sym2_coords
 from spinweil.scalars import QuadExt, TowerScalar
-from spinweil.spingeo import (Spinor, _validate_isotropic, graph_basis,
-                              move_to_cell, random_alternating,
-                              random_isotropic_spinor, spinor_action_matrix,
-                              spinor_inverse, spinor_map, subspace_of_spinor,
-                              transversality)
+from spinweil.spingeo import (Spinor, graph_basis, move_to_cell,
+                              random_alternating, random_isotropic_spinor,
+                              spinor_action_matrix, spinor_inverse,
+                              spinor_map, subspace_of_spinor, transversality)
 
 import table_references as reference
 
@@ -174,12 +172,27 @@ def test_spinor_inverse_rejects():
         spinor_inverse(Spinor([1, 0, 0, 0, 1, 0, 0, 0]))  # not isotropic
     with pytest.raises(ValueError):
         spinor_inverse(Spinor([0, 0, 0, 0, 1, 0, 0, 0]))  # outside the cell
-    # at n = 4 the Pfaffian consistency of an isotropic spinor with z1 = 1
-    # is the quadric equation itself, so the defensive recheck can only
-    # fire on corrupted state, never on honest input
-    z = Spinor([1, 2, 3, 4, 0, 0, 0, 0])
-    q = -(z.z[1] * z.z[5] + z.z[2] * z.z[6] + z.z[3] * z.z[7])
-    assert q == z.z[4] * z.z[0]
+
+
+@st.composite
+def open_cell_spinors(draw):
+    """An isotropic spinor with z_1 != 0 over Q or Q(sqrt 2): z_1 and
+    z_2..z_4, z_6..z_8 drawn, z_5 solved from the quadric."""
+    entry = ALT_ENTRIES[draw(st.sampled_from(["fraction", "quadext"]))]
+    z = [draw(st.one_of(st.just(0), entry)) for _ in range(8)]
+    z[0] = draw(entry.filter(lambda x: x != 0))
+    z[4] = -(z[1] * z[5] + z[2] * z[6] + z[3] * z[7]) / z[0]
+    return Spinor(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(open_cell_spinors())
+def test_spinor_inverse_of_an_isotropic_spinor_has_its_pfaffian(s):
+    # isotropy alone makes z_5 / z_1 the Pfaffian of the matrix read off,
+    # so spinor_inverse needs no check of its own for z_5
+    b = spinor_inverse(s)
+    assert pfaffian(b) == s.z[4] / s.z[0]
+    assert spinor_map(b).scale(s.z[0]) == s
 
 
 def test_move_to_cell_identity_branch():
@@ -282,17 +295,14 @@ def test_spinor_action_matrix_matches_sigma_action(s):
     assert got == expected and repr(got) == repr(expected)
 
 
-def test_validate_isotropic_rejects_a_non_isotropic_basis():
-    i = QuadExt(0, 1, -1)
-    basis = graph_basis(random_alternating(random.Random(5)))
-    _validate_isotropic(basis)
-    for bad in ([row[:] for row in basis], [[x * i for x in row]
-                                            for row in basis]):
-        bad[0][0] = bad[0][0] + 1  # column 0 pairs to 2 with itself
-        with pytest.raises(ValueError, match="not isotropic"):
-            _validate_isotropic(bad)
-    with pytest.raises(ValueError, match="rank deficient"):
-        _validate_isotropic([row[:3] + [0] for row in basis])
+def test_a_non_isotropic_annihilator_fails_the_isotropy_certificate(
+        monkeypatch):
+    # rows whose kernel is span(e_1, e_2, e_5, e_6), where (e_1, e_5) = 1:
+    # the kernel has dimension 4 but does not pair to 0
+    monkeypatch.setattr(spingeo, "_action_rows",
+                        lambda z: [{2: 1}, {3: 1}, {6: 1}, {7: 1}])
+    with pytest.raises(ValueError, match="^subspace is not isotropic$"):
+        subspace_of_spinor(Spinor([1, 0, 0, 0, 0, 0, 0, 0]))
 
 
 def test_subspace_rejects_zero_and_non_isotropic():
@@ -422,6 +432,17 @@ def test_a_spinor_of_a_spinor_copies_its_coordinates():
     assert t == s and repr(t) == repr(s) and t.z is not s.z
     t.z[0] = Fraction(5)
     assert s.z[0] == 1
+
+
+def test_a_spinor_is_neither_hashable_nor_added():
+    # its coordinates are a mutable list, so a Spinor is no dictionary key
+    s, t = Spinor([1, 0, 0, 0, 0, 0, 0, 0]), Spinor([0, 1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        hash(s)
+    with pytest.raises(TypeError):
+        s + t
+    with pytest.raises(TypeError):
+        s - t
 
 
 def _tests_for_spinor(tree):

@@ -7,13 +7,13 @@ import pytest
 
 from spinweil import weil
 from spinweil.jsonio import decode_vector
-from spinweil.lattices import make_V, orthogonal_complement
+from spinweil.lattices import make_Splus, make_V, orthogonal_complement
 from spinweil.linalg import (det, identity, inverse, mat, mat_mul, mat_vec,
                              rank)
 from spinweil.multivector import Multivector, mask_of
 from spinweil.reps import cayley_class
 from spinweil.scalars import QuadExt, TowerScalar, is_norm
-from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor, splus_lattice,
+from spinweil.spingeo import (STANDARD_H, STANDARD_S, Spinor,
                               subspace_of_spinor)
 from spinweil.weil import (FIELD_SCAN_H, STANDARD_PERIOD, Period,
                            _spinor_ratio, cayley_hodge_test,
@@ -30,14 +30,19 @@ NU3 = (1, -1, 1, -1, 1, -1, 1, -1)
 NU4 = (1, -1, -1, 1, 1, -1, -1, 1)
 
 
+def gaussian_spinor(period):
+    """p + i q over the Gaussian rationals."""
+    return Spinor([QuadExt(a, b, -1) for a, b in zip(period.p, period.q)])
+
+
 def test_period_standard_example(standard_period):
-    lat = splus_lattice()
+    lat = make_Splus()
     p, q = list(standard_period.p), list(standard_period.q)
     # direct evaluation with the form on S+
     assert lat.pair(p, p) == 2 and lat.pair(q, q) == 2
     assert lat.pair(p, q) == 0
     # (ell, ell) = (p,p) - (q,q) = 0 and (ell, conj ell) = (p,p) + (q,q) > 0
-    ell = standard_period.spinor()
+    ell = gaussian_spinor(standard_period)
     assert ell.pair(ell) == 0
     assert ell.pair(Spinor([c.conj() for c in ell.z])) == 4
 
@@ -50,10 +55,10 @@ def test_period_validation():
 
 
 def test_nu_configuration_periods():
-    lat = splus_lattice()
+    lat = make_Splus()
     for nu in (NU1, NU2, NU3, NU4):
         assert lat.pair(list(nu), list(nu)) == 8
-    ell = Period(NU1, NU2).spinor()
+    ell = gaussian_spinor(Period(NU1, NU2))
     assert ell.pair(Spinor([c.conj() for c in ell.z])) == 16
 
 
@@ -73,7 +78,7 @@ def test_sample_period_rejects_bad_plane():
 def reference_sample_period(h, s, seed=0, tries=5000):
     """The period search on rational vectors: each draw is a Fraction
     combination of the complement basis and every pairing a Fraction."""
-    lat = splus_lattice()
+    lat = make_Splus()
     comp = orthogonal_complement(lat, [h.z, s.z])
     rng = random.Random(seed)
 
@@ -157,7 +162,7 @@ def test_complex_structure_properties(standard_period):
     jt = [[j[b][a] for b in range(8)] for a in range(8)]
     assert mat_mul(jt, mat_mul(g, j)) == g
     # eigen-test over the Gaussian rationals: (J - i) kills the subspace
-    z = subspace_of_spinor(standard_period.spinor())
+    z = subspace_of_spinor(gaussian_spinor(standard_period))
     i_unit = QuadExt(0, 1, -1)
     for col in range(4):
         v = [z[r][col] for r in range(8)]
@@ -191,7 +196,7 @@ def eigen_assembly(basis_plus, lam):
 
 def reference_complex_structure(period):
     """+i on the annihilator of p + i q, -i on its conjugate."""
-    z = subspace_of_spinor(period.spinor())
+    z = subspace_of_spinor(gaussian_spinor(period))
     return eigen_assembly(z, QuadExt(0, 1, -1))
 
 
@@ -526,7 +531,7 @@ def test_tower_intersection_dimension():
     s = Spinor([1, 0, 0, 0, 1, 0, 0, 0])
     h = Spinor([0, 2, 0, 0, 0, 1, 0, 0])    # d = 8, m = -2
     datum = make_weil_datum(h, s, seed=3)
-    zl = subspace_of_spinor(datum.period.spinor())
+    zl = subspace_of_spinor(gaussian_spinor(datum.period))
     zk = subspace_of_spinor(datum.kappa)
     m = datum.m
     lift_l = [[TowerScalar(x.a, x.b, 0, 0, m=m) if isinstance(x, QuadExt)
